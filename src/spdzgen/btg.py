@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import modmath
-from .errors import ProtocolStateError
+from .errors import ProtocolAbort, ProtocolStateError
 from .modmath import Ciphertext, GroupParams, KeyPair
 from .net import Runtime
 
@@ -50,11 +50,20 @@ class BtgMessage:
 
     @classmethod
     def parse(cls, raw: bytes, params: GroupParams) -> "BtgMessage":
+        """Inverse of `serialize`; a malformed payload raises ProtocolAbort."""
         w = params.element_size
+        if len(raw) != SESSION_ID_BYTES + 1 + 2 * w:
+            raise ProtocolAbort("BTG message of %d bytes, expected %d"
+                                % (len(raw), SESSION_ID_BYTES + 1 + 2 * w))
         sid = raw[:SESSION_ID_BYTES]
         step = raw[SESSION_ID_BYTES]
+        if step not in (1, 2, 3):
+            raise ProtocolAbort("BTG message for session %s has step %d" % (sid.hex(), step))
         u = params.decode_element(raw[SESSION_ID_BYTES + 1:SESSION_ID_BYTES + 1 + w])
-        v = params.decode_element(raw[SESSION_ID_BYTES + 1 + w:SESSION_ID_BYTES + 1 + 2 * w])
+        v = params.decode_element(raw[SESSION_ID_BYTES + 1 + w:])
+        if not (0 < u < params.p and 0 < v < params.p):
+            raise ProtocolAbort("BTG message for session %s carries an element outside (0, p)"
+                                % sid.hex())
         return cls(sid, step, Ciphertext(u, v))
 
 

@@ -9,6 +9,7 @@ plaintext.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -28,6 +29,15 @@ except ImportError:  # pure-Python fallback, ~6x slower at 256 bits
     _gmp_invert = None
 
 MR_ROUNDS = 64
+
+# Bits per digit of a fixed-base comb table.  A 256-bit table has 43 rows of
+# 64 entries (about 0.19 MB) and costs about 2,700 modular multiplications to
+# build; an exponentiation through it costs at most 43.
+COMB_WINDOW = 6
+_COMB_MASK = (1 << COMB_WINDOW) - 1
+# Bases whose tables stay cached: g plus the long-lived public keys of a few
+# generator trios.
+COMB_TABLES = 16
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -205,13 +215,48 @@ def gen_group(bit_length: int, seed: bytes | int | str = b"") -> GroupParams:
     )
 
 
-def modexp(base: int, e: int, p: int) -> int:
-    """base^e mod p, counted for the benchmark report."""
+def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
+    """base^e mod p, counted for the benchmark report.
+
+    `table`, when given, is `fixed_base_table(base, p)`; exponents in its
+    range cost one multiplication per table row, the rest fall back to plain
+    pow.  The result is the same either way.
+    """
     global _modexp_count
     if p < 2:
         raise ParameterError("modulus must be >= 2")
     _modexp_count += 1
+    if table is not None and 0 <= e and e.bit_length() <= COMB_WINDOW * len(table):
+        acc = 1
+        for row in table:
+            acc = acc * row[e & _COMB_MASK] % p
+            e >>= COMB_WINDOW
+        return acc
     return int(_powmod(base, e, p))
+
+
+@functools.lru_cache(maxsize=COMB_TABLES)
+def fixed_base_table(base: int, p: int) -> tuple:
+    """Fixed-base comb table for `base` mod p, built once per (base, p).
+
+    Row i holds base^(d * 2^(COMB_WINDOW * i)) mod p for every digit
+    d < 2^COMB_WINDOW, and there are enough rows for any exponent of up to
+    p.bit_length() bits (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992).
+    """
+    rows = []
+    b = base % p
+    for _ in range(-(-p.bit_length() // COMB_WINDOW)):
+        row = [1]
+        for _ in range(_COMB_MASK):
+            row.append(row[-1] * b % p)
+        rows.append(tuple(row))
+        b = row[-1] * b % p
+    return tuple(rows)
+
+
+def _fixed_modexp(base: int, e: int, p: int) -> int:
+    """modexp of a base that recurs (g or a long-lived public key)."""
+    return modexp(base, e, p, fixed_base_table(base, p))
 
 
 def inverse(a: int, p: int) -> int:
@@ -223,11 +268,31 @@ def inverse(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def is_subgroup_member(y: int, params: GroupParams) -> bool:
-    """True iff y is in the order-q subgroup (i.e. a quadratic residue)."""
+    """True iff y is in the order-q subgroup (i.e. a quadratic residue).
+
+    For prime p the Jacobi symbol (y/p) is the Legendre symbol, which is 1
+    exactly when y^q = 1 mod p (Euler's criterion), without exponentiating.
+    """
     if not 0 < y < params.p:
         raise MessageSpaceError("element %d outside (0, p)" % y)
-    return pow(y, params.q, params.p) == 1
+    return _jacobi(y, params.p) == 1
 
 
 def random_exponent(params: GroupParams, rng: random.Random) -> int:
@@ -236,15 +301,15 @@ def random_exponent(params: GroupParams, rng: random.Random) -> int:
 
 def random_subgroup_element(params: GroupParams, rng: random.Random) -> int:
     """Uniform over the order-q subgroup, sampled as g^t."""
-    return modexp(params.g, rng.randrange(0, params.q), params.p)
+    return _fixed_modexp(params.g, rng.randrange(0, params.q), params.p)
 
 
 def encrypt(params: GroupParams, h: int, m: int, r: int) -> Ciphertext:
     """Encrypt subgroup plaintext m under public key h with randomness r."""
     if not is_subgroup_member(m, params):
         raise MessageSpaceError("plaintext is not a subgroup member")
-    u = modexp(params.g, r, params.p)
-    v = m * modexp(h, r, params.p) % params.p
+    u = _fixed_modexp(params.g, r, params.p)
+    v = m * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 
@@ -252,20 +317,24 @@ def mult_layer(ct: Ciphertext, factor: int, h: int, r: int, params: GroupParams)
     """Multiply the plaintext by `factor` and re-randomize with r under h."""
     if not is_subgroup_member(factor, params):
         raise MessageSpaceError("factor is not a subgroup member")
-    u = ct.u * modexp(params.g, r, params.p) % params.p
-    v = ct.v * factor % params.p * modexp(h, r, params.p) % params.p
+    u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
+    v = ct.v * factor % params.p * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 
 def strip_layer(ct: Ciphertext, x: int, params: GroupParams) -> int:
-    """Remove the key layer x: returns v / u^x mod p."""
-    return ct.v * inverse(modexp(ct.u, x, params.p), params.p) % params.p
+    """Remove the key layer x: returns v / u^x mod p, computed as v * u^(q-x).
+
+    u^q = 1 for every u in the order-q subgroup, so u^(q-x) = u^-x there and
+    stripping needs no inverse.
+    """
+    return ct.v * modexp(ct.u, -x % params.q, params.p) % params.p
 
 
 def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Ciphertext:
     """Fresh randomness r under key h; the plaintext is unchanged."""
-    u = ct.u * modexp(params.g, r, params.p) % params.p
-    v = ct.v * modexp(h, r, params.p) % params.p
+    u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
+    v = ct.v * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from spdzgen import btg, modmath
 from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, BtgMessage, BtgRole
-from spdzgen.errors import ProtocolStateError
+from spdzgen.errors import ProtocolAbort, ProtocolStateError
 from spdzgen.modmath import Ciphertext, KeyPair
 from spdzgen.net import PartyId, Runtime
 
@@ -140,6 +140,28 @@ class TestSerialization:
         assert len(raw) == 16 + 1 + 2 * group256.element_size
         back = BtgMessage.parse(raw, group256)
         assert back == msg
+
+    def test_truncated_and_overlong_payloads(self, group256):
+        raw = BtgMessage(b"\xab" * 16, 2, Ciphertext(123456, 789)).serialize(group256)
+        for bad in (b"", raw[:16], raw[:17], raw[:-1], raw + b"\x00"):
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(bad, group256)
+
+    @pytest.mark.parametrize("step", [0, 4, 255])
+    def test_bad_step(self, group256, step):
+        raw = bytearray(BtgMessage(b"\xab" * 16, 1, Ciphertext(5, 7)).serialize(group256))
+        raw[16] = step
+        with pytest.raises(ProtocolAbort):
+            BtgMessage.parse(bytes(raw), group256)
+
+    def test_elements_outside_open_range(self, group256):
+        p, top = group256.p, (1 << (8 * group256.element_size)) - 1
+        for u, v in ((0, 7), (7, 0), (p, 7), (7, p), (top, 7), (7, top)):
+            raw = BtgMessage(b"\xab" * 16, 3, Ciphertext(u, v)).serialize(group256)
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(raw, group256)
+        edge = BtgMessage(b"\xab" * 16, 3, Ciphertext(1, p - 1))
+        assert BtgMessage.parse(edge.serialize(group256), group256) == edge
 
 
 class TestRuntimeDriver:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from spdzgen import btg
+from spdzgen import btg, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     BlindFactor,
@@ -21,6 +22,8 @@ from spdzgen.dispense import (
     split_additive,
 )
 from spdzgen.errors import BlindFactorError, SelectionError, ShareError
+from spdzgen.gwas import build_parties
+from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
@@ -257,3 +260,20 @@ class TestDispenser:
         assert len(records) == 3
         assert all(set(r) == {"triple_id", "party", "a", "b", "c"} for r in records)
         assert all(r["a"].isdigit() for r in records)
+
+
+class TestGoldenTranscript:
+    # sha256 of the transcript and the modexp count after 30 triples, pinned
+    # from the arithmetic before fixed-base tables and Jacobi membership: any
+    # change to the group arithmetic must leave both exactly as they were.
+    @pytest.mark.parametrize("mode,digest,modexps", [
+        ("single", "e31b868eae3b701f2cc593de554a3d501fee9028a49276bbcb58b2a3ab3ccdc3", 306),
+        ("two", "4edf3a55da18f9f38cfc33e1cf7e890fdd12f5981d57f553cd0d7a26bb7db2fd", 606),
+    ])
+    def test_thirty_triples(self, mode, digest, modexps):
+        modmath.reset_modexp_count()
+        ctx = build_parties(DEFAULT_GROUP_256, seed=7, record=True, blinding=mode)
+        for _ in range(30):
+            ctx.dispenser.next_triple()
+        assert hashlib.sha256(ctx.runtime.transcript_bytes()).hexdigest() == digest
+        assert modmath.modexp_count() == modexps

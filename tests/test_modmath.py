@@ -15,6 +15,7 @@ from spdzgen.errors import (
 )
 from spdzgen.modmath import (
     DEFAULT_GROUP_256,
+    STANDARD_GROUP_2048,
     TINY_GROUP,
     Ciphertext,
     GroupParams,
@@ -108,6 +109,45 @@ class TestModexpInverse:
             modmath.inverse(46, 23)
 
 
+def subgroup_bases(params, n=3):
+    # g and a few fixed subgroup elements, so each table is built once
+    rng = random.Random(params.p.bit_length())
+    return [params.g] + [pow(params.g, rng.randrange(1, params.q), params.p) for _ in range(n)]
+
+
+class TestFixedBaseComb:
+    def test_matches_pow_exhaustive_tiny(self):
+        # [0, 3q] and everything up to twice the table range, so exponents
+        # past the range take the plain-pow fallback too
+        for base in QR23:
+            table = modmath.fixed_base_table(base, P)
+            limit = 1 << (modmath.COMB_WINDOW * len(table))
+            assert limit > P
+            for e in range(max(3 * Q, 2 * limit) + 1):
+                assert modmath.modexp(base, e, P, table) == pow(base, e, P)
+
+    def test_counts_one_modexp_per_call(self):
+        table = modmath.fixed_base_table(G, P)
+        before = modmath.modexp_count()
+        modmath.modexp(G, 5, P, table)
+        modmath.modexp(G, 1000, P, table)  # fallback
+        assert modmath.modexp_count() == before + 2
+
+    @pytest.mark.parametrize("params,bases", [
+        (DEFAULT_GROUP_256, subgroup_bases(DEFAULT_GROUP_256)),
+        (STANDARD_GROUP_2048, subgroup_bases(STANDARD_GROUP_2048, n=1)),
+    ], ids=["256", "2048"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pow_property(self, params, bases, data):
+        base = data.draw(st.sampled_from(bases))
+        bits = params.p.bit_length()
+        e = data.draw(st.one_of(st.integers(0, params.q - 1),
+                                st.integers(0, 1 << (bits + 2 * modmath.COMB_WINDOW))))
+        table = modmath.fixed_base_table(base, params.p)
+        assert modmath.modexp(base, e, params.p, table) == pow(base, e, params.p)
+
+
 class TestSubgroup:
     def test_against_enumeration_oracle(self, tiny):
         members = [y for y in range(1, 23) if modmath.is_subgroup_member(y, tiny)]
@@ -121,6 +161,20 @@ class TestSubgroup:
     def test_zero_is_domain_error(self, tiny):
         with pytest.raises(MessageSpaceError):
             modmath.is_subgroup_member(0, tiny)
+
+    def test_jacobi_matches_euler_exhaustive_tiny(self, tiny):
+        for y in range(1, P):
+            assert modmath.is_subgroup_member(y, tiny) == (pow(y, Q, P) == 1)
+
+    @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
+                             ids=["256", "2048"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_jacobi_matches_euler_property(self, params, data):
+        # -1 is a non-residue mod a safe prime, so x and p - x differ
+        x = data.draw(st.integers(1, params.p - 1))
+        for y in (x, params.p - x):
+            assert modmath.is_subgroup_member(y, params) == (pow(y, params.q, params.p) == 1)
 
 
 class TestCipherLayer:
@@ -183,6 +237,24 @@ class TestCipherLayer:
             v1 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, tiny)), x_c, tiny)
             v2 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, x_c, tiny)), x_a, tiny)
             assert v1 == v2 == m
+
+    def test_strip_matches_inverse_exhaustive_tiny(self, tiny):
+        # v * u^(q-x) == v / u^x for every subgroup u, key x and element v
+        for u in QR23:
+            for x in range(Q + 1):
+                for v in range(1, P):
+                    want = v * egcd_inverse(pow(u, x, P), P) % P
+                    assert modmath.strip_layer(Ciphertext(u, v), x, tiny) == want
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_strip_matches_inverse_property(self, group256, data):
+        p, q = group256.p, group256.q
+        u = pow(group256.g, data.draw(st.integers(0, q - 1)), p)
+        v = data.draw(st.integers(1, p - 1))
+        x = data.draw(st.integers(1, q - 1))
+        want = v * egcd_inverse(pow(u, x, p), p) % p
+        assert modmath.strip_layer(Ciphertext(u, v), x, group256) == want
 
     def test_rerandomize_preserves_plaintext(self, tiny):
         rng = random.Random(5)

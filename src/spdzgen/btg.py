@@ -61,9 +61,8 @@ class BtgMessage:
             raise ProtocolAbort("BTG message for session %s has step %d" % (sid.hex(), step))
         u = params.decode_element(raw[SESSION_ID_BYTES + 1:SESSION_ID_BYTES + 1 + w])
         v = params.decode_element(raw[SESSION_ID_BYTES + 1 + w:])
-        if not (0 < u < params.p and 0 < v < params.p):
-            raise ProtocolAbort("BTG message for session %s carries an element outside (0, p)"
-                                % sid.hex())
+        if u == 0 or v == 0:
+            raise ProtocolAbort("BTG message for session %s carries a zero element" % sid.hex())
         return cls(sid, step, Ciphertext(u, v))
 
 

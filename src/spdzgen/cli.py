@@ -145,7 +145,6 @@ def cmd_run(args) -> int:
         tau=Fraction(str(doc["tau"])),
         lambda_max=Fraction(str(doc["lambda_max"])),
         accept_small=bool(doc["accept_small"]),
-        guard_bits=int(doc.get("guard_bits", 8)),
         fp=fp,
         parties=int(doc["parties"]),
     )
@@ -161,14 +160,11 @@ def cmd_run(args) -> int:
     if args.plaintext_oracle:
         result = gwas.plain_filter_controls(basis, case_counts, controls, config)
         result["triple_count"] = 0
-        contexts = []
     else:
-        contexts = []
         result = gwas.filter_controls(
             group, basis, case_counts, controls, config,
             seed=doc["seed"], record=bool(args.transcript_out),
-            parallel=args.parallel_controls, ledger_path=args.triple_ledger,
-            contexts_out=contexts)
+            ledger_path=args.triple_ledger)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
 
     lam = result["lambda"]
@@ -187,10 +183,8 @@ def cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.transcript_out and contexts:
-        with open(args.transcript_out, "wb") as fh:
-            for ctx in contexts:
-                fh.write(ctx.runtime.transcript_bytes())
+    if args.transcript_out and "context" in result:
+        result["context"].runtime.export_transcript(args.transcript_out)
     print("accepted %d/%d controls, lambda=%s, field p=%s"
           % (len(report["accepted"]), len(controls), float(lam), fp.p),
           file=sys.stderr)
@@ -239,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--lambda-max", dest="lambda_max")
     r.add_argument("--parties", type=int)
     r.add_argument("--plaintext-oracle", action="store_true")
-    r.add_argument("--parallel-controls", type=int, default=1)
     r.add_argument("--transcript-out")
     r.add_argument("--triple-ledger", help="JSONL dispensation audit file")
     r.set_defaults(func=cmd_run)

@@ -111,11 +111,6 @@ class BeaverTripleShares:
     b_shares: dict
     c_shares: dict
 
-    def to_records(self) -> list[dict]:
-        return [{"triple_id": self.triple_id, "party": str(pid),
-                 "a": str(self.a_shares[pid]), "b": str(self.b_shares[pid]),
-                 "c": str(self.c_shares[pid])} for pid in self.parties]
-
 
 TRIPLE_A_TAG = "triple-a"
 TRIPLE_B_TAG = "triple-b"
@@ -167,22 +162,7 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
     runtime.pump()
     runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
-    a = outcome.secret(BtgRole.A)
-    b = outcome.secret(BtgRole.B)
-    c = outcome.secret(BtgRole.C)
-    a_shares = _deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, triple_id),
-                     blind.r_a * a % p, p)
-    b_shares = _deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, triple_id),
-                     blind.r_b * b % p, p)
-    runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG, params.encode_element(c))
-    runtime.pump()
-    c_raw = params.decode_element(runtime.take(leader, TRIPLE_C_RAW_TAG).payload)
-    c_shares = _deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, triple_id),
-                     blind.r_c * c_raw % p, p, keep_local=leader)
-
-    _drain_triple_inboxes(runtime, mpc_pids, triple_id)
-    return BeaverTripleShares(triple_id=triple_id, parties=tuple(mpc_pids),
-                              a_shares=a_shares, b_shares=b_shares, c_shares=c_shares)
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_id, blind)
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
@@ -194,7 +174,6 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     among (O_x, O_y, leader) delivers r_c to the leader, so no single owner
     knows both blinds.  `keys` maps PartyId -> KeyPair for O_x and the leader.
     """
-    p = params.p
     w = params.element_size
     r_a = modmath.random_subgroup_element(params, runtime.rng(ox))
     r_b = modmath.random_subgroup_element(params, runtime.rng(oy))
@@ -215,26 +194,33 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     runtime.take(btg_pids[BtgRole.A], BLIND_TAG)
     runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_id,
+                         BlindFactor(r_a=r_a, r_b=r_b, r_c=r_c))
+
+
+def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict, mpc_pids,
+                  leader: PartyId, triple_id: str, blind: BlindFactor) -> BeaverTripleShares:
+    """Deal one blinded triple once its holders know their blinds.
+
+    The holders of a and b split r_a*a and r_b*b; the holder of c relays it
+    raw to the leader, who splits r_c*c and keeps its own share.
+    """
+    p = params.p
     a_shares = _deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, triple_id),
-                     r_a * outcome.secret(BtgRole.A) % p, p)
+                     blind.r_a * outcome.secret(BtgRole.A) % p, p)
     b_shares = _deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, triple_id),
-                     r_b * outcome.secret(BtgRole.B) % p, p)
+                     blind.r_b * outcome.secret(BtgRole.B) % p, p)
     runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG,
                  params.encode_element(outcome.secret(BtgRole.C)))
     runtime.pump()
     c_raw = params.decode_element(runtime.take(leader, TRIPLE_C_RAW_TAG).payload)
     c_shares = _deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, triple_id),
-                     r_c * c_raw % p, p, keep_local=leader)
-
-    _drain_triple_inboxes(runtime, mpc_pids, triple_id)
-    return BeaverTripleShares(triple_id=triple_id, parties=tuple(mpc_pids),
-                              a_shares=a_shares, b_shares=b_shares, c_shares=c_shares)
-
-
-def _drain_triple_inboxes(runtime, mpc_pids, triple_id):
+                     blind.r_c * c_raw % p, p, keep_local=leader)
     for pid in mpc_pids:
         for tag in (TRIPLE_A_TAG, TRIPLE_B_TAG, TRIPLE_C_TAG):
             runtime.take_all(pid, "%s:%s" % (tag, triple_id))
+    return BeaverTripleShares(triple_id=triple_id, parties=tuple(mpc_pids),
+                              a_shares=a_shares, b_shares=b_shares, c_shares=c_shares)
 
 
 class TripleDispenser:

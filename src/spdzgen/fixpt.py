@@ -144,36 +144,6 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
     return TruncOutcome(value=out, opened=c, m=m, frame=w)
 
 
-def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
-                      ledger: TripleLedger, designated=None) -> list[SharedValue]:
-    """Beaver-multiply many pairs with one batched opening round."""
-    pairs = list(pairs)
-    triples = list(triples)
-    if len(pairs) != len(triples):
-        raise ParameterError("need one triple per product")
-    diffs = []
-    for (x, y), t in zip(pairs, triples):
-        ledger.spend(t.triple_id)
-        diffs.append(spdz.sub_local(x, spdz.triple_component(t, "a"), p))
-        diffs.append(spdz.sub_local(y, spdz.triple_component(t, "b"), p))
-    opened = spdz.open_values(runtime, diffs, p)
-    results = []
-    for i, ((x, y), t) in enumerate(zip(pairs, triples)):
-        rho, eps = opened[2 * i], opened[2 * i + 1]
-        if designated is None:
-            designated_pid = min(x.parties)
-        else:
-            designated_pid = designated
-        shares = {}
-        for pid in x.parties:
-            v = (t.c_shares[pid] + eps * t.a_shares[pid] + rho * t.b_shares[pid]) % p
-            if pid == designated_pid:
-                v = (v + rho * eps) % p
-            shares[pid] = v
-        results.append(SharedValue(id=runtime.fresh_id("prod"), parties=x.parties, shares=shares))
-    return results
-
-
 def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,
             params: FixedPointParams, ledger: TripleLedger,
             roles: TruncRoles | None = None) -> SharedValue:
@@ -192,7 +162,7 @@ def fp_inner(runtime: Runtime, xs, ys, triples, params: FixedPointParams,
     xs, ys = list(xs), list(ys)
     if len(xs) != len(ys):
         raise ParameterError("inner product over unequal lengths")
-    raw_terms = beaver_mult_batch(runtime, list(zip(xs, ys)), triples, params.p, ledger)
+    raw_terms = spdz.beaver_mult_batch(runtime, list(zip(xs, ys)), triples, params.p, ledger)
     acc = raw_terms[0]
     for term in raw_terms[1:]:
         acc = spdz.add_local(acc, term, params.p)
@@ -200,19 +170,12 @@ def fp_inner(runtime: Runtime, xs, ys, triples, params: FixedPointParams,
 
 
 def ltz(runtime: Runtime, x: SharedValue, params: FixedPointParams,
-        roles: TruncRoles | None = None, guard_bits: int | None = None) -> SharedValue:
+        roles: TruncRoles | None = None) -> SharedValue:
     """Shares of 1 if the encoded value is negative, else 0.
 
     Sign extraction is the negated top part of the offset representation:
     -trunc(x, k-1) with the exact carry correction, so the bit is
-    deterministic across the representable range.  `guard_bits` documents the
-    band test data should keep clear of the domain boundary (see
-    ltz_guard_bound); it does not alter the computation here.
+    deterministic across the representable range.
     """
     o = trunc(runtime, x, params.k - 1, params, roles=roles, frame=params.k, exact=True)
     return spdz.scale_local(-1, o.value, params.p)
-
-
-def ltz_guard_bound(params: FixedPointParams, guard_bits: int) -> int:
-    """Largest |encoded value| inside the guard band: 2^(k-1) - 2^(k-1-guard)."""
-    return 2 ** (params.k - 1) - 2 ** (params.k - 1 - guard_bits)

@@ -261,7 +261,6 @@ class PipelineConfig:
     tau: Fraction = Fraction(3, 10)
     lambda_max: Fraction = Fraction(1, 20)
     accept_small: bool = True  # accept when residual <= tau; flag flips it
-    guard_bits: int = 8
     fp: FixedPointParams = field(default_factory=FixedPointParams)
     parties: int = 3
 
@@ -276,7 +275,6 @@ class PipelineConfig:
             "tau": float(self.tau),
             "lambda_max": float(self.lambda_max),
             "accept_small": self.accept_small,
-            "guard_bits": self.guard_bits,
             "parties": self.parties,
             "fixed_point": {"k": self.fp.k, "f": self.fp.f,
                             "kappa": self.fp.kappa, "p": str(self.fp.p)},
@@ -348,7 +346,7 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
     rhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[0], p), p)
     triples = [dispenser.next_triple() for _ in range(3)]
-    prods = fixpt.beaver_mult_batch(
+    prods = spdz.beaver_mult_batch(
         runtime, [(n_sh[0], n_sh[2]), (n_sh[1], n_sh[1]), (lhs, rhs)], triples, p, ledger)
     num = spdz.sub_local(spdz.scale_local(4, prods[0], p), prods[1], p)
     den = prods[2]
@@ -366,7 +364,7 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     blind_sh = spdz.share_secret(runtime, leader, blind, mpc_pids, p)
 
     triples2 = [dispenser.next_triple() for _ in range(2)]
-    blinded = fixpt.beaver_mult_batch(
+    blinded = spdz.beaver_mult_batch(
         runtime, [(blind_sh, num), (blind_sh, den)], triples2, p, ledger)
     opened = spdz.open_values(runtime, blinded, p, collector=o_ctrl, recipients=[o_ctrl])
     num_i, den_i = signed_decode(opened[0], p), signed_decode(opened[1], p)
@@ -411,14 +409,14 @@ def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineCon
     params = config.fp
     tau_sq_enc = signed_decode(fixpt.fp_encode(config.tau * config.tau, params), params.p)
     diff = spdz.add_const(spdz.scale_local(-1, res_sq, params.p), tau_sq_enc, params.p)
-    bit = fixpt.ltz(runtime, diff, params, roles, guard_bits=config.guard_bits)
+    bit = fixpt.ltz(runtime, diff, params, roles)
     exceeded = spdz.open_value(runtime, bit, params.p) == 1
     return _accepts(exceeded, config)
 
 
 @dataclass
 class PipelineParties:
-    """Identity wiring for one runtime segment of the pipeline."""
+    """Identity wiring of the pipeline's parties over one runtime."""
 
     group: GroupParams
     runtime: Runtime
@@ -457,71 +455,45 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
                            ledger=TripleLedger(), roles=roles)
 
 
-def _filter_segment(ctx: PipelineParties, basis: CaseBasis, controls,
-                    config: PipelineConfig) -> dict:
-    """Residual-check a batch of controls on one runtime; returns decisions."""
-    params = config.fp
-    basis_cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(j),
-                               ctx.mpc_pids, params) for j in range(basis.rank)]
-    decisions = {}
-    for ctrl in controls:
-        z_shares = share_vector(ctx.runtime, ctx.o_ctrl, ctrl.vector, ctx.mpc_pids, params)
-        res = residual_norm_sq(ctx.runtime, basis_cols, z_shares, params,
-                               ctx.dispenser, ctx.ledger, ctx.roles)
-        decisions[ctrl.control_id] = secure_accept_bit(ctx.runtime, res, config, ctx.roles)
-    return decisions
-
-
 def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
                     config: PipelineConfig, seed, record: bool = False,
-                    parallel: int = 1, ledger_path=None,
-                    contexts_out: list | None = None) -> dict:
+                    ledger_path=None) -> dict:
     """End-to-end secure filter: residual screening, then the lambda check.
 
-    With parallel > 1 the control batch is split across that many independent
-    runtime segments (disjoint triples, seeds derived per segment); decisions
-    are exact, so the report does not depend on the segmentation.
+    All controls run in order on one runtime; the result carries it under
+    "context" for transcript export.
     """
     if config.fp.p != group.p:
         raise ValidationError(
             "fixed-point field (%d) must be the triple field (%d): dispensed "
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
-    basis.validate_orthonormal(config.fp)
+    params = config.fp
+    basis.validate_orthonormal(params)
     for ctrl in controls:
         if len(ctrl.vector) != basis.dim:
             raise ShapeError("control %s has dimension %d, basis expects %d"
                              % (ctrl.control_id, len(ctrl.vector), basis.dim))
 
-    segments = max(1, min(parallel, len(controls) or 1))
-    chunks = [list(controls)[i::segments] for i in range(segments)]
-    contexts = [build_parties(group, seed=(repr(seed), "segment", i),
-                              parties=config.parties, record=record,
-                              ledger_path=ledger_path)
-                for i in range(segments)]
-    decisions: dict[str, bool] = {}
-    if segments == 1:
-        decisions.update(_filter_segment(contexts[0], basis, chunks[0], config))
-    else:
-        import concurrent.futures
+    ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
+                        record=record, ledger_path=ledger_path)
+    basis_cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(j),
+                               ctx.mpc_pids, params) for j in range(basis.rank)]
+    accepted = []
+    for ctrl in controls:
+        z_shares = share_vector(ctx.runtime, ctx.o_ctrl, ctrl.vector, ctx.mpc_pids, params)
+        res = residual_norm_sq(ctx.runtime, basis_cols, z_shares, params,
+                               ctx.dispenser, ctx.ledger, ctx.roles)
+        if secure_accept_bit(ctx.runtime, res, config, ctx.roles):
+            accepted.append(ctrl)
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=segments) as pool:
-            futures = [pool.submit(_filter_segment, ctx, basis, chunk, config)
-                       for ctx, chunk in zip(contexts, chunks)]
-            for fut in futures:
-                decisions.update(fut.result())
-
-    accepted = [c for c in controls if decisions[c.control_id]]
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
-    lam_ctx = contexts[0]
-    lam = secure_inflation_factor(lam_ctx.runtime, group, tuple(case_counts),
-                                  ctrl_totals, lam_ctx.mpc_pids, lam_ctx.o_case,
-                                  lam_ctx.o_ctrl, lam_ctx.leader, lam_ctx.dispenser,
-                                  lam_ctx.ledger, lam_ctx.owner_keys)
-    if contexts_out is not None:
-        contexts_out.extend(contexts)
+    lam = secure_inflation_factor(ctx.runtime, group, tuple(case_counts), ctrl_totals,
+                                  ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
+                                  ctx.dispenser, ctx.ledger, ctx.owner_keys)
     return {
-        "accepted": sorted(cid for cid, ok in decisions.items() if ok),
+        "accepted": sorted(c.control_id for c in accepted),
         "lambda": lam,
         "lambda_ok": lam <= config.lambda_max,
-        "triple_count": sum(ctx.dispenser.count for ctx in contexts),
+        "triple_count": ctx.dispenser.count,
+        "context": ctx,
     }

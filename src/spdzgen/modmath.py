@@ -19,6 +19,7 @@ from .errors import (
     MessageSpaceError,
     NonInvertibleError,
     ParameterError,
+    ProtocolAbort,
 )
 
 try:
@@ -115,7 +116,8 @@ class GroupParams:
         return x.to_bytes(self.element_size, "big")
 
     def decode_element(self, raw: bytes) -> int:
-        return int.from_bytes(raw, "big")
+        """Inverse of `encode_element`; see `decode_residues` for the checks."""
+        return decode_residues(raw, 1, self.p)[0]
 
     def to_json(self) -> str:
         return json.dumps({"p": str(self.p), "q": str(self.q), "g": str(self.g)})
@@ -336,6 +338,21 @@ def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Cipherte
     u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
     v = ct.v * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
+
+
+def decode_residues(raw: bytes, count: int, p: int) -> list[int]:
+    """`count` fixed-width big-endian residues in [0, p) from a wire payload.
+
+    A payload of the wrong length or an entry >= p raises ProtocolAbort.
+    """
+    w = (p.bit_length() + 7) // 8
+    if len(raw) != count * w:
+        raise ProtocolAbort("payload of %d bytes, expected %d residues of %d bytes"
+                            % (len(raw), count, w))
+    values = [int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w)]
+    if any(v >= p for v in values):
+        raise ProtocolAbort("payload carries a residue outside [0, p)")
+    return values
 
 
 def signed_encode(x: int, p: int) -> int:

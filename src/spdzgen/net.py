@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 from .errors import NetworkError
 
-FRAME_TAG_BYTES = 1
-FRAME_LEN_BYTES = 4
-
-
 @dataclass(frozen=True, order=True)
 class PartyId:
     role: str
@@ -45,30 +41,6 @@ class Message:
     tag: str
     payload: bytes
     seq: int  # strictly increasing per (src, dst) channel
-
-
-def frame_message(tag_byte: int, payload: bytes) -> bytes:
-    """Wire framing: 4-byte big-endian length, tag byte, payload."""
-    body = bytes([tag_byte]) + payload
-    return len(body).to_bytes(FRAME_LEN_BYTES, "big") + body
-
-
-def unframe_message(raw: bytes) -> tuple[int, bytes]:
-    n = int.from_bytes(raw[:FRAME_LEN_BYTES], "big")
-    body = raw[FRAME_LEN_BYTES:FRAME_LEN_BYTES + n]
-    if len(body) != n or n < FRAME_TAG_BYTES:
-        raise NetworkError("truncated frame")
-    return body[0], body[1:]
-
-
-def payload_elements(payload: bytes, width: int, skip: int = 0) -> list[int]:
-    """Split a payload into fixed-width big-endian integers after a header.
-
-    Used by the transcript privacy scans: protocol payloads are sequences of
-    field elements, optionally behind a small header of `skip` bytes.
-    """
-    body = payload[skip:]
-    return [int.from_bytes(body[i:i + width], "big") for i in range(0, len(body) - width + 1, width)]
 
 
 class Runtime:
@@ -233,7 +205,3 @@ class Runtime:
         with open(path, "wb") as fh:
             fh.write(self.transcript_bytes())
 
-
-def spawn_parties(roles, seed=0, scheduler="round-robin", record=True) -> Runtime:
-    """Create a runtime with all pairwise channels available."""
-    return Runtime(roles, seed=seed, scheduler=scheduler, record=record)

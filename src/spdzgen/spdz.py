@@ -16,11 +16,11 @@ one-time-use, enforced by a spent-id ledger.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 
 from .dispense import BeaverTripleShares, split_additive
-from .errors import ShareError, TripleReuseError
+from .errors import ParameterError, ShareError, TripleReuseError
+from .modmath import decode_residues
 from .net import PartyId, Runtime
 
 OPEN_TAG = "open"
@@ -39,14 +39,6 @@ class SharedValue:
             return self.shares[pid]
         except KeyError:
             raise ShareError("party %s holds no share of %s" % (pid, self.id))
-
-
-@dataclass(frozen=True)
-class BeaverOpenings:
-    """The two public values a multiplication reveals: rho = x - a, eps = y - b."""
-
-    rho: int
-    eps: int
 
 
 def _check_same_parties(x: SharedValue, y: SharedValue):
@@ -75,10 +67,6 @@ def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int,
         if pid != owner:
             runtime.take(pid, "%s:%s" % (SHARE_TAG, value_id))
     return SharedValue(id=value_id, parties=parties, shares=shares)
-
-
-def from_shares(value_id: str, shares: dict) -> SharedValue:
-    return SharedValue(id=value_id, parties=tuple(shares.keys()), shares=dict(shares))
 
 
 def triple_component(triple: BeaverTripleShares, which: str) -> SharedValue:
@@ -145,8 +133,7 @@ def open_values(runtime: Runtime, values, p: int,
     runtime.pump()
     contributions = {collector: [v.share_of(collector) for v in values]}
     for msg in runtime.take_all(collector, tag):
-        contributions[msg.src] = [int.from_bytes(msg.payload[i * w:(i + 1) * w], "big")
-                                  for i in range(len(values))]
+        contributions[msg.src] = decode_residues(msg.payload, len(values), p)
     missing = [pid for pid in parties if pid not in contributions]
     if missing:
         raise ShareError("incomplete opening, missing %s" % ", ".join(map(str, missing)))
@@ -170,45 +157,64 @@ def open_value(runtime: Runtime, value: SharedValue, p: int,
 
 
 class TripleLedger:
-    """Spent-set keyed by triple id; thread-safe for concurrent controls."""
+    """Spent-set keyed by triple id."""
 
     def __init__(self):
         self._spent = set()
-        self._lock = threading.Lock()
 
     def spend(self, triple_id: str):
-        with self._lock:
-            if triple_id in self._spent:
-                raise TripleReuseError("triple %s already consumed" % triple_id)
-            self._spent.add(triple_id)
+        if triple_id in self._spent:
+            raise TripleReuseError("triple %s already consumed" % triple_id)
+        self._spent.add(triple_id)
 
     def __len__(self):
         return len(self._spent)
+
+
+def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int, ledger: TripleLedger,
+                      designated: PartyId | None = None) -> list[SharedValue]:
+    """Multiply each pair with its own fresh dispensed triple, in one opening.
+
+    Every pair and triple is checked before any triple is spent, so a
+    rejected batch leaves the ledger as it was.
+    """
+    pairs, triples = list(pairs), list(triples)
+    if len(pairs) != len(triples):
+        raise ParameterError("need one triple per product")
+    if not pairs:
+        return []
+    parties = pairs[0][0].parties
+    if designated is None:
+        designated = min(parties)
+    if designated not in parties:
+        raise ShareError("designated party %s not in share set" % (designated,))
+    for (x, y), t in zip(pairs, triples):
+        _check_same_parties(x, y)
+        if x.parties != parties:
+            raise ShareError("batched product across mismatched party sets")
+        if tuple(t.parties) != parties:
+            raise ShareError("triple %s dispensed to a different party set" % t.triple_id)
+    diffs = []
+    for (x, y), t in zip(pairs, triples):
+        ledger.spend(t.triple_id)
+        diffs.append(sub_local(x, triple_component(t, "a"), p))
+        diffs.append(sub_local(y, triple_component(t, "b"), p))
+    opened = open_values(runtime, diffs, p)
+    results = []
+    for i, t in enumerate(triples):
+        rho, eps = opened[2 * i], opened[2 * i + 1]
+        shares = {pid: (t.c_shares[pid] + eps * t.a_shares[pid] + rho * t.b_shares[pid]) % p
+                  for pid in parties}
+        shares[designated] = (shares[designated] + rho * eps) % p
+        results.append(SharedValue(id=runtime.fresh_id("prod"), parties=parties, shares=shares))
+    return results
 
 
 def beaver_mult(runtime: Runtime, x: SharedValue, y: SharedValue,
                 triple: BeaverTripleShares, p: int, ledger: TripleLedger,
                 designated: PartyId | None = None) -> SharedValue:
     """Multiply two shared values with one fresh dispensed triple."""
-    _check_same_parties(x, y)
-    if tuple(triple.parties) != x.parties:
-        raise ShareError("triple %s dispensed to a different party set" % triple.triple_id)
-    ledger.spend(triple.triple_id)
-    a = triple_component(triple, "a")
-    b = triple_component(triple, "b")
-    opened = open_values(runtime, [sub_local(x, a, p), sub_local(y, b, p)], p)
-    op = BeaverOpenings(rho=opened[0], eps=opened[1])
-    if designated is None:
-        designated = min(x.parties)
-    shares = {}
-    for pid in x.parties:
-        z = (triple.c_shares[pid]
-             + op.eps * triple.a_shares[pid]
-             + op.rho * triple.b_shares[pid]) % p
-        if pid == designated:
-            z = (z + op.rho * op.eps) % p
-        shares[pid] = z
-    return SharedValue(id=runtime.fresh_id("prod"), parties=x.parties, shares=shares)
+    return beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger, designated)[0]
 
 
 def reconstruct_value(value: SharedValue, p: int) -> int:

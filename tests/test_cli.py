@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -155,3 +156,29 @@ def test_console_entry_point(tmp_path):
                            "--seed", "e", "--out", str(out)], capture_output=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+class TestPipelineGolden:
+    # sha256 of the transcript and the triple ledger of one fixed `run`,
+    # pinned from the pipeline before it became a single serial path: the
+    # control loop, the Beaver products and the dispensation must leave both
+    # byte-identical.
+    TRANSCRIPT_SHA256 = "4b39e7b36d7f620d0d4c465470d2d7bc31313ffd07ae30204ee8602d0e27b32c"
+    LEDGER_SHA256 = "b475382952d87006ea9790dc9116daa644264f95ff897e128643c229d85f3954"
+
+    def test_transcript_and_ledger(self, tmp_path):
+        case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))
+        GenotypeMatrix(entries=((0, 1, 2, 1), (1, 1, 0, 2), (2, 1, 1, 0))).to_csv(case_csv)
+        basis_csv.write_text("1,0\n0,1\n0,0\n0,0\n")
+        GenotypeMatrix(entries=((1, 2, 0, 0), (0, 0, 2, 1), (1, 0, 1, 0))).to_csv(ctrl_csv)
+        transcript, ledger, out = tmp_path / "t.jsonl", tmp_path / "l.jsonl", tmp_path / "r.json"
+        code = run_cli("run", "--case", str(case_csv), "--basis", str(basis_csv),
+                       "--controls", str(ctrl_csv), "--out", str(out), "--seed", "5",
+                       "--transcript-out", str(transcript), "--triple-ledger", str(ledger))
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["accepted"] == ["ctrl_000"]
+        ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
+        assert len(ids) == len(set(ids)) == report["triple_count"]
+        assert hashlib.sha256(transcript.read_bytes()).hexdigest() == self.TRANSCRIPT_SHA256
+        assert hashlib.sha256(ledger.read_bytes()).hexdigest() == self.LEDGER_SHA256

@@ -252,15 +252,6 @@ class TestDispenser:
         lines = [json.loads(line) for line in ledger_file.read_text().splitlines()]
         assert [ln["triple_id"] for ln in lines] == [t.triple_id for t in triples]
 
-    def test_records_serialize_decimal(self, group256):
-        rt = build_runtime(seed=6)
-        keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
-        disp = TripleDispenser(rt, group256, BTG_PIDS, keys, MPC, ox=MPC[0], oy=MPC[1])
-        records = disp.next_triple().to_records()
-        assert len(records) == 3
-        assert all(set(r) == {"triple_id", "party", "a", "b", "c"} for r in records)
-        assert all(r["a"].isdigit() for r in records)
-
 
 class TestGoldenTranscript:
     # sha256 of the transcript and the modexp count after 30 triples, pinned

@@ -14,7 +14,6 @@ from spdzgen.fixpt import (
     fp_inner,
     fp_mult,
     ltz,
-    ltz_guard_bound,
     trunc,
 )
 from spdzgen.modmath import signed_decode, signed_encode
@@ -247,7 +246,3 @@ class TestLtz:
             z = share_signed(rt, value, SMALL)
             got = open_value(rt, ltz(rt, z, SMALL), SMALL.p)
             assert got == (1 if value < 0 else 0), "sign failed at %d" % value
-
-    def test_guard_band_bound_helper(self):
-        assert ltz_guard_bound(SMALL, 3) == 128 - 16
-        assert ltz_guard_bound(BIG, 8) == 2 ** 31 - 2 ** 23

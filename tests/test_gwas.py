@@ -300,14 +300,6 @@ class TestFilterPipeline:
         assert result["accepted"] == []
         assert result["lambda"] == 0  # HWE case table alone
 
-    def test_parallel_segmentation_same_report(self, group256):
-        basis, case_counts, controls, config = small_pipeline_inputs(group256)
-        serial = filter_controls(group256, basis, case_counts, controls, config, seed=13)
-        parallel = filter_controls(group256, basis, case_counts, controls, config,
-                                   seed=13, parallel=2)
-        assert serial["accepted"] == parallel["accepted"]
-        assert serial["lambda"] == parallel["lambda"]
-
     def test_control_dimension_checked(self, group256):
         basis, case_counts, _, config = small_pipeline_inputs(group256)
         bad = [ControlRecord.from_genotype_row("ctrl_000", (0, 1))]

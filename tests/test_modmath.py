@@ -12,6 +12,7 @@ from spdzgen.errors import (
     MessageSpaceError,
     NonInvertibleError,
     ParameterError,
+    ProtocolAbort,
 )
 from spdzgen.modmath import (
     DEFAULT_GROUP_256,
@@ -81,6 +82,12 @@ class TestGroupGen:
         raw = group256.encode_element(5)
         assert len(raw) == 32
         assert group256.decode_element(raw) == 5
+
+    @pytest.mark.parametrize("raw", [b"\x05" * 31, b"\x05" * 33, b"\xff" * 32],
+                             ids=["truncated", "overlong", "out-of-range"])
+    def test_element_decoding_rejects_malformed(self, group256, raw):
+        with pytest.raises(ProtocolAbort):
+            group256.decode_element(raw)
 
 
 class TestModexpInverse:

@@ -1,14 +1,7 @@
 import pytest
 
 from spdzgen.errors import NetworkError
-from spdzgen.net import (
-    PartyId,
-    Runtime,
-    frame_message,
-    payload_elements,
-    spawn_parties,
-    unframe_message,
-)
+from spdzgen.net import PartyId, Runtime
 
 A = PartyId("MPC", 1)
 B = PartyId("MPC", 2)
@@ -31,7 +24,7 @@ def test_unknown_scheduler_rejected():
 
 
 def test_single_message_roundtrip_preserves_bytes():
-    rt = spawn_parties([A, B])
+    rt = Runtime([A, B])
     rt.send(A, B, "ping", b"\x00\xffpayload")
     rt.pump()
     msg = rt.take(B, "ping")
@@ -137,18 +130,6 @@ def test_record_off_keeps_channels_working():
     rt.pump()
     assert rt.take(B).payload == b"q"
     assert rt.transcript == []
-
-
-def test_framing_roundtrip():
-    raw = frame_message(7, b"abc")
-    assert unframe_message(raw) == (7, b"abc")
-    with pytest.raises(NetworkError):
-        unframe_message(raw[:-1])
-
-
-def test_payload_elements_chunking():
-    payload = b"HDR" + (5).to_bytes(4, "big") + (300).to_bytes(4, "big")
-    assert payload_elements(payload, 4, skip=3) == [5, 300]
 
 
 def test_take_all_filters_by_tag():

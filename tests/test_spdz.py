@@ -6,7 +6,7 @@ from scipy.stats import chisquare
 
 from spdzgen import modmath, spdz
 from spdzgen.dispense import BeaverTripleShares, BlindFactor, blinded_triple, split_additive
-from spdzgen.errors import ShareError, TripleReuseError
+from spdzgen.errors import ProtocolAbort, ShareError, TripleReuseError
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import (
     SharedValue,
@@ -14,6 +14,7 @@ from spdzgen.spdz import (
     add_const,
     add_local,
     beaver_mult,
+    beaver_mult_batch,
     open_value,
     open_values,
     reconstruct_value,
@@ -72,6 +73,32 @@ class TestOpen:
         shares_seen = [r for r in rt.transcript
                        if r[0] == "msg" and r[3].startswith("open:")]
         assert {r[2] for r in shares_seen} == {P2}
+
+
+class _TamperingRuntime(Runtime):
+    """Rewrites P2's opening payloads before they reach the collector."""
+
+    def __init__(self, tamper):
+        super().__init__(PARTIES, seed=0)
+        self.tamper = tamper
+
+    def send(self, src, dst, tag, payload):
+        if src == P2 and tag.startswith(spdz.OPEN_TAG + ":"):
+            payload = self.tamper(payload)
+        return super().send(src, dst, tag, payload)
+
+
+class TestOpenDecoding:
+    @pytest.mark.parametrize("tamper", [
+        lambda blob: blob[:-5],                   # truncated
+        lambda blob: blob + b"\x00",              # overlong
+        lambda blob: (2**256 - 1).to_bytes(32, "big") + blob[32:],  # share >= p
+    ], ids=["truncated", "overlong", "out-of-range"])
+    def test_malformed_share_blob_aborts(self, group256, tamper):
+        rt = _TamperingRuntime(tamper)
+        values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
+        with pytest.raises(ProtocolAbort):
+            open_values(rt, values, group256.p)
 
 
 class TestLocalAlgebra:
@@ -179,9 +206,14 @@ class TestBeaverMult:
         wrong = BeaverTripleShares(triple_id="w", parties=(P1, P2),
                                    a_shares={P1: 1, P2: 1}, b_shares={P1: 1, P2: 2},
                                    c_shares={P1: 2, P2: 4})
+        ledger = TripleLedger()
         with pytest.raises(ShareError):
-            beaver_mult(rt, x, y, wrong, tiny.p, TripleLedger())
-        del triple
+            beaver_mult(rt, x, y, wrong, tiny.p, ledger)
+        assert len(ledger) == 0
+        # one bad triple rejects the whole batch before any triple is spent
+        with pytest.raises(ShareError):
+            beaver_mult_batch(rt, [(x, y), (x, y)], [triple, wrong], tiny.p, ledger)
+        assert len(ledger) == 0
 
     def test_opened_rho_uniform_with_blinded_triples(self, tiny):
         # with the single-randomness blinding, a' = r*a is uniform over Z*_p,

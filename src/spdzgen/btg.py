@@ -69,11 +69,7 @@ class BtgMessage:
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
     """x uniform in [1, q); h = g^x."""
     x = rng.randrange(1, params.q)
-    return KeyPair(x=x, h=modexp_pub(params, x))
-
-
-def modexp_pub(params: GroupParams, x: int) -> int:
-    return modmath.modexp(params.g, x, params.p)
+    return KeyPair(x=x, h=modmath.modexp(params.g, x, params.p))
 
 
 @dataclass
@@ -182,8 +178,7 @@ class TripleOutcome:
 
 
 def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
-                       pids: dict, session_id: bytes | None = None,
-                       forced: dict | None = None) -> TripleOutcome:
+                       pids: dict, forced: dict | None = None) -> TripleOutcome:
     """Drive one full session over the runtime's channels.
 
     `pids` maps BtgRole -> PartyId.  `forced` optionally pins the secrets of
@@ -191,9 +186,8 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     C back to A closes the session for the simulator's bookkeeping.
     """
     forced = forced or {}
-    if session_id is None:
-        session_id = runtime.rng(pids[BtgRole.A]).getrandbits(8 * SESSION_ID_BYTES) \
-            .to_bytes(SESSION_ID_BYTES, "big")
+    session_id = runtime.rng(pids[BtgRole.A]).getrandbits(8 * SESSION_ID_BYTES) \
+        .to_bytes(SESSION_ID_BYTES, "big")
     rngs = {role: runtime.rng(pids[role]) for role in BtgRole}
     sessions = new_session_trio(params, keys, rngs, session_id)
 

@@ -7,8 +7,8 @@ Two blinding variants are supported:
 
   single-randomness:  a' = r*a,   b' = r*b,   c' = r^2 * c
   two-randomness:     a' = ra*a,  b' = rb*b,  c' = rc*c  with rc = ra*rb
-                      (rc produced by a nested triple-generation session
-                      among the two owners and the committee leader)
+                      (rc is the key product `mhkm.key_product` gives the
+                      committee leader from the two owners' blinds)
 
 Either way c' = a' * b' mod p, so the blinded shares are valid triples, and
 the multiplication openings downstream reveal nothing useful to the triple
@@ -17,8 +17,8 @@ holders, who know only the unblinded values.
 In the single-randomness variant the committee leader must learn r to scale
 the c component: r travels to it on a private channel, which makes the
 leader as trusted as the two owners for that triple.  The two-randomness
-variant removes that trust by deriving r_c inside a nested triple session,
-so the leader ends up with r_c but neither owner blind.
+variant removes that trust by deriving r_c as an mHKM key product, so the
+leader ends up with r_c but neither owner blind.
 """
 
 from __future__ import annotations
@@ -28,17 +28,11 @@ import json
 import random
 from dataclasses import dataclass
 
-from . import btg, modmath
+from . import btg, mhkm, modmath
 from .btg import BtgRole
-from .errors import BlindFactorError, ProtocolAbort, SelectionError, ShareError
+from .errors import BlindFactorError, SelectionError, ShareError
 from .modmath import GroupParams
 from .net import PartyId, Runtime
-
-
-@dataclass(frozen=True)
-class AdditiveShare:
-    owner: PartyId
-    value: int
 
 
 def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]:
@@ -50,13 +44,11 @@ def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]
     return [head] + tail
 
 
-def reconstruct(shares, p: int, expected_len: int | None = None) -> int:
+def reconstruct(shares, p: int) -> int:
     """Sum of a complete share vector mod p."""
-    values = [s.value if isinstance(s, AdditiveShare) else s for s in shares]
+    values = list(shares)
     if any(v is None for v in values):
         raise ShareError("share vector has missing entries")
-    if expected_len is not None and len(values) != expected_len:
-        raise ShareError("expected %d shares, got %d" % (expected_len, len(values)))
     if not values:
         raise ShareError("empty share vector")
     return sum(values) % p
@@ -85,22 +77,6 @@ class BlindFactor:
         if r % p == 0:
             raise BlindFactorError("blind factor is zero mod p")
         return cls(r_a=r % p, r_b=r % p, r_c=r * r % p)
-
-    @classmethod
-    def two(cls, r_a: int, r_b: int, p: int) -> "BlindFactor":
-        if r_a % p == 0 or r_b % p == 0:
-            raise BlindFactorError("blind factor is zero mod p")
-        return cls(r_a=r_a % p, r_b=r_b % p, r_c=r_a * r_b % p)
-
-    def check(self, p: int):
-        if self.r_c != self.r_a * self.r_b % p:
-            raise BlindFactorError("r_c != r_a * r_b mod p")
-
-
-def blinded_triple(a: int, b: int, c: int, blind: BlindFactor, p: int) -> tuple:
-    """Scale a raw triple by the blind factors; preserves c' = a'*b'."""
-    blind.check(p)
-    return (blind.r_a * a % p, blind.r_b * b % p, blind.r_c * c % p)
 
 
 @dataclass(frozen=True)
@@ -168,25 +144,16 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
                        btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
                        leader: PartyId, triple_id: str, keys: dict) -> BeaverTripleShares:
-    """Two-randomness dispensation: r_c = r_a * r_b via a nested session.
+    """Two-randomness dispensation: r_c = r_a * r_b as an mHKM key product.
 
-    O_x and O_y choose subgroup blinds r_a and r_b; a nested triple session
-    among (O_x, O_y, leader) delivers r_c to the leader, so no single owner
-    knows both blinds.  `keys` maps PartyId -> KeyPair for O_x and the leader.
+    O_x and O_y choose subgroup blinds r_a and r_b; `mhkm.key_product` over
+    (O_y, O_x, leader) delivers r_c to the leader, so no single owner knows
+    both blinds.  `keys` maps PartyId -> KeyPair for O_x and the leader.
     """
     w = params.element_size
     r_a = modmath.random_subgroup_element(params, runtime.rng(ox))
     r_b = modmath.random_subgroup_element(params, runtime.rng(oy))
-    try:
-        nested = btg.run_triple_session(
-            runtime, params,
-            keys={BtgRole.A: keys[ox], BtgRole.B: keys.get(oy), BtgRole.C: keys[leader]},
-            pids={BtgRole.A: ox, BtgRole.B: oy, BtgRole.C: leader},
-            forced={BtgRole.A: r_a, BtgRole.B: r_b},
-        )
-    except Exception as exc:
-        raise ProtocolAbort("nested blind-factor session failed: %s" % exc) from exc
-    r_c = nested.secret(BtgRole.C)
+    r_c = mhkm.key_product(runtime, params, [oy, ox, leader], keys, {ox: r_a, oy: r_b})[leader]
 
     runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, r_a.to_bytes(w, "big"))
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, r_b.to_bytes(w, "big"))
@@ -233,8 +200,7 @@ class TripleDispenser:
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
-                 btg_keys: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                 leader: PartyId | None = None, mode: str = "single",
+                 btg_keys: dict, mpc_pids, ox: PartyId, oy: PartyId, mode: str = "single",
                  owner_keys: dict | None = None, ledger_path=None):
         if mode not in ("single", "two"):
             raise BlindFactorError("unknown blinding mode %r" % mode)
@@ -249,11 +215,9 @@ class TripleDispenser:
         self.owner_keys = owner_keys or {}
         self.ledger_path = ledger_path
         self.count = 0
-        if leader is None:
-            pool = [pid for pid in self.mpc_pids if pid not in (ox, oy)]
-            seed = hashlib.sha256(repr(runtime.seed).encode()).digest()
-            leader = select_committee_leader(pool, seed)
-        self.leader = leader
+        pool = [pid for pid in self.mpc_pids if pid not in (ox, oy)]
+        seed = hashlib.sha256(repr(runtime.seed).encode()).digest()
+        self.leader = select_committee_leader(pool, seed)
 
     def next_triple(self) -> BeaverTripleShares:
         triple_id = self.runtime.fresh_id("t")

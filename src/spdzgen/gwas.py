@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import btg, fixpt, modmath, spdz
+from . import btg, fixpt, mhkm, modmath, spdz
 from .btg import BtgRole
 from .dispense import TripleDispenser
 from .errors import (
@@ -330,9 +330,9 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
 
     Each owner shares only its own counts; the combined-table sums n_i form by
     local addition.  Numerator and denominator are built with Beaver products,
-    both multiplied by a joint blind R = r_case * r_ctrl produced by a triple
-    session among the two owners and the leader, and the blinded pair is
-    opened to o_ctrl, who takes their exact ratio (R cancels).
+    both multiplied by a joint blind R = r_case * r_ctrl, which
+    `mhkm.key_product` delivers to the leader from the owners' factors.  The
+    blinded pair is opened to o_ctrl, who takes their exact ratio (R cancels).
     """
     p = group.p
     for v in tuple(case_counts) + tuple(ctrl_counts):
@@ -353,14 +353,8 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
 
     r_case = _sample_bounded_residue(group, runtime.rng(o_case))
     r_ctrl = _sample_bounded_residue(group, runtime.rng(o_ctrl))
-    blind_session = btg.run_triple_session(
-        runtime, group,
-        keys={BtgRole.A: owner_keys[o_case], BtgRole.B: owner_keys.get(o_ctrl),
-              BtgRole.C: owner_keys[leader]},
-        pids={BtgRole.A: o_case, BtgRole.B: o_ctrl, BtgRole.C: leader},
-        forced={BtgRole.A: r_case, BtgRole.B: r_ctrl},
-    )
-    blind = blind_session.secret(BtgRole.C)
+    blind = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
+                             {o_case: r_case, o_ctrl: r_ctrl})[leader]
     blind_sh = spdz.share_secret(runtime, leader, blind, mpc_pids, p)
 
     triples2 = [dispenser.next_triple() for _ in range(2)]
@@ -469,10 +463,17 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
     params = config.fp
     basis.validate_orthonormal(params)
+    # ||z||^2 bounds every term of the residual (the basis is orthonormal, so
+    # each projection^2 is at most ||z||^2); O_ctrl checks it in the clear
+    # before any triple is minted, since a larger value wraps the fp frame.
+    norm_cap = 2 ** (params.e - 1)
     for ctrl in controls:
         if len(ctrl.vector) != basis.dim:
             raise ShapeError("control %s has dimension %d, basis expects %d"
                              % (ctrl.control_id, len(ctrl.vector), basis.dim))
+        if sum(v * v for v in ctrl.vector) >= norm_cap:
+            raise ValidationError("control %s has ||z||^2 >= 2^%d, outside the "
+                                  "fixed-point frame" % (ctrl.control_id, params.e - 1))
 
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)

@@ -1,116 +1,59 @@
-"""Multiplicative n-party key dispensation by chaining triple generators.
+"""Multiplicative key products by chaining triple-generation sessions (mHKM).
 
-Party n ends holding a_n = a_1 * a_2 * ... * a_{n-1} mod p while every other
-party keeps only its own factor.  The chain of n-2 sessions threads a running
-partial product a'_j = a_1 * ... * a_j between sessions:
+Over an ordered party list P_0, P_1, ..., P_{n-1}, the last party ends
+holding a_0 * a_1 * ... * a_{n-2} mod p while every other party keeps only
+its own factor a_i.  The n-2 sessions run forward and thread the running
+product between them:
 
-    session (a_2, a_1)         -> a'_2 delivered to party 3
-    session (a_3, a'_2)        -> a'_3 delivered to party 4
+    session 0: A = P_1 (a_1), B = P_0 (a_0),            C = P_2 gets a_0*a_1
+    session 1: A = P_2 (a_2), B = P_2 (running product), C = P_3 gets a_0*a_1*a_2
     ...
-    session (a_{n-1}, a'_{n-2}) -> a_n  delivered to party n
 
-The relay value a'_j is owned by party j+1, which plays both input roles of
-the next session as sub-identities of itself; the fresh factor always enters
-as role A and the relay as role B.  Descriptors are stored product-first
-(party n's session first) and executed in reverse, since each product feeds
-the next listed session's relay.
+The running product is held by the previous session's receiver, which plays
+both input roles of the next session as sub-identities of itself.  With
+three parties (two owners and the committee leader) one session gives the
+leader the product of the owners' factors: this is how the two-randomness
+dispensation derives r_c and how the secure inflation factor derives its
+joint blind.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 from . import btg
 from .btg import BtgRole
 from .errors import ParameterError, ProtocolAbort
 from .modmath import GroupParams
-from .net import PartyId, Runtime
+from .net import Runtime
 
 
-@dataclass(frozen=True)
-class ChainSession:
-    contributor: int  # party feeding a fresh factor (role A)
-    relay_owner: int  # party holding the partial product (role B)
-    receiver: int     # party obtaining the product (role C)
+def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
+                factors: dict | None = None) -> dict:
+    """Run the chain over `pids`; returns PartyId -> share.
 
-
-@dataclass(frozen=True)
-class MhkmPlan:
-    n: int
-    params: GroupParams
-    chain: tuple  # ChainSession, product-first order
-
-
-@dataclass(frozen=True)
-class MhkmResult:
-    n: int
-    shares: dict  # party index (1-based) -> share value
-
-    def to_json(self) -> str:
-        ordered = [str(self.shares[i]) for i in range(1, self.n + 1)]
-        return json.dumps({"n": self.n, "shares": ordered})
-
-
-def party_ids(n: int) -> dict:
-    return {i: PartyId("KM", i) for i in range(1, n + 1)}
-
-
-def plan_chain(n: int, params: GroupParams) -> MhkmPlan:
-    """n-2 session descriptors; the first delivers a_n to party n."""
-    if n < 3:
-        raise ParameterError("key-product chain needs at least 3 parties, got %d" % n)
-    sessions = []
-    for j in range(n - 2, 0, -1):  # execution index, listed in reverse
-        sessions.append(ChainSession(
-            contributor=j + 1,
-            relay_owner=1 if j == 1 else j + 1,
-            receiver=j + 2,
-        ))
-    return MhkmPlan(n=n, params=params, chain=tuple(sessions))
-
-
-def run_mhkm(plan: MhkmPlan, runtime: Runtime, pids: dict | None = None,
-             forced_secrets: dict | None = None) -> MhkmResult:
-    """Execute the chain bottom-up over the runtime.
-
-    `forced_secrets` optionally pins party i's fresh factor a_i (i < n) for
-    trace tests.  Party i's share is its own factor; party n's share is the
-    chain product received in the final session.
+    `keys` maps PartyId -> KeyPair (the base party's key is never used).
+    `factors` optionally pins a party's factor; the others are drawn inside
+    their sessions.  Party i < n-1 shares its own factor, the last party the
+    product.
     """
-    forced = forced_secrets or {}
-    if pids is None:
-        pids = party_ids(plan.n)
-    params = plan.params
-    keys = {i: btg.keygen(params, runtime.rng(pids[i])) for i in range(1, plan.n + 1)}
-
-    shares: dict[int, int] = {}
-    relay_value = None
-    for idx, sess in enumerate(reversed(plan.chain)):
-        role_pids = {BtgRole.A: pids[sess.contributor],
-                     BtgRole.B: pids[sess.relay_owner],
-                     BtgRole.C: pids[sess.receiver]}
-        role_keys = {BtgRole.A: keys[sess.contributor],
-                     BtgRole.B: keys[sess.relay_owner],
-                     BtgRole.C: keys[sess.receiver]}
-        forced_inputs = {}
-        if sess.contributor in forced:
-            forced_inputs[BtgRole.A] = forced[sess.contributor]
-        if relay_value is None:
-            # base of the chain: the relay input is a_1 itself
-            if sess.relay_owner in forced:
-                forced_inputs[BtgRole.B] = forced[sess.relay_owner]
-        else:
-            forced_inputs[BtgRole.B] = relay_value
+    if len(pids) < 3:
+        raise ParameterError("key-product chain needs at least 3 parties, got %d" % len(pids))
+    factors = factors or {}
+    holder = pids[0]
+    product = factors.get(holder)
+    shares = {}
+    for idx, (contributor, receiver) in enumerate(zip(pids[1:-1], pids[2:])):
         try:
-            outcome = btg.run_triple_session(runtime, params, role_keys, role_pids,
-                                             forced=forced_inputs)
+            outcome = btg.run_triple_session(
+                runtime, params,
+                keys={BtgRole.A: keys[contributor], BtgRole.B: keys.get(holder),
+                      BtgRole.C: keys[receiver]},
+                pids={BtgRole.A: contributor, BtgRole.B: holder, BtgRole.C: receiver},
+                forced={BtgRole.A: factors.get(contributor), BtgRole.B: product})
         except Exception as exc:
             raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-        shares[sess.contributor] = outcome.secret(BtgRole.A)
-        if relay_value is None:
-            shares[sess.relay_owner] = outcome.secret(BtgRole.B)
-        relay_value = outcome.secret(BtgRole.C)
-
-    shares[plan.n] = relay_value
-    return MhkmResult(n=plan.n, shares=shares)
+        shares[contributor] = outcome.secret(BtgRole.A)
+        if idx == 0:
+            shares[holder] = outcome.secret(BtgRole.B)
+        holder, product = receiver, outcome.secret(BtgRole.C)
+    shares[holder] = product
+    return shares

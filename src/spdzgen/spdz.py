@@ -15,7 +15,6 @@ one-time-use, enforced by a spent-id ledger.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .dispense import BeaverTripleShares, split_additive
@@ -46,16 +45,11 @@ def _check_same_parties(x: SharedValue, y: SharedValue):
         raise ShareError("mismatched party sets: %s vs %s" % (x.id, y.id))
 
 
-def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int,
-                 value_id: str | None = None,
-                 rng: random.Random | None = None) -> SharedValue:
+def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
     """Owner splits a secret and delivers one share to each other party."""
     parties = tuple(parties)
-    if value_id is None:
-        value_id = runtime.fresh_id("v")
-    if rng is None:
-        rng = runtime.rng(owner)
-    values = split_additive(secret % p, len(parties), p, rng)
+    value_id = runtime.fresh_id("v")
+    values = split_additive(secret % p, len(parties), p, runtime.rng(owner))
     shares = dict(zip(parties, values))
     w = (p.bit_length() + 7) // 8
     for pid in parties:

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from spdzgen import btg, modmath
+from spdzgen import btg, mhkm, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     BlindFactor,
     TripleDispenser,
-    blinded_triple,
     dispense_blind_single,
     dispense_blind_two,
     reconstruct,
@@ -59,7 +58,7 @@ class TestSplit:
     def test_roundtrip_property(self, secret, m, seed):
         shares = split_additive(secret, m, 23, random.Random(seed))
         assert len(shares) == m
-        assert reconstruct(shares, 23, expected_len=m) == secret
+        assert reconstruct(shares, 23) == secret
 
     def test_marginals_uniform(self, tiny):
         # chi-square on each share's marginal over Z_23, 10^4 splits of a fixed secret
@@ -81,10 +80,6 @@ class TestReconstruct:
     def test_missing_share(self, tiny):
         with pytest.raises(ShareError):
             reconstruct([1, None, 3], tiny.p)
-
-    def test_wrong_length(self, tiny):
-        with pytest.raises(ShareError):
-            reconstruct([1, 2], tiny.p, expected_len=3)
 
     def test_empty(self, tiny):
         with pytest.raises(ShareError):
@@ -112,40 +107,25 @@ class TestLeaderSelection:
 
 class TestBlindFactorArithmetic:
     def test_single_example(self, tiny):
-        bf = BlindFactor.single(5, tiny.p)
-        a2, b2, c2 = blinded_triple(2, 3, 6, bf, tiny.p)
-        assert (a2, b2, c2) == (10, 15, 12)
-        assert a2 * b2 % 23 == c2
+        # r_c = r^2, so (r*a)(r*b) = r_c * (a*b)
+        assert BlindFactor.single(5, tiny.p) == BlindFactor(r_a=5, r_b=5, r_c=25 % 23)
 
     def test_two_example(self, tiny):
-        bf = BlindFactor.two(5, 7, tiny.p)
-        assert bf.r_c == 35 % 23 == 12
-        a2, b2, c2 = blinded_triple(2, 3, 6, bf, tiny.p)
-        assert (a2, b2, c2) == (10, 21, 3)
-        assert a2 * b2 % 23 == c2
+        # the two-randomness r_c is the key product of the owners' blinds
+        rt = build_runtime()
+        keys = {pid: btg.keygen(tiny, rt.rng(pid)) for pid in MPC}
+        shares = mhkm.key_product(rt, tiny, [MPC[1], MPC[0], MPC[2]], keys,
+                                  {MPC[0]: 3, MPC[1]: 4})
+        assert shares == {MPC[0]: 3, MPC[1]: 4, MPC[2]: 12}
 
     def test_identity_blind(self, tiny):
-        bf = BlindFactor.single(1, tiny.p)
-        assert blinded_triple(2, 3, 6, bf, tiny.p) == (2, 3, 6)
+        assert BlindFactor.single(1, tiny.p) == BlindFactor(r_a=1, r_b=1, r_c=1)
 
     def test_zero_blind_rejected(self, tiny):
         with pytest.raises(BlindFactorError):
             BlindFactor.single(0, tiny.p)
         with pytest.raises(BlindFactorError):
-            BlindFactor.two(23, 5, tiny.p)
-
-    def test_inconsistent_two_randomness(self, tiny):
-        with pytest.raises(BlindFactorError):
-            BlindFactor(r_a=5, r_b=7, r_c=11).check(tiny.p)
-
-    def test_invariant_random(self, group256):
-        rng = random.Random(6)
-        p = group256.p
-        for _ in range(1000):
-            a, b = rng.randrange(1, p), rng.randrange(1, p)
-            bf = BlindFactor.two(rng.randrange(1, p), rng.randrange(1, p), p)
-            a2, b2, c2 = blinded_triple(a, b, a * b % p, bf, p)
-            assert c2 == a2 * b2 % p
+            BlindFactor.single(23, tiny.p)
 
     def test_uniformization_over_full_group(self, tiny):
         # subgroup-confined a times Z*_p-uniform r covers all of Z*_p uniformly

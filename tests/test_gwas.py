@@ -1,13 +1,20 @@
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spdzgen import btg, gwas
+from spdzgen.btg import BtgRole
 
 from spdzgen.errors import (
     DegenerateTableError,
     ParameterError,
     ParseError,
+    ProtocolAbort,
     ShapeError,
     ValidationError,
 )
@@ -188,6 +195,21 @@ class TestSecureLambda:
                                     ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                     ctx.dispenser, ctx.ledger, ctx.owner_keys)
 
+    def test_blind_session_failure_aborts(self, group256, monkeypatch):
+        ctx = build_parties(group256, seed=3)
+        original = btg.run_triple_session
+
+        def failing_blind(runtime, params, keys, pids, forced=None):
+            if pids[BtgRole.A] == ctx.o_case:  # the joint-blind session only
+                raise RuntimeError("boom")
+            return original(runtime, params, keys, pids, forced)
+
+        monkeypatch.setattr(btg, "run_triple_session", failing_blind)
+        with pytest.raises(ProtocolAbort, match="chain session 0"):
+            secure_inflation_factor(ctx.runtime, group256, (30, 40, 30), (10, 20, 10),
+                                    ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
+                                    ctx.dispenser, ctx.ledger, ctx.owner_keys)
+
     def test_case_owner_sees_no_control_count_opening(self, group256):
         ctrl_counts = (13, 57, 21)
         ctx = build_parties(group256, seed=4, record=True)
@@ -332,3 +354,65 @@ class TestFilterPipeline:
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
         assert result["lambda"] == 0
         assert result["lambda_ok"]
+
+    def test_oversized_control_rejected_before_any_triple(self, group256, monkeypatch):
+        # ||z||^2 = 80000 >= 2^(k-f-1) = 32768 wraps the Q<32,16> frame: the
+        # secure filter would accept this control, the oracle rejects it
+        basis, case_counts, controls, config = far_control_inputs(group256, 200)
+        assert plain_filter_controls(basis, case_counts, controls, config)["accepted"] == []
+        monkeypatch.setattr(gwas, "build_parties", None)  # no parties, so no triple
+        with pytest.raises(ValidationError):
+            filter_controls(group256, basis, case_counts, controls, config, seed=18)
+
+    def test_control_under_norm_bound_matches_oracle(self, group256):
+        basis, case_counts, controls, config = far_control_inputs(group256, 100)
+        plain = plain_filter_controls(basis, case_counts, controls, config)
+        secure = filter_controls(group256, basis, case_counts, controls, config, seed=18)
+        assert secure["accepted"] == plain["accepted"] == []
+        assert secure["lambda"] == plain["lambda"]
+
+
+def far_control_inputs(group, big):
+    """Basis e1, e2 in dimension 4 and the control (0, 0, big, big)."""
+    one, zero = Fraction(1), Fraction(0)
+    basis = CaseBasis(rows=((one, zero), (zero, one), (zero, zero), (zero, zero)))
+    control = ControlRecord("ctrl_000", tuple(Fraction(v) for v in (0, 0, big, big)), (1, 2, 1))
+    return basis, (25, 50, 25), [control], PipelineConfig(fp=fp_for(group))
+
+
+@st.composite
+def small_screening(draw):
+    """Basis of rank 1-2 in dim 3-6 and three controls, in span or random."""
+    dim = draw(st.integers(3, 6))
+    rank = draw(st.integers(1, 2))
+    genotype_row = st.tuples(*[st.integers(0, 2)] * dim)
+    span_rows = draw(st.lists(genotype_row, min_size=rank, max_size=rank))
+    basis = orthonormal_columns(span_rows)
+    assume(basis.rank == rank)
+    rows = [draw(st.one_of(st.sampled_from(span_rows), genotype_row)) for _ in range(3)]
+    controls = [ControlRecord.from_genotype_row("ctrl_%03d" % i, row)
+                for i, row in enumerate(rows)]
+    case_counts = draw(st.tuples(*[st.integers(1, 60)] * 3))
+    return basis, case_counts, controls
+
+
+@pytest.mark.parametrize("scheduler", ["round-robin", "random"])
+@settings(max_examples=20, deadline=None)
+@given(inputs=small_screening(), seed=st.integers(0, 2 ** 16))
+def test_secure_filter_matches_oracle_property(group256, scheduler, inputs, seed):
+    basis, case_counts, controls = inputs
+    config = PipelineConfig(fp=fp_for(group256))
+    tau_sq = float(config.tau) ** 2
+    # the 0.02 guard band keeps fixed-point rounding from flipping a decision
+    assume(all(abs(plain_residual_norm_sq(basis, c.vector) - tau_sq) > 0.02 for c in controls))
+    try:
+        plain = plain_filter_controls(basis, case_counts, controls, config)
+    except DegenerateTableError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gwas, "build_parties",
+                   functools.partial(build_parties, scheduler=scheduler))
+        secure = filter_controls(group256, basis, case_counts, controls, config, seed=seed)
+    assert secure["context"].runtime.scheduler == scheduler
+    assert secure["accepted"] == plain["accepted"]
+    assert secure["lambda"] == plain["lambda"]

@@ -1,4 +1,4 @@
-import json
+import hashlib
 import math
 
 import pytest
@@ -6,61 +6,60 @@ import pytest
 from spdzgen import btg, mhkm
 from spdzgen.btg import BtgMessage
 from spdzgen.errors import ParameterError, ProtocolAbort
-from spdzgen.mhkm import party_ids, plan_chain, run_mhkm
-from spdzgen.net import Runtime
+from spdzgen.mhkm import key_product
+from spdzgen.modmath import DEFAULT_GROUP_256
+from spdzgen.net import PartyId, Runtime
 
 
-def make_runtime(n, seed=0):
-    return Runtime(list(party_ids(n).values()), seed=seed)
+def chain(n, params, seed=0, factors=None, record=True):
+    """Runtime, ordered party ids and key-product shares of one n-party chain."""
+    pids = [PartyId("KM", i) for i in range(1, n + 1)]
+    rt = Runtime(pids, seed=seed, record=record)
+    keys = {pid: btg.keygen(params, rt.rng(pid)) for pid in pids}
+    return rt, pids, key_product(rt, params, pids, keys, factors)
 
 
 class TestPlan:
-    def test_session_counts(self, tiny):
-        assert len(plan_chain(3, tiny).chain) == 1
-        assert len(plan_chain(5, tiny).chain) == 3
-        assert len(plan_chain(8, tiny).chain) == 6
+    def test_session_counts(self, tiny, monkeypatch):
+        # n - 2 sessions, the last one delivering to the last party
+        original = btg.run_triple_session
+        for n in (3, 5, 8):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(kwargs["pids"])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mhkm.btg, "run_triple_session", counted)
+            _, pids, _ = chain(n, tiny)
+            assert len(calls) == n - 2
+            assert calls[-1][btg.BtgRole.C] == pids[-1]
 
     def test_two_parties_rejected(self, tiny):
         with pytest.raises(ParameterError):
-            plan_chain(2, tiny)
-
-    def test_first_descriptor_delivers_to_party_n(self, tiny):
-        for n in (3, 5, 8):
-            plan = plan_chain(n, tiny)
-            assert plan.chain[0].receiver == n
-            assert plan.chain[-1].relay_owner == 1
-            # every intermediate product feeds the next listed session's relay
-            for earlier, later in zip(plan.chain, plan.chain[1:]):
-                assert later.receiver == earlier.relay_owner
+            chain(2, tiny)
 
 
 class TestRun:
     def test_forced_base_case(self, tiny):
-        plan = plan_chain(3, tiny)
-        result = run_mhkm(plan, make_runtime(3), forced_secrets={1: 6, 2: 4})
-        assert result.shares[1] == 6
-        assert result.shares[2] == 4
-        assert result.shares[3] == 24 % 23 == 1
+        _, pids, shares = chain(3, tiny, factors={PartyId("KM", 1): 6, PartyId("KM", 2): 4})
+        assert shares[pids[0]] == 6
+        assert shares[pids[1]] == 4
+        assert shares[pids[2]] == 24 % 23 == 1
 
     def test_identity_chain(self, tiny):
-        plan = plan_chain(5, tiny)
-        result = run_mhkm(plan, make_runtime(5), forced_secrets={i: 1 for i in range(1, 5)})
-        assert all(result.shares[i] == 1 for i in range(1, 6))
+        ones = {PartyId("KM", i): 1 for i in range(1, 5)}
+        _, pids, shares = chain(5, tiny, factors=ones)
+        assert all(shares[pid] == 1 for pid in pids)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_product_invariant_random(self, n, group256):
         for seed in range(5):
-            result = run_mhkm(plan_chain(n, group256), make_runtime(n, seed=seed))
-            product = math.prod(result.shares[i] for i in range(1, n)) % group256.p
-            assert result.shares[n] == product
-
-    def test_json_export(self, tiny):
-        result = run_mhkm(plan_chain(3, tiny), make_runtime(3), forced_secrets={1: 6, 2: 4})
-        doc = json.loads(result.to_json())
-        assert doc == {"n": 3, "shares": ["6", "4", "1"]}
+            _, pids, shares = chain(n, group256, seed=seed, record=False)
+            product = math.prod(shares[pid] for pid in pids[:-1]) % group256.p
+            assert shares[pids[-1]] == product
 
     def test_session_failure_aborts_with_index(self, tiny, monkeypatch):
-        plan = plan_chain(5, tiny)
         calls = {"n": 0}
         original = btg.run_triple_session
 
@@ -72,15 +71,25 @@ class TestRun:
 
         monkeypatch.setattr(mhkm.btg, "run_triple_session", flaky)
         with pytest.raises(ProtocolAbort, match="session 1"):
-            run_mhkm(plan, make_runtime(5))
+            chain(5, tiny)
+
+
+# sha256 of the chain transcript, pinned from the descriptor-plan
+# implementation that key_product replaced: the forward loop must send the
+# same bytes in the same order.
+@pytest.mark.parametrize("n,digest", [
+    (3, "49db7d97ee5765e6e23b05a953e77fef6f1357c9fc0e0fd7dd5cba12af07eb66"),
+    (5, "b8ad5638267638a11973873cd9d4ccbebab6c7f29fd9a58160f7c171ad317aa1"),
+])
+def test_chain_transcript_golden(n, digest):
+    rt, _, _ = chain(n, DEFAULT_GROUP_256, seed=("golden", n))
+    assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == digest
 
 
 class TestPrivacy:
     def test_no_share_in_any_payload(self, group256):
-        n = 5
-        rt = make_runtime(n, seed=21)
-        result = run_mhkm(plan_chain(n, group256), rt)
-        share_values = set(result.shares.values())
+        rt, _, shares = chain(5, group256, seed=21)
+        share_values = set(shares.values())
         for rec in rt.transcript:
             if rec[0] != "msg":
                 continue
@@ -94,10 +103,8 @@ class TestPrivacy:
     def test_views_confined_to_own_sessions(self, group256):
         # party 2 contributes once at the base, as role A, which sends the
         # step-1 and step-3 messages of that single session and nothing else
-        n = 4
-        rt = make_runtime(n, seed=5)
-        run_mhkm(plan_chain(n, group256), rt)
-        pid2 = party_ids(n)[2]
+        rt, pids, _ = chain(4, group256, seed=5)
+        pid2 = pids[1]
         outbound = [r for r in rt.transcript_view(pid2) if r[0] == "msg" and r[1] == pid2]
         assert len(outbound) == 2
         assert all(r[3] == btg.BTG_TAG for r in outbound)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from spdzgen import modmath, spdz
-from spdzgen.dispense import BeaverTripleShares, BlindFactor, blinded_triple, split_additive
+from spdzgen.dispense import BeaverTripleShares, BlindFactor, split_additive
 from spdzgen.errors import ProtocolAbort, ShareError, TripleReuseError
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import (
@@ -229,8 +229,8 @@ class TestBeaverMult:
             a = modmath.random_subgroup_element(tiny, rng)
             b = modmath.random_subgroup_element(tiny, rng)
             bf = BlindFactor.single(rng.randrange(1, tiny.p), tiny.p)
-            a2, b2, c2 = blinded_triple(a, b, a * b % 23, bf, tiny.p)
-            triple = make_triple(a2, b2, c2, tiny.p, rng, triple_id="u%d" % i)
+            triple = make_triple(bf.r_a * a % 23, bf.r_b * b % 23, bf.r_c * a * b % 23,
+                                 tiny.p, rng, triple_id="u%d" % i)
             rho = open_value(rt, sub_local(x, spdz.triple_component(triple, "a"), tiny.p),
                              tiny.p)
             ledger.spend(triple.triple_id)

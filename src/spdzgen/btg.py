@@ -2,7 +2,7 @@
 
 Roles A and B choose subgroup secrets a and b privately; C finishes holding
 c = a*b mod p without either factor ever crossing the wire in the clear.
-The message flow:
+The message flow, per triple:
 
     A: u_A = g^{r_A},        v_A = a * h_AC^{r_A}          -> B
     B: u_B = u_A * g^{r_B},  v_B = v_A * b * h_AC^{r_B}    -> A
@@ -10,8 +10,14 @@ The message flow:
     C: c = v_C / u_C^{x_C}
 
 where h_AC = h_A * h_C.  The final division is assigned to C: only C holds
-x_C, and c is C's output.  Each session is a single-shot monotone state
-machine; messages must arrive in step order.
+x_C, and c is C's output.
+
+One session makes K triples at once: each hop is a single message
+`session_id | step | K x (u | v)` carrying the K ciphertexts in triple order,
+so a session costs three protocol messages and one done ack whatever K is,
+while every ciphertext gets the same exponentiations and checks as in a
+session of one.  Each session is a single-shot monotone state machine;
+messages must arrive in step order and carry exactly the session's K pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import modmath
-from .errors import ProtocolAbort, ProtocolStateError
+from .errors import ParameterError, ProtocolAbort, ProtocolStateError
 from .modmath import Ciphertext, GroupParams, KeyPair
 from .net import Runtime
 
@@ -40,30 +46,30 @@ class BtgRole(enum.Enum):
 class BtgMessage:
     session_id: bytes
     step: int  # 1, 2 or 3
-    payload: Ciphertext
+    payloads: tuple  # one Ciphertext per triple of the session
 
     def serialize(self, params: GroupParams) -> bytes:
-        """session_id (16) | step (1) | u | v, fixed element width."""
+        """session_id (16) | step (1) | K x (u | v), fixed element width."""
         return (self.session_id + bytes([self.step])
-                + params.encode_element(self.payload.u)
-                + params.encode_element(self.payload.v))
+                + b"".join(params.encode_element(ct.u) + params.encode_element(ct.v)
+                           for ct in self.payloads))
 
     @classmethod
-    def parse(cls, raw: bytes, params: GroupParams) -> "BtgMessage":
-        """Inverse of `serialize`; a malformed payload raises ProtocolAbort."""
-        w = params.element_size
-        if len(raw) != SESSION_ID_BYTES + 1 + 2 * w:
-            raise ProtocolAbort("BTG message of %d bytes, expected %d"
-                                % (len(raw), SESSION_ID_BYTES + 1 + 2 * w))
+    def parse(cls, raw: bytes, params: GroupParams, count: int = 1) -> "BtgMessage":
+        """Inverse of `serialize` for a session of `count` triples; a malformed
+        payload raises ProtocolAbort."""
+        expected = SESSION_ID_BYTES + 1 + 2 * count * params.element_size
+        if len(raw) != expected:
+            raise ProtocolAbort("BTG message of %d bytes, expected %d" % (len(raw), expected))
         sid = raw[:SESSION_ID_BYTES]
         step = raw[SESSION_ID_BYTES]
         if step not in (1, 2, 3):
             raise ProtocolAbort("BTG message for session %s has step %d" % (sid.hex(), step))
-        u = params.decode_element(raw[SESSION_ID_BYTES + 1:SESSION_ID_BYTES + 1 + w])
-        v = params.decode_element(raw[SESSION_ID_BYTES + 1 + w:])
-        if u == 0 or v == 0:
+        values = modmath.decode_residues(raw[SESSION_ID_BYTES + 1:], 2 * count, params.p)
+        if 0 in values:
             raise ProtocolAbort("BTG message for session %s carries a zero element" % sid.hex())
-        return cls(sid, step, Ciphertext(u, v))
+        return cls(sid, step, tuple(Ciphertext(values[i], values[i + 1])
+                                    for i in range(0, 2 * count, 2)))
 
 
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
@@ -74,7 +80,11 @@ def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
 
 @dataclass
 class BtgSession:
-    """One role's view of a single triple-generation session."""
+    """One role's view of a session making `count` triples.
+
+    `outputs` holds the role's K secrets in triple order once its last step
+    has run: a for A, b for B, c for C.
+    """
 
     session_id: bytes
     params: GroupParams
@@ -82,8 +92,9 @@ class BtgSession:
     my_keypair: KeyPair | None
     peer_public_keys: dict
     rng: random.Random
+    count: int = 1
     state: str = "initial"
-    secret_output: int | None = field(default=None)
+    outputs: list = field(default_factory=list)
 
     def _expect(self, role: BtgRole, state: str):
         if self.my_role is not role:
@@ -99,56 +110,65 @@ class BtgSession:
                                      % (msg.session_id.hex(), self.session_id.hex()))
         if msg.step != step:
             raise ProtocolStateError("expected step-%d message, got step %d" % (step, msg.step))
+        if len(msg.payloads) != self.count:
+            raise ProtocolAbort("session %s of %d triples got %d ciphertexts"
+                                % (self.session_id.hex(), self.count, len(msg.payloads)))
 
     def _h_ac(self) -> int:
         return self.peer_public_keys[BtgRole.A] * self.peer_public_keys[BtgRole.C] % self.params.p
 
-    def step_a1(self, *, secret: int | None = None, nonce: int | None = None) -> BtgMessage:
-        """A samples its secret a and first-layer randomness, encrypts under h_AC."""
+    def step_a1(self, *, secrets=None, nonces=None) -> BtgMessage:
+        """A samples each secret a and its first-layer randomness, encrypts under h_AC."""
         self._expect(BtgRole.A, "initial")
-        p = self.params.p
-        a = modmath.random_subgroup_element(self.params, self.rng) if secret is None else secret
-        r_a = modmath.random_exponent(self.params, self.rng) if nonce is None else nonce
-        ct = modmath.encrypt(self.params, self._h_ac(), a, r_a)
-        self.secret_output = a % p
+        params, rng, h_ac = self.params, self.rng, self._h_ac()
+        cts = []
+        for k in range(self.count):
+            a = modmath.random_subgroup_element(params, rng) if secrets is None else secrets[k]
+            r_a = modmath.random_exponent(params, rng) if nonces is None else nonces[k]
+            cts.append(modmath.encrypt(params, h_ac, a, r_a))
+            self.outputs.append(a % params.p)
         self.state = "awaiting-step2"
-        return BtgMessage(self.session_id, 1, ct)
+        return BtgMessage(self.session_id, 1, tuple(cts))
 
-    def step_b(self, msg: BtgMessage, *, secret: int | None = None,
-               nonce: int | None = None) -> BtgMessage:
-        """B multiplies its secret b into the layered ciphertext."""
+    def step_b(self, msg: BtgMessage, *, secrets=None, nonces=None) -> BtgMessage:
+        """B multiplies each secret b into its layered ciphertext."""
         self._expect(BtgRole.B, "initial")
         self._check_msg(msg, 1)
-        b = modmath.random_subgroup_element(self.params, self.rng) if secret is None else secret
-        r_b = modmath.random_exponent(self.params, self.rng) if nonce is None else nonce
-        ct = modmath.mult_layer(msg.payload, b, self._h_ac(), r_b, self.params)
-        self.secret_output = b % self.params.p
+        params, rng, h_ac = self.params, self.rng, self._h_ac()
+        cts = []
+        for k, ct in enumerate(msg.payloads):
+            b = modmath.random_subgroup_element(params, rng) if secrets is None else secrets[k]
+            r_b = modmath.random_exponent(params, rng) if nonces is None else nonces[k]
+            cts.append(modmath.mult_layer(ct, b, h_ac, r_b, params))
+            self.outputs.append(b % params.p)
         self.state = "done"
-        return BtgMessage(self.session_id, 2, ct)
+        return BtgMessage(self.session_id, 2, tuple(cts))
 
-    def step_a2(self, msg: BtgMessage, *, nonce: int | None = None) -> BtgMessage:
-        """A strips its own layer and re-randomizes under h_C alone."""
+    def step_a2(self, msg: BtgMessage, *, nonces=None) -> BtgMessage:
+        """A strips its own layer and re-randomizes each ciphertext under h_C alone."""
         self._expect(BtgRole.A, "awaiting-step2")
         self._check_msg(msg, 2)
-        v = modmath.strip_layer(msg.payload, self.my_keypair.x, self.params)
-        r = modmath.random_exponent(self.params, self.rng) if nonce is None else nonce
-        ct = modmath.rerandomize(Ciphertext(msg.payload.u, v),
-                                 self.peer_public_keys[BtgRole.C], r, self.params)
+        params, x, h_c = self.params, self.my_keypair.x, self.peer_public_keys[BtgRole.C]
+        cts = []
+        for k, ct in enumerate(msg.payloads):
+            v = modmath.strip_layer(ct, x, params)
+            r = modmath.random_exponent(params, self.rng) if nonces is None else nonces[k]
+            cts.append(modmath.rerandomize(Ciphertext(ct.u, v), h_c, r, params))
         self.state = "done"
-        return BtgMessage(self.session_id, 3, ct)
+        return BtgMessage(self.session_id, 3, tuple(cts))
 
-    def finish_c(self, msg: BtgMessage) -> int:
-        """C removes the last layer; its output is c = a*b mod p."""
+    def finish_c(self, msg: BtgMessage) -> list:
+        """C removes the last layer; its outputs are the products c = a*b mod p."""
         self._expect(BtgRole.C, "initial")
         self._check_msg(msg, 3)
-        c = modmath.strip_layer(msg.payload, self.my_keypair.x, self.params)
-        self.secret_output = c
+        self.outputs = [modmath.strip_layer(ct, self.my_keypair.x, self.params)
+                        for ct in msg.payloads]
         self.state = "done"
-        return c
+        return self.outputs
 
 
 def new_session_trio(params: GroupParams, keys: dict, rngs: dict,
-                     session_id: bytes) -> dict:
+                     session_id: bytes, count: int = 1) -> dict:
     """Build the three per-role session objects sharing one session id.
 
     `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
@@ -163,6 +183,7 @@ def new_session_trio(params: GroupParams, keys: dict, rngs: dict,
             my_keypair=keys.get(role),
             peer_public_keys=pub,
             rng=rngs[role],
+            count=count,
         )
         for role in BtgRole
     }
@@ -171,43 +192,52 @@ def new_session_trio(params: GroupParams, keys: dict, rngs: dict,
 @dataclass(frozen=True)
 class TripleOutcome:
     session_id: bytes
-    sessions: dict  # BtgRole -> BtgSession, each holding its secret_output
+    sessions: dict  # BtgRole -> BtgSession, each holding its outputs
 
-    def secret(self, role: BtgRole) -> int:
-        return self.sessions[role].secret_output
+    def secrets(self, role: BtgRole) -> list:
+        """The role's K secrets, in triple order."""
+        return self.sessions[role].outputs
 
 
 def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
-                       pids: dict, forced: dict | None = None) -> TripleOutcome:
-    """Drive one full session over the runtime's channels.
+                       pids: dict, forced: dict | None = None,
+                       count: int = 1) -> TripleOutcome:
+    """Drive one full session of `count` triples over the runtime's channels.
 
-    `pids` maps BtgRole -> PartyId.  `forced` optionally pins the secrets of
-    roles A and/or B for trace tests.  A short extra-protocol "done" ack from
-    C back to A closes the session for the simulator's bookkeeping.
+    `pids` maps BtgRole -> PartyId.  `forced` optionally pins the K secrets
+    of roles A and/or B, as lists in triple order.  A short extra-protocol
+    "done" ack from C back to A closes the session for the simulator's
+    bookkeeping.
     """
+    if count < 1:
+        raise ParameterError("a session makes at least one triple, asked for %d" % count)
     forced = forced or {}
+    for role, values in forced.items():
+        if values is not None and len(values) != count:
+            raise ParameterError("role %s pins %d secrets for a session of %d"
+                                 % (role.value, len(values), count))
     session_id = runtime.rng(pids[BtgRole.A]).getrandbits(8 * SESSION_ID_BYTES) \
         .to_bytes(SESSION_ID_BYTES, "big")
     rngs = {role: runtime.rng(pids[role]) for role in BtgRole}
-    sessions = new_session_trio(params, keys, rngs, session_id)
+    sessions = new_session_trio(params, keys, rngs, session_id, count)
 
-    m1 = sessions[BtgRole.A].step_a1(secret=forced.get(BtgRole.A))
+    m1 = sessions[BtgRole.A].step_a1(secrets=forced.get(BtgRole.A))
     runtime.send(pids[BtgRole.A], pids[BtgRole.B], BTG_TAG, m1.serialize(params))
     runtime.pump()
 
     raw = runtime.take(pids[BtgRole.B], BTG_TAG)
-    m2 = sessions[BtgRole.B].step_b(BtgMessage.parse(raw.payload, params),
-                                    secret=forced.get(BtgRole.B))
+    m2 = sessions[BtgRole.B].step_b(BtgMessage.parse(raw.payload, params, count),
+                                    secrets=forced.get(BtgRole.B))
     runtime.send(pids[BtgRole.B], pids[BtgRole.A], BTG_TAG, m2.serialize(params))
     runtime.pump()
 
     raw = runtime.take(pids[BtgRole.A], BTG_TAG)
-    m3 = sessions[BtgRole.A].step_a2(BtgMessage.parse(raw.payload, params))
+    m3 = sessions[BtgRole.A].step_a2(BtgMessage.parse(raw.payload, params, count))
     runtime.send(pids[BtgRole.A], pids[BtgRole.C], BTG_TAG, m3.serialize(params))
     runtime.pump()
 
     raw = runtime.take(pids[BtgRole.C], BTG_TAG)
-    sessions[BtgRole.C].finish_c(BtgMessage.parse(raw.payload, params))
+    sessions[BtgRole.C].finish_c(BtgMessage.parse(raw.payload, params, count))
     runtime.send(pids[BtgRole.C], pids[BtgRole.A], BTG_DONE_TAG, session_id)
     runtime.pump()
     runtime.take(pids[BtgRole.A], BTG_DONE_TAG)

@@ -65,15 +65,22 @@ def cmd_groupgen(args) -> int:
 
 
 def cmd_triples(args) -> int:
+    if args.count < 0:
+        print("usage error: -n must not be negative", file=sys.stderr)
+        return EXIT_USAGE
     group = _resolve_group(args.bits, args.seed, args.group)
     ctx = gwas.build_parties(group, seed=args.seed, parties=args.parties,
                              record=False, blinding=args.mode,
                              ledger_path=args.ledger)
+    runtime = ctx.runtime
     modmath.reset_modexp_count()
+    messages, rounds = runtime.messages_sent, runtime.rounds
     t0 = time.perf_counter()
+    ctx.dispenser.reserve(args.count)
     triples = [ctx.dispenser.next_triple() for _ in range(args.count)]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     exps = modmath.modexp_count()
+    messages, rounds = runtime.messages_sent - messages, runtime.rounds - rounds
 
     bad = 0
     for t in triples:
@@ -89,6 +96,8 @@ def cmd_triples(args) -> int:
         "invalid": bad,
         "modexp_total": exps,
         "modexp_per_triple": exps / max(args.count, 1),
+        "messages_per_triple": messages / max(args.count, 1),
+        "rounds_per_triple": rounds / max(args.count, 1),
         "ms_total": round(elapsed_ms, 3),
         "ms_per_triple": round(elapsed_ms / max(args.count, 1), 3),
     }

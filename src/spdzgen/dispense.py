@@ -19,6 +19,13 @@ the c component: r travels to it on a private channel, which makes the
 leader as trusted as the two owners for that triple.  The two-randomness
 variant removes that trust by deriving r_c as an mHKM key product, so the
 leader ends up with r_c but neither owner blind.
+
+Dispensation works on the K triples of one BTG session at once: every blind
+hop sends one message of K residues, each holder sends each server one
+message of K shares (tagged with the batch's first triple id), and the
+leader receives the K raw c values in one message.  `TripleDispenser` keeps
+the dispensed triples in a FIFO pool: `reserve(n)` mints n of them with one
+session and one dispensation, and `next_triple` hands them out in order.
 """
 
 from __future__ import annotations
@@ -26,11 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from . import btg, mhkm, modmath
 from .btg import BtgRole
-from .errors import BlindFactorError, SelectionError, ShareError
+from .errors import BlindFactorError, ParameterError, SelectionError, ShareError
 from .modmath import GroupParams
 from .net import PartyId, Runtime
 
@@ -95,108 +103,125 @@ TRIPLE_C_TAG = "triple-c"
 BLIND_TAG = "blind-r"
 
 
-def _deal(runtime, src, mpc_pids, tag, value, p, keep_local=None):
-    """Split `value` and deliver one share to each MPC server.
+def _residues(values, w) -> bytes:
+    """Fixed-width big-endian wire encoding of a run of residues."""
+    return b"".join(v.to_bytes(w, "big") for v in values)
 
-    If `src` is itself a server (`keep_local`), its share stays local.
-    Returns the share map."""
+
+def _deal(runtime, src, mpc_pids, tag, values, p, keep_local=None):
+    """Split each of `values` and send every MPC server one message of its
+    shares, in value order.
+
+    If `src` is itself a server (`keep_local`), its shares stay local.
+    Returns one share map per value."""
     rng = runtime.rng(src)
-    values = split_additive(value, len(mpc_pids), p, rng)
-    shares = dict(zip(mpc_pids, values))
-    for pid in mpc_pids:
+    w = (p.bit_length() + 7) // 8
+    splits = [split_additive(value, len(mpc_pids), p, rng) for value in values]
+    for j, pid in enumerate(mpc_pids):
         if keep_local is not None and pid == src:
             runtime.note(src, "kept local %s share" % tag)
             continue
-        w = (p.bit_length() + 7) // 8
-        runtime.send(src, pid, tag, shares[pid].to_bytes(w, "big"))
+        runtime.send(src, pid, tag, _residues((split[j] for split in splits), w))
     runtime.pump()
-    return shares
+    return [dict(zip(mpc_pids, split)) for split in splits]
 
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
                           btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                          leader: PartyId, triple_id: str,
-                          forced_r: int | None = None) -> BeaverTripleShares:
-    """Single-randomness dispensation of a completed triple session.
+                          leader: PartyId, triple_ids,
+                          forced_r=None) -> list[BeaverTripleShares]:
+    """Single-randomness dispensation of the K triples of one session.
 
-    O_x draws r, shares it with O_y and the committee leader over private
-    channels, and forwards it to the holders of a and b.  The holders split
-    r*a and r*b; the leader receives c from its holder and splits r^2 * c.
+    O_x draws one r per triple, shares them with O_y and the committee leader
+    over private channels, and forwards them to the holders of a and b.  The
+    holders split r*a and r*b; the leader receives c from its holder and
+    splits r^2 * c.  `forced_r` optionally pins the K blinds.
     """
     p = params.p
-    w = params.element_size
-    r = forced_r if forced_r is not None else runtime.rng(ox).randrange(1, p)
-    blind = BlindFactor.single(r, p)
+    rng = runtime.rng(ox)
+    rs = forced_r if forced_r is not None else [rng.randrange(1, p) for _ in triple_ids]
+    blinds = [BlindFactor.single(r, p) for r in rs]
+    payload = _residues(rs, params.element_size)
 
     for dst in (oy, leader, btg_pids[BtgRole.A]):
-        runtime.send(ox, dst, BLIND_TAG, r.to_bytes(w, "big"))
+        runtime.send(ox, dst, BLIND_TAG, payload)
     runtime.pump()
     runtime.take(oy, BLIND_TAG)
     runtime.take(leader, BLIND_TAG)
     runtime.take(btg_pids[BtgRole.A], BLIND_TAG)
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, r.to_bytes(w, "big"))
+    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, payload)
     runtime.pump()
     runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_id, blind)
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
                        btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                       leader: PartyId, triple_id: str, keys: dict) -> BeaverTripleShares:
+                       leader: PartyId, triple_ids, keys: dict) -> list[BeaverTripleShares]:
     """Two-randomness dispensation: r_c = r_a * r_b as an mHKM key product.
 
-    O_x and O_y choose subgroup blinds r_a and r_b; `mhkm.key_product` over
-    (O_y, O_x, leader) delivers r_c to the leader, so no single owner knows
-    both blinds.  `keys` maps PartyId -> KeyPair for O_x and the leader.
+    O_x and O_y choose subgroup blinds r_a and r_b per triple; one
+    `mhkm.key_product` of K products over (O_y, O_x, leader) delivers every
+    r_c to the leader, so no single owner knows both blinds.  `keys` maps
+    PartyId -> KeyPair for O_x and the leader.
     """
     w = params.element_size
-    r_a = modmath.random_subgroup_element(params, runtime.rng(ox))
-    r_b = modmath.random_subgroup_element(params, runtime.rng(oy))
-    r_c = mhkm.key_product(runtime, params, [oy, ox, leader], keys, {ox: r_a, oy: r_b})[leader]
+    count = len(triple_ids)
+    r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
+    r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
+    r_c = mhkm.key_product(runtime, params, [oy, ox, leader], keys, {ox: r_a, oy: r_b},
+                           count=count)[leader]
 
-    runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, r_a.to_bytes(w, "big"))
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, r_b.to_bytes(w, "big"))
+    runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, _residues(r_a, w))
+    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(r_b, w))
     runtime.pump()
     runtime.take(btg_pids[BtgRole.A], BLIND_TAG)
     runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_id,
-                         BlindFactor(r_a=r_a, r_b=r_b, r_c=r_c))
+    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z) for x, y, z in zip(r_a, r_b, r_c)]
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
 
 
 def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict, mpc_pids,
-                  leader: PartyId, triple_id: str, blind: BlindFactor) -> BeaverTripleShares:
-    """Deal one blinded triple once its holders know their blinds.
+                  leader: PartyId, triple_ids, blinds) -> list[BeaverTripleShares]:
+    """Deal the K blinded triples of one session once their holders know the blinds.
 
-    The holders of a and b split r_a*a and r_b*b; the holder of c relays it
-    raw to the leader, who splits r_c*c and keeps its own share.
+    The holders of a and b split r_a*a and r_b*b; the holder of c relays the
+    raw values to the leader, who splits r_c*c and keeps its own shares.
     """
     p = params.p
-    a_shares = _deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, triple_id),
-                     blind.r_a * outcome.secret(BtgRole.A) % p, p)
-    b_shares = _deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, triple_id),
-                     blind.r_b * outcome.secret(BtgRole.B) % p, p)
+    a_vals, b_vals, c_vals = (outcome.secrets(role) for role in BtgRole)
+    if not len(triple_ids) == len(blinds) == len(c_vals):
+        raise ShareError("%d triple ids and %d blinds for a session of %d triples"
+                         % (len(triple_ids), len(blinds), len(c_vals)))
+    batch = triple_ids[0]
+    a_shares = _deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, batch),
+                     [bl.r_a * a % p for bl, a in zip(blinds, a_vals)], p)
+    b_shares = _deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
+                     [bl.r_b * b % p for bl, b in zip(blinds, b_vals)], p)
     runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG,
-                 params.encode_element(outcome.secret(BtgRole.C)))
+                 _residues(c_vals, params.element_size))
     runtime.pump()
-    c_raw = params.decode_element(runtime.take(leader, TRIPLE_C_RAW_TAG).payload)
-    c_shares = _deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, triple_id),
-                     blind.r_c * c_raw % p, p, keep_local=leader)
+    c_raw = modmath.decode_residues(runtime.take(leader, TRIPLE_C_RAW_TAG).payload,
+                                    len(triple_ids), p)
+    c_shares = _deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, batch),
+                     [bl.r_c * c % p for bl, c in zip(blinds, c_raw)], p, keep_local=leader)
     for pid in mpc_pids:
         for tag in (TRIPLE_A_TAG, TRIPLE_B_TAG, TRIPLE_C_TAG):
-            runtime.take_all(pid, "%s:%s" % (tag, triple_id))
-    return BeaverTripleShares(triple_id=triple_id, parties=tuple(mpc_pids),
-                              a_shares=a_shares, b_shares=b_shares, c_shares=c_shares)
+            runtime.take_all(pid, "%s:%s" % (tag, batch))
+    parties = tuple(mpc_pids)
+    return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
+            for tid, a, b, c in zip(triple_ids, a_shares, b_shares, c_shares)]
 
 
 class TripleDispenser:
-    """Mints blinded triples on demand over a shared runtime.
+    """Mints blinded triples over a shared runtime into a FIFO pool.
 
-    Runs one triple-generation session per request (sessions are single-shot;
-    batching is just independent sessions) followed by the configured
-    dispensation variant, and optionally appends an audit line per triple to
-    a JSON-lines ledger file.
+    `reserve(n)` runs one triple-generation session of n triples followed by
+    the configured dispensation variant, pools the triples and appends their
+    audit lines to the optional JSON-lines ledger file in one write.
+    `next_triple` pops the pool, minting a single triple when it is empty.
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
@@ -214,27 +239,39 @@ class TripleDispenser:
         self.mode = mode
         self.owner_keys = owner_keys or {}
         self.ledger_path = ledger_path
-        self.count = 0
-        pool = [pid for pid in self.mpc_pids if pid not in (ox, oy)]
+        self.count = 0  # triples handed out by next_triple
+        self.pool = deque()
+        candidates = [pid for pid in self.mpc_pids if pid not in (ox, oy)]
         seed = hashlib.sha256(repr(runtime.seed).encode()).digest()
-        self.leader = select_committee_leader(pool, seed)
+        self.leader = select_committee_leader(candidates, seed)
+
+    def reserve(self, n: int):
+        """Mint n triples with one session and one dispensation into the pool."""
+        if n < 0:
+            raise ParameterError("cannot reserve %d triples" % n)
+        if n == 0:
+            return
+        triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
+        outcome = btg.run_triple_session(self.runtime, self.params,
+                                         self.btg_keys, self.btg_pids, count=n)
+        if self.mode == "single":
+            triples = dispense_blind_single(self.runtime, self.params, outcome,
+                                            self.btg_pids, self.mpc_pids,
+                                            self.ox, self.oy, self.leader, triple_ids)
+        else:
+            triples = dispense_blind_two(self.runtime, self.params, outcome,
+                                         self.btg_pids, self.mpc_pids,
+                                         self.ox, self.oy, self.leader, triple_ids,
+                                         keys=self.owner_keys)
+        self.pool.extend(triples)
+        if self.ledger_path is not None:
+            parties = [str(p) for p in self.mpc_pids]
+            with open(self.ledger_path, "a") as fh:
+                fh.write("".join(json.dumps({"triple_id": tid, "parties": parties}) + "\n"
+                                 for tid in triple_ids))
 
     def next_triple(self) -> BeaverTripleShares:
-        triple_id = self.runtime.fresh_id("t")
-        outcome = btg.run_triple_session(self.runtime, self.params,
-                                         self.btg_keys, self.btg_pids)
-        if self.mode == "single":
-            triple = dispense_blind_single(self.runtime, self.params, outcome,
-                                           self.btg_pids, self.mpc_pids,
-                                           self.ox, self.oy, self.leader, triple_id)
-        else:
-            triple = dispense_blind_two(self.runtime, self.params, outcome,
-                                        self.btg_pids, self.mpc_pids,
-                                        self.ox, self.oy, self.leader, triple_id,
-                                        keys=self.owner_keys)
+        if not self.pool:
+            self.reserve(1)
         self.count += 1
-        if self.ledger_path is not None:
-            with open(self.ledger_path, "a") as fh:
-                fh.write(json.dumps({"triple_id": triple_id,
-                                     "parties": [str(p) for p in self.mpc_pids]}) + "\n")
-        return triple
+        return self.pool.popleft()

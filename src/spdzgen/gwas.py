@@ -46,6 +46,9 @@ ALT = "alt"
 COUNT_CAP = 2 ** 20
 BLIND_BOUND = 2 ** 32
 
+# Triples `secure_inflation_factor` draws: three products, then two blinded.
+LAMBDA_TRIPLES = 5
+
 
 def encode_genotype(pair) -> int:
     """(Ref,Ref) -> 0, mixed pair -> 1, (Alt,Alt) -> 2."""
@@ -353,8 +356,8 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
 
     r_case = _sample_bounded_residue(group, runtime.rng(o_case))
     r_ctrl = _sample_bounded_residue(group, runtime.rng(o_ctrl))
-    blind = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
-                             {o_case: r_case, o_ctrl: r_ctrl})[leader]
+    [blind] = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
+                               {o_case: [r_case], o_ctrl: [r_ctrl]})[leader]
     blind_sh = spdz.share_secret(runtime, leader, blind, mpc_pids, p)
 
     triples2 = [dispenser.next_triple() for _ in range(2)]
@@ -374,10 +377,20 @@ def share_vector(runtime: Runtime, owner: PartyId, values, mpc_pids,
             for v in values]
 
 
+def triples_per_control(dim: int, rank: int) -> int:
+    """Triples `residual_norm_sq` draws for one control: dim for ||z||^2,
+    then per basis column dim for the projection and one for its square."""
+    return dim + rank * (dim + 1)
+
+
 def residual_norm_sq(runtime: Runtime, basis_cols, z_shares,
                      params: FixedPointParams, dispenser: TripleDispenser,
                      ledger: TripleLedger, roles: TruncRoles) -> SharedValue:
-    """Shares of ||z||^2 - ||U^T z||^2 via inner products on shares."""
+    """Shares of ||z||^2 - ||U^T z||^2 via inner products on shares.
+
+    Draws `triples_per_control(len(z_shares), len(basis_cols))` triples, one
+    `next_triple()` at a time.
+    """
     for col in basis_cols:
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
@@ -455,7 +468,8 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     """End-to-end secure filter: residual screening, then the lambda check.
 
     All controls run in order on one runtime; the result carries it under
-    "context" for transcript export.
+    "context" for transcript export.  Each control's triples, and then the
+    lambda step's, are minted as one batch right before they are spent.
     """
     if config.fp.p != group.p:
         raise ValidationError(
@@ -479,8 +493,10 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
                         record=record, ledger_path=ledger_path)
     basis_cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(j),
                                ctx.mpc_pids, params) for j in range(basis.rank)]
+    budget = triples_per_control(basis.dim, basis.rank)
     accepted = []
     for ctrl in controls:
+        ctx.dispenser.reserve(budget)
         z_shares = share_vector(ctx.runtime, ctx.o_ctrl, ctrl.vector, ctx.mpc_pids, params)
         res = residual_norm_sq(ctx.runtime, basis_cols, z_shares, params,
                                ctx.dispenser, ctx.ledger, ctx.roles)
@@ -488,6 +504,7 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
             accepted.append(ctrl)
 
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
+    ctx.dispenser.reserve(LAMBDA_TRIPLES)
     lam = secure_inflation_factor(ctx.runtime, group, tuple(case_counts), ctrl_totals,
                                   ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                   ctx.dispenser, ctx.ledger, ctx.owner_keys)

@@ -15,6 +15,10 @@ three parties (two owners and the committee leader) one session gives the
 leader the product of the owners' factors: this is how the two-randomness
 dispensation derives r_c and how the secure inflation factor derives its
 joint blind.
+
+A chain computes K products side by side: every party holds a list of K
+factors and each of the n-2 sessions carries K triples, so the chain sends
+the same messages whatever K is.
 """
 
 from __future__ import annotations
@@ -27,17 +31,21 @@ from .net import Runtime
 
 
 def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
-                factors: dict | None = None) -> dict:
-    """Run the chain over `pids`; returns PartyId -> share.
+                factors: dict | None = None, count: int = 1) -> dict:
+    """Run the chain over `pids` for `count` products; returns PartyId -> shares.
 
     `keys` maps PartyId -> KeyPair (the base party's key is never used).
-    `factors` optionally pins a party's factor; the others are drawn inside
-    their sessions.  Party i < n-1 shares its own factor, the last party the
-    product.
+    `factors` optionally pins a party's K factors; the others are drawn inside
+    their sessions.  Party i < n-1 shares its own factors, the last party the
+    products, each as a list of K residues.
     """
     if len(pids) < 3:
         raise ParameterError("key-product chain needs at least 3 parties, got %d" % len(pids))
     factors = factors or {}
+    for pid, values in factors.items():
+        if len(values) != count:
+            raise ParameterError("party %s pins %d factors for a chain of %d products"
+                                 % (pid, len(values), count))
     holder = pids[0]
     product = factors.get(holder)
     shares = {}
@@ -48,12 +56,13 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
                 keys={BtgRole.A: keys[contributor], BtgRole.B: keys.get(holder),
                       BtgRole.C: keys[receiver]},
                 pids={BtgRole.A: contributor, BtgRole.B: holder, BtgRole.C: receiver},
-                forced={BtgRole.A: factors.get(contributor), BtgRole.B: product})
+                forced={BtgRole.A: factors.get(contributor), BtgRole.B: product},
+                count=count)
         except Exception as exc:
             raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-        shares[contributor] = outcome.secret(BtgRole.A)
+        shares[contributor] = outcome.secrets(BtgRole.A)
         if idx == 0:
-            shares[holder] = outcome.secret(BtgRole.B)
-        holder, product = receiver, outcome.secret(BtgRole.C)
+            shares[holder] = outcome.secrets(BtgRole.B)
+        holder, product = receiver, outcome.secrets(BtgRole.C)
     shares[holder] = product
     return shares

@@ -67,6 +67,7 @@ class Runtime:
         self._transcript: list[tuple] = []
         self._id_counter = 0
         self.messages_sent = 0
+        self.rounds = 0  # pump calls that delivered at least one message
 
     def _derive_seed(self, label: str) -> int:
         material = repr(self.seed).encode() + b"|" + label.encode()
@@ -133,10 +134,15 @@ class Runtime:
         return msg
 
     def pump(self, max_steps: int = 10_000_000) -> int:
-        """Deliver until all channels are empty; returns the delivery count."""
+        """Deliver until all channels are empty; returns the delivery count.
+
+        A call that delivers anything counts as one communication round.
+        """
         steps = 0
         while steps < max_steps:
             if self.deliver_next() is None:
+                if steps:
+                    self.rounds += 1
                 return steps
             steps += 1
         raise NetworkError("pump exceeded %d deliveries" % max_steps)

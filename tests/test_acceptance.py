@@ -59,7 +59,7 @@ def test_criterion_1_btg_correctness_500_sessions(group256):
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        a, b, c = (out.secret(r) for r in BtgRole)
+        [a], [b], [c] = (out.secrets(r) for r in BtgRole)
         assert c == a * b % group256.p
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -73,8 +73,8 @@ def test_criterion_2_mhkm_chain(n, group256):
         rt = Runtime(pids, seed=("acc2", n, run), record=False)
         keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in pids}
         shares = key_product(rt, group256, pids, keys)
-        product = math.prod(shares[pid] for pid in pids[:-1]) % group256.p
-        assert shares[pids[-1]] == product
+        product = math.prod(shares[pid][0] for pid in pids[:-1]) % group256.p
+        assert shares[pids[-1]] == [product]
     announce(2, "n=%d chain product exact over 100 runs" % n)
 
 
@@ -87,18 +87,18 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
     singles = []
     for i in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        triple = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                       ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                       triple_id="s%d" % i)
+        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
+                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                         triple_ids=["s%d" % i])
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         singles.append(triple)
     twos = []
     for i in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        triple = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
-                                    ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                    triple_id="d%d" % i, keys=owner_keys)
+        [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+                                      ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                      triple_ids=["d%d" % i], keys=owner_keys)
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         twos.append(triple)
@@ -268,14 +268,14 @@ def test_criterion_9_transcript_privacy_scans(group256):
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(100):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        secrets = {role: out.secret(role) for role in BtgRole}
+        secrets = {role: out.secrets(role)[0] for role in BtgRole}
         for role, pid in BTG_PIDS.items():
             foreign = {v for r, v in secrets.items() if r is not role}
             for rec in rt.transcript_view(pid):
                 if rec[0] == "msg" and rec[3] == btg.BTG_TAG:
-                    msg = BtgMessage.parse(rec[4], group256)
-                    assert msg.payload.u not in foreign
-                    assert msg.payload.v not in foreign
+                    [ct] = BtgMessage.parse(rec[4], group256).payloads
+                    assert ct.u not in foreign
+                    assert ct.v not in foreign
         rt._transcript.clear()
 
     # lambda protocol: neither owner's counts appear in any other party's view

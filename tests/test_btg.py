@@ -4,7 +4,7 @@ import pytest
 
 from spdzgen import btg, modmath
 from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, BtgMessage, BtgRole
-from spdzgen.errors import ProtocolAbort, ProtocolStateError
+from spdzgen.errors import ParameterError, ProtocolAbort, ProtocolStateError
 from spdzgen.modmath import Ciphertext, KeyPair
 from spdzgen.net import PartyId, Runtime
 
@@ -45,50 +45,51 @@ class TestKeygen:
 class TestProtocolTrace:
     def test_step_a1_trace(self, tiny):
         sessions, _ = tiny_trio(tiny)
-        msg = sessions[BtgRole.A].step_a1(secret=2, nonce=2)
+        msg = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
         assert msg.step == 1
-        assert (msg.payload.u, msg.payload.v) == (16, 4)
-        assert sessions[BtgRole.A].secret_output == 2
+        assert msg.payloads == (Ciphertext(16, 4),)
+        assert sessions[BtgRole.A].outputs == [2]
 
     def test_emitted_components_are_subgroup_members(self, tiny):
         for seed in range(20):
             sessions, _ = tiny_trio(tiny, seed=seed)
             msg = sessions[BtgRole.A].step_a1()
-            assert modmath.is_subgroup_member(msg.payload.u, tiny) or msg.payload.u == 1
-            assert modmath.is_subgroup_member(msg.payload.v, tiny)
+            [ct] = msg.payloads
+            assert modmath.is_subgroup_member(ct.u, tiny) or ct.u == 1
+            assert modmath.is_subgroup_member(ct.v, tiny)
 
     def test_step_b_trace(self, tiny):
         sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secret=2, nonce=2)
-        m2 = sessions[BtgRole.B].step_b(m1, secret=3, nonce=1)
+        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
+        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
         assert m2.step == 2
-        assert m2.payload.u == 18  # 16 * 4 = 64 mod 23
-        assert m2.payload.v == 9   # 4 * 3 * 18 mod 23
+        assert m2.payloads[0].u == 18  # 16 * 4 = 64 mod 23
+        assert m2.payloads[0].v == 9   # 4 * 3 * 18 mod 23
         assert sessions[BtgRole.B].state == "done"
 
     def test_step_a2_strip_then_zero_rerandomize(self, tiny):
         sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secret=2, nonce=2)
-        m2 = sessions[BtgRole.B].step_b(m1, secret=3, nonce=1)
-        m3 = sessions[BtgRole.A].step_a2(m2, nonce=0)
+        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
+        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
+        m3 = sessions[BtgRole.A].step_a2(m2, nonces=[0])
         # with r'_B = 0 this equals the plain strip: a*b*h_C^(r_A+r_B)
-        assert (m3.payload.u, m3.payload.v) == (18, 12)
+        assert m3.payloads == (Ciphertext(18, 12),)
 
     def test_finish_c_recovers_product(self, tiny):
         sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secret=2, nonce=2)
-        m2 = sessions[BtgRole.B].step_b(m1, secret=3, nonce=1)
+        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
+        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
         m3 = sessions[BtgRole.A].step_a2(m2)
         c = sessions[BtgRole.C].finish_c(m3)
-        assert c == 6
-        assert sessions[BtgRole.C].secret_output == 6
+        assert c == [6]
+        assert sessions[BtgRole.C].outputs == [6]
 
     def test_identity_triple(self, tiny):
         sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secret=1)
-        m2 = sessions[BtgRole.B].step_b(m1, secret=1)
+        m1 = sessions[BtgRole.A].step_a1(secrets=[1])
+        m2 = sessions[BtgRole.B].step_b(m1, secrets=[1])
         m3 = sessions[BtgRole.A].step_a2(m2)
-        assert sessions[BtgRole.C].finish_c(m3) == 1
+        assert sessions[BtgRole.C].finish_c(m3) == [1]
 
     def test_500_random_sessions_tiny(self, tiny):
         rng = random.Random(99)
@@ -99,9 +100,9 @@ class TestProtocolTrace:
             m1 = sessions[BtgRole.A].step_a1()
             m2 = sessions[BtgRole.B].step_b(m1)
             m3 = sessions[BtgRole.A].step_a2(m2)
-            c = sessions[BtgRole.C].finish_c(m3)
-            a = sessions[BtgRole.A].secret_output
-            b = sessions[BtgRole.B].secret_output
+            [c] = sessions[BtgRole.C].finish_c(m3)
+            [a] = sessions[BtgRole.A].outputs
+            [b] = sessions[BtgRole.B].outputs
             assert c == a * b % tiny.p
 
 
@@ -128,28 +129,28 @@ class TestStateMachine:
     def test_foreign_session_id(self, tiny):
         sessions, _ = tiny_trio(tiny)
         m1 = sessions[BtgRole.A].step_a1()
-        alien = BtgMessage(b"\x01" * 16, 1, m1.payload)
+        alien = BtgMessage(b"\x01" * 16, 1, m1.payloads)
         with pytest.raises(ProtocolStateError):
             sessions[BtgRole.B].step_b(alien)
 
 
 class TestSerialization:
     def test_wire_roundtrip(self, group256):
-        msg = BtgMessage(b"\xab" * 16, 2, Ciphertext(123456, 789))
+        msg = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, 789),))
         raw = msg.serialize(group256)
         assert len(raw) == 16 + 1 + 2 * group256.element_size
         back = BtgMessage.parse(raw, group256)
         assert back == msg
 
     def test_truncated_and_overlong_payloads(self, group256):
-        raw = BtgMessage(b"\xab" * 16, 2, Ciphertext(123456, 789)).serialize(group256)
+        raw = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, 789),)).serialize(group256)
         for bad in (b"", raw[:16], raw[:17], raw[:-1], raw + b"\x00"):
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(bad, group256)
 
     @pytest.mark.parametrize("step", [0, 4, 255])
     def test_bad_step(self, group256, step):
-        raw = bytearray(BtgMessage(b"\xab" * 16, 1, Ciphertext(5, 7)).serialize(group256))
+        raw = bytearray(BtgMessage(b"\xab" * 16, 1, (Ciphertext(5, 7),)).serialize(group256))
         raw[16] = step
         with pytest.raises(ProtocolAbort):
             BtgMessage.parse(bytes(raw), group256)
@@ -157,10 +158,10 @@ class TestSerialization:
     def test_elements_outside_open_range(self, group256):
         p, top = group256.p, (1 << (8 * group256.element_size)) - 1
         for u, v in ((0, 7), (7, 0), (p, 7), (7, p), (top, 7), (7, top)):
-            raw = BtgMessage(b"\xab" * 16, 3, Ciphertext(u, v)).serialize(group256)
+            raw = BtgMessage(b"\xab" * 16, 3, (Ciphertext(u, v),)).serialize(group256)
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(raw, group256)
-        edge = BtgMessage(b"\xab" * 16, 3, Ciphertext(1, p - 1))
+        edge = BtgMessage(b"\xab" * 16, 3, (Ciphertext(1, p - 1),))
         assert BtgMessage.parse(edge.serialize(group256), group256) == edge
 
 
@@ -169,15 +170,15 @@ class TestRuntimeDriver:
         rt = Runtime(list(PIDS.values()), seed=0)
         keys = make_keys(tiny, random.Random(0))
         out = btg.run_triple_session(rt, tiny, keys, PIDS,
-                                     forced={BtgRole.A: 2, BtgRole.B: 3})
-        assert out.secret(BtgRole.C) == 6
+                                     forced={BtgRole.A: [2], BtgRole.B: [3]})
+        assert out.secrets(BtgRole.C) == [6]
 
     def test_random_sessions_over_runtime_256(self, group256):
         rt = Runtime(list(PIDS.values()), seed=7)
         keys = make_keys(group256, random.Random(7))
         for _ in range(20):
             out = btg.run_triple_session(rt, group256, keys, PIDS)
-            a, b, c = (out.secret(r) for r in BtgRole)
+            [a], [b], [c] = (out.secrets(r) for r in BtgRole)
             assert c == a * b % group256.p
 
     def test_done_ack_in_transcript(self, tiny):
@@ -204,10 +205,10 @@ class TestRuntimeDriver:
             rt = Runtime(list(PIDS.values()), seed=seed)
             keys = make_keys(group256, random.Random(5))
             btg.run_triple_session(rt, group256, keys, PIDS,
-                                   forced={BtgRole.A: 4, BtgRole.B: 9})
+                                   forced={BtgRole.A: [4], BtgRole.B: [9]})
             msgs = [r for r in rt.transcript if r[0] == "msg" and r[3] == BTG_TAG]
             m3 = BtgMessage.parse(msgs[2][4], group256)
-            third.add((m3.payload.u, m3.payload.v))
+            third.add(m3.payloads)
         assert len(third) >= 2
 
     def test_privacy_no_secret_in_any_payload(self, group256):
@@ -216,10 +217,76 @@ class TestRuntimeDriver:
         keys = make_keys(group256, random.Random(11))
         for _ in range(30):
             out = btg.run_triple_session(rt, group256, keys, PIDS)
-            secrets = {out.secret(r) for r in BtgRole}
+            secrets = {s for r in BtgRole for s in out.secrets(r)}
             for rec in rt.transcript:
                 if rec[0] != "msg" or rec[3] != BTG_TAG:
                     continue
                 parsed = BtgMessage.parse(rec[4], group256)
-                assert parsed.payload.u not in secrets
-                assert parsed.payload.v not in secrets
+                for ct in parsed.payloads:
+                    assert ct.u not in secrets
+                    assert ct.v not in secrets
+
+
+class TestBatchedSession:
+    def test_three_triples_roundtrip(self, group256):
+        rt = Runtime(list(PIDS.values()), seed=13)
+        keys = make_keys(group256, random.Random(13))
+        out = btg.run_triple_session(rt, group256, keys, PIDS, count=3)
+        a, b, c = (out.secrets(r) for r in BtgRole)
+        assert len(a) == len(b) == len(c) == 3
+        for ak, bk, ck in zip(a, b, c):
+            assert ck == ak * bk % group256.p
+        msgs = [r for r in rt.transcript if r[0] == "msg"]
+        assert [r[3] for r in msgs] == [BTG_TAG] * 3 + [BTG_DONE_TAG]
+        for rec in msgs[:3]:
+            parsed = BtgMessage.parse(rec[4], group256, count=3)
+            assert len(parsed.payloads) == 3
+            assert parsed.serialize(group256) == rec[4]
+
+    def test_forced_secrets_per_triple(self, tiny):
+        rt = Runtime(list(PIDS.values()), seed=2)
+        keys = make_keys(tiny, random.Random(2))
+        out = btg.run_triple_session(rt, tiny, keys, PIDS, count=3,
+                                     forced={BtgRole.A: [2, 3, 4], BtgRole.B: [3, 1, 9]})
+        assert out.secrets(BtgRole.C) == [6, 3, 36 % 23]
+
+    def _raw(self, group256, pairs):
+        return BtgMessage(b"\xab" * 16, 1, tuple(Ciphertext(u, v) for u, v in pairs)) \
+            .serialize(group256)
+
+    def test_pair_count_must_match_session(self, group256):
+        pairs = [(5, 7), (11, 13), (17, 19)]
+        assert len(BtgMessage.parse(self._raw(group256, pairs), group256, 3).payloads) == 3
+        for bad in (pairs[:2], pairs + [(23, 29)]):
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(self._raw(group256, bad), group256, 3)
+
+    def test_zero_in_last_pair(self, group256):
+        for last in ((0, 7), (7, 0)):
+            raw = self._raw(group256, [(5, 7), (11, 13), last])
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(raw, group256, 3)
+
+    def test_element_outside_field_in_last_pair(self, group256):
+        p = group256.p
+        for last in ((p, 7), (7, p), (p + 1, 7)):
+            raw = self._raw(group256, [(5, 7), (11, 13), last])
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(raw, group256, 3)
+
+    def test_session_rejects_wrong_ciphertext_count(self, tiny):
+        keys = make_keys(tiny, random.Random(4))
+        rngs = {role: random.Random(role.value) for role in BtgRole}
+        sessions = btg.new_session_trio(tiny, keys, rngs, session_id=bytes(16), count=2)
+        m1 = sessions[BtgRole.A].step_a1()
+        short = BtgMessage(m1.session_id, 1, m1.payloads[:1])
+        with pytest.raises(ProtocolAbort):
+            sessions[BtgRole.B].step_b(short)
+
+    def test_pinned_secrets_must_match_count(self, tiny):
+        rt = Runtime(list(PIDS.values()), seed=3)
+        keys = make_keys(tiny, random.Random(3))
+        with pytest.raises(ParameterError):
+            btg.run_triple_session(rt, tiny, keys, PIDS, count=2, forced={BtgRole.A: [2]})
+        with pytest.raises(ParameterError):
+            btg.run_triple_session(rt, tiny, keys, PIDS, count=0)

@@ -52,6 +52,22 @@ class TestTriples:
         report = json.loads(capsys.readouterr().out)
         assert report["invalid"] == 0 and report["mode"] == "two"
 
+    @pytest.mark.parametrize("mode,messages,rounds", [("single", 17, 10), ("two", 19, 13)])
+    def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode, messages, rounds):
+        ledger = tmp_path / "ledger.jsonl"
+        assert run_cli("triples", "-n", "12", "--mode", mode, "--ledger", str(ledger)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["triples"] == 12 and report["invalid"] == 0
+        assert report["modexp_per_triple"] == (10.0 if mode == "single" else 20.0)
+        assert report["messages_per_triple"] == messages / 12
+        assert report["rounds_per_triple"] == rounds / 12
+        ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
+        assert ids == ["t%06d" % i for i in range(1, 13)]
+
+    def test_negative_count_usage_error(self, capsys):
+        assert run_cli("triples", "-n", "-1") == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_reuse_demo_exits_nonzero(self, capsys):
         assert run_cli("triples", "-n", "1", "--demo-reuse") == EXIT_PROTOCOL
 
@@ -160,11 +176,13 @@ def test_console_entry_point(tmp_path):
 
 class TestPipelineGolden:
     # sha256 of the transcript and the triple ledger of one fixed `run`,
-    # pinned from the pipeline before it became a single serial path: the
-    # control loop, the Beaver products and the dispensation must leave both
-    # byte-identical.
-    TRANSCRIPT_SHA256 = "4b39e7b36d7f620d0d4c465470d2d7bc31313ffd07ae30204ee8602d0e27b32c"
-    LEDGER_SHA256 = "b475382952d87006ea9790dc9116daa644264f95ff897e128643c229d85f3954"
+    # pinned when each control's triples became one batch minted right before
+    # the control (and the lambda step's five before it): the control loop,
+    # the Beaver products and the dispensation must leave both byte-identical.
+    # The decisions, lambda and triple count are those of the per-triple
+    # pipeline that came before the batches.
+    TRANSCRIPT_SHA256 = "1cfa86c7aee26476d99d8419be04465c2ad965260641194c2d31858f76d99a33"
+    LEDGER_SHA256 = "d85bdcc4a57dddc2337d48843289259f93c539e5dcbb75c5083cdb63f6e32f9e"
 
     def test_transcript_and_ledger(self, tmp_path):
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))
@@ -178,6 +196,8 @@ class TestPipelineGolden:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["accepted"] == ["ctrl_000"]
+        assert report["lambda"] == {"num": 31, "den": 255, "value": 31 / 255}
+        assert report["triple_count"] == 47
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
         assert len(ids) == len(set(ids)) == report["triple_count"]
         assert hashlib.sha256(transcript.read_bytes()).hexdigest() == self.TRANSCRIPT_SHA256

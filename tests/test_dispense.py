@@ -20,7 +20,7 @@ from spdzgen.dispense import (
     select_committee_leader,
     split_additive,
 )
-from spdzgen.errors import BlindFactorError, SelectionError, ShareError
+from spdzgen.errors import BlindFactorError, ParameterError, SelectionError, ShareError
 from spdzgen.gwas import build_parties
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
@@ -115,8 +115,8 @@ class TestBlindFactorArithmetic:
         rt = build_runtime()
         keys = {pid: btg.keygen(tiny, rt.rng(pid)) for pid in MPC}
         shares = mhkm.key_product(rt, tiny, [MPC[1], MPC[0], MPC[2]], keys,
-                                  {MPC[0]: 3, MPC[1]: 4})
-        assert shares == {MPC[0]: 3, MPC[1]: 4, MPC[2]: 12}
+                                  {MPC[0]: [3], MPC[1]: [4]})
+        assert shares == {MPC[0]: [3], MPC[1]: [4], MPC[2]: [12]}
 
     def test_identity_blind(self, tiny):
         assert BlindFactor.single(1, tiny.p) == BlindFactor(r_a=1, r_b=1, r_c=1)
@@ -168,18 +168,18 @@ class TestDispensationProtocol:
         p = group256.p
         for i in range(20):
             _, out = run_btg(rt, group256, seed=i)
-            triple = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                           ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                           triple_id="t%d" % i)
+            [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
+                                             ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                             triple_ids=["t%d" % i])
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
     def test_identity_blind_dispenses_raw_triple(self, group256):
         rt = build_runtime(seed=1)
-        _, out = run_btg(rt, group256, seed=1, forced={BtgRole.A: 4, BtgRole.B: 9})
-        triple = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                       ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                       triple_id="t", forced_r=1)
+        _, out = run_btg(rt, group256, seed=1, forced={BtgRole.A: [4], BtgRole.B: [9]})
+        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
+                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                         triple_ids=["t"], forced_r=[1])
         assert reconstruct_triple(triple, group256.p) == (4, 9, 36)
 
     def test_zero_blind_rejected(self, group256):
@@ -188,7 +188,7 @@ class TestDispensationProtocol:
         with pytest.raises(BlindFactorError):
             dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
                                   ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                  triple_id="t", forced_r=0)
+                                  triple_ids=["t"], forced_r=[0])
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
@@ -196,9 +196,9 @@ class TestDispensationProtocol:
         owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
         for i in range(10):
             keys, out = run_btg(rt, group256, seed="two%d" % i)
-            triple = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
-                                        ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                        triple_id="t%d" % i, keys=owner_keys)
+            [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+                                          ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                          triple_ids=["t%d" % i], keys=owner_keys)
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
@@ -207,11 +207,44 @@ class TestDispensationProtocol:
         rt = build_runtime(seed=4)
         _, out = run_btg(rt, group256, seed=4)
         dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                              ox=MPC[0], oy=MPC[1], leader=MPC[2], triple_id="tx")
+                              ox=MPC[0], oy=MPC[1], leader=MPC[2], triple_ids=["tx"])
         a_msgs = [r for r in rt.transcript
                   if r[0] == "msg" and r[3].startswith("triple-a:")]
         assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
         assert {r[2] for r in a_msgs} == set(MPC)
+
+
+class TestBatchedDispensation:
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_one_message_per_hop(self, group256, mode):
+        # K = 4 triples cost the messages and rounds of one: 17/10 single, 19/13 two
+        rt = build_runtime(seed=6)
+        owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
+        keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+        ids = ["b%d" % i for i in range(4)]
+        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS, count=4)
+        if mode == "single":
+            triples = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
+                                            ox=MPC[0], oy=MPC[1], leader=MPC[2], triple_ids=ids)
+        else:
+            triples = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                         triple_ids=ids, keys=owner_keys)
+        assert [t.triple_id for t in triples] == ids
+        for t in triples:
+            a2, b2, c2 = reconstruct_triple(t, group256.p)
+            assert c2 == a2 * b2 % group256.p
+        assert (rt.messages_sent, rt.rounds) == ((17, 10) if mode == "single" else (19, 13))
+        w = group256.element_size
+        share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
+        assert all(len(r[4]) == 4 * w for r in share_msgs)
+
+    def test_ids_must_match_session(self, group256):
+        rt = build_runtime(seed=8)
+        _, out = run_btg(rt, group256, seed=8)
+        with pytest.raises(ShareError):
+            dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1],
+                                  leader=MPC[2], triple_ids=["t1", "t2"])
 
 
 class TestDispenser:
@@ -231,6 +264,30 @@ class TestDispenser:
         assert len(ids) == 5
         lines = [json.loads(line) for line in ledger_file.read_text().splitlines()]
         assert [ln["triple_id"] for ln in lines] == [t.triple_id for t in triples]
+
+
+    def test_reserve_two_randomness(self, group256, tmp_path):
+        ledger_file = tmp_path / "ledger.jsonl"
+        ctx = build_parties(group256, seed=12, blinding="two", ledger_path=ledger_file)
+        disp = ctx.dispenser
+        disp.reserve(6)
+        assert len(disp.pool) == 6 and disp.count == 0
+        lines = [json.loads(line) for line in ledger_file.read_text().splitlines()]
+        triples = [disp.next_triple() for _ in range(7)]  # the seventh mints one more
+        assert disp.count == 7 and not disp.pool
+        ids = [t.triple_id for t in triples]
+        assert len(set(ids)) == 7 and ids == sorted(ids)
+        assert [ln["triple_id"] for ln in lines] == ids[:6]
+        for t in triples:
+            a2, b2, c2 = reconstruct_triple(t, group256.p)
+            assert c2 == a2 * b2 % group256.p
+
+    def test_reserve_rejects_negative(self, group256):
+        ctx = build_parties(group256, seed=13)
+        ctx.dispenser.reserve(0)
+        assert ctx.runtime.messages_sent == 0
+        with pytest.raises(ParameterError):
+            ctx.dispenser.reserve(-1)
 
 
 class TestGoldenTranscript:

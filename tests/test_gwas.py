@@ -199,10 +199,10 @@ class TestSecureLambda:
         ctx = build_parties(group256, seed=3)
         original = btg.run_triple_session
 
-        def failing_blind(runtime, params, keys, pids, forced=None):
+        def failing_blind(runtime, params, keys, pids, **kwargs):
             if pids[BtgRole.A] == ctx.o_case:  # the joint-blind session only
                 raise RuntimeError("boom")
-            return original(runtime, params, keys, pids, forced)
+            return original(runtime, params, keys, pids, **kwargs)
 
         monkeypatch.setattr(btg, "run_triple_session", failing_blind)
         with pytest.raises(ProtocolAbort, match="chain session 0"):
@@ -277,6 +277,27 @@ class TestSecureResidual:
         want = plain_residual_norm_sq(basis, z)
         assert abs(got - want) <= 10 * 2 ** -14
 
+    def test_draws_the_control_budget(self, group256):
+        # a counting stand-in dispenser: residual_norm_sq draws exactly the budget
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=9)
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.count = inner, 0
+
+            def next_triple(self):
+                self.count += 1
+                return self.inner.next_triple()
+
+        for dim, rank in ((3, 1), (4, 2), (5, 3)):
+            cols = [share_vector(ctx.runtime, ctx.o_case, [0] * dim, ctx.mpc_pids, params)
+                    for _ in range(rank)]
+            z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
+            counting = Counting(ctx.dispenser)
+            residual_norm_sq(ctx.runtime, cols, z_sh, params, counting, ctx.ledger, ctx.roles)
+            assert counting.count == gwas.triples_per_control(dim, rank) == dim + rank * (dim + 1)
+
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)
         ctx = build_parties(group256, seed=8)
@@ -309,6 +330,17 @@ class TestFilterPipeline:
         assert secure["lambda"] == plain["lambda"]
         assert secure["lambda_ok"] == plain["lambda_ok"]
         assert secure["triple_count"] > 0
+
+    def test_pool_drained_and_ledger_complete(self, group256, tmp_path):
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        ledger_file = tmp_path / "ledger.jsonl"
+        result = filter_controls(group256, basis, case_counts, controls, config, seed=11,
+                                 ledger_path=ledger_file)
+        ctx = result["context"]
+        assert not ctx.dispenser.pool
+        budget = len(controls) * (basis.dim + basis.rank * (basis.dim + 1)) + gwas.LAMBDA_TRIPLES
+        lines = ledger_file.read_text().splitlines()
+        assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
     def test_convention_flip(self, group256):
         basis, case_counts, controls, _ = small_pipeline_inputs(group256)

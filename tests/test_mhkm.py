@@ -11,12 +11,12 @@ from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 
 
-def chain(n, params, seed=0, factors=None, record=True):
+def chain(n, params, seed=0, factors=None, record=True, count=1):
     """Runtime, ordered party ids and key-product shares of one n-party chain."""
     pids = [PartyId("KM", i) for i in range(1, n + 1)]
     rt = Runtime(pids, seed=seed, record=record)
     keys = {pid: btg.keygen(params, rt.rng(pid)) for pid in pids}
-    return rt, pids, key_product(rt, params, pids, keys, factors)
+    return rt, pids, key_product(rt, params, pids, keys, factors, count)
 
 
 class TestPlan:
@@ -42,22 +42,36 @@ class TestPlan:
 
 class TestRun:
     def test_forced_base_case(self, tiny):
-        _, pids, shares = chain(3, tiny, factors={PartyId("KM", 1): 6, PartyId("KM", 2): 4})
-        assert shares[pids[0]] == 6
-        assert shares[pids[1]] == 4
-        assert shares[pids[2]] == 24 % 23 == 1
+        _, pids, shares = chain(3, tiny, factors={PartyId("KM", 1): [6], PartyId("KM", 2): [4]})
+        assert shares[pids[0]] == [6]
+        assert shares[pids[1]] == [4]
+        assert shares[pids[2]] == [24 % 23] == [1]
 
     def test_identity_chain(self, tiny):
-        ones = {PartyId("KM", i): 1 for i in range(1, 5)}
+        ones = {PartyId("KM", i): [1] for i in range(1, 5)}
         _, pids, shares = chain(5, tiny, factors=ones)
-        assert all(shares[pid] == 1 for pid in pids)
+        assert all(shares[pid] == [1] for pid in pids)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_product_invariant_random(self, n, group256):
         for seed in range(5):
             _, pids, shares = chain(n, group256, seed=seed, record=False)
-            product = math.prod(shares[pid] for pid in pids[:-1]) % group256.p
-            assert shares[pids[-1]] == product
+            product = math.prod(shares[pid][0] for pid in pids[:-1]) % group256.p
+            assert shares[pids[-1]] == [product]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batched_chain_one_session_per_hop(self, n, group256):
+        # K products ride the same n - 2 sessions: as many messages as K = 1
+        rt, pids, shares = chain(n, group256, seed=("batch", n), count=4)
+        assert all(len(shares[pid]) == 4 for pid in pids)
+        for k in range(4):
+            product = math.prod(shares[pid][k] for pid in pids[:-1]) % group256.p
+            assert shares[pids[-1]][k] == product
+        assert rt.messages_sent == 4 * (n - 2)
+
+    def test_factor_count_must_match(self, tiny):
+        with pytest.raises(ParameterError):
+            chain(3, tiny, factors={PartyId("KM", 1): [6, 2]}, count=1)
 
     def test_session_failure_aborts_with_index(self, tiny, monkeypatch):
         calls = {"n": 0}
@@ -89,16 +103,16 @@ def test_chain_transcript_golden(n, digest):
 class TestPrivacy:
     def test_no_share_in_any_payload(self, group256):
         rt, _, shares = chain(5, group256, seed=21)
-        share_values = set(shares.values())
+        share_values = {v for values in shares.values() for v in values}
         for rec in rt.transcript:
             if rec[0] != "msg":
                 continue
             # only protocol ciphertexts and done-acks cross the wire
             assert rec[3] in (btg.BTG_TAG, btg.BTG_DONE_TAG)
             if rec[3] == btg.BTG_TAG:
-                parsed = BtgMessage.parse(rec[4], group256)
-                assert parsed.payload.u not in share_values
-                assert parsed.payload.v not in share_values
+                [ct] = BtgMessage.parse(rec[4], group256).payloads
+                assert ct.u not in share_values
+                assert ct.v not in share_values
 
     def test_views_confined_to_own_sessions(self, group256):
         # party 2 contributes once at the base, as role A, which sends the

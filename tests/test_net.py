@@ -41,6 +41,17 @@ def test_fifo_per_channel():
     assert rt.take(B).payload == b"second"
 
 
+def test_rounds_count_pumps_that_deliver():
+    rt = Runtime([A, B, C])
+    assert rt.pump() == 0 and rt.rounds == 0
+    rt.send(A, B, "t", b"x")
+    rt.send(A, C, "t", b"y")
+    rt.send(B, C, "t", b"z")
+    assert rt.pump() == 3
+    assert rt.pump() == 0
+    assert (rt.messages_sent, rt.rounds) == (3, 1)
+
+
 def test_sequence_numbers_strictly_increase():
     rt = Runtime([A, B])
     msgs = [rt.send(A, B, "t", b"") for _ in range(5)]

@@ -8,7 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import gwas, modmath, spdz
+from . import dispense, gwas, modmath, spdz
 from .errors import (
     BlindFactorError,
     DegenerateTableError,
@@ -84,9 +84,8 @@ def cmd_triples(args) -> int:
 
     bad = 0
     for t in triples:
-        a = spdz.reconstruct_value(spdz.triple_component(t, "a"), group.p)
-        b = spdz.reconstruct_value(spdz.triple_component(t, "b"), group.p)
-        c = spdz.reconstruct_value(spdz.triple_component(t, "c"), group.p)
+        a, b, c = (dispense.reconstruct(shares.values(), group.p)
+                   for shares in (t.a_shares, t.b_shares, t.c_shares))
         if c != a * b % group.p:
             bad += 1
     report = {
@@ -121,11 +120,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# The keys `cmd_run` reads from a config document; any other key is rejected
+# rather than silently ignored.
+CONFIG_KEYS = frozenset({"tau", "lambda_max", "parties", "seed", "bits", "group_path",
+                         "fixed_point"})
+FIXED_POINT_KEYS = frozenset({"k", "f", "kappa", "p"})
+
+
 def _load_config(args) -> dict:
     doc = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("fixed_point", {}), dict):
+            raise ValidationError("a config document and its fixed_point must be JSON objects")
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        unknown += sorted("fixed_point.%s" % key
+                          for key in set(doc.get("fixed_point", {})) - FIXED_POINT_KEYS)
+        if unknown:
+            raise ValidationError("unknown config key(s): %s" % ", ".join(unknown))
     for key, val in (("tau", args.tau), ("lambda_max", args.lambda_max),
                      ("parties", args.parties), ("seed", args.seed),
                      ("bits", args.bits)):
@@ -133,7 +146,6 @@ def _load_config(args) -> dict:
             doc[key] = val
     doc.setdefault("tau", "0.3")
     doc.setdefault("lambda_max", "0.05")
-    doc.setdefault("accept_small", True)
     doc.setdefault("parties", 3)
     doc.setdefault("seed", 1)
     doc.setdefault("bits", 256)
@@ -153,7 +165,6 @@ def cmd_run(args) -> int:
     config = PipelineConfig(
         tau=Fraction(str(doc["tau"])),
         lambda_max=Fraction(str(doc["lambda_max"])),
-        accept_small=bool(doc["accept_small"]),
         fp=fp,
         parties=int(doc["parties"]),
     )

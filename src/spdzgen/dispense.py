@@ -1,5 +1,12 @@
 """Additive secret sharing and blind dispensation of Beaver triples.
 
+`deal` is the one sharing routine: an owner splits a batch of values and
+sends every other party one message of its shares, and each recipient
+builds its shares from the residues it decodes, so a malformed payload
+aborts and a corrupted one changes the result.  Input sharing (`spdz`) and
+the dispensation below both deal through it; the blind recipients likewise
+use the blinds they decode, and a zero blind aborts.
+
 A generated triple (a, b, c) never reaches the MPC servers raw: the triple
 holders scale their components by blind factors supplied by the requesting
 data owners, then split the scaled values additively across the m servers.
@@ -50,6 +57,36 @@ def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]
     tail = [rng.randrange(p) for _ in range(m - 1)]
     head = (secret - sum(tail)) % p
     return [head] + tail
+
+
+def _residues(values, w) -> bytes:
+    """Fixed-width big-endian wire encoding of a run of residues."""
+    return b"".join(v.to_bytes(w, "big") for v in values)
+
+
+def deal(runtime: Runtime, owner: PartyId, parties, tag: str, values, p: int) -> list[dict]:
+    """Split each of `values` and send every other party one message of its
+    shares, in value order; an owner among `parties` keeps its own.
+
+    Every recipient builds its shares from the residues it decodes off the
+    wire.  Returns one PartyId -> share map per value.
+    """
+    rng = runtime.rng(owner)
+    w = (p.bit_length() + 7) // 8
+    splits = [split_additive(value, len(parties), p, rng) for value in values]
+    held = {}
+    for j, pid in enumerate(parties):
+        column = [split[j] for split in splits]
+        if pid == owner:
+            runtime.note(owner, "kept local %s share" % tag)
+            held[pid] = column
+        else:
+            runtime.send(owner, pid, tag, _residues(column, w))
+    runtime.pump()
+    for pid in parties:
+        if pid != owner:
+            held[pid] = modmath.decode_residues(runtime.take(pid, tag).payload, len(values), p)
+    return [{pid: held[pid][i] for pid in parties} for i in range(len(values))]
 
 
 def reconstruct(shares, p: int) -> int:
@@ -103,27 +140,12 @@ TRIPLE_C_TAG = "triple-c"
 BLIND_TAG = "blind-r"
 
 
-def _residues(values, w) -> bytes:
-    """Fixed-width big-endian wire encoding of a run of residues."""
-    return b"".join(v.to_bytes(w, "big") for v in values)
-
-
-def _deal(runtime, src, mpc_pids, tag, values, p, keep_local=None):
-    """Split each of `values` and send every MPC server one message of its
-    shares, in value order.
-
-    If `src` is itself a server (`keep_local`), its shares stay local.
-    Returns one share map per value."""
-    rng = runtime.rng(src)
-    w = (p.bit_length() + 7) // 8
-    splits = [split_additive(value, len(mpc_pids), p, rng) for value in values]
-    for j, pid in enumerate(mpc_pids):
-        if keep_local is not None and pid == src:
-            runtime.note(src, "kept local %s share" % tag)
-            continue
-        runtime.send(src, pid, tag, _residues((split[j] for split in splits), w))
-    runtime.pump()
-    return [dict(zip(mpc_pids, split)) for split in splits]
+def _take_blinds(runtime: Runtime, pid: PartyId, count: int, p: int) -> list[int]:
+    """The K blinds pid decodes from its blind message; a zero blind aborts."""
+    rs = modmath.decode_residues(runtime.take(pid, BLIND_TAG).payload, count, p)
+    if 0 in rs:
+        raise BlindFactorError("%s received a zero blind" % (pid,))
+    return rs
 
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
@@ -133,26 +155,27 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
     """Single-randomness dispensation of the K triples of one session.
 
     O_x draws one r per triple, shares them with O_y and the committee leader
-    over private channels, and forwards them to the holders of a and b.  The
-    holders split r*a and r*b; the leader receives c from its holder and
-    splits r^2 * c.  `forced_r` optionally pins the K blinds.
+    over private channels, and forwards them to the holder of a; O_y forwards
+    the blinds it decoded to the holder of b.  The holders split r*a and r*b;
+    the leader receives c from its holder and splits r^2 * c.  `forced_r`
+    optionally pins the K blinds.
     """
-    p = params.p
+    p, w = params.p, params.element_size
+    count = len(triple_ids)
     rng = runtime.rng(ox)
     rs = forced_r if forced_r is not None else [rng.randrange(1, p) for _ in triple_ids]
-    blinds = [BlindFactor.single(r, p) for r in rs]
-    payload = _residues(rs, params.element_size)
 
     for dst in (oy, leader, btg_pids[BtgRole.A]):
-        runtime.send(ox, dst, BLIND_TAG, payload)
+        runtime.send(ox, dst, BLIND_TAG, _residues(rs, w))
     runtime.pump()
-    runtime.take(oy, BLIND_TAG)
-    runtime.take(leader, BLIND_TAG)
-    runtime.take(btg_pids[BtgRole.A], BLIND_TAG)
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, payload)
+    forwarded = _take_blinds(runtime, oy, count, p)
+    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(forwarded, w))
     runtime.pump()
-    runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
+    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z * z % p) for x, y, z in zip(
+        _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
+        _take_blinds(runtime, btg_pids[BtgRole.B], count, p),
+        _take_blinds(runtime, leader, count, p))]
     return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
 
 
@@ -166,7 +189,7 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     r_c to the leader, so no single owner knows both blinds.  `keys` maps
     PartyId -> KeyPair for O_x and the leader.
     """
-    w = params.element_size
+    p, w = params.p, params.element_size
     count = len(triple_ids)
     r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
     r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
@@ -176,10 +199,10 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, _residues(r_a, w))
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(r_b, w))
     runtime.pump()
-    runtime.take(btg_pids[BtgRole.A], BLIND_TAG)
-    runtime.take(btg_pids[BtgRole.B], BLIND_TAG)
 
-    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z) for x, y, z in zip(r_a, r_b, r_c)]
+    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z) for x, y, z in zip(
+        _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
+        _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c)]
     return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
 
 
@@ -196,20 +219,17 @@ def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict
         raise ShareError("%d triple ids and %d blinds for a session of %d triples"
                          % (len(triple_ids), len(blinds), len(c_vals)))
     batch = triple_ids[0]
-    a_shares = _deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, batch),
-                     [bl.r_a * a % p for bl, a in zip(blinds, a_vals)], p)
-    b_shares = _deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
-                     [bl.r_b * b % p for bl, b in zip(blinds, b_vals)], p)
+    a_shares = deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, batch),
+                    [bl.r_a * a % p for bl, a in zip(blinds, a_vals)], p)
+    b_shares = deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
+                    [bl.r_b * b % p for bl, b in zip(blinds, b_vals)], p)
     runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG,
                  _residues(c_vals, params.element_size))
     runtime.pump()
     c_raw = modmath.decode_residues(runtime.take(leader, TRIPLE_C_RAW_TAG).payload,
                                     len(triple_ids), p)
-    c_shares = _deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, batch),
-                     [bl.r_c * c % p for bl, c in zip(blinds, c_raw)], p, keep_local=leader)
-    for pid in mpc_pids:
-        for tag in (TRIPLE_A_TAG, TRIPLE_B_TAG, TRIPLE_C_TAG):
-            runtime.take_all(pid, "%s:%s" % (tag, batch))
+    c_shares = deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, batch),
+                    [bl.r_c * c % p for bl, c in zip(blinds, c_raw)], p)
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, a_shares, b_shares, c_shares)]

@@ -38,9 +38,6 @@ from .modmath import GroupParams, signed_decode
 from .net import PartyId, Runtime
 from .spdz import SharedValue, TripleLedger
 
-REF = "ref"
-ALT = "alt"
-
 # Bound on any single genotype count entering the secure lambda protocol;
 # keeps |blind * numerator| < p/2 for 256-bit groups (see BLIND_BOUND).
 COUNT_CAP = 2 ** 20
@@ -48,21 +45,6 @@ BLIND_BOUND = 2 ** 32
 
 # Triples `secure_inflation_factor` draws: three products, then two blinded.
 LAMBDA_TRIPLES = 5
-
-
-def encode_genotype(pair) -> int:
-    """(Ref,Ref) -> 0, mixed pair -> 1, (Alt,Alt) -> 2."""
-    try:
-        first, second = pair
-    except (TypeError, ValueError):
-        raise ParseError("allele pair must have two entries: %r" % (pair,))
-    alleles = []
-    for sym in (first, second):
-        norm = str(sym).strip().lower()
-        if norm not in (REF, ALT):
-            raise ParseError("unknown allele symbol %r" % (sym,))
-        alleles.append(norm)
-    return alleles.count(ALT)
 
 
 def counts_of(values) -> tuple:
@@ -263,7 +245,6 @@ class ControlRecord:
 class PipelineConfig:
     tau: Fraction = Fraction(3, 10)
     lambda_max: Fraction = Fraction(1, 20)
-    accept_small: bool = True  # accept when residual <= tau; flag flips it
     fp: FixedPointParams = field(default_factory=FixedPointParams)
     parties: int = 3
 
@@ -277,15 +258,10 @@ class PipelineConfig:
         return {
             "tau": float(self.tau),
             "lambda_max": float(self.lambda_max),
-            "accept_small": self.accept_small,
             "parties": self.parties,
             "fixed_point": {"k": self.fp.k, "f": self.fp.f,
                             "kappa": self.fp.kappa, "p": str(self.fp.p)},
         }
-
-
-def _accepts(residual_sq_exceeds_tau: bool, config: PipelineConfig) -> bool:
-    return (not residual_sq_exceeds_tau) if config.accept_small else residual_sq_exceeds_tau
 
 
 def plain_filter_controls(basis: CaseBasis, case_counts, controls,
@@ -295,7 +271,7 @@ def plain_filter_controls(basis: CaseBasis, case_counts, controls,
     accepted = []
     for ctrl in controls:
         res = plain_residual_norm_sq(basis, ctrl.vector)
-        if _accepts(res > tau_sq, config):
+        if res <= tau_sq:
             accepted.append(ctrl)
     lam = _combined_lambda(case_counts, accepted)
     return {
@@ -342,8 +318,8 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
         if not 0 <= v <= COUNT_CAP:
             raise ValidationError("count %d outside [0, %d]" % (v, COUNT_CAP))
 
-    r_sh = [spdz.share_secret(runtime, o_case, v, mpc_pids, p) for v in case_counts]
-    s_sh = [spdz.share_secret(runtime, o_ctrl, v, mpc_pids, p) for v in ctrl_counts]
+    r_sh = spdz.share_values(runtime, o_case, case_counts, mpc_pids, p)
+    s_sh = spdz.share_values(runtime, o_ctrl, ctrl_counts, mpc_pids, p)
     n_sh = [spdz.add_local(r_sh[i], s_sh[i], p) for i in range(3)]
 
     lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
@@ -372,9 +348,10 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
 
 def share_vector(runtime: Runtime, owner: PartyId, values, mpc_pids,
                  params: FixedPointParams) -> list:
-    """Owner fp-encodes and shares every entry of a vector."""
-    return [spdz.share_secret(runtime, owner, fixpt.fp_encode(v, params), mpc_pids, params.p)
-            for v in values]
+    """Owner fp-encodes every entry of a vector and shares them in one message
+    per server."""
+    return spdz.share_values(runtime, owner, [fixpt.fp_encode(v, params) for v in values],
+                             mpc_pids, params.p)
 
 
 def triples_per_control(dim: int, rank: int) -> int:
@@ -412,13 +389,13 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares,
 
 def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineConfig,
                       roles: TruncRoles) -> bool:
-    """Open the comparison bit: residual^2 greater than tau^2, or not."""
+    """Open the comparison bit (residual^2 greater than tau^2) and accept
+    when it is not set."""
     params = config.fp
     tau_sq_enc = signed_decode(fixpt.fp_encode(config.tau * config.tau, params), params.p)
     diff = spdz.add_const(spdz.scale_local(-1, res_sq, params.p), tau_sq_enc, params.p)
     bit = fixpt.ltz(runtime, diff, params, roles)
-    exceeded = spdz.open_value(runtime, bit, params.p) == 1
-    return _accepts(exceeded, config)
+    return spdz.open_value(runtime, bit, params.p) != 1
 
 
 @dataclass

@@ -115,10 +115,6 @@ class GroupParams:
         """Fixed-width big-endian encoding of a residue in [0, p)."""
         return x.to_bytes(self.element_size, "big")
 
-    def decode_element(self, raw: bytes) -> int:
-        """Inverse of `encode_element`; see `decode_residues` for the checks."""
-        return decode_residues(raw, 1, self.p)[0]
-
     def to_json(self) -> str:
         return json.dumps({"p": str(self.p), "q": str(self.q), "g": str(self.g)})
 

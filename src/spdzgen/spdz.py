@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dispense import BeaverTripleShares, split_additive
+from .dispense import BeaverTripleShares, deal
 from .errors import ParameterError, ShareError, TripleReuseError
 from .modmath import decode_residues
 from .net import PartyId, Runtime
@@ -45,22 +45,21 @@ def _check_same_parties(x: SharedValue, y: SharedValue):
         raise ShareError("mismatched party sets: %s vs %s" % (x.id, y.id))
 
 
+def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
+                 p: int) -> list[SharedValue]:
+    """Owner splits each secret and sends every other party one message of
+    its shares of them all; returns one SharedValue per secret."""
+    parties, secrets = tuple(parties), list(secrets)
+    ids = [runtime.fresh_id("v") for _ in secrets]
+    if not ids:
+        return []
+    shares = deal(runtime, owner, parties, "%s:%s" % (SHARE_TAG, ids[0]), secrets, p)
+    return [SharedValue(id=vid, parties=parties, shares=s) for vid, s in zip(ids, shares)]
+
+
 def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
     """Owner splits a secret and delivers one share to each other party."""
-    parties = tuple(parties)
-    value_id = runtime.fresh_id("v")
-    values = split_additive(secret % p, len(parties), p, runtime.rng(owner))
-    shares = dict(zip(parties, values))
-    w = (p.bit_length() + 7) // 8
-    for pid in parties:
-        if pid == owner:
-            continue
-        runtime.send(owner, pid, "%s:%s" % (SHARE_TAG, value_id), shares[pid].to_bytes(w, "big"))
-    runtime.pump()
-    for pid in parties:
-        if pid != owner:
-            runtime.take(pid, "%s:%s" % (SHARE_TAG, value_id))
-    return SharedValue(id=value_id, parties=parties, shares=shares)
+    return share_values(runtime, owner, [secret], parties, p)[0]
 
 
 def triple_component(triple: BeaverTripleShares, which: str) -> SharedValue:
@@ -209,8 +208,3 @@ def beaver_mult(runtime: Runtime, x: SharedValue, y: SharedValue,
                 designated: PartyId | None = None) -> SharedValue:
     """Multiply two shared values with one fresh dispensed triple."""
     return beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger, designated)[0]
-
-
-def reconstruct_value(value: SharedValue, p: int) -> int:
-    """Test-harness oracle: sum all shares directly."""
-    return sum(value.shares[pid] for pid in value.parties) % p

@@ -1,8 +1,10 @@
-"""Shared test utilities: manufactured triples for field-level unit tests."""
+"""Shared test utilities: manufactured triples for field-level unit tests,
+and a fault injector that rewrites payloads on their way into the network."""
 
 import itertools
 
 from spdzgen.dispense import BeaverTripleShares, split_additive
+from spdzgen.net import Runtime
 
 
 def make_triple(a, b, c, p, parties, rng, triple_id):
@@ -20,3 +22,38 @@ def triple_stream(p, parties, rng, prefix="ts"):
     for i in itertools.count():
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         yield make_triple(a, b, a * b % p, p, parties, rng, "%s%d" % (prefix, i))
+
+
+def tamper_sends(monkeypatch, prefix, mutate):
+    """Pass every payload whose tag starts with `prefix` through `mutate`
+    before `Runtime.send` queues it; monkeypatch undoes it after the test."""
+    send = Runtime.send
+
+    def tampered(self, src, dst, tag, payload):
+        if tag.startswith(prefix):
+            payload = mutate(payload)
+        return send(self, src, dst, tag, payload)
+
+    monkeypatch.setattr(Runtime, "send", tampered)
+
+
+def truncated(payload):
+    return payload[:-1]
+
+
+def out_of_range(payload):
+    """Every residue becomes 0xff..ff, which is >= p."""
+    return b"\xff" * len(payload)
+
+
+def zeroed(payload):
+    return bytes(len(payload))
+
+
+def shifted(p):
+    """An in-range corruption: the payload's first residue plus one, mod p."""
+    w = (p.bit_length() + 7) // 8
+
+    def mutate(payload):
+        return ((int.from_bytes(payload[:w], "big") + 1) % p).to_bytes(w, "big") + payload[w:]
+    return mutate

@@ -15,7 +15,7 @@ import pytest
 from spdzgen import btg, spdz
 from spdzgen.btg import BtgMessage, BtgRole
 from spdzgen.cli import main as cli_main
-from spdzgen.dispense import dispense_blind_single, dispense_blind_two
+from spdzgen.dispense import dispense_blind_single, dispense_blind_two, reconstruct
 from spdzgen.errors import DegenerateTableError
 from spdzgen.fixpt import FixedPointParams, fp_decode, fp_encode, fp_mult, trunc
 from spdzgen.gwas import (
@@ -35,7 +35,7 @@ from spdzgen.gwas import (
 from spdzgen.mhkm import key_product
 from spdzgen.modmath import signed_decode, signed_encode
 from spdzgen.net import PartyId, Runtime
-from spdzgen.spdz import TripleLedger, open_value, reconstruct_value, share_secret
+from spdzgen.spdz import TripleLedger, open_value, share_secret
 
 from helpers import triple_stream
 
@@ -49,8 +49,8 @@ def announce(criterion, text):
 
 
 def triple_values(triple, p):
-    return tuple(reconstruct_value(spdz.triple_component(triple, w), p)
-                 for w in ("a", "b", "c"))
+    return tuple(reconstruct(shares.values(), p)
+                 for shares in (triple.a_shares, triple.b_shares, triple.c_shares))
 
 
 def test_criterion_1_btg_correctness_500_sessions(group256):

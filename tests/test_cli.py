@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from spdzgen.cli import EXIT_PROTOCOL, EXIT_USAGE, EXIT_VALIDATION, main
 from spdzgen.gwas import GenotypeMatrix, orthonormal_columns, synth_genotypes
-from spdzgen.modmath import GroupParams
+from spdzgen.modmath import DEFAULT_GROUP_256, GroupParams
+
+from helpers import shifted, tamper_sends
 
 
 def run_cli(*argv):
@@ -71,6 +75,11 @@ class TestTriples:
     def test_reuse_demo_exits_nonzero(self, capsys):
         assert run_cli("triples", "-n", "1", "--demo-reuse") == EXIT_PROTOCOL
 
+    def test_corrupted_shares_exit_protocol(self, capsys, monkeypatch):
+        tamper_sends(monkeypatch, "triple-a:", shifted(DEFAULT_GROUP_256.p))
+        assert run_cli("triples", "-n", "4") == EXIT_PROTOCOL
+        assert json.loads(capsys.readouterr().out)["invalid"] > 0
+
 
 class TestSynth:
     def test_writes_matrix(self, tmp_path):
@@ -111,6 +120,8 @@ class TestRun:
         assert report["accepted"] == ["ctrl_000", "ctrl_001"]
         assert report["config"]["tau"] == 0.3
         assert report["config"]["lambda_max"] == 0.05
+        assert set(report["config"]) == {"tau", "lambda_max", "parties", "fixed_point",
+                                          "seed", "bits", "mode"}
         assert report["triple_count"] > 0
         assert set(report["lambda"]) == {"num", "den", "value"}
 
@@ -165,23 +176,45 @@ class TestRun:
                 "--out", str(out), "--tau", "0.25")
         assert json.loads(out.read_text())["config"]["tau"] == 0.25
 
+    @pytest.mark.parametrize("doc,error", [
+        ({"accept_small": False}, "unknown config key"),
+        ({"fixed_point": {"frac": 8}}, "unknown config key"),
+        ({"fixed_point": 5}, "must be JSON objects"),
+        ([1, 2], "must be JSON objects"),
+    ], ids=["top-level", "fixed-point", "fixed-point-not-object", "not-object"])
+    def test_malformed_config_rejected(self, pipeline_files, tmp_path, capsys, doc, error):
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--config", str(config), "--case", str(case_csv),
+                       "--basis", str(basis_csv), "--controls", str(ctrl_csv),
+                       "--out", str(out)) == EXIT_VALIDATION
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "spdzgen", "groupgen", "--bits", "16",
-                           "--seed", "e", "--out", str(out)], capture_output=True)
+                           "--seed", "e", "--out", str(out)], capture_output=True, env=env)
     assert proc.returncode == 0
     assert out.exists()
 
 
 class TestPipelineGolden:
-    # sha256 of the transcript and the triple ledger of one fixed `run`,
-    # pinned when each control's triples became one batch minted right before
-    # the control (and the lambda step's five before it): the control loop,
-    # the Beaver products and the dispensation must leave both byte-identical.
-    # The decisions, lambda and triple count are those of the per-triple
-    # pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "1cfa86c7aee26476d99d8419be04465c2ad965260641194c2d31858f76d99a33"
+    # sha256 of the transcript and the triple ledger of one fixed `run`. The
+    # ledger was pinned when each control's triples became one batch minted
+    # right before the control (and the lambda step's five before it); the
+    # transcript was re-pinned when every vector and each owner's counts came
+    # to be shared in one message per server.  The control loop, the Beaver
+    # products and the dispensation must leave both byte-identical.  The
+    # decisions, lambda and triple count are those of the per-triple pipeline
+    # that came before the batches.
+    TRANSCRIPT_SHA256 = "38ae589932813f58d039050be51d96ea2ec009b8eb4e99cd5f5538d0ff9ed455"
     LEDGER_SHA256 = "d85bdcc4a57dddc2337d48843289259f93c539e5dcbb75c5083cdb63f6e32f9e"
 
     def test_transcript_and_ledger(self, tmp_path):

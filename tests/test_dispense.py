@@ -14,16 +14,25 @@ from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     BlindFactor,
     TripleDispenser,
+    deal,
     dispense_blind_single,
     dispense_blind_two,
     reconstruct,
     select_committee_leader,
     split_additive,
 )
-from spdzgen.errors import BlindFactorError, ParameterError, SelectionError, ShareError
+from spdzgen.errors import (
+    BlindFactorError,
+    ParameterError,
+    ProtocolAbort,
+    SelectionError,
+    ShareError,
+)
 from spdzgen.gwas import build_parties
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
+
+from helpers import out_of_range, shifted, tamper_sends, truncated, zeroed
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
             BtgRole.C: PartyId("BTG_C")}
@@ -84,6 +93,36 @@ class TestReconstruct:
     def test_empty(self, tiny):
         with pytest.raises(ShareError):
             reconstruct([], tiny.p)
+
+
+class TestDeal:
+    def test_owner_among_parties_keeps_its_shares(self, group256):
+        rt = Runtime(MPC, seed=1)
+        shares = deal(rt, MPC[0], MPC, "x", [5, 6, 7], group256.p)
+        assert [reconstruct(s.values(), group256.p) for s in shares] == [5, 6, 7]
+        assert (rt.messages_sent, rt.rounds) == (2, 1)
+        assert ("note", MPC[0], "kept local x share") in rt.transcript
+
+    def test_outside_owner_sends_every_party(self, group256):
+        rt = build_runtime(seed=2)
+        shares = deal(rt, BTG_PIDS[BtgRole.A], MPC, "x", [9], group256.p)
+        assert set(shares[0]) == set(MPC)
+        assert reconstruct(shares[0].values(), group256.p) == 9
+        assert (rt.messages_sent, rt.rounds) == (3, 1)
+        assert not [r for r in rt.transcript if r[0] == "note"]
+
+    @pytest.mark.parametrize("mutate", [truncated, out_of_range],
+                             ids=["truncated", "out-of-range"])
+    def test_malformed_payload_aborts(self, group256, monkeypatch, mutate):
+        tamper_sends(monkeypatch, "x", mutate)
+        with pytest.raises(ProtocolAbort):
+            deal(Runtime(MPC, seed=3), MPC[0], MPC, "x", [5, 6], group256.p)
+
+    def test_recipients_use_the_bytes(self, group256, monkeypatch):
+        # each of the two recipients' first share moves by one
+        tamper_sends(monkeypatch, "x", shifted(group256.p))
+        shares = deal(Runtime(MPC, seed=4), MPC[0], MPC, "x", [5, 6], group256.p)
+        assert [reconstruct(s.values(), group256.p) for s in shares] == [7, 6]
 
 
 class TestLeaderSelection:
@@ -245,6 +284,39 @@ class TestBatchedDispensation:
         with pytest.raises(ShareError):
             dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1],
                                   leader=MPC[2], triple_ids=["t1", "t2"])
+
+
+WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
+
+
+def reserve_under(monkeypatch, group, mode, prefix, mutate, n=4):
+    """Mint n triples while every `prefix` payload is rewritten by `mutate`."""
+    ctx = build_parties(group, seed=21, blinding=mode)
+    tamper_sends(monkeypatch, prefix, mutate)
+    ctx.dispenser.reserve(n)
+    return list(ctx.dispenser.pool)
+
+
+@pytest.mark.parametrize("mode", ["single", "two"])
+class TestTamperedDispensation:
+    @pytest.mark.parametrize("prefix", WIRE_TAGS)
+    @pytest.mark.parametrize("mutate", [truncated, out_of_range],
+                             ids=["truncated", "out-of-range"])
+    def test_malformed_payload_aborts(self, group256, monkeypatch, mode, prefix, mutate):
+        with pytest.raises(ProtocolAbort):
+            reserve_under(monkeypatch, group256, mode, prefix, mutate)
+
+    def test_zero_blind_aborts(self, group256, monkeypatch, mode):
+        with pytest.raises(BlindFactorError):
+            reserve_under(monkeypatch, group256, mode, "blind-r", zeroed)
+
+    @pytest.mark.parametrize("prefix", WIRE_TAGS)
+    def test_in_range_corruption_breaks_a_triple(self, group256, monkeypatch, mode, prefix):
+        # undetectable without MACs, but the shares are built from these bytes
+        p = group256.p
+        triples = reserve_under(monkeypatch, group256, mode, prefix, shifted(p))
+        products = [reconstruct_triple(t, p) for t in triples]
+        assert any(c != a * b % p for a, b, c in products)
 
 
 class TestDispenser:

@@ -27,7 +27,6 @@ from spdzgen.gwas import (
     PipelineConfig,
     build_parties,
     counts_of,
-    encode_genotype,
     filter_controls,
     inflation_factor_plain,
     orthonormal_columns,
@@ -43,22 +42,6 @@ from spdzgen.modmath import signed_decode
 
 
 class TestGenotypeEncoding:
-    @pytest.mark.parametrize("pair,want", [
-        (("Ref", "Ref"), 0),
-        (("Ref", "Alt"), 1),
-        (("Alt", "Ref"), 1),
-        (("Alt", "Alt"), 2),
-        (("alt", "REF"), 1),
-    ])
-    def test_encoding(self, pair, want):
-        assert encode_genotype(pair) == want
-
-    def test_unknown_symbol(self):
-        with pytest.raises(ParseError):
-            encode_genotype(("Ref", "Del"))
-        with pytest.raises(ParseError):
-            encode_genotype(("Ref",))
-
     def test_counts_of(self):
         assert counts_of([0, 1, 1, 2, 0, 0]) == (3, 2, 1)
         with pytest.raises(ParseError):
@@ -341,12 +324,6 @@ class TestFilterPipeline:
         budget = len(controls) * (basis.dim + basis.rank * (basis.dim + 1)) + gwas.LAMBDA_TRIPLES
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
-
-    def test_convention_flip(self, group256):
-        basis, case_counts, controls, _ = small_pipeline_inputs(group256)
-        flipped = PipelineConfig(accept_small=False, fp=fp_for(group256))
-        plain = plain_filter_controls(basis, case_counts, controls, flipped)
-        assert plain["accepted"] == ["ctrl_002", "ctrl_003", "ctrl_004"]
 
     def test_empty_control_list(self, group256):
         basis, case_counts, _, config = small_pipeline_inputs(group256)

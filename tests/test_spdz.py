@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from spdzgen import modmath, spdz
-from spdzgen.dispense import BeaverTripleShares, BlindFactor, split_additive
+from spdzgen.dispense import BeaverTripleShares, BlindFactor, reconstruct, split_additive
 from spdzgen.errors import ProtocolAbort, ShareError, TripleReuseError
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import (
@@ -17,14 +17,17 @@ from spdzgen.spdz import (
     beaver_mult_batch,
     open_value,
     open_values,
-    reconstruct_value,
     scale_local,
     share_secret,
+    share_values,
     sub_local,
 )
 
+from helpers import out_of_range, shifted, tamper_sends, truncated
+
 P1, P2, P3 = (PartyId("MPC", i) for i in (1, 2, 3))
 PARTIES = (P1, P2, P3)
+SHARE_PREFIX = spdz.SHARE_TAG + ":"
 
 
 @pytest.fixture
@@ -75,30 +78,43 @@ class TestOpen:
         assert {r[2] for r in shares_seen} == {P2}
 
 
-class _TamperingRuntime(Runtime):
-    """Rewrites P2's opening payloads before they reach the collector."""
-
-    def __init__(self, tamper):
-        super().__init__(PARTIES, seed=0)
-        self.tamper = tamper
-
-    def send(self, src, dst, tag, payload):
-        if src == P2 and tag.startswith(spdz.OPEN_TAG + ":"):
-            payload = self.tamper(payload)
-        return super().send(src, dst, tag, payload)
-
-
 class TestOpenDecoding:
     @pytest.mark.parametrize("tamper", [
         lambda blob: blob[:-5],                   # truncated
         lambda blob: blob + b"\x00",              # overlong
         lambda blob: (2**256 - 1).to_bytes(32, "big") + blob[32:],  # share >= p
     ], ids=["truncated", "overlong", "out-of-range"])
-    def test_malformed_share_blob_aborts(self, group256, tamper):
-        rt = _TamperingRuntime(tamper)
+    def test_malformed_share_blob_aborts(self, rt, group256, monkeypatch, tamper):
         values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
+        tamper_sends(monkeypatch, spdz.OPEN_TAG + ":", tamper)
         with pytest.raises(ProtocolAbort):
             open_values(rt, values, group256.p)
+
+
+class TestSharing:
+    def test_vector_in_one_message_per_party(self, rt, group256):
+        values = [3, 1, 4, 1, 5]
+        shared = share_values(rt, P2, values, PARTIES, group256.p)
+        assert (rt.messages_sent, rt.rounds) == (2, 1)
+        assert len({sv.id for sv in shared}) == len(values)
+        assert open_values(rt, shared, group256.p) == values
+
+    def test_empty_vector_sends_nothing(self, rt, group256):
+        assert share_values(rt, P1, [], PARTIES, group256.p) == []
+        assert rt.messages_sent == 0
+
+    @pytest.mark.parametrize("mutate", [truncated, out_of_range],
+                             ids=["truncated", "out-of-range"])
+    def test_malformed_share_payload_aborts(self, rt, group256, monkeypatch, mutate):
+        tamper_sends(monkeypatch, SHARE_PREFIX, mutate)
+        with pytest.raises(ProtocolAbort):
+            share_secret(rt, P1, 7, PARTIES, group256.p)
+
+    def test_corrupted_share_moves_the_opening(self, rt, group256, monkeypatch):
+        tamper_sends(monkeypatch, SHARE_PREFIX, shifted(group256.p))
+        sv = share_secret(rt, P1, 7, PARTIES, group256.p)
+        monkeypatch.undo()
+        assert open_value(rt, sv, group256.p) == 9  # both recipients' shares moved by one
 
 
 class TestLocalAlgebra:
@@ -250,4 +266,4 @@ class TestBatchedOpen:
 
     def test_reconstruct_oracle_matches_open(self, rt, tiny):
         sv = share_secret(rt, P3, 13, PARTIES, tiny.p)
-        assert reconstruct_value(sv, tiny.p) == open_value(rt, sv, tiny.p) == 13
+        assert reconstruct(sv.shares.values(), tiny.p) == open_value(rt, sv, tiny.p) == 13

@@ -112,19 +112,6 @@ def select_committee_leader(candidates, seed: bytes) -> PartyId:
 
 
 @dataclass(frozen=True)
-class BlindFactor:
-    r_a: int
-    r_b: int
-    r_c: int
-
-    @classmethod
-    def single(cls, r: int, p: int) -> "BlindFactor":
-        if r % p == 0:
-            raise BlindFactorError("blind factor is zero mod p")
-        return cls(r_a=r % p, r_b=r % p, r_c=r * r % p)
-
-
-@dataclass(frozen=True)
 class BeaverTripleShares:
     triple_id: str
     parties: tuple
@@ -172,11 +159,11 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(forwarded, w))
     runtime.pump()
 
-    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z * z % p) for x, y, z in zip(
-        _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
-        _take_blinds(runtime, btg_pids[BtgRole.B], count, p),
-        _take_blinds(runtime, leader, count, p))]
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
+    r_a = _take_blinds(runtime, btg_pids[BtgRole.A], count, p)
+    r_b = _take_blinds(runtime, btg_pids[BtgRole.B], count, p)
+    r_c = [r * r % p for r in _take_blinds(runtime, leader, count, p)]
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids,
+                         r_a, r_b, r_c)
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
@@ -200,14 +187,13 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(r_b, w))
     runtime.pump()
 
-    blinds = [BlindFactor(r_a=x, r_b=y, r_c=z) for x, y, z in zip(
-        _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
-        _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c)]
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids, blinds)
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids,
+                         _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
+                         _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c)
 
 
 def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict, mpc_pids,
-                  leader: PartyId, triple_ids, blinds) -> list[BeaverTripleShares]:
+                  leader: PartyId, triple_ids, r_a, r_b, r_c) -> list[BeaverTripleShares]:
     """Deal the K blinded triples of one session once their holders know the blinds.
 
     The holders of a and b split r_a*a and r_b*b; the holder of c relays the
@@ -215,21 +201,21 @@ def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict
     """
     p = params.p
     a_vals, b_vals, c_vals = (outcome.secrets(role) for role in BtgRole)
-    if not len(triple_ids) == len(blinds) == len(c_vals):
-        raise ShareError("%d triple ids and %d blinds for a session of %d triples"
-                         % (len(triple_ids), len(blinds), len(c_vals)))
+    if not len(triple_ids) == len(r_a) == len(r_b) == len(r_c) == len(c_vals):
+        raise ShareError("%d triple ids and %d/%d/%d blinds for a session of %d triples"
+                         % (len(triple_ids), len(r_a), len(r_b), len(r_c), len(c_vals)))
     batch = triple_ids[0]
     a_shares = deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, batch),
-                    [bl.r_a * a % p for bl, a in zip(blinds, a_vals)], p)
+                    [r * a % p for r, a in zip(r_a, a_vals)], p)
     b_shares = deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
-                    [bl.r_b * b % p for bl, b in zip(blinds, b_vals)], p)
+                    [r * b % p for r, b in zip(r_b, b_vals)], p)
     runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG,
                  _residues(c_vals, params.element_size))
     runtime.pump()
     c_raw = modmath.decode_residues(runtime.take(leader, TRIPLE_C_RAW_TAG).payload,
                                     len(triple_ids), p)
     c_shares = deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, batch),
-                    [bl.r_c * c % p for bl, c in zip(blinds, c_raw)], p)
+                    [r * c % p for r, c in zip(r_c, c_raw)], p)
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, a_shares, b_shares, c_shares)]

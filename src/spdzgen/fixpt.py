@@ -100,8 +100,6 @@ def fp_decode(y: int, params: FixedPointParams) -> Fraction:
 class TruncOutcome:
     value: SharedValue
     opened: int  # the public masked opening c = r + z'
-    m: int
-    frame: int
 
 
 def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
@@ -141,7 +139,7 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
         u = 1 if c1 < r1 else 0
         u_sh = spdz.share_secret(runtime, roles.mask_owner, u, z.parties, p)
         out = spdz.sub_local(out, u_sh, p)
-    return TruncOutcome(value=out, opened=c, m=m, frame=w)
+    return TruncOutcome(value=out, opened=c)
 
 
 def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,
@@ -154,19 +152,6 @@ def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,
     """
     raw = spdz.beaver_mult(runtime, x, y, triple, params.p, ledger)
     return trunc(runtime, raw, params.f, params, roles=roles, frame=params.k + params.f).value
-
-
-def fp_inner(runtime: Runtime, xs, ys, triples, params: FixedPointParams,
-             ledger: TripleLedger, roles: TruncRoles | None = None) -> SharedValue:
-    """Inner product with a single truncation after the raw accumulation."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ParameterError("inner product over unequal lengths")
-    raw_terms = spdz.beaver_mult_batch(runtime, list(zip(xs, ys)), triples, params.p, ledger)
-    acc = raw_terms[0]
-    for term in raw_terms[1:]:
-        acc = spdz.add_local(acc, term, params.p)
-    return trunc(runtime, acc, params.f, params, roles=roles, frame=params.k + params.f).value
 
 
 def ltz(runtime: Runtime, x: SharedValue, params: FixedPointParams,

@@ -5,7 +5,9 @@ case genotype counts; the control owner holds candidate control vectors with
 their counts.  A control z is accepted when its residual against the case
 basis is small, ||z - U U^T z||^2 <= tau^2, computed on shares through the
 algebraic identity ||z||^2 - ||U^T z||^2 (valid for orthonormal columns, and
-far cheaper than materializing the projector).  Accepted controls are then
+far cheaper than materializing the projector).  The residual is accumulated
+exactly at scale 2^(4f), without truncation, and meets tau^2 in one exact
+sign test.  Accepted controls are then
 screened by the inflation factor
 
     lambda = (4 n0 n2 - n1^2) / ((n1 + 2 n2)(n1 + 2 n0))
@@ -19,8 +21,9 @@ them to the control owner only, which leaves the ratio unchanged.
 from __future__ import annotations
 
 import csv
+import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import btg, fixpt, mhkm, modmath, spdz
@@ -132,18 +135,6 @@ class ContingencyCounts:
 
     def n(self, i: int) -> int:
         return (self.r0, self.r1, self.r2)[i] + (self.s0, self.s1, self.s2)[i]
-
-    @property
-    def R(self) -> int:
-        return self.r0 + self.r1 + self.r2
-
-    @property
-    def S(self) -> int:
-        return self.s0 + self.s1 + self.s2
-
-    @property
-    def N(self) -> int:
-        return self.R + self.S
 
 
 def inflation_factor_plain(counts: ContingencyCounts) -> Fraction:
@@ -360,42 +351,54 @@ def triples_per_control(dim: int, rank: int) -> int:
     return dim + rank * (dim + 1)
 
 
+def screening_params(params: FixedPointParams) -> FixedPointParams:
+    """The frame `secure_accept_bit` compares in: scale 2^(4f) and e + 4f + 1
+    bits, one more than ||z||^2 < 2^(e-1) needs, spare for basis rounding.
+
+    Raises ParameterError when the field has no room for it.
+    """
+    return replace(params, f=4 * params.f, k=params.e + 4 * params.f + 1)
+
+
 def residual_norm_sq(runtime: Runtime, basis_cols, z_shares,
                      params: FixedPointParams, dispenser: TripleDispenser,
                      ledger: TripleLedger, roles: TruncRoles) -> SharedValue:
-    """Shares of ||z||^2 - ||U^T z||^2 via inner products on shares.
+    """Exact shares of (||z||^2 - ||U^T z||^2) * 2^(4f), with no truncation.
 
-    Draws `triples_per_control(len(z_shares), len(basis_cols))` triples, one
-    `next_triple()` at a time.
+    One Beaver batch forms every z_i^2 and u_ji * z_i at scale 2^(2f), the
+    sums are local, and a second batch squares the projections to 2^(4f),
+    where ||z||^2 joins them through the public factor 2^(2f).  Draws
+    `triples_per_control(len(z_shares), len(basis_cols))` triples, one
+    `next_triple()` at a time.  `roles` is unused, since nothing truncates.
     """
     for col in basis_cols:
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
                              % (len(col), len(z_shares)))
-    dim = len(z_shares)
-    zz = fixpt.fp_inner(runtime, z_shares, z_shares,
-                        [dispenser.next_triple() for _ in range(dim)],
-                        params, ledger, roles)
-    acc = zz
-    for col in basis_cols:
-        proj = fixpt.fp_inner(runtime, col, z_shares,
-                              [dispenser.next_triple() for _ in range(dim)],
-                              params, ledger, roles)
-        sq = fixpt.fp_mult(runtime, proj, proj, dispenser.next_triple(),
-                           params, ledger, roles)
-        acc = spdz.sub_local(acc, sq, params.p)
+    p, dim = params.p, len(z_shares)
+    pairs = [(x, z) for row in [z_shares, *basis_cols] for x, z in zip(row, z_shares)]
+    products = spdz.beaver_mult_batch(runtime, pairs, [dispenser.next_triple() for _ in pairs],
+                                      p, ledger)
+    add = functools.partial(spdz.add_local, p=p)
+    zz, *projs = [functools.reduce(add, products[i:i + dim])
+                  for i in range(0, len(products), dim)]
+    squares = spdz.beaver_mult_batch(runtime, [(x, x) for x in projs],
+                                     [dispenser.next_triple() for _ in projs], p, ledger)
+    acc = spdz.scale_local(2 ** (2 * params.f), zz, p)
+    for sq in squares:
+        acc = spdz.sub_local(acc, sq, p)
     return acc
 
 
 def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineConfig,
                       roles: TruncRoles) -> bool:
-    """Open the comparison bit (residual^2 greater than tau^2) and accept
-    when it is not set."""
-    params = config.fp
-    tau_sq_enc = signed_decode(fixpt.fp_encode(config.tau * config.tau, params), params.p)
-    diff = spdz.add_const(spdz.scale_local(-1, res_sq, params.p), tau_sq_enc, params.p)
-    bit = fixpt.ltz(runtime, diff, params, roles)
-    return spdz.open_value(runtime, bit, params.p) != 1
+    """Open the comparison bit (residual^2 greater than tau^2, both at scale
+    2^(4f)) and accept when it is not set."""
+    wide = screening_params(config.fp)
+    diff = spdz.add_const(spdz.scale_local(-1, res_sq, wide.p),
+                          fixpt.fp_encode(config.tau * config.tau, wide), wide.p)
+    bit = fixpt.ltz(runtime, diff, wide, roles)
+    return spdz.open_value(runtime, bit, wide.p) != 1
 
 
 @dataclass
@@ -454,9 +457,11 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
     params = config.fp
     basis.validate_orthonormal(params)
+    screening_params(params)  # the comparison frame must fit the field
     # ||z||^2 bounds every term of the residual (the basis is orthonormal, so
     # each projection^2 is at most ||z||^2); O_ctrl checks it in the clear
-    # before any triple is minted, since a larger value wraps the fp frame.
+    # before any triple is minted, since a larger value wraps the comparison
+    # frame.
     norm_cap = 2 ** (params.e - 1)
     for ctrl in controls:
         if len(ctrl.vector) != basis.dim:

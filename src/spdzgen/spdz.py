@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dispense import BeaverTripleShares, deal
-from .errors import ParameterError, ShareError, TripleReuseError
+from .errors import ParameterError, ProtocolAbort, ShareError, TripleReuseError
 from .modmath import decode_residues
 from .net import PartyId, Runtime
 
@@ -105,7 +105,8 @@ def open_values(runtime: Runtime, values, p: int,
     Every party sends one message carrying its share of each value to the
     collector, which reconstructs and broadcasts the results to `recipients`
     (all contributing parties by default; pass an explicit list to reveal the
-    values to a subset only).
+    values to a subset only).  Every recipient decodes the broadcast, and one
+    that is malformed or differs from the collector's result aborts.
     """
     values = list(values)
     if not values:
@@ -140,7 +141,10 @@ def open_values(runtime: Runtime, values, p: int,
     runtime.pump()
     for pid in targets:
         if pid != collector:
-            runtime.take(pid, result_tag)
+            received = decode_residues(runtime.take(pid, result_tag).payload, len(values), p)
+            if received != opened:
+                raise ProtocolAbort("%s decoded an opening that differs from %s's"
+                                    % (pid, collector))
     return opened
 
 

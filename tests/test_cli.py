@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spdzgen.cli import EXIT_PROTOCOL, EXIT_USAGE, EXIT_VALIDATION, main
+from spdzgen.dispense import TripleDispenser
 from spdzgen.gwas import GenotypeMatrix, orthonormal_columns, synth_genotypes
 from spdzgen.modmath import DEFAULT_GROUP_256, GroupParams
 
@@ -193,6 +194,25 @@ class TestRun:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_room_for_the_comparison_rejected_before_any_triple(
+            self, pipeline_files, tmp_path, capsys, monkeypatch):
+        # kappa 180 leaves the 256-bit field room for Q<32,16> but not for
+        # the e + 4f + 1 = 81-bit comparison frame: p <= 2^(180 + 81 + 1)
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"fixed_point": {"kappa": 180}}))
+
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "reserve", mint)
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--config", str(config), "--case", str(case_csv),
+                       "--basis", str(basis_csv), "--controls", str(ctrl_csv),
+                       "--out", str(out)) == EXIT_VALIDATION
+        assert "field too small" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.json"
@@ -206,16 +226,16 @@ def test_console_entry_point(tmp_path):
 
 
 class TestPipelineGolden:
-    # sha256 of the transcript and the triple ledger of one fixed `run`. The
-    # ledger was pinned when each control's triples became one batch minted
-    # right before the control (and the lambda step's five before it); the
-    # transcript was re-pinned when every vector and each owner's counts came
-    # to be shared in one message per server.  The control loop, the Beaver
-    # products and the dispensation must leave both byte-identical.  The
-    # decisions, lambda and triple count are those of the per-triple pipeline
-    # that came before the batches.
-    TRANSCRIPT_SHA256 = "38ae589932813f58d039050be51d96ea2ec009b8eb4e99cd5f5538d0ff9ed455"
-    LEDGER_SHA256 = "d85bdcc4a57dddc2337d48843289259f93c539e5dcbb75c5083cdb63f6e32f9e"
+    # sha256 of the transcript and the triple ledger of one fixed `run`.  Both
+    # were re-pinned when screening stopped truncating the residual: each
+    # control now makes two Beaver openings and one exact sign test (164
+    # messages in all, 320 before), and the fewer `fresh_id` draws move the
+    # triple ids in the ledger.  The control loop, the Beaver products and
+    # the dispensation must leave both byte-identical.  The decisions, lambda
+    # and triple count are those of the per-triple pipeline that came before
+    # the batches.
+    TRANSCRIPT_SHA256 = "80c5ee90016a01c71f2248a2f6394b8460701ffaabc212c0cba166f6e7ed748e"
+    LEDGER_SHA256 = "be751217fde8051231371ae2183e40927637a7cc3492e4c4cf6344ba8130e587"
 
     def test_transcript_and_ledger(self, tmp_path):
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))

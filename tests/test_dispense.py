@@ -12,7 +12,6 @@ from scipy.stats import chisquare
 from spdzgen import btg, mhkm, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
-    BlindFactor,
     TripleDispenser,
     deal,
     dispense_blind_single,
@@ -145,10 +144,6 @@ class TestLeaderSelection:
 
 
 class TestBlindFactorArithmetic:
-    def test_single_example(self, tiny):
-        # r_c = r^2, so (r*a)(r*b) = r_c * (a*b)
-        assert BlindFactor.single(5, tiny.p) == BlindFactor(r_a=5, r_b=5, r_c=25 % 23)
-
     def test_two_example(self, tiny):
         # the two-randomness r_c is the key product of the owners' blinds
         rt = build_runtime()
@@ -156,15 +151,6 @@ class TestBlindFactorArithmetic:
         shares = mhkm.key_product(rt, tiny, [MPC[1], MPC[0], MPC[2]], keys,
                                   {MPC[0]: [3], MPC[1]: [4]})
         assert shares == {MPC[0]: [3], MPC[1]: [4], MPC[2]: [12]}
-
-    def test_identity_blind(self, tiny):
-        assert BlindFactor.single(1, tiny.p) == BlindFactor(r_a=1, r_b=1, r_c=1)
-
-    def test_zero_blind_rejected(self, tiny):
-        with pytest.raises(BlindFactorError):
-            BlindFactor.single(0, tiny.p)
-        with pytest.raises(BlindFactorError):
-            BlindFactor.single(23, tiny.p)
 
     def test_uniformization_over_full_group(self, tiny):
         # subgroup-confined a times Z*_p-uniform r covers all of Z*_p uniformly

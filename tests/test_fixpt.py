@@ -11,7 +11,6 @@ from spdzgen.fixpt import (
     TruncRoles,
     fp_decode,
     fp_encode,
-    fp_inner,
     fp_mult,
     ltz,
     trunc,
@@ -209,27 +208,6 @@ class TestFixedPointMult:
             z = fp_mult(rt, x, y, next(triples), BIG, ledger)
             got = fp_decode(open_value(rt, z, BIG.p), BIG)
             assert abs(got - xq * yq) <= Fraction(1, 2 ** 15)
-
-
-class TestInnerProduct:
-    def test_matches_plaintext(self):
-        rt = fresh_rt(seed=12)
-        rng = random.Random(4)
-        triples = triple_stream(BIG.p, PARTIES, rng)
-        xs_q = [Fraction(rng.randrange(-2 ** 16, 2 ** 16), 2 ** 16) for _ in range(20)]
-        ys_q = [Fraction(rng.randrange(-2 ** 16, 2 ** 16), 2 ** 16) for _ in range(20)]
-        xs = [share_secret(rt, PARTIES[0], fp_encode(v, BIG), PARTIES, BIG.p) for v in xs_q]
-        ys = [share_secret(rt, PARTIES[1], fp_encode(v, BIG), PARTIES, BIG.p) for v in ys_q]
-        z = fp_inner(rt, xs, ys, [next(triples) for _ in range(20)], BIG, TripleLedger())
-        got = fp_decode(open_value(rt, z, BIG.p), BIG)
-        want = sum(a * b for a, b in zip(xs_q, ys_q))
-        assert abs(got - want) <= Fraction(1, 2 ** 15)
-
-    def test_length_mismatch(self):
-        rt = fresh_rt()
-        x = share_signed(rt, 1, BIG)
-        with pytest.raises(ParameterError):
-            fp_inner(rt, [x], [x, x], [], BIG, TripleLedger())
 
 
 class TestLtz:

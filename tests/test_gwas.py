@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdzgen import btg, gwas
+from spdzgen import btg, fixpt, gwas, spdz
 from spdzgen.btg import BtgRole
 
 from spdzgen.errors import (
@@ -18,7 +18,7 @@ from spdzgen.errors import (
     ShapeError,
     ValidationError,
 )
-from spdzgen.fixpt import FixedPointParams
+from spdzgen.fixpt import FixedPointParams, fp_decode
 from spdzgen.gwas import (
     CaseBasis,
     ContingencyCounts,
@@ -33,6 +33,8 @@ from spdzgen.gwas import (
     plain_filter_controls,
     plain_residual_norm_sq,
     residual_norm_sq,
+    screening_params,
+    secure_accept_bit,
     secure_inflation_factor,
     share_vector,
     synth_genotypes,
@@ -233,13 +235,12 @@ class TestSecureResidual:
         ctx = build_parties(group256, seed=6)
         basis = CaseBasis(rows=((Fraction(1),), (Fraction(0),), (Fraction(0),)))
         cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(0), ctx.mpc_pids, params)]
-        for z, want in (([1, 0, 0], 0.0), ([0, 1, 0], 1.0)):
+        # no truncation: the residual is exact at scale 2^(4f)
+        for z, want in (([1, 0, 0], 0), ([0, 1, 0], 2 ** (4 * params.f))):
             z_sh = share_vector(ctx.runtime, ctx.o_ctrl, z, ctx.mpc_pids, params)
             res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
                                    ctx.dispenser, ctx.ledger, ctx.roles)
-            got = float(Fraction(signed_decode(open_value(ctx.runtime, res, params.p),
-                                               params.p), 2 ** params.f))
-            assert abs(got - want) <= 4 * 2 ** -16 * 3
+            assert signed_decode(open_value(ctx.runtime, res, params.p), params.p) == want
 
     def test_matches_plaintext_oracle(self, group256):
         params = fp_for(group256)
@@ -255,8 +256,7 @@ class TestSecureResidual:
         z_sh = share_vector(ctx.runtime, ctx.o_ctrl, z, ctx.mpc_pids, params)
         res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
                                ctx.dispenser, ctx.ledger, ctx.roles)
-        got = float(Fraction(signed_decode(open_value(ctx.runtime, res, params.p),
-                                           params.p), 2 ** params.f))
+        got = float(fp_decode(open_value(ctx.runtime, res, params.p), screening_params(params)))
         want = plain_residual_norm_sq(basis, z)
         assert abs(got - want) <= 10 * 2 ** -14
 
@@ -280,6 +280,37 @@ class TestSecureResidual:
             counting = Counting(ctx.dispenser)
             residual_norm_sq(ctx.runtime, cols, z_sh, params, counting, ctx.ledger, ctx.roles)
             assert counting.count == gwas.triples_per_control(dim, rank) == dim + rank * (dim + 1)
+
+    def test_two_openings_and_no_truncation(self, group256, monkeypatch):
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=11)
+        cols = [share_vector(ctx.runtime, ctx.o_case, [0, 1, 0], ctx.mpc_pids, params)]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
+        ctx.dispenser.reserve(gwas.triples_per_control(3, 1))
+        calls, open_values = [], spdz.open_values
+        monkeypatch.setattr(spdz, "open_values",
+                            lambda *args, **kwargs: calls.append("open") or open_values(*args, **kwargs))
+        monkeypatch.setattr(fixpt, "trunc", lambda *args, **kwargs: calls.append("trunc"))
+        residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger, ctx.roles)
+        assert calls == ["open", "open"]
+
+    def test_rounds_do_not_grow_with_dim_or_rank(self, group256):
+        # two Beaver openings and one sign test per control, whatever its shape
+        params = fp_for(group256)
+        config = PipelineConfig(fp=params)
+        ctx = build_parties(group256, seed=10)
+        rounds = []
+        for dim, rank in ((3, 1), (6, 2)):
+            cols = [share_vector(ctx.runtime, ctx.o_case, [0] * dim, ctx.mpc_pids, params)
+                    for _ in range(rank)]
+            z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
+            ctx.dispenser.reserve(gwas.triples_per_control(dim, rank))
+            before = ctx.runtime.rounds
+            res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
+                                   ctx.dispenser, ctx.ledger, ctx.roles)
+            secure_accept_bit(ctx.runtime, res, config, ctx.roles)
+            rounds.append(ctx.runtime.rounds - before)
+        assert rounds[0] == rounds[1]
 
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from spdzgen import modmath, spdz
-from spdzgen.dispense import BeaverTripleShares, BlindFactor, reconstruct, split_additive
+from spdzgen.dispense import BeaverTripleShares, reconstruct, split_additive
 from spdzgen.errors import ProtocolAbort, ShareError, TripleReuseError
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import (
@@ -87,6 +87,16 @@ class TestOpenDecoding:
     def test_malformed_share_blob_aborts(self, rt, group256, monkeypatch, tamper):
         values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
         tamper_sends(monkeypatch, spdz.OPEN_TAG + ":", tamper)
+        with pytest.raises(ProtocolAbort):
+            open_values(rt, values, group256.p)
+
+    @pytest.mark.parametrize("mutator", [lambda p: truncated, lambda p: out_of_range, shifted],
+                             ids=["truncated", "out-of-range", "shifted"])
+    def test_tampered_result_broadcast_aborts(self, rt, group256, monkeypatch, mutator):
+        # each recipient decodes the collector's broadcast; a malformed one
+        # aborts, and so does one that differs from the collector's result
+        values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
+        tamper_sends(monkeypatch, spdz.OPEN_RESULT_TAG + ":", mutator(group256.p))
         with pytest.raises(ProtocolAbort):
             open_values(rt, values, group256.p)
 
@@ -244,8 +254,8 @@ class TestBeaverMult:
         for i in range(10_000):
             a = modmath.random_subgroup_element(tiny, rng)
             b = modmath.random_subgroup_element(tiny, rng)
-            bf = BlindFactor.single(rng.randrange(1, tiny.p), tiny.p)
-            triple = make_triple(bf.r_a * a % 23, bf.r_b * b % 23, bf.r_c * a * b % 23,
+            r = rng.randrange(1, tiny.p)
+            triple = make_triple(r * a % 23, r * b % 23, r * r * a * b % 23,
                                  tiny.p, rng, triple_id="u%d" % i)
             rho = open_value(rt, sub_local(x, spdz.triple_component(triple, "a"), tiny.p),
                              tiny.p)

@@ -16,18 +16,18 @@ One session makes K triples at once: each hop is a single message
 `session_id | step | K x (u | v)` carrying the K ciphertexts in triple order,
 so a session costs three protocol messages and one done ack whatever K is,
 while every ciphertext gets the same exponentiations and checks as in a
-session of one.  Each session is a single-shot monotone state machine;
-messages must arrive in step order and carry exactly the session's K pairs.
+session of one.  The receiver of each hop parses it and aborts on a foreign
+session id, a wrong step or the wrong pair count.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import modmath
-from .errors import ParameterError, ProtocolAbort, ProtocolStateError
+from .errors import ParameterError, ProtocolAbort
 from .modmath import Ciphertext, GroupParams, KeyPair
 from .net import Runtime
 
@@ -51,8 +51,8 @@ class BtgMessage:
     def serialize(self, params: GroupParams) -> bytes:
         """session_id (16) | step (1) | K x (u | v), fixed element width."""
         return (self.session_id + bytes([self.step])
-                + b"".join(params.encode_element(ct.u) + params.encode_element(ct.v)
-                           for ct in self.payloads))
+                + modmath.encode_residues([x for ct in self.payloads for x in (ct.u, ct.v)],
+                                          params.p))
 
     @classmethod
     def parse(cls, raw: bytes, params: GroupParams, count: int = 1) -> "BtgMessage":
@@ -78,136 +78,41 @@ def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
     return KeyPair(x=x, h=modmath.modexp(params.g, x, params.p))
 
 
-@dataclass
-class BtgSession:
-    """One role's view of a session making `count` triples.
+def _draw(params: GroupParams, rng: random.Random, pinned, k: int) -> int:
+    """The k-th secret of a role: pinned, or a fresh subgroup element."""
+    return modmath.random_subgroup_element(params, rng) if pinned is None else pinned[k]
 
-    `outputs` holds the role's K secrets in triple order once its last step
-    has run: a for A, b for B, c for C.
+
+def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
+         src, dst, cts, count: int) -> tuple:
+    """Send one hop of K ciphertexts; returns the K ciphertexts dst parses.
+
+    A payload that does not parse, or one for another session or another
+    step, raises ProtocolAbort.
     """
-
-    session_id: bytes
-    params: GroupParams
-    my_role: BtgRole
-    my_keypair: KeyPair | None
-    peer_public_keys: dict
-    rng: random.Random
-    count: int = 1
-    state: str = "initial"
-    outputs: list = field(default_factory=list)
-
-    def _expect(self, role: BtgRole, state: str):
-        if self.my_role is not role:
-            raise ProtocolStateError(
-                "step belongs to role %s, session holds role %s" % (role.value, self.my_role.value))
-        if self.state != state:
-            raise ProtocolStateError(
-                "session %s in state %r, expected %r" % (self.session_id.hex(), self.state, state))
-
-    def _check_msg(self, msg: BtgMessage, step: int):
-        if msg.session_id != self.session_id:
-            raise ProtocolStateError("message for session %s delivered to %s"
-                                     % (msg.session_id.hex(), self.session_id.hex()))
-        if msg.step != step:
-            raise ProtocolStateError("expected step-%d message, got step %d" % (step, msg.step))
-        if len(msg.payloads) != self.count:
-            raise ProtocolAbort("session %s of %d triples got %d ciphertexts"
-                                % (self.session_id.hex(), self.count, len(msg.payloads)))
-
-    def _h_ac(self) -> int:
-        return self.peer_public_keys[BtgRole.A] * self.peer_public_keys[BtgRole.C] % self.params.p
-
-    def step_a1(self, *, secrets=None, nonces=None) -> BtgMessage:
-        """A samples each secret a and its first-layer randomness, encrypts under h_AC."""
-        self._expect(BtgRole.A, "initial")
-        params, rng, h_ac = self.params, self.rng, self._h_ac()
-        cts = []
-        for k in range(self.count):
-            a = modmath.random_subgroup_element(params, rng) if secrets is None else secrets[k]
-            r_a = modmath.random_exponent(params, rng) if nonces is None else nonces[k]
-            cts.append(modmath.encrypt(params, h_ac, a, r_a))
-            self.outputs.append(a % params.p)
-        self.state = "awaiting-step2"
-        return BtgMessage(self.session_id, 1, tuple(cts))
-
-    def step_b(self, msg: BtgMessage, *, secrets=None, nonces=None) -> BtgMessage:
-        """B multiplies each secret b into its layered ciphertext."""
-        self._expect(BtgRole.B, "initial")
-        self._check_msg(msg, 1)
-        params, rng, h_ac = self.params, self.rng, self._h_ac()
-        cts = []
-        for k, ct in enumerate(msg.payloads):
-            b = modmath.random_subgroup_element(params, rng) if secrets is None else secrets[k]
-            r_b = modmath.random_exponent(params, rng) if nonces is None else nonces[k]
-            cts.append(modmath.mult_layer(ct, b, h_ac, r_b, params))
-            self.outputs.append(b % params.p)
-        self.state = "done"
-        return BtgMessage(self.session_id, 2, tuple(cts))
-
-    def step_a2(self, msg: BtgMessage, *, nonces=None) -> BtgMessage:
-        """A strips its own layer and re-randomizes each ciphertext under h_C alone."""
-        self._expect(BtgRole.A, "awaiting-step2")
-        self._check_msg(msg, 2)
-        params, x, h_c = self.params, self.my_keypair.x, self.peer_public_keys[BtgRole.C]
-        cts = []
-        for k, ct in enumerate(msg.payloads):
-            v = modmath.strip_layer(ct, x, params)
-            r = modmath.random_exponent(params, self.rng) if nonces is None else nonces[k]
-            cts.append(modmath.rerandomize(Ciphertext(ct.u, v), h_c, r, params))
-        self.state = "done"
-        return BtgMessage(self.session_id, 3, tuple(cts))
-
-    def finish_c(self, msg: BtgMessage) -> list:
-        """C removes the last layer; its outputs are the products c = a*b mod p."""
-        self._expect(BtgRole.C, "initial")
-        self._check_msg(msg, 3)
-        self.outputs = [modmath.strip_layer(ct, self.my_keypair.x, self.params)
-                        for ct in msg.payloads]
-        self.state = "done"
-        return self.outputs
-
-
-def new_session_trio(params: GroupParams, keys: dict, rngs: dict,
-                     session_id: bytes, count: int = 1) -> dict:
-    """Build the three per-role session objects sharing one session id.
-
-    `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
-    key in the protocol and may be absent).  `rngs` maps BtgRole -> Random.
-    """
-    pub = {BtgRole.A: keys[BtgRole.A].h, BtgRole.C: keys[BtgRole.C].h}
-    return {
-        role: BtgSession(
-            session_id=session_id,
-            params=params,
-            my_role=role,
-            my_keypair=keys.get(role),
-            peer_public_keys=pub,
-            rng=rngs[role],
-            count=count,
-        )
-        for role in BtgRole
-    }
-
-
-@dataclass(frozen=True)
-class TripleOutcome:
-    session_id: bytes
-    sessions: dict  # BtgRole -> BtgSession, each holding its outputs
-
-    def secrets(self, role: BtgRole) -> list:
-        """The role's K secrets, in triple order."""
-        return self.sessions[role].outputs
+    runtime.send(src, dst, BTG_TAG, BtgMessage(session_id, step, tuple(cts)).serialize(params))
+    runtime.pump()
+    msg = BtgMessage.parse(runtime.take(dst, BTG_TAG).payload, params, count)
+    if msg.session_id != session_id:
+        raise ProtocolAbort("message for session %s delivered to %s"
+                            % (msg.session_id.hex(), session_id.hex()))
+    if msg.step != step:
+        raise ProtocolAbort("session %s expected a step-%d message, got step %d"
+                            % (session_id.hex(), step, msg.step))
+    return msg.payloads
 
 
 def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
                        pids: dict, forced: dict | None = None,
-                       count: int = 1) -> TripleOutcome:
-    """Drive one full session of `count` triples over the runtime's channels.
+                       count: int = 1) -> dict:
+    """Run one session of `count` triples over the runtime's channels.
 
-    `pids` maps BtgRole -> PartyId.  `forced` optionally pins the K secrets
-    of roles A and/or B, as lists in triple order.  A short extra-protocol
-    "done" ack from C back to A closes the session for the simulator's
-    bookkeeping.
+    `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
+    key and may be absent); `pids` maps BtgRole -> PartyId.  `forced`
+    optionally pins the K secrets of roles A and/or B, as lists in triple
+    order.  Returns BtgRole -> the role's K secrets in triple order: a for A,
+    b for B, c for C.  A short extra-protocol "done" ack from C back to A
+    closes the session for the simulator's bookkeeping.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
@@ -216,30 +121,39 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
         if values is not None and len(values) != count:
             raise ParameterError("role %s pins %d secrets for a session of %d"
                                  % (role.value, len(values), count))
-    session_id = runtime.rng(pids[BtgRole.A]).getrandbits(8 * SESSION_ID_BYTES) \
-        .to_bytes(SESSION_ID_BYTES, "big")
-    rngs = {role: runtime.rng(pids[role]) for role in BtgRole}
-    sessions = new_session_trio(params, keys, rngs, session_id, count)
+    pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
+    rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
+    h_c = keys[BtgRole.C].h
+    h_ac = keys[BtgRole.A].h * h_c % params.p
+    session_id = rng_a.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "big")
 
-    m1 = sessions[BtgRole.A].step_a1(secrets=forced.get(BtgRole.A))
-    runtime.send(pids[BtgRole.A], pids[BtgRole.B], BTG_TAG, m1.serialize(params))
+    # A samples each secret a and its first-layer randomness, encrypts under h_AC.
+    a_vals, cts = [], []
+    for k in range(count):
+        a = _draw(params, rng_a, forced.get(BtgRole.A), k)
+        cts.append(modmath.encrypt(params, h_ac, a, modmath.random_exponent(params, rng_a)))
+        a_vals.append(a)
+    received = _hop(runtime, params, session_id, 1, pid_a, pid_b, cts, count)
+
+    # B multiplies each secret b into its layered ciphertext.
+    b_vals, cts = [], []
+    for k, ct in enumerate(received):
+        b = _draw(params, rng_b, forced.get(BtgRole.B), k)
+        cts.append(modmath.mult_layer(ct, b, h_ac, modmath.random_exponent(params, rng_b), params))
+        b_vals.append(b)
+    received = _hop(runtime, params, session_id, 2, pid_b, pid_a, cts, count)
+
+    # A strips its own layer and re-randomizes each ciphertext under h_C alone.
+    x_a = keys[BtgRole.A].x
+    cts = [modmath.rerandomize(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, params)), h_c,
+                               modmath.random_exponent(params, rng_a), params)
+           for ct in received]
+    received = _hop(runtime, params, session_id, 3, pid_a, pid_c, cts, count)
+
+    # C removes the last layer: c = a*b mod p.
+    x_c = keys[BtgRole.C].x
+    c_vals = [modmath.strip_layer(ct, x_c, params) for ct in received]
+    runtime.send(pid_c, pid_a, BTG_DONE_TAG, session_id)
     runtime.pump()
-
-    raw = runtime.take(pids[BtgRole.B], BTG_TAG)
-    m2 = sessions[BtgRole.B].step_b(BtgMessage.parse(raw.payload, params, count),
-                                    secrets=forced.get(BtgRole.B))
-    runtime.send(pids[BtgRole.B], pids[BtgRole.A], BTG_TAG, m2.serialize(params))
-    runtime.pump()
-
-    raw = runtime.take(pids[BtgRole.A], BTG_TAG)
-    m3 = sessions[BtgRole.A].step_a2(BtgMessage.parse(raw.payload, params, count))
-    runtime.send(pids[BtgRole.A], pids[BtgRole.C], BTG_TAG, m3.serialize(params))
-    runtime.pump()
-
-    raw = runtime.take(pids[BtgRole.C], BTG_TAG)
-    sessions[BtgRole.C].finish_c(BtgMessage.parse(raw.payload, params, count))
-    runtime.send(pids[BtgRole.C], pids[BtgRole.A], BTG_DONE_TAG, session_id)
-    runtime.pump()
-    runtime.take(pids[BtgRole.A], BTG_DONE_TAG)
-
-    return TripleOutcome(session_id=session_id, sessions=sessions)
+    runtime.take(pid_a, BTG_DONE_TAG)
+    return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}

@@ -18,7 +18,6 @@ from .errors import (
     ParameterError,
     ParseError,
     ProtocolAbort,
-    ProtocolStateError,
     ShapeError,
     ShareError,
     TripleReuseError,
@@ -35,8 +34,8 @@ EXIT_VALIDATION = 4
 
 _VALIDATION_ERRORS = (ValidationError, ParseError, ParameterError,
                       EncodingRangeError, ShapeError, DegenerateTableError)
-_PROTOCOL_ERRORS = (ProtocolAbort, TripleReuseError, ProtocolStateError,
-                    ShareError, NetworkError, BlindFactorError)
+_PROTOCOL_ERRORS = (ProtocolAbort, TripleReuseError, ShareError, NetworkError,
+                    BlindFactorError)
 
 
 def _resolve_group(bits: int, seed, path=None) -> GroupParams:

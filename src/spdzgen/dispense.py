@@ -59,11 +59,6 @@ def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]
     return [head] + tail
 
 
-def _residues(values, w) -> bytes:
-    """Fixed-width big-endian wire encoding of a run of residues."""
-    return b"".join(v.to_bytes(w, "big") for v in values)
-
-
 def deal(runtime: Runtime, owner: PartyId, parties, tag: str, values, p: int) -> list[dict]:
     """Split each of `values` and send every other party one message of its
     shares, in value order; an owner among `parties` keeps its own.
@@ -72,7 +67,6 @@ def deal(runtime: Runtime, owner: PartyId, parties, tag: str, values, p: int) ->
     wire.  Returns one PartyId -> share map per value.
     """
     rng = runtime.rng(owner)
-    w = (p.bit_length() + 7) // 8
     splits = [split_additive(value, len(parties), p, rng) for value in values]
     held = {}
     for j, pid in enumerate(parties):
@@ -81,7 +75,7 @@ def deal(runtime: Runtime, owner: PartyId, parties, tag: str, values, p: int) ->
             runtime.note(owner, "kept local %s share" % tag)
             held[pid] = column
         else:
-            runtime.send(owner, pid, tag, _residues(column, w))
+            runtime.send(owner, pid, tag, modmath.encode_residues(column, p))
     runtime.pump()
     for pid in parties:
         if pid != owner:
@@ -147,16 +141,16 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
     the leader receives c from its holder and splits r^2 * c.  `forced_r`
     optionally pins the K blinds.
     """
-    p, w = params.p, params.element_size
+    p = params.p
     count = len(triple_ids)
     rng = runtime.rng(ox)
     rs = forced_r if forced_r is not None else [rng.randrange(1, p) for _ in triple_ids]
 
     for dst in (oy, leader, btg_pids[BtgRole.A]):
-        runtime.send(ox, dst, BLIND_TAG, _residues(rs, w))
+        runtime.send(ox, dst, BLIND_TAG, modmath.encode_residues(rs, p))
     runtime.pump()
     forwarded = _take_blinds(runtime, oy, count, p)
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(forwarded, w))
+    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(forwarded, p))
     runtime.pump()
 
     r_a = _take_blinds(runtime, btg_pids[BtgRole.A], count, p)
@@ -176,15 +170,15 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     r_c to the leader, so no single owner knows both blinds.  `keys` maps
     PartyId -> KeyPair for O_x and the leader.
     """
-    p, w = params.p, params.element_size
+    p = params.p
     count = len(triple_ids)
     r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
     r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
     r_c = mhkm.key_product(runtime, params, [oy, ox, leader], keys, {ox: r_a, oy: r_b},
                            count=count)[leader]
 
-    runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, _residues(r_a, w))
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, _residues(r_b, w))
+    runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, modmath.encode_residues(r_a, p))
+    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(r_b, p))
     runtime.pump()
 
     return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids,
@@ -200,7 +194,7 @@ def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict
     raw values to the leader, who splits r_c*c and keeps its own shares.
     """
     p = params.p
-    a_vals, b_vals, c_vals = (outcome.secrets(role) for role in BtgRole)
+    a_vals, b_vals, c_vals = (outcome[role] for role in BtgRole)
     if not len(triple_ids) == len(r_a) == len(r_b) == len(r_c) == len(c_vals):
         raise ShareError("%d triple ids and %d/%d/%d blinds for a session of %d triples"
                          % (len(triple_ids), len(r_a), len(r_b), len(r_c), len(c_vals)))
@@ -209,8 +203,7 @@ def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict
                     [r * a % p for r, a in zip(r_a, a_vals)], p)
     b_shares = deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
                     [r * b % p for r, b in zip(r_b, b_vals)], p)
-    runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG,
-                 _residues(c_vals, params.element_size))
+    runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG, modmath.encode_residues(c_vals, p))
     runtime.pump()
     c_raw = modmath.decode_residues(runtime.take(leader, TRIPLE_C_RAW_TAG).payload,
                                     len(triple_ids), p)

@@ -21,10 +21,6 @@ class EncodingRangeError(MpcError):
     """Signed or fixed-point value outside the encodable range."""
 
 
-class ProtocolStateError(MpcError):
-    """Protocol step invoked out of order or by the wrong role."""
-
-
 class ShareError(MpcError):
     """Bad share vector: too few parties, missing share, mismatched party sets."""
 

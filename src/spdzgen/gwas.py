@@ -457,7 +457,8 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
     params = config.fp
     basis.validate_orthonormal(params)
-    screening_params(params)  # the comparison frame must fit the field
+    # the comparison frame must fit the field, and tau^2 must fit the frame
+    fixpt.fp_encode(config.tau * config.tau, screening_params(params))
     # ||z||^2 bounds every term of the residual (the basis is orthonormal, so
     # each projection^2 is at most ||z||^2); O_ctrl checks it in the clear
     # before any triple is minted, since a larger value wraps the comparison

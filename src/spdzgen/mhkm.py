@@ -60,9 +60,9 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
                 count=count)
         except Exception as exc:
             raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-        shares[contributor] = outcome.secrets(BtgRole.A)
+        shares[contributor] = outcome[BtgRole.A]
         if idx == 0:
-            shares[holder] = outcome.secrets(BtgRole.B)
-        holder, product = receiver, outcome.secrets(BtgRole.C)
+            shares[holder] = outcome[BtgRole.B]
+        holder, product = receiver, outcome[BtgRole.C]
     shares[holder] = product
     return shares

@@ -111,10 +111,6 @@ class GroupParams:
         """Serialized width of one field element, in bytes."""
         return (self.p.bit_length() + 7) // 8
 
-    def encode_element(self, x: int) -> bytes:
-        """Fixed-width big-endian encoding of a residue in [0, p)."""
-        return x.to_bytes(self.element_size, "big")
-
     def to_json(self) -> str:
         return json.dumps({"p": str(self.p), "q": str(self.q), "g": str(self.g)})
 
@@ -336,8 +332,15 @@ def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Cipherte
     return Ciphertext(u, v)
 
 
+def encode_residues(values, p: int) -> bytes:
+    """Fixed-width big-endian wire encoding of a run of residues in [0, p)."""
+    w = (p.bit_length() + 7) // 8
+    return b"".join(v.to_bytes(w, "big") for v in values)
+
+
 def decode_residues(raw: bytes, count: int, p: int) -> list[int]:
-    """`count` fixed-width big-endian residues in [0, p) from a wire payload.
+    """`count` fixed-width big-endian residues in [0, p) from a wire payload;
+    the inverse of `encode_residues`.
 
     A payload of the wrong length or an entry >= p raises ProtocolAbort.
     """

@@ -147,27 +147,20 @@ class Runtime:
             steps += 1
         raise NetworkError("pump exceeded %d deliveries" % max_steps)
 
-    def take(self, pid: PartyId, tag: str | None = None) -> Message:
-        """Pop the first delivered message (optionally matching tag) for pid."""
+    def take(self, pid: PartyId, tag: str) -> Message:
+        """Pop the first delivered message with this tag for pid."""
         self._require_party(pid)
         box = self._inbox[pid]
-        if tag is None:
-            if not box:
-                raise NetworkError("no pending message for %s" % (pid,))
-            return box.popleft()
         for i, msg in enumerate(box):
             if msg.tag == tag:
                 del box[i]
                 return msg
         raise NetworkError("no pending %r message for %s" % (tag, pid))
 
-    def take_all(self, pid: PartyId, tag: str | None = None) -> list[Message]:
+    def take_all(self, pid: PartyId, tag: str) -> list[Message]:
+        """Pop every delivered message with this tag for pid, in order."""
         self._require_party(pid)
         box = self._inbox[pid]
-        if tag is None:
-            out = list(box)
-            box.clear()
-            return out
         out = [m for m in box if m.tag == tag]
         remaining = [m for m in box if m.tag != tag]
         box.clear()

@@ -8,9 +8,9 @@ broadcasts.  Multiplication consumes one dispensed triple per product:
     rho = open([x] - [a]),  eps = open([y] - [b])
     [x*y] = [c] + eps*[a] + rho*[b] + rho*eps
 
-with the public rho*eps term added by exactly one designated party (the
-lowest party identifier unless told otherwise).  Triples are strictly
-one-time-use, enforced by a spent-id ledger.
+with the public rho*eps term added by exactly one party, the lowest party
+identifier.  Triples are strictly one-time-use, enforced by a spent-id
+ledger.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .dispense import BeaverTripleShares, deal
 from .errors import ParameterError, ProtocolAbort, ShareError, TripleReuseError
-from .modmath import decode_residues
+from .modmath import decode_residues, encode_residues
 from .net import PartyId, Runtime
 
 OPEN_TAG = "open"
@@ -85,15 +85,11 @@ def scale_local(k: int, x: SharedValue, p: int) -> SharedValue:
                        shares={pid: k * x.shares[pid] % p for pid in x.parties})
 
 
-def add_const(x: SharedValue, const: int, p: int,
-              designated: PartyId | None = None) -> SharedValue:
-    """Add a public constant at exactly one party's share."""
-    if designated is None:
-        designated = min(x.parties)
-    if designated not in x.parties:
-        raise ShareError("designated party %s not in share set" % (designated,))
+def add_const(x: SharedValue, const: int, p: int) -> SharedValue:
+    """Add a public constant at the lowest party's share."""
+    lowest = min(x.parties)
     shares = dict(x.shares)
-    shares[designated] = (shares[designated] + const) % p
+    shares[lowest] = (shares[lowest] + const) % p
     return SharedValue(id="(%s+c)" % x.id, parties=x.parties, shares=shares)
 
 
@@ -118,12 +114,11 @@ def open_values(runtime: Runtime, values, p: int,
     if collector is None:
         collector = min(parties)
     batch_id = runtime.fresh_id("o")
-    w = (p.bit_length() + 7) // 8
     tag = "%s:%s" % (OPEN_TAG, batch_id)
     for pid in parties:
-        blob = b"".join(v.share_of(pid).to_bytes(w, "big") for v in values)
         if pid != collector:
-            runtime.send(pid, collector, tag, blob)
+            runtime.send(pid, collector, tag,
+                         encode_residues([v.share_of(pid) for v in values], p))
     runtime.pump()
     contributions = {collector: [v.share_of(collector) for v in values]}
     for msg in runtime.take_all(collector, tag):
@@ -132,7 +127,7 @@ def open_values(runtime: Runtime, values, p: int,
     if missing:
         raise ShareError("incomplete opening, missing %s" % ", ".join(map(str, missing)))
     opened = [sum(contributions[pid][i] for pid in parties) % p for i in range(len(values))]
-    result_blob = b"".join(x.to_bytes(w, "big") for x in opened)
+    result_blob = encode_residues(opened, p)
     result_tag = "%s:%s" % (OPEN_RESULT_TAG, batch_id)
     targets = parties if recipients is None else tuple(recipients)
     for pid in targets:
@@ -168,8 +163,8 @@ class TripleLedger:
         return len(self._spent)
 
 
-def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int, ledger: TripleLedger,
-                      designated: PartyId | None = None) -> list[SharedValue]:
+def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
+                      ledger: TripleLedger) -> list[SharedValue]:
     """Multiply each pair with its own fresh dispensed triple, in one opening.
 
     Every pair and triple is checked before any triple is spent, so a
@@ -181,10 +176,7 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int, ledger: TripleLe
     if not pairs:
         return []
     parties = pairs[0][0].parties
-    if designated is None:
-        designated = min(parties)
-    if designated not in parties:
-        raise ShareError("designated party %s not in share set" % (designated,))
+    lowest = min(parties)
     for (x, y), t in zip(pairs, triples):
         _check_same_parties(x, y)
         if x.parties != parties:
@@ -202,13 +194,12 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int, ledger: TripleLe
         rho, eps = opened[2 * i], opened[2 * i + 1]
         shares = {pid: (t.c_shares[pid] + eps * t.a_shares[pid] + rho * t.b_shares[pid]) % p
                   for pid in parties}
-        shares[designated] = (shares[designated] + rho * eps) % p
+        shares[lowest] = (shares[lowest] + rho * eps) % p
         results.append(SharedValue(id=runtime.fresh_id("prod"), parties=parties, shares=shares))
     return results
 
 
 def beaver_mult(runtime: Runtime, x: SharedValue, y: SharedValue,
-                triple: BeaverTripleShares, p: int, ledger: TripleLedger,
-                designated: PartyId | None = None) -> SharedValue:
+                triple: BeaverTripleShares, p: int, ledger: TripleLedger) -> SharedValue:
     """Multiply two shared values with one fresh dispensed triple."""
-    return beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger, designated)[0]
+    return beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger)[0]

@@ -59,7 +59,7 @@ def test_criterion_1_btg_correctness_500_sessions(group256):
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        [a], [b], [c] = (out.secrets(r) for r in BtgRole)
+        [a], [b], [c] = (out[r] for r in BtgRole)
         assert c == a * b % group256.p
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -268,7 +268,7 @@ def test_criterion_9_transcript_privacy_scans(group256):
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(100):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        secrets = {role: out.secrets(role)[0] for role in BtgRole}
+        secrets = {role: out[role][0] for role in BtgRole}
         for role, pid in BTG_PIDS.items():
             foreign = {v for r, v in secrets.items() if r is not role}
             for rec in rt.transcript_view(pid):

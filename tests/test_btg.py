@@ -3,10 +3,12 @@ import random
 import pytest
 
 from spdzgen import btg, modmath
-from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, BtgMessage, BtgRole
-from spdzgen.errors import ParameterError, ProtocolAbort, ProtocolStateError
-from spdzgen.modmath import Ciphertext, KeyPair
+from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, SESSION_ID_BYTES, BtgMessage, BtgRole
+from spdzgen.errors import ParameterError, ProtocolAbort
+from spdzgen.modmath import TINY_GROUP, Ciphertext
 from spdzgen.net import PartyId, Runtime
+
+from helpers import tamper_sends
 
 PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"), BtgRole.C: PartyId("BTG_C")}
 
@@ -15,13 +17,17 @@ def make_keys(params, rng):
     return {role: btg.keygen(params, rng) for role in BtgRole}
 
 
-def tiny_trio(tiny, x_a=1, x_c=2, seed=0):
-    # h_A = 4, h_C = 16, h_AC = 64 mod 23 = 18
-    keys = {BtgRole.A: KeyPair(x_a, pow(tiny.g, x_a, tiny.p)),
-            BtgRole.B: None,
-            BtgRole.C: KeyPair(x_c, pow(tiny.g, x_c, tiny.p))}
-    rngs = {role: random.Random("%s-%s" % (seed, role.value)) for role in BtgRole}
-    return btg.new_session_trio(tiny, keys, rngs, session_id=bytes(16)), keys
+def run_tiny(seed=0, forced=None, count=1):
+    """One session in the tiny group; returns the runtime and the secrets."""
+    rt = Runtime(list(PIDS.values()), seed=seed)
+    keys = make_keys(TINY_GROUP, random.Random(seed))
+    return rt, btg.run_triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced, count=count)
+
+
+def hops(rt, params):
+    """The three BTG messages of a one-triple session, parsed, in send order."""
+    return [BtgMessage.parse(r[4], params) for r in rt.transcript
+            if r[0] == "msg" and r[3] == BTG_TAG]
 
 
 class TestKeygen:
@@ -43,95 +49,61 @@ class TestKeygen:
 
 
 class TestProtocolTrace:
-    def test_step_a1_trace(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        msg = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
-        assert msg.step == 1
-        assert msg.payloads == (Ciphertext(16, 4),)
-        assert sessions[BtgRole.A].outputs == [2]
+    def test_hops_are_under_the_layered_keys(self, group256):
+        rt = Runtime(list(PIDS.values()), seed=5)
+        keys = make_keys(group256, random.Random(5))
+        out = btg.run_triple_session(rt, group256, keys, PIDS)
+        [a], [b], [c] = (out[r] for r in BtgRole)
+        x_ac = (keys[BtgRole.A].x + keys[BtgRole.C].x) % group256.q
+        m1, m2, m3 = hops(rt, group256)
+        assert [m.step for m in (m1, m2, m3)] == [1, 2, 3]
+        assert modmath.strip_layer(m1.payloads[0], x_ac, group256) == a
+        assert modmath.strip_layer(m2.payloads[0], x_ac, group256) == a * b % group256.p
+        assert modmath.strip_layer(m3.payloads[0], keys[BtgRole.C].x, group256) == c
 
     def test_emitted_components_are_subgroup_members(self, tiny):
         for seed in range(20):
-            sessions, _ = tiny_trio(tiny, seed=seed)
-            msg = sessions[BtgRole.A].step_a1()
-            [ct] = msg.payloads
-            assert modmath.is_subgroup_member(ct.u, tiny) or ct.u == 1
-            assert modmath.is_subgroup_member(ct.v, tiny)
-
-    def test_step_b_trace(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
-        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
-        assert m2.step == 2
-        assert m2.payloads[0].u == 18  # 16 * 4 = 64 mod 23
-        assert m2.payloads[0].v == 9   # 4 * 3 * 18 mod 23
-        assert sessions[BtgRole.B].state == "done"
-
-    def test_step_a2_strip_then_zero_rerandomize(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
-        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
-        m3 = sessions[BtgRole.A].step_a2(m2, nonces=[0])
-        # with r'_B = 0 this equals the plain strip: a*b*h_C^(r_A+r_B)
-        assert m3.payloads == (Ciphertext(18, 12),)
-
-    def test_finish_c_recovers_product(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secrets=[2], nonces=[2])
-        m2 = sessions[BtgRole.B].step_b(m1, secrets=[3], nonces=[1])
-        m3 = sessions[BtgRole.A].step_a2(m2)
-        c = sessions[BtgRole.C].finish_c(m3)
-        assert c == [6]
-        assert sessions[BtgRole.C].outputs == [6]
+            rt, _ = run_tiny(seed)
+            for msg in hops(rt, tiny):
+                [ct] = msg.payloads
+                assert modmath.is_subgroup_member(ct.u, tiny)
+                assert modmath.is_subgroup_member(ct.v, tiny)
 
     def test_identity_triple(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1(secrets=[1])
-        m2 = sessions[BtgRole.B].step_b(m1, secrets=[1])
-        m3 = sessions[BtgRole.A].step_a2(m2)
-        assert sessions[BtgRole.C].finish_c(m3) == [1]
+        _, out = run_tiny(forced={BtgRole.A: [1], BtgRole.B: [1]})
+        assert out[BtgRole.C] == [1]
 
     def test_500_random_sessions_tiny(self, tiny):
         rng = random.Random(99)
-        for i in range(500):
-            keys = make_keys(tiny, rng)
-            rngs = {role: random.Random("%s-%s" % (i, role.value)) for role in BtgRole}
-            sessions = btg.new_session_trio(tiny, keys, rngs, session_id=bytes(16))
-            m1 = sessions[BtgRole.A].step_a1()
-            m2 = sessions[BtgRole.B].step_b(m1)
-            m3 = sessions[BtgRole.A].step_a2(m2)
-            [c] = sessions[BtgRole.C].finish_c(m3)
-            [a] = sessions[BtgRole.A].outputs
-            [b] = sessions[BtgRole.B].outputs
+        rt = Runtime(list(PIDS.values()), seed=99, record=False)
+        for _ in range(500):
+            out = btg.run_triple_session(rt, tiny, make_keys(tiny, rng), PIDS)
+            [a], [b], [c] = (out[r] for r in BtgRole)
             assert c == a * b % tiny.p
 
 
+def flip_session_id(payload):
+    return bytes([payload[0] ^ 1]) + payload[1:]
+
+
+def next_step(payload):
+    """The step byte rewritten to another valid step: 1 -> 2 -> 3 -> 1."""
+    step = payload[SESSION_ID_BYTES]
+    return payload[:SESSION_ID_BYTES] + bytes([step % 3 + 1]) + payload[SESSION_ID_BYTES + 1:]
+
+
 class TestStateMachine:
-    def test_step_a1_twice(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        sessions[BtgRole.A].step_a1()
-        with pytest.raises(ProtocolStateError):
-            sessions[BtgRole.A].step_a1()
+    """The session's order, enforced by the receiver of each hop."""
 
-    def test_wrong_role(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        with pytest.raises(ProtocolStateError):
-            sessions[BtgRole.B].step_a1()
+    def test_out_of_order_message(self, monkeypatch):
+        tamper_sends(monkeypatch, BTG_TAG, next_step)
+        with pytest.raises(ProtocolAbort, match="expected a step-1 message, got step 2"):
+            run_tiny()
 
-    def test_out_of_order_message(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1()
-        with pytest.raises(ProtocolStateError):
-            sessions[BtgRole.A].step_a2(m1)  # expects a step-2 message
-        with pytest.raises(ProtocolStateError):
-            sessions[BtgRole.C].finish_c(m1)
-
-    def test_foreign_session_id(self, tiny):
-        sessions, _ = tiny_trio(tiny)
-        m1 = sessions[BtgRole.A].step_a1()
-        alien = BtgMessage(b"\x01" * 16, 1, m1.payloads)
-        with pytest.raises(ProtocolStateError):
-            sessions[BtgRole.B].step_b(alien)
+    def test_foreign_session_id(self, monkeypatch):
+        tamper_sends(monkeypatch, BTG_TAG, flip_session_id)
+        with pytest.raises(ProtocolAbort, match="delivered to"):
+            run_tiny()
 
 
 class TestSerialization:
@@ -171,14 +143,14 @@ class TestRuntimeDriver:
         keys = make_keys(tiny, random.Random(0))
         out = btg.run_triple_session(rt, tiny, keys, PIDS,
                                      forced={BtgRole.A: [2], BtgRole.B: [3]})
-        assert out.secrets(BtgRole.C) == [6]
+        assert out[BtgRole.C] == [6]
 
     def test_random_sessions_over_runtime_256(self, group256):
         rt = Runtime(list(PIDS.values()), seed=7)
         keys = make_keys(group256, random.Random(7))
         for _ in range(20):
             out = btg.run_triple_session(rt, group256, keys, PIDS)
-            [a], [b], [c] = (out.secrets(r) for r in BtgRole)
+            [a], [b], [c] = (out[r] for r in BtgRole)
             assert c == a * b % group256.p
 
     def test_done_ack_in_transcript(self, tiny):
@@ -217,7 +189,7 @@ class TestRuntimeDriver:
         keys = make_keys(group256, random.Random(11))
         for _ in range(30):
             out = btg.run_triple_session(rt, group256, keys, PIDS)
-            secrets = {s for r in BtgRole for s in out.secrets(r)}
+            secrets = {s for r in BtgRole for s in out[r]}
             for rec in rt.transcript:
                 if rec[0] != "msg" or rec[3] != BTG_TAG:
                     continue
@@ -232,7 +204,7 @@ class TestBatchedSession:
         rt = Runtime(list(PIDS.values()), seed=13)
         keys = make_keys(group256, random.Random(13))
         out = btg.run_triple_session(rt, group256, keys, PIDS, count=3)
-        a, b, c = (out.secrets(r) for r in BtgRole)
+        a, b, c = (out[r] for r in BtgRole)
         assert len(a) == len(b) == len(c) == 3
         for ak, bk, ck in zip(a, b, c):
             assert ck == ak * bk % group256.p
@@ -248,7 +220,7 @@ class TestBatchedSession:
         keys = make_keys(tiny, random.Random(2))
         out = btg.run_triple_session(rt, tiny, keys, PIDS, count=3,
                                      forced={BtgRole.A: [2, 3, 4], BtgRole.B: [3, 1, 9]})
-        assert out.secrets(BtgRole.C) == [6, 3, 36 % 23]
+        assert out[BtgRole.C] == [6, 3, 36 % 23]
 
     def _raw(self, group256, pairs):
         return BtgMessage(b"\xab" * 16, 1, tuple(Ciphertext(u, v) for u, v in pairs)) \
@@ -274,14 +246,11 @@ class TestBatchedSession:
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(raw, group256, 3)
 
-    def test_session_rejects_wrong_ciphertext_count(self, tiny):
-        keys = make_keys(tiny, random.Random(4))
-        rngs = {role: random.Random(role.value) for role in BtgRole}
-        sessions = btg.new_session_trio(tiny, keys, rngs, session_id=bytes(16), count=2)
-        m1 = sessions[BtgRole.A].step_a1()
-        short = BtgMessage(m1.session_id, 1, m1.payloads[:1])
+    def test_session_rejects_wrong_ciphertext_count(self, tiny, monkeypatch):
+        w = tiny.element_size
+        tamper_sends(monkeypatch, BTG_TAG, lambda payload: payload[:-2 * w])  # one pair short
         with pytest.raises(ProtocolAbort):
-            sessions[BtgRole.B].step_b(short)
+            run_tiny(count=2)
 
     def test_pinned_secrets_must_match_count(self, tiny):
         rt = Runtime(list(PIDS.values()), seed=3)

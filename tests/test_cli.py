@@ -213,6 +213,23 @@ class TestRun:
         assert "field too small" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unencodable_tau_rejected_before_any_triple(
+            self, pipeline_files, tmp_path, capsys, monkeypatch):
+        # tau^2 = 90,000 at scale 2^(4f) needs more than the e + 4f + 1 = 81
+        # bits of the comparison frame
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "reserve", mint)
+        out, ledger = tmp_path / "r.json", tmp_path / "l.jsonl"
+        assert run_cli("run", "--case", str(case_csv), "--basis", str(basis_csv),
+                       "--controls", str(ctrl_csv), "--out", str(out), "--tau", "300",
+                       "--triple-ledger", str(ledger)) == EXIT_VALIDATION
+        assert "outside Q<81,64> range" in capsys.readouterr().err
+        assert not out.exists() and not ledger.exists()
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.json"

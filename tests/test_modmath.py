@@ -79,7 +79,7 @@ class TestGroupGen:
         assert GroupParams.from_json(text) == TINY_GROUP
 
     def test_element_encoding_fixed_width(self, group256):
-        raw = group256.encode_element(5)
+        raw = modmath.encode_residues([5], group256.p)
         assert len(raw) == 32
         assert modmath.decode_residues(raw, 1, group256.p) == [5]
 

@@ -37,8 +37,8 @@ def test_fifo_per_channel():
     rt.send(A, B, "t", b"first")
     rt.send(A, B, "t", b"second")
     rt.pump()
-    assert rt.take(B).payload == b"first"
-    assert rt.take(B).payload == b"second"
+    assert rt.take(B, "t").payload == b"first"
+    assert rt.take(B, "t").payload == b"second"
 
 
 def test_rounds_count_pumps_that_deliver():
@@ -65,7 +65,7 @@ def test_unknown_party_routing_error():
     with pytest.raises(NetworkError):
         rt.send(A, C, "t", b"")
     with pytest.raises(NetworkError):
-        rt.take(C)
+        rt.take(C, "t")
     with pytest.raises(NetworkError):
         rt.transcript_view(C)
 
@@ -139,7 +139,7 @@ def test_record_off_keeps_channels_working():
     rt = Runtime([A, B], record=False)
     rt.send(A, B, "t", b"q")
     rt.pump()
-    assert rt.take(B).payload == b"q"
+    assert rt.take(B, "t").payload == b"q"
     assert rt.transcript == []
 
 

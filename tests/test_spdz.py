@@ -152,16 +152,13 @@ class TestLocalAlgebra:
         with pytest.raises(ShareError):
             add_local(x, y, tiny.p)
 
-    def test_add_const_designated(self, rt, tiny):
-        x = share_secret(rt, P1, 5, PARTIES, tiny.p)
-        for designated in PARTIES:
-            y = add_const(x, 4, tiny.p, designated=designated)
-            assert open_value(rt, y, tiny.p) == 9
+    def test_add_const_at_lowest_party(self, rt, tiny):
+        x = share_secret(rt, P2, 5, PARTIES, tiny.p)
+        y = add_const(x, 4, tiny.p)
+        assert {pid: (y.shares[pid] - x.shares[pid]) % tiny.p for pid in PARTIES} \
+            == {P1: 4, P2: 0, P3: 0}
+        assert open_value(rt, y, tiny.p) == 9
 
-    def test_add_const_unknown_party(self, tiny):
-        x = SharedValue(id="x", parties=(P1, P2), shares={P1: 1, P2: 2})
-        with pytest.raises(ShareError):
-            add_const(x, 1, tiny.p, designated=P3)
 
 
 class TestBeaverMult:
@@ -212,17 +209,6 @@ class TestBeaverMult:
         beaver_mult(rt, x, y, triple, tiny.p, ledger)
         with pytest.raises(TripleReuseError):
             beaver_mult(rt, x, y, triple, tiny.p, ledger)
-
-    def test_designated_convention_irrelevant(self, rt, tiny):
-        rng = random.Random(7)
-        x = share_secret(rt, P1, 5, PARTIES, tiny.p)
-        y = share_secret(rt, P2, 7, PARTIES, tiny.p)
-        opens = []
-        for i, designated in enumerate(PARTIES):
-            triple = make_triple(2, 3, 6, tiny.p, random.Random(8), triple_id="t%d" % i)
-            z = beaver_mult(rt, x, y, triple, tiny.p, TripleLedger(), designated=designated)
-            opens.append(open_value(rt, z, tiny.p))
-        assert opens == [12, 12, 12]
 
     def test_mismatched_triple_parties(self, rt, tiny):
         rng = random.Random(9)

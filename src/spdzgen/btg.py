@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from . import modmath
-from .errors import ParameterError, ProtocolAbort
+from .errors import MessageSpaceError, ParameterError, ProtocolAbort
 from .modmath import Ciphertext, GroupParams, KeyPair
 from .net import Runtime
 
@@ -110,17 +110,24 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
     key and may be absent); `pids` maps BtgRole -> PartyId.  `forced`
     optionally pins the K secrets of roles A and/or B, as lists in triple
-    order.  Returns BtgRole -> the role's K secrets in triple order: a for A,
-    b for B, c for C.  A short extra-protocol "done" ack from C back to A
-    closes the session for the simulator's bookkeeping.
+    order; every pinned secret is checked for subgroup membership before any
+    message is sent, and a non-member raises MessageSpaceError.  Drawn
+    secrets are g^t, members by construction.  Returns BtgRole -> the role's
+    K secrets in triple order: a for A, b for B, c for C.  A short
+    extra-protocol "done" ack from C back to A, naming the session, closes it
+    for the simulator's bookkeeping.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
     forced = forced or {}
     for role, values in forced.items():
-        if values is not None and len(values) != count:
+        if values is None:
+            continue
+        if len(values) != count:
             raise ParameterError("role %s pins %d secrets for a session of %d"
                                  % (role.value, len(values), count))
+        if not all(modmath.is_subgroup_member(v, params) for v in values):
+            raise MessageSpaceError("role %s pins a secret outside the subgroup" % role.value)
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
     rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
     h_c = keys[BtgRole.C].h
@@ -155,5 +162,6 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     c_vals = [modmath.strip_layer(ct, x_c, params) for ct in received]
     runtime.send(pid_c, pid_a, BTG_DONE_TAG, session_id)
     runtime.pump()
-    runtime.take(pid_a, BTG_DONE_TAG)
+    if runtime.take(pid_a, BTG_DONE_TAG).payload != session_id:
+        raise ProtocolAbort("done ack for session %s names another session" % session_id.hex())
     return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}

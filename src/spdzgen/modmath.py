@@ -31,11 +31,12 @@ except ImportError:  # pure-Python fallback, ~6x slower at 256 bits
 
 MR_ROUNDS = 64
 
-# Bits per digit of a fixed-base comb table.  A 256-bit table has 43 rows of
-# 64 entries (about 0.19 MB) and costs about 2,700 modular multiplications to
-# build; an exponentiation through it costs at most 43.
-COMB_WINDOW = 6
-_COMB_MASK = (1 << COMB_WINDOW) - 1
+# Bits per digit of a fixed-base comb table: one byte, so `modexp` reads its
+# digits straight from the exponent's bytes.  A 256-bit table has 32 rows of
+# 256 entries (about 0.56 MB) and costs about 8,000 modular multiplications
+# to build; an exponentiation through it costs at most 32.  A 2048-bit table
+# takes about 20 MB.
+COMB_WINDOW = 8
 # Bases whose tables stay cached: g plus the long-lived public keys of a few
 # generator trios.
 COMB_TABLES = 16
@@ -222,9 +223,8 @@ def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
     _modexp_count += 1
     if table is not None and 0 <= e and e.bit_length() <= COMB_WINDOW * len(table):
         acc = 1
-        for row in table:
-            acc = acc * row[e & _COMB_MASK] % p
-            e >>= COMB_WINDOW
+        for row, digit in zip(table, e.to_bytes(len(table), "little")):
+            acc = acc * row[digit] % p
         return acc
     return int(_powmod(base, e, p))
 
@@ -241,7 +241,7 @@ def fixed_base_table(base: int, p: int) -> tuple:
     b = base % p
     for _ in range(-(-p.bit_length() // COMB_WINDOW)):
         row = [1]
-        for _ in range(_COMB_MASK):
+        for _ in range((1 << COMB_WINDOW) - 1):
             row.append(row[-1] * b % p)
         rows.append(tuple(row))
         b = row[-1] * b % p
@@ -299,18 +299,19 @@ def random_subgroup_element(params: GroupParams, rng: random.Random) -> int:
 
 
 def encrypt(params: GroupParams, h: int, m: int, r: int) -> Ciphertext:
-    """Encrypt subgroup plaintext m under public key h with randomness r."""
-    if not is_subgroup_member(m, params):
-        raise MessageSpaceError("plaintext is not a subgroup member")
+    """Encrypt subgroup plaintext m under public key h with randomness r.
+
+    m is not tested for membership: callers draw it as g^t or check it once
+    where it enters (`btg.run_triple_session`).
+    """
     u = _fixed_modexp(params.g, r, params.p)
     v = m * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 
 def mult_layer(ct: Ciphertext, factor: int, h: int, r: int, params: GroupParams) -> Ciphertext:
-    """Multiply the plaintext by `factor` and re-randomize with r under h."""
-    if not is_subgroup_member(factor, params):
-        raise MessageSpaceError("factor is not a subgroup member")
+    """Multiply the plaintext by subgroup element `factor` and re-randomize
+    with r under h; like `encrypt`, it leaves the membership test to callers."""
     u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
     v = ct.v * factor % params.p * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)

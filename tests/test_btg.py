@@ -4,7 +4,7 @@ import pytest
 
 from spdzgen import btg, modmath
 from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, SESSION_ID_BYTES, BtgMessage, BtgRole
-from spdzgen.errors import ParameterError, ProtocolAbort
+from spdzgen.errors import MessageSpaceError, ParameterError, ProtocolAbort
 from spdzgen.modmath import TINY_GROUP, Ciphertext
 from spdzgen.net import PartyId, Runtime
 
@@ -104,6 +104,30 @@ class TestStateMachine:
         tamper_sends(monkeypatch, BTG_TAG, flip_session_id)
         with pytest.raises(ProtocolAbort, match="delivered to"):
             run_tiny()
+
+    def test_done_ack_for_another_session(self, monkeypatch):
+        tamper_sends(monkeypatch, BTG_DONE_TAG, flip_session_id)
+        with pytest.raises(ProtocolAbort, match="done ack"):
+            run_tiny()
+
+
+class TestPinnedSecrets:
+    """Drawn secrets are g^t; pinned ones are checked once, at session entry."""
+
+    # 5 and 7 are not squares mod 23
+    @pytest.mark.parametrize("forced", [
+        {BtgRole.A: [5]},
+        {BtgRole.B: [7]},
+        {BtgRole.A: [2, 3, 4], BtgRole.B: [3, 1, 5]},
+    ], ids=["A", "B", "last-of-three"])
+    def test_non_member_rejected_before_any_message(self, forced):
+        rt = Runtime(list(PIDS.values()), seed=0)
+        keys = make_keys(TINY_GROUP, random.Random(0))
+        with pytest.raises(MessageSpaceError):
+            btg.run_triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced,
+                                   count=len(next(iter(forced.values()))))
+        assert rt.messages_sent == 0
+        assert not [r for r in rt.transcript if r[0] == "msg"]
 
 
 class TestSerialization:

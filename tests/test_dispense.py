@@ -340,6 +340,21 @@ class TestDispenser:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
 
+    @pytest.mark.parametrize("mode,checks", [("single", 0), ("two", 2)])
+    def test_membership_tests_only_on_pinned_blinds(self, group256, monkeypatch, mode, checks):
+        # the session draws a and b itself; two-mode pins r_a and r_b in its chain
+        ctx = build_parties(group256, seed=14, blinding=mode)
+        calls = []
+        member = modmath.is_subgroup_member
+
+        def counted(y, params):
+            calls.append(y)
+            return member(y, params)
+
+        monkeypatch.setattr(modmath, "is_subgroup_member", counted)
+        ctx.dispenser.reserve(5)
+        assert len(calls) == checks * 5
+
     def test_reserve_rejects_negative(self, group256):
         ctx = build_parties(group256, seed=13)
         ctx.dispenser.reserve(0)

@@ -69,6 +69,15 @@ class TestRun:
             assert shares[pids[-1]][k] == product
         assert rt.messages_sent == 4 * (n - 2)
 
+    def test_non_member_factor_aborts(self, tiny):
+        # 5 is not a square mod 23; the first session rejects it before sending
+        pids = [PartyId("KM", i) for i in range(1, 4)]
+        rt = Runtime(pids, seed=0)
+        keys = {pid: btg.keygen(tiny, rt.rng(pid)) for pid in pids}
+        with pytest.raises(ProtocolAbort, match="session 0"):
+            key_product(rt, tiny, pids, keys, {pids[0]: [5], pids[1]: [4]})
+        assert rt.messages_sent == 0
+
     def test_factor_count_must_match(self, tiny):
         with pytest.raises(ParameterError):
             chain(3, tiny, factors={PartyId("KM", 1): [6, 2]}, count=1)

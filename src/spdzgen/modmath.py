@@ -9,6 +9,8 @@ plaintext.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import functools
 import json
 import random
@@ -22,12 +24,91 @@ from .errors import (
     ProtocolAbort,
 )
 
-try:
-    from gmpy2 import invert as _gmp_invert
-    from gmpy2 import powmod as _powmod
-except ImportError:  # pure-Python fallback, ~6x slower at 256 bits
-    _powmod = pow
-    _gmp_invert = None
+
+class _Mpz(ctypes.Structure):
+    """GMP's `__mpz_struct`: allocated limbs, signed used limbs, limb pointer."""
+
+    _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int),
+                ("_mp_d", ctypes.c_void_p)]
+
+
+# Operands on which a freshly bound libgmp must agree with builtin pow before
+# it is used: a zero exponent, a base past the modulus, an even modulus and a
+# 256-bit exponentiation.
+_SELF_CHECK = [
+    (7, 0, 23),
+    (100, 5, 23),
+    (3, 10**40 + 1, 2**64),
+    (4, (1 << 255) - 19, (1 << 256) - 189),
+]
+
+
+def _load_powmod():
+    """Variable-base modular exponentiation through the system libgmp's
+    `mpz_powm`, or builtin `pow` when the library or one of its symbols is
+    missing, or a self-check against `pow` fails.
+
+    The binding keeps four scratch `mpz_t` registers (base, exponent,
+    modulus, result) and one export buffer for the life of the process, so it
+    assumes the single-threaded `Runtime`: two threads inside it at once
+    would overwrite each other's operands.  GMP grows the registers as
+    operands need.  Operands go in through `mpz_import` and the result comes
+    back through `mpz_export`, both as big-endian bytes.  Only a non-negative
+    base and exponent with a modulus >= 2 reach GMP (a zero modulus aborts
+    the process inside it); every other call goes to `pow`.  On Linux,
+    `find_library` runs `ldconfig -p` once, when this module is imported.
+    """
+    name = ctypes.util.find_library("gmp")
+    if name is None:
+        return pow
+    try:
+        lib = ctypes.CDLL(name)
+        init = getattr(lib, "__gmpz_init")
+        import_ = getattr(lib, "__gmpz_import")
+        export = getattr(lib, "__gmpz_export")
+        powm = getattr(lib, "__gmpz_powm")
+    except (OSError, AttributeError):
+        return pow
+    reg = ctypes.POINTER(_Mpz)
+    size_t = ctypes.c_size_t
+    init.argtypes, init.restype = [reg], None
+    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
+    import_.restype = None
+    export.argtypes = [ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
+                       ctypes.c_int, size_t, reg]
+    export.restype = ctypes.c_void_p
+    powm.argtypes, powm.restype = [reg, reg, reg, reg], None
+
+    base_r, exp_r, mod_r, out_r = regs = [_Mpz() for _ in range(4)]
+    for r in regs:
+        init(r)
+    written = size_t()
+    out = ctypes.create_string_buffer(64)
+
+    def load(r, x: int) -> None:
+        raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
+        import_(r, len(raw), 1, 1, 1, 0, raw)
+
+    def gmp_powmod(base: int, e: int, m: int) -> int:
+        nonlocal out
+        if base < 0 or e < 0 or m < 2:
+            return pow(base, e, m)
+        width = (m.bit_length() + 7) // 8
+        if len(out) < width:
+            out = ctypes.create_string_buffer(width)
+        load(base_r, base)
+        load(exp_r, e)
+        load(mod_r, m)
+        powm(out_r, base_r, exp_r, mod_r)
+        export(out, written, 1, 1, 1, 0, out_r)
+        return int.from_bytes(out.raw[:written.value], "big")
+
+    if any(gmp_powmod(b, e, m) != pow(b, e, m) for b, e, m in _SELF_CHECK):
+        return pow
+    return gmp_powmod
+
+
+_powmod = _load_powmod()
 
 MR_ROUNDS = 64
 
@@ -74,7 +155,7 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS, rng: random.Random | None
         rng = random.Random(n & 0xFFFFFFFF)
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = int(_powmod(a, d, n))
+        x = _powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -214,8 +295,9 @@ def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
     """base^e mod p, counted for the benchmark report.
 
     `table`, when given, is `fixed_base_table(base, p)`; exponents in its
-    range cost one multiplication per table row, the rest fall back to plain
-    pow.  The result is the same either way.
+    range cost one multiplication per table row, the rest go to the
+    variable-base backend (`_powmod`: libgmp, or builtin pow).  The result is
+    the same either way.
     """
     global _modexp_count
     if p < 2:
@@ -226,7 +308,7 @@ def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
         for row, digit in zip(table, e.to_bytes(len(table), "little")):
             acc = acc * row[digit] % p
         return acc
-    return int(_powmod(base, e, p))
+    return _powmod(base, e, p)
 
 
 @functools.lru_cache(maxsize=COMB_TABLES)
@@ -257,8 +339,6 @@ def inverse(a: int, p: int) -> int:
     """Multiplicative inverse of a modulo prime p."""
     if a % p == 0:
         raise NonInvertibleError("zero has no inverse mod %d" % p)
-    if _gmp_invert is not None:
-        return int(_gmp_invert(a, p))
     return pow(a, -1, p)
 
 

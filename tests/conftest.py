@@ -1,6 +1,21 @@
 import pytest
 
+from spdzgen import modmath
 from spdzgen.modmath import DEFAULT_GROUP_256, TINY_GROUP
+
+
+def _backend_line():
+    return "modexp backend: %s" % ("pow" if modmath._powmod is pow else "libgmp")
+
+
+def pytest_report_header(config):
+    return _backend_line()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # `-q` drops the header; this line keeps the backend in quiet logs too
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(_backend_line())
 
 
 @pytest.fixture
@@ -11,3 +26,12 @@ def tiny():
 @pytest.fixture(scope="session")
 def group256():
     return DEFAULT_GROUP_256
+
+
+@pytest.fixture
+def modexp_backend(request, monkeypatch):
+    """"loaded" keeps the backend modmath bound at import; "pow" puts builtin
+    pow in its place.  Parametrized through `helpers.both_backends`."""
+    if request.param == "pow":
+        monkeypatch.setattr(modmath, "_powmod", pow)
+    return request.param

@@ -3,8 +3,15 @@ and a fault injector that rewrites payloads on their way into the network."""
 
 import itertools
 
+import pytest
+
 from spdzgen.dispense import BeaverTripleShares, split_additive
 from spdzgen.net import Runtime
+
+# Runs a test once on the modexp backend modmath loaded and once on builtin
+# pow (the `modexp_backend` fixture in conftest.py).  Applied outermost, it
+# appends the backend to the test id.
+both_backends = pytest.mark.parametrize("modexp_backend", ["loaded", "pow"], indirect=True)
 
 
 def make_triple(a, b, c, p, parties, rng, triple_id):

@@ -31,7 +31,7 @@ from spdzgen.gwas import build_parties
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 
-from helpers import out_of_range, shifted, tamper_sends, truncated, zeroed
+from helpers import both_backends, out_of_range, shifted, tamper_sends, truncated, zeroed
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
             BtgRole.C: PartyId("BTG_C")}
@@ -366,12 +366,14 @@ class TestDispenser:
 class TestGoldenTranscript:
     # sha256 of the transcript and the modexp count after 30 triples, pinned
     # from the arithmetic before fixed-base tables and Jacobi membership: any
-    # change to the group arithmetic must leave both exactly as they were.
+    # change to the group arithmetic, on either modexp backend, must leave
+    # both exactly as they were.
+    @both_backends
     @pytest.mark.parametrize("mode,digest,modexps", [
         ("single", "e31b868eae3b701f2cc593de554a3d501fee9028a49276bbcb58b2a3ab3ccdc3", 306),
         ("two", "4edf3a55da18f9f38cfc33e1cf7e890fdd12f5981d57f553cd0d7a26bb7db2fd", 606),
     ])
-    def test_thirty_triples(self, mode, digest, modexps):
+    def test_thirty_triples(self, mode, digest, modexps, modexp_backend):
         modmath.reset_modexp_count()
         ctx = build_parties(DEFAULT_GROUP_256, seed=7, record=True, blinding=mode)
         for _ in range(30):

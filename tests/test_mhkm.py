@@ -10,6 +10,8 @@ from spdzgen.mhkm import key_product
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 
+from helpers import both_backends
+
 
 def chain(n, params, seed=0, factors=None, record=True, count=1):
     """Runtime, ordered party ids and key-product shares of one n-party chain."""
@@ -99,12 +101,13 @@ class TestRun:
 
 # sha256 of the chain transcript, pinned from the descriptor-plan
 # implementation that key_product replaced: the forward loop must send the
-# same bytes in the same order.
+# same bytes in the same order, on either modexp backend.
+@both_backends
 @pytest.mark.parametrize("n,digest", [
     (3, "49db7d97ee5765e6e23b05a953e77fef6f1357c9fc0e0fd7dd5cba12af07eb66"),
     (5, "b8ad5638267638a11973873cd9d4ccbebab6c7f29fd9a58160f7c171ad317aa1"),
 ])
-def test_chain_transcript_golden(n, digest):
+def test_chain_transcript_golden(n, digest, modexp_backend):
     rt, _, _ = chain(n, DEFAULT_GROUP_256, seed=("golden", n))
     assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == digest
 

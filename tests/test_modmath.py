@@ -1,3 +1,4 @@
+import ctypes.util
 import json
 import math
 import random
@@ -115,6 +116,79 @@ class TestModexpInverse:
             modmath.inverse(0, 23)
         with pytest.raises(NonInvertibleError):
             modmath.inverse(46, 23)
+
+
+P256, Q256 = DEFAULT_GROUP_256.p, DEFAULT_GROUP_256.q
+
+
+class TestPowmodBackend:
+    """`modmath._powmod` (libgmp's mpz_powm when it loaded) against builtin pow."""
+
+    @pytest.mark.parametrize("bits", [5, 256, 2048], ids=["tiny", "256", "2048"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pow_property(self, bits, data):
+        m = data.draw(st.integers(2, (1 << bits) - 1))
+        base = data.draw(st.integers(0, 1 << (bits + 8)))
+        e = data.draw(st.integers(0, 1 << bits))
+        assert modmath._powmod(base, e, m) == pow(base, e, m)
+
+    @pytest.mark.parametrize("base,e,m", [
+        (5, 0, P256), (0, 0, P256), (0, Q256, P256),
+        (P256 + 5, Q256, P256), (3 * P256, Q256, P256),
+        (P256 - 1, Q256, P256), (P256 - 1, 2, P256),
+        (3, Q256, 1 << 256), (7, 12345, 1000), (5, 3, 2),
+        # operands GMP is not given
+        (3, -1, 23), (-3, 5, 23), (5, 3, 1), (3, 5, -7),
+    ], ids=["zero-exponent", "zero-to-the-zero", "zero-base", "base-above-p", "base-multiple-of-p",
+            "base-p-minus-1-odd", "base-p-minus-1-even", "even-modulus-256", "even-modulus-small",
+            "modulus-two", "negative-exponent", "negative-base", "modulus-one", "negative-modulus"])
+    def test_edge_operands(self, base, e, m):
+        assert modmath._powmod(base, e, m) == pow(base, e, m)
+
+    def test_registers_grow_for_a_wider_modulus(self):
+        m = (1 << 4095) + 12345
+        rng = random.Random(4096)
+        for _ in range(3):
+            base, e = rng.getrandbits(4200), rng.getrandbits(4096)
+            assert modmath._powmod(base, e, m) == pow(base, e, m)
+        # and narrower operands after the wide ones still read back exactly
+        assert modmath._powmod(3, Q256, P256) == pow(3, Q256, P256)
+        assert modmath._powmod(2, 10, 1025) == 1024
+
+    def test_zero_modulus_raises_instead_of_aborting(self):
+        with pytest.raises(ValueError):
+            modmath._powmod(3, 5, 0)
+
+    def test_primality_verdicts_match_pow(self, monkeypatch):
+        # primes, Carmichael numbers, strong pseudoprimes to small bases and
+        # products of large primes, which all pass trial division
+        cases = [113, 127, 2**61 - 1, 2**127 - 1, P256, Q256, STANDARD_GROUP_2048.p,
+                 561, 41041, 825265, 3215031751, 3825123056546413051,
+                 (2**61 - 1) * (2**89 - 1), P256 * Q256, 2**128 + 1]
+        oracle = [sympy.isprime(n) for n in cases]
+        loaded = [modmath.is_probable_prime(n, rounds=16) for n in cases]
+        monkeypatch.setattr(modmath, "_powmod", pow)
+        assert [modmath.is_probable_prime(n, rounds=16) for n in cases] == loaded == oracle
+
+    def test_libgmp_is_bound_when_present(self):
+        # a silent fallback to pow would keep every result and lose the speed
+        if ctypes.util.find_library("gmp") is None:
+            pytest.skip("no libgmp on this host")
+        assert modmath._powmod is not pow
+
+    @pytest.mark.parametrize("found", [None, "libspdzgen-no-such-gmp.so.0"],
+                             ids=["no-library", "unloadable"])
+    def test_loader_falls_back_to_pow(self, monkeypatch, found):
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: found)
+        assert modmath._load_powmod() is pow
+
+    def test_loader_falls_back_when_a_symbol_is_missing(self, monkeypatch):
+        libc = ctypes.util.find_library("c")
+        if libc is None:
+            pytest.skip("no C library found to stand in for libgmp")
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
+        assert modmath._load_powmod() is pow
 
 
 def subgroup_bases(params, n=3):

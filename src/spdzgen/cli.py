@@ -11,14 +11,9 @@ from fractions import Fraction
 from . import dispense, gwas, modmath, spdz
 from .errors import (
     BlindFactorError,
-    DegenerateTableError,
-    EncodingRangeError,
     MpcError,
     NetworkError,
-    ParameterError,
-    ParseError,
     ProtocolAbort,
-    ShapeError,
     ShareError,
     TripleReuseError,
     ValidationError,
@@ -32,8 +27,6 @@ EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 EXIT_VALIDATION = 4
 
-_VALIDATION_ERRORS = (ValidationError, ParseError, ParameterError,
-                      EncodingRangeError, ShapeError, DegenerateTableError)
 _PROTOCOL_ERRORS = (ProtocolAbort, TripleReuseError, ShareError, NetworkError,
                     BlindFactorError)
 
@@ -124,6 +117,10 @@ def cmd_synth(args) -> int:
 CONFIG_KEYS = frozenset({"tau", "lambda_max", "parties", "seed", "bits", "group_path",
                          "fixed_point"})
 FIXED_POINT_KEYS = frozenset({"k", "f", "kappa", "p"})
+# How `cmd_run` reads the PipelineConfig keys; a key the user leaves unset
+# takes the dataclass default.
+_PIPELINE_FIELDS = {"tau": lambda v: Fraction(str(v)),
+                    "lambda_max": lambda v: Fraction(str(v)), "parties": int}
 
 
 def _load_config(args) -> dict:
@@ -143,9 +140,6 @@ def _load_config(args) -> dict:
                      ("bits", args.bits)):
         if val is not None:
             doc[key] = val
-    doc.setdefault("tau", "0.3")
-    doc.setdefault("lambda_max", "0.05")
-    doc.setdefault("parties", 3)
     doc.setdefault("seed", 1)
     doc.setdefault("bits", 256)
     return doc
@@ -154,19 +148,10 @@ def _load_config(args) -> dict:
 def cmd_run(args) -> int:
     doc = _load_config(args)
     group = _resolve_group(int(doc["bits"]), doc["seed"], doc.get("group_path"))
-    fp_doc = doc.get("fixed_point", {})
-    fp = FixedPointParams(
-        k=int(fp_doc.get("k", 32)),
-        f=int(fp_doc.get("f", 16)),
-        kappa=int(fp_doc.get("kappa", 40)),
-        p=int(fp_doc["p"]) if "p" in fp_doc else group.p,
-    )
-    config = PipelineConfig(
-        tau=Fraction(str(doc["tau"])),
-        lambda_max=Fraction(str(doc["lambda_max"])),
-        fp=fp,
-        parties=int(doc["parties"]),
-    )
+    fp_doc = {key: int(val) for key, val in doc.get("fixed_point", {}).items()}
+    fp = FixedPointParams(**{"p": group.p, **fp_doc})
+    config = PipelineConfig(fp=fp, **{key: read(doc[key])
+                                      for key, read in _PIPELINE_FIELDS.items() if key in doc})
 
     case = GenotypeMatrix.from_csv(args.case)
     basis = CaseBasis.from_csv(args.basis)
@@ -263,9 +248,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
     except _PROTOCOL_ERRORS as exc:
         print("protocol error: %s" % exc, file=sys.stderr)
         return EXIT_PROTOCOL

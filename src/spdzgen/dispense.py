@@ -131,20 +131,18 @@ def _take_blinds(runtime: Runtime, pid: PartyId, count: int, p: int) -> list[int
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
                           btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                          leader: PartyId, triple_ids,
-                          forced_r=None) -> list[BeaverTripleShares]:
+                          leader: PartyId, triple_ids) -> list[BeaverTripleShares]:
     """Single-randomness dispensation of the K triples of one session.
 
     O_x draws one r per triple, shares them with O_y and the committee leader
     over private channels, and forwards them to the holder of a; O_y forwards
     the blinds it decoded to the holder of b.  The holders split r*a and r*b;
-    the leader receives c from its holder and splits r^2 * c.  `forced_r`
-    optionally pins the K blinds.
+    the leader receives c from its holder and splits r^2 * c.
     """
     p = params.p
     count = len(triple_ids)
     rng = runtime.rng(ox)
-    rs = forced_r if forced_r is not None else [rng.randrange(1, p) for _ in triple_ids]
+    rs = [rng.randrange(1, p) for _ in triple_ids]
 
     for dst in (oy, leader, btg_pids[BtgRole.A]):
         runtime.send(ox, dst, BLIND_TAG, modmath.encode_residues(rs, p))

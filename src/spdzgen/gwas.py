@@ -420,14 +420,12 @@ class PipelineParties:
 
 
 def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = False,
-                  scheduler: str = "round-robin", blinding: str = "single",
-                  ledger_path=None) -> PipelineParties:
+                  blinding: str = "single", ledger_path=None) -> PipelineParties:
     """Spawn BTG trio plus m MPC servers and wire the default role bindings."""
     btg_pids = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
                 BtgRole.C: PartyId("BTG_C")}
     mpc_pids = [PartyId("MPC", i) for i in range(1, parties + 1)]
-    runtime = Runtime(list(btg_pids.values()) + mpc_pids, seed=seed,
-                      scheduler=scheduler, record=record)
+    runtime = Runtime(list(btg_pids.values()) + mpc_pids, seed=seed, record=record)
     btg_keys = {role: btg.keygen(group, runtime.rng(pid)) for role, pid in btg_pids.items()}
     o_case, o_ctrl = mpc_pids[0], mpc_pids[1]
     owner_keys = {pid: btg.keygen(group, runtime.rng(pid)) for pid in mpc_pids}

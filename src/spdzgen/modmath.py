@@ -10,7 +10,6 @@ plaintext.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import functools
 import json
 import random
@@ -42,6 +41,10 @@ _SELF_CHECK = [
     (4, (1 << 255) - 19, (1 << 256) - 189),
 ]
 
+# libgmp's soname since GMP 5.  Opening it by name spares the search through
+# `ctypes.util.find_library`, which starts an `ldconfig -p` process on Linux.
+_GMP_SONAME = "libgmp.so.10"
+
 
 def _load_powmod():
     """Variable-base modular exponentiation through the system libgmp's
@@ -55,19 +58,27 @@ def _load_powmod():
     operands need.  Operands go in through `mpz_import` and the result comes
     back through `mpz_export`, both as big-endian bytes.  Only a non-negative
     base and exponent with a modulus >= 2 reach GMP (a zero modulus aborts
-    the process inside it); every other call goes to `pow`.  On Linux,
-    `find_library` runs `ldconfig -p` once, when this module is imported.
+    the process inside it); every other call goes to `pow`.  The library is
+    looked up with `find_library` only when its soname does not open.
     """
-    name = ctypes.util.find_library("gmp")
-    if name is None:
-        return pow
     try:
-        lib = ctypes.CDLL(name)
+        lib = ctypes.CDLL(_GMP_SONAME)
+    except OSError:
+        from ctypes.util import find_library
+
+        name = find_library("gmp")
+        if name is None:
+            return pow
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            return pow
+    try:
         init = getattr(lib, "__gmpz_init")
         import_ = getattr(lib, "__gmpz_import")
         export = getattr(lib, "__gmpz_export")
         powm = getattr(lib, "__gmpz_powm")
-    except (OSError, AttributeError):
+    except AttributeError:
         return pow
     reg = ctypes.POINTER(_Mpz)
     size_t = ctypes.c_size_t
@@ -230,37 +241,21 @@ DEFAULT_GROUP_256 = GroupParams(
 
 # RFC 3526 MODP-2048 modulus; it is a safe prime, and 4 = 2^2 generates the
 # quadratic-residue subgroup.
-STANDARD_GROUP_2048 = GroupParams(
-    p=int(
-        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
-        "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
-        "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"
-        "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-        "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"
-        "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"
-        "83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-        "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-        "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
-        "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
-        "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
-        16,
-    ),
-    q=(int(
-        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
-        "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
-        "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"
-        "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-        "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"
-        "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"
-        "83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-        "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-        "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
-        "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
-        "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
-        16,
-    ) - 1) // 2,
-    g=4,
+_RFC3526_2048 = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
+    "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
+    "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"
+    "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"
+    "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"
+    "83655D23DCA3AD961C62F356208552BB9ED529077096966D"
+    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
+    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
+    "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
+    "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
 )
+STANDARD_GROUP_2048 = GroupParams(p=_RFC3526_2048, q=(_RFC3526_2048 - 1) // 2, g=4)
 
 _MAX_GROUP_SEARCH = 10_000_000
 

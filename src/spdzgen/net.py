@@ -1,11 +1,14 @@
 """In-process multi-party runtime.
 
-Parties exchange byte payloads over pairwise FIFO channels.  A deterministic
-scheduler (round-robin by default, seeded-random optional) decides which
-channel delivers next, so a fixed seed replays the exact same transcript.
-Each party draws randomness from its own generator derived from the master
-seed, and every delivered message plus every local annotation lands in the
-transcript, from which per-party views are sliced for privacy scans.
+Parties exchange byte payloads through one queue that delivers in send order:
+the protocols run in synchronous rounds, each party sending and then every
+recipient reading what it was sent.  Send order never reaches a result:
+every protocol step pumps until nothing is pending before it takes, `take`
+matches on recipient and tag, and openings key contributions by sender, so
+the order only shapes the transcript, which a fixed seed replays byte for
+byte.  Each party draws randomness from its own generator derived from the
+master seed, and every delivered message plus every local annotation lands
+in the transcript, from which per-party views are sliced for privacy scans.
 """
 
 from __future__ import annotations
@@ -44,26 +47,21 @@ class Message:
 
 
 class Runtime:
-    """Message bus, scheduler, per-party randomness, and transcript."""
+    """Message queue, per-party randomness, and transcript."""
 
-    def __init__(self, parties, seed=0, scheduler="round-robin", record=True):
+    def __init__(self, parties, seed=0, record=True):
         parties = list(parties)
         if len(set(parties)) != len(parties):
             raise NetworkError("duplicate party identities")
         if not parties:
             raise NetworkError("empty party list")
-        if scheduler not in ("round-robin", "random"):
-            raise NetworkError("unknown scheduler policy %r" % scheduler)
         self.parties = tuple(sorted(parties))
         self.seed = seed
-        self.scheduler = scheduler
         self.record = record
-        self._channels: dict[tuple[PartyId, PartyId], deque] = {}
-        self._ready: deque = deque()  # channels with pending messages
+        self._pending: deque = deque()  # sent, not yet delivered, in send order
         self._seq: dict[tuple[PartyId, PartyId], int] = {}
         self._inbox: dict[PartyId, deque] = {pid: deque() for pid in self.parties}
         self._rngs: dict[PartyId, random.Random] = {}
-        self._sched_rng = random.Random(self._derive_seed("scheduler"))
         self._transcript: list[tuple] = []
         self._id_counter = 0
         self.messages_sent = 0
@@ -95,57 +93,26 @@ class Runtime:
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
         msg = Message(src, dst, tag, bytes(payload), seq)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = deque()
-        if not channel:
-            self._ready.append(key)
-        channel.append(msg)
+        self._pending.append(msg)
         self.messages_sent += 1
         return msg
 
-    def _pick_channel(self):
-        if not self._ready:
-            return None
-        if self.scheduler == "random":
-            i = self._sched_rng.randrange(len(self._ready))
-            key = self._ready[i]
-            del self._ready[i]
-            return key
-        return self._ready.popleft()
-
-    def deliver_next(self) -> Message | None:
-        """Deliver one message per the scheduling policy; None when idle.
-
-        Round-robin cycles fairly over the channels that currently hold
-        pending messages: a channel rejoins the back of the queue after each
-        delivery it survives.
-        """
-        key = self._pick_channel()
-        if key is None:
-            return None
-        channel = self._channels[key]
-        msg = channel.popleft()
-        if channel:
-            self._ready.append(key)
-        self._inbox[msg.dst].append(msg)
-        if self.record:
-            self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload, msg.seq))
-        return msg
-
-    def pump(self, max_steps: int = 10_000_000) -> int:
-        """Deliver until all channels are empty; returns the delivery count.
+    def pump(self) -> int:
+        """Deliver every pending message in send order; returns how many.
 
         A call that delivers anything counts as one communication round.
+        Delivering sends nothing, so one pass empties the queue.
         """
-        steps = 0
-        while steps < max_steps:
-            if self.deliver_next() is None:
-                if steps:
-                    self.rounds += 1
-                return steps
-            steps += 1
-        raise NetworkError("pump exceeded %d deliveries" % max_steps)
+        pending = self._pending
+        delivered = len(pending)
+        while pending:
+            msg = pending.popleft()
+            self._inbox[msg.dst].append(msg)
+            if self.record:
+                self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload, msg.seq))
+        if delivered:
+            self.rounds += 1
+        return delivered
 
     def take(self, pid: PartyId, tag: str) -> Message:
         """Pop the first delivered message with this tag for pid."""

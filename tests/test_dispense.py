@@ -199,21 +199,18 @@ class TestDispensationProtocol:
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
-    def test_identity_blind_dispenses_raw_triple(self, group256):
+    def test_identity_blind_dispenses_raw_triple(self, group256, monkeypatch):
         rt = build_runtime(seed=1)
+        p = group256.p
         _, out = run_btg(rt, group256, seed=1, forced={BtgRole.A: [4], BtgRole.B: [9]})
+        width = (p.bit_length() + 7) // 8
+        # every blind on the wire becomes the residue 1
+        tamper_sends(monkeypatch, "blind-r",
+                     lambda payload: modmath.encode_residues([1] * (len(payload) // width), p))
         [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
                                          ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                         triple_ids=["t"], forced_r=[1])
-        assert reconstruct_triple(triple, group256.p) == (4, 9, 36)
-
-    def test_zero_blind_rejected(self, group256):
-        rt = build_runtime(seed=2)
-        _, out = run_btg(rt, group256, seed=2)
-        with pytest.raises(BlindFactorError):
-            dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                  ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                  triple_ids=["t"], forced_r=[0])
+                                         triple_ids=["t"])
+        assert reconstruct_triple(triple, p) == (4, 9, 36)
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)

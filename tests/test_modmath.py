@@ -1,7 +1,10 @@
 import ctypes.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -26,6 +29,7 @@ from spdzgen.modmath import (
 )
 
 P, Q, G = TINY_GROUP.p, TINY_GROUP.q, TINY_GROUP.g
+NO_SUCH_LIBRARY = "libspdzgen-no-such-gmp.so.0"
 
 # independent oracle: quadratic residues mod 23 by enumeration
 QR23 = sorted({x * x % 23 for x in range(1, 23)})
@@ -177,9 +181,9 @@ class TestPowmodBackend:
             pytest.skip("no libgmp on this host")
         assert modmath._powmod is not pow
 
-    @pytest.mark.parametrize("found", [None, "libspdzgen-no-such-gmp.so.0"],
-                             ids=["no-library", "unloadable"])
+    @pytest.mark.parametrize("found", [None, NO_SUCH_LIBRARY], ids=["no-library", "unloadable"])
     def test_loader_falls_back_to_pow(self, monkeypatch, found):
+        monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: found)
         assert modmath._load_powmod() is pow
 
@@ -187,8 +191,22 @@ class TestPowmodBackend:
         libc = ctypes.util.find_library("c")
         if libc is None:
             pytest.skip("no C library found to stand in for libgmp")
+        monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
         assert modmath._load_powmod() is pow
+
+    def test_import_starts_no_library_search(self):
+        # opening the soname directly keeps find_library's `ldconfig -p`
+        # child, and the subprocess module, out of every CLI call
+        try:
+            ctypes.CDLL(modmath._GMP_SONAME)
+        except OSError:
+            pytest.skip("%s does not load on this host" % modmath._GMP_SONAME)
+        src = os.path.dirname(os.path.dirname(modmath.__file__))
+        probe = "import sys, spdzgen.cli; print('subprocess' in sys.modules)"
+        run = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.stdout.strip() == "False"
 
 
 def subgroup_bases(params, n=3):

@@ -14,10 +14,11 @@ x_C, and c is C's output.
 
 One session makes K triples at once: each hop is a single message
 `session_id | step | K x (u | v)` carrying the K ciphertexts in triple order,
-so a session costs three protocol messages and one done ack whatever K is,
-while every ciphertext gets the same exponentiations and checks as in a
-session of one.  The receiver of each hop parses it and aborts on a foreign
-session id, a wrong step or the wrong pair count.
+so a session is three messages in three rounds whatever K is, and nothing
+is sent back once C holds its output; every ciphertext gets the same
+exponentiations and checks as in a session of one.  The receiver of each hop
+parses it and aborts on a foreign session id, a wrong step or the wrong pair
+count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .net import Runtime
 
 SESSION_ID_BYTES = 16
 BTG_TAG = "btg"
-BTG_DONE_TAG = "btg-done"
 
 
 class BtgRole(enum.Enum):
@@ -113,9 +113,7 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     order; every pinned secret is checked for subgroup membership before any
     message is sent, and a non-member raises MessageSpaceError.  Drawn
     secrets are g^t, members by construction.  Returns BtgRole -> the role's
-    K secrets in triple order: a for A, b for B, c for C.  A short
-    extra-protocol "done" ack from C back to A, naming the session, closes it
-    for the simulator's bookkeeping.
+    K secrets in triple order: a for A, b for B, c for C.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
@@ -160,8 +158,4 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     # C removes the last layer: c = a*b mod p.
     x_c = keys[BtgRole.C].x
     c_vals = [modmath.strip_layer(ct, x_c, params) for ct in received]
-    runtime.send(pid_c, pid_a, BTG_DONE_TAG, session_id)
-    runtime.pump()
-    if runtime.take(pid_a, BTG_DONE_TAG).payload != session_id:
-        raise ProtocolAbort("done ack for session %s names another session" % session_id.hex())
     return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}

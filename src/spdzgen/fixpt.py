@@ -17,8 +17,9 @@ The carry makes plain `trunc` probabilistic, matching the protocol as
 specified: Pr[u = 1] = (z mod 2^m) / 2^m.  For comparisons that must never
 be off by one, `trunc(exact=True)` has the mask owner, who knows r', derive
 u = [c' < r'] from the public opening and contribute it as a correction
-share.  That variant is exact everywhere at the cost of the mask owner
-learning the single carry bit.
+share.  That variant is exact everywhere.  Both mask owners are servers that
+see c, so neither mask hides z from its owner: the mask owner learns z mod 2^m
+and the wide-mask owner r' + z (measured in ROADMAP open item 1).
 
 The offset uses 2^w rather than 2^(k-1) so the identity z' mod 2^m = z mod
 2^m holds for every m up to the frame width, including m = k.

@@ -421,7 +421,9 @@ class PipelineParties:
 
 def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = False,
                   blinding: str = "single", ledger_path=None) -> PipelineParties:
-    """Spawn BTG trio plus m MPC servers and wire the default role bindings."""
+    """Spawn BTG trio plus m >= 3 MPC servers and wire the default role bindings."""
+    if parties < 3:
+        raise ValidationError("need at least 3 MPC parties")
     btg_pids = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
                 BtgRole.C: PartyId("BTG_C")}
     mpc_pids = [PartyId("MPC", i) for i in range(1, parties + 1)]

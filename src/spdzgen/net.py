@@ -9,6 +9,8 @@ the order only shapes the transcript, which a fixed seed replays byte for
 byte.  Each party draws randomness from its own generator derived from the
 master seed, and every delivered message plus every local annotation lands
 in the transcript, from which per-party views are sliced for privacy scans.
+A message is its endpoints, tag and payload only: the transcript lists
+messages in send order, so each channel's order is read off it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class Message:
     dst: PartyId
     tag: str
     payload: bytes
-    seq: int  # strictly increasing per (src, dst) channel
 
 
 class Runtime:
@@ -59,7 +60,6 @@ class Runtime:
         self.seed = seed
         self.record = record
         self._pending: deque = deque()  # sent, not yet delivered, in send order
-        self._seq: dict[tuple[PartyId, PartyId], int] = {}
         self._inbox: dict[PartyId, deque] = {pid: deque() for pid in self.parties}
         self._rngs: dict[PartyId, random.Random] = {}
         self._transcript: list[tuple] = []
@@ -89,10 +89,7 @@ class Runtime:
     def send(self, src: PartyId, dst: PartyId, tag: str, payload: bytes) -> Message:
         self._require_party(src)
         self._require_party(dst)
-        key = (src, dst)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        msg = Message(src, dst, tag, bytes(payload), seq)
+        msg = Message(src, dst, tag, bytes(payload))
         self._pending.append(msg)
         self.messages_sent += 1
         return msg
@@ -109,7 +106,7 @@ class Runtime:
             msg = pending.popleft()
             self._inbox[msg.dst].append(msg)
             if self.record:
-                self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload, msg.seq))
+                self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload))
         if delivered:
             self.rounds += 1
         return delivered
@@ -162,7 +159,7 @@ class Runtime:
     def _record_line(self, rec) -> bytes:
         if rec[0] == "msg":
             doc = {"kind": "msg", "from": str(rec[1]), "to": str(rec[2]),
-                   "tag": rec[3], "payload": rec[4].hex(), "seq": rec[5]}
+                   "tag": rec[3], "payload": rec[4].hex()}
         else:
             doc = {"kind": "note", "party": str(rec[1]), "event": rec[2]}
         return (json.dumps(doc, sort_keys=True) + "\n").encode()

@@ -1,6 +1,7 @@
 """Linear algebra on additive shares and Beaver multiplication.
 
-Shares are plain residues mod p; linear operations are share-wise and free of
+Shares are plain residues mod p, and a shared value is its party set and one
+share per party, with no name; linear operations are share-wise and free of
 communication.  An opening is the only synchronization point: every party
 ships its share to a collector, which reconstructs and (optionally)
 broadcasts.  Multiplication consumes one dispensed triple per product:
@@ -29,7 +30,6 @@ SHARE_TAG = "share"
 
 @dataclass(frozen=True)
 class SharedValue:
-    id: str
     parties: tuple
     shares: dict  # PartyId -> residue in [0, p)
 
@@ -37,12 +37,13 @@ class SharedValue:
         try:
             return self.shares[pid]
         except KeyError:
-            raise ShareError("party %s holds no share of %s" % (pid, self.id))
+            raise ShareError("party %s holds no share of this value" % pid)
 
 
 def _check_same_parties(x: SharedValue, y: SharedValue):
     if x.parties != y.parties:
-        raise ShareError("mismatched party sets: %s vs %s" % (x.id, y.id))
+        raise ShareError("mismatched party sets: %s vs %s"
+                         % ([str(q) for q in x.parties], [str(q) for q in y.parties]))
 
 
 def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
@@ -50,11 +51,10 @@ def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
     """Owner splits each secret and sends every other party one message of
     its shares of them all; returns one SharedValue per secret."""
     parties, secrets = tuple(parties), list(secrets)
-    ids = [runtime.fresh_id("v") for _ in secrets]
-    if not ids:
+    if not secrets:
         return []
-    shares = deal(runtime, owner, parties, "%s:%s" % (SHARE_TAG, ids[0]), secrets, p)
-    return [SharedValue(id=vid, parties=parties, shares=s) for vid, s in zip(ids, shares)]
+    tag = "%s:%s" % (SHARE_TAG, runtime.fresh_id("v"))
+    return [SharedValue(parties, s) for s in deal(runtime, owner, parties, tag, secrets, p)]
 
 
 def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
@@ -62,27 +62,20 @@ def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int)
     return share_values(runtime, owner, [secret], parties, p)[0]
 
 
-def triple_component(triple: BeaverTripleShares, which: str) -> SharedValue:
-    shares = {"a": triple.a_shares, "b": triple.b_shares, "c": triple.c_shares}[which]
-    return SharedValue(id="%s.%s" % (triple.triple_id, which),
-                       parties=triple.parties, shares=dict(shares))
-
-
 def add_local(x: SharedValue, y: SharedValue, p: int) -> SharedValue:
     _check_same_parties(x, y)
-    return SharedValue(id="(%s+%s)" % (x.id, y.id), parties=x.parties,
-                       shares={pid: (x.shares[pid] + y.shares[pid]) % p for pid in x.parties})
+    return SharedValue(x.parties, {pid: (x.shares[pid] + y.shares[pid]) % p
+                                   for pid in x.parties})
 
 
 def sub_local(x: SharedValue, y: SharedValue, p: int) -> SharedValue:
     _check_same_parties(x, y)
-    return SharedValue(id="(%s-%s)" % (x.id, y.id), parties=x.parties,
-                       shares={pid: (x.shares[pid] - y.shares[pid]) % p for pid in x.parties})
+    return SharedValue(x.parties, {pid: (x.shares[pid] - y.shares[pid]) % p
+                                   for pid in x.parties})
 
 
 def scale_local(k: int, x: SharedValue, p: int) -> SharedValue:
-    return SharedValue(id="(%d*%s)" % (k % p, x.id), parties=x.parties,
-                       shares={pid: k * x.shares[pid] % p for pid in x.parties})
+    return SharedValue(x.parties, {pid: k * x.shares[pid] % p for pid in x.parties})
 
 
 def add_const(x: SharedValue, const: int, p: int) -> SharedValue:
@@ -90,7 +83,7 @@ def add_const(x: SharedValue, const: int, p: int) -> SharedValue:
     lowest = min(x.parties)
     shares = dict(x.shares)
     shares[lowest] = (shares[lowest] + const) % p
-    return SharedValue(id="(%s+c)" % x.id, parties=x.parties, shares=shares)
+    return SharedValue(x.parties, shares)
 
 
 def open_values(runtime: Runtime, values, p: int,
@@ -186,8 +179,10 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
     diffs = []
     for (x, y), t in zip(pairs, triples):
         ledger.spend(t.triple_id)
-        diffs.append(sub_local(x, triple_component(t, "a"), p))
-        diffs.append(sub_local(y, triple_component(t, "b"), p))
+        diffs.append(SharedValue(parties, {pid: (x.shares[pid] - t.a_shares[pid]) % p
+                                           for pid in parties}))
+        diffs.append(SharedValue(parties, {pid: (y.shares[pid] - t.b_shares[pid]) % p
+                                           for pid in parties}))
     opened = open_values(runtime, diffs, p)
     results = []
     for i, t in enumerate(triples):
@@ -195,7 +190,7 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
         shares = {pid: (t.c_shares[pid] + eps * t.a_shares[pid] + rho * t.b_shares[pid]) % p
                   for pid in parties}
         shares[lowest] = (shares[lowest] + rho * eps) % p
-        results.append(SharedValue(id=runtime.fresh_id("prod"), parties=parties, shares=shares))
+        results.append(SharedValue(parties, shares))
     return results
 
 

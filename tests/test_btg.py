@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spdzgen import btg, modmath
-from spdzgen.btg import BTG_DONE_TAG, BTG_TAG, SESSION_ID_BYTES, BtgMessage, BtgRole
+from spdzgen.btg import BTG_TAG, SESSION_ID_BYTES, BtgMessage, BtgRole
 from spdzgen.errors import MessageSpaceError, ParameterError, ProtocolAbort
 from spdzgen.modmath import TINY_GROUP, Ciphertext
 from spdzgen.net import PartyId, Runtime
@@ -105,11 +105,6 @@ class TestStateMachine:
         with pytest.raises(ProtocolAbort, match="delivered to"):
             run_tiny()
 
-    def test_done_ack_for_another_session(self, monkeypatch):
-        tamper_sends(monkeypatch, BTG_DONE_TAG, flip_session_id)
-        with pytest.raises(ProtocolAbort, match="done ack"):
-            run_tiny()
-
 
 class TestPinnedSecrets:
     """Drawn secrets are g^t; pinned ones are checked once, at session entry."""
@@ -177,14 +172,6 @@ class TestRuntimeDriver:
             [a], [b], [c] = (out[r] for r in BtgRole)
             assert c == a * b % group256.p
 
-    def test_done_ack_in_transcript(self, tiny):
-        rt = Runtime(list(PIDS.values()), seed=1)
-        keys = make_keys(tiny, random.Random(1))
-        btg.run_triple_session(rt, tiny, keys, PIDS)
-        done = [r for r in rt.transcript if r[0] == "msg" and r[3] == BTG_DONE_TAG]
-        assert len(done) == 1
-        assert (done[0][1], done[0][2]) == (PIDS[BtgRole.C], PIDS[BtgRole.A])
-
     def test_b_view_one_in_one_out(self, group256):
         rt = Runtime(list(PIDS.values()), seed=3)
         keys = make_keys(group256, random.Random(3))
@@ -233,7 +220,7 @@ class TestBatchedSession:
         for ak, bk, ck in zip(a, b, c):
             assert ck == ak * bk % group256.p
         msgs = [r for r in rt.transcript if r[0] == "msg"]
-        assert [r[3] for r in msgs] == [BTG_TAG] * 3 + [BTG_DONE_TAG]
+        assert [r[3] for r in msgs] == [BTG_TAG] * 3
         for rec in msgs[:3]:
             parsed = BtgMessage.parse(rec[4], group256, count=3)
             assert len(parsed.payloads) == 3

@@ -57,7 +57,7 @@ class TestTriples:
         report = json.loads(capsys.readouterr().out)
         assert report["invalid"] == 0 and report["mode"] == "two"
 
-    @pytest.mark.parametrize("mode,messages,rounds", [("single", 17, 10), ("two", 19, 13)])
+    @pytest.mark.parametrize("mode,messages,rounds", [("single", 16, 9), ("two", 17, 11)])
     def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode, messages, rounds):
         ledger = tmp_path / "ledger.jsonl"
         assert run_cli("triples", "-n", "12", "--mode", mode, "--ledger", str(ledger)) == 0
@@ -68,6 +68,11 @@ class TestTriples:
         assert report["rounds_per_triple"] == rounds / 12
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
         assert ids == ["t%06d" % i for i in range(1, 13)]
+
+    @pytest.mark.parametrize("parties", [0, 1, 2])
+    def test_fewer_than_three_parties_validation_error(self, capsys, parties):
+        assert run_cli("triples", "-n", "1", "--parties", str(parties)) == EXIT_VALIDATION
+        assert "need at least 3 MPC parties" in capsys.readouterr().err
 
     def test_negative_count_usage_error(self, capsys):
         assert run_cli("triples", "-n", "-1") == EXIT_USAGE
@@ -244,15 +249,16 @@ def test_console_entry_point(tmp_path):
 
 class TestPipelineGolden:
     # sha256 of the transcript and the triple ledger of one fixed `run`.  Both
-    # were re-pinned when screening stopped truncating the residual: each
-    # control now makes two Beaver openings and one exact sign test (164
-    # messages in all, 320 before), and the fewer `fresh_id` draws move the
-    # triple ids in the ledger.  The control loop, the Beaver products and
-    # the dispensation must leave both byte-identical.  The decisions, lambda
-    # and triple count are those of the per-triple pipeline that came before
-    # the batches.
-    TRANSCRIPT_SHA256 = "80c5ee90016a01c71f2248a2f6394b8460701ffaabc212c0cba166f6e7ed748e"
-    LEDGER_SHA256 = "be751217fde8051231371ae2183e40927637a7cc3492e4c4cf6344ba8130e587"
+    # were re-pinned when screening stopped truncating the residual (two
+    # Beaver openings and one exact sign test per control), and again when
+    # sessions stopped sending a done ack, records lost their sequence
+    # numbers and Beaver products stopped drawing ids, which moves the triple
+    # ids; with ids masked, every other record and ledger line stayed as it
+    # was.  The control loop, the Beaver products and the dispensation must
+    # leave both byte-identical.  The decisions, lambda and triple count are
+    # those of the per-triple pipeline that came before the batches.
+    TRANSCRIPT_SHA256 = "db253680183304f58ec34098f8df30a36c0b1d6fc8d738cd3d58ae3f304e77ba"
+    LEDGER_SHA256 = "170f26c4c833490272efd947f72bc171fe48db700f7d5ff0e711097fcc69989d"
 
     def test_transcript_and_ledger(self, tmp_path):
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))

@@ -239,7 +239,7 @@ class TestDispensationProtocol:
 class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
-        # K = 4 triples cost the messages and rounds of one: 17/10 single, 19/13 two
+        # K = 4 triples cost the messages and rounds of one: 16/9 single, 17/11 two
         rt = build_runtime(seed=6)
         owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
@@ -256,7 +256,7 @@ class TestBatchedDispensation:
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((17, 10) if mode == "single" else (19, 13))
+        assert (rt.messages_sent, rt.rounds) == ((16, 9) if mode == "single" else (17, 11))
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
         assert all(len(r[4]) == 4 * w for r in share_msgs)
@@ -364,11 +364,13 @@ class TestGoldenTranscript:
     # sha256 of the transcript and the modexp count after 30 triples, pinned
     # from the arithmetic before fixed-base tables and Jacobi membership: any
     # change to the group arithmetic, on either modexp backend, must leave
-    # both exactly as they were.
+    # both exactly as they were.  The digest was re-pinned when sessions
+    # stopped sending a done ack and records lost their sequence numbers;
+    # every other record is unchanged.
     @both_backends
     @pytest.mark.parametrize("mode,digest,modexps", [
-        ("single", "e31b868eae3b701f2cc593de554a3d501fee9028a49276bbcb58b2a3ab3ccdc3", 306),
-        ("two", "4edf3a55da18f9f38cfc33e1cf7e890fdd12f5981d57f553cd0d7a26bb7db2fd", 606),
+        ("single", "d84acda92b9fc603df11f925d619be9a4a7838f550fb3052f67ae23547d808ab", 306),
+        ("two", "c24618e9b29b9d21c0136abb5a62653236697fa41e3d99b604f4b14318a2d1d4", 606),
     ])
     def test_thirty_triples(self, mode, digest, modexps, modexp_backend):
         modmath.reset_modexp_count()

@@ -69,7 +69,7 @@ class TestRun:
         for k in range(4):
             product = math.prod(shares[pid][k] for pid in pids[:-1]) % group256.p
             assert shares[pids[-1]][k] == product
-        assert rt.messages_sent == 4 * (n - 2)
+        assert rt.messages_sent == 3 * (n - 2)
 
     def test_non_member_factor_aborts(self, tiny):
         # 5 is not a square mod 23; the first session rejects it before sending
@@ -101,11 +101,13 @@ class TestRun:
 
 # sha256 of the chain transcript, pinned from the descriptor-plan
 # implementation that key_product replaced: the forward loop must send the
-# same bytes in the same order, on either modexp backend.
+# same bytes in the same order, on either modexp backend.  Re-pinned when
+# sessions stopped sending a done ack and records lost their sequence
+# numbers; the BTG messages themselves are unchanged.
 @both_backends
 @pytest.mark.parametrize("n,digest", [
-    (3, "49db7d97ee5765e6e23b05a953e77fef6f1357c9fc0e0fd7dd5cba12af07eb66"),
-    (5, "b8ad5638267638a11973873cd9d4ccbebab6c7f29fd9a58160f7c171ad317aa1"),
+    (3, "84b88612bcb94ab45d58a38068af8045a8fba9890fcd91894c0ffabdc83f2497"),
+    (5, "58fbfed1879e272f71c7c45e68f7411b98909d8f1ee68ab66868fbc77046cca2"),
 ])
 def test_chain_transcript_golden(n, digest, modexp_backend):
     rt, _, _ = chain(n, DEFAULT_GROUP_256, seed=("golden", n))
@@ -119,12 +121,11 @@ class TestPrivacy:
         for rec in rt.transcript:
             if rec[0] != "msg":
                 continue
-            # only protocol ciphertexts and done-acks cross the wire
-            assert rec[3] in (btg.BTG_TAG, btg.BTG_DONE_TAG)
-            if rec[3] == btg.BTG_TAG:
-                [ct] = BtgMessage.parse(rec[4], group256).payloads
-                assert ct.u not in share_values
-                assert ct.v not in share_values
+            # only protocol ciphertexts cross the wire
+            assert rec[3] == btg.BTG_TAG
+            [ct] = BtgMessage.parse(rec[4], group256).payloads
+            assert ct.u not in share_values
+            assert ct.v not in share_values
 
     def test_views_confined_to_own_sessions(self, group256):
         # party 2 contributes once at the base, as role A, which sends the

@@ -63,7 +63,7 @@ class TestOpen:
             assert open_value(rt, sv, group256.p) == s
 
     def test_incomplete_opening(self, rt, tiny):
-        broken = SharedValue(id="x", parties=PARTIES, shares={P1: 1, P2: 2})
+        broken = SharedValue(PARTIES, {P1: 1, P2: 2})
         with pytest.raises(ShareError):
             open_value(rt, broken, tiny.p)
 
@@ -106,7 +106,6 @@ class TestSharing:
         values = [3, 1, 4, 1, 5]
         shared = share_values(rt, P2, values, PARTIES, group256.p)
         assert (rt.messages_sent, rt.rounds) == (2, 1)
-        assert len({sv.id for sv in shared}) == len(values)
         assert open_values(rt, shared, group256.p) == values
 
     def test_empty_vector_sends_nothing(self, rt, group256):
@@ -147,8 +146,8 @@ class TestLocalAlgebra:
             assert open_value(rt, z, group256.p) == a
 
     def test_mismatched_party_sets(self, rt, tiny):
-        x = SharedValue(id="x", parties=(P1, P2), shares={P1: 1, P2: 2})
-        y = SharedValue(id="y", parties=PARTIES, shares={P1: 1, P2: 2, P3: 3})
+        x = SharedValue((P1, P2), {P1: 1, P2: 2})
+        y = SharedValue(PARTIES, {P1: 1, P2: 2, P3: 3})
         with pytest.raises(ShareError):
             add_local(x, y, tiny.p)
 
@@ -243,8 +242,8 @@ class TestBeaverMult:
             r = rng.randrange(1, tiny.p)
             triple = make_triple(r * a % 23, r * b % 23, r * r * a * b % 23,
                                  tiny.p, rng, triple_id="u%d" % i)
-            rho = open_value(rt, sub_local(x, spdz.triple_component(triple, "a"), tiny.p),
-                             tiny.p)
+            a_share = SharedValue(triple.parties, triple.a_shares)
+            rho = open_value(rt, sub_local(x, a_share, tiny.p), tiny.p)
             ledger.spend(triple.triple_id)
             tally[rho] += 1
         support = [v for v in range(23) if v != xv]

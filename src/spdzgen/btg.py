@@ -112,8 +112,9 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
     optionally pins the K secrets of roles A and/or B, as lists in triple
     order; every pinned secret is checked for subgroup membership before any
     message is sent, and a non-member raises MessageSpaceError.  Drawn
-    secrets are g^t, members by construction.  Returns BtgRole -> the role's
-    K secrets in triple order: a for A, b for B, c for C.
+    secrets are squares s^2 mod p, members by construction.  Returns
+    BtgRole -> the role's K secrets in triple order: a for A, b for B, c
+    for C.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)

@@ -85,9 +85,13 @@ class TruncRoles:
 
 
 def fp_encode(x, params: FixedPointParams) -> int:
-    """Round x * 2^f to the nearest integer (halves up) and embed in the field."""
-    scaled = Fraction(x) * 2 ** params.f
-    xbar = (scaled + Fraction(1, 2)).__floor__()
+    """Round x * 2^f to the nearest integer (halves up) and embed in the field.
+
+    x is an int, float or Fraction, read exactly as n/d with d > 0; the
+    rounding floor(n*2^f/d + 1/2) is computed in integers.
+    """
+    n, d = x.as_integer_ratio()
+    xbar = ((n << (params.f + 1)) + d) // (2 * d)
     if abs(xbar) > params.max_encoded:
         raise EncodingRangeError("value %s outside Q<%d,%d> range" % (x, params.k, params.f))
     return signed_encode(xbar, params.p)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -164,15 +165,22 @@ class CaseBasis:
         return [row[j] for row in self.rows]
 
     def validate_orthonormal(self, params: FixedPointParams):
-        """U^T U must be the identity, entry-wise within 2^(2-f)."""
-        tol = Fraction(4, 2 ** params.f)
+        """U^T U must be the identity, entry-wise within 2^(2-f).
+
+        The check is exact and in integers: every column is scaled by D, the
+        lcm of the entries' denominators, so a dot product is S / D^2, and
+        |S / D^2 - delta_ij| > 4 / 2^f becomes |S - delta_ij * D^2| * 2^f > 4 * D^2.
+        """
+        ratios = [[v.as_integer_ratio() for v in row] for row in self.rows]
+        scale = math.lcm(*(d for row in ratios for _, d in row))
+        cols = [[n * (scale // d) for n, d in col] for col in zip(*ratios)]
+        unit = scale * scale
         for i in range(self.rank):
-            for j in range(self.rank):
-                dot = sum(row[i] * row[j] for row in self.rows)
-                want = 1 if i == j else 0
-                if abs(dot - want) > tol:
+            for j in range(i, self.rank):
+                dot = sum(x * y for x, y in zip(cols[i], cols[j]))
+                if abs(dot - (unit if i == j else 0)) << params.f > 4 * unit:
                     raise ValidationError(
-                        "basis columns %d,%d not orthonormal (dot=%s)" % (i, j, float(dot)))
+                        "basis columns %d,%d not orthonormal (dot=%s)" % (i, j, dot / unit))
         return self
 
     def to_csv(self, path):

@@ -107,7 +107,7 @@ class TestStateMachine:
 
 
 class TestPinnedSecrets:
-    """Drawn secrets are g^t; pinned ones are checked once, at session entry."""
+    """Drawn secrets are squares; pinned ones are checked once, at session entry."""
 
     # 5 and 7 are not squares mod 23
     @pytest.mark.parametrize("forced", [

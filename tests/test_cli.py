@@ -63,7 +63,7 @@ class TestTriples:
         assert run_cli("triples", "-n", "12", "--mode", mode, "--ledger", str(ledger)) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["triples"] == 12 and report["invalid"] == 0
-        assert report["modexp_per_triple"] == (10.0 if mode == "single" else 20.0)
+        assert report["modexp_per_triple"] == (8.0 if mode == "single" else 16.0)
         assert report["messages_per_triple"] == messages / 12
         assert report["rounds_per_triple"] == rounds / 12
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
@@ -254,10 +254,13 @@ class TestPipelineGolden:
     # sessions stopped sending a done ack, records lost their sequence
     # numbers and Beaver products stopped drawing ids, which moves the triple
     # ids; with ids masked, every other record and ledger line stayed as it
-    # was.  The control loop, the Beaver products and the dispensation must
-    # leave both byte-identical.  The decisions, lambda and triple count are
-    # those of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "db253680183304f58ec34098f8df30a36c0b1d6fc8d738cd3d58ae3f304e77ba"
+    # was.  The transcript was re-pinned once more when drawn subgroup
+    # elements became squares s^2 instead of g^t: every record kept its
+    # sender, recipient, tag and payload length, and the ledger did not move.
+    # The control loop, the Beaver products and the dispensation must leave
+    # both byte-identical.  The decisions, lambda and triple count are those
+    # of the per-triple pipeline that came before the batches.
+    TRANSCRIPT_SHA256 = "724074484241f6e6c22e881f1dd5d6ddb148605d188cdbc4c870b5a7101f247c"
     LEDGER_SHA256 = "170f26c4c833490272efd947f72bc171fe48db700f7d5ff0e711097fcc69989d"
 
     def test_transcript_and_ledger(self, tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdzgen.errors import EncodingRangeError, ParameterError
 from spdzgen.fixpt import (
@@ -39,6 +41,14 @@ def share_signed(rt, value, params, owner=PARTIES[0]):
 
 def opened_signed(rt, sv, params):
     return signed_decode(open_value(rt, sv, params.p), params.p)
+
+
+def fraction_encode(x, params):
+    # fp_encode's former Fraction formula, kept as the reference
+    xbar = (Fraction(x) * 2 ** params.f + Fraction(1, 2)).__floor__()
+    if abs(xbar) > params.max_encoded:
+        raise EncodingRangeError("out of range")
+    return signed_encode(xbar, params.p)
 
 
 class TestParams:
@@ -82,6 +92,32 @@ class TestEncoding:
         for _ in range(200):
             x = Fraction(rng.randrange(-2 ** 20, 2 ** 20), 2 ** 16)
             assert fp_decode(fp_encode(x, BIG), BIG) == x
+
+    @pytest.mark.parametrize("params", [BIG, SMALL], ids=["big", "small"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_rounding(self, params, data):
+        # the integer rounding against the Fraction formula it replaced
+        unit = Fraction(1, 2 ** (params.f + 2))
+        edge = Fraction(2 * params.max_encoded + 1, 2 ** (params.f + 1))  # rounds out
+        x = data.draw(st.one_of(
+            st.integers(-2 ** params.k, 2 ** params.k),
+            st.floats(-2.0 ** params.e, 2.0 ** params.e, allow_nan=False),
+            st.fractions(),
+            # exact halves of the last place, negatives included
+            st.integers(-2 ** params.k, 2 ** params.k).map(
+                lambda n: Fraction(2 * n + 1, 2 ** (params.f + 1))),
+            # both ends of the range, a few quarter-places either side
+            st.tuples(st.sampled_from([edge, -edge]), st.integers(-3, 3)).map(
+                lambda t: t[0] + t[1] * unit),
+        ))
+        try:
+            want = fraction_encode(x, params)
+        except EncodingRangeError:
+            with pytest.raises(EncodingRangeError):
+                fp_encode(x, params)
+        else:
+            assert fp_encode(x, params) == want
 
 
 class TestTrunc:

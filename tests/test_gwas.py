@@ -118,6 +118,26 @@ class TestBasis:
         with pytest.raises(ValidationError):
             bad.validate_orthonormal(FixedPointParams())
 
+    @pytest.mark.parametrize("excess,ok", [(Fraction(0), True), (Fraction(1, 2 ** 60), False)])
+    def test_validation_tolerance_edge(self, excess, ok):
+        # columns (1, 0) and (t, 1): the off-diagonal dot is t, and the
+        # diagonal 1 + t^2 stays well inside the tolerance 4/2^f
+        params = FixedPointParams()
+        t = Fraction(4, 2 ** params.f) + excess
+        basis = CaseBasis(rows=((Fraction(1), t), (Fraction(0), Fraction(1))))
+        if ok:
+            basis.validate_orthonormal(params)
+        else:
+            with pytest.raises(ValidationError, match="columns 0,1"):
+                basis.validate_orthonormal(params)
+
+    def test_validation_mixed_denominators(self):
+        # (1, 2, 2, 0)/3 and (6, -3, 0, 2)/7 are exactly orthonormal; the
+        # entries are scaled by lcm(3, 7) = 21
+        cols = ((Fraction(1, 3), Fraction(2, 3), Fraction(2, 3), Fraction(0)),
+                (Fraction(6, 7), Fraction(-3, 7), Fraction(0), Fraction(2, 7)))
+        CaseBasis(rows=tuple(zip(*cols))).validate_orthonormal(FixedPointParams())
+
     def test_csv_roundtrip(self, tmp_path):
         basis = orthonormal_columns([(1, 0, 1), (0, 1, 0)])
         path = tmp_path / "u.csv"

@@ -103,15 +103,19 @@ class TestRun:
 # implementation that key_product replaced: the forward loop must send the
 # same bytes in the same order, on either modexp backend.  Re-pinned when
 # sessions stopped sending a done ack and records lost their sequence
-# numbers; the BTG messages themselves are unchanged.
+# numbers, and again when drawn factors became squares s^2 instead of g^t;
+# the messages kept their senders, recipients, tags and lengths.
+CHAIN_GOLDEN = {
+    3: "38becbb790cd0beeb932b2568b7e66aac31b6ccd83d38bc8a03b00556c9e430e",
+    5: "6fe0e8fede79c5bba20f71d3dbbd1f4f93610645d40e1b1962d2aed2f4a902e7",
+}
+
+
 @both_backends
-@pytest.mark.parametrize("n,digest", [
-    (3, "84b88612bcb94ab45d58a38068af8045a8fba9890fcd91894c0ffabdc83f2497"),
-    (5, "58fbfed1879e272f71c7c45e68f7411b98909d8f1ee68ab66868fbc77046cca2"),
-])
-def test_chain_transcript_golden(n, digest, modexp_backend):
+@pytest.mark.parametrize("n", [3, 5])
+def test_chain_transcript_golden(n, modexp_backend):
     rt, _, _ = chain(n, DEFAULT_GROUP_256, seed=("golden", n))
-    assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == digest
+    assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == CHAIN_GOLDEN[n]
 
 
 class TestPrivacy:

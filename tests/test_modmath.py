@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 import sympy
@@ -284,6 +285,41 @@ class TestFixedBaseComb:
         assert modmath.modexp(base, e, params.p, table) == pow(base, e, params.p)
 
 
+def table_lookups():
+    info = modmath.fixed_base_table.cache_info()
+    return info.hits + info.misses
+
+
+def encrypt_checked(params, h, seed):
+    # one encryption, compared with its definition under builtin pow
+    rng = random.Random(seed)
+    m, r = modmath.random_subgroup_element(params, rng), rng.randrange(params.q)
+    ct = modmath.encrypt(params, h, m, r)
+    assert ct == Ciphertext(pow(params.g, r, params.p), m * pow(h, r, params.p) % params.p)
+
+
+class TestCombCrossover:
+    def test_libgmp_takes_moduli_past_the_crossover(self):
+        if modmath._powmod is pow:
+            pytest.skip("libgmp is not loaded on this host")
+        params = STANDARD_GROUP_2048
+        h = pow(params.g, 12345, params.p)
+        size, lookups = modmath.fixed_base_table.cache_info().currsize, table_lookups()
+        encrypt_checked(params, h, 1)
+        assert modmath.fixed_base_table.cache_info().currsize == size
+        assert table_lookups() == lookups
+        # at 256 bits both exponentiations still read a comb table
+        encrypt_checked(DEFAULT_GROUP_256, DEFAULT_GROUP_256.g, 2)
+        assert table_lookups() == lookups + 2
+
+    def test_builtin_pow_keeps_the_comb(self, monkeypatch):
+        monkeypatch.setattr(modmath, "_powmod", pow)
+        params = STANDARD_GROUP_2048
+        lookups = table_lookups()
+        encrypt_checked(params, params.g, 3)
+        assert table_lookups() == lookups + 2
+
+
 class TestSubgroup:
     def test_against_enumeration_oracle(self, tiny):
         members = [y for y in range(1, 23) if modmath.is_subgroup_member(y, tiny)]
@@ -297,6 +333,16 @@ class TestSubgroup:
     def test_zero_is_domain_error(self, tiny):
         with pytest.raises(MessageSpaceError):
             modmath.is_subgroup_member(0, tiny)
+
+    def test_square_draws_uniform_over_residues(self, tiny):
+        # s^2 for a uniform s in [1, p): only residues, every residue, and
+        # each residue's count inside a 5-sigma binomial band
+        rng = random.Random(17)
+        n = 11_000
+        tally = Counter(modmath.random_subgroup_element(tiny, rng) for _ in range(n))
+        assert sorted(tally) == QR23
+        expect, sigma = n / Q, math.sqrt(n * (1 / Q) * (1 - 1 / Q))
+        assert all(abs(count - expect) <= 5 * sigma for count in tally.values())
 
     def test_jacobi_matches_euler_exhaustive_tiny(self, tiny):
         for y in range(1, P):

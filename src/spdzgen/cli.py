@@ -60,6 +60,9 @@ def cmd_triples(args) -> int:
     if args.count < 0:
         print("usage error: -n must not be negative", file=sys.stderr)
         return EXIT_USAGE
+    if args.demo_reuse and args.count == 0:
+        print("usage error: --demo-reuse needs -n of at least 1", file=sys.stderr)
+        return EXIT_USAGE
     group = _resolve_group(args.bits, args.seed, args.group)
     ctx = gwas.build_parties(group, seed=args.seed, parties=args.parties,
                              record=False, blinding=args.mode,
@@ -117,10 +120,18 @@ def cmd_synth(args) -> int:
 CONFIG_KEYS = frozenset({"tau", "lambda_max", "parties", "seed", "bits", "group_path",
                          "fixed_point"})
 FIXED_POINT_KEYS = frozenset({"k", "f", "kappa", "p"})
+
+
+def _fraction(value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValidationError("%s has a zero denominator" % (value,))
+
+
 # How `cmd_run` reads the PipelineConfig keys; a key the user leaves unset
 # takes the dataclass default.
-_PIPELINE_FIELDS = {"tau": lambda v: Fraction(str(v)),
-                    "lambda_max": lambda v: Fraction(str(v)), "parties": int}
+_PIPELINE_FIELDS = {"tau": _fraction, "lambda_max": _fraction, "parties": int}
 
 
 def _load_config(args) -> dict:

@@ -7,32 +7,33 @@ aborts and a corrupted one changes the result.  Input sharing (`spdz`) and
 the dispensation below both deal through it; the blind recipients likewise
 use the blinds they decode, and a zero blind aborts.
 
-A generated triple (a, b, c) never reaches the MPC servers raw: the triple
-holders scale their components by blind factors supplied by the requesting
-data owners, then split the scaled values additively across the m servers.
+A generated triple (a, b, c) never reaches the MPC servers raw: each triple
+holder scales its own component by a blind factor supplied by the requesting
+data owners, then splits the scaled values additively across the m servers.
 Two blinding variants are supported:
 
   single-randomness:  a' = r*a,   b' = r*b,   c' = r^2 * c
   two-randomness:     a' = ra*a,  b' = rb*b,  c' = rc*c  with rc = ra*rb
                       (rc is the key product `mhkm.key_product` gives the
-                      committee leader from the two owners' blinds)
+                      holder of c from the two owners' blinds)
 
 Either way c' = a' * b' mod p, so the blinded shares are valid triples, and
 the multiplication openings downstream reveal nothing useful to the triple
-holders, who know only the unblinded values.
+holders, who know only the unblinded values.  No MPC server receives a
+triple component, raw or blinded.
 
-In the single-randomness variant the committee leader must learn r to scale
-the c component: r travels to it on a private channel, which makes the
-leader as trusted as the two owners for that triple.  The two-randomness
-variant removes that trust by deriving r_c as an mHKM key product, so the
-leader ends up with r_c but neither owner blind.
+In the single-randomness variant the holder of c must learn r to scale its
+component: r travels to it on a private channel, which makes it as trusted
+as the two owners for that triple.  The two-randomness variant removes that
+trust by deriving r_c as an mHKM key product, so the holder of c ends up
+with r_c but neither owner blind.
 
 Dispensation works on the K triples of one BTG session at once: every blind
-hop sends one message of K residues, each holder sends each server one
-message of K shares (tagged with the batch's first triple id), and the
-leader receives the K raw c values in one message.  `TripleDispenser` keeps
-the dispensed triples in a FIFO pool: `reserve(n)` mints n of them with one
-session and one dispensation, and `next_triple` hands them out in order.
+hop sends one message of K residues, and each holder sends each server one
+message of K shares (tagged with the batch's first triple id).
+`TripleDispenser` keeps the dispensed triples in a FIFO pool: `reserve(n)`
+mints n of them with one session and one dispensation, and `next_triple`
+hands them out in order.
 """
 
 from __future__ import annotations
@@ -114,10 +115,7 @@ class BeaverTripleShares:
     c_shares: dict
 
 
-TRIPLE_A_TAG = "triple-a"
-TRIPLE_B_TAG = "triple-b"
-TRIPLE_C_RAW_TAG = "triple-c-raw"
-TRIPLE_C_TAG = "triple-c"
+TRIPLE_TAGS = {BtgRole.A: "triple-a", BtgRole.B: "triple-b", BtgRole.C: "triple-c"}
 BLIND_TAG = "blind-r"
 
 
@@ -131,85 +129,71 @@ def _take_blinds(runtime: Runtime, pid: PartyId, count: int, p: int) -> list[int
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
                           btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                          leader: PartyId, triple_ids) -> list[BeaverTripleShares]:
+                          triple_ids) -> list[BeaverTripleShares]:
     """Single-randomness dispensation of the K triples of one session.
 
-    O_x draws one r per triple, shares them with O_y and the committee leader
-    over private channels, and forwards them to the holder of a; O_y forwards
-    the blinds it decoded to the holder of b.  The holders split r*a and r*b;
-    the leader receives c from its holder and splits r^2 * c.
+    O_x draws one r per triple and sends them over private channels to O_y
+    and to the holders of c and a; O_y forwards the blinds it decoded to the
+    holder of b.  The holders split r*a, r*b and r^2 * c.
     """
     p = params.p
     count = len(triple_ids)
     rng = runtime.rng(ox)
     rs = [rng.randrange(1, p) for _ in triple_ids]
 
-    for dst in (oy, leader, btg_pids[BtgRole.A]):
+    for dst in (oy, btg_pids[BtgRole.C], btg_pids[BtgRole.A]):
         runtime.send(ox, dst, BLIND_TAG, modmath.encode_residues(rs, p))
     runtime.pump()
     forwarded = _take_blinds(runtime, oy, count, p)
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(forwarded, p))
     runtime.pump()
 
-    r_a = _take_blinds(runtime, btg_pids[BtgRole.A], count, p)
-    r_b = _take_blinds(runtime, btg_pids[BtgRole.B], count, p)
-    r_c = [r * r % p for r in _take_blinds(runtime, leader, count, p)]
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids,
-                         r_a, r_b, r_c)
+    r_a, r_b, r = (_take_blinds(runtime, btg_pids[role], count, p) for role in BtgRole)
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, triple_ids,
+                         [r_a, r_b, [x * x % p for x in r]])
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
                        btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                       leader: PartyId, triple_ids, keys: dict) -> list[BeaverTripleShares]:
+                       triple_ids, keys: dict) -> list[BeaverTripleShares]:
     """Two-randomness dispensation: r_c = r_a * r_b as an mHKM key product.
 
     O_x and O_y choose subgroup blinds r_a and r_b per triple; one
-    `mhkm.key_product` of K products over (O_y, O_x, leader) delivers every
-    r_c to the leader, so no single owner knows both blinds.  `keys` maps
-    PartyId -> KeyPair for O_x and the leader.
+    `mhkm.key_product` of K products over (O_y, O_x, holder of c) delivers
+    every r_c to the holder of c, so no single owner knows both blinds.
+    `keys` maps PartyId -> KeyPair for O_x and the holder of c.
     """
     p = params.p
     count = len(triple_ids)
+    pid_c = btg_pids[BtgRole.C]
     r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
     r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
-    r_c = mhkm.key_product(runtime, params, [oy, ox, leader], keys, {ox: r_a, oy: r_b},
-                           count=count)[leader]
+    r_c = mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
+                           count=count)[pid_c]
 
     runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, modmath.encode_residues(r_a, p))
     runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(r_b, p))
     runtime.pump()
 
-    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, leader, triple_ids,
-                         _take_blinds(runtime, btg_pids[BtgRole.A], count, p),
-                         _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c)
+    return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, triple_ids,
+                         [_take_blinds(runtime, btg_pids[BtgRole.A], count, p),
+                          _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c])
 
 
 def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict, mpc_pids,
-                  leader: PartyId, triple_ids, r_a, r_b, r_c) -> list[BeaverTripleShares]:
-    """Deal the K blinded triples of one session once their holders know the blinds.
-
-    The holders of a and b split r_a*a and r_b*b; the holder of c relays the
-    raw values to the leader, who splits r_c*c and keeps its own shares.
-    """
+                  triple_ids, blinds) -> list[BeaverTripleShares]:
+    """Deal the K blinded triples of one session once their holders know the
+    blinds (r_a, r_b, r_c): each holder splits its components times them."""
     p = params.p
-    a_vals, b_vals, c_vals = (outcome[role] for role in BtgRole)
-    if not len(triple_ids) == len(r_a) == len(r_b) == len(r_c) == len(c_vals):
-        raise ShareError("%d triple ids and %d/%d/%d blinds for a session of %d triples"
-                         % (len(triple_ids), len(r_a), len(r_b), len(r_c), len(c_vals)))
-    batch = triple_ids[0]
-    a_shares = deal(runtime, btg_pids[BtgRole.A], mpc_pids, "%s:%s" % (TRIPLE_A_TAG, batch),
-                    [r * a % p for r, a in zip(r_a, a_vals)], p)
-    b_shares = deal(runtime, btg_pids[BtgRole.B], mpc_pids, "%s:%s" % (TRIPLE_B_TAG, batch),
-                    [r * b % p for r, b in zip(r_b, b_vals)], p)
-    runtime.send(btg_pids[BtgRole.C], leader, TRIPLE_C_RAW_TAG, modmath.encode_residues(c_vals, p))
-    runtime.pump()
-    c_raw = modmath.decode_residues(runtime.take(leader, TRIPLE_C_RAW_TAG).payload,
-                                    len(triple_ids), p)
-    c_shares = deal(runtime, leader, mpc_pids, "%s:%s" % (TRIPLE_C_TAG, batch),
-                    [r * c % p for r, c in zip(r_c, c_raw)], p)
+    if any(len(outcome[role]) != len(triple_ids) for role in BtgRole):
+        raise ShareError("%d triple ids for a session of %d triples"
+                         % (len(triple_ids), len(outcome[BtgRole.C])))
+    shares = [deal(runtime, btg_pids[role], mpc_pids, "%s:%s" % (TRIPLE_TAGS[role], triple_ids[0]),
+                   [r * v % p for r, v in zip(rs, outcome[role])], p)
+              for role, rs in zip(BtgRole, blinds)]
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
-            for tid, a, b, c in zip(triple_ids, a_shares, b_shares, c_shares)]
+            for tid, a, b, c in zip(triple_ids, *shares)]
 
 
 class TripleDispenser:
@@ -234,13 +218,11 @@ class TripleDispenser:
         self.ox = ox
         self.oy = oy
         self.mode = mode
-        self.owner_keys = owner_keys or {}
+        # the two-randomness key product ends at the holder of c, under its BTG key
+        self.chain_keys = {**(owner_keys or {}), btg_pids[BtgRole.C]: btg_keys[BtgRole.C]}
         self.ledger_path = ledger_path
         self.count = 0  # triples handed out by next_triple
         self.pool = deque()
-        candidates = [pid for pid in self.mpc_pids if pid not in (ox, oy)]
-        seed = hashlib.sha256(repr(runtime.seed).encode()).digest()
-        self.leader = select_committee_leader(candidates, seed)
 
     def reserve(self, n: int):
         """Mint n triples with one session and one dispensation into the pool."""
@@ -254,12 +236,11 @@ class TripleDispenser:
         if self.mode == "single":
             triples = dispense_blind_single(self.runtime, self.params, outcome,
                                             self.btg_pids, self.mpc_pids,
-                                            self.ox, self.oy, self.leader, triple_ids)
+                                            self.ox, self.oy, triple_ids)
         else:
             triples = dispense_blind_two(self.runtime, self.params, outcome,
                                          self.btg_pids, self.mpc_pids,
-                                         self.ox, self.oy, self.leader, triple_ids,
-                                         keys=self.owner_keys)
+                                         self.ox, self.oy, triple_ids, keys=self.chain_keys)
         self.pool.extend(triples)
         if self.ledger_path is not None:
             parties = [str(p) for p in self.mpc_pids]

@@ -53,8 +53,8 @@ class FixedPointParams:
     p: int = DEFAULT_FIXPT_PRIME
 
     def __post_init__(self):
-        if self.k <= 0 or self.f < 0 or self.k - self.f < 0:
-            raise ParameterError("need k > 0, f >= 0, e = k - f >= 0")
+        if self.k <= 0 or self.f < 0 or self.k - self.f < 0 or self.kappa < 0:
+            raise ParameterError("need k > 0, f >= 0, e = k - f >= 0, kappa >= 0")
         if self.p <= 2 ** (self.kappa + self.k + 1):
             raise ParameterError("field too small: p <= 2^(kappa + k + 1)")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from . import btg, fixpt, mhkm, modmath, spdz
 from .btg import BtgRole
-from .dispense import TripleDispenser
+from .dispense import TripleDispenser, select_committee_leader
 from .errors import (
     DegenerateTableError,
     ParameterError,
@@ -436,16 +437,20 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
                 BtgRole.C: PartyId("BTG_C")}
     mpc_pids = [PartyId("MPC", i) for i in range(1, parties + 1)]
     runtime = Runtime(list(btg_pids.values()) + mpc_pids, seed=seed, record=record)
-    btg_keys = {role: btg.keygen(group, runtime.rng(pid)) for role, pid in btg_pids.items()}
+    # keys only for the parties that strip a layer: the holders of a and c,
+    # O_case and the leader
+    btg_keys = {role: btg.keygen(group, runtime.rng(btg_pids[role]))
+                for role in (BtgRole.A, BtgRole.C)}
     o_case, o_ctrl = mpc_pids[0], mpc_pids[1]
-    owner_keys = {pid: btg.keygen(group, runtime.rng(pid)) for pid in mpc_pids}
+    leader = select_committee_leader(mpc_pids[2:], hashlib.sha256(repr(seed).encode()).digest())
+    owner_keys = {pid: btg.keygen(group, runtime.rng(pid)) for pid in (o_case, leader)}
     dispenser = TripleDispenser(runtime, group, btg_pids, btg_keys, mpc_pids,
                                 ox=o_case, oy=o_ctrl, mode=blinding,
                                 owner_keys=owner_keys, ledger_path=ledger_path)
-    roles = TruncRoles(mask_owner=o_case, wide_owner=o_ctrl, opener=dispenser.leader)
+    roles = TruncRoles(mask_owner=o_case, wide_owner=o_ctrl, opener=leader)
     return PipelineParties(group=group, runtime=runtime, btg_pids=btg_pids,
                            btg_keys=btg_keys, mpc_pids=mpc_pids, o_case=o_case,
-                           o_ctrl=o_ctrl, leader=dispenser.leader,
+                           o_ctrl=o_ctrl, leader=leader,
                            owner_keys=owner_keys, dispenser=dispenser,
                            ledger=TripleLedger(), roles=roles)
 

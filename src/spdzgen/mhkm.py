@@ -11,10 +11,9 @@ product between them:
 
 The running product is held by the previous session's receiver, which plays
 both input roles of the next session as sub-identities of itself.  With
-three parties (two owners and the committee leader) one session gives the
-leader the product of the owners' factors: this is how the two-randomness
-dispensation derives r_c and how the secure inflation factor derives its
-joint blind.
+three parties one session gives the third the product of the two owners'
+factors: this is how the holder of c gets the two-randomness r_c and how the
+committee leader gets the secure inflation factor's joint blind.
 
 A chain computes K products side by side: every party holds a list of K
 factors and each of the n-2 sessions carries K triples, so the chain sends

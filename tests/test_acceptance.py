@@ -82,14 +82,14 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
     p = group256.p
     rt = Runtime(list(BTG_PIDS.values()) + MPC, seed="acc3", record=False)
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
-    owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
+    chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
+                  BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
 
     singles = []
     for i in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
         [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                         triple_ids=["s%d" % i])
+                                         ox=MPC[0], oy=MPC[1], triple_ids=["s%d" % i])
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         singles.append(triple)
@@ -97,8 +97,8 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
     for i in range(500):
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
         [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
-                                      ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                      triple_ids=["d%d" % i], keys=owner_keys)
+                                      ox=MPC[0], oy=MPC[1], triple_ids=["d%d" % i],
+                                      keys=chain_keys)
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         twos.append(triple)

@@ -57,13 +57,17 @@ class TestTriples:
         report = json.loads(capsys.readouterr().out)
         assert report["invalid"] == 0 and report["mode"] == "two"
 
-    @pytest.mark.parametrize("mode,messages,rounds", [("single", 16, 9), ("two", 17, 11)])
-    def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode, messages, rounds):
+    # messages, rounds and modexp per triple of one batch, keyed by mode
+    BATCH = {"single": (16, 8, 8.0), "two": (17, 10, 16.0)}
+
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode):
+        messages, rounds, modexp = self.BATCH[mode]
         ledger = tmp_path / "ledger.jsonl"
         assert run_cli("triples", "-n", "12", "--mode", mode, "--ledger", str(ledger)) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["triples"] == 12 and report["invalid"] == 0
-        assert report["modexp_per_triple"] == (8.0 if mode == "single" else 16.0)
+        assert report["modexp_per_triple"] == modexp
         assert report["messages_per_triple"] == messages / 12
         assert report["rounds_per_triple"] == rounds / 12
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
@@ -236,15 +240,43 @@ class TestRun:
         assert not out.exists() and not ledger.exists()
 
 
-def test_console_entry_point(tmp_path):
-    out = tmp_path / "g.json"
+def run_module(*argv):
+    """`python -m spdzgen argv...` in a child process, with this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "spdzgen", "groupgen", "--bits", "16",
-                           "--seed", "e", "--out", str(out)], capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "spdzgen", *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_entry_point(tmp_path):
+    out = tmp_path / "g.json"
+    proc = run_module("groupgen", "--bits", "16", "--seed", "e", "--out", str(out))
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    (["triples", "-n", "0", "--demo-reuse"], None, EXIT_USAGE),
+    (["run", "--tau", "1/0"], None, EXIT_VALIDATION),
+    (["run", "--lambda-max", "1/0"], None, EXIT_VALIDATION),
+    (["run"], {"tau": "1/0"}, EXIT_VALIDATION),
+    (["run"], {"fixed_point": {"kappa": -60}}, EXIT_VALIDATION),
+], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
+        "config-zero-denominator", "negative-kappa"])
+def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
+                                                    code):
+    if argv[0] == "run":
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        argv = argv + ["--case", str(case_csv), "--basis", str(basis_csv),
+                       "--controls", str(ctrl_csv), "--out", str(tmp_path / "r.json")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    proc = run_module(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 class TestPipelineGolden:
@@ -257,10 +289,15 @@ class TestPipelineGolden:
     # was.  The transcript was re-pinned once more when drawn subgroup
     # elements became squares s^2 instead of g^t: every record kept its
     # sender, recipient, tag and payload length, and the ledger did not move.
+    # It was re-pinned when the holder of c began to blind and deal its own
+    # component (no raw-c relay to the leader; C receives the blind and sends
+    # the triple-c shares) and `build_parties` stopped making unread keys,
+    # which moves the values drawn from the leader's, BTG_B's and O_ctrl's
+    # streams; the ledger did not move.
     # The control loop, the Beaver products and the dispensation must leave
     # both byte-identical.  The decisions, lambda and triple count are those
     # of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "724074484241f6e6c22e881f1dd5d6ddb148605d188cdbc4c870b5a7101f247c"
+    TRANSCRIPT_SHA256 = "53626e86e96d29440b9628da1992a1c0bac4c2ea286730eb08c2d4f91b8bf440"
     LEDGER_SHA256 = "170f26c4c833490272efd947f72bc171fe48db700f7d5ff0e711097fcc69989d"
 
     def test_transcript_and_ledger(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from spdzgen import btg, mhkm, modmath
+from spdzgen import btg, dispense, mhkm, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     TripleDispenser,
@@ -143,6 +143,17 @@ class TestLeaderSelection:
             assert abs(tally[pid] - 2500) <= 300
 
 
+class TestBuildParties:
+    def test_pipeline_leader_at_three_servers(self, group256):
+        # MPC_1 and MPC_2 own the inputs, so MPC_3 is the only candidate
+        assert build_parties(group256, seed=5).leader == MPC[2]
+
+    def test_keys_only_for_parties_that_strip_a_layer(self, group256):
+        ctx = build_parties(group256, seed=5, parties=4, blinding="two")
+        assert set(ctx.btg_keys) == {BtgRole.A, BtgRole.C}
+        assert set(ctx.owner_keys) == {ctx.o_case, ctx.leader}
+
+
 class TestBlindFactorArithmetic:
     def test_two_example(self, tiny):
         # the two-randomness r_c is the key product of the owners' blinds
@@ -194,7 +205,7 @@ class TestDispensationProtocol:
         for i in range(20):
             _, out = run_btg(rt, group256, seed=i)
             [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                             ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                             ox=MPC[0], oy=MPC[1],
                                              triple_ids=["t%d" % i])
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
@@ -208,19 +219,20 @@ class TestDispensationProtocol:
         tamper_sends(monkeypatch, "blind-r",
                      lambda payload: modmath.encode_residues([1] * (len(payload) // width), p))
         [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
+                                         ox=MPC[0], oy=MPC[1],
                                          triple_ids=["t"])
         assert reconstruct_triple(triple, p) == (4, 9, 36)
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
         p = group256.p
-        owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
+        ox_key = btg.keygen(group256, rt.rng(MPC[0]))
         for i in range(10):
             keys, out = run_btg(rt, group256, seed="two%d" % i)
             [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
-                                          ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                          triple_ids=["t%d" % i], keys=owner_keys)
+                                          ox=MPC[0], oy=MPC[1], triple_ids=["t%d" % i],
+                                          keys={MPC[0]: ox_key,
+                                                BTG_PIDS[BtgRole.C]: keys[BtgRole.C]})
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
@@ -229,7 +241,7 @@ class TestDispensationProtocol:
         rt = build_runtime(seed=4)
         _, out = run_btg(rt, group256, seed=4)
         dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                              ox=MPC[0], oy=MPC[1], leader=MPC[2], triple_ids=["tx"])
+                              ox=MPC[0], oy=MPC[1], triple_ids=["tx"])
         a_msgs = [r for r in rt.transcript
                   if r[0] == "msg" and r[3].startswith("triple-a:")]
         assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
@@ -239,24 +251,25 @@ class TestDispensationProtocol:
 class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
-        # K = 4 triples cost the messages and rounds of one: 16/9 single, 17/11 two
+        # K = 4 triples cost the messages and rounds of one: 16/8 single, 17/10 two
         rt = build_runtime(seed=6)
-        owner_keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in MPC}
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+        chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
+                      BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
         ids = ["b%d" % i for i in range(4)]
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS, count=4)
         if mode == "single":
             triples = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                            ox=MPC[0], oy=MPC[1], leader=MPC[2], triple_ids=ids)
+                                            ox=MPC[0], oy=MPC[1], triple_ids=ids)
         else:
             triples = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
-                                         ox=MPC[0], oy=MPC[1], leader=MPC[2],
-                                         triple_ids=ids, keys=owner_keys)
+                                         ox=MPC[0], oy=MPC[1],
+                                         triple_ids=ids, keys=chain_keys)
         assert [t.triple_id for t in triples] == ids
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((16, 9) if mode == "single" else (17, 11))
+        assert (rt.messages_sent, rt.rounds) == ((16, 8) if mode == "single" else (17, 10))
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
         assert all(len(r[4]) == 4 * w for r in share_msgs)
@@ -266,7 +279,7 @@ class TestBatchedDispensation:
         _, out = run_btg(rt, group256, seed=8)
         with pytest.raises(ShareError):
             dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1],
-                                  leader=MPC[2], triple_ids=["t1", "t2"])
+                                  triple_ids=["t1", "t2"])
 
 
 WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
@@ -309,7 +322,6 @@ class TestDispenser:
         ledger_file = tmp_path / "ledger.jsonl"
         disp = TripleDispenser(rt, group256, BTG_PIDS, keys, MPC,
                                ox=MPC[0], oy=MPC[1], ledger_path=ledger_file)
-        assert disp.leader == MPC[2]  # only committee candidate at m=3
         triples = [disp.next_triple() for _ in range(5)]
         assert disp.count == 5
         for t in triples:
@@ -360,6 +372,54 @@ class TestDispenser:
             ctx.dispenser.reserve(-1)
 
 
+def received_residues(runtime, pid, width):
+    """Every width-byte window, at every offset, of every payload pid received."""
+    return {int.from_bytes(rec[4][i:i + width], "big")
+            for rec in runtime.transcript_view(pid) if rec[0] == "msg" and rec[2] == pid
+            for i in range(len(rec[4]) - width + 1)}
+
+
+@pytest.mark.parametrize("mode", ["single", "two"])
+class TestServerViews:
+    """What the MPC servers receive while one batch of 20 triples is dispensed."""
+
+    @pytest.fixture
+    def batch(self, group256, monkeypatch, mode):
+        ctx = build_parties(group256, seed=11, record=True, blinding=mode)
+        name = "dispense_blind_" + mode
+        real, outcomes = getattr(dispense, name), []
+
+        def capture(runtime, params, outcome, *args, **kwargs):
+            outcomes.append(outcome)
+            return real(runtime, params, outcome, *args, **kwargs)
+
+        monkeypatch.setattr(dispense, name, capture)
+        ctx.dispenser.reserve(20)
+        [outcome] = outcomes
+        return ctx, outcome
+
+    def test_no_server_receives_a_triple_component(self, group256, batch):
+        # neither a raw a, b, c nor a blinded a', b', c' as a residue anywhere
+        ctx, outcome = batch
+        components = {v for role in BtgRole for v in outcome[role]}
+        components |= {v for t in ctx.dispenser.pool
+                       for v in reconstruct_triple(t, group256.p)}
+        assert len(components) == 6 * 20
+        for pid in ctx.mpc_pids:
+            assert not received_residues(ctx.runtime, pid, group256.element_size) & components
+
+    def test_servers_receive_shares_and_owner_hops_only(self, batch, mode):
+        ctx, _ = batch
+        ox, oy = ctx.o_case, ctx.o_ctrl
+        owner_hops = {"single": {(ox, oy, "blind-r")},
+                      "two": {(ox, oy, btg.BTG_TAG), (oy, ox, btg.BTG_TAG)}}[mode]
+        shares = {(ctx.btg_pids[role], pid, "triple-%s" % role.value.lower())
+                  for role in BtgRole for pid in ctx.mpc_pids}
+        received = {(r[1], r[2], r[3].split(":")[0]) for r in ctx.runtime.transcript
+                    if r[0] == "msg" and r[2] in ctx.mpc_pids}
+        assert received == shares | owner_hops
+
+
 class TestGoldenTranscript:
     # sha256 of the transcript and the modexp count after 30 triples.  Any
     # change to the group arithmetic, on either modexp backend, must leave
@@ -368,10 +428,17 @@ class TestGoldenTranscript:
     # subgroup elements became squares s^2 instead of g^t: every record kept
     # its sender, recipient, tag and payload length, and each triple lost two
     # exponentiations in single mode and four in two mode (306 -> 246,
-    # 606 -> 486).
+    # 606 -> 486).  Re-pinned again when the holder of c began to blind and
+    # deal its own component: the leader's raw-c relay and "kept local" note
+    # went, C receives the blind (single) or the key product (two) the leader
+    # got, and C sends the triple-c shares; every other record kept its
+    # endpoints, tag and payload.  Then `build_parties` stopped making the
+    # keys of BTG_B and of the servers other than O_case and the leader: two
+    # fewer keygens (246 -> 244, 486 -> 484), and the values drawn from those
+    # parties' streams moved.
     GOLDEN = {
-        "single": ("e8dd13925058aca546cbdede8258a7df718ffcaef8e911b34de291b46a12293b", 246),
-        "two": ("5a574f32426a0f82ad11a3c04a0e2fa331fd6594e89cb0529c68a32bd87d1c26", 486),
+        "single": ("ff3d969d8d1067890964fbc9e97d8d3334d361cfeb8852ae94634cbe3b45d75e", 244),
+        "two": ("badae94b5b633812c5badc82e4af781794cfd508b1d46f57b8f04fbdb7be5ccf", 484),
     }
 
     @both_backends

@@ -64,6 +64,8 @@ class TestParams:
             FixedPointParams(k=8, f=9)
         with pytest.raises(ParameterError):
             FixedPointParams(k=64, f=16, kappa=40, p=DEFAULT_FIXPT_PRIME)  # p too small
+        with pytest.raises(ParameterError):
+            FixedPointParams(kappa=-1)  # the wide mask's width would go negative
 
     def test_e_is_integer_bits(self):
         assert BIG.e == 16

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdzgen import btg, fixpt, gwas, spdz
+from spdzgen import btg, fixpt, gwas, modmath, spdz
 from spdzgen.btg import BtgRole
 
 from spdzgen.errors import (
@@ -429,6 +429,51 @@ class TestFilterPipeline:
         secure = filter_controls(group256, basis, case_counts, controls, config, seed=18)
         assert secure["accepted"] == plain["accepted"] == []
         assert secure["lambda"] == plain["lambda"]
+
+
+def square_candidates(ctx, pid, dim, rank, params):
+    """Genotype values pid's view admits for each entry of each control.
+
+    Beaver opens rho = z - a' and eps = z - b' for every z_i^2, so a server
+    that knows c' = a'*b' tests each candidate z in {0, 1, 2}, encoded, with
+    (z - rho)(z - eps) = c'.  c' counts as known when pid received it, or
+    received a raw c and a blind r with c' = r^2 * c.  The openings are
+    public; each control's first Beaver batch opens its dim squares first.
+    """
+    p, width = params.p, (params.p.bit_length() + 7) // 8
+    received = {int.from_bytes(rec[4][i:i + width], "big")
+                for rec in ctx.runtime.transcript_view(pid) if rec[0] == "msg" and rec[2] == pid
+                for i in range(0, len(rec[4]) - width + 1, width)}
+    unblind = [pow(r, -2, p) for r in received if r]
+
+    def known(c):
+        return c in received or any(c * u % p in received for u in unblind)
+
+    first_batch = 2 * dim * (rank + 1)
+    openings = {rec[3]: modmath.decode_residues(rec[4], first_batch, p)
+                for rec in ctx.runtime.transcript
+                if rec[0] == "msg" and rec[3].startswith("open-result:")
+                and len(rec[4]) == first_batch * width}
+    return [[g for g in (0, 1, 2)
+             if known((g * 2 ** params.f - opened[2 * i]) * (g * 2 ** params.f - opened[2 * i + 1])
+                      % p)]
+            for opened in openings.values() for i in range(dim)]
+
+
+def test_no_server_recovers_a_genotype_from_the_squares(group256):
+    # dim 12, rank 3, 4 controls: while the leader got raw c it kept 48 of 48
+    rng = random.Random(5)
+    rows = [tuple(rng.randrange(3) for _ in range(12)) for _ in range(5)]
+    basis = orthonormal_columns(rows[:3])
+    controls = [ControlRecord.from_genotype_row("ctrl_%d" % i, row)
+                for i, row in enumerate(rows[1:])]
+    config = PipelineConfig(fp=fp_for(group256))
+    ctx = filter_controls(group256, basis, (25, 50, 25), controls, config, seed=5,
+                          record=True)["context"]
+    for pid in ctx.mpc_pids:
+        survivors = square_candidates(ctx, pid, basis.dim, basis.rank, config.fp)
+        assert len(survivors) == 48
+        assert not any(survivors), pid
 
 
 def far_control_inputs(group, big):

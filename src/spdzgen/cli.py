@@ -108,6 +108,9 @@ def cmd_triples(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.samples < 1 or args.snps < 1:
+        print("usage error: --samples and --snps must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     matrix = gwas.synth_genotypes(args.samples, args.snps, args.freq, args.seed)
     matrix.to_csv(args.out)
     print("wrote %dx%d genotype matrix to %s" % (args.samples, args.snps, args.out),
@@ -122,16 +125,23 @@ CONFIG_KEYS = frozenset({"tau", "lambda_max", "parties", "seed", "bits", "group_
 FIXED_POINT_KEYS = frozenset({"k", "f", "kappa", "p"})
 
 
-def _fraction(value) -> Fraction:
+def _fraction(key: str, value) -> Fraction:
     try:
         return Fraction(str(value))
     except ZeroDivisionError:
-        raise ValidationError("%s has a zero denominator" % (value,))
+        raise ValidationError("%s %s has a zero denominator" % (key, value))
+
+
+def _integer(key: str, value) -> int:
+    """A JSON integer; a float would be truncated and a boolean read as 0 or 1."""
+    if type(value) is not int:
+        raise ValidationError("%s must be an integer, got %s" % (key, json.dumps(value)))
+    return value
 
 
 # How `cmd_run` reads the PipelineConfig keys; a key the user leaves unset
 # takes the dataclass default.
-_PIPELINE_FIELDS = {"tau": _fraction, "lambda_max": _fraction, "parties": int}
+_PIPELINE_FIELDS = {"tau": _fraction, "lambda_max": _fraction, "parties": _integer}
 
 
 def _load_config(args) -> dict:
@@ -146,6 +156,8 @@ def _load_config(args) -> dict:
                           for key in set(doc.get("fixed_point", {})) - FIXED_POINT_KEYS)
         if unknown:
             raise ValidationError("unknown config key(s): %s" % ", ".join(unknown))
+        if not isinstance(doc.get("group_path", ""), str):
+            raise ValidationError("group_path must be a string")
     for key, val in (("tau", args.tau), ("lambda_max", args.lambda_max),
                      ("parties", args.parties), ("seed", args.seed),
                      ("bits", args.bits)):
@@ -158,10 +170,12 @@ def _load_config(args) -> dict:
 
 def cmd_run(args) -> int:
     doc = _load_config(args)
-    group = _resolve_group(int(doc["bits"]), doc["seed"], doc.get("group_path"))
-    fp_doc = {key: int(val) for key, val in doc.get("fixed_point", {}).items()}
+    bits = _integer("bits", doc["bits"])
+    fp_doc = {key: _integer("fixed_point." + key, val)
+              for key, val in doc.get("fixed_point", {}).items()}
+    group = _resolve_group(bits, doc["seed"], doc.get("group_path"))
     fp = FixedPointParams(**{"p": group.p, **fp_doc})
-    config = PipelineConfig(fp=fp, **{key: read(doc[key])
+    config = PipelineConfig(fp=fp, **{key: read(key, doc[key])
                                       for key, read in _PIPELINE_FIELDS.items() if key in doc})
 
     case = GenotypeMatrix.from_csv(args.case)
@@ -187,7 +201,7 @@ def cmd_run(args) -> int:
         "accepted": result["accepted"],
         "lambda": {"num": lam.numerator, "den": lam.denominator, "value": float(lam)},
         "lambda_ok": result["lambda_ok"],
-        "config": dict(config.echo(), seed=doc["seed"], bits=int(doc["bits"]),
+        "config": dict(config.echo(), seed=doc["seed"], bits=bits,
                        mode="plaintext-oracle" if args.plaintext_oracle else "secure"),
         "triple_count": result["triple_count"],
         "runtime_ms": elapsed_ms,

@@ -8,25 +8,25 @@ the dispensation below both deal through it; the blind recipients likewise
 use the blinds they decode, and a zero blind aborts.
 
 A generated triple (a, b, c) never reaches the MPC servers raw: each triple
-holder scales its own component by a blind factor supplied by the requesting
-data owners, then splits the scaled values additively across the m servers.
-Two blinding variants are supported:
+holder scales its own component by a blind factor, then splits the scaled
+values additively across the m servers.  Two blinding variants are supported:
 
-  single-randomness:  a' = r*a,   b' = r*b,   c' = r^2 * c
+  single-randomness:  a' = ra*a,  b' = rb*b,  c' = ra*rb*c
   two-randomness:     a' = ra*a,  b' = rb*b,  c' = rc*c  with rc = ra*rb
-                      (rc is the key product `mhkm.key_product` gives the
-                      holder of c from the two owners' blinds)
 
 Either way c' = a' * b' mod p, so the blinded shares are valid triples, and
 the multiplication openings downstream reveal nothing useful to the triple
 holders, who know only the unblinded values.  No MPC server receives a
 triple component, raw or blinded.
 
-In the single-randomness variant the holder of c must learn r to scale its
-component: r travels to it on a private channel, which makes it as trusted
-as the two owners for that triple.  The two-randomness variant removes that
-trust by deriving r_c as an mHKM key product, so the holder of c ends up
-with r_c but neither owner blind.
+In the single-randomness variant one party, the holder of c, picks ra and
+rb uniform in [1, p) and sends them to the holders of a and b: no server
+learns a blind, so to each server a' and b' are independent and uniform
+over Z_p^*.  (A server that knew the blind of the squares a and b would
+know the Legendre symbol of a', and each opening x - a' would tell it a bit
+of x.)  In the two-randomness variant O_x and O_y pick subgroup blinds ra
+and rb, and rc reaches the holder of c as an mHKM key product
+(`mhkm.key_product`), so it learns neither owner blind.
 
 Dispensation works on the K triples of one BTG session at once: every blind
 hop sends one message of K residues, and each holder sends each server one
@@ -119,38 +119,21 @@ TRIPLE_TAGS = {BtgRole.A: "triple-a", BtgRole.B: "triple-b", BtgRole.C: "triple-
 BLIND_TAG = "blind-r"
 
 
-def _take_blinds(runtime: Runtime, pid: PartyId, count: int, p: int) -> list[int]:
-    """The K blinds pid decodes from its blind message; a zero blind aborts."""
-    rs = modmath.decode_residues(runtime.take(pid, BLIND_TAG).payload, count, p)
-    if 0 in rs:
-        raise BlindFactorError("%s received a zero blind" % (pid,))
-    return rs
-
-
 def dispense_blind_single(runtime: Runtime, params: GroupParams, outcome,
-                          btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                          triple_ids) -> list[BeaverTripleShares]:
+                          btg_pids: dict, mpc_pids, triple_ids) -> list[BeaverTripleShares]:
     """Single-randomness dispensation of the K triples of one session.
 
-    O_x draws one r per triple and sends them over private channels to O_y
-    and to the holders of c and a; O_y forwards the blinds it decoded to the
-    holder of b.  The holders split r*a, r*b and r^2 * c.
+    One party, the holder of c, picks the randomness: independent blinds r_a
+    and r_b uniform in [1, p) per triple for the holders of a and b, and its
+    own c scaled by r_a*r_b.  No MPC server learns a blind.
     """
     p = params.p
-    count = len(triple_ids)
-    rng = runtime.rng(ox)
-    rs = [rng.randrange(1, p) for _ in triple_ids]
-
-    for dst in (oy, btg_pids[BtgRole.C], btg_pids[BtgRole.A]):
-        runtime.send(ox, dst, BLIND_TAG, modmath.encode_residues(rs, p))
-    runtime.pump()
-    forwarded = _take_blinds(runtime, oy, count, p)
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(forwarded, p))
-    runtime.pump()
-
-    r_a, r_b, r = (_take_blinds(runtime, btg_pids[role], count, p) for role in BtgRole)
+    pid_c = btg_pids[BtgRole.C]
+    rng = runtime.rng(pid_c)
+    r_a = [rng.randrange(1, p) for _ in triple_ids]
+    r_b = [rng.randrange(1, p) for _ in triple_ids]
     return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, triple_ids,
-                         [r_a, r_b, [x * x % p for x in r]])
+                         (pid_c, pid_c), [r_a, r_b, [x * y % p for x, y in zip(r_a, r_b)]])
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
@@ -163,34 +146,37 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, outcome,
     every r_c to the holder of c, so no single owner knows both blinds.
     `keys` maps PartyId -> KeyPair for O_x and the holder of c.
     """
-    p = params.p
     count = len(triple_ids)
     pid_c = btg_pids[BtgRole.C]
     r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
     r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
     r_c = mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
                            count=count)[pid_c]
-
-    runtime.send(ox, btg_pids[BtgRole.A], BLIND_TAG, modmath.encode_residues(r_a, p))
-    runtime.send(oy, btg_pids[BtgRole.B], BLIND_TAG, modmath.encode_residues(r_b, p))
-    runtime.pump()
-
     return _deal_blinded(runtime, params, outcome, btg_pids, mpc_pids, triple_ids,
-                         [_take_blinds(runtime, btg_pids[BtgRole.A], count, p),
-                          _take_blinds(runtime, btg_pids[BtgRole.B], count, p), r_c])
+                         (ox, oy), [r_a, r_b, r_c])
 
 
 def _deal_blinded(runtime: Runtime, params: GroupParams, outcome, btg_pids: dict, mpc_pids,
-                  triple_ids, blinds) -> list[BeaverTripleShares]:
-    """Deal the K blinded triples of one session once their holders know the
-    blinds (r_a, r_b, r_c): each holder splits its components times them."""
+                  triple_ids, senders, blinds) -> list[BeaverTripleShares]:
+    """`senders` send r_a and r_b of `blinds` (r_a, r_b, r_c) to the holders
+    of a and b in one round, and every holder deals its K components times
+    the blinds it holds; a zero blind on the wire aborts."""
     p = params.p
-    if any(len(outcome[role]) != len(triple_ids) for role in BtgRole):
+    count = len(triple_ids)
+    if any(len(outcome[role]) != count for role in BtgRole):
         raise ShareError("%d triple ids for a session of %d triples"
-                         % (len(triple_ids), len(outcome[BtgRole.C])))
+                         % (count, len(outcome[BtgRole.C])))
+    holders = [btg_pids[BtgRole.A], btg_pids[BtgRole.B]]
+    for src, dst, rs in zip(senders, holders, blinds):
+        runtime.send(src, dst, BLIND_TAG, modmath.encode_residues(rs, p))
+    runtime.pump()
+    received = [modmath.decode_residues(runtime.take(pid, BLIND_TAG).payload, count, p)
+                for pid in holders]
+    if any(0 in rs for rs in received):
+        raise BlindFactorError("a triple holder received a zero blind")
     shares = [deal(runtime, btg_pids[role], mpc_pids, "%s:%s" % (TRIPLE_TAGS[role], triple_ids[0]),
                    [r * v % p for r, v in zip(rs, outcome[role])], p)
-              for role, rs in zip(BtgRole, blinds)]
+              for role, rs in zip(BtgRole, received + blinds[2:])]
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, *shares)]
@@ -235,8 +221,7 @@ class TripleDispenser:
                                          self.btg_keys, self.btg_pids, count=n)
         if self.mode == "single":
             triples = dispense_blind_single(self.runtime, self.params, outcome,
-                                            self.btg_pids, self.mpc_pids,
-                                            self.ox, self.oy, triple_ids)
+                                            self.btg_pids, self.mpc_pids, triple_ids)
         else:
             triples = dispense_blind_two(self.runtime, self.params, outcome,
                                          self.btg_pids, self.mpc_pids,

@@ -58,7 +58,7 @@ class TestTriples:
         assert report["invalid"] == 0 and report["mode"] == "two"
 
     # messages, rounds and modexp per triple of one batch, keyed by mode
-    BATCH = {"single": (16, 8, 8.0), "two": (17, 10, 16.0)}
+    BATCH = {"single": (14, 7, 8.0), "two": (17, 10, 16.0)}
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode):
@@ -262,10 +262,21 @@ def test_console_entry_point(tmp_path):
     (["run", "--lambda-max", "1/0"], None, EXIT_VALIDATION),
     (["run"], {"tau": "1/0"}, EXIT_VALIDATION),
     (["run"], {"fixed_point": {"kappa": -60}}, EXIT_VALIDATION),
+    (["run"], {"fixed_point": {"f": 16.9}}, EXIT_VALIDATION),
+    (["run"], {"bits": 256.7}, EXIT_VALIDATION),
+    (["run"], {"parties": 3.9}, EXIT_VALIDATION),
+    (["run"], {"fixed_point": {"kappa": False}}, EXIT_VALIDATION),
+    (["run"], {"group_path": 5}, EXIT_VALIDATION),
+    (["synth", "--samples", "-2", "--snps", "3"], None, EXIT_USAGE),
+    (["synth", "--samples", "2", "--snps", "0"], None, EXIT_USAGE),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
-        "config-zero-denominator", "negative-kappa"])
+        "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
+        "fractional-parties", "boolean-kappa", "group-path-not-string",
+        "synth-negative-samples", "synth-zero-snps"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(tmp_path / "r.json")]
     if argv[0] == "run":
         case_csv, basis_csv, ctrl_csv = pipeline_files
         argv = argv + ["--case", str(case_csv), "--basis", str(basis_csv),
@@ -293,11 +304,17 @@ class TestPipelineGolden:
     # component (no raw-c relay to the leader; C receives the blind and sends
     # the triple-c shares) and `build_parties` stopped making unread keys,
     # which moves the values drawn from the leader's, BTG_B's and O_ctrl's
-    # streams; the ledger did not move.
+    # streams; the ledger did not move.  It was re-pinned again when the
+    # holder of c began to draw both single-mode blinds: the blind-r hops
+    # moved off the servers, and the triple-c shares, the a' and b' share
+    # heads, the Beaver openings that carry them and the values drawn from
+    # O_case's stream (which no longer draws a blind) moved; every other
+    # record kept its endpoints, tag and payload, and the ledger and report
+    # did not move.
     # The control loop, the Beaver products and the dispensation must leave
     # both byte-identical.  The decisions, lambda and triple count are those
     # of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "53626e86e96d29440b9628da1992a1c0bac4c2ea286730eb08c2d4f91b8bf440"
+    TRANSCRIPT_SHA256 = "2af00ce571f56b3473eb4be47dd445c1bdb12dcaeb76d3ccdd85e147153bb3b7"
     LEDGER_SHA256 = "170f26c4c833490272efd947f72bc171fe48db700f7d5ff0e711097fcc69989d"
 
     def test_transcript_and_ledger(self, tmp_path):

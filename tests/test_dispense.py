@@ -205,7 +205,6 @@ class TestDispensationProtocol:
         for i in range(20):
             _, out = run_btg(rt, group256, seed=i)
             [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                             ox=MPC[0], oy=MPC[1],
                                              triple_ids=["t%d" % i])
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
@@ -215,13 +214,11 @@ class TestDispensationProtocol:
         p = group256.p
         _, out = run_btg(rt, group256, seed=1, forced={BtgRole.A: [4], BtgRole.B: [9]})
         width = (p.bit_length() + 7) // 8
-        # every blind on the wire becomes the residue 1
+        # every blind on the wire becomes the residue 1; C keeps the blinds it drew
         tamper_sends(monkeypatch, "blind-r",
                      lambda payload: modmath.encode_residues([1] * (len(payload) // width), p))
-        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                         ox=MPC[0], oy=MPC[1],
-                                         triple_ids=["t"])
-        assert reconstruct_triple(triple, p) == (4, 9, 36)
+        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["t"])
+        assert reconstruct_triple(triple, p)[:2] == (4, 9)
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
@@ -240,8 +237,7 @@ class TestDispensationProtocol:
         # every share record travels point-to-point from its dealer
         rt = build_runtime(seed=4)
         _, out = run_btg(rt, group256, seed=4)
-        dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                              ox=MPC[0], oy=MPC[1], triple_ids=["tx"])
+        dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["tx"])
         a_msgs = [r for r in rt.transcript
                   if r[0] == "msg" and r[3].startswith("triple-a:")]
         assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
@@ -251,7 +247,7 @@ class TestDispensationProtocol:
 class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
-        # K = 4 triples cost the messages and rounds of one: 16/8 single, 17/10 two
+        # K = 4 triples cost the messages and rounds of one: 14/7 single, 17/10 two
         rt = build_runtime(seed=6)
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
@@ -259,8 +255,7 @@ class TestBatchedDispensation:
         ids = ["b%d" % i for i in range(4)]
         out = btg.run_triple_session(rt, group256, keys, BTG_PIDS, count=4)
         if mode == "single":
-            triples = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                            ox=MPC[0], oy=MPC[1], triple_ids=ids)
+            triples = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=ids)
         else:
             triples = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
                                          ox=MPC[0], oy=MPC[1],
@@ -269,7 +264,7 @@ class TestBatchedDispensation:
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((16, 8) if mode == "single" else (17, 10))
+        assert (rt.messages_sent, rt.rounds) == ((14, 7) if mode == "single" else (17, 10))
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
         assert all(len(r[4]) == 4 * w for r in share_msgs)
@@ -278,8 +273,7 @@ class TestBatchedDispensation:
         rt = build_runtime(seed=8)
         _, out = run_btg(rt, group256, seed=8)
         with pytest.raises(ShareError):
-            dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1],
-                                  triple_ids=["t1", "t2"])
+            dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["t1", "t2"])
 
 
 WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
@@ -411,13 +405,38 @@ class TestServerViews:
     def test_servers_receive_shares_and_owner_hops_only(self, batch, mode):
         ctx, _ = batch
         ox, oy = ctx.o_case, ctx.o_ctrl
-        owner_hops = {"single": {(ox, oy, "blind-r")},
+        owner_hops = {"single": set(),
                       "two": {(ox, oy, btg.BTG_TAG), (oy, ox, btg.BTG_TAG)}}[mode]
         shares = {(ctx.btg_pids[role], pid, "triple-%s" % role.value.lower())
                   for role in BtgRole for pid in ctx.mpc_pids}
         received = {(r[1], r[2], r[3].split(":")[0]) for r in ctx.runtime.transcript
                     if r[0] == "msg" and r[2] in ctx.mpc_pids}
         assert received == shares | owner_hops
+
+
+class TestSingleModeBlinds:
+    """The holder of c picks both blinds, so no server learns one."""
+
+    def test_legendre_symbols_independent(self, group256):
+        # a and b are squares, so one blind r on both made chi(a') = chi(b')
+        # in 400 of 400; each count must sit in a 5-sigma band around 200
+        p = group256.p
+        ctx = build_parties(group256, seed=19)
+        ctx.dispenser.reserve(400)
+        chis = [tuple(pow(reconstruct(shares.values(), p), (p - 1) // 2, p) == 1
+                      for shares in (t.a_shares, t.b_shares)) for t in ctx.dispenser.pool]
+        assert len(chis) == 400
+        for count in (sum(a for a, _ in chis), sum(b for _, b in chis),
+                      sum(a == b for a, b in chis)):
+            assert abs(count - 200) <= 50, count
+
+    def test_no_server_sends_or_receives_a_blind(self, group256):
+        ctx = build_parties(group256, seed=20, record=True)
+        ctx.dispenser.reserve(3)
+        blinds = [(r[1], r[2]) for r in ctx.runtime.transcript
+                  if r[0] == "msg" and r[3] == "blind-r"]
+        pid_c = ctx.btg_pids[BtgRole.C]
+        assert blinds == [(pid_c, ctx.btg_pids[BtgRole.A]), (pid_c, ctx.btg_pids[BtgRole.B])]
 
 
 class TestGoldenTranscript:
@@ -435,9 +454,13 @@ class TestGoldenTranscript:
     # endpoints, tag and payload.  Then `build_parties` stopped making the
     # keys of BTG_B and of the servers other than O_case and the leader: two
     # fewer keygens (246 -> 244, 486 -> 484), and the values drawn from those
-    # parties' streams moved.
+    # parties' streams moved.  The single digest was re-pinned when the
+    # holder of c began to draw both blinds: the owners' four blind-r hops per batch
+    # became C's two, the triple-c shares and the share of a' and b' that
+    # absorbs the blinded value (the one to MPC_1) moved, and every other
+    # record kept its endpoints, tag and payload; the two digest did not move.
     GOLDEN = {
-        "single": ("ff3d969d8d1067890964fbc9e97d8d3334d361cfeb8852ae94634cbe3b45d75e", 244),
+        "single": ("1243823cddf647846b32b907414dc964ae7a7b4fef3e1282bd3781fcedcf4638", 244),
         "two": ("badae94b5b633812c5badc82e4af781794cfd508b1d46f57b8f04fbdb7be5ccf", 484),
     }
 

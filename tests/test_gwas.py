@@ -431,14 +431,41 @@ class TestFilterPipeline:
         assert secure["lambda"] == plain["lambda"]
 
 
+@pytest.fixture(scope="module")
+def screened(group256):
+    """A recorded filter_controls run: dim 12, rank 3, 4 controls, seed 5."""
+    rng = random.Random(5)
+    rows = [tuple(rng.randrange(3) for _ in range(12)) for _ in range(5)]
+    basis = orthonormal_columns(rows[:3])
+    controls = [ControlRecord.from_genotype_row("ctrl_%d" % i, row)
+                for i, row in enumerate(rows[1:])]
+    config = PipelineConfig(fp=fp_for(group256))
+    ctx = filter_controls(group256, basis, (25, 50, 25), controls, config, seed=5,
+                          record=True)["context"]
+    return ctx, basis, controls, config.fp
+
+
+def first_batch_openings(ctx, dim, rank, p):
+    """Each control's first Beaver opening, in control order.
+
+    That batch multiplies z_i * z_i (pair i) and then u_ji * z_i (pair
+    (j+1)*dim + i), and opens rho = x - a' and eps = y - b' for pair k at
+    2k and 2k + 1.  The openings are public.
+    """
+    width, count = (p.bit_length() + 7) // 8, 2 * dim * (rank + 1)
+    return list({rec[3]: modmath.decode_residues(rec[4], count, p)
+                 for rec in ctx.runtime.transcript
+                 if rec[0] == "msg" and rec[3].startswith("open-result:")
+                 and len(rec[4]) == count * width}.values())
+
+
 def square_candidates(ctx, pid, dim, rank, params):
     """Genotype values pid's view admits for each entry of each control.
 
-    Beaver opens rho = z - a' and eps = z - b' for every z_i^2, so a server
-    that knows c' = a'*b' tests each candidate z in {0, 1, 2}, encoded, with
-    (z - rho)(z - eps) = c'.  c' counts as known when pid received it, or
-    received a raw c and a blind r with c' = r^2 * c.  The openings are
-    public; each control's first Beaver batch opens its dim squares first.
+    A server that knows c' = a'*b' tests each candidate z in {0, 1, 2},
+    encoded, with (z - rho)(z - eps) = c' on the z_i^2 products.  c' counts
+    as known when pid received it, or received a raw c and a blind r with
+    c' = r^2 * c.
     """
     p, width = params.p, (params.p.bit_length() + 7) // 8
     received = {int.from_bytes(rec[4][i:i + width], "big")
@@ -449,31 +476,81 @@ def square_candidates(ctx, pid, dim, rank, params):
     def known(c):
         return c in received or any(c * u % p in received for u in unblind)
 
-    first_batch = 2 * dim * (rank + 1)
-    openings = {rec[3]: modmath.decode_residues(rec[4], first_batch, p)
-                for rec in ctx.runtime.transcript
-                if rec[0] == "msg" and rec[3].startswith("open-result:")
-                and len(rec[4]) == first_batch * width}
     return [[g for g in (0, 1, 2)
              if known((g * 2 ** params.f - opened[2 * i]) * (g * 2 ** params.f - opened[2 * i + 1])
                       % p)]
-            for opened in openings.values() for i in range(dim)]
+            for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
 
 
-def test_no_server_recovers_a_genotype_from_the_squares(group256):
-    # dim 12, rank 3, 4 controls: while the leader got raw c it kept 48 of 48
-    rng = random.Random(5)
-    rows = [tuple(rng.randrange(3) for _ in range(12)) for _ in range(5)]
-    basis = orthonormal_columns(rows[:3])
-    controls = [ControlRecord.from_genotype_row("ctrl_%d" % i, row)
-                for i, row in enumerate(rows[1:])]
-    config = PipelineConfig(fp=fp_for(group256))
-    ctx = filter_controls(group256, basis, (25, 50, 25), controls, config, seed=5,
-                          record=True)["context"]
+def legendre(v, p):
+    return pow(v, (p - 1) // 2, p)
+
+
+def blind_candidates(ctx, pid, dim, rank, params):
+    """Genotype values that pass chi(x - rho) = chi(r) with the blind-r
+    payloads in pid's view, chi being the Legendre symbol.
+
+    a and b are squares, so a blind r that scales both fixes
+    chi(a') = chi(b') = chi(r), and each opening of z_i (rho of pair i, eps
+    of pairs i and (j+1)*dim + i) then tests every candidate.  The n-th
+    distinct payload blinds the n-th control's batch; a control with no
+    payload keeps every candidate.
+    """
+    p, width = params.p, (params.p.bit_length() + 7) // 8
+    payloads = dict.fromkeys(rec[4] for rec in ctx.runtime.transcript_view(pid)
+                             if rec[0] == "msg" and rec[3] == "blind-r")
+    blinds = [modmath.decode_residues(blob, len(blob) // width, p) for blob in payloads]
+
+    def passes(opened, rs, i, g):
+        z = fixpt.fp_encode(g, params)
+        tests = [(2 * i, i)] + [(2 * k + 1, k) for k in range(i, dim * (rank + 1), dim)]
+        return all(legendre(z - opened[o], p) == legendre(rs[k], p) for o, k in tests)
+
+    return [[g for g in (0, 1, 2) if n >= len(blinds) or passes(opened, blinds[n], i, g)]
+            for n, opened in enumerate(first_batch_openings(ctx, dim, rank, p))
+            for i in range(dim)]
+
+
+def pairwise_candidates(ctx, pid, dim, rank, params, basis):
+    """Genotype values that pass chi(x - rho) = chi(y - eps), that is
+    chi(a') = chi(b'), which holds whenever a'/b' is a square.
+
+    Every server tests it on z_i^2; O_case also knows the basis encodings,
+    so it tests it on each u_ji * z_i.
+    """
+    p = params.p
+    known = ([[fixpt.fp_encode(v, params) for v in basis.column(j)] for j in range(rank)]
+             if pid == ctx.o_case else [])
+
+    def passes(opened, i, g):
+        z = fixpt.fp_encode(g, params)
+        tests = [(i, z)] + [((j + 1) * dim + i, col[i]) for j, col in enumerate(known)]
+        return all(legendre(x - opened[2 * k], p) == legendre(z - opened[2 * k + 1], p)
+                   for k, x in tests)
+
+    return [[g for g in (0, 1, 2) if passes(opened, i, g)]
+            for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
+
+
+def test_no_server_recovers_a_genotype_from_the_squares(screened):
+    # while the leader got raw c it kept 48 of 48
+    ctx, basis, _, params = screened
     for pid in ctx.mpc_pids:
-        survivors = square_candidates(ctx, pid, basis.dim, basis.rank, config.fp)
+        survivors = square_candidates(ctx, pid, basis.dim, basis.rank, params)
         assert len(survivors) == 48
         assert not any(survivors), pid
+
+
+def test_no_server_pins_a_genotype_from_legendre_symbols(screened):
+    # while O_case drew the single-mode blind, the blind filter pinned 44 of
+    # 48 entries in its view and the pairwise filter 37 of 48
+    ctx, basis, controls, params = screened
+    truth = [[int(v)] for ctrl in controls for v in ctrl.vector]
+    for pid in ctx.mpc_pids:
+        for survivors in (blind_candidates(ctx, pid, basis.dim, basis.rank, params),
+                          pairwise_candidates(ctx, pid, basis.dim, basis.rank, params, basis)):
+            assert len(survivors) == 48
+            assert sum(s == t for s, t in zip(survivors, truth)) <= 12, pid
 
 
 def far_control_inputs(group, big):

@@ -81,7 +81,7 @@ def deal(runtime: Runtime, owner: PartyId, parties, tag: str, values, p: int) ->
     for pid in parties:
         if pid != owner:
             held[pid] = modmath.decode_residues(runtime.take(pid, tag).payload, len(values), p)
-    return [{pid: held[pid][i] for pid in parties} for i in range(len(values))]
+    return [dict(zip(parties, shares)) for shares in zip(*(held[pid] for pid in parties))]
 
 
 def reconstruct(shares, p: int) -> int:

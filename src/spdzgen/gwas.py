@@ -21,7 +21,6 @@ them to the control owner only, which leaves the ratio unchanged.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import math
 import random
@@ -168,17 +167,20 @@ class CaseBasis:
     def validate_orthonormal(self, params: FixedPointParams):
         """U^T U must be the identity, entry-wise within 2^(2-f).
 
-        The check is exact and in integers: every column is scaled by D, the
-        lcm of the entries' denominators, so a dot product is S / D^2, and
-        |S / D^2 - delta_ij| > 4 / 2^f becomes |S - delta_ij * D^2| * 2^f > 4 * D^2.
+        The check is exact and in integers: column i is scaled by D_i, the
+        lcm of its own entries' denominators, so a dot product is
+        S / (D_i * D_j), and |S / (D_i * D_j) - delta_ij| > 4 / 2^f becomes
+        |S - delta_ij * D_i * D_j| * 2^f > 4 * D_i * D_j.
         """
-        ratios = [[v.as_integer_ratio() for v in row] for row in self.rows]
-        scale = math.lcm(*(d for row in ratios for _, d in row))
-        cols = [[n * (scale // d) for n, d in col] for col in zip(*ratios)]
-        unit = scale * scale
-        for i in range(self.rank):
+        cols = []
+        for j in range(self.rank):
+            ratios = [v.as_integer_ratio() for v in self.column(j)]
+            scale = math.lcm(*(d for _, d in ratios))
+            cols.append((scale, [n * (scale // d) for n, d in ratios]))
+        for i, (di, ci) in enumerate(cols):
             for j in range(i, self.rank):
-                dot = sum(x * y for x, y in zip(cols[i], cols[j]))
+                dj, cj = cols[j]
+                dot, unit = sum(x * y for x, y in zip(ci, cj)), di * dj
                 if abs(dot - (unit if i == j else 0)) << params.f > 4 * unit:
                     raise ValidationError(
                         "basis columns %d,%d not orthonormal (dot=%s)" % (i, j, dot / unit))
@@ -388,15 +390,12 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares,
     pairs = [(x, z) for row in [z_shares, *basis_cols] for x, z in zip(row, z_shares)]
     products = spdz.beaver_mult_batch(runtime, pairs, [dispenser.next_triple() for _ in pairs],
                                       p, ledger)
-    add = functools.partial(spdz.add_local, p=p)
-    zz, *projs = [functools.reduce(add, products[i:i + dim])
+    zz, *projs = [spdz.sum_local(products[i:i + dim], p)
                   for i in range(0, len(products), dim)]
     squares = spdz.beaver_mult_batch(runtime, [(x, x) for x in projs],
                                      [dispenser.next_triple() for _ in projs], p, ledger)
-    acc = spdz.scale_local(2 ** (2 * params.f), zz, p)
-    for sq in squares:
-        acc = spdz.sub_local(acc, sq, p)
-    return acc
+    return spdz.sum_local([spdz.scale_local(2 ** (2 * params.f), zz, p),
+                           *(spdz.scale_local(-1, sq, p) for sq in squares)], p)
 
 
 def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineConfig,

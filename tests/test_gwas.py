@@ -138,6 +138,27 @@ class TestBasis:
                 (Fraction(6, 7), Fraction(-3, 7), Fraction(0), Fraction(2, 7)))
         CaseBasis(rows=tuple(zip(*cols))).validate_orthonormal(FixedPointParams())
 
+    @pytest.mark.parametrize("nudge", [Fraction(-1, 3 * 2 ** 40), Fraction(0),
+                                       Fraction(1, 3 * 2 ** 40)])
+    def test_validation_edge_matches_fraction_definition(self, nudge):
+        # u = (1, 2, 2, 0)/3 and w = (6, -3, 0, 2)/7 + t*u, with <u, w> = t
+        # on either side of the tolerance 4/2^f; each column has its own
+        # non-decimal denominators
+        params = FixedPointParams()
+        tol = Fraction(4, 2 ** params.f)
+        u = [Fraction(n, 3) for n in (1, 2, 2, 0)]
+        w = [Fraction(n, 7) + (tol + nudge) * ui for n, ui in zip((6, -3, 0, 2), u)]
+        cols = (u, w)
+        exact_ok = all(abs(sum(a * b for a, b in zip(cols[i], cols[j])) - (i == j)) <= tol
+                       for i in range(2) for j in range(i, 2))
+        assert exact_ok == (nudge <= 0)
+        basis = CaseBasis(rows=tuple(zip(u, w)))
+        if exact_ok:
+            basis.validate_orthonormal(params)
+        else:
+            with pytest.raises(ValidationError, match="columns 0,1"):
+                basis.validate_orthonormal(params)
+
     def test_csv_roundtrip(self, tmp_path):
         basis = orthonormal_columns([(1, 0, 1), (0, 1, 0)])
         path = tmp_path / "u.csv"

@@ -23,7 +23,7 @@ from spdzgen.spdz import (
     sub_local,
 )
 
-from helpers import out_of_range, shifted, tamper_sends, truncated
+from helpers import out_of_range, shifted, tamper_sends, triple_stream, truncated
 
 P1, P2, P3 = (PartyId("MPC", i) for i in (1, 2, 3))
 PARTIES = (P1, P2, P3)
@@ -66,6 +66,14 @@ class TestOpen:
         broken = SharedValue(PARTIES, {P1: 1, P2: 2})
         with pytest.raises(ShareError):
             open_value(rt, broken, tiny.p)
+
+    def test_collector_outside_the_party_set(self, tiny):
+        rt = Runtime(PARTIES + (PartyId("MPC", 4),), seed=0)
+        sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
+        sent = rt.messages_sent
+        with pytest.raises(ShareError):
+            open_value(rt, sv, tiny.p, collector=PartyId("MPC", 4))
+        assert rt.messages_sent == sent
 
     def test_open_to_subset_only(self, rt, tiny):
         sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
@@ -250,6 +258,56 @@ class TestBeaverMult:
         assert tally[xv] == 0
         observed = [tally.get(v, 0) for v in support]
         assert chisquare(observed).pvalue > 0.001
+
+
+class TestColumnarBatch:
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_products_and_one_public_term(self, group256, m):
+        # every party's product share is c + eps*a + rho*b, and only the
+        # lowest party adds rho*eps
+        p, rng = group256.p, random.Random(12 + m)
+        parties = tuple(PartyId("MPC", i) for i in range(1, m + 1))
+        rt = Runtime(parties, seed=m)
+        triples = triple_stream(p, parties, rng)
+        plain = [(rng.randrange(p), rng.randrange(p)) for _ in range(6)]
+        pairs = [(share_secret(rt, parties[0], xv, parties, p),
+                  share_secret(rt, parties[-1], yv, parties, p)) for xv, yv in plain]
+        used = [next(triples) for _ in pairs]
+        products = beaver_mult_batch(rt, pairs, used, p, TripleLedger())
+        assert open_values(rt, products, p) == [xv * yv % p for xv, yv in plain]
+        for (x, y), t, z in zip(pairs, used, products):
+            rho = reconstruct((x.shares[q] - t.a_shares[q] for q in parties), p)
+            eps = reconstruct((y.shares[q] - t.b_shares[q] for q in parties), p)
+            for q in parties:
+                public = rho * eps if q == parties[0] else 0
+                assert z.shares[q] == (t.c_shares[q] + eps * t.a_shares[q]
+                                       + rho * t.b_shares[q] + public) % p
+
+    @pytest.mark.parametrize("fault", ["factor-parties", "triple-parties", "missing-share",
+                                       "spent-id", "repeated-id"])
+    def test_rejected_at_last_pair_spends_and_sends_nothing(self, rt, group256, fault):
+        p, rng = group256.p, random.Random(13)
+        pairs = [(share_secret(rt, P1, v, PARTIES, p), share_secret(rt, P2, v, PARTIES, p))
+                 for v in (2, 3, 4)]
+        triples = [t for t, _ in zip(triple_stream(p, PARTIES, rng), pairs)]
+        ledger = TripleLedger()
+        expected = ShareError
+        if fault == "factor-parties":
+            pairs[-1] = (pairs[-1][0], SharedValue((P1, P2), {P1: 1, P2: 2}))
+        elif fault == "triple-parties":
+            triples[-1] = next(triple_stream(p, (P1, P2), rng, prefix="w"))
+        elif fault == "missing-share":
+            pairs[-1] = (SharedValue(PARTIES, {P1: 1, P2: 2}), pairs[-1][1])
+        elif fault == "spent-id":
+            ledger.spend(triples[-1].triple_id)
+            expected = TripleReuseError
+        else:
+            triples[-1] = triples[0]
+            expected = TripleReuseError
+        spent, sent = len(ledger), rt.messages_sent
+        with pytest.raises(expected):
+            beaver_mult_batch(rt, pairs, triples, p, ledger)
+        assert (len(ledger), rt.messages_sent) == (spent, sent)
 
 
 class TestBatchedOpen:

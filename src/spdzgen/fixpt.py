@@ -112,9 +112,12 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
           exact: bool = False) -> TruncOutcome:
     """Divide a shared signed integer by 2^m (floor, plus a carry unless exact).
 
-    `frame` widens the assumed bit bound of the input beyond params.k, needed
-    after multiplications whose raw result carries 2f fraction bits.  The
-    field must satisfy p > 2^(kappa + frame + 1) at the chosen frame.
+    The mask owner and the wide-mask owner deal their masks r1 and r2 in one
+    round, so a plain `trunc` takes three rounds (masks, the opening's two)
+    and an exact one a fourth for the carry share.  `frame` widens the
+    assumed bit bound of the input beyond params.k, needed after
+    multiplications whose raw result carries 2f fraction bits.  The field
+    must satisfy p > 2^(kappa + frame + 1) at the chosen frame.
     """
     p = params.p
     w = params.k if frame is None else frame
@@ -128,9 +131,9 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
     offset = 2 ** w
     z1 = spdz.add_const(z, offset, p)
     r1 = runtime.rng(roles.mask_owner).randrange(2 ** m)
-    r1_sh = spdz.share_secret(runtime, roles.mask_owner, r1, z.parties, p)
     r2 = runtime.rng(roles.wide_owner).randrange(2 ** (params.kappa + w - m))
-    r2_sh = spdz.share_secret(runtime, roles.wide_owner, r2, z.parties, p)
+    [r1_sh], [r2_sh] = spdz.share_batches(
+        runtime, z.parties, [(roles.mask_owner, [r1]), (roles.wide_owner, [r2])], p)
 
     masked = spdz.add_local(spdz.add_local(spdz.scale_local(2 ** m, r2_sh, p), r1_sh, p), z1, p)
     c = spdz.open_value(runtime, masked, p, collector=roles.opener)

@@ -309,19 +309,20 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
                             ledger: TripleLedger, owner_keys: dict) -> Fraction:
     """Blinded inflation factor, revealed to the control owner only.
 
-    Each owner shares only its own counts; the combined-table sums n_i form by
-    local addition.  Numerator and denominator are built with Beaver products,
-    both multiplied by a joint blind R = r_case * r_ctrl, which
-    `mhkm.key_product` delivers to the leader from the owners' factors.  The
-    blinded pair is opened to o_ctrl, who takes their exact ratio (R cancels).
+    Each owner shares only its own counts, both in one round; the
+    combined-table sums n_i form by local addition.  Numerator and
+    denominator are built with Beaver products, both multiplied by a joint
+    blind R = r_case * r_ctrl, which `mhkm.key_product` delivers to the
+    leader from the owners' factors.  The blinded pair is opened to o_ctrl,
+    who takes their exact ratio (R cancels).
     """
     p = group.p
     for v in tuple(case_counts) + tuple(ctrl_counts):
         if not 0 <= v <= COUNT_CAP:
             raise ValidationError("count %d outside [0, %d]" % (v, COUNT_CAP))
 
-    r_sh = spdz.share_values(runtime, o_case, case_counts, mpc_pids, p)
-    s_sh = spdz.share_values(runtime, o_ctrl, ctrl_counts, mpc_pids, p)
+    r_sh, s_sh = spdz.share_batches(runtime, mpc_pids,
+                                    [(o_case, case_counts), (o_ctrl, ctrl_counts)], p)
     n_sh = [spdz.add_local(r_sh[i], s_sh[i], p) for i in range(3)]
 
     lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
@@ -462,6 +463,14 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     All controls run in order on one runtime; the result carries it under
     "context" for transcript export.  Each control's triples, and then the
     lambda step's, are minted as one batch right before they are spent.
+
+    The basis goes to the servers as one vector of dim*rank entries in
+    column order, one message per server.  A run over n controls takes
+    15 + 15n rounds: 1 for the basis; per control 1 to share z, 4 to mint,
+    4 for the residual's two Beaver openings and 6 for the accept bit; and
+    14 for lambda (4 to mint, 1 for both owners' counts, 2 + 2 for the
+    Beaver products, 3 for the blind's key product, 1 to share the blind, 1
+    for the opening to the control owner).
     """
     if config.fp.p != group.p:
         raise ValidationError(
@@ -486,8 +495,10 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
 
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)
-    basis_cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(j),
-                               ctx.mpc_pids, params) for j in range(basis.rank)]
+    flat = share_vector(ctx.runtime, ctx.o_case,
+                        [v for j in range(basis.rank) for v in basis.column(j)],
+                        ctx.mpc_pids, params)
+    basis_cols = [flat[i:i + basis.dim] for i in range(0, len(flat), basis.dim)]
     budget = triples_per_control(basis.dim, basis.rank)
     accepted = []
     for ctrl in controls:

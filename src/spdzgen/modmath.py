@@ -46,6 +46,26 @@ _SELF_CHECK = [
 _GMP_SONAME = "libgmp.so.10"
 
 
+def _open_gmp():
+    """The system libgmp as a `ctypes.CDLL`, or None when it does not load.
+
+    The library is looked up with `find_library` only when its soname does
+    not open.
+    """
+    try:
+        return ctypes.CDLL(_GMP_SONAME)
+    except OSError:
+        from ctypes.util import find_library
+
+        name = find_library("gmp")
+        if name is None:
+            return None
+        try:
+            return ctypes.CDLL(name)
+        except OSError:
+            return None
+
+
 def _load_powmod():
     """Variable-base modular exponentiation through the system libgmp's
     `mpz_powm`, or builtin `pow` when the library or one of its symbols is
@@ -58,33 +78,19 @@ def _load_powmod():
     operands need.  Operands go in through `mpz_import` and the result comes
     back through `mpz_export`, both as big-endian bytes.  Only a non-negative
     base and exponent with a modulus >= 2 reach GMP (a zero modulus aborts
-    the process inside it); every other call goes to `pow`.  The library is
-    looked up with `find_library` only when its soname does not open.
+    the process inside it); every other call goes to `pow`.
     """
+    lib = _open_gmp()
+    if lib is None:
+        return pow
     try:
-        lib = ctypes.CDLL(_GMP_SONAME)
-    except OSError:
-        from ctypes.util import find_library
-
-        name = find_library("gmp")
-        if name is None:
-            return pow
-        try:
-            lib = ctypes.CDLL(name)
-        except OSError:
-            return pow
-    try:
-        init = getattr(lib, "__gmpz_init")
-        import_ = getattr(lib, "__gmpz_import")
+        init, import_ = _bind_registers(lib)
         export = getattr(lib, "__gmpz_export")
         powm = getattr(lib, "__gmpz_powm")
     except AttributeError:
         return pow
     reg = ctypes.POINTER(_Mpz)
     size_t = ctypes.c_size_t
-    init.argtypes, init.restype = [reg], None
-    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
-    import_.restype = None
     export.argtypes = [ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
                        ctypes.c_int, size_t, reg]
     export.restype = ctypes.c_void_p
@@ -117,6 +123,19 @@ def _load_powmod():
     if any(gmp_powmod(b, e, m) != pow(b, e, m) for b, e, m in _SELF_CHECK):
         return pow
     return gmp_powmod
+
+
+def _bind_registers(lib):
+    """libgmp's `mpz_init` and `mpz_import` with their C signatures; raises
+    AttributeError when either symbol is missing."""
+    init = getattr(lib, "__gmpz_init")
+    import_ = getattr(lib, "__gmpz_import")
+    reg = ctypes.POINTER(_Mpz)
+    size_t = ctypes.c_size_t
+    init.argtypes, init.restype = [reg], None
+    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
+    import_.restype = None
+    return init, import_
 
 
 _powmod = _load_powmod()
@@ -363,15 +382,71 @@ def _jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
+# Operands on which libgmp's `mpz_jacobi` must agree with `_jacobi` before it
+# is used: zero, a residue and a non-residue mod 23, an argument past the
+# modulus, a composite modulus, and 256-bit operands at both ends of (0, p).
+_JACOBI_SELF_CHECK = [
+    (0, 23), (2, 23), (5, 23), (100, 23), (2, 15), (7, 1),
+    ((1 << 255) + 12345, (1 << 256) - 189), ((1 << 256) - 190, (1 << 256) - 189),
+]
+
+
+def _load_jacobi():
+    """The Jacobi symbol through the system libgmp's `mpz_jacobi`, or
+    `_jacobi` when the library or a symbol is missing, or a self-check
+    against `_jacobi` fails.
+
+    Like `_load_powmod`'s binding, it keeps two scratch registers for the life
+    of the process and assumes the single-threaded `Runtime`.  The modulus
+    register is reloaded only when the modulus changes, since membership
+    tests run against one group.  Only a non-negative argument and a positive
+    odd modulus reach GMP; every other call goes to `_jacobi`.
+    """
+    lib = _open_gmp()
+    if lib is None:
+        return _jacobi
+    try:
+        init, import_ = _bind_registers(lib)
+        jacobi = getattr(lib, "__gmpz_jacobi")
+    except AttributeError:
+        return _jacobi
+    reg = ctypes.POINTER(_Mpz)
+    jacobi.argtypes, jacobi.restype = [reg, reg], ctypes.c_int
+    a_r, n_r = _Mpz(), _Mpz()
+    init(a_r)
+    init(n_r)
+    loaded = None  # the modulus n_r holds
+
+    def gmp_jacobi(a: int, n: int) -> int:
+        nonlocal loaded
+        if a < 0 or n < 1 or not n & 1:
+            return _jacobi(a, n)
+        if n != loaded:
+            raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+            import_(n_r, len(raw), 1, 1, 1, 0, raw)
+            loaded = n
+        raw = a.to_bytes((a.bit_length() + 7) // 8, "big")
+        import_(a_r, len(raw), 1, 1, 1, 0, raw)
+        return jacobi(a_r, n_r)
+
+    if any(gmp_jacobi(a, n) != _jacobi(a, n) for a, n in _JACOBI_SELF_CHECK):
+        return _jacobi
+    return gmp_jacobi
+
+
+_jacobi_symbol = _load_jacobi()
+
+
 def is_subgroup_member(y: int, params: GroupParams) -> bool:
     """True iff y is in the order-q subgroup (i.e. a quadratic residue).
 
     For prime p the Jacobi symbol (y/p) is the Legendre symbol, which is 1
     exactly when y^q = 1 mod p (Euler's criterion), without exponentiating.
+    The symbol comes from libgmp when it is loaded, else from `_jacobi`.
     """
     if not 0 < y < params.p:
         raise MessageSpaceError("element %d outside (0, p)" % y)
-    return _jacobi(y, params.p) == 1
+    return _jacobi_symbol(y, params.p) == 1
 
 
 def random_exponent(params: GroupParams, rng: random.Random) -> int:

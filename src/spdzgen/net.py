@@ -2,15 +2,17 @@
 
 Parties exchange byte payloads through one queue that delivers in send order:
 the protocols run in synchronous rounds, each party sending and then every
-recipient reading what it was sent.  Send order never reaches a result:
-every protocol step pumps until nothing is pending before it takes, `take`
-matches on recipient and tag, and openings key contributions by sender, so
-the order only shapes the transcript, which a fixed seed replays byte for
-byte.  Each party draws randomness from its own generator derived from the
-master seed, and every delivered message plus every local annotation lands
-in the transcript, from which per-party views are sliced for privacy scans.
-A message is its endpoints, tag and payload only: the transcript lists
-messages in send order, so each channel's order is read off it.
+recipient reading what it was sent.  Messages that do not depend on one
+another are sent before one pump and share its round.  Send order never
+reaches a result: every protocol step pumps until nothing is pending before
+it takes, `take` matches on recipient and tag, and openings key
+contributions by sender, so the order only shapes the transcript, which a
+fixed seed replays byte for byte.  Each party draws randomness from its own
+generator derived from the master seed, and every delivered message plus
+every local annotation lands in the transcript, from which per-party views
+are sliced for privacy scans.  A message is its endpoints, tag and payload
+only: the transcript lists messages in send order, so each channel's order
+is read off it.
 """
 
 from __future__ import annotations
@@ -20,20 +22,16 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NetworkError
 
-@dataclass(frozen=True, order=True)
-class PartyId:
+class PartyId(NamedTuple):
+    """A party's role and index.  Identities key every share dict, so hashing
+    and equality are the tuple's own, in C; ordering is by (role, index)."""
+
     role: str
     index: int = 0
-
-    def __post_init__(self):
-        # identities key every share dict; a cached hash pays off
-        object.__setattr__(self, "_hash", hash((self.role, self.index)))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.role if self.index == 0 else "%s_%d" % (self.role, self.index)
@@ -75,7 +73,7 @@ class Runtime:
         """Per-party generator, seeded from the master seed and the identity."""
         self._require_party(pid)
         if pid not in self._rngs:
-            self._rngs[pid] = random.Random(self._derive_seed("party:%s" % pid))
+            self._rngs[pid] = random.Random(self._derive_seed("party:%s" % (pid,)))
         return self._rngs[pid]
 
     def fresh_id(self, prefix: str) -> str:

@@ -43,7 +43,7 @@ class SharedValue:
         try:
             return self.shares[pid]
         except KeyError:
-            raise ShareError("party %s holds no share of this value" % pid)
+            raise ShareError("party %s holds no share of this value" % (pid,))
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,26 @@ def _check_same_parties(x: SharedValue, y: SharedValue):
                          % ([str(q) for q in x.parties], [str(q) for q in y.parties]))
 
 
+def share_batches(runtime: Runtime, parties, batches, p: int) -> list[list[SharedValue]]:
+    """Share several owners' secrets in one round.
+
+    `batches` lists `(owner, secrets)`; each owner splits its secrets and
+    sends every other party one message of its shares of them all.  Returns
+    one list of SharedValues per batch.
+    """
+    parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
+    dealt = iter(deal(runtime, parties,
+                      [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
+                       for owner, secrets in batches if secrets], p))
+    return [[SharedValue(parties, s) for s in next(dealt)] if secrets else []
+            for _, secrets in batches]
+
+
 def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
                  p: int) -> list[SharedValue]:
     """Owner splits each secret and sends every other party one message of
     its shares of them all; returns one SharedValue per secret."""
-    parties, secrets = tuple(parties), list(secrets)
-    if not secrets:
-        return []
-    tag = "%s:%s" % (SHARE_TAG, runtime.fresh_id("v"))
-    return [SharedValue(parties, s) for s in deal(runtime, owner, parties, tag, secrets, p)]
+    return share_batches(runtime, parties, [(owner, secrets)], p)[0]
 
 
 def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
@@ -147,7 +158,7 @@ def open_values(runtime: Runtime, values, p: int,
     if collector is None:
         collector = min(parties)
     if collector not in columns:
-        raise ShareError("collector %s holds no share of the batch" % collector)
+        raise ShareError("collector %s holds no share of the batch" % (collector,))
     batch_id = runtime.fresh_id("o")
     tag = "%s:%s" % (OPEN_TAG, batch_id)
     for pid in parties:
@@ -239,7 +250,7 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
             column[0::2] = [(x[pid] - a[pid]) % p for x, a in zip(xs, a_sh)]
             column[1::2] = [(y[pid] - b[pid]) % p for y, b in zip(ys, b_sh)]
     except KeyError as exc:
-        raise ShareError("party %s holds no share of a factor or triple" % exc.args[0])
+        raise ShareError("party %s holds no share of a factor or triple" % (exc.args[0],))
     ledger.spend_all(t.triple_id for t in triples)
     opened = open_values(runtime, ShareColumns(parties, diffs), p)
     rho, eps = opened[0::2], opened[1::2]

@@ -30,8 +30,10 @@ def group256():
 
 @pytest.fixture
 def modexp_backend(request, monkeypatch):
-    """"loaded" keeps the backend modmath bound at import; "pow" puts builtin
-    pow in its place.  Parametrized through `helpers.both_backends`."""
+    """"loaded" keeps the backends modmath bound at import; "pow" puts builtin
+    pow and the pure-Python Jacobi symbol in their place.  Parametrized
+    through `helpers.both_backends`."""
     if request.param == "pow":
         monkeypatch.setattr(modmath, "_powmod", pow)
+        monkeypatch.setattr(modmath, "_jacobi_symbol", modmath._jacobi)
     return request.param

@@ -87,16 +87,14 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
 
     singles = []
     for i in range(500):
-        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
+        [triple] = dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC,
                                          triple_ids=["s%d" % i])
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         singles.append(triple)
     twos = []
     for i in range(500):
-        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
-        [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+        [triple] = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
                                       ox=MPC[0], oy=MPC[1], triple_ids=["d%d" % i],
                                       keys=chain_keys)
         a2, b2, c2 = triple_values(triple, p)

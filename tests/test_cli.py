@@ -58,7 +58,7 @@ class TestTriples:
         assert report["invalid"] == 0 and report["mode"] == "two"
 
     # messages, rounds and modexp per triple of one batch, keyed by mode
-    BATCH = {"single": (14, 7, 8.0), "two": (17, 10, 16.0)}
+    BATCH = {"single": (14, 4, 8.0), "two": (17, 7, 16.0)}
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode):
@@ -310,12 +310,19 @@ class TestPipelineGolden:
     # heads, the Beaver openings that carry them and the values drawn from
     # O_case's stream (which no longer draws a blind) moved; every other
     # record kept its endpoints, tag and payload, and the ledger and report
-    # did not move.
+    # did not move.  Both were re-pinned when independent sends began to share
+    # a round: the blind-r records now come before the first BTG hop and
+    # carry the batch's first triple id in their tag, the basis goes as one
+    # message per server (the concatenation of the per-column payloads), and
+    # the fresh ids after it shift down by rank - 1 = 1, which moves every
+    # ledger id (t000003 -> t000002).  With the basis payloads concatenated,
+    # the blind records moved and the ids mapped, every record kept its
+    # endpoints, tag and payload, and each channel kept its order.
     # The control loop, the Beaver products and the dispensation must leave
     # both byte-identical.  The decisions, lambda and triple count are those
     # of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "2af00ce571f56b3473eb4be47dd445c1bdb12dcaeb76d3ccdd85e147153bb3b7"
-    LEDGER_SHA256 = "170f26c4c833490272efd947f72bc171fe48db700f7d5ff0e711097fcc69989d"
+    TRANSCRIPT_SHA256 = "4d44bf645f8fd3de3f1eafcc1f25537de803ccfe50239e5d2513346dd65855ce"
+    LEDGER_SHA256 = "2dbeb1ad4813ce8017f293a4c6f8e272eac69ae7eeeadc6b081abc510171466a"
 
     def test_transcript_and_ledger(self, tmp_path):
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from spdzgen import btg, dispense, mhkm, modmath
+from spdzgen import btg, mhkm, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     TripleDispenser,
@@ -97,14 +97,14 @@ class TestReconstruct:
 class TestDeal:
     def test_owner_among_parties_keeps_its_shares(self, group256):
         rt = Runtime(MPC, seed=1)
-        shares = deal(rt, MPC[0], MPC, "x", [5, 6, 7], group256.p)
+        [shares] = deal(rt, MPC, [(MPC[0], "x", [5, 6, 7])], group256.p)
         assert [reconstruct(s.values(), group256.p) for s in shares] == [5, 6, 7]
         assert (rt.messages_sent, rt.rounds) == (2, 1)
         assert ("note", MPC[0], "kept local x share") in rt.transcript
 
     def test_outside_owner_sends_every_party(self, group256):
         rt = build_runtime(seed=2)
-        shares = deal(rt, BTG_PIDS[BtgRole.A], MPC, "x", [9], group256.p)
+        [shares] = deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9])], group256.p)
         assert set(shares[0]) == set(MPC)
         assert reconstruct(shares[0].values(), group256.p) == 9
         assert (rt.messages_sent, rt.rounds) == (3, 1)
@@ -115,13 +115,27 @@ class TestDeal:
     def test_malformed_payload_aborts(self, group256, monkeypatch, mutate):
         tamper_sends(monkeypatch, "x", mutate)
         with pytest.raises(ProtocolAbort):
-            deal(Runtime(MPC, seed=3), MPC[0], MPC, "x", [5, 6], group256.p)
+            deal(Runtime(MPC, seed=3), MPC, [(MPC[0], "x", [5, 6])], group256.p)
 
     def test_recipients_use_the_bytes(self, group256, monkeypatch):
         # each of the two recipients' first share moves by one
         tamper_sends(monkeypatch, "x", shifted(group256.p))
-        shares = deal(Runtime(MPC, seed=4), MPC[0], MPC, "x", [5, 6], group256.p)
+        [shares] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], group256.p)
         assert [reconstruct(s.values(), group256.p) for s in shares] == [7, 6]
+
+    def test_several_owners_share_one_round(self, group256):
+        # the same shares as one deal per owner, which cost a round each
+        p = group256.p
+        batches = [(MPC[0], "x", [5, 6]), (BTG_PIDS[BtgRole.A], "y", [7]), (MPC[2], "z", [8, 9])]
+        rt = build_runtime(seed=9)
+        together = deal(rt, MPC, batches, p)
+        assert (rt.messages_sent, rt.rounds) == (2 + 3 + 2, 1)
+        rt = build_runtime(seed=9)
+        apart = [deal(rt, MPC, [batch], p)[0] for batch in batches]
+        assert rt.rounds == 3
+        assert together == apart
+        assert [[reconstruct(s.values(), p) for s in shares] for shares in together] \
+            == [[5, 6], [7], [8, 9]]
 
 
 class TestLeaderSelection:
@@ -185,10 +199,24 @@ def build_runtime(seed=0):
     return rt
 
 
-def run_btg(rt, params, seed=0, forced=None):
-    keys = {role: btg.keygen(params, random.Random("%s-%s" % (seed, role.value)))
+def trio_keys(params, seed=0):
+    return {role: btg.keygen(params, random.Random("%s-%s" % (seed, role.value)))
             for role in BtgRole}
-    return keys, btg.run_triple_session(rt, params, keys, BTG_PIDS, forced=forced)
+
+
+def capture_sessions(monkeypatch):
+    """Record the outcome of every session the generator trio runs; chain
+    sessions between other parties are not recorded."""
+    session, outcomes = btg.run_triple_session, []
+
+    def capture(runtime, params, keys, pids, *args, **kwargs):
+        outcome = session(runtime, params, keys, pids, *args, **kwargs)
+        if pids[BtgRole.A] == BTG_PIDS[BtgRole.A]:
+            outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(btg, "run_triple_session", capture)
+    return outcomes
 
 
 def reconstruct_triple(triple, p):
@@ -203,30 +231,31 @@ class TestDispensationProtocol:
         rt = build_runtime()
         p = group256.p
         for i in range(20):
-            _, out = run_btg(rt, group256, seed=i)
-            [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC,
-                                             triple_ids=["t%d" % i])
+            [triple] = dispense_blind_single(rt, group256, trio_keys(group256, seed=i),
+                                             BTG_PIDS, MPC, triple_ids=["t%d" % i])
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
     def test_identity_blind_dispenses_raw_triple(self, group256, monkeypatch):
         rt = build_runtime(seed=1)
         p = group256.p
-        _, out = run_btg(rt, group256, seed=1, forced={BtgRole.A: [4], BtgRole.B: [9]})
+        outcomes = capture_sessions(monkeypatch)
         width = (p.bit_length() + 7) // 8
         # every blind on the wire becomes the residue 1; C keeps the blinds it drew
         tamper_sends(monkeypatch, "blind-r",
                      lambda payload: modmath.encode_residues([1] * (len(payload) // width), p))
-        [triple] = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["t"])
-        assert reconstruct_triple(triple, p)[:2] == (4, 9)
+        [triple] = dispense_blind_single(rt, group256, trio_keys(group256, seed=1),
+                                         BTG_PIDS, MPC, triple_ids=["t"])
+        [out] = outcomes
+        assert reconstruct_triple(triple, p)[:2] == (out[BtgRole.A][0], out[BtgRole.B][0])
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
         p = group256.p
         ox_key = btg.keygen(group256, rt.rng(MPC[0]))
         for i in range(10):
-            keys, out = run_btg(rt, group256, seed="two%d" % i)
-            [triple] = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+            keys = trio_keys(group256, seed="two%d" % i)
+            [triple] = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
                                           ox=MPC[0], oy=MPC[1], triple_ids=["t%d" % i],
                                           keys={MPC[0]: ox_key,
                                                 BTG_PIDS[BtgRole.C]: keys[BtgRole.C]})
@@ -236,8 +265,8 @@ class TestDispensationProtocol:
     def test_share_messages_on_private_channels(self, group256):
         # every share record travels point-to-point from its dealer
         rt = build_runtime(seed=4)
-        _, out = run_btg(rt, group256, seed=4)
-        dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["tx"])
+        dispense_blind_single(rt, group256, trio_keys(group256, seed=4), BTG_PIDS, MPC,
+                              triple_ids=["tx"])
         a_msgs = [r for r in rt.transcript
                   if r[0] == "msg" and r[3].startswith("triple-a:")]
         assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
@@ -247,33 +276,44 @@ class TestDispensationProtocol:
 class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
-        # K = 4 triples cost the messages and rounds of one: 14/7 single, 17/10 two
+        # K = 4 triples cost the messages and rounds of one: 14/4 single,
+        # 17/7 two.  The rounds are hop 1 with the blinds, hop 2, hop 3, (two
+        # mode: the key product's three hops,) and every holder's shares.
         rt = build_runtime(seed=6)
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
                       BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
         ids = ["b%d" % i for i in range(4)]
-        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS, count=4)
         if mode == "single":
-            triples = dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=ids)
+            triples = dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC, triple_ids=ids)
         else:
-            triples = dispense_blind_two(rt, group256, out, BTG_PIDS, MPC,
+            triples = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
                                          ox=MPC[0], oy=MPC[1],
                                          triple_ids=ids, keys=chain_keys)
         assert [t.triple_id for t in triples] == ids
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((14, 7) if mode == "single" else (17, 10))
+        assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (17, 7))
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
         assert all(len(r[4]) == 4 * w for r in share_msgs)
+        # the blinds are the first records: they ride the first hop's round
+        tags = [r[3] for r in rt.transcript if r[0] == "msg"]
+        assert tags[:3] == ["blind-r:b0", "blind-r:b0", btg.BTG_TAG]
 
-    def test_ids_must_match_session(self, group256):
-        rt = build_runtime(seed=8)
-        _, out = run_btg(rt, group256, seed=8)
-        with pytest.raises(ShareError):
-            dispense_blind_single(rt, group256, out, BTG_PIDS, MPC, triple_ids=["t1", "t2"])
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_empty_batch_sends_nothing(self, group256, mode):
+        ctx = build_parties(group256, seed=8, blinding=mode)
+        with pytest.raises(ParameterError):
+            if mode == "single":
+                dispense_blind_single(ctx.runtime, group256, ctx.btg_keys, ctx.btg_pids,
+                                      ctx.mpc_pids, triple_ids=[])
+            else:
+                dispense_blind_two(ctx.runtime, group256, ctx.btg_keys, ctx.btg_pids,
+                                   ctx.mpc_pids, ox=ctx.o_case, oy=ctx.o_ctrl,
+                                   triple_ids=[], keys=ctx.dispenser.chain_keys)
+        assert ctx.runtime.messages_sent == 0
 
 
 WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
@@ -358,6 +398,32 @@ class TestDispenser:
         ctx.dispenser.reserve(5)
         assert len(calls) == checks * 5
 
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_abort_after_hop_one_leaves_no_stale_blind(self, group256, monkeypatch, mode):
+        # the aborted batch's blinds reach BTG_A and BTG_B with hop 1; the
+        # next batch must read its own, or c' != a'*b' would pass unseen
+        ctx = build_parties(group256, seed=22, blinding=mode)
+        armed = [True]
+
+        def break_hop_two(payload):
+            if armed[0] and payload[btg.SESSION_ID_BYTES] == 2:
+                armed[0] = False
+                return truncated(payload)
+            return payload
+
+        tamper_sends(monkeypatch, btg.BTG_TAG, break_hop_two)
+        with pytest.raises(ProtocolAbort):
+            ctx.dispenser.reserve(4)
+        ctx.dispenser.reserve(4)
+        triples = list(ctx.dispenser.pool)
+        assert len(triples) == 4
+        for t in triples:
+            a2, b2, c2 = reconstruct_triple(t, group256.p)
+            assert c2 == a2 * b2 % group256.p
+        # the aborted batch's blinds are still unread
+        for role in (BtgRole.A, BtgRole.B):
+            ctx.runtime.take(ctx.btg_pids[role], "blind-r:t000001")
+
     def test_reserve_rejects_negative(self, group256):
         ctx = build_parties(group256, seed=13)
         ctx.dispenser.reserve(0)
@@ -380,14 +446,7 @@ class TestServerViews:
     @pytest.fixture
     def batch(self, group256, monkeypatch, mode):
         ctx = build_parties(group256, seed=11, record=True, blinding=mode)
-        name = "dispense_blind_" + mode
-        real, outcomes = getattr(dispense, name), []
-
-        def capture(runtime, params, outcome, *args, **kwargs):
-            outcomes.append(outcome)
-            return real(runtime, params, outcome, *args, **kwargs)
-
-        monkeypatch.setattr(dispense, name, capture)
+        outcomes = capture_sessions(monkeypatch)
         ctx.dispenser.reserve(20)
         [outcome] = outcomes
         return ctx, outcome
@@ -434,7 +493,7 @@ class TestSingleModeBlinds:
         ctx = build_parties(group256, seed=20, record=True)
         ctx.dispenser.reserve(3)
         blinds = [(r[1], r[2]) for r in ctx.runtime.transcript
-                  if r[0] == "msg" and r[3] == "blind-r"]
+                  if r[0] == "msg" and r[3].startswith("blind-r:")]
         pid_c = ctx.btg_pids[BtgRole.C]
         assert blinds == [(pid_c, ctx.btg_pids[BtgRole.A]), (pid_c, ctx.btg_pids[BtgRole.B])]
 
@@ -459,9 +518,15 @@ class TestGoldenTranscript:
     # became C's two, the triple-c shares and the share of a' and b' that
     # absorbs the blinded value (the one to MPC_1) moved, and every other
     # record kept its endpoints, tag and payload; the two digest did not move.
+    # Both were re-pinned when independent sends began to share a round: the
+    # blinds are sent before the session, so their records come before hop 1
+    # (in two mode also before the key product), and their tag carries the
+    # batch's first triple id (blind-r -> blind-r:t000001); every record kept
+    # its endpoints and payload, each channel kept its order, and the modexp
+    # counts did not move.
     GOLDEN = {
-        "single": ("1243823cddf647846b32b907414dc964ae7a7b4fef3e1282bd3781fcedcf4638", 244),
-        "two": ("badae94b5b633812c5badc82e4af781794cfd508b1d46f57b8f04fbdb7be5ccf", 484),
+        "single": ("de8b0b1d8edc9d3f8075a5902d6d901cab1a52b7993042df844deca315d9e522", 244),
+        "two": ("b837916260babc6cb92b29bdde504d5935e9b6642b9df0b139a588f342c62d2b", 484),
     }
 
     @both_backends

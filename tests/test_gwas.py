@@ -335,22 +335,23 @@ class TestSecureResidual:
         assert calls == ["open", "open"]
 
     def test_rounds_do_not_grow_with_dim_or_rank(self, group256):
-        # two Beaver openings and one sign test per control, whatever its shape
+        # one round for the whole basis, one for z, four to mint, two Beaver
+        # openings and one sign test per control, whatever its shape
         params = fp_for(group256)
         config = PipelineConfig(fp=params)
         ctx = build_parties(group256, seed=10)
         rounds = []
-        for dim, rank in ((3, 1), (6, 2)):
-            cols = [share_vector(ctx.runtime, ctx.o_case, [0] * dim, ctx.mpc_pids, params)
-                    for _ in range(rank)]
+        for dim, rank in ((3, 1), (6, 2), (6, 5)):
+            before = ctx.runtime.rounds
+            flat = share_vector(ctx.runtime, ctx.o_case, [0] * (dim * rank), ctx.mpc_pids, params)
+            cols = [flat[i:i + dim] for i in range(0, dim * rank, dim)]
             z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
             ctx.dispenser.reserve(gwas.triples_per_control(dim, rank))
-            before = ctx.runtime.rounds
             res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
                                    ctx.dispenser, ctx.ledger, ctx.roles)
             secure_accept_bit(ctx.runtime, res, config, ctx.roles)
             rounds.append(ctx.runtime.rounds - before)
-        assert rounds[0] == rounds[1]
+        assert rounds == [1 + 1 + 4 + 4 + 6] * 3
 
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)
@@ -395,6 +396,19 @@ class TestFilterPipeline:
         budget = len(controls) * (basis.dim + basis.rank * (basis.dim + 1)) + gwas.LAMBDA_TRIPLES
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_round_schedule(self, group256, n, rank):
+        # basis 1; per control z 1, mint 4, residual 4, accept bit 6; lambda
+        # mint 4, counts 1, products 2, blind chain 3, blind 1, products 2,
+        # opening 1
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        if rank == 1:
+            basis = orthonormal_columns([[float(v) for v in basis.column(0)]])
+        assert basis.rank == rank
+        result = filter_controls(group256, basis, case_counts, controls[:n], config, seed=19)
+        assert result["context"].runtime.rounds == 15 + 15 * n
 
     def test_empty_control_list(self, group256):
         basis, case_counts, _, config = small_pipeline_inputs(group256)

@@ -359,6 +359,44 @@ class TestSubgroup:
             assert modmath.is_subgroup_member(y, params) == (pow(y, params.q, params.p) == 1)
 
 
+class TestJacobiBackends:
+    @pytest.mark.parametrize("params", [TINY_GROUP, DEFAULT_GROUP_256, STANDARD_GROUP_2048],
+                             ids=["23", "256", "2048"])
+    def test_backends_give_the_same_symbols(self, params):
+        # random residues, both ends of (0, p), and squares, which are all 1
+        p, rng = params.p, random.Random(params.p.bit_length())
+        squares = [rng.randrange(1, p) ** 2 % p for _ in range(50)]
+        ys = [rng.randrange(1, p) for _ in range(200)] + [1, 2, p - 2, p - 1] + squares
+        python = [modmath._jacobi(y, p) for y in ys]
+        assert [modmath._load_jacobi()(y, p) for y in ys] == python
+        assert [modmath._jacobi_symbol(y, p) for y in ys] == python
+        assert python[-50:] == [1] * 50 and modmath._jacobi(p - 1, p) == -1
+        # Euler's criterion is the oracle for the random residues
+        assert python[:200] == [1 if pow(y, params.q, p) == 1 else -1 for y in ys[:200]]
+
+    def test_libgmp_jacobi_is_bound_when_present(self):
+        if ctypes.util.find_library("gmp") is None:
+            pytest.skip("no libgmp on this host")
+        assert modmath._jacobi_symbol is not modmath._jacobi
+
+    def test_edge_operands_go_to_python(self):
+        jacobi = modmath._load_jacobi()
+        for a, n in [(-3, 23), (5, 1), (0, 1), (3, 9), (10**80 + 7, 10**40 + 9)]:
+            assert jacobi(a, n) == modmath._jacobi(a, n)
+
+    def test_loader_falls_back_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        assert modmath._load_jacobi() is modmath._jacobi
+
+    def test_loader_falls_back_when_the_self_check_fails(self, monkeypatch):
+        def wrong(a, n):
+            return 0
+
+        monkeypatch.setattr(modmath, "_jacobi", wrong)
+        assert modmath._load_jacobi() is wrong
+
+
 class TestCipherLayer:
     def test_encrypt_trace(self, tiny):
         # h = g^3 = 18; m = 2; r = 2 -> (16, 4), all by direct evaluation

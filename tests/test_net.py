@@ -36,6 +36,23 @@ def test_fifo_per_channel():
     assert rt.take(B, "t").payload == b"second"
 
 
+def test_party_id_semantics():
+    # identities key every share dict: hashing and equality are the tuple's,
+    # ordering is by (role, index), str drops a zero index
+    assert A == PartyId("MPC", 1) and A != B and A != PartyId("OTHER", 1)
+    assert hash(A) == hash(PartyId("MPC", 1)) == hash(("MPC", 1))
+    assert type(A).__hash__ is tuple.__hash__ and type(A).__eq__ is tuple.__eq__
+    assert sorted([C, PartyId("BTG_B"), A, PartyId("BTG_A")]) \
+        == [PartyId("BTG_A"), PartyId("BTG_B"), A, C]
+    assert PartyId("MPC", 2) < PartyId("MPC", 10) and min(B, C, A) == A
+    assert (str(A), str(PartyId("BTG_A"))) == ("MPC_1", "BTG_A")
+    assert repr(A) == "PartyId(role='MPC', index=1)"
+    assert PartyId("BTG_A").index == 0 and A.role == "MPC"
+    shares = {pid: i for i, pid in enumerate((A, B, C))}
+    assert [shares[PartyId("MPC", i)] for i in (3, 1, 2)] == [2, 0, 1]
+    assert {A, PartyId("MPC", 1), B} == {A, B}
+
+
 def test_rounds_count_pumps_that_deliver():
     rt = Runtime([A, B, C])
     assert rt.pump() == 0 and rt.rounds == 0

@@ -69,13 +69,14 @@ def cmd_triples(args) -> int:
                              ledger_path=args.ledger)
     runtime = ctx.runtime
     modmath.reset_modexp_count()
-    messages, rounds = runtime.messages_sent, runtime.rounds
+    messages, rounds, sent = runtime.messages_sent, runtime.rounds, runtime.bytes_sent
     t0 = time.perf_counter()
     ctx.dispenser.reserve(args.count)
     triples = [ctx.dispenser.next_triple() for _ in range(args.count)]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     exps = modmath.modexp_count()
     messages, rounds = runtime.messages_sent - messages, runtime.rounds - rounds
+    sent = runtime.bytes_sent - sent
 
     bad = 0
     for t in triples:
@@ -91,6 +92,7 @@ def cmd_triples(args) -> int:
         "modexp_total": exps,
         "modexp_per_triple": exps / max(args.count, 1),
         "messages_per_triple": messages / max(args.count, 1),
+        "bytes_per_triple": sent / max(args.count, 1),
         "rounds_per_triple": rounds / max(args.count, 1),
         "ms_total": round(elapsed_ms, 3),
         "ms_per_triple": round(elapsed_ms / max(args.count, 1), 3),

@@ -1,46 +1,56 @@
 """Additive secret sharing and blind dispensation of Beaver triples.
 
-`deal` is the one sharing routine: each owner splits a batch of values and
-sends every other party one message of its shares, several owners' batches
-share one round, and each recipient builds its shares from the residues it
-decodes, so a malformed payload aborts and a corrupted one changes the
-result.  Input sharing (`spdz`) and the dispensation below both deal
-through it; the blind recipients likewise use the blinds they decode, and a
-zero blind aborts.
+`deal` is the one sharing routine.  Each owner sends every other party one
+message per batch of values, and several owners' batches share one round.
+Every party but one gets a SEED_BYTES seed and expands its shares from it
+(`modmath.expand_residues`, SHAKE-256); the one left holds the correction
+shares, value - sum of the expanded shares.  An owner among the parties
+keeps the correction itself; an owner outside them (a triple holder) sends
+it to the first party as one message of residues.  Each recipient builds its
+shares from the bytes it received, so a seed of the wrong length or a
+malformed correction aborts and a corrupted one changes the result.  Input
+sharing (`spdz`) and the dispensation below both deal through it.
 
 A generated triple (a, b, c) never reaches the MPC servers raw: each triple
 holder scales its own component by a blind factor, then splits the scaled
 values additively across the m servers.  Two blinding variants are supported:
 
   single-randomness:  a' = ra*a,  b' = rb*b,  c' = ra*rb*c
-  two-randomness:     a' = ra*a,  b' = rb*b,  c' = rc*c  with rc = ra*rb
+  two-randomness:     a' = sa*ra*a,  b' = sb*rb*b,  c' = sa*sb*rc*c
+                      with rc = ra*rb and random signs sa, sb
 
 Either way c' = a' * b' mod p, so the blinded shares are valid triples, and
 the multiplication openings downstream reveal nothing useful to the triple
 holders, who know only the unblinded values.  No MPC server receives a
 triple component, raw or blinded.
 
-In the single-randomness variant one party, the holder of c, picks ra and
-rb uniform in [1, p) and sends them to the holders of a and b: no server
-learns a blind, so to each server a' and b' are independent and uniform
-over Z_p^*.  (A server that knew the blind of the squares a and b would
-know the Legendre symbol of a', and each opening x - a' would tell it a bit
-of x.)  In the two-randomness variant O_x and O_y pick subgroup blinds ra
-and rb, and rc reaches the holder of c as an mHKM key product
-(`mhkm.key_product`), so it learns neither owner blind.
+Blinds travel as seeds too.  In the single-randomness variant the holder of
+c sends the holders of a and b one seed each, and each blind is
+r = 1 + (x mod (p-1)) for an expanded x, so it is nonzero by construction
+and within 2^-64 of uniform over Z_p^*: no server learns a blind, so to each
+server a' and b' are independent and uniform over Z_p^*.  (A server that knew
+the blind of the squares a and b would know the Legendre symbol of a', and
+each opening x - a' would tell it a bit of x.)  In the two-randomness variant
+O_x and O_y each send a seed, and the holder squares s = 1 + (x mod (p-1)), a
+uniform subgroup blind; rc reaches the holder of c as an mHKM key product
+(`mhkm.key_product`), so it learns neither owner blind.  The blinds and a
+and b are all squares, so the holders add signs: the holder of a expands
+its signs sa from a seed it sends the holder of b, which draws its own signs
+sb and sends the holder of c their products sa*sb, one byte per triple.  -1
+is a non-residue (p = 3 mod 4), so a' and b' are then uniform over Z_p^*, and
+no server learns a sign.
 
 Dispensation runs the K triples of one BTG session at once, and sends each
-message as soon as nothing it depends on is missing.  The blinds do not
-depend on the session, so they go out before it and ride its first hop's
-round; a holder thus learns its blind before the session instead of after.
-Every blind hop sends one message of K residues, and the three holders deal
-in one round, each sending each server one message of K shares.  A batch
-costs four rounds in single mode (hop 1 and the blinds | hop 2 | hop 3 |
-all shares) and seven in two mode, where the three hops of the `r_c` key
-product come before the shares.  Blinds and shares are tagged with the
-batch's first triple id.  `TripleDispenser` keeps the dispensed triples in
-a FIFO pool: `reserve(n)` mints n of them with one dispensation, and
-`next_triple` hands them out in order.
+message as soon as nothing it depends on is missing.  The blind seeds (and
+the two-mode sign seed) do not depend on the session, so they go out before
+it and ride its first hop's round; the sign products ride the key product's
+first round.  The three holders deal in one round.  A batch costs four
+rounds in single mode (hop 1 and the blinds | hop 2 | hop 3 | all shares)
+and seven in two mode, where the three hops of the `r_c` key product come
+before the shares.  Blinds, signs and shares are tagged with the batch's
+first triple id.  `TripleDispenser` keeps the dispensed triples in a FIFO
+pool: `reserve(n)` mints n of them with one dispensation, and `next_triple`
+hands them out in order.
 """
 
 from __future__ import annotations
@@ -59,7 +69,11 @@ from .net import PartyId, Runtime
 
 
 def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]:
-    """m shares summing to secret mod p; all but the first drawn uniformly."""
+    """m shares summing to secret mod p; all but the first drawn uniformly.
+
+    Nothing in the protocol deals with it any more (`deal` sends seeds); it
+    stays for the benchmark's stand-in dealer of online triples.
+    """
     if m < 2:
         raise ShareError("need at least 2 parties to split, got %d" % m)
     tail = [rng.randrange(p) for _ in range(m - 1)]
@@ -67,36 +81,49 @@ def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]
     return [head] + tail
 
 
+def _seed(rng: random.Random) -> bytes:
+    """A fresh PRG seed drawn from a sender's generator."""
+    return rng.getrandbits(8 * modmath.SEED_BYTES).to_bytes(modmath.SEED_BYTES, "big")
+
+
 def deal(runtime: Runtime, parties, batches, p: int) -> list[list[dict]]:
     """Deal several owners' batches of values in one round.
 
-    `batches` lists `(owner, tag, values)`.  Each owner splits its values in
-    order and sends every other party one message of its shares under `tag`;
-    an owner among `parties` keeps its own.  One pump delivers every batch,
-    and every recipient builds its shares from the residues it decodes off
-    the wire.  Returns, per batch, one PartyId -> share map per value.
+    `batches` lists `(owner, tag, values)`.  Each owner sends every other
+    party one message under `tag`: a seed of its shares of all the values,
+    or, to the party that holds the corrections, the K correction shares
+    value - sum of the expanded shares.  An owner among `parties` holds the
+    corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
+    outside them sends them to `parties[0]`.  One pump delivers every batch,
+    and every recipient builds its shares from the bytes it took off the
+    wire.  Returns, per batch, one PartyId -> share map per value.
     """
+    parties = list(parties)
+    if len(parties) < 2:
+        raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
     held = []
     for owner, tag, values in batches:
         rng = runtime.rng(owner)
-        splits = [split_additive(value, len(parties), p, rng) for value in values]
-        columns = {}
-        for j, pid in enumerate(parties):
-            column = [split[j] for split in splits]
+        keeper = owner if owner in parties else parties[0]
+        seeds = {pid: _seed(rng) for pid in parties if pid != keeper}
+        expanded = zip(*(modmath.expand_residues(seed, len(values), p) for seed in seeds.values()))
+        correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
+        for pid in parties:
             if pid == owner:
                 runtime.note(owner, "kept local %s share" % tag)
-                columns[pid] = column
             else:
-                runtime.send(owner, pid, tag, modmath.encode_residues(column, p))
-        held.append(columns)
+                runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
+                             else modmath.encode_residues(correction, p))
+        held.append((keeper, {owner: correction} if keeper == owner else {}))
     runtime.pump()
-    for (owner, tag, values), columns in zip(batches, held):
+    for (owner, tag, values), (keeper, columns) in zip(batches, held):
         for pid in parties:
             if pid != owner:
-                columns[pid] = modmath.decode_residues(runtime.take(pid, tag).payload,
-                                                       len(values), p)
+                payload = runtime.take(pid, tag).payload
+                columns[pid] = (modmath.decode_residues(payload, len(values), p) if pid == keeper
+                                else modmath.expand_residues(payload, len(values), p))
     return [[dict(zip(parties, shares)) for shares in zip(*(columns[pid] for pid in parties))]
-            for columns in held]
+            for _, columns in held]
 
 
 def reconstruct(shares, p: int) -> int:
@@ -132,23 +159,20 @@ class BeaverTripleShares:
 
 TRIPLE_TAGS = {BtgRole.A: "triple-a", BtgRole.B: "triple-b", BtgRole.C: "triple-c"}
 BLIND_TAG = "blind-r"
+SIGN_TAG = "sign-a"
+SIGN_PRODUCT_TAG = "sign-ab"
 
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, btg_keys: dict,
                           btg_pids: dict, mpc_pids, triple_ids) -> list[BeaverTripleShares]:
     """Single-randomness dispensation of one session of K triples, in 4 rounds.
 
-    One party, the holder of c, picks the randomness: independent blinds r_a
-    and r_b uniform in [1, p) per triple for the holders of a and b, and its
-    own c scaled by r_a*r_b.  No MPC server learns a blind.
+    One party, the holder of c, picks the randomness: one seed each for the
+    holders of a and b, which expand to independent blinds r_a and r_b in
+    [1, p) per triple, and its own c scaled by r_a*r_b.  No MPC server
+    learns a blind.
     """
-    p = params.p
-    pid_c = btg_pids[BtgRole.C]
-    rng = runtime.rng(pid_c)
-    r_a = [rng.randrange(1, p) for _ in triple_ids]
-    r_b = [rng.randrange(1, p) for _ in triple_ids]
-    return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids,
-                     (pid_c, pid_c), r_a, r_b, lambda: [x * y % p for x, y in zip(r_a, r_b)])
+    return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids)
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
@@ -157,52 +181,83 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
     """Two-randomness dispensation, in 7 rounds: r_c = r_a * r_b as an mHKM
     key product.
 
-    O_x and O_y choose subgroup blinds r_a and r_b per triple; once the
-    session has run, one `mhkm.key_product` of K products over (O_y, O_x,
-    holder of c) delivers every r_c to the holder of c, so no single owner
-    knows both blinds.  `keys` maps PartyId -> KeyPair for O_x and the holder
+    O_x and O_y send the holders of a and b one seed each, which expands to
+    subgroup blinds r_a and r_b per triple; once the session has run, one
+    `mhkm.key_product` of K products over (O_y, O_x, holder of c) delivers
+    every r_c to the holder of c, so no single owner knows both blinds.  The
+    holders of a and b add random signs, and the holder of c learns only
+    their products.  `keys` maps PartyId -> KeyPair for O_x and the holder
     of c.
     """
-    count = len(triple_ids)
-    pid_c = btg_pids[BtgRole.C]
-    r_a = [modmath.random_subgroup_element(params, runtime.rng(ox)) for _ in range(count)]
-    r_b = [modmath.random_subgroup_element(params, runtime.rng(oy)) for _ in range(count)]
-
-    def key_product():
-        return mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
-                                count=count)[pid_c]
-
     return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids,
-                     (ox, oy), r_a, r_b, key_product)
+                     owners=(ox, oy), keys=keys)
+
+
+def _blinds(seed: bytes, count: int, p: int, square: bool) -> list[int]:
+    """The K blinds a seed expands to: s = 1 + (x mod (p-1)), nonzero by
+    construction, or s^2, a uniform subgroup element."""
+    roots = [1 + x for x in modmath.expand_residues(seed, count, p - 1)]
+    return [s * s % p for s in roots] if square else roots
+
+
+def _signed(values, signs, p: int) -> list[int]:
+    """Each value negated mod p where its sign bit is set."""
+    return [-v % p if sign else v for v, sign in zip(values, signs)]
 
 
 def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
-              mpc_pids, triple_ids, senders, r_a, r_b, c_blinds) -> list[BeaverTripleShares]:
-    """One batch end to end.  `senders` send r_a and r_b to the holders of a
-    and b before the session, so the blinds ride its first hop's round; the
-    session runs; `c_blinds()` then gives the holder of c its K blinds; and
-    the three holders deal their K blinded components in one round.  Blinds
-    and shares are tagged with the batch's first triple id, so messages an
-    aborted batch left behind are never read.  A zero blind on the wire
-    aborts.
+              mpc_pids, triple_ids, owners=None, keys=None) -> list[BeaverTripleShares]:
+    """One batch end to end; `owners` = (O_x, O_y) selects two-randomness
+    mode, whose key product runs over `keys`.
+
+    The blind senders (the holder of c, or O_x and O_y) send one seed each to
+    the holders of a and b before the session, so the seeds ride its first
+    hop's round; in two mode the holder of a sends its sign seed with them.
+    The session runs.  In two mode the holder of b then sends the sign
+    products, which ride the key product's first round, and the key product
+    gives the holder of c its K blinds.  The three holders deal their K
+    blinded components in one round.  Seeds, signs and shares are tagged
+    with the batch's first triple id, so messages an aborted batch left
+    behind are never read.
     """
     if not triple_ids:
         raise ParameterError("a batch dispenses at least one triple")
-    p = params.p
-    count = len(triple_ids)
-    blind_tag = "%s:%s" % (BLIND_TAG, triple_ids[0])
-    holders = [btg_pids[BtgRole.A], btg_pids[BtgRole.B]]
-    for src, dst, rs in zip(senders, holders, (r_a, r_b)):
-        runtime.send(src, dst, blind_tag, modmath.encode_residues(rs, p))
+    p, count, first = params.p, len(triple_ids), triple_ids[0]
+    pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
+    two = owners is not None
+    senders = owners if two else (pid_c, pid_c)
+    seeds = [_seed(runtime.rng(src)) for src in senders]
+    blind_tag = "%s:%s" % (BLIND_TAG, first)
+    for src, dst, seed in zip(senders, (pid_a, pid_b), seeds):
+        runtime.send(src, dst, blind_tag, seed)
+    if two:
+        sign_tag, product_tag = "%s:%s" % (SIGN_TAG, first), "%s:%s" % (SIGN_PRODUCT_TAG, first)
+        sign_seed = _seed(runtime.rng(pid_a))
+        runtime.send(pid_a, pid_b, sign_tag, sign_seed)
     outcome = btg.run_triple_session(runtime, params, btg_keys, btg_pids, count=count)
-    received = [modmath.decode_residues(runtime.take(pid, blind_tag).payload, count, p)
-                for pid in holders]
-    if any(0 in rs for rs in received):
-        raise BlindFactorError("a triple holder received a zero blind")
+    # each holder's blinds from the seed it received, each sender's from its own
+    factors = [_blinds(runtime.take(pid, blind_tag).payload, count, p, two)
+               for pid in (pid_a, pid_b)]
+    r_a, r_b = (_blinds(seed, count, p, two) for seed in seeds)
+    if two:
+        ox, oy = owners
+        rng_b = runtime.rng(pid_b)
+        signs_b = [rng_b.getrandbits(1) for _ in range(count)]
+        seen_by_b = modmath.expand_residues(runtime.take(pid_b, sign_tag).payload, count, 2)
+        runtime.send(pid_b, pid_c, product_tag,
+                     modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
+        r_c = mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
+                               count=count)[pid_c]
+        products = modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
+        signs_a = modmath.expand_residues(sign_seed, count, 2)
+        factors = [_signed(rs, signs, p)
+                   for rs, signs in zip(factors + [r_c], (signs_a, signs_b, products))]
+    else:
+        factors.append([x * y % p for x, y in zip(r_a, r_b)])
     shares = deal(runtime, mpc_pids,
-                  [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], triple_ids[0]),
+                  [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first),
                     [r * v % p for r, v in zip(rs, outcome[role])])
-                   for role, rs in zip(BtgRole, received + [c_blinds()])], p)
+                   for role, rs in zip(BtgRole, factors)], p)
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, *shares)]

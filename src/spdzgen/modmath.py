@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import json
 import random
 from dataclasses import dataclass
@@ -75,10 +76,12 @@ def _load_powmod():
     modulus, result) and one export buffer for the life of the process, so it
     assumes the single-threaded `Runtime`: two threads inside it at once
     would overwrite each other's operands.  GMP grows the registers as
-    operands need.  Operands go in through `mpz_import` and the result comes
-    back through `mpz_export`, both as big-endian bytes.  Only a non-negative
-    base and exponent with a modulus >= 2 reach GMP (a zero modulus aborts
-    the process inside it); every other call goes to `pow`.
+    operands need.  The exponent and modulus registers are reloaded only
+    when their operand changes, since a party strips K ciphertexts with one
+    exponent mod one p.  Operands go in through `mpz_import` and the result
+    comes back through `mpz_export`, both as big-endian bytes.  Only a
+    non-negative base and exponent with a modulus >= 2 reach GMP (a zero
+    modulus aborts the process inside it); every other call goes to `pow`.
     """
     lib = _open_gmp()
     if lib is None:
@@ -101,21 +104,26 @@ def _load_powmod():
         init(r)
     written = size_t()
     out = ctypes.create_string_buffer(64)
+    loaded_e = loaded_m = None  # the exponent and modulus exp_r and mod_r hold
 
     def load(r, x: int) -> None:
         raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
         import_(r, len(raw), 1, 1, 1, 0, raw)
 
     def gmp_powmod(base: int, e: int, m: int) -> int:
-        nonlocal out
+        nonlocal out, loaded_e, loaded_m
         if base < 0 or e < 0 or m < 2:
             return pow(base, e, m)
-        width = (m.bit_length() + 7) // 8
-        if len(out) < width:
-            out = ctypes.create_string_buffer(width)
+        if m != loaded_m:
+            width = (m.bit_length() + 7) // 8
+            if len(out) < width:
+                out = ctypes.create_string_buffer(width)
+            load(mod_r, m)
+            loaded_m = m
+        if e != loaded_e:
+            load(exp_r, e)
+            loaded_e = e
         load(base_r, base)
-        load(exp_r, e)
-        load(mod_r, m)
         powm(out_r, base_r, exp_r, mod_r)
         export(out, written, 1, 1, 1, 0, out_r)
         return int.from_bytes(out.raw[:written.value], "big")
@@ -499,6 +507,27 @@ def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Cipherte
     u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
     v = ct.v * _fixed_modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
+
+
+# Bytes of a PRG seed on the wire.
+SEED_BYTES = 16
+
+
+def expand_residues(seed: bytes, count: int, p: int) -> list[int]:
+    """`count` residues mod p expanded from a SEED_BYTES seed with SHAKE-256.
+
+    The output stream is cut into chunks of w + 8 bytes, w being the byte
+    width of p, and each chunk is reduced mod p: the 64 spare bits put every
+    value within 2^-64 of uniform over [0, p).  Any modulus >= 1 works (the
+    blinds expand mod p - 1, the two-mode signs mod 2), and a shorter count
+    gives a prefix of a longer one.  A seed of any other length raises
+    ProtocolAbort.
+    """
+    if len(seed) != SEED_BYTES:
+        raise ProtocolAbort("seed of %d bytes, expected %d" % (len(seed), SEED_BYTES))
+    chunk = (p.bit_length() + 7) // 8 + 8
+    stream = hashlib.shake_256(seed).digest(count * chunk)
+    return [int.from_bytes(stream[i:i + chunk], "big") % p for i in range(0, len(stream), chunk)]
 
 
 def encode_residues(values, p: int) -> bytes:

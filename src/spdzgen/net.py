@@ -63,6 +63,7 @@ class Runtime:
         self._transcript: list[tuple] = []
         self._id_counter = 0
         self.messages_sent = 0
+        self.bytes_sent = 0  # payload bytes of every message sent
         self.rounds = 0  # pump calls that delivered at least one message
 
     def _derive_seed(self, label: str) -> int:
@@ -90,6 +91,7 @@ class Runtime:
         msg = Message(src, dst, tag, bytes(payload))
         self._pending.append(msg)
         self.messages_sent += 1
+        self.bytes_sent += len(msg.payload)
         return msg
 
     def pump(self) -> int:

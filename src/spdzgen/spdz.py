@@ -81,9 +81,10 @@ def _check_same_parties(x: SharedValue, y: SharedValue):
 def share_batches(runtime: Runtime, parties, batches, p: int) -> list[list[SharedValue]]:
     """Share several owners' secrets in one round.
 
-    `batches` lists `(owner, secrets)`; each owner splits its secrets and
-    sends every other party one message of its shares of them all.  Returns
-    one list of SharedValues per batch.
+    `batches` lists `(owner, secrets)`.  Each owner sends every party but
+    one a 16-byte seed of its shares of them all; the one left, the owner
+    itself when it is a party and else the first party, holds the correction
+    shares (`dispense.deal`).  Returns one list of SharedValues per batch.
     """
     parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
     dealt = iter(deal(runtime, parties,
@@ -95,13 +96,13 @@ def share_batches(runtime: Runtime, parties, batches, p: int) -> list[list[Share
 
 def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
                  p: int) -> list[SharedValue]:
-    """Owner splits each secret and sends every other party one message of
-    its shares of them all; returns one SharedValue per secret."""
+    """Owner sends every other party one seed of its shares of all the
+    secrets; returns one SharedValue per secret."""
     return share_batches(runtime, parties, [(owner, secrets)], p)[0]
 
 
 def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
-    """Owner splits a secret and delivers one share to each other party."""
+    """Owner sends each other party a seed of its share of one secret."""
     return share_values(runtime, owner, [secret], parties, p)[0]
 
 

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from spdzgen.dispense import BeaverTripleShares, split_additive
+from spdzgen.modmath import SEED_BYTES
 from spdzgen.net import Runtime
 
 # Runs a test once on the modexp backend modmath loaded and once on builtin
@@ -58,9 +59,13 @@ def zeroed(payload):
 
 
 def shifted(p):
-    """An in-range corruption: the payload's first residue plus one, mod p."""
+    """An in-range corruption: a seed plus one, or else the payload's first
+    residue plus one, mod p."""
     w = (p.bit_length() + 7) // 8
 
     def mutate(payload):
+        if len(payload) == SEED_BYTES:
+            return ((int.from_bytes(payload, "big") + 1) % 2 ** (8 * SEED_BYTES)).to_bytes(
+                SEED_BYTES, "big")
         return ((int.from_bytes(payload[:w], "big") + 1) % p).to_bytes(w, "big") + payload[w:]
     return mutate

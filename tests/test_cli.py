@@ -57,12 +57,17 @@ class TestTriples:
         report = json.loads(capsys.readouterr().out)
         assert report["invalid"] == 0 and report["mode"] == "two"
 
-    # messages, rounds and modexp per triple of one batch, keyed by mode
-    BATCH = {"single": (14, 4, 8.0), "two": (17, 7, 16.0)}
+    # messages, rounds, modexp per triple and bytes of one batch of 12, keyed
+    # by mode.  The bytes: BTG hops of 17 + 2*32*12 each, two 16-byte blind
+    # seeds, and per holder 12 correction shares to MPC_1 plus two seeds; two
+    # mode adds its key product's three hops, the sign seed and 12
+    # sign-product bytes.
+    BATCH = {"single": (14, 4, 8.0, 3 * 785 + 32 + 3 * 416),
+             "two": (19, 7, 16.0, 6 * 785 + 32 + 3 * 416 + 16 + 12)}
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode):
-        messages, rounds, modexp = self.BATCH[mode]
+        messages, rounds, modexp, sent = self.BATCH[mode]
         ledger = tmp_path / "ledger.jsonl"
         assert run_cli("triples", "-n", "12", "--mode", mode, "--ledger", str(ledger)) == 0
         report = json.loads(capsys.readouterr().out)
@@ -70,6 +75,7 @@ class TestTriples:
         assert report["modexp_per_triple"] == modexp
         assert report["messages_per_triple"] == messages / 12
         assert report["rounds_per_triple"] == rounds / 12
+        assert report["bytes_per_triple"] == sent / 12
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
         assert ids == ["t%06d" % i for i in range(1, 13)]
 
@@ -317,11 +323,18 @@ class TestPipelineGolden:
     # the fresh ids after it shift down by rank - 1 = 1, which moves every
     # ledger id (t000003 -> t000002).  With the basis payloads concatenated,
     # the blind records moved and the ids mapped, every record kept its
-    # endpoints, tag and payload, and each channel kept its order.
+    # endpoints, tag and payload, and each channel kept its order.  The
+    # transcript was re-pinned when shares and blinds began to travel as
+    # 16-byte seeds: every record kept its endpoints, tag and order, each
+    # batch's blind-r records and every share record but the holders'
+    # correction shares to MPC_1 carry a seed, and the first batch's BTG hops
+    # are unchanged; later hops and the openings that carry the new shares
+    # moved, because the holders' rngs draw fewer values.  The ledger and the
+    # report did not move.
     # The control loop, the Beaver products and the dispensation must leave
     # both byte-identical.  The decisions, lambda and triple count are those
     # of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "4d44bf645f8fd3de3f1eafcc1f25537de803ccfe50239e5d2513346dd65855ce"
+    TRANSCRIPT_SHA256 = "ac3229e8f9855c620267a920bdf29333058b380c52c66360a4900b43540e5e18"
     LEDGER_SHA256 = "2dbeb1ad4813ce8017f293a4c6f8e272eac69ae7eeeadc6b081abc510171466a"
 
     def test_transcript_and_ledger(self, tmp_path):

@@ -21,7 +21,6 @@ from spdzgen.dispense import (
     split_additive,
 )
 from spdzgen.errors import (
-    BlindFactorError,
     ParameterError,
     ProtocolAbort,
     SelectionError,
@@ -96,32 +95,51 @@ class TestReconstruct:
 
 class TestDeal:
     def test_owner_among_parties_keeps_its_shares(self, group256):
+        # every other party gets one seed: (m-1) * 16 bytes for any count
         rt = Runtime(MPC, seed=1)
         [shares] = deal(rt, MPC, [(MPC[0], "x", [5, 6, 7])], group256.p)
         assert [reconstruct(s.values(), group256.p) for s in shares] == [5, 6, 7]
         assert (rt.messages_sent, rt.rounds) == (2, 1)
+        assert rt.bytes_sent == (len(MPC) - 1) * modmath.SEED_BYTES
         assert ("note", MPC[0], "kept local x share") in rt.transcript
 
     def test_outside_owner_sends_every_party(self, group256):
+        # the first party gets the K correction shares, every other one a seed
         rt = build_runtime(seed=2)
-        [shares] = deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9])], group256.p)
+        [shares] = deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9, 10])], group256.p)
         assert set(shares[0]) == set(MPC)
-        assert reconstruct(shares[0].values(), group256.p) == 9
+        assert [reconstruct(s.values(), group256.p) for s in shares] == [9, 10]
         assert (rt.messages_sent, rt.rounds) == (3, 1)
+        sizes = {r[2]: len(r[4]) for r in rt.transcript if r[0] == "msg"}
+        assert sizes == {MPC[0]: 2 * group256.element_size,
+                         MPC[1]: modmath.SEED_BYTES, MPC[2]: modmath.SEED_BYTES}
         assert not [r for r in rt.transcript if r[0] == "note"]
 
     @pytest.mark.parametrize("mutate", [truncated, out_of_range],
                              ids=["truncated", "out-of-range"])
     def test_malformed_payload_aborts(self, group256, monkeypatch, mutate):
+        # an outside owner, so every mutation also hits the correction shares
+        tamper_sends(monkeypatch, "x", mutate)
+        with pytest.raises(ProtocolAbort):
+            deal(build_runtime(seed=3), MPC, [(BTG_PIDS[BtgRole.A], "x", [5, 6])], group256.p)
+
+    @pytest.mark.parametrize("mutate", [truncated, lambda seed: seed + b"\x00"],
+                             ids=["truncated", "overlong"])
+    def test_seed_of_another_length_aborts(self, group256, monkeypatch, mutate):
         tamper_sends(monkeypatch, "x", mutate)
         with pytest.raises(ProtocolAbort):
             deal(Runtime(MPC, seed=3), MPC, [(MPC[0], "x", [5, 6])], group256.p)
 
     def test_recipients_use_the_bytes(self, group256, monkeypatch):
-        # each of the two recipients' first share moves by one
-        tamper_sends(monkeypatch, "x", shifted(group256.p))
-        [shares] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], group256.p)
-        assert [reconstruct(s.values(), group256.p) for s in shares] == [7, 6]
+        # a shifted seed moves every share its recipient expands from it
+        p = group256.p
+        [honest] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], p)
+        tamper_sends(monkeypatch, "x", shifted(p))
+        [shares] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], p)
+        for pid in MPC:
+            kept = pid == MPC[0]
+            assert all((s[pid] == h[pid]) == kept for s, h in zip(shares, honest))
+        assert all(reconstruct(s.values(), p) not in (5, 6) for s in shares)
 
     def test_several_owners_share_one_round(self, group256):
         # the same shares as one deal per owner, which cost a round each
@@ -236,18 +254,19 @@ class TestDispensationProtocol:
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
-    def test_identity_blind_dispenses_raw_triple(self, group256, monkeypatch):
+    def test_holders_blind_with_the_seed_they_receive(self, group256, monkeypatch):
         rt = build_runtime(seed=1)
         p = group256.p
         outcomes = capture_sessions(monkeypatch)
-        width = (p.bit_length() + 7) // 8
-        # every blind on the wire becomes the residue 1; C keeps the blinds it drew
-        tamper_sends(monkeypatch, "blind-r",
-                     lambda payload: modmath.encode_residues([1] * (len(payload) // width), p))
+        # every blind seed on the wire becomes SEED; C keeps the seeds it drew
+        seed = bytes(range(modmath.SEED_BYTES))
+        tamper_sends(monkeypatch, "blind-r", lambda payload: seed)
         [triple] = dispense_blind_single(rt, group256, trio_keys(group256, seed=1),
                                          BTG_PIDS, MPC, triple_ids=["t"])
         [out] = outcomes
-        assert reconstruct_triple(triple, p)[:2] == (out[BtgRole.A][0], out[BtgRole.B][0])
+        [x] = modmath.expand_residues(seed, 1, p - 1)
+        assert reconstruct_triple(triple, p)[:2] == ((1 + x) * out[BtgRole.A][0] % p,
+                                                     (1 + x) * out[BtgRole.B][0] % p)
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
@@ -277,8 +296,9 @@ class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
         # K = 4 triples cost the messages and rounds of one: 14/4 single,
-        # 17/7 two.  The rounds are hop 1 with the blinds, hop 2, hop 3, (two
-        # mode: the key product's three hops,) and every holder's shares.
+        # 19/7 two.  The rounds are hop 1 with the blinds (two mode: and A's
+        # sign seed), hop 2, hop 3, (two mode: the key product's three hops,
+        # the first with B's sign products,) and every holder's shares.
         rt = build_runtime(seed=6)
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
@@ -294,13 +314,18 @@ class TestBatchedDispensation:
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (17, 7))
+        assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (19, 7))
+        # each holder sends MPC_1 its 4 correction shares and the others a seed
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
-        assert all(len(r[4]) == 4 * w for r in share_msgs)
-        # the blinds are the first records: they ride the first hop's round
+        assert sorted((r[2], len(r[4])) for r in share_msgs) \
+            == sorted([(MPC[0], 4 * w)] * 3 + [(pid, modmath.SEED_BYTES) for pid in MPC[1:]] * 3)
+        # the blind seeds are the first records: they ride the first hop's round
         tags = [r[3] for r in rt.transcript if r[0] == "msg"]
-        assert tags[:3] == ["blind-r:b0", "blind-r:b0", btg.BTG_TAG]
+        first = ["blind-r:b0", "blind-r:b0"] + ["sign-a:b0"] * (mode == "two")
+        assert tags[:len(first) + 1] == first + [btg.BTG_TAG]
+        assert all(len(r[4]) == modmath.SEED_BYTES for r in rt.transcript
+                   if r[0] == "msg" and r[3] in first)
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_empty_batch_sends_nothing(self, group256, mode):
@@ -318,6 +343,12 @@ class TestBatchedDispensation:
 
 WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
 
+# A seed has no out-of-range value, so out_of_range only has a target where
+# residues cross the wire: the holders' correction shares to MPC_1.
+MALFORMED = ([pytest.param(truncated, prefix, id="truncated-" + prefix) for prefix in WIRE_TAGS]
+             + [pytest.param(out_of_range, prefix, id="out-of-range-" + prefix)
+                for prefix in WIRE_TAGS[1:]])
+
 
 def reserve_under(monkeypatch, group, mode, prefix, mutate, n=4):
     """Mint n triples while every `prefix` payload is rewritten by `mutate`."""
@@ -329,16 +360,17 @@ def reserve_under(monkeypatch, group, mode, prefix, mutate, n=4):
 
 @pytest.mark.parametrize("mode", ["single", "two"])
 class TestTamperedDispensation:
-    @pytest.mark.parametrize("prefix", WIRE_TAGS)
-    @pytest.mark.parametrize("mutate", [truncated, out_of_range],
-                             ids=["truncated", "out-of-range"])
+    @pytest.mark.parametrize("mutate,prefix", MALFORMED)
     def test_malformed_payload_aborts(self, group256, monkeypatch, mode, prefix, mutate):
         with pytest.raises(ProtocolAbort):
             reserve_under(monkeypatch, group256, mode, prefix, mutate)
 
-    def test_zero_blind_aborts(self, group256, monkeypatch, mode):
-        with pytest.raises(BlindFactorError):
-            reserve_under(monkeypatch, group256, mode, "blind-r", zeroed)
+    def test_zeroed_blind_seeds_give_nonzero_blinds(self, group256, monkeypatch, mode):
+        # the all-zero seed is a seed like any other, and every blind it
+        # expands to is nonzero: no component of a triple becomes zero
+        p = group256.p
+        triples = reserve_under(monkeypatch, group256, mode, "blind-r", zeroed)
+        assert all(v for t in triples for v in reconstruct_triple(t, p))
 
     @pytest.mark.parametrize("prefix", WIRE_TAGS)
     def test_in_range_corruption_breaks_a_triple(self, group256, monkeypatch, mode, prefix):
@@ -347,6 +379,18 @@ class TestTamperedDispensation:
         triples = reserve_under(monkeypatch, group256, mode, prefix, shifted(p))
         products = [reconstruct_triple(t, p) for t in triples]
         assert any(c != a * b % p for a, b, c in products)
+
+
+class TestExpandedBlinds:
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_every_blind_is_nonzero_in_the_tiny_group(self, tiny, mode):
+        # a seed expanded mod p would give a zero blind once in 23 here; the
+        # blinds expand mod p - 1 and add one, so no dispensed component is 0
+        ctx = build_parties(tiny, seed=23, blinding=mode)
+        ctx.dispenser.reserve(300)
+        triples = [reconstruct_triple(t, tiny.p) for t in ctx.dispenser.pool]
+        assert all(a and b and c == a * b % tiny.p for a, b, c in triples)
+        assert len({a for a, _, _ in triples}) == tiny.p - 1  # every unit occurs
 
 
 class TestDispenser:
@@ -473,21 +517,27 @@ class TestServerViews:
         assert received == shares | owner_hops
 
 
+def assert_legendre_band(group, mode):
+    """chi(a'), chi(b') and chi(a') = chi(b') over one reserve(400) each sit
+    in a 5-sigma band around 200."""
+    p = group.p
+    ctx = build_parties(group, seed=19, blinding=mode)
+    ctx.dispenser.reserve(400)
+    chis = [tuple(pow(reconstruct(shares.values(), p), (p - 1) // 2, p) == 1
+                  for shares in (t.a_shares, t.b_shares)) for t in ctx.dispenser.pool]
+    assert len(chis) == 400
+    for count in (sum(a for a, _ in chis), sum(b for _, b in chis),
+                  sum(a == b for a, b in chis)):
+        assert abs(count - 200) <= 50, count
+
+
 class TestSingleModeBlinds:
     """The holder of c picks both blinds, so no server learns one."""
 
     def test_legendre_symbols_independent(self, group256):
         # a and b are squares, so one blind r on both made chi(a') = chi(b')
-        # in 400 of 400; each count must sit in a 5-sigma band around 200
-        p = group256.p
-        ctx = build_parties(group256, seed=19)
-        ctx.dispenser.reserve(400)
-        chis = [tuple(pow(reconstruct(shares.values(), p), (p - 1) // 2, p) == 1
-                      for shares in (t.a_shares, t.b_shares)) for t in ctx.dispenser.pool]
-        assert len(chis) == 400
-        for count in (sum(a for a, _ in chis), sum(b for _, b in chis),
-                      sum(a == b for a, b in chis)):
-            assert abs(count - 200) <= 50, count
+        # in 400 of 400
+        assert_legendre_band(group256, "single")
 
     def test_no_server_sends_or_receives_a_blind(self, group256):
         ctx = build_parties(group256, seed=20, record=True)
@@ -496,6 +546,31 @@ class TestSingleModeBlinds:
                   if r[0] == "msg" and r[3].startswith("blind-r:")]
         pid_c = ctx.btg_pids[BtgRole.C]
         assert blinds == [(pid_c, ctx.btg_pids[BtgRole.A]), (pid_c, ctx.btg_pids[BtgRole.B])]
+
+
+class TestTwoModeSigns:
+    """The holders of a and b draw the signs; the holder of c learns only
+    their products, and no server learns any."""
+
+    def test_legendre_symbols_independent(self, group256):
+        # squares times square blinds made chi(a') = chi(b') = 1 in 400 of 400
+        assert_legendre_band(group256, "two")
+
+    def test_no_server_sends_or_receives_a_sign(self, group256):
+        ctx = build_parties(group256, seed=20, record=True, blinding="two")
+        ctx.dispenser.reserve(3)
+        pid_a, pid_b, pid_c = (ctx.btg_pids[role] for role in BtgRole)
+        signs = [(r[1], r[2], len(r[4])) for r in ctx.runtime.transcript
+                 if r[0] == "msg" and r[3].startswith("sign-")]
+        assert signs == [(pid_a, pid_b, modmath.SEED_BYTES), (pid_b, pid_c, 3)]
+
+    def test_sign_products_move_c(self, group256, monkeypatch):
+        # flipping every product the holder of c receives negates each c'
+        p = group256.p
+        triples = reserve_under(monkeypatch, group256, "two", "sign-ab:",
+                                lambda payload: bytes(1 - bit for bit in payload))
+        products = [reconstruct_triple(t, p) for t in triples]
+        assert all(c == -a * b % p for a, b, c in products)
 
 
 class TestGoldenTranscript:
@@ -523,10 +598,19 @@ class TestGoldenTranscript:
     # (in two mode also before the key product), and their tag carries the
     # batch's first triple id (blind-r -> blind-r:t000001); every record kept
     # its endpoints and payload, each channel kept its order, and the modexp
-    # counts did not move.
+    # counts did not move.  Both were re-pinned when shares and blinds began
+    # to travel as 16-byte seeds: the blind-r records and every triple share
+    # record but the one to MPC_1 (the correction shares) carry a seed, and
+    # the shares moved.  In single mode every record kept its endpoints, tag
+    # and order, and the first batch's BTG hops are unchanged; later hops
+    # move because the holders' rngs draw two seeds per batch instead of K
+    # shares per server.  Two mode adds the holders' signs: per batch one
+    # sign-a seed from BTG_A to BTG_B before hop 1 and one sign-ab record
+    # from BTG_B to BTG_C before the key product, so BTG_A's first draw (and
+    # with it every hop) moved.  The modexp counts did not move.
     GOLDEN = {
-        "single": ("de8b0b1d8edc9d3f8075a5902d6d901cab1a52b7993042df844deca315d9e522", 244),
-        "two": ("b837916260babc6cb92b29bdde504d5935e9b6642b9df0b139a588f342c62d2b", 484),
+        "single": ("77e72a461cbb402a1faf50e9c7c9b7dd67d8a8176466c22cce62cc49dbafd89e", 244),
+        "two": ("c11f7459a240516db2822917b684bb63213c272d616b25a83da54ef10b40de91", 484),
     }
 
     @both_backends

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -410,6 +411,21 @@ class TestFilterPipeline:
         result = filter_controls(group256, basis, case_counts, controls[:n], config, seed=19)
         assert result["context"].runtime.rounds == 15 + 15 * n
 
+    # wire bytes of the same runs: per batch two 16-byte blind seeds and per
+    # holder one correction share per triple plus two seeds, and every deal
+    # of inputs or masks two seeds; before shares and blinds became seeds
+    # they were 16,537, 22,521, 39,103 and 56,287 bytes
+    WIRE_BYTES = {(1, 1): 11_033, (1, 2): 14_841, (3, 1): 26_303, (3, 2): 37_727}
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wire_bytes(self, group256, n, rank):
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        if rank == 1:
+            basis = orthonormal_columns([[float(v) for v in basis.column(0)]])
+        result = filter_controls(group256, basis, case_counts, controls[:n], config, seed=19)
+        assert result["context"].runtime.bytes_sent == self.WIRE_BYTES[n, rank]
+
     def test_empty_control_list(self, group256):
         basis, case_counts, _, config = small_pipeline_inputs(group256)
         result = filter_controls(group256, basis, case_counts, [], config, seed=12)
@@ -466,18 +482,29 @@ class TestFilterPipeline:
         assert secure["lambda"] == plain["lambda"]
 
 
-@pytest.fixture(scope="module")
-def screened(group256):
+def screened_run(group, blinding):
     """A recorded filter_controls run: dim 12, rank 3, 4 controls, seed 5."""
     rng = random.Random(5)
     rows = [tuple(rng.randrange(3) for _ in range(12)) for _ in range(5)]
     basis = orthonormal_columns(rows[:3])
     controls = [ControlRecord.from_genotype_row("ctrl_%d" % i, row)
                 for i, row in enumerate(rows[1:])]
-    config = PipelineConfig(fp=fp_for(group256))
-    ctx = filter_controls(group256, basis, (25, 50, 25), controls, config, seed=5,
-                          record=True)["context"]
+    config = PipelineConfig(fp=fp_for(group))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gwas, "build_parties", functools.partial(build_parties, blinding=blinding))
+        ctx = filter_controls(group, basis, (25, 50, 25), controls, config, seed=5,
+                              record=True)["context"]
     return ctx, basis, controls, config.fp
+
+
+@pytest.fixture(scope="module")
+def screened(group256):
+    return screened_run(group256, "single")
+
+
+@pytest.fixture(scope="module")
+def screened_two(group256):
+    return screened_run(group256, "two")
 
 
 def first_batch_openings(ctx, dim, rank, p):
@@ -522,26 +549,33 @@ def legendre(v, p):
 
 
 def blind_candidates(ctx, pid, dim, rank, params):
-    """Genotype values that pass chi(x - rho) = chi(r) with the blind-r
-    payloads in pid's view, chi being the Legendre symbol.
+    """Genotype values that pass chi(x - rho) = chi(r_a) and
+    chi(y - eps) = chi(r_b) with the blinds pid's view holds, chi being the
+    Legendre symbol.
 
-    a and b are squares, so a blind r that scales both fixes
-    chi(a') = chi(b') = chi(r), and each opening of z_i (rho of pair i, eps
-    of pairs i and (j+1)*dim + i) then tests every candidate.  The n-th
-    distinct payload blinds the n-th control's batch; a control with no
-    payload keeps every candidate.
+    pid holds a blind when it sent or received its seed: in two mode O_x
+    sends r_a's and O_y r_b's.  a and b are squares, so without signs
+    chi(a') = chi(r_a) and chi(b') = chi(r_b), and each opening of z_i (rho
+    of pair i, eps of pairs i and (j+1)*dim + i) then tests every candidate.
+    The n-th seed to a holder blinds the n-th control's batch; a control
+    with no blind in the view keeps every candidate.
     """
-    p, width = params.p, (params.p.bit_length() + 7) // 8
-    payloads = dict.fromkeys(rec[4] for rec in ctx.runtime.transcript_view(pid)
-                             if rec[0] == "msg" and rec[3] == "blind-r")
-    blinds = [modmath.decode_residues(blob, len(blob) // width, p) for blob in payloads]
+    p, pairs = params.p, dim * (rank + 1)
+    square = ctx.dispenser.mode == "two"
+    blinds = {}  # holder -> one list of blinds per batch
+    for rec in ctx.runtime.transcript_view(pid):
+        if rec[0] == "msg" and rec[3].startswith("blind-r:"):
+            roots = [1 + x for x in modmath.expand_residues(rec[4], pairs, p - 1)]
+            blinds.setdefault(rec[2], []).append([r * r % p if square else r for r in roots])
+    r_a, r_b = (blinds.get(ctx.btg_pids[role], []) for role in (BtgRole.A, BtgRole.B))
 
-    def passes(opened, rs, i, g):
+    def passes(opened, n, i, g):
         z = fixpt.fp_encode(g, params)
-        tests = [(2 * i, i)] + [(2 * k + 1, k) for k in range(i, dim * (rank + 1), dim)]
-        return all(legendre(z - opened[o], p) == legendre(rs[k], p) for o, k in tests)
+        tests = ([(2 * i, r_a[n][i])] if n < len(r_a) else []) \
+            + ([(2 * k + 1, r_b[n][k]) for k in range(i, pairs, dim)] if n < len(r_b) else [])
+        return all(legendre(z - opened[o], p) == legendre(r, p) for o, r in tests)
 
-    return [[g for g in (0, 1, 2) if n >= len(blinds) or passes(opened, blinds[n], i, g)]
+    return [[g for g in (0, 1, 2) if passes(opened, n, i, g)]
             for n, opened in enumerate(first_batch_openings(ctx, dim, rank, p))
             for i in range(dim)]
 
@@ -567,8 +601,7 @@ def pairwise_candidates(ctx, pid, dim, rank, params, basis):
             for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
 
 
-def test_no_server_recovers_a_genotype_from_the_squares(screened):
-    # while the leader got raw c it kept 48 of 48
+def assert_no_square_recovery(screened):
     ctx, basis, _, params = screened
     for pid in ctx.mpc_pids:
         survivors = square_candidates(ctx, pid, basis.dim, basis.rank, params)
@@ -576,9 +609,7 @@ def test_no_server_recovers_a_genotype_from_the_squares(screened):
         assert not any(survivors), pid
 
 
-def test_no_server_pins_a_genotype_from_legendre_symbols(screened):
-    # while O_case drew the single-mode blind, the blind filter pinned 44 of
-    # 48 entries in its view and the pairwise filter 37 of 48
+def assert_no_legendre_pins(screened):
     ctx, basis, controls, params = screened
     truth = [[int(v)] for ctrl in controls for v in ctrl.vector]
     for pid in ctx.mpc_pids:
@@ -586,6 +617,28 @@ def test_no_server_pins_a_genotype_from_legendre_symbols(screened):
                           pairwise_candidates(ctx, pid, basis.dim, basis.rank, params, basis)):
             assert len(survivors) == 48
             assert sum(s == t for s, t in zip(survivors, truth)) <= 12, pid
+
+
+def test_no_server_recovers_a_genotype_from_the_squares(screened):
+    # while the leader got raw c it kept 48 of 48
+    assert_no_square_recovery(screened)
+
+
+def test_no_server_pins_a_genotype_from_legendre_symbols(screened):
+    # while O_case drew the single-mode blind, the blind filter pinned 44 of
+    # 48 entries in its view and the pairwise filter 37 of 48
+    assert_no_legendre_pins(screened)
+
+
+def test_two_mode_server_recovers_no_genotype_from_the_squares(screened_two):
+    assert_no_square_recovery(screened_two)
+
+
+def test_two_mode_server_pins_no_genotype_from_legendre_symbols(screened_two):
+    # while two-mode a', b' and the owners' blinds were all squares, the
+    # pairwise filter pinned 45 of 48 entries in O_case's view and the blind
+    # filter 43 of 48 in O_ctrl's
+    assert_no_legendre_pins(screened_two)
 
 
 def far_control_inputs(group, big):

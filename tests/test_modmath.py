@@ -97,6 +97,41 @@ class TestGroupGen:
             modmath.decode_residues(raw, 1, group256.p)
 
 
+class TestExpandResidues:
+    SEED = bytes(range(modmath.SEED_BYTES))
+
+    def test_deterministic(self, group256):
+        values = modmath.expand_residues(self.SEED, 50, group256.p)
+        assert modmath.expand_residues(self.SEED, 50, group256.p) == values
+        other = bytes([1]) + self.SEED[1:]
+        assert modmath.expand_residues(other, 50, group256.p) != values
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    def test_count_and_range(self, group256, count):
+        values = modmath.expand_residues(self.SEED, count, group256.p)
+        assert len(values) == count
+        assert all(0 <= v < group256.p for v in values)
+
+    def test_shorter_count_is_a_prefix(self, group256):
+        assert modmath.expand_residues(self.SEED, 300, group256.p)[:7] \
+            == modmath.expand_residues(self.SEED, 7, group256.p)
+
+    def test_uniform_mod_a_small_modulus(self, tiny):
+        # 64 spare bits per value: chi-square over Z_23 on 2,300 values
+        values = modmath.expand_residues(self.SEED, 2300, tiny.p)
+        counts = Counter(values)
+        assert set(counts) == set(range(tiny.p))
+        stat = sum((counts[v] - 100) ** 2 / 100 for v in range(tiny.p))
+        assert stat < 60  # chi-square, 22 degrees of freedom, p ~ 3e-5
+
+    @pytest.mark.parametrize("seed", [b"\x05" * (modmath.SEED_BYTES - 1),
+                                      b"\x05" * (modmath.SEED_BYTES + 1), b""],
+                             ids=["short", "long", "empty"])
+    def test_rejects_a_seed_of_another_length(self, group256, seed):
+        with pytest.raises(ProtocolAbort):
+            modmath.expand_residues(seed, 3, group256.p)
+
+
 class TestModexpInverse:
     @pytest.mark.parametrize("base,e,p,want", [(4, 3, 23, 18), (16, 3, 23, 2)])
     def test_modexp_values(self, base, e, p, want):
@@ -160,6 +195,18 @@ class TestPowmodBackend:
         # and narrower operands after the wide ones still read back exactly
         assert modmath._powmod(3, Q256, P256) == pow(3, Q256, P256)
         assert modmath._powmod(2, 10, 1025) == 1024
+
+    def test_alternating_moduli_and_exponents(self):
+        # the binding keeps the exponent and modulus registers loaded across
+        # calls; every switch of either must still reach GMP
+        mods = [P256, (1 << 255) - 19]
+        exps = [Q256 - 5, 65537]
+        rng = random.Random(7)
+        for i in range(40):
+            m, e = mods[i % 2], exps[(i // 2) % 2]
+            base = rng.randrange(m)
+            assert modmath._powmod(base, e, m) == pow(base, e, m)
+            assert modmath._powmod(base, e, m) == pow(base, e, m)  # both registers kept
 
     def test_zero_modulus_raises_instead_of_aborting(self):
         with pytest.raises(ValueError):

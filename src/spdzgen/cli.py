@@ -91,6 +91,7 @@ def cmd_triples(args) -> int:
         "invalid": bad,
         "modexp_total": exps,
         "modexp_per_triple": exps / max(args.count, 1),
+        "modexp_backend": modmath.modexp_backend(),
         "messages_per_triple": messages / max(args.count, 1),
         "bytes_per_triple": sent / max(args.count, 1),
         "rounds_per_triple": rounds / max(args.count, 1),

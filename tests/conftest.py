@@ -5,7 +5,7 @@ from spdzgen.modmath import DEFAULT_GROUP_256, TINY_GROUP
 
 
 def _backend_line():
-    return "modexp backend: %s" % ("pow" if modmath._powmod is pow else "libgmp")
+    return "modexp backend: %s" % modmath.modexp_backend()
 
 
 def pytest_report_header(config):

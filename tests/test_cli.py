@@ -1,3 +1,4 @@
+import ctypes.util
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from spdzgen.dispense import TripleDispenser
 from spdzgen.gwas import GenotypeMatrix, orthonormal_columns, synth_genotypes
 from spdzgen.modmath import DEFAULT_GROUP_256, GroupParams
 
-from helpers import shifted, tamper_sends
+from helpers import both_backends, shifted, tamper_sends
 
 
 def run_cli(*argv):
@@ -78,6 +79,14 @@ class TestTriples:
         assert report["bytes_per_triple"] == sent / 12
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
         assert ids == ["t%06d" % i for i in range(1, 13)]
+
+    @both_backends
+    def test_report_names_the_backend(self, modexp_backend, capsys):
+        # CI asserts "libgmp" on this field, so a silent fallback fails there
+        assert run_cli("triples", "-n", "1") == 0
+        report = json.loads(capsys.readouterr().out)
+        gmp = modexp_backend == "loaded" and ctypes.util.find_library("gmp") is not None
+        assert report["modexp_backend"] == ("libgmp" if gmp else "pow")
 
     @pytest.mark.parametrize("parties", [0, 1, 2])
     def test_fewer_than_three_parties_validation_error(self, capsys, parties):

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,24 +26,6 @@ from .errors import (
 )
 
 
-# Bits per digit of a fixed-base comb table: one byte, so `modexp` reads its
-# digits straight from the exponent's bytes.  A 256-bit table has 32 rows of
-# 256 entries (about 0.56 MB) and costs about 8,000 modular multiplications
-# to build; an exponentiation through it costs at most 32.  A 2048-bit table
-# takes about 20 MB and 1 s to build.  Only the builtin-pow fallback builds
-# tables, since the comb beats `pow` at every size.  With libgmp loaded a
-# base goes through `mpz_powm` on a register that holds it instead: per
-# exponentiation (GMP 6.2.1, 2 vCPUs) about 23 vs 27 µs for the comb at 256
-# bits and a tie at 2048, with no table to build or keep.
-COMB_WINDOW = 8
-# Recurring bases kept precomputed, g plus the long-lived public keys of a few
-# generator trios: a comb table each under builtin pow, a loaded libgmp
-# register each otherwise.
-FIXED_BASES = 16
-
-MR_ROUNDS = 64
-
-
 class _Mpz(ctypes.Structure):
     """GMP's `__mpz_struct`: allocated limbs, signed used limbs, limb pointer."""
 
@@ -52,25 +33,14 @@ class _Mpz(ctypes.Structure):
                 ("_mp_d", ctypes.c_void_p)]
 
 
-# Calls on which a freshly bound libgmp must agree with builtin pow before it
-# is used, made in this order as (fixed, base, exponent, modulus): a fixed
-# call goes through `_GmpPowmod.fixed`'s handle on the base, the others load
-# the base for the call.  They cover a zero exponent, a base past the
-# modulus, an even modulus and 256-bit operands, and they change the
-# exponent and the modulus between handle calls and between handle and
-# variable-base calls, so a register that is not reloaded when its operand
-# changes gives a wrong result.
+# Operands on which a freshly bound libgmp must agree with builtin pow before
+# it is used: a zero exponent, a base past the modulus, an even modulus and a
+# 256-bit exponentiation.
 _SELF_CHECK = [
-    (False, 7, 0, 23),
-    (False, 100, 5, 23),
-    (True, 4, 5, 23),
-    (True, 4, 9, 23),
-    (True, 9, 9, 23),
-    (False, 3, 10**40 + 1, 2**64),
-    (True, 4, 10**40 + 1, 2**64),
-    (True, 4, (1 << 255) - 19, (1 << 256) - 189),
-    (False, 5, (1 << 255) - 19, (1 << 256) - 189),
-    (True, 9, 3, 23),
+    (7, 0, 23),
+    (100, 5, 23),
+    (3, 10**40 + 1, 2**64),
+    (4, (1 << 255) - 19, (1 << 256) - 189),
 ]
 
 # libgmp's soname since GMP 5.  Opening it by name spares the search through
@@ -98,141 +68,102 @@ def _open_gmp():
             return None
 
 
-def _bind_registers(lib, count: int):
-    """libgmp's `mpz_import` with its C signature, and `count` registers
-    initialized with `mpz_init`, as (import, registers, their addresses).
+def _load_powmod():
+    """Variable-base modular exponentiation through the system libgmp's
+    `mpz_powm`, or builtin `pow` when the library or one of its symbols is
+    missing, or a self-check against `pow` fails.
 
-    Every call takes a register by its address as a `c_void_p`, so ctypes
-    converts no structure per call.  GMP writes through those addresses, so
-    the caller keeps the `_Mpz` structures referenced for as long as it uses
-    them.  Raises AttributeError when a symbol is missing.
-    """
-    init = getattr(lib, "__gmpz_init")
-    import_ = getattr(lib, "__gmpz_import")
-    vp, size_t = ctypes.c_void_p, ctypes.c_size_t
-    init.argtypes, init.restype = [vp], None
-    import_.argtypes = [vp, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
-    import_.restype = None
-    regs = [_Mpz() for _ in range(count)]
-    addrs = [ctypes.addressof(r) for r in regs]
-    for a in addrs:
-        init(a)
-    return import_, regs, addrs
-
-
-class _GmpPowmod:
-    """Modular exponentiation through the system libgmp's `mpz_powm` on
-    registers that stay loaded.
-
-    Called, it is variable-base exponentiation: `binding(base, e, m)` loads
-    the base for the call.  `fixed(base)` returns a handle for a base that
-    recurs (g, a long-lived public key): `handle(e, m)` exponentiates a
-    register that was loaded with the base once.  Up to FIXED_BASES bases keep their
-    registers, the least recently used giving its register up first; a
-    handle is good until the next `fixed` call, so it is used at once.
-
-    Every call shares one exponent and one modulus register, reloaded only
-    when their operand changes: a party strips K ciphertexts with one
-    exponent mod one p, and `encrypt` raises g and h to one r.  Operands go
-    in through `mpz_import` and results come back through `mpz_export`, both
-    as big-endian bytes.  The registers are shared state, so the binding
+    The binding keeps four scratch `mpz_t` registers (base, exponent,
+    modulus, result) and one export buffer for the life of the process, so it
     assumes the single-threaded `Runtime`: two threads inside it at once
     would overwrite each other's operands.  GMP grows the registers as
-    operands need.  Only a non-negative base and exponent with a modulus
-    >= 2 reach GMP (a zero modulus aborts the process inside it); every
-    other call goes to `pow`.
+    operands need.  The exponent and modulus registers are reloaded only
+    when their operand changes, since a party strips K ciphertexts with one
+    exponent mod one p.  Operands go in through `mpz_import` and the result
+    comes back through `mpz_export`, both as big-endian bytes.  Only a
+    non-negative base and exponent with a modulus >= 2 reach GMP (a zero
+    modulus aborts the process inside it); every other call goes to `pow`.
     """
-
-    def __init__(self, lib):
-        """Binds libgmp's symbols; raises AttributeError when one is missing."""
-        # self._regs keeps the `_Mpz` structures alive: GMP writes through addrs
-        self._import, self._regs, addrs = _bind_registers(lib, 4 + FIXED_BASES)
-        self._export = getattr(lib, "__gmpz_export")
-        self._powm = getattr(lib, "__gmpz_powm")
-        vp, size_t = ctypes.c_void_p, ctypes.c_size_t
-        self._export.argtypes = [vp, vp, ctypes.c_int, size_t, ctypes.c_int, size_t, vp]
-        self._export.restype = vp
-        self._powm.argtypes, self._powm.restype = [vp] * 4, None
-        self._base_r, self._exp_r, self._mod_r, self._out_r = addrs[:4]
-        self._free = addrs[4:]  # base registers no handle holds
-        self._handles = OrderedDict()  # base -> (its register, its handle)
-        self._e = self._m = None  # what the exponent and modulus registers hold
-        self._written = ctypes.c_size_t()
-        self._written_p = ctypes.addressof(self._written)
-        self._grow_out(64)
-
-    def _grow_out(self, width: int) -> None:
-        self._out = ctypes.create_string_buffer(width)
-        self._out_p = ctypes.addressof(self._out)
-
-    def _load(self, reg: int, x: int) -> None:
-        raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
-        self._import(reg, len(raw), 1, 1, 1, 0, raw)
-
-    def _run(self, base_r: int, e: int, m: int) -> int:
-        """(register base_r)^e mod m, loading e and m only when they changed."""
-        if m != self._m:
-            width = (m.bit_length() + 7) // 8
-            if len(self._out) < width:
-                self._grow_out(width)
-            self._load(self._mod_r, m)
-            self._m = m
-        if e != self._e:
-            self._load(self._exp_r, e)
-            self._e = e
-        self._powm(self._out_r, base_r, self._exp_r, self._mod_r)
-        self._export(self._out_p, self._written_p, 1, 1, 1, 0, self._out_r)
-        return int.from_bytes(self._out.raw[:self._written.value], "big")
-
-    def __call__(self, base: int, e: int, m: int) -> int:
-        if base < 0 or e < 0 or m < 2:
-            return pow(base, e, m)
-        self._load(self._base_r, base)
-        return self._run(self._base_r, e, m)
-
-    def fixed(self, base: int):
-        """A handle h with h(e, m) == pow(base, e, m), through a register
-        that holds `base`."""
-        hit = self._handles.get(base)
-        if hit is not None:
-            self._handles.move_to_end(base)
-            return hit[1]
-        if base < 0:
-            return functools.partial(pow, base)
-        reg = self._free.pop() if self._free else self._handles.popitem(last=False)[1][0]
-        self._load(reg, base)
-        handle = functools.partial(self._fixed_run, reg, base)
-        self._handles[base] = (reg, handle)
-        return handle
-
-    def _fixed_run(self, reg: int, base: int, e: int, m: int) -> int:
-        if e < 0 or m < 2:
-            return pow(base, e, m)
-        return self._run(reg, e, m)
-
-
-def _passes_self_check(powmod) -> bool:
-    """True when `powmod` and its handles agree with builtin pow on every
-    `_SELF_CHECK` call."""
-    return all((powmod.fixed(base)(e, m) if fixed else powmod(base, e, m)) == pow(base, e, m)
-               for fixed, base, e, m in _SELF_CHECK)
-
-
-def _load_powmod():
-    """A `_GmpPowmod` over the system libgmp, or builtin `pow` when the
-    library or one of its symbols is missing, or the self-check against
-    `pow` fails."""
     lib = _open_gmp()
     if lib is None:
         return pow
     try:
-        binding = _GmpPowmod(lib)
+        init, import_ = _bind_registers(lib)
+        export = getattr(lib, "__gmpz_export")
+        powm = getattr(lib, "__gmpz_powm")
     except AttributeError:
         return pow
-    return binding if _passes_self_check(binding) else pow
+    reg = ctypes.POINTER(_Mpz)
+    size_t = ctypes.c_size_t
+    export.argtypes = [ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
+                       ctypes.c_int, size_t, reg]
+    export.restype = ctypes.c_void_p
+    powm.argtypes, powm.restype = [reg, reg, reg, reg], None
+
+    base_r, exp_r, mod_r, out_r = regs = [_Mpz() for _ in range(4)]
+    for r in regs:
+        init(r)
+    written = size_t()
+    out = ctypes.create_string_buffer(64)
+    loaded_e = loaded_m = None  # the exponent and modulus exp_r and mod_r hold
+
+    def load(r, x: int) -> None:
+        raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
+        import_(r, len(raw), 1, 1, 1, 0, raw)
+
+    def gmp_powmod(base: int, e: int, m: int) -> int:
+        nonlocal out, loaded_e, loaded_m
+        if base < 0 or e < 0 or m < 2:
+            return pow(base, e, m)
+        if m != loaded_m:
+            width = (m.bit_length() + 7) // 8
+            if len(out) < width:
+                out = ctypes.create_string_buffer(width)
+            load(mod_r, m)
+            loaded_m = m
+        if e != loaded_e:
+            load(exp_r, e)
+            loaded_e = e
+        load(base_r, base)
+        powm(out_r, base_r, exp_r, mod_r)
+        export(out, written, 1, 1, 1, 0, out_r)
+        return int.from_bytes(out.raw[:written.value], "big")
+
+    if any(gmp_powmod(b, e, m) != pow(b, e, m) for b, e, m in _SELF_CHECK):
+        return pow
+    return gmp_powmod
+
+
+def _bind_registers(lib):
+    """libgmp's `mpz_init` and `mpz_import` with their C signatures; raises
+    AttributeError when either symbol is missing."""
+    init = getattr(lib, "__gmpz_init")
+    import_ = getattr(lib, "__gmpz_import")
+    reg = ctypes.POINTER(_Mpz)
+    size_t = ctypes.c_size_t
+    init.argtypes, init.restype = [reg], None
+    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
+    import_.restype = None
+    return init, import_
 
 
 _powmod = _load_powmod()
+
+MR_ROUNDS = 64
+
+# Bits per digit of a fixed-base comb table: one byte, so `modexp` reads its
+# digits straight from the exponent's bytes.  A 256-bit table has 32 rows of
+# 256 entries (about 0.56 MB) and costs about 8,000 modular multiplications
+# to build; an exponentiation through it costs at most 32.  A 2048-bit table
+# takes about 20 MB and 1 s to build.  Only the builtin-pow fallback builds
+# tables, since there the comb is faster at every size.  With libgmp loaded
+# every base goes to `mpz_powm`, which needs no table: per exponentiation in
+# `encrypt`'s pattern (GMP 6.2.1, 2 vCPUs), 23 vs 24 µs for the comb at 256
+# bits and 4.6 vs 5.1 ms at 2048.
+COMB_WINDOW = 8
+# Bases whose tables stay cached: g plus the long-lived public keys of a few
+# generator trios.
+COMB_TABLES = 16
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -392,13 +323,11 @@ def gen_group(bit_length: int, seed: bytes | int | str = b"") -> GroupParams:
     )
 
 
-def modexp(base: int, e: int, p: int, fixed=None) -> int:
+def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
     """base^e mod p, counted for the benchmark report.
 
-    `fixed`, when given, is what `_fixed_modexp` keeps for a recurring base:
-    a libgmp handle from `_GmpPowmod.fixed`, or a comb table from
-    `fixed_base_table(base, p)`, through which exponents in its range cost
-    one multiplication per table row.  Everything else goes to the
+    `table`, when given, is `fixed_base_table(base, p)`; exponents in its
+    range cost one multiplication per table row, the rest go to the
     variable-base backend (`_powmod`: libgmp, or builtin pow).  The result is
     the same either way.
     """
@@ -406,19 +335,15 @@ def modexp(base: int, e: int, p: int, fixed=None) -> int:
     if p < 2:
         raise ParameterError("modulus must be >= 2")
     _modexp_count += 1
-    if fixed is None:
-        return _powmod(base, e, p)
-    if callable(fixed):
-        return fixed(e, p)
-    if 0 <= e and e.bit_length() <= COMB_WINDOW * len(fixed):
+    if table is not None and 0 <= e and e.bit_length() <= COMB_WINDOW * len(table):
         acc = 1
-        for row, digit in zip(fixed, e.to_bytes(len(fixed), "little")):
+        for row, digit in zip(table, e.to_bytes(len(table), "little")):
             acc = acc * row[digit] % p
         return acc
     return _powmod(base, e, p)
 
 
-@functools.lru_cache(maxsize=FIXED_BASES)
+@functools.lru_cache(maxsize=COMB_TABLES)
 def fixed_base_table(base: int, p: int) -> tuple:
     """Fixed-base comb table for `base` mod p, built once per (base, p).
 
@@ -439,11 +364,11 @@ def fixed_base_table(base: int, p: int) -> tuple:
 
 def _fixed_modexp(base: int, e: int, p: int) -> int:
     """modexp of a base that recurs (g or a long-lived public key): through
-    a libgmp register that stays loaded with it, or through its comb table
-    when the backend is builtin pow."""
+    its comb table under builtin pow, or straight to libgmp, where no table
+    is built."""
     if _powmod is pow:
         return modexp(base, e, p, fixed_base_table(base, p))
-    return modexp(base, e, p, _powmod.fixed(base))
+    return modexp(base, e, p)
 
 
 def inverse(a: int, p: int) -> int:
@@ -483,22 +408,25 @@ def _load_jacobi():
     `_jacobi` when the library or a symbol is missing, or a self-check
     against `_jacobi` fails.
 
-    Like `_GmpPowmod`, it keeps its registers (two) for the life of the
-    process, passes their addresses, and assumes the single-threaded
-    `Runtime`.  The modulus register is reloaded only when the modulus
-    changes, since membership tests run against one group.  Only a
-    non-negative argument and a positive odd modulus reach GMP; every other
-    call goes to `_jacobi`.
+    Like `_load_powmod`'s binding, it keeps two scratch registers for the life
+    of the process and assumes the single-threaded `Runtime`.  The modulus
+    register is reloaded only when the modulus changes, since membership
+    tests run against one group.  Only a non-negative argument and a positive
+    odd modulus reach GMP; every other call goes to `_jacobi`.
     """
     lib = _open_gmp()
     if lib is None:
         return _jacobi
     try:
-        import_, regs, (a_r, n_r) = _bind_registers(lib, 2)
+        init, import_ = _bind_registers(lib)
         jacobi = getattr(lib, "__gmpz_jacobi")
     except AttributeError:
         return _jacobi
-    jacobi.argtypes, jacobi.restype = [ctypes.c_void_p] * 2, ctypes.c_int
+    reg = ctypes.POINTER(_Mpz)
+    jacobi.argtypes, jacobi.restype = [reg, reg], ctypes.c_int
+    a_r, n_r = _Mpz(), _Mpz()
+    init(a_r)
+    init(n_r)
     loaded = None  # the modulus n_r holds
 
     def gmp_jacobi(a: int, n: int) -> int:
@@ -513,7 +441,6 @@ def _load_jacobi():
         import_(a_r, len(raw), 1, 1, 1, 0, raw)
         return jacobi(a_r, n_r)
 
-    gmp_jacobi.registers = regs  # GMP writes through their addresses
     if any(gmp_jacobi(a, n) != _jacobi(a, n) for a, n in _JACOBI_SELF_CHECK):
         return _jacobi
     return gmp_jacobi

@@ -345,22 +345,16 @@ def encrypt_checked(params, h, seed):
     assert ct == Ciphertext(pow(params.g, r, params.p), m * pow(h, r, params.p) % params.p)
 
 
-def loaded_binding():
-    # the libgmp binding modmath loaded at import, or a skip on a pow host
+def require_libgmp():
     if modmath._powmod is pow:
         pytest.skip("libgmp is not loaded on this host")
-    return modmath._powmod
-
-
-GROUPS = [TINY_GROUP, DEFAULT_GROUP_256, STANDARD_GROUP_2048]
-GROUP_BASES = {params.p: subgroup_bases(params) for params in GROUPS}
 
 
 class TestFixedBaseRouting:
     @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
                              ids=["256", "2048"])
     def test_libgmp_builds_and_reads_no_table(self, params):
-        loaded_binding()
+        require_libgmp()
         h = pow(params.g, 12345, params.p)
         size, lookups = modmath.fixed_base_table.cache_info().currsize, table_lookups()
         encrypt_checked(params, h, 1)
@@ -375,113 +369,6 @@ class TestFixedBaseRouting:
         lookups = table_lookups()
         encrypt_checked(params, params.g, 3)
         assert table_lookups() == lookups + 2
-
-    def test_one_counted_modexp_per_exponentiation(self):
-        loaded_binding()
-        params = DEFAULT_GROUP_256
-        before = modmath.modexp_count()
-        encrypt_checked(params, pow(params.g, 99, params.p), 4)
-        assert modmath.modexp_count() == before + 2
-
-
-class TestRegisterHandles:
-    """`_GmpPowmod.fixed`'s handles against builtin pow."""
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_match_pow_property(self, data):
-        # a run of calls that alternates moduli and bases, mixes in
-        # variable-base calls, and often keeps the previous exponent, so the
-        # shared exponent and modulus registers are kept and reloaded in
-        # every order
-        binding = loaded_binding()
-        e = None
-        for _ in range(data.draw(st.integers(2, 8))):
-            params = data.draw(st.sampled_from(GROUPS))
-            p, bits = params.p, params.p.bit_length()
-            base = data.draw(st.sampled_from(GROUP_BASES[p]))
-            if e is None or not data.draw(st.booleans()):
-                e = data.draw(st.one_of(st.just(0), st.just(params.q - 1),
-                                        st.integers(p, 1 << (bits + 16)),
-                                        st.integers(0, params.q - 1)))
-            if data.draw(st.booleans()):
-                assert binding.fixed(base)(e, p) == pow(base, e, p)
-            else:
-                assert binding(base, e, p) == pow(base, e, p)
-
-    def test_more_bases_than_registers_evict_handles(self):
-        loaded_binding()
-        binding = modmath._load_powmod()  # fresh: only the self-check took handles
-        params = DEFAULT_GROUP_256
-        p, q = params.p, params.q
-        bases = [pow(params.g, k, p) for k in range(2, modmath.FIXED_BASES + 8)]
-        rng = random.Random(16)
-        for _ in range(3):
-            for base in bases:
-                e = rng.randrange(q)
-                assert binding.fixed(base)(e, p) == pow(base, e, p)
-                # the first base is used between every two others, so it
-                # stays loaded while the rest cycle through the registers
-                assert binding.fixed(bases[0])(e, p) == pow(bases[0], e, p)
-        held = list(binding._handles)
-        assert len(held) == modmath.FIXED_BASES
-        assert bases[0] in held and bases[1] not in held
-
-    def test_negative_operands_go_to_pow(self):
-        binding = loaded_binding()
-        assert binding.fixed(5)(-1, 23) == pow(5, -1, 23)
-        assert binding.fixed(-3)(5, 23) == pow(-3, 5, 23)
-        assert binding.fixed(5)(3, 1) == 0
-
-
-class PythonRegisters:
-    """Builtin pow behind libgmp-style registers: the exponent and modulus
-    stay loaded between calls.  `stale` names the register a handle never
-    reloads once it holds something, as a wrong binding would."""
-
-    def __init__(self, stale=None):
-        self.stale, self.e, self.m = stale, None, None
-
-    def __call__(self, base, e, m):
-        self.e, self.m = e, m
-        return pow(base, e, m)
-
-    def fixed(self, base):
-        def handle(e, m):
-            if self.e is None or self.stale != "exponent":
-                self.e = e
-            if self.m is None or self.stale != "modulus":
-                self.m = m
-            return pow(base, self.e, self.m)
-        return handle
-
-
-def stale_handles(register):
-    # the libgmp binding, mutated so that its handles never reload `register`
-    class Stale(modmath._GmpPowmod):
-        def _fixed_run(self, reg, base, e, m):
-            if register == "exponent" and self._e is not None:
-                e = self._e
-            if register == "modulus" and self._m is not None:
-                m = self._m
-            return super()._fixed_run(reg, base, e, m)
-    return Stale
-
-
-class TestSelfCheck:
-    def test_a_correct_binding_passes(self):
-        assert modmath._passes_self_check(PythonRegisters())
-
-    @pytest.mark.parametrize("stale", ["exponent", "modulus"])
-    def test_a_handle_with_a_stale_register_fails(self, stale):
-        assert not modmath._passes_self_check(PythonRegisters(stale))
-
-    @pytest.mark.parametrize("stale", ["exponent", "modulus"])
-    def test_libgmp_with_a_stale_register_falls_back_to_pow(self, monkeypatch, stale):
-        loaded_binding()
-        assert modmath._load_powmod() is not pow
-        monkeypatch.setattr(modmath, "_GmpPowmod", stale_handles(stale))
-        assert modmath._load_powmod() is pow
 
 
 class TestSubgroup:

@@ -190,6 +190,9 @@ def cmd_run(args) -> int:
 
     t0 = time.perf_counter()
     if args.plaintext_oracle:
+        # the secure run checks the basis inside `filter_controls`; the
+        # oracle's float arithmetic must not see a basis it would reject
+        basis.validate_orthonormal(fp)
         result = gwas.plain_filter_controls(basis, case_counts, controls, config)
         result["triple_count"] = 0
     else:

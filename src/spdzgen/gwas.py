@@ -25,6 +25,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 
 from . import btg, fixpt, mhkm, modmath, spdz
@@ -182,8 +183,9 @@ class CaseBasis:
                 dj, cj = cols[j]
                 dot, unit = sum(x * y for x, y in zip(ci, cj)), di * dj
                 if abs(dot - (unit if i == j else 0)) << params.f > 4 * unit:
-                    raise ValidationError(
-                        "basis columns %d,%d not orthonormal (dot=%s)" % (i, j, dot / unit))
+                    # a Decimal, since dot / unit may pass the float range
+                    raise ValidationError("basis columns %d,%d not orthonormal (dot=%s)"
+                                          % (i, j, format(Decimal(dot) / unit, ".6g")))
         return self
 
     def to_csv(self, path):

@@ -10,7 +10,6 @@ plaintext.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import json
 import random
@@ -151,20 +150,6 @@ _powmod = _load_powmod()
 
 MR_ROUNDS = 64
 
-# Bits per digit of a fixed-base comb table: one byte, so `modexp` reads its
-# digits straight from the exponent's bytes.  A 256-bit table has 32 rows of
-# 256 entries (about 0.56 MB) and costs about 8,000 modular multiplications
-# to build; an exponentiation through it costs at most 32.  A 2048-bit table
-# takes about 20 MB and 1 s to build.  Only the builtin-pow fallback builds
-# tables, since there the comb is faster at every size.  With libgmp loaded
-# every base goes to `mpz_powm`, which needs no table: per exponentiation in
-# `encrypt`'s pattern (GMP 6.2.1, 2 vCPUs), 23 vs 24 µs for the comb at 256
-# bits and 4.6 vs 5.1 ms at 2048.
-COMB_WINDOW = 8
-# Bases whose tables stay cached: g plus the long-lived public keys of a few
-# generator trios.
-COMB_TABLES = 16
-
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
 
@@ -248,6 +233,8 @@ class GroupParams:
     @classmethod
     def from_json(cls, text: str) -> "GroupParams":
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and all(isinstance(doc.get(k), (int, str)) for k in "pqg")):
+            raise ParameterError("a group document must be an object with integers p, q and g")
         return cls(p=int(doc["p"]), q=int(doc["q"]), g=int(doc["g"])).validate()
 
 
@@ -323,52 +310,14 @@ def gen_group(bit_length: int, seed: bytes | int | str = b"") -> GroupParams:
     )
 
 
-def modexp(base: int, e: int, p: int, table: tuple | None = None) -> int:
-    """base^e mod p, counted for the benchmark report.
-
-    `table`, when given, is `fixed_base_table(base, p)`; exponents in its
-    range cost one multiplication per table row, the rest go to the
-    variable-base backend (`_powmod`: libgmp, or builtin pow).  The result is
-    the same either way.
-    """
+def modexp(base: int, e: int, p: int) -> int:
+    """base^e mod p through `_powmod` (libgmp, or builtin pow), counted for
+    the benchmark report."""
     global _modexp_count
     if p < 2:
         raise ParameterError("modulus must be >= 2")
     _modexp_count += 1
-    if table is not None and 0 <= e and e.bit_length() <= COMB_WINDOW * len(table):
-        acc = 1
-        for row, digit in zip(table, e.to_bytes(len(table), "little")):
-            acc = acc * row[digit] % p
-        return acc
     return _powmod(base, e, p)
-
-
-@functools.lru_cache(maxsize=COMB_TABLES)
-def fixed_base_table(base: int, p: int) -> tuple:
-    """Fixed-base comb table for `base` mod p, built once per (base, p).
-
-    Row i holds base^(d * 2^(COMB_WINDOW * i)) mod p for every digit
-    d < 2^COMB_WINDOW, and there are enough rows for any exponent of up to
-    p.bit_length() bits (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992).
-    """
-    rows = []
-    b = base % p
-    for _ in range(-(-p.bit_length() // COMB_WINDOW)):
-        row = [1]
-        for _ in range((1 << COMB_WINDOW) - 1):
-            row.append(row[-1] * b % p)
-        rows.append(tuple(row))
-        b = row[-1] * b % p
-    return tuple(rows)
-
-
-def _fixed_modexp(base: int, e: int, p: int) -> int:
-    """modexp of a base that recurs (g or a long-lived public key): through
-    its comb table under builtin pow, or straight to libgmp, where no table
-    is built."""
-    if _powmod is pow:
-        return modexp(base, e, p, fixed_base_table(base, p))
-    return modexp(base, e, p)
 
 
 def inverse(a: int, p: int) -> int:
@@ -484,16 +433,16 @@ def encrypt(params: GroupParams, h: int, m: int, r: int) -> Ciphertext:
     `random_subgroup_element` (a square, a member by construction) or check
     it once where it enters (`btg.run_triple_session`).
     """
-    u = _fixed_modexp(params.g, r, params.p)
-    v = m * _fixed_modexp(h, r, params.p) % params.p
+    u = modexp(params.g, r, params.p)
+    v = m * modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 
 def mult_layer(ct: Ciphertext, factor: int, h: int, r: int, params: GroupParams) -> Ciphertext:
     """Multiply the plaintext by subgroup element `factor` and re-randomize
     with r under h; like `encrypt`, it leaves the membership test to callers."""
-    u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
-    v = ct.v * factor % params.p * _fixed_modexp(h, r, params.p) % params.p
+    u = ct.u * modexp(params.g, r, params.p) % params.p
+    v = ct.v * factor % params.p * modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 
@@ -508,8 +457,8 @@ def strip_layer(ct: Ciphertext, x: int, params: GroupParams) -> int:
 
 def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Ciphertext:
     """Fresh randomness r under key h; the plaintext is unchanged."""
-    u = ct.u * _fixed_modexp(params.g, r, params.p) % params.p
-    v = ct.v * _fixed_modexp(h, r, params.p) % params.p
+    u = ct.u * modexp(params.g, r, params.p) % params.p
+    v = ct.v * modexp(h, r, params.p) % params.p
     return Ciphertext(u, v)
 
 

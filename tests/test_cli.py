@@ -271,6 +271,13 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
+# A basis whose one column has an entry past the float range, or whose square
+# is; and group documents that are not objects or lack g.
+HUGE_BASIS = "1e400\n0\n0\n0\n0\n0\n"
+BIG_BASIS = "1e200\n0\n0\n0\n0\n0\n"
+NO_G = json.dumps({"p": "23", "q": "11"})
+
+
 @pytest.mark.parametrize("argv,config,code", [
     (["triples", "-n", "0", "--demo-reuse"], None, EXIT_USAGE),
     (["run", "--tau", "1/0"], None, EXIT_VALIDATION),
@@ -284,19 +291,44 @@ def test_console_entry_point(tmp_path):
     (["run"], {"group_path": 5}, EXIT_VALIDATION),
     (["synth", "--samples", "-2", "--snps", "3"], None, EXIT_USAGE),
     (["synth", "--samples", "2", "--snps", "0"], None, EXIT_USAGE),
+    (["triples", "-n", "1", "--group", ("g.json", "{}")], None, EXIT_VALIDATION),
+    (["triples", "-n", "1", "--group", ("g.json", "[]")], None, EXIT_VALIDATION),
+    (["triples", "-n", "1", "--group", ("g.json", '"x"')], None, EXIT_VALIDATION),
+    (["triples", "-n", "1", "--group", ("g.json", NO_G)], None, EXIT_VALIDATION),
+    (["run"], {"group_path": ("g.json", "{}")}, EXIT_VALIDATION),
+    (["run"], {"group_path": ("g.json", NO_G)}, EXIT_VALIDATION),
+    (["run", "--basis", ("b.csv", HUGE_BASIS)], None, EXIT_VALIDATION),
+    (["run", "--basis", ("b.csv", BIG_BASIS)], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--basis", ("b.csv", HUGE_BASIS)], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--basis", ("b.csv", BIG_BASIS)], None, EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
-        "synth-negative-samples", "synth-zero-snps"])
+        "synth-negative-samples", "synth-zero-snps",
+        "triples-group-empty-object", "triples-group-array", "triples-group-string",
+        "triples-group-without-g", "run-group-empty-object", "run-group-without-g",
+        "basis-past-float", "basis-square-past-float", "oracle-basis-past-float",
+        "oracle-basis-square-past-float"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
+    def written(arg):
+        # a (name, text) pair stands for the path of a file holding the text
+        if not isinstance(arg, tuple):
+            return arg
+        (tmp_path / arg[0]).write_text(arg[1])
+        return str(tmp_path / arg[0])
+
+    argv = [written(arg) for arg in argv]
     if argv[0] == "synth":
         argv = argv + ["--out", str(tmp_path / "r.json")]
     if argv[0] == "run":
+        # an option given in argv comes after these defaults, so it wins
         case_csv, basis_csv, ctrl_csv = pipeline_files
-        argv = argv + ["--case", str(case_csv), "--basis", str(basis_csv),
-                       "--controls", str(ctrl_csv), "--out", str(tmp_path / "r.json")]
+        defaults = ["--case", str(case_csv), "--basis", str(basis_csv),
+                    "--controls", str(ctrl_csv), "--out", str(tmp_path / "r.json")]
+        argv = argv[:1] + defaults + argv[1:]
     if config is not None:
+        config = {key: written(val) for key, val in config.items()}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     proc = run_module(*argv)
@@ -346,7 +378,8 @@ class TestPipelineGolden:
     TRANSCRIPT_SHA256 = "ac3229e8f9855c620267a920bdf29333058b380c52c66360a4900b43540e5e18"
     LEDGER_SHA256 = "2dbeb1ad4813ce8017f293a4c6f8e272eac69ae7eeeadc6b081abc510171466a"
 
-    def test_transcript_and_ledger(self, tmp_path):
+    @both_backends
+    def test_transcript_and_ledger(self, modexp_backend, tmp_path):
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))
         GenotypeMatrix(entries=((0, 1, 2, 1), (1, 1, 0, 2), (2, 1, 1, 0))).to_csv(case_csv)
         basis_csv.write_text("1,0\n0,1\n0,0\n0,0\n")

@@ -29,6 +29,8 @@ from spdzgen.modmath import (
     gen_group,
 )
 
+from helpers import both_backends
+
 P, Q, G = TINY_GROUP.p, TINY_GROUP.q, TINY_GROUP.g
 NO_SUCH_LIBRARY = "libspdzgen-no-such-gmp.so.0"
 
@@ -257,120 +259,6 @@ class TestPowmodBackend:
         assert run.stdout.strip() == "False"
 
 
-def subgroup_bases(params, n=3):
-    # g and a few fixed subgroup elements, so each table is built once
-    rng = random.Random(params.p.bit_length())
-    return [params.g] + [pow(params.g, rng.randrange(1, params.q), params.p) for _ in range(n)]
-
-
-class TestFixedBaseComb:
-    def test_matches_pow_exhaustive_tiny(self):
-        # [0, 3q] and everything up to twice the table range, so exponents
-        # past the range take the plain-pow fallback too
-        for base in QR23:
-            table = modmath.fixed_base_table(base, P)
-            limit = 1 << (modmath.COMB_WINDOW * len(table))
-            assert limit > P
-            for e in range(max(3 * Q, 2 * limit) + 1):
-                assert modmath.modexp(base, e, P, table) == pow(base, e, P)
-
-    def test_counts_one_modexp_per_call(self):
-        table = modmath.fixed_base_table(G, P)
-        before = modmath.modexp_count()
-        modmath.modexp(G, 5, P, table)
-        modmath.modexp(G, 1000, P, table)  # fallback
-        assert modmath.modexp_count() == before + 2
-
-    @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
-                             ids=["256", "2048"])
-    def test_one_row_per_exponent_byte(self, params):
-        table = modmath.fixed_base_table(params.g, params.p)
-        assert len(table) == math.ceil(params.p.bit_length() / 8)
-        assert all(len(row) == 256 for row in table)
-
-    def test_top_of_table_range(self, group256):
-        # the largest exponent the table covers reads every row's last entry;
-        # exponents whose top byte is 0xff read the last row's
-        p, g = group256.p, group256.g
-        table = modmath.fixed_base_table(g, p)
-        rows = len(table)
-        top = (1 << (8 * rows)) - 1
-        rng = random.Random(8)
-        for e in [top, 0xff << (8 * (rows - 1))] + [
-                (0xff << (8 * (rows - 1))) | rng.getrandbits(8 * (rows - 1)) for _ in range(20)]:
-            assert e.bit_length() == 8 * rows
-            assert modmath.modexp(g, e, p, table) == pow(g, e, p)
-
-    def test_first_exponent_past_the_table_falls_back(self, group256, monkeypatch):
-        p, g = group256.p, group256.g
-        table = modmath.fixed_base_table(g, p)
-        e = 1 << (8 * len(table))
-        calls = []
-
-        def counted_pow(base, exp, mod):
-            calls.append(exp)
-            return pow(base, exp, mod)
-
-        monkeypatch.setattr(modmath, "_powmod", counted_pow)
-        assert modmath.modexp(g, e, p, table) == pow(g, e, p)
-        assert calls == [e]
-        modmath.modexp(g, e - 1, p, table)
-        assert calls == [e]
-
-    @pytest.mark.parametrize("params,bases", [
-        (DEFAULT_GROUP_256, subgroup_bases(DEFAULT_GROUP_256)),
-        (STANDARD_GROUP_2048, subgroup_bases(STANDARD_GROUP_2048, n=1)),
-    ], ids=["256", "2048"])
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_pow_property(self, params, bases, data):
-        base = data.draw(st.sampled_from(bases))
-        bits = params.p.bit_length()
-        e = data.draw(st.one_of(st.integers(0, params.q - 1),
-                                st.integers(0, 1 << (bits + 2 * modmath.COMB_WINDOW))))
-        table = modmath.fixed_base_table(base, params.p)
-        assert modmath.modexp(base, e, params.p, table) == pow(base, e, params.p)
-
-
-def table_lookups():
-    info = modmath.fixed_base_table.cache_info()
-    return info.hits + info.misses
-
-
-def encrypt_checked(params, h, seed):
-    # one encryption, compared with its definition under builtin pow
-    rng = random.Random(seed)
-    m, r = modmath.random_subgroup_element(params, rng), rng.randrange(params.q)
-    ct = modmath.encrypt(params, h, m, r)
-    assert ct == Ciphertext(pow(params.g, r, params.p), m * pow(h, r, params.p) % params.p)
-
-
-def require_libgmp():
-    if modmath._powmod is pow:
-        pytest.skip("libgmp is not loaded on this host")
-
-
-class TestFixedBaseRouting:
-    @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
-                             ids=["256", "2048"])
-    def test_libgmp_builds_and_reads_no_table(self, params):
-        require_libgmp()
-        h = pow(params.g, 12345, params.p)
-        size, lookups = modmath.fixed_base_table.cache_info().currsize, table_lookups()
-        encrypt_checked(params, h, 1)
-        encrypt_checked(params, params.g, 2)
-        assert modmath.fixed_base_table.cache_info().currsize == size
-        assert table_lookups() == lookups
-
-    @pytest.mark.parametrize("modexp_backend", ["pow"], indirect=True)
-    @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
-                             ids=["256", "2048"])
-    def test_builtin_pow_reads_a_table_per_exponentiation(self, modexp_backend, params):
-        lookups = table_lookups()
-        encrypt_checked(params, params.g, 3)
-        assert table_lookups() == lookups + 2
-
-
 class TestSubgroup:
     def test_against_enumeration_oracle(self, tiny):
         members = [y for y in range(1, 23) if modmath.is_subgroup_member(y, tiny)]
@@ -449,6 +337,25 @@ class TestJacobiBackends:
 
 
 class TestCipherLayer:
+    @both_backends
+    @pytest.mark.parametrize("params", [DEFAULT_GROUP_256, STANDARD_GROUP_2048],
+                             ids=["256", "2048"])
+    def test_layers_match_their_pow_definitions(self, modexp_backend, params):
+        # encrypt, mult_layer and rerandomize under g and a public key, each
+        # against its definition in builtin pow
+        p, g = params.p, params.g
+        rng = random.Random(p.bit_length())
+        for h in (g, pow(g, 12345, p)):
+            m, f = (modmath.random_subgroup_element(params, rng) for _ in range(2))
+            r1, r2, r3 = (rng.randrange(params.q) for _ in range(3))
+            ct = modmath.encrypt(params, h, m, r1)
+            assert ct == Ciphertext(pow(g, r1, p), m * pow(h, r1, p) % p)
+            mult = modmath.mult_layer(ct, f, h, r2, params)
+            assert mult == Ciphertext(ct.u * pow(g, r2, p) % p,
+                                      ct.v * f * pow(h, r2, p) % p)
+            rerand = modmath.rerandomize(ct, h, r3, params)
+            assert rerand == Ciphertext(ct.u * pow(g, r3, p) % p, ct.v * pow(h, r3, p) % p)
+
     def test_encrypt_trace(self, tiny):
         # h = g^3 = 18; m = 2; r = 2 -> (16, 4), all by direct evaluation
         h = pow(4, 3, 23)

@@ -125,7 +125,7 @@ def cmd_synth(args) -> int:
 # rather than silently ignored.
 CONFIG_KEYS = frozenset({"tau", "lambda_max", "parties", "seed", "bits", "group_path",
                          "fixed_point"})
-FIXED_POINT_KEYS = frozenset({"k", "f", "kappa", "p"})
+FIXED_POINT_KEYS = frozenset({"k", "f", "kappa"})
 
 
 def _fraction(key: str, value) -> Fraction:
@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     fp_doc = {key: _integer("fixed_point." + key, val)
               for key, val in doc.get("fixed_point", {}).items()}
     group = _resolve_group(bits, doc["seed"], doc.get("group_path"))
-    fp = FixedPointParams(**{"p": group.p, **fp_doc})
+    fp = FixedPointParams(p=group.p, **fp_doc)
     config = PipelineConfig(fp=fp, **{key: read(key, doc[key])
                                       for key, read in _PIPELINE_FIELDS.items() if key in doc})
 
@@ -190,9 +190,9 @@ def cmd_run(args) -> int:
 
     t0 = time.perf_counter()
     if args.plaintext_oracle:
-        # the secure run checks the basis inside `filter_controls`; the
-        # oracle's float arithmetic must not see a basis it would reject
-        basis.validate_orthonormal(fp)
+        # the secure run checks its inputs inside `filter_controls`; the
+        # oracle must reject the same inputs
+        gwas.validate_inputs(basis, controls, config)
         result = gwas.plain_filter_controls(basis, case_counts, controls, config)
         result["triple_count"] = 0
     else:

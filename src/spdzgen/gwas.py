@@ -255,6 +255,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.tau <= 0 or self.lambda_max <= 0:
             raise ValidationError("tau and lambda_max must be positive")
+        for name in ("tau", "lambda_max"):
+            try:
+                float(getattr(self, name))  # as `echo` reports it
+            except OverflowError:
+                raise ValidationError("%s is past the float range" % name)
         if self.parties < 3:
             raise ValidationError("need at least 3 MPC parties")
 
@@ -416,7 +421,6 @@ def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineCon
 class PipelineParties:
     """Identity wiring of the pipeline's parties over one runtime."""
 
-    group: GroupParams
     runtime: Runtime
     btg_pids: dict
     btg_keys: dict
@@ -450,11 +454,33 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
                                 ox=o_case, oy=o_ctrl, mode=blinding,
                                 owner_keys=owner_keys, ledger_path=ledger_path)
     roles = TruncRoles(mask_owner=o_case, wide_owner=o_ctrl, opener=leader)
-    return PipelineParties(group=group, runtime=runtime, btg_pids=btg_pids,
-                           btg_keys=btg_keys, mpc_pids=mpc_pids, o_case=o_case,
-                           o_ctrl=o_ctrl, leader=leader,
+    return PipelineParties(runtime=runtime, btg_pids=btg_pids, btg_keys=btg_keys,
+                           mpc_pids=mpc_pids, o_case=o_case, o_ctrl=o_ctrl, leader=leader,
                            owner_keys=owner_keys, dispenser=dispenser,
                            ledger=TripleLedger(), roles=roles)
+
+
+def validate_inputs(basis: CaseBasis, controls, config: PipelineConfig) -> None:
+    """The checks a run makes before any triple is minted, in the secure run
+    and the plaintext oracle alike, so both reject the same inputs.
+
+    The basis must be orthonormal, the comparison frame must fit the field
+    and tau^2 the frame, and every control must have the basis's dimension
+    and ||z||^2 < 2^(e-1).  ||z||^2 bounds every term of the residual (the
+    basis is orthonormal, so each projection^2 is at most ||z||^2); O_ctrl
+    checks it in the clear, since a larger value wraps the comparison frame.
+    """
+    params = config.fp
+    basis.validate_orthonormal(params)
+    fixpt.fp_encode(config.tau * config.tau, screening_params(params))
+    norm_cap = 2 ** (params.e - 1)
+    for ctrl in controls:
+        if len(ctrl.vector) != basis.dim:
+            raise ShapeError("control %s has dimension %d, basis expects %d"
+                             % (ctrl.control_id, len(ctrl.vector), basis.dim))
+        if sum(v * v for v in ctrl.vector) >= norm_cap:
+            raise ValidationError("control %s has ||z||^2 >= 2^%d, outside the "
+                                  "fixed-point frame" % (ctrl.control_id, params.e - 1))
 
 
 def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
@@ -478,22 +504,8 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
         raise ValidationError(
             "fixed-point field (%d) must be the triple field (%d): dispensed "
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
+    validate_inputs(basis, controls, config)
     params = config.fp
-    basis.validate_orthonormal(params)
-    # the comparison frame must fit the field, and tau^2 must fit the frame
-    fixpt.fp_encode(config.tau * config.tau, screening_params(params))
-    # ||z||^2 bounds every term of the residual (the basis is orthonormal, so
-    # each projection^2 is at most ||z||^2); O_ctrl checks it in the clear
-    # before any triple is minted, since a larger value wraps the comparison
-    # frame.
-    norm_cap = 2 ** (params.e - 1)
-    for ctrl in controls:
-        if len(ctrl.vector) != basis.dim:
-            raise ShapeError("control %s has dimension %d, basis expects %d"
-                             % (ctrl.control_id, len(ctrl.vector), basis.dim))
-        if sum(v * v for v in ctrl.vector) >= norm_cap:
-            raise ValidationError("control %s has ||z||^2 >= 2^%d, outside the "
-                                  "fixed-point frame" % (ctrl.control_id, params.e - 1))
 
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)

@@ -67,44 +67,79 @@ def _open_gmp():
             return None
 
 
-def _load_powmod():
-    """Variable-base modular exponentiation through the system libgmp's
-    `mpz_powm`, or builtin `pow` when the library or one of its symbols is
-    missing, or a self-check against `pow` fails.
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
-    The binding keeps four scratch `mpz_t` registers (base, exponent,
-    modulus, result) and one export buffer for the life of the process, so it
-    assumes the single-threaded `Runtime`: two threads inside it at once
-    would overwrite each other's operands.  GMP grows the registers as
-    operands need.  The exponent and modulus registers are reloaded only
-    when their operand changes, since a party strips K ciphertexts with one
-    exponent mod one p.  Operands go in through `mpz_import` and the result
+
+# Operands on which libgmp's `mpz_jacobi` must agree with `_jacobi` before it
+# is used: zero, a residue and a non-residue mod 23, an argument past the
+# modulus, a composite modulus, and 256-bit operands at both ends of (0, p).
+_JACOBI_SELF_CHECK = [
+    (0, 23), (2, 23), (5, 23), (100, 23), (2, 15), (7, 1),
+    ((1 << 255) + 12345, (1 << 256) - 189), ((1 << 256) - 190, (1 << 256) - 189),
+]
+
+
+def _load_gmp():
+    """(powmod, jacobi) through the system libgmp's `mpz_powm` and
+    `mpz_jacobi`, or (`pow`, `_jacobi`) when the library or a symbol is
+    missing.  Each function falls back alone to its reference (builtin `pow`,
+    `_jacobi`) when it disagrees with it on its own self-check table.
+
+    The binding keeps six scratch `mpz_t` registers (base, exponent, modulus
+    and result for `mpz_powm`, argument and modulus for `mpz_jacobi`) and one
+    export buffer for the life of the process, so it assumes the
+    single-threaded `Runtime`: two threads inside it at once would overwrite
+    each other's operands.  GMP grows the registers as operands need.  An
+    exponent or modulus register is reloaded only when its operand changes,
+    since a party strips K ciphertexts with one exponent mod one p and
+    membership tests run against one group; each function tracks its own
+    modulus, so a modulus `jacobi` loaded never skips the export-buffer
+    resize in `powmod`.  Operands go in through `mpz_import` and the result
     comes back through `mpz_export`, both as big-endian bytes.  Only a
-    non-negative base and exponent with a modulus >= 2 reach GMP (a zero
-    modulus aborts the process inside it); every other call goes to `pow`.
+    non-negative base and exponent with a modulus >= 2 reach `mpz_powm` (a
+    zero modulus aborts the process inside it), and only a non-negative
+    argument with a positive odd modulus reaches `mpz_jacobi`; every other
+    call goes to the reference.
     """
     lib = _open_gmp()
     if lib is None:
-        return pow
+        return pow, _jacobi
     try:
-        init, import_ = _bind_registers(lib)
-        export = getattr(lib, "__gmpz_export")
-        powm = getattr(lib, "__gmpz_powm")
+        init, import_, export, powm, jacobi = (getattr(lib, "__gmpz_" + name) for name in
+                                               ("init", "import", "export", "powm", "jacobi"))
     except AttributeError:
-        return pow
+        return pow, _jacobi
     reg = ctypes.POINTER(_Mpz)
     size_t = ctypes.c_size_t
+    init.argtypes, init.restype = [reg], None
+    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
+    import_.restype = None
     export.argtypes = [ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
                        ctypes.c_int, size_t, reg]
     export.restype = ctypes.c_void_p
     powm.argtypes, powm.restype = [reg, reg, reg, reg], None
+    jacobi.argtypes, jacobi.restype = [reg, reg], ctypes.c_int
 
-    base_r, exp_r, mod_r, out_r = regs = [_Mpz() for _ in range(4)]
+    base_r, exp_r, mod_r, out_r, a_r, n_r = regs = [_Mpz() for _ in range(6)]
     for r in regs:
         init(r)
     written = size_t()
     out = ctypes.create_string_buffer(64)
     loaded_e = loaded_m = None  # the exponent and modulus exp_r and mod_r hold
+    loaded_n = None  # the modulus n_r holds
 
     def load(r, x: int) -> None:
         raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
@@ -128,25 +163,22 @@ def _load_powmod():
         export(out, written, 1, 1, 1, 0, out_r)
         return int.from_bytes(out.raw[:written.value], "big")
 
-    if any(gmp_powmod(b, e, m) != pow(b, e, m) for b, e, m in _SELF_CHECK):
-        return pow
-    return gmp_powmod
+    def gmp_jacobi(a: int, n: int) -> int:
+        nonlocal loaded_n
+        if a < 0 or n < 1 or not n & 1:
+            return _jacobi(a, n)
+        if n != loaded_n:
+            load(n_r, n)
+            loaded_n = n
+        load(a_r, a)
+        return jacobi(a_r, n_r)
+
+    powmod_ok = all(gmp_powmod(b, e, m) == pow(b, e, m) for b, e, m in _SELF_CHECK)
+    jacobi_ok = all(gmp_jacobi(a, n) == _jacobi(a, n) for a, n in _JACOBI_SELF_CHECK)
+    return gmp_powmod if powmod_ok else pow, gmp_jacobi if jacobi_ok else _jacobi
 
 
-def _bind_registers(lib):
-    """libgmp's `mpz_init` and `mpz_import` with their C signatures; raises
-    AttributeError when either symbol is missing."""
-    init = getattr(lib, "__gmpz_init")
-    import_ = getattr(lib, "__gmpz_import")
-    reg = ctypes.POINTER(_Mpz)
-    size_t = ctypes.c_size_t
-    init.argtypes, init.restype = [reg], None
-    import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
-    import_.restype = None
-    return init, import_
-
-
-_powmod = _load_powmod()
+_powmod, _jacobi_symbol = _load_gmp()
 
 MR_ROUNDS = 64
 
@@ -325,77 +357,6 @@ def inverse(a: int, p: int) -> int:
     if a % p == 0:
         raise NonInvertibleError("zero has no inverse mod %d" % p)
     return pow(a, -1, p)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
-    a %= n
-    t = 1
-    while a:
-        z = (a & -a).bit_length() - 1
-        a >>= z
-        if z & 1 and n & 7 in (3, 5):
-            t = -t
-        if a & n & 3 == 3:
-            t = -t
-        a, n = n % a, a
-    return t if n == 1 else 0
-
-
-# Operands on which libgmp's `mpz_jacobi` must agree with `_jacobi` before it
-# is used: zero, a residue and a non-residue mod 23, an argument past the
-# modulus, a composite modulus, and 256-bit operands at both ends of (0, p).
-_JACOBI_SELF_CHECK = [
-    (0, 23), (2, 23), (5, 23), (100, 23), (2, 15), (7, 1),
-    ((1 << 255) + 12345, (1 << 256) - 189), ((1 << 256) - 190, (1 << 256) - 189),
-]
-
-
-def _load_jacobi():
-    """The Jacobi symbol through the system libgmp's `mpz_jacobi`, or
-    `_jacobi` when the library or a symbol is missing, or a self-check
-    against `_jacobi` fails.
-
-    Like `_load_powmod`'s binding, it keeps two scratch registers for the life
-    of the process and assumes the single-threaded `Runtime`.  The modulus
-    register is reloaded only when the modulus changes, since membership
-    tests run against one group.  Only a non-negative argument and a positive
-    odd modulus reach GMP; every other call goes to `_jacobi`.
-    """
-    lib = _open_gmp()
-    if lib is None:
-        return _jacobi
-    try:
-        init, import_ = _bind_registers(lib)
-        jacobi = getattr(lib, "__gmpz_jacobi")
-    except AttributeError:
-        return _jacobi
-    reg = ctypes.POINTER(_Mpz)
-    jacobi.argtypes, jacobi.restype = [reg, reg], ctypes.c_int
-    a_r, n_r = _Mpz(), _Mpz()
-    init(a_r)
-    init(n_r)
-    loaded = None  # the modulus n_r holds
-
-    def gmp_jacobi(a: int, n: int) -> int:
-        nonlocal loaded
-        if a < 0 or n < 1 or not n & 1:
-            return _jacobi(a, n)
-        if n != loaded:
-            raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-            import_(n_r, len(raw), 1, 1, 1, 0, raw)
-            loaded = n
-        raw = a.to_bytes((a.bit_length() + 7) // 8, "big")
-        import_(a_r, len(raw), 1, 1, 1, 0, raw)
-        return jacobi(a_r, n_r)
-
-    if any(gmp_jacobi(a, n) != _jacobi(a, n) for a, n in _JACOBI_SELF_CHECK):
-        return _jacobi
-    return gmp_jacobi
-
-
-_jacobi_symbol = _load_jacobi()
 
 
 def is_subgroup_member(y: int, params: GroupParams) -> bool:

@@ -1,4 +1,3 @@
-import ctypes.util
 import hashlib
 import json
 import os
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from spdzgen import modmath
 from spdzgen.cli import EXIT_PROTOCOL, EXIT_USAGE, EXIT_VALIDATION, main
 from spdzgen.dispense import TripleDispenser
 from spdzgen.gwas import GenotypeMatrix, orthonormal_columns, synth_genotypes
@@ -85,7 +85,7 @@ class TestTriples:
         # CI asserts "libgmp" on this field, so a silent fallback fails there
         assert run_cli("triples", "-n", "1") == 0
         report = json.loads(capsys.readouterr().out)
-        gmp = modexp_backend == "loaded" and ctypes.util.find_library("gmp") is not None
+        gmp = modexp_backend == "loaded" and modmath._open_gmp() is not None
         assert report["modexp_backend"] == ("libgmp" if gmp else "pow")
 
     @pytest.mark.parametrize("parties", [0, 1, 2])
@@ -272,10 +272,12 @@ def test_console_entry_point(tmp_path):
 
 
 # A basis whose one column has an entry past the float range, or whose square
-# is; and group documents that are not objects or lack g.
+# is; group documents that are not objects or lack g; controls one SNP wider
+# than the 6-row basis.
 HUGE_BASIS = "1e400\n0\n0\n0\n0\n0\n"
 BIG_BASIS = "1e200\n0\n0\n0\n0\n0\n"
 NO_G = json.dumps({"p": "23", "q": "11"})
+WIDE_CONTROLS = "snp\n0,1,2,0,1,0,1\n"
 
 
 @pytest.mark.parametrize("argv,config,code", [
@@ -301,6 +303,19 @@ NO_G = json.dumps({"p": "23", "q": "11"})
     (["run", "--basis", ("b.csv", BIG_BASIS)], None, EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--basis", ("b.csv", HUGE_BASIS)], None, EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--basis", ("b.csv", BIG_BASIS)], None, EXIT_VALIDATION),
+    (["run", "--lambda-max", "1e400"], None, EXIT_VALIDATION),
+    (["run"], {"lambda_max": "1e400"}, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--lambda-max", "1e400"], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--tau", "1e400"], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--controls", ("c.csv", WIDE_CONTROLS)], None,
+     EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--tau", "300"], None, EXIT_VALIDATION),
+    # e = 4 caps ||z||^2 below 8; the third control's is 13
+    (["run", "--plaintext-oracle"], {"fixed_point": {"k": 20}}, EXIT_VALIDATION),
+    # the field is always the group's own p, so the key is unknown
+    (["run"], {"fixed_point": {"p": DEFAULT_GROUP_256.p}}, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle"], {"fixed_point": {"p": DEFAULT_GROUP_256.p}},
+     EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
@@ -308,7 +323,10 @@ NO_G = json.dumps({"p": "23", "q": "11"})
         "triples-group-empty-object", "triples-group-array", "triples-group-string",
         "triples-group-without-g", "run-group-empty-object", "run-group-without-g",
         "basis-past-float", "basis-square-past-float", "oracle-basis-past-float",
-        "oracle-basis-square-past-float"])
+        "oracle-basis-square-past-float", "lambda-max-past-float",
+        "config-lambda-max-past-float", "oracle-lambda-max-past-float", "oracle-tau-past-float",
+        "oracle-wide-controls", "oracle-unencodable-tau", "oracle-norm-past-cap",
+        "fixed-point-p", "oracle-fixed-point-p"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
     def written(arg):
@@ -325,7 +343,8 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
         # an option given in argv comes after these defaults, so it wins
         case_csv, basis_csv, ctrl_csv = pipeline_files
         defaults = ["--case", str(case_csv), "--basis", str(basis_csv),
-                    "--controls", str(ctrl_csv), "--out", str(tmp_path / "r.json")]
+                    "--controls", str(ctrl_csv), "--out", str(tmp_path / "r.json"),
+                    "--triple-ledger", str(tmp_path / "ledger.jsonl")]
         argv = argv[:1] + defaults + argv[1:]
     if config is not None:
         config = {key: written(val) for key, val in config.items()}
@@ -335,6 +354,7 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "ledger.jsonl").exists()
 
 
 class TestPipelineGolden:

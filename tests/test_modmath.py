@@ -227,7 +227,7 @@ class TestPowmodBackend:
 
     def test_libgmp_is_bound_when_present(self):
         # a silent fallback to pow would keep every result and lose the speed
-        if ctypes.util.find_library("gmp") is None:
+        if modmath._open_gmp() is None:
             pytest.skip("no libgmp on this host")
         assert modmath._powmod is not pow
 
@@ -235,15 +235,33 @@ class TestPowmodBackend:
     def test_loader_falls_back_to_pow(self, monkeypatch, found):
         monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: found)
-        assert modmath._load_powmod() is pow
+        assert modmath._load_gmp() == (pow, modmath._jacobi)
 
     def test_loader_falls_back_when_a_symbol_is_missing(self, monkeypatch):
+        # the C library stands in for a libgmp without any of the symbols
         libc = ctypes.util.find_library("c")
         if libc is None:
             pytest.skip("no C library found to stand in for libgmp")
         monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
-        assert modmath._load_powmod() is pow
+        assert modmath._load_gmp() == (pow, modmath._jacobi)
+
+    @pytest.mark.parametrize("symbol", ["init", "import", "export", "powm", "jacobi"])
+    def test_loader_falls_back_without_one_symbol(self, monkeypatch, symbol):
+        # a partial libgmp: any one missing symbol sends both functions to
+        # their references
+        lib = modmath._open_gmp()
+        if lib is None:
+            pytest.skip("no libgmp on this host")
+
+        class Without:
+            def __getattr__(self, name):
+                if name == "__gmpz_" + symbol:
+                    raise AttributeError(name)
+                return getattr(lib, name)
+
+        monkeypatch.setattr(modmath, "_open_gmp", Without)
+        assert modmath._load_gmp() == (pow, modmath._jacobi)
 
     def test_import_starts_no_library_search(self):
         # opening the soname directly keeps find_library's `ldconfig -p`
@@ -307,33 +325,40 @@ class TestJacobiBackends:
         squares = [rng.randrange(1, p) ** 2 % p for _ in range(50)]
         ys = [rng.randrange(1, p) for _ in range(200)] + [1, 2, p - 2, p - 1] + squares
         python = [modmath._jacobi(y, p) for y in ys]
-        assert [modmath._load_jacobi()(y, p) for y in ys] == python
+        assert [modmath._load_gmp()[1](y, p) for y in ys] == python
         assert [modmath._jacobi_symbol(y, p) for y in ys] == python
         assert python[-50:] == [1] * 50 and modmath._jacobi(p - 1, p) == -1
         # Euler's criterion is the oracle for the random residues
         assert python[:200] == [1 if pow(y, params.q, p) == 1 else -1 for y in ys[:200]]
 
     def test_libgmp_jacobi_is_bound_when_present(self):
-        if ctypes.util.find_library("gmp") is None:
+        if modmath._open_gmp() is None:
             pytest.skip("no libgmp on this host")
         assert modmath._jacobi_symbol is not modmath._jacobi
 
     def test_edge_operands_go_to_python(self):
-        jacobi = modmath._load_jacobi()
+        jacobi = modmath._load_gmp()[1]
         for a, n in [(-3, 23), (5, 1), (0, 1), (3, 9), (10**80 + 7, 10**40 + 9)]:
             assert jacobi(a, n) == modmath._jacobi(a, n)
 
-    def test_loader_falls_back_without_the_library(self, monkeypatch):
-        monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
-        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-        assert modmath._load_jacobi() is modmath._jacobi
-
     def test_loader_falls_back_when_the_self_check_fails(self, monkeypatch):
-        def wrong(a, n):
+        # each function falls back alone: a failing Jacobi check leaves
+        # powmod on libgmp, and a failing powmod check leaves jacobi there
+        gmp = modmath._open_gmp() is not None
+
+        def wrong_jacobi(a, n):
             return 0
 
-        monkeypatch.setattr(modmath, "_jacobi", wrong)
-        assert modmath._load_jacobi() is wrong
+        def wrong_pow(base, e, m):
+            return 0
+
+        monkeypatch.setattr(modmath, "_jacobi", wrong_jacobi)
+        powmod, jacobi = modmath._load_gmp()
+        assert jacobi is wrong_jacobi and (powmod is not pow) == gmp
+        monkeypatch.undo()
+        monkeypatch.setattr(modmath, "pow", wrong_pow, raising=False)
+        powmod, jacobi = modmath._load_gmp()
+        assert powmod is wrong_pow and (jacobi is not modmath._jacobi) == gmp
 
 
 class TestCipherLayer:

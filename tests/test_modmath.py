@@ -341,6 +341,11 @@ class TestJacobiBackends:
         for a, n in [(-3, 23), (5, 1), (0, 1), (3, 9), (10**80 + 7, 10**40 + 9)]:
             assert jacobi(a, n) == modmath._jacobi(a, n)
 
+    def test_loader_falls_back_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(modmath, "_GMP_SONAME", NO_SUCH_LIBRARY)
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        assert modmath._load_gmp()[1] is modmath._jacobi
+
     def test_loader_falls_back_when_the_self_check_fails(self, monkeypatch):
         # each function falls back alone: a failing Jacobi check leaves
         # powmod on libgmp, and a failing powmod check leaves jacobi there

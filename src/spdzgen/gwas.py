@@ -51,6 +51,12 @@ BLIND_BOUND = 2 ** 32
 # Triples `secure_inflation_factor` draws: three products, then two blinded.
 LAMBDA_TRIPLES = 5
 
+# Controls whose z vectors `filter_controls` deals in one round.  Held z
+# shares cost about 24.4 KB per control at dim 50 (tracemalloc), so a block
+# holds about 1.6 MB; dealing every z at once would hold about 245 MB at
+# 10,000 controls.
+Z_BLOCK = 64
+
 
 def counts_of(values) -> tuple:
     """Genotype tallies (count of 0s, 1s, 2s) of a value sequence."""
@@ -257,9 +263,11 @@ class PipelineConfig:
             raise ValidationError("tau and lambda_max must be positive")
         for name in ("tau", "lambda_max"):
             try:
-                float(getattr(self, name))  # as `echo` reports it
+                reported = float(getattr(self, name))  # as `echo` reports it
             except OverflowError:
                 raise ValidationError("%s is past the float range" % name)
+            if reported == 0.0:
+                raise ValidationError("%s is positive but below the float range" % name)
         if self.parties < 3:
             raise ValidationError("need at least 3 MPC parties")
 
@@ -316,20 +324,25 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
                             ledger: TripleLedger, owner_keys: dict) -> Fraction:
     """Blinded inflation factor, revealed to the control owner only.
 
-    Each owner shares only its own counts, both in one round; the
+    The leader first gets a joint blind R = r_case * r_ctrl from the owners'
+    factors through `mhkm.key_product`.  Then one round deals both owners'
+    counts and the leader's R, each party sharing only its own values; the
     combined-table sums n_i form by local addition.  Numerator and
-    denominator are built with Beaver products, both multiplied by a joint
-    blind R = r_case * r_ctrl, which `mhkm.key_product` delivers to the
-    leader from the owners' factors.  The blinded pair is opened to o_ctrl,
-    who takes their exact ratio (R cancels).
+    denominator are built with Beaver products and both multiplied by R.
+    The blinded pair is opened to o_ctrl, who takes their exact ratio (R
+    cancels).
     """
     p = group.p
     for v in tuple(case_counts) + tuple(ctrl_counts):
         if not 0 <= v <= COUNT_CAP:
             raise ValidationError("count %d outside [0, %d]" % (v, COUNT_CAP))
 
-    r_sh, s_sh = spdz.share_batches(runtime, mpc_pids,
-                                    [(o_case, case_counts), (o_ctrl, ctrl_counts)], p)
+    r_case = _sample_bounded_residue(group, runtime.rng(o_case))
+    r_ctrl = _sample_bounded_residue(group, runtime.rng(o_ctrl))
+    [blind] = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
+                               {o_case: [r_case], o_ctrl: [r_ctrl]})[leader]
+    r_sh, s_sh, [blind_sh] = spdz.share_batches(
+        runtime, mpc_pids, [(o_case, case_counts), (o_ctrl, ctrl_counts), (leader, [blind])], p)
     n_sh = [spdz.add_local(r_sh[i], s_sh[i], p) for i in range(3)]
 
     lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
@@ -339,12 +352,6 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
         runtime, [(n_sh[0], n_sh[2]), (n_sh[1], n_sh[1]), (lhs, rhs)], triples, p, ledger)
     num = spdz.sub_local(spdz.scale_local(4, prods[0], p), prods[1], p)
     den = prods[2]
-
-    r_case = _sample_bounded_residue(group, runtime.rng(o_case))
-    r_ctrl = _sample_bounded_residue(group, runtime.rng(o_ctrl))
-    [blind] = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
-                               {o_case: [r_case], o_ctrl: [r_ctrl]})[leader]
-    blind_sh = spdz.share_secret(runtime, leader, blind, mpc_pids, p)
 
     triples2 = [dispenser.next_triple() for _ in range(2)]
     blinded = spdz.beaver_mult_batch(
@@ -489,42 +496,57 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     """End-to-end secure filter: residual screening, then the lambda check.
 
     All controls run in order on one runtime; the result carries it under
-    "context" for transcript export.  Each control's triples, and then the
-    lambda step's, are minted as one batch right before they are spent.
+    "context" for transcript export.  Each control's triples are minted as
+    one batch right before it is screened, and the last control's batch also
+    holds the lambda step's LAMBDA_TRIPLES (with no controls, they are
+    minted alone).
 
-    The basis goes to the servers as one vector of dim*rank entries in
-    column order, one message per server.  A run over n controls takes
-    15 + 15n rounds: 1 for the basis; per control 1 to share z, 4 to mint,
-    4 for the residual's two Beaver openings and 6 for the accept bit; and
-    14 for lambda (4 to mint, 1 for both owners' counts, 2 + 2 for the
-    Beaver products, 3 for the blind's key product, 1 to share the blind, 1
-    for the opening to the control owner).
+    One round deals the basis, as one vector of dim*rank entries in column
+    order, together with the first Z_BLOCK controls' vectors, one batch per
+    owner; each later block of Z_BLOCK controls is dealt in one round at its
+    first control, so the servers hold at most one block of z shares.  A
+    run over n >= 1 controls takes 10 + 14n + (ceil(n / Z_BLOCK) - 1)
+    rounds: 1 for the basis and the first block; per control 4 to mint, 4
+    for the residual's two Beaver batches and 6 for the accept bit; 1 per
+    later block; and 9 for lambda (3 for the blind's key product, 1 for both
+    owners' counts and the blind, 2 + 2 for the Beaver products, 1 for the
+    opening to the control owner).  With no controls it takes 14: the
+    basis, 4 to mint lambda's triples and lambda's 9.
     """
     if config.fp.p != group.p:
         raise ValidationError(
             "fixed-point field (%d) must be the triple field (%d): dispensed "
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
     validate_inputs(basis, controls, config)
-    params = config.fp
+    params, dim = config.fp, basis.dim
 
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)
-    flat = share_vector(ctx.runtime, ctx.o_case,
-                        [v for j in range(basis.rank) for v in basis.column(j)],
-                        ctx.mpc_pids, params)
-    basis_cols = [flat[i:i + basis.dim] for i in range(0, len(flat), basis.dim)]
-    budget = triples_per_control(basis.dim, basis.rank)
-    accepted = []
-    for ctrl in controls:
-        ctx.dispenser.reserve(budget)
-        z_shares = share_vector(ctx.runtime, ctx.o_ctrl, ctrl.vector, ctx.mpc_pids, params)
-        res = residual_norm_sq(ctx.runtime, basis_cols, z_shares, params,
-                               ctx.dispenser, ctx.ledger, ctx.roles)
-        if secure_accept_bit(ctx.runtime, res, config, ctx.roles):
-            accepted.append(ctrl)
+    basis_entries = [fixpt.fp_encode(v, params)
+                     for j in range(basis.rank) for v in basis.column(j)]
+    budget = triples_per_control(dim, basis.rank)
+    basis_cols, accepted = None, []
+    for start in range(0, max(len(controls), 1), Z_BLOCK):
+        block = controls[start:start + Z_BLOCK]
+        z_entries = [fixpt.fp_encode(v, params) for ctrl in block for v in ctrl.vector]
+        flat, z_block = spdz.share_batches(
+            ctx.runtime, ctx.mpc_pids, [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
+            params.p)
+        if basis_cols is None:
+            basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
+            basis_entries = []  # an empty batch sends nothing
+        for k, ctrl in enumerate(block):
+            last = start + k == len(controls) - 1
+            ctx.dispenser.reserve(budget + (LAMBDA_TRIPLES if last else 0))
+            res = residual_norm_sq(ctx.runtime, basis_cols, z_block[k * dim:(k + 1) * dim],
+                                   params, ctx.dispenser, ctx.ledger, ctx.roles)
+            if secure_accept_bit(ctx.runtime, res, config, ctx.roles):
+                accepted.append(ctrl)
+        del z_block  # release this block's shares before the next is dealt
+    if not controls:
+        ctx.dispenser.reserve(LAMBDA_TRIPLES)
 
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
-    ctx.dispenser.reserve(LAMBDA_TRIPLES)
     lam = secure_inflation_factor(ctx.runtime, group, tuple(case_counts), ctrl_totals,
                                   ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                   ctx.dispenser, ctx.ledger, ctx.owner_keys)

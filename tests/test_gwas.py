@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -398,24 +399,55 @@ class TestFilterPipeline:
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
-    @pytest.mark.parametrize("rank", [1, 2])
-    @pytest.mark.parametrize("n", [1, 3])
+    # n >= 1: basis and the first block's z 1; per control mint 4, residual
+    # 4, accept bit 6; each later block's z 1; lambda 9 (blind chain 3,
+    # counts and blind 1, products 2, products 2, opening 1), its triples
+    # minted with the last control's.  n = 0: basis 1, lambda's mint 4 and
+    # its 9.  So 10 + 14n + (ceil(n / Z_BLOCK) - 1), and 14 for n = 0.
+    ROUNDS = {0: 14, 1: 24, 3: 52, gwas.Z_BLOCK + 1: 10 + 14 * (gwas.Z_BLOCK + 1) + 1}
+
+    @pytest.mark.parametrize("n,rank", [(1, 1), (1, 2), (3, 1), (3, 2), (0, 2),
+                                        (gwas.Z_BLOCK + 1, 1)])
     def test_round_schedule(self, group256, n, rank):
-        # basis 1; per control z 1, mint 4, residual 4, accept bit 6; lambda
-        # mint 4, counts 1, products 2, blind chain 3, blind 1, products 2,
-        # opening 1
         basis, case_counts, controls, config = small_pipeline_inputs(group256)
         if rank == 1:
             basis = orthonormal_columns([[float(v) for v in basis.column(0)]])
         assert basis.rank == rank
-        result = filter_controls(group256, basis, case_counts, controls[:n], config, seed=19)
-        assert result["context"].runtime.rounds == 15 + 15 * n
+        controls = [ControlRecord("ctrl_%03d" % i, c.vector, c.counts)
+                    for i, c in zip(range(n), itertools.cycle(controls))]
+        result = filter_controls(group256, basis, case_counts, controls, config, seed=19)
+        assert result["context"].runtime.rounds == self.ROUNDS[n]
+        plain = plain_filter_controls(basis, case_counts, controls, config)
+        assert result["accepted"] == plain["accepted"]
+        assert result["lambda"] == plain["lambda"]
+
+    def test_z_dealt_one_block_at_a_time(self, group256, monkeypatch):
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        monkeypatch.setattr(gwas, "Z_BLOCK", 2)
+        share_batches, z_batches = spdz.share_batches, []
+
+        def recording(runtime, parties, batches, p):
+            batches = list(batches)  # parties[1] is O_ctrl
+            z_batches.extend(len(secrets) for owner, secrets in batches if owner == parties[1])
+            return share_batches(runtime, parties, batches, p)
+
+        monkeypatch.setattr(spdz, "share_batches", recording)
+        result = filter_controls(group256, basis, case_counts, controls, config, seed=19)
+        # five controls of dimension 6 in blocks of two, then lambda's counts;
+        # the one-value batches are trunc's masks
+        assert [size for size in z_batches if size > 1] == [12, 12, 6, 3]
+        assert result["context"].runtime.rounds == 10 + 14 * 5 + 2
+        assert result["accepted"] == ["ctrl_000", "ctrl_001"]
 
     # wire bytes of the same runs: per batch two 16-byte blind seeds and per
     # holder one correction share per triple plus two seeds, and every deal
     # of inputs or masks two seeds; before shares and blinds became seeds
-    # they were 16,537, 22,521, 39,103 and 56,287 bytes
-    WIRE_BYTES = {(1, 1): 11_033, (1, 2): 14_841, (3, 1): 26_303, (3, 2): 37_727}
+    # they were 16,537, 22,521, 39,103 and 56,287 bytes.  Minting lambda's
+    # triples with the last control's saved one batch's fixed bytes, 179
+    # (two blind seeds, three 17-byte BTG hop headers and three holders' two
+    # seeds), and dealing every z in one batch one seed pair, 32, per control
+    # after the first: from 11,033, 14,841, 26,303 and 37,727 bytes.
+    WIRE_BYTES = {(1, 1): 10_854, (1, 2): 14_662, (3, 1): 26_060, (3, 2): 37_484}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])

@@ -6,20 +6,25 @@ that needs no shared random bits:
 
   1. offset the input to a nonnegative integer: z' = 2^w + z  (w = working
      bit frame, >= k);
-  2. the mask owner picks r' < 2^m, the wide-mask owner picks
-     r'' < 2^(kappa + w - m); shares of r''*2^m + r' are formed locally;
-  3. the opener reconstructs c = r + z' (an integer, no field wraparound
-     because p > 2^(kappa + w + 1)) and broadcasts it;
-  4. with c' = c mod 2^m, the output is 2^(-m) * ([z] + [r'] - c'), which
-     equals floor(z / 2^m) + u for a carry bit u in {0, 1}.
+  2. the mask owner adds r' < 2^m to its own share and the wide-mask owner
+     adds 2^m * r'' with r'' < 2^(kappa + w - m) to its own, so the shares
+     sum to z' + r for r = 2^m * r'' + r'; nothing is dealt;
+  3. the other servers send their shares to the mask owner alone, which
+     reconstructs c = r + z' (an integer, no field wraparound because
+     p > 2^(kappa + w + 1)) and aborts when c reaches that bound;
+  4. with c' = c mod 2^m, the output is 2^(-m) * ([z] + r' - c'), which
+     equals floor(z / 2^m) + u for a carry bit u in {0, 1}: the mask owner
+     folds r' - c' into its own share, and every server scales by 2^(-m).
 
 The carry makes plain `trunc` probabilistic, matching the protocol as
 specified: Pr[u = 1] = (z mod 2^m) / 2^m.  For comparisons that must never
-be off by one, `trunc(exact=True)` has the mask owner, who knows r', derive
-u = [c' < r'] from the public opening and contribute it as a correction
-share.  That variant is exact everywhere.  Both mask owners are servers that
-see c, so neither mask hides z from its owner: the mask owner learns z mod 2^m
-and the wide-mask owner r' + z (measured in ROADMAP open item 1).
+be off by one, `trunc(exact=True)` has the mask owner, who knows r' and c',
+fold u = [c' < r'] into its own share too.  That variant is exact everywhere
+and costs no extra round.  The opening is the only message, and only the
+mask owner receives it: the wide-mask owner and the other servers learn
+nothing from a truncation.  The shares the mask owner receives are uniform
+subject to their sum, but the sum is c and the mask owner knows r', so it
+learns z mod 2^m (measured in ROADMAP open item 1).
 
 The offset uses 2^w rather than 2^(k-1) so the identity z' mod 2^m = z mod
 2^m holds for every m up to the frame width, including m = k.
@@ -69,19 +74,17 @@ class FixedPointParams:
 
 @dataclass(frozen=True)
 class TruncRoles:
-    """Who masks, who wide-masks, who opens (default MPC_1/MPC_2/MPC_3)."""
+    """Who masks and who wide-masks (default the two lowest parties)."""
 
     mask_owner: PartyId
     wide_owner: PartyId
-    opener: PartyId
 
     @classmethod
     def default_for(cls, parties) -> "TruncRoles":
         ordered = sorted(parties)
         if len(ordered) < 2:
             raise ParameterError("truncation needs at least two parties")
-        return cls(mask_owner=ordered[0], wide_owner=ordered[1],
-                   opener=ordered[2] if len(ordered) > 2 else ordered[-1])
+        return cls(mask_owner=ordered[0], wide_owner=ordered[1])
 
 
 def fp_encode(x, params: FixedPointParams) -> int:
@@ -104,7 +107,7 @@ def fp_decode(y: int, params: FixedPointParams) -> Fraction:
 @dataclass(frozen=True)
 class TruncOutcome:
     value: SharedValue
-    opened: int  # the public masked opening c = r + z'
+    opened: int  # the masked opening c = r + z', which only the mask owner receives
 
 
 def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
@@ -112,12 +115,13 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
           exact: bool = False) -> TruncOutcome:
     """Divide a shared signed integer by 2^m (floor, plus a carry unless exact).
 
-    The mask owner and the wide-mask owner deal their masks r1 and r2 in one
-    round, so a plain `trunc` takes three rounds (masks, the opening's two)
-    and an exact one a fourth for the carry share.  `frame` widens the
-    assumed bit bound of the input beyond params.k, needed after
-    multiplications whose raw result carries 2f fraction bits.  The field
-    must satisfy p > 2^(kappa + frame + 1) at the chosen frame.
+    One round: the mask owner and the wide-mask owner mask their own shares,
+    and the other servers open the masked value to the mask owner alone,
+    which folds the public part and, when `exact`, the carry into its share.
+    `frame` widens the assumed bit bound of the input beyond params.k,
+    needed after multiplications whose raw result carries 2f fraction bits.
+    The field must satisfy p > 2^(kappa + frame + 1) at the chosen frame, and
+    the two owners must be distinct holders of z.
     """
     p = params.p
     w = params.k if frame is None else frame
@@ -127,27 +131,30 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
         raise ParameterError("field too small for frame %d at kappa %d" % (w, params.kappa))
     if roles is None:
         roles = TruncRoles.default_for(z.parties)
+    owner, wide = roles.mask_owner, roles.wide_owner
+    if owner == wide:
+        raise ParameterError("mask owner and wide-mask owner are both %s, which would "
+                             "hold the whole mask" % (owner,))
+    for pid in (owner, wide):
+        if pid not in z.parties:
+            raise ParameterError("mask holder %s holds no share of the value" % (pid,))
 
-    offset = 2 ** w
-    z1 = spdz.add_const(z, offset, p)
-    r1 = runtime.rng(roles.mask_owner).randrange(2 ** m)
-    r2 = runtime.rng(roles.wide_owner).randrange(2 ** (params.kappa + w - m))
-    [r1_sh], [r2_sh] = spdz.share_batches(
-        runtime, z.parties, [(roles.mask_owner, [r1]), (roles.wide_owner, [r2])], p)
-
-    masked = spdz.add_local(spdz.add_local(spdz.scale_local(2 ** m, r2_sh, p), r1_sh, p), z1, p)
-    c = spdz.open_value(runtime, masked, p, collector=roles.opener)
+    r1 = runtime.rng(owner).randrange(2 ** m)
+    r2 = runtime.rng(wide).randrange(2 ** (params.kappa + w - m))
+    masked = dict(spdz.add_const(z, 2 ** w, p).shares)
+    masked[owner] = (masked[owner] + r1) % p
+    masked[wide] = (masked[wide] + (r2 << m)) % p
+    c = spdz.open_value(runtime, SharedValue(z.parties, masked), p,
+                        collector=owner, recipients=[owner])
     if c >= 2 ** (params.kappa + w + 1):
         raise ProtocolAbort("masked opening exceeded its integer bound (wraparound)")
     c1 = c % 2 ** m
 
-    body = spdz.add_const(spdz.add_local(z, r1_sh, p), -c1, p)
-    out = spdz.scale_local(inverse(2 ** m, p), body, p)
-    if exact:
-        u = 1 if c1 < r1 else 0
-        u_sh = spdz.share_secret(runtime, roles.mask_owner, u, z.parties, p)
-        out = spdz.sub_local(out, u_sh, p)
-    return TruncOutcome(value=out, opened=c)
+    inv = inverse(2 ** m, p)
+    carry = 1 if exact and c1 < r1 else 0
+    out = {pid: inv * z.shares[pid] % p for pid in z.parties}
+    out[owner] = (inv * (z.shares[owner] + r1 - c1) - carry) % p
+    return TruncOutcome(value=SharedValue(z.parties, out), opened=c)
 
 
 def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,

@@ -460,7 +460,7 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
     dispenser = TripleDispenser(runtime, group, btg_pids, btg_keys, mpc_pids,
                                 ox=o_case, oy=o_ctrl, mode=blinding,
                                 owner_keys=owner_keys, ledger_path=ledger_path)
-    roles = TruncRoles(mask_owner=o_case, wide_owner=o_ctrl, opener=leader)
+    roles = TruncRoles(mask_owner=o_case, wide_owner=o_ctrl)
     return PipelineParties(runtime=runtime, btg_pids=btg_pids, btg_keys=btg_keys,
                            mpc_pids=mpc_pids, o_case=o_case, o_ctrl=o_ctrl, leader=leader,
                            owner_keys=owner_keys, dispenser=dispenser,
@@ -505,9 +505,10 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     order, together with the first Z_BLOCK controls' vectors, one batch per
     owner; each later block of Z_BLOCK controls is dealt in one round at its
     first control, so the servers hold at most one block of z shares.  A
-    run over n >= 1 controls takes 10 + 14n + (ceil(n / Z_BLOCK) - 1)
+    run over n >= 1 controls takes 10 + 11n + (ceil(n / Z_BLOCK) - 1)
     rounds: 1 for the basis and the first block; per control 4 to mint, 4
-    for the residual's two Beaver batches and 6 for the accept bit; 1 per
+    for the residual's two Beaver batches and 3 for the accept bit (1 for
+    the sign test's opening to the mask owner, 2 to open the bit); 1 per
     later block; and 9 for lambda (3 for the blind's key product, 1 for both
     owners' counts and the blind, 2 + 2 for the Beaver products, 1 for the
     opening to the control owner).  With no controls it takes 14: the

@@ -1,10 +1,12 @@
 """Shared test utilities: manufactured triples for field-level unit tests,
-and a fault injector that rewrites payloads on their way into the network."""
+a fault injector that rewrites payloads on their way into the network, and a
+recorder of the messages each truncation sends."""
 
 import itertools
 
 import pytest
 
+from spdzgen import fixpt
 from spdzgen.dispense import BeaverTripleShares, split_additive
 from spdzgen.modmath import SEED_BYTES
 from spdzgen.net import Runtime
@@ -69,3 +71,30 @@ def shifted(p):
                 SEED_BYTES, "big")
         return ((int.from_bytes(payload[:w], "big") + 1) % p).to_bytes(w, "big") + payload[w:]
     return mutate
+
+
+def record_truncations(monkeypatch):
+    """Wrap `fixpt.trunc` so that each call appends the runtime and the
+    message records its opening added to the transcript (the runtime must
+    record); returns the list that collects them."""
+    calls, trunc = [], fixpt.trunc
+
+    def recording(runtime, *args, **kwargs):
+        start = len(runtime.transcript)
+        out = trunc(runtime, *args, **kwargs)
+        calls.append((runtime, [r for r in runtime.transcript[start:] if r[0] == "msg"]))
+        return out
+
+    monkeypatch.setattr(fixpt, "trunc", recording)
+    return calls
+
+
+def assert_only_received_by(calls, receiver, others):
+    """Every recorded truncation sent messages, all of them to `receiver`,
+    and none of them is in the view of any party in `others`."""
+    assert calls
+    for runtime, sent in calls:
+        assert sent and all(r[2] == receiver for r in sent)
+        for pid in others:
+            received = [r for r in runtime.transcript_view(pid) if r[0] == "msg" and r[2] == pid]
+            assert not any(r in sent for r in received)

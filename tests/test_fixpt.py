@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdzgen.errors import EncodingRangeError, ParameterError
+from spdzgen import fixpt
+from spdzgen.errors import EncodingRangeError, ParameterError, ProtocolAbort
 from spdzgen.fixpt import (
     DEFAULT_FIXPT_PRIME,
     FixedPointParams,
@@ -17,11 +18,11 @@ from spdzgen.fixpt import (
     ltz,
     trunc,
 )
-from spdzgen.modmath import signed_decode, signed_encode
+from spdzgen.modmath import decode_residues, signed_decode, signed_encode
 from spdzgen.net import PartyId, Runtime
-from spdzgen.spdz import TripleLedger, open_value, share_secret
+from spdzgen.spdz import OPEN_RESULT_TAG, TripleLedger, open_value, share_secret
 
-from helpers import triple_stream
+from helpers import assert_only_received_by, record_truncations, triple_stream
 
 PARTIES = tuple(PartyId("MPC", i) for i in (1, 2, 3))
 
@@ -206,12 +207,57 @@ class TestTrunc:
         with pytest.raises(ParameterError):
             trunc(rt, z, 4, SMALL, frame=80)  # p_small << 2^(10+80+1)
 
+    # a mask owner that is not the lowest party, which add_const adjusts
+    CUSTOM = TruncRoles(mask_owner=PARTIES[2], wide_owner=PARTIES[0])
+
     def test_custom_roles(self):
         rt = fresh_rt(seed=8)
-        roles = TruncRoles(mask_owner=PARTIES[2], wide_owner=PARTIES[0], opener=PARTIES[1])
         z = share_signed(rt, 100, SMALL)
-        got = opened_signed(rt, trunc(rt, z, 4, SMALL, roles=roles, exact=True).value, SMALL)
+        got = opened_signed(rt, trunc(rt, z, 4, SMALL, roles=self.CUSTOM, exact=True).value,
+                            SMALL)
         assert got == 6
+
+    def test_custom_roles_ltz_exhaustive_k8(self):
+        # the public part -c' lands at the mask owner, not at min(parties)
+        rt = fresh_rt(seed=15)
+        for value in range(-127, 128):
+            z = share_signed(rt, value, SMALL)
+            got = open_value(rt, ltz(rt, z, SMALL, roles=self.CUSTOM), SMALL.p)
+            assert got == (1 if value < 0 else 0), "sign failed at %d" % value
+
+    @pytest.mark.parametrize("roles", [
+        TruncRoles(mask_owner=PARTIES[1], wide_owner=PARTIES[1]),
+        TruncRoles(mask_owner=PartyId("MPC", 4), wide_owner=PARTIES[1]),
+        TruncRoles(mask_owner=PARTIES[0], wide_owner=PartyId("MPC", 4)),
+    ], ids=["one-owner", "mask-owner-outside", "wide-owner-outside"])
+    def test_bad_roles_rejected_before_any_draw_or_send(self, roles):
+        rt = fresh_rt(seed=16)
+        z = share_signed(rt, 100, SMALL)
+        sent, states = rt.messages_sent, [rt.rng(pid).getstate() for pid in PARTIES]
+        with pytest.raises(ParameterError):
+            trunc(rt, z, 4, SMALL, roles=roles)
+        assert rt.messages_sent == sent
+        assert [rt.rng(pid).getstate() for pid in PARTIES] == states
+
+    def test_opening_past_the_integer_bound_aborts(self):
+        # z = 2^(kappa + k + 1) lies outside the frame, so c = z + 2^k + r
+        # reaches the bound without wrapping the field
+        rt = fresh_rt(seed=17)
+        bound = 2 ** (SMALL.kappa + SMALL.k + 1)
+        z = share_secret(rt, PARTIES[0], bound, PARTIES, SMALL.p)
+        with pytest.raises(ProtocolAbort):
+            trunc(rt, z, 4, SMALL)
+
+    def test_one_round_to_the_mask_owner(self, monkeypatch):
+        rt = fresh_rt(seed=18, record=True)
+        calls = record_truncations(monkeypatch)
+        for exact in (False, True):
+            z = share_signed(rt, -96, SMALL)
+            rounds = rt.rounds
+            # through the module, whose `trunc` the recorder wraps
+            fixpt.trunc(rt, z, 4, SMALL, roles=self.CUSTOM, exact=exact)
+            assert rt.rounds == rounds + 1
+        assert_only_received_by(calls, PARTIES[2], PARTIES[:2])
 
 
 class TestFixedPointMult:
@@ -246,6 +292,43 @@ class TestFixedPointMult:
             z = fp_mult(rt, x, y, next(triples), BIG, ledger)
             got = fp_decode(open_value(rt, z, BIG.p), BIG)
             assert abs(got - xq * yq) <= Fraction(1, 2 ** 15)
+
+    def test_only_the_mask_owner_receives_the_truncation(self, monkeypatch):
+        rt = fresh_rt(seed=12, record=True)
+        triples = triple_stream(BIG.p, PARTIES, random.Random(4))
+        calls = record_truncations(monkeypatch)
+        x = share_secret(rt, PARTIES[0], fp_encode(0.75, BIG), PARTIES, BIG.p)
+        y = share_secret(rt, PARTIES[1], fp_encode(-0.5, BIG), PARTIES, BIG.p)
+        fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+        assert_only_received_by(calls, PARTIES[0], PARTIES[1:])
+
+    def test_wide_owner_cannot_recover_products(self):
+        # MPC_2 knows its own wide mask r'' (replayed from its generator) and
+        # tries every opened residue it receives as c = 2^f*r'' + r' + z' with
+        # r' < 2^f: when it gets c, (c - 2^f*r'' - 2^w) / 2^(2f) is x*y to
+        # within 2^-f.  Only the Beaver differences may reach it.
+        rt = fresh_rt(seed=19, record=True)
+        rng = random.Random(5)
+        triples = triple_stream(BIG.p, PARTIES, rng)
+        wide, m, w = PARTIES[1], BIG.f, BIG.k + BIG.f
+        width = (BIG.p.bit_length() + 7) // 8
+        recovered = 0
+        for _ in range(50):
+            xq = Fraction(rng.randrange(-2 ** 16 + 1, 2 ** 16), 2 ** 16)
+            yq = Fraction(rng.randrange(-2 ** 16 + 1, 2 ** 16), 2 ** 16)
+            x = share_secret(rt, PARTIES[0], fp_encode(xq, BIG), PARTIES, BIG.p)
+            y = share_secret(rt, PARTIES[2], fp_encode(yq, BIG), PARTIES, BIG.p)
+            own = random.Random()
+            own.setstate(rt.rng(wide).getstate())
+            start = len(rt.transcript)
+            fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+            r2 = own.randrange(2 ** (BIG.kappa + w - m))
+            opened = [r[4] for r in rt.transcript[start:] if r[0] == "msg"
+                      and r[2] == wide and r[3].startswith(OPEN_RESULT_TAG)]
+            guesses = [Fraction(v - (r2 << m) - 2 ** w, 2 ** (2 * BIG.f)) for payload in opened
+                       for v in decode_residues(payload, len(payload) // width, BIG.p)]
+            recovered += any(abs(g - xq * yq) <= Fraction(1, 2 ** 15) for g in guesses)
+        assert recovered == 0
 
 
 class TestLtz:

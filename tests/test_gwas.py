@@ -43,6 +43,8 @@ from spdzgen.gwas import (
 from spdzgen.spdz import open_value
 from spdzgen.modmath import signed_decode
 
+from helpers import assert_only_received_by, record_truncations
+
 
 class TestGenotypeEncoding:
     def test_counts_of(self):
@@ -338,7 +340,9 @@ class TestSecureResidual:
 
     def test_rounds_do_not_grow_with_dim_or_rank(self, group256):
         # one round for the whole basis, one for z, four to mint, two Beaver
-        # openings and one sign test per control, whatever its shape
+        # openings and one sign test per control, whatever its shape; the
+        # accept bit took 6 rounds (16 in all) until the sign test's
+        # truncation became one opening to the mask owner
         params = fp_for(group256)
         config = PipelineConfig(fp=params)
         ctx = build_parties(group256, seed=10)
@@ -353,7 +357,7 @@ class TestSecureResidual:
                                    ctx.dispenser, ctx.ledger, ctx.roles)
             secure_accept_bit(ctx.runtime, res, config, ctx.roles)
             rounds.append(ctx.runtime.rounds - before)
-        assert rounds == [1 + 1 + 4 + 4 + 6] * 3
+        assert rounds == [1 + 1 + 4 + 4 + 3] * 3
 
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)
@@ -400,11 +404,14 @@ class TestFilterPipeline:
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
     # n >= 1: basis and the first block's z 1; per control mint 4, residual
-    # 4, accept bit 6; each later block's z 1; lambda 9 (blind chain 3,
-    # counts and blind 1, products 2, products 2, opening 1), its triples
-    # minted with the last control's.  n = 0: basis 1, lambda's mint 4 and
-    # its 9.  So 10 + 14n + (ceil(n / Z_BLOCK) - 1), and 14 for n = 0.
-    ROUNDS = {0: 14, 1: 24, 3: 52, gwas.Z_BLOCK + 1: 10 + 14 * (gwas.Z_BLOCK + 1) + 1}
+    # 4, accept bit 3 (the sign test's opening to the mask owner 1, the bit's
+    # opening 2); each later block's z 1; lambda 9 (blind chain 3, counts and
+    # blind 1, products 2, products 2, opening 1), its triples minted with
+    # the last control's.  n = 0: basis 1, lambda's mint 4 and its 9.  So
+    # 10 + 11n + (ceil(n / Z_BLOCK) - 1), and 14 for n = 0.  The accept bit
+    # took 6 rounds, so 10 + 14n + ..., while the sign test dealt its masks,
+    # opened c to a third server that broadcast it, and dealt its carry.
+    ROUNDS = {0: 14, 1: 21, 3: 43, gwas.Z_BLOCK + 1: 10 + 11 * (gwas.Z_BLOCK + 1) + 1}
 
     @pytest.mark.parametrize("n,rank", [(1, 1), (1, 2), (3, 1), (3, 2), (0, 2),
                                         (gwas.Z_BLOCK + 1, 1)])
@@ -434,9 +441,10 @@ class TestFilterPipeline:
         monkeypatch.setattr(spdz, "share_batches", recording)
         result = filter_controls(group256, basis, case_counts, controls, config, seed=19)
         # five controls of dimension 6 in blocks of two, then lambda's counts;
-        # the one-value batches are trunc's masks
-        assert [size for size in z_batches if size > 1] == [12, 12, 6, 3]
-        assert result["context"].runtime.rounds == 10 + 14 * 5 + 2
+        # truncation deals nothing, since its masks stay in their owners'
+        # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds)
+        assert z_batches == [12, 12, 6, 3]
+        assert result["context"].runtime.rounds == 10 + 11 * 5 + 2
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
 
     # wire bytes of the same runs: per batch two 16-byte blind seeds and per
@@ -446,8 +454,11 @@ class TestFilterPipeline:
     # triples with the last control's saved one batch's fixed bytes, 179
     # (two blind seeds, three 17-byte BTG hop headers and three holders' two
     # seeds), and dealing every z in one batch one seed pair, 32, per control
-    # after the first: from 11,033, 14,841, 26,303 and 37,727 bytes.
-    WIRE_BYTES = {(1, 1): 10_854, (1, 2): 14_662, (3, 1): 26_060, (3, 2): 37_484}
+    # after the first: from 11,033, 14,841, 26,303 and 37,727 bytes.  The
+    # sign test's opening to the mask owner alone saved 160 bytes per control
+    # (two mask seed pairs 64, the broadcast of c 64, the carry's seed pair
+    # 32): from 10,854, 14,662, 26,060 and 37,484 bytes.
+    WIRE_BYTES = {(1, 1): 10_694, (1, 2): 14_502, (3, 1): 25_580, (3, 2): 37_004}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])
@@ -457,6 +468,15 @@ class TestFilterPipeline:
             basis = orthonormal_columns([[float(v) for v in basis.column(0)]])
         result = filter_controls(group256, basis, case_counts, controls[:n], config, seed=19)
         assert result["context"].runtime.bytes_sent == self.WIRE_BYTES[n, rank]
+
+    def test_truncations_reach_only_the_mask_owner(self, group256, monkeypatch):
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        calls = record_truncations(monkeypatch)
+        result = filter_controls(group256, basis, case_counts, controls[:2], config, seed=19,
+                                 record=True)
+        ctx = result["context"]
+        assert len(calls) == 2
+        assert_only_received_by(calls, ctx.o_case, ctx.mpc_pids[1:])
 
     def test_empty_control_list(self, group256):
         basis, case_counts, _, config = small_pipeline_inputs(group256)

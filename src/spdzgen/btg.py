@@ -16,9 +16,10 @@ One session makes K triples at once: each hop is a single message
 `session_id | step | K x (u | v)` carrying the K ciphertexts in triple order,
 so a session is three messages in three rounds whatever K is, and nothing
 is sent back once C holds its output; every ciphertext gets the same
-exponentiations and checks as in a session of one.  The receiver of each hop
-parses it and aborts on a foreign session id, a wrong step or the wrong pair
-count.
+exponentiations and checks as in a session of one.  The receiver of each
+hop parses it and aborts on a foreign session id, a wrong step or the wrong
+pair count.  A session is a protocol (`net.Runtime.run`), so it shares its
+rounds with whatever runs beside it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from . import modmath
 from .errors import MessageSpaceError, ParameterError, ProtocolAbort
 from .modmath import Ciphertext, GroupParams, KeyPair
-from .net import Runtime
+from .net import Protocol, Runtime
 
 SESSION_ID_BYTES = 16
 BTG_TAG = "btg"
@@ -84,15 +85,15 @@ def _draw(params: GroupParams, rng: random.Random, pinned, k: int) -> int:
 
 
 def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
-         src, dst, cts, count: int) -> tuple:
+         src, dst, cts, count: int, tag: str) -> Protocol:
     """Send one hop of K ciphertexts; returns the K ciphertexts dst parses.
 
     A payload that does not parse, or one for another session or another
     step, raises ProtocolAbort.
     """
-    runtime.send(src, dst, BTG_TAG, BtgMessage(session_id, step, tuple(cts)).serialize(params))
-    runtime.pump()
-    msg = BtgMessage.parse(runtime.take(dst, BTG_TAG).payload, params, count)
+    runtime.send(src, dst, tag, BtgMessage(session_id, step, tuple(cts)).serialize(params))
+    yield
+    msg = BtgMessage.parse(runtime.take(dst, tag).payload, params, count)
     if msg.session_id != session_id:
         raise ProtocolAbort("message for session %s delivered to %s"
                             % (msg.session_id.hex(), session_id.hex()))
@@ -102,19 +103,22 @@ def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
     return msg.payloads
 
 
-def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
-                       pids: dict, forced: dict | None = None,
-                       count: int = 1) -> dict:
-    """Run one session of `count` triples over the runtime's channels.
+def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
+                   forced: dict | None = None, count: int = 1,
+                   tag: str = BTG_TAG) -> Protocol:
+    """One session of `count` triples over the runtime's channels, as a
+    protocol of three rounds.
 
     `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
     key and may be absent); `pids` maps BtgRole -> PartyId.  `forced`
     optionally pins the K secrets of roles A and/or B, as lists in triple
-    order; every pinned secret is checked for subgroup membership before any
-    message is sent, and a non-member raises MessageSpaceError.  Drawn
-    secrets are squares s^2 mod p, members by construction.  Returns
-    BtgRole -> the role's K secrets in triple order: a for A, b for B, c
-    for C.
+    order; the count and every pinned secret's subgroup membership are
+    checked here, before the protocol runs, and a non-member raises
+    MessageSpaceError.  Drawn secrets are squares s^2 mod p, members by
+    construction.  Every hop travels under `tag`: sessions that run side by
+    side and deliver to one party pass distinct tags.  The protocol's result
+    maps BtgRole -> the role's K secrets in triple order: a for A, b for B,
+    c for C.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
@@ -127,6 +131,11 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
                                  % (role.value, len(values), count))
         if not all(modmath.is_subgroup_member(v, params) for v in values):
             raise MessageSpaceError("role %s pins a secret outside the subgroup" % role.value)
+    return _session(runtime, params, keys, pids, forced, count, tag)
+
+
+def _session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
+             forced: dict, count: int, tag: str) -> Protocol:
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
     rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
     h_c = keys[BtgRole.C].h
@@ -139,7 +148,7 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
         a = _draw(params, rng_a, forced.get(BtgRole.A), k)
         cts.append(modmath.encrypt(params, h_ac, a, modmath.random_exponent(params, rng_a)))
         a_vals.append(a)
-    received = _hop(runtime, params, session_id, 1, pid_a, pid_b, cts, count)
+    received = yield from _hop(runtime, params, session_id, 1, pid_a, pid_b, cts, count, tag)
 
     # B multiplies each secret b into its layered ciphertext.
     b_vals, cts = [], []
@@ -147,14 +156,14 @@ def run_triple_session(runtime: Runtime, params: GroupParams, keys: dict,
         b = _draw(params, rng_b, forced.get(BtgRole.B), k)
         cts.append(modmath.mult_layer(ct, b, h_ac, modmath.random_exponent(params, rng_b), params))
         b_vals.append(b)
-    received = _hop(runtime, params, session_id, 2, pid_b, pid_a, cts, count)
+    received = yield from _hop(runtime, params, session_id, 2, pid_b, pid_a, cts, count, tag)
 
     # A strips its own layer and re-randomizes each ciphertext under h_C alone.
     x_a = keys[BtgRole.A].x
     cts = [modmath.rerandomize(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, params)), h_c,
                                modmath.random_exponent(params, rng_a), params)
            for ct in received]
-    received = _hop(runtime, params, session_id, 3, pid_a, pid_c, cts, count)
+    received = yield from _hop(runtime, params, session_id, 3, pid_a, pid_c, cts, count, tag)
 
     # C removes the last layer: c = a*b mod p.
     x_c = keys[BtgRole.C].x

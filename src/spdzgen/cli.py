@@ -192,7 +192,7 @@ def cmd_run(args) -> int:
     if args.plaintext_oracle:
         # the secure run checks its inputs inside `filter_controls`; the
         # oracle must reject the same inputs
-        gwas.validate_inputs(basis, controls, config)
+        gwas.validate_inputs(basis, case_counts, controls, config)
         result = gwas.plain_filter_controls(basis, case_counts, controls, config)
         result["triple_count"] = 0
     else:

@@ -43,14 +43,19 @@ no server learns a sign.
 Dispensation runs the K triples of one BTG session at once, and sends each
 message as soon as nothing it depends on is missing.  The blind seeds (and
 the two-mode sign seed) do not depend on the session, so they go out before
-it and ride its first hop's round; the sign products ride the key product's
-first round.  The three holders deal in one round.  A batch costs four
-rounds in single mode (hop 1 and the blinds | hop 2 | hop 3 | all shares)
-and seven in two mode, where the three hops of the `r_c` key product come
-before the shares.  Blinds, signs and shares are tagged with the batch's
-first triple id.  `TripleDispenser` keeps the dispensed triples in a FIFO
-pool: `reserve(n)` mints n of them with one dispensation, and `next_triple`
-hands them out in order.
+it and ride its first hop's round.  In two mode r_a and r_b are known
+before the session starts, so the `r_c` key product runs beside it in
+lockstep (`net.lockstep`), and B's sign products ride their second round.
+The three holders deal in one round.  A batch costs four rounds in either
+mode: hop 1 and the blinds | hop 2 | hop 3 | all shares, with the key
+product's hops beside the session's in two mode.  Blinds, signs, shares and
+the key product's hops are tagged with the batch's first triple id, so the
+key product's last hop and the session's, which both reach the holder of c
+in the third round, never cross.  Dispensations are protocols
+(`net.Runtime.run`).  `TripleDispenser` keeps the dispensed triples in a
+FIFO pool: `mint(n)` is the protocol that mints n of them with one
+dispensation, `reserve(n)` runs it alone, and `next_triple` hands them out
+in order.
 """
 
 from __future__ import annotations
@@ -62,10 +67,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import btg, mhkm, modmath
-from .btg import BtgRole
+from .btg import BTG_TAG, BtgRole
 from .errors import BlindFactorError, ParameterError, SelectionError, ShareError
 from .modmath import GroupParams
-from .net import PartyId, Runtime
+from .net import PartyId, Protocol, Runtime, lockstep
 
 
 def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]:
@@ -86,21 +91,26 @@ def _seed(rng: random.Random) -> bytes:
     return rng.getrandbits(8 * modmath.SEED_BYTES).to_bytes(modmath.SEED_BYTES, "big")
 
 
-def deal(runtime: Runtime, parties, batches, p: int) -> list[list[dict]]:
-    """Deal several owners' batches of values in one round.
+def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
+    """Deal several owners' batches of values, as a protocol of one round.
 
     `batches` lists `(owner, tag, values)`.  Each owner sends every other
     party one message under `tag`: a seed of its shares of all the values,
     or, to the party that holds the corrections, the K correction shares
     value - sum of the expanded shares.  An owner among `parties` holds the
     corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
-    outside them sends them to `parties[0]`.  One pump delivers every batch,
-    and every recipient builds its shares from the bytes it took off the
-    wire.  Returns, per batch, one PartyId -> share map per value.
+    outside them sends them to `parties[0]`.  One round delivers every
+    batch, and every recipient builds its shares from the bytes it took off
+    the wire.  The result holds, per batch, one PartyId -> share map per
+    value.
     """
     parties = list(parties)
     if len(parties) < 2:
         raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
+    return _deal(runtime, parties, list(batches), p)
+
+
+def _deal(runtime: Runtime, parties: list, batches: list, p: int) -> Protocol:
     held = []
     for owner, tag, values in batches:
         rng = runtime.rng(owner)
@@ -115,7 +125,7 @@ def deal(runtime: Runtime, parties, batches, p: int) -> list[list[dict]]:
                 runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
                              else modmath.encode_residues(correction, p))
         held.append((keeper, {owner: correction} if keeper == owner else {}))
-    runtime.pump()
+    yield
     for (owner, tag, values), (keeper, columns) in zip(batches, held):
         for pid in parties:
             if pid != owner:
@@ -164,8 +174,9 @@ SIGN_PRODUCT_TAG = "sign-ab"
 
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, btg_keys: dict,
-                          btg_pids: dict, mpc_pids, triple_ids) -> list[BeaverTripleShares]:
-    """Single-randomness dispensation of one session of K triples, in 4 rounds.
+                          btg_pids: dict, mpc_pids, triple_ids) -> Protocol:
+    """Single-randomness dispensation of one session of K triples, as a
+    protocol of 4 rounds whose result lists the triples.
 
     One party, the holder of c, picks the randomness: one seed each for the
     holders of a and b, which expand to independent blinds r_a and r_b in
@@ -177,17 +188,18 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, btg_keys: dict,
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
                        btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                       triple_ids, keys: dict) -> list[BeaverTripleShares]:
-    """Two-randomness dispensation, in 7 rounds: r_c = r_a * r_b as an mHKM
-    key product.
+                       triple_ids, keys: dict) -> Protocol:
+    """Two-randomness dispensation, as a protocol of 4 rounds whose result
+    lists the triples: r_c = r_a * r_b as an mHKM key product beside the
+    session.
 
     O_x and O_y send the holders of a and b one seed each, which expands to
-    subgroup blinds r_a and r_b per triple; once the session has run, one
-    `mhkm.key_product` of K products over (O_y, O_x, holder of c) delivers
-    every r_c to the holder of c, so no single owner knows both blinds.  The
-    holders of a and b add random signs, and the holder of c learns only
-    their products.  `keys` maps PartyId -> KeyPair for O_x and the holder
-    of c.
+    subgroup blinds r_a and r_b per triple; the owners know their blinds
+    before the session starts, so one `mhkm.key_product` of K products over
+    (O_y, O_x, holder of c) runs beside it and delivers every r_c to the
+    holder of c, so no single owner knows both blinds.  The holders of a and
+    b add random signs, and the holder of c learns only their products.
+    `keys` maps PartyId -> KeyPair for O_x and the holder of c.
     """
     return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids,
                      owners=(ox, oy), keys=keys)
@@ -206,22 +218,28 @@ def _signed(values, signs, p: int) -> list[int]:
 
 
 def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
-              mpc_pids, triple_ids, owners=None, keys=None) -> list[BeaverTripleShares]:
-    """One batch end to end; `owners` = (O_x, O_y) selects two-randomness
-    mode, whose key product runs over `keys`.
+              mpc_pids, triple_ids, owners=None, keys=None) -> Protocol:
+    """One batch end to end, as a protocol; `owners` = (O_x, O_y) selects
+    two-randomness mode, whose key product runs over `keys`.
 
     The blind senders (the holder of c, or O_x and O_y) send one seed each to
     the holders of a and b before the session, so the seeds ride its first
     hop's round; in two mode the holder of a sends its sign seed with them.
-    The session runs.  In two mode the holder of b then sends the sign
-    products, which ride the key product's first round, and the key product
-    gives the holder of c its K blinds.  The three holders deal their K
-    blinded components in one round.  Seeds, signs and shares are tagged
-    with the batch's first triple id, so messages an aborted batch left
-    behind are never read.
+    In two mode the key product, which gives the holder of c its K blinds,
+    runs beside the session, and the holder of b sends the sign products in
+    their second round.  The three holders deal their K blinded components
+    in one round.  Seeds, signs, shares and the key product's hops are
+    tagged with the batch's first triple id, so messages an aborted batch
+    left behind are never read.  Each party draws from its own generator in
+    protocol order: the seeds, then its session secrets, then B's signs.
     """
     if not triple_ids:
         raise ParameterError("a batch dispenses at least one triple")
+    return _batch(runtime, params, btg_keys, btg_pids, mpc_pids, list(triple_ids), owners, keys)
+
+
+def _batch(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
+           mpc_pids, triple_ids: list, owners, keys) -> Protocol:
     p, count, first = params.p, len(triple_ids), triple_ids[0]
     pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
     two = owners is not None
@@ -230,46 +248,62 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     blind_tag = "%s:%s" % (BLIND_TAG, first)
     for src, dst, seed in zip(senders, (pid_a, pid_b), seeds):
         runtime.send(src, dst, blind_tag, seed)
-    if two:
-        sign_tag, product_tag = "%s:%s" % (SIGN_TAG, first), "%s:%s" % (SIGN_PRODUCT_TAG, first)
-        sign_seed = _seed(runtime.rng(pid_a))
-        runtime.send(pid_a, pid_b, sign_tag, sign_seed)
-    outcome = btg.run_triple_session(runtime, params, btg_keys, btg_pids, count=count)
-    # each holder's blinds from the seed it received, each sender's from its own
-    factors = [_blinds(runtime.take(pid, blind_tag).payload, count, p, two)
-               for pid in (pid_a, pid_b)]
+    # each sender's blinds from its own seed
     r_a, r_b = (_blinds(seed, count, p, two) for seed in seeds)
     if two:
         ox, oy = owners
-        rng_b = runtime.rng(pid_b)
-        signs_b = [rng_b.getrandbits(1) for _ in range(count)]
-        seen_by_b = modmath.expand_residues(runtime.take(pid_b, sign_tag).payload, count, 2)
-        runtime.send(pid_b, pid_c, product_tag,
-                     modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
-        r_c = mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
-                               count=count)[pid_c]
-        products = modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
+        sign_tag, product_tag = "%s:%s" % (SIGN_TAG, first), "%s:%s" % (SIGN_PRODUCT_TAG, first)
+        sign_seed = _seed(runtime.rng(pid_a))
+        runtime.send(pid_a, pid_b, sign_tag, sign_seed)
+        outcome, chain, (signs_b, products) = yield from lockstep(
+            btg.triple_session(runtime, params, btg_keys, btg_pids, count=count),
+            mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
+                             count=count, tag="%s:%s" % (BTG_TAG, first)),
+            _sign_products(runtime, pid_b, pid_c, sign_tag, product_tag, count))
+    else:
+        outcome = yield from btg.triple_session(runtime, params, btg_keys, btg_pids,
+                                                count=count)
+    # each holder's blinds from the seed it received
+    factors = [_blinds(runtime.take(pid, blind_tag).payload, count, p, two)
+               for pid in (pid_a, pid_b)]
+    if two:
         signs_a = modmath.expand_residues(sign_seed, count, 2)
-        factors = [_signed(rs, signs, p)
-                   for rs, signs in zip(factors + [r_c], (signs_a, signs_b, products))]
+        factors = [_signed(rs, signs, p) for rs, signs
+                   in zip(factors + [chain[pid_c]], (signs_a, signs_b, products))]
     else:
         factors.append([x * y % p for x, y in zip(r_a, r_b)])
-    shares = deal(runtime, mpc_pids,
-                  [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first),
-                    [r * v % p for r, v in zip(rs, outcome[role])])
-                   for role, rs in zip(BtgRole, factors)], p)
+    shares = yield from deal(runtime, mpc_pids,
+                             [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first),
+                               [r * v % p for r, v in zip(rs, outcome[role])])
+                              for role, rs in zip(BtgRole, factors)], p)
     parties = tuple(mpc_pids)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, *shares)]
 
 
+def _sign_products(runtime: Runtime, pid_b: PartyId, pid_c: PartyId, sign_tag: str,
+                   product_tag: str, count: int) -> Protocol:
+    """Once A's sign seed has arrived, B draws its K signs and sends the
+    holder of c their products with A's; the result is B's signs and the
+    products the holder of c received."""
+    yield
+    rng_b = runtime.rng(pid_b)
+    signs_b = [rng_b.getrandbits(1) for _ in range(count)]
+    seen_by_b = modmath.expand_residues(runtime.take(pid_b, sign_tag).payload, count, 2)
+    runtime.send(pid_b, pid_c, product_tag,
+                 modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
+    yield
+    return signs_b, modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
+
+
 class TripleDispenser:
     """Mints blinded triples over a shared runtime into a FIFO pool.
 
-    `reserve(n)` runs the configured dispensation variant on n triples (one
-    triple-generation session inside it), pools the triples and appends their
-    audit lines to the optional JSON-lines ledger file in one write.
-    `next_triple` pops the pool, minting a single triple when it is empty.
+    `mint(n)` is the protocol that runs the configured dispensation variant
+    on n triples (one triple-generation session inside it), pools the
+    triples and appends their audit lines to the optional JSON-lines ledger
+    file in one write; `reserve(n)` runs it alone.  `next_triple` pops the
+    pool, minting a single triple when it is empty.
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
@@ -291,26 +325,37 @@ class TripleDispenser:
         self.count = 0  # triples handed out by next_triple
         self.pool = deque()
 
-    def reserve(self, n: int):
-        """Mint n triples with one dispensation into the pool."""
+    def mint(self, n: int) -> Protocol:
+        """Mint n triples with one dispensation into the pool, as a protocol
+        of 4 rounds (none when n is 0).  n and the batch are checked and the
+        triple ids drawn here, before the protocol runs."""
         if n < 0:
             raise ParameterError("cannot reserve %d triples" % n)
-        if n == 0:
-            return
         triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
-        if self.mode == "single":
-            triples = dispense_blind_single(self.runtime, self.params, self.btg_keys,
-                                            self.btg_pids, self.mpc_pids, triple_ids)
+        if not n:
+            batch = None
+        elif self.mode == "single":
+            batch = dispense_blind_single(self.runtime, self.params, self.btg_keys,
+                                          self.btg_pids, self.mpc_pids, triple_ids)
         else:
-            triples = dispense_blind_two(self.runtime, self.params, self.btg_keys,
-                                         self.btg_pids, self.mpc_pids,
-                                         self.ox, self.oy, triple_ids, keys=self.chain_keys)
-        self.pool.extend(triples)
+            batch = dispense_blind_two(self.runtime, self.params, self.btg_keys,
+                                       self.btg_pids, self.mpc_pids,
+                                       self.ox, self.oy, triple_ids, keys=self.chain_keys)
+        return self._pooled(triple_ids, batch)
+
+    def _pooled(self, triple_ids, batch) -> Protocol:
+        if batch is None:
+            return
+        self.pool.extend((yield from batch))
         if self.ledger_path is not None:
             parties = [str(p) for p in self.mpc_pids]
             with open(self.ledger_path, "a") as fh:
                 fh.write("".join(json.dumps({"triple_id": tid, "parties": parties}) + "\n"
                                  for tid in triple_ids))
+
+    def reserve(self, n: int):
+        """Mint n triples with one dispensation into the pool."""
+        self.runtime.run(self.mint(n))
 
     def next_triple(self) -> BeaverTripleShares:
         if not self.pool:

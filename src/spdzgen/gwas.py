@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fixpt import FixedPointParams, TruncRoles
 from .modmath import GroupParams, signed_decode
-from .net import PartyId, Runtime
+from .net import PartyId, Protocol, Runtime
 from .spdz import SharedValue, TripleLedger
 
 # Bound on any single genotype count entering the secure lambda protocol;
@@ -50,6 +50,9 @@ BLIND_BOUND = 2 ** 32
 
 # Triples `secure_inflation_factor` draws: three products, then two blinded.
 LAMBDA_TRIPLES = 5
+
+# The tag of the lambda blind's key-product hops.
+LAMBDA_BLIND_TAG = "%s:lambda" % btg.BTG_TAG
 
 # Controls whose z vectors `filter_controls` deals in one round.  Held z
 # shares cost about 24.4 KB per control at dim 50 (tracemalloc), so a block
@@ -318,31 +321,50 @@ def _sample_bounded_residue(params: GroupParams, rng: random.Random) -> int:
             return r
 
 
-def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
-                            ctrl_counts, mpc_pids, o_case: PartyId, o_ctrl: PartyId,
-                            leader: PartyId, dispenser: TripleDispenser,
-                            ledger: TripleLedger, owner_keys: dict) -> Fraction:
-    """Blinded inflation factor, revealed to the control owner only.
-
-    The leader first gets a joint blind R = r_case * r_ctrl from the owners'
-    factors through `mhkm.key_product`.  Then one round deals both owners'
-    counts and the leader's R, each party sharing only its own values; the
-    combined-table sums n_i form by local addition.  Numerator and
-    denominator are built with Beaver products and both multiplied by R.
-    The blinded pair is opened to o_ctrl, who takes their exact ratio (R
-    cancels).
-    """
-    p = group.p
-    for v in tuple(case_counts) + tuple(ctrl_counts):
+def _check_counts(counts):
+    for v in counts:
         if not 0 <= v <= COUNT_CAP:
             raise ValidationError("count %d outside [0, %d]" % (v, COUNT_CAP))
 
+
+def lambda_blind(runtime: Runtime, group: GroupParams, o_case: PartyId, o_ctrl: PartyId,
+                 leader: PartyId, owner_keys: dict) -> Protocol:
+    """The joint blind R = r_case * r_ctrl of the inflation factor, as a
+    protocol of 3 rounds whose result is the leader's R.
+
+    Each owner draws its factor, and `mhkm.key_product` over (O_ctrl,
+    O_case, leader) gives the leader their product.  Its hops are tagged
+    apart from any dispensation's, so it can run beside a mint.
+    """
     r_case = _sample_bounded_residue(group, runtime.rng(o_case))
     r_ctrl = _sample_bounded_residue(group, runtime.rng(o_ctrl))
-    [blind] = mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
-                               {o_case: [r_case], o_ctrl: [r_ctrl]})[leader]
-    r_sh, s_sh, [blind_sh] = spdz.share_batches(
-        runtime, mpc_pids, [(o_case, case_counts), (o_ctrl, ctrl_counts), (leader, [blind])], p)
+    shares = yield from mhkm.key_product(runtime, group, [o_ctrl, o_case, leader], owner_keys,
+                                         {o_case: [r_case], o_ctrl: [r_ctrl]},
+                                         tag=LAMBDA_BLIND_TAG)
+    return shares[leader][0]
+
+
+def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
+                            ctrl_counts, mpc_pids, o_case: PartyId, o_ctrl: PartyId,
+                            leader: PartyId, dispenser: TripleDispenser,
+                            ledger: TripleLedger, owner_keys: dict,
+                            blind: int | None = None) -> Fraction:
+    """Blinded inflation factor, revealed to the control owner only.
+
+    The leader holds a joint blind R = r_case * r_ctrl: `blind`, made
+    earlier by `lambda_blind`, or else made here first.  Then one round
+    deals both owners' counts and the leader's R, each party sharing only
+    its own values; the combined-table sums n_i form by local addition.
+    Numerator and denominator are built with Beaver products and both
+    multiplied by R.  The blinded pair is opened to o_ctrl, who takes their
+    exact ratio (R cancels).
+    """
+    p = group.p
+    _check_counts(tuple(case_counts) + tuple(ctrl_counts))
+    if blind is None:
+        [blind] = runtime.run(lambda_blind(runtime, group, o_case, o_ctrl, leader, owner_keys))
+    [(r_sh, s_sh, [blind_sh])] = runtime.run(spdz.share_batches(
+        runtime, mpc_pids, [(o_case, case_counts), (o_ctrl, ctrl_counts), (leader, [blind])], p))
     n_sh = [spdz.add_local(r_sh[i], s_sh[i], p) for i in range(3)]
 
     lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
@@ -467,17 +489,19 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
                            ledger=TripleLedger(), roles=roles)
 
 
-def validate_inputs(basis: CaseBasis, controls, config: PipelineConfig) -> None:
+def validate_inputs(basis: CaseBasis, case_counts, controls, config: PipelineConfig) -> None:
     """The checks a run makes before any triple is minted, in the secure run
     and the plaintext oracle alike, so both reject the same inputs.
 
-    The basis must be orthonormal, the comparison frame must fit the field
-    and tau^2 the frame, and every control must have the basis's dimension
-    and ||z||^2 < 2^(e-1).  ||z||^2 bounds every term of the residual (the
-    basis is orthonormal, so each projection^2 is at most ||z||^2); O_ctrl
-    checks it in the clear, since a larger value wraps the comparison frame.
+    Every case count must be at most COUNT_CAP, the basis must be
+    orthonormal, the comparison frame must fit the field and tau^2 the
+    frame, and every control must have the basis's dimension and
+    ||z||^2 < 2^(e-1).  ||z||^2 bounds every term of the residual (the basis
+    is orthonormal, so each projection^2 is at most ||z||^2); O_ctrl checks
+    it in the clear, since a larger value wraps the comparison frame.
     """
     params = config.fp
+    _check_counts(case_counts)
     basis.validate_orthonormal(params)
     fixpt.fp_encode(config.tau * config.tau, screening_params(params))
     norm_cap = 2 ** (params.e - 1)
@@ -497,64 +521,72 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
 
     All controls run in order on one runtime; the result carries it under
     "context" for transcript export.  Each control's triples are minted as
-    one batch right before it is screened, and the last control's batch also
-    holds the lambda step's LAMBDA_TRIPLES (with no controls, they are
-    minted alone).
+    one batch right after the previous control's decision, and the last
+    control's batch also holds the lambda step's LAMBDA_TRIPLES (with no
+    controls, they are minted alone).
 
-    One round deals the basis, as one vector of dim*rank entries in column
+    One deal shares the basis, as one vector of dim*rank entries in column
     order, together with the first Z_BLOCK controls' vectors, one batch per
-    owner; each later block of Z_BLOCK controls is dealt in one round at its
-    first control, so the servers hold at most one block of z shares.  A
-    run over n >= 1 controls takes 10 + 11n + (ceil(n / Z_BLOCK) - 1)
-    rounds: 1 for the basis and the first block; per control 4 to mint, 4
-    for the residual's two Beaver batches and 3 for the accept bit (1 for
-    the sign test's opening to the mask owner, 2 to open the bit); 1 per
-    later block; and 9 for lambda (3 for the blind's key product, 1 for both
-    owners' counts and the blind, 2 + 2 for the Beaver products, 1 for the
-    opening to the control owner).  With no controls it takes 14: the
-    basis, 4 to mint lambda's triples and lambda's 9.
+    owner; each later block of Z_BLOCK controls is dealt at its first
+    control, so the servers hold at most one block of z shares.  Each
+    block's deal, and in the first block lambda's blind (`lambda_blind`),
+    run beside the block's first mint (`net.Runtime.run`) and cost no rounds
+    of their own.  A run over n >= 1 controls takes 11n + 6 rounds: per
+    control 4 to mint, 4 for the residual's two Beaver batches and 3 for the
+    accept bit (1 for the sign test's opening to the mask owner, 2 to open
+    the bit); and 6 for lambda (1 for both owners' counts and the blind,
+    2 + 2 for the Beaver products, 1 for the opening to the control owner).
+    With no controls it takes 10: lambda's mint and its 6.
     """
     if config.fp.p != group.p:
         raise ValidationError(
             "fixed-point field (%d) must be the triple field (%d): dispensed "
             "triples only multiply shares in their own field" % (config.fp.p, group.p))
-    validate_inputs(basis, controls, config)
+    case_counts = tuple(case_counts)
+    validate_inputs(basis, case_counts, controls, config)
     params, dim = config.fp, basis.dim
 
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)
+    runtime, dispenser = ctx.runtime, ctx.dispenser
     basis_entries = [fixpt.fp_encode(v, params)
                      for j in range(basis.rank) for v in basis.column(j)]
     budget = triples_per_control(dim, basis.rank)
-    basis_cols, accepted = None, []
+    accepted = []
     for start in range(0, max(len(controls), 1), Z_BLOCK):
         block = controls[start:start + Z_BLOCK]
+        sizes = [budget] * len(block) or [0]
+        if start + Z_BLOCK >= len(controls):
+            sizes[-1] += LAMBDA_TRIPLES
         z_entries = [fixpt.fp_encode(v, params) for ctrl in block for v in ctrl.vector]
-        flat, z_block = spdz.share_batches(
-            ctx.runtime, ctx.mpc_pids, [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
-            params.p)
-        if basis_cols is None:
+        beside = [spdz.share_batches(runtime, ctx.mpc_pids,
+                                     [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
+                                     params.p)]
+        if start == 0:
+            beside.append(lambda_blind(runtime, group, ctx.o_case, ctx.o_ctrl, ctx.leader,
+                                       ctx.owner_keys))
+        (flat, z_block), *made, _ = runtime.run(*beside, dispenser.mint(sizes[0]))
+        if start == 0:
+            [blind] = made
             basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
             basis_entries = []  # an empty batch sends nothing
         for k, ctrl in enumerate(block):
-            last = start + k == len(controls) - 1
-            ctx.dispenser.reserve(budget + (LAMBDA_TRIPLES if last else 0))
-            res = residual_norm_sq(ctx.runtime, basis_cols, z_block[k * dim:(k + 1) * dim],
-                                   params, ctx.dispenser, ctx.ledger, ctx.roles)
-            if secure_accept_bit(ctx.runtime, res, config, ctx.roles):
+            if k:
+                dispenser.reserve(sizes[k])
+            res = residual_norm_sq(runtime, basis_cols, z_block[k * dim:(k + 1) * dim],
+                                   params, dispenser, ctx.ledger, ctx.roles)
+            if secure_accept_bit(runtime, res, config, ctx.roles):
                 accepted.append(ctrl)
         del z_block  # release this block's shares before the next is dealt
-    if not controls:
-        ctx.dispenser.reserve(LAMBDA_TRIPLES)
 
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
-    lam = secure_inflation_factor(ctx.runtime, group, tuple(case_counts), ctrl_totals,
+    lam = secure_inflation_factor(runtime, group, case_counts, ctrl_totals,
                                   ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
-                                  ctx.dispenser, ctx.ledger, ctx.owner_keys)
+                                  dispenser, ctx.ledger, ctx.owner_keys, blind=blind)
     return {
         "accepted": sorted(c.control_id for c in accepted),
         "lambda": lam,
         "lambda_ok": lam <= config.lambda_max,
-        "triple_count": ctx.dispenser.count,
+        "triple_count": dispenser.count,
         "context": ctx,
     }

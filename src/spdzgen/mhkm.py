@@ -23,20 +23,25 @@ the same messages whatever K is.
 from __future__ import annotations
 
 from . import btg
-from .btg import BtgRole
+from .btg import BTG_TAG, BtgRole
 from .errors import ParameterError, ProtocolAbort
 from .modmath import GroupParams
-from .net import Runtime
+from .net import Protocol, Runtime
 
 
 def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
-                factors: dict | None = None, count: int = 1) -> dict:
-    """Run the chain over `pids` for `count` products; returns PartyId -> shares.
+                factors: dict | None = None, count: int = 1,
+                tag: str = BTG_TAG) -> Protocol:
+    """The chain over `pids` for `count` products, as a protocol of 3(n-2)
+    rounds whose result maps PartyId -> shares.
 
     `keys` maps PartyId -> KeyPair (the base party's key is never used).
     `factors` optionally pins a party's K factors; the others are drawn inside
     their sessions.  Party i < n-1 shares its own factors, the last party the
-    products, each as a list of K residues.
+    products, each as a list of K residues.  Every session travels under
+    `tag`.  The chain's shape and the first session's arguments are checked
+    here, before the protocol runs; a session that fails raises
+    ProtocolAbort naming its index.
     """
     if len(pids) < 3:
         raise ParameterError("key-product chain needs at least 3 parties, got %d" % len(pids))
@@ -45,23 +50,36 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
         if len(values) != count:
             raise ParameterError("party %s pins %d factors for a chain of %d products"
                                  % (pid, len(values), count))
-    holder = pids[0]
-    product = factors.get(holder)
-    shares = {}
-    for idx, (contributor, receiver) in enumerate(zip(pids[1:-1], pids[2:])):
+
+    def session(idx: int, product) -> Protocol:
+        # past the base, the holder of the running product is the contributor
+        contributor, receiver = pids[idx + 1], pids[idx + 2]
+        holder = pids[0] if idx == 0 else contributor
         try:
-            outcome = btg.run_triple_session(
+            return btg.triple_session(
                 runtime, params,
                 keys={BtgRole.A: keys[contributor], BtgRole.B: keys.get(holder),
                       BtgRole.C: keys[receiver]},
                 pids={BtgRole.A: contributor, BtgRole.B: holder, BtgRole.C: receiver},
                 forced={BtgRole.A: factors.get(contributor), BtgRole.B: product},
-                count=count)
+                count=count, tag=tag)
         except Exception as exc:
             raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-        shares[contributor] = outcome[BtgRole.A]
+
+    return _chain(pids, session, session(0, factors.get(pids[0])))
+
+
+def _chain(pids, session, first: Protocol) -> Protocol:
+    shares, protocol = {}, first
+    for idx in range(len(pids) - 2):
+        try:
+            outcome = yield from protocol
+        except Exception as exc:
+            raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
+        shares[pids[idx + 1]] = outcome[BtgRole.A]
         if idx == 0:
-            shares[holder] = outcome[BtgRole.B]
-        holder, product = receiver, outcome[BtgRole.C]
-    shares[holder] = product
+            shares[pids[0]] = outcome[BtgRole.B]
+        if idx + 3 < len(pids):
+            protocol = session(idx + 1, outcome[BtgRole.C])
+    shares[pids[-1]] = outcome[BtgRole.C]
     return shares

@@ -392,7 +392,7 @@ def encrypt(params: GroupParams, h: int, m: int, r: int) -> Ciphertext:
 
     m is not tested for membership: callers draw it with
     `random_subgroup_element` (a square, a member by construction) or check
-    it once where it enters (`btg.run_triple_session`).
+    it once where it enters (`btg.triple_session`).
     """
     u = modexp(params.g, r, params.p)
     v = m * modexp(h, r, params.p) % params.p

@@ -3,16 +3,20 @@
 Parties exchange byte payloads through one queue that delivers in send order:
 the protocols run in synchronous rounds, each party sending and then every
 recipient reading what it was sent.  Messages that do not depend on one
-another are sent before one pump and share its round.  Send order never
-reaches a result: every protocol step pumps until nothing is pending before
-it takes, `take` matches on recipient and tag, and openings key
-contributions by sender, so the order only shapes the transcript, which a
-fixed seed replays byte for byte.  Each party draws randomness from its own
-generator derived from the master seed, and every delivered message plus
-every local annotation lands in the transcript, from which per-party views
-are sliced for privacy scans.  A message is its endpoints, tag and payload
-only: the transcript lists messages in send order, so each channel's order
-is read off it.
+another are sent before one pump and share its round.  A protocol is a
+generator that sends, yields to have its sends delivered, and then takes;
+`Runtime.run` steps every live protocol once per round and then pumps, so
+independent protocols run in lockstep and share their rounds (`lockstep`
+nests the same inside a protocol).  Protocols that deliver to one party in
+the same round use distinct tags.  Send order never reaches a result:
+every message is delivered before it is taken, `take` matches on
+recipient and tag, and openings key contributions by sender, so the order
+only shapes the transcript, which a fixed seed replays byte for byte.
+Each party draws randomness from its own generator derived from the master
+seed, and every delivered message plus every local annotation lands in the
+transcript, from which per-party views are sliced for privacy scans.  A
+message is its endpoints, tag and payload only: the transcript lists
+messages in send order, so each channel's order is read off it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,33 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 from .errors import NetworkError
+
+# A protocol yields (nothing) where its sends must be delivered before it
+# takes, and returns its result.
+Protocol = Generator[None, None, object]
+
+
+def lockstep(*protocols) -> Protocol:
+    """One protocol that steps each of `protocols` in argument order and
+    yields once per step, so a round delivers the sends of all of them; its
+    result lists theirs in argument order.  An exception in any of them
+    propagates."""
+    results = [None] * len(protocols)
+    live = dict(enumerate(protocols))
+    while live:
+        for i, protocol in list(live.items()):
+            try:
+                next(protocol)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+        if live:
+            yield
+    return results
+
 
 class PartyId(NamedTuple):
     """A party's role and index.  Identities key every share dict, so hashing
@@ -110,6 +138,22 @@ class Runtime:
         if delivered:
             self.rounds += 1
         return delivered
+
+    def run(self, *protocols) -> list:
+        """Drive `protocols` in lockstep to their ends; returns their results
+        in argument order.
+
+        Each round steps every live protocol once and then pumps, so a run
+        takes the rounds of its longest protocol, and a step that sends
+        nothing costs none.
+        """
+        driver = lockstep(*protocols)
+        while True:
+            try:
+                next(driver)
+            except StopIteration as stop:
+                return stop.value
+            self.pump()
 
     def take(self, pid: PartyId, tag: str) -> Message:
         """Pop the first delivered message with this tag for pid."""

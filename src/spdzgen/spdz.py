@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .dispense import BeaverTripleShares, deal
 from .errors import ParameterError, ProtocolAbort, ShareError, TripleReuseError
 from .modmath import decode_residues, encode_residues
-from .net import PartyId, Runtime
+from .net import PartyId, Protocol, Runtime
 
 OPEN_TAG = "open"
 OPEN_RESULT_TAG = "open-result"
@@ -78,18 +78,24 @@ def _check_same_parties(x: SharedValue, y: SharedValue):
                          % ([str(q) for q in x.parties], [str(q) for q in y.parties]))
 
 
-def share_batches(runtime: Runtime, parties, batches, p: int) -> list[list[SharedValue]]:
-    """Share several owners' secrets in one round.
+def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
+    """Share several owners' secrets, as a protocol of one round.
 
     `batches` lists `(owner, secrets)`.  Each owner sends every party but
     one a 16-byte seed of its shares of them all; the one left, the owner
     itself when it is a party and else the first party, holds the correction
-    shares (`dispense.deal`).  Returns one list of SharedValues per batch.
+    shares (`dispense.deal`).  The batches' ids are drawn here, before the
+    protocol runs.  The result holds one list of SharedValues per batch.
     """
     parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
-    dealt = iter(deal(runtime, parties,
-                      [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
-                       for owner, secrets in batches if secrets], p))
+    dealing = deal(runtime, parties,
+                   [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
+                    for owner, secrets in batches if secrets], p)
+    return _shared(parties, batches, dealing)
+
+
+def _shared(parties: tuple, batches: list, dealing: Protocol) -> Protocol:
+    dealt = iter((yield from dealing))
     return [[SharedValue(parties, s) for s in next(dealt)] if secrets else []
             for _, secrets in batches]
 
@@ -98,7 +104,8 @@ def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
                  p: int) -> list[SharedValue]:
     """Owner sends every other party one seed of its shares of all the
     secrets; returns one SharedValue per secret."""
-    return share_batches(runtime, parties, [(owner, secrets)], p)[0]
+    [[shared]] = runtime.run(share_batches(runtime, parties, [(owner, secrets)], p))
+    return shared
 
 
 def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:

@@ -58,7 +58,7 @@ def test_criterion_1_btg_correctness_500_sessions(group256):
     rt = Runtime(list(BTG_PIDS.values()), seed="acc1", record=False)
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(500):
-        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
+        [out] = rt.run(btg.triple_session(rt, group256, keys, BTG_PIDS))
         [a], [b], [c] = (out[r] for r in BtgRole)
         assert c == a * b % group256.p
     elapsed = time.perf_counter() - t0
@@ -72,7 +72,7 @@ def test_criterion_2_mhkm_chain(n, group256):
     for run in range(100):
         rt = Runtime(pids, seed=("acc2", n, run), record=False)
         keys = {pid: btg.keygen(group256, rt.rng(pid)) for pid in pids}
-        shares = key_product(rt, group256, pids, keys)
+        [shares] = rt.run(key_product(rt, group256, pids, keys))
         product = math.prod(shares[pid][0] for pid in pids[:-1]) % group256.p
         assert shares[pids[-1]] == [product]
     announce(2, "n=%d chain product exact over 100 runs" % n)
@@ -87,16 +87,16 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
 
     singles = []
     for i in range(500):
-        [triple] = dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC,
-                                         triple_ids=["s%d" % i])
+        [[triple]] = rt.run(dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC,
+                                                  triple_ids=["s%d" % i]))
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         singles.append(triple)
     twos = []
     for i in range(500):
-        [triple] = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
-                                      ox=MPC[0], oy=MPC[1], triple_ids=["d%d" % i],
-                                      keys=chain_keys)
+        [[triple]] = rt.run(dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
+                                               ox=MPC[0], oy=MPC[1], triple_ids=["d%d" % i],
+                                               keys=chain_keys))
         a2, b2, c2 = triple_values(triple, p)
         assert c2 == a2 * b2 % p
         twos.append(triple)
@@ -265,7 +265,7 @@ def test_criterion_9_transcript_privacy_scans(group256):
     rt = Runtime(list(BTG_PIDS.values()), seed="acc9", record=True)
     keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
     for _ in range(100):
-        out = btg.run_triple_session(rt, group256, keys, BTG_PIDS)
+        [out] = rt.run(btg.triple_session(rt, group256, keys, BTG_PIDS))
         secrets = {role: out[role][0] for role in BtgRole}
         for role, pid in BTG_PIDS.items():
             foreign = {v for r, v in secrets.items() if r is not role}

@@ -21,7 +21,8 @@ def run_tiny(seed=0, forced=None, count=1):
     """One session in the tiny group; returns the runtime and the secrets."""
     rt = Runtime(list(PIDS.values()), seed=seed)
     keys = make_keys(TINY_GROUP, random.Random(seed))
-    return rt, btg.run_triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced, count=count)
+    [out] = rt.run(btg.triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced, count=count))
+    return rt, out
 
 
 def hops(rt, params):
@@ -52,7 +53,7 @@ class TestProtocolTrace:
     def test_hops_are_under_the_layered_keys(self, group256):
         rt = Runtime(list(PIDS.values()), seed=5)
         keys = make_keys(group256, random.Random(5))
-        out = btg.run_triple_session(rt, group256, keys, PIDS)
+        [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS))
         [a], [b], [c] = (out[r] for r in BtgRole)
         x_ac = (keys[BtgRole.A].x + keys[BtgRole.C].x) % group256.q
         m1, m2, m3 = hops(rt, group256)
@@ -77,7 +78,7 @@ class TestProtocolTrace:
         rng = random.Random(99)
         rt = Runtime(list(PIDS.values()), seed=99, record=False)
         for _ in range(500):
-            out = btg.run_triple_session(rt, tiny, make_keys(tiny, rng), PIDS)
+            [out] = rt.run(btg.triple_session(rt, tiny, make_keys(tiny, rng), PIDS))
             [a], [b], [c] = (out[r] for r in BtgRole)
             assert c == a * b % tiny.p
 
@@ -119,8 +120,8 @@ class TestPinnedSecrets:
         rt = Runtime(list(PIDS.values()), seed=0)
         keys = make_keys(TINY_GROUP, random.Random(0))
         with pytest.raises(MessageSpaceError):
-            btg.run_triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced,
-                                   count=len(next(iter(forced.values()))))
+            rt.run(btg.triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced,
+                                      count=len(next(iter(forced.values())))))
         assert rt.messages_sent == 0
         assert not [r for r in rt.transcript if r[0] == "msg"]
 
@@ -160,22 +161,22 @@ class TestRuntimeDriver:
     def test_forced_trace_over_runtime(self, tiny):
         rt = Runtime(list(PIDS.values()), seed=0)
         keys = make_keys(tiny, random.Random(0))
-        out = btg.run_triple_session(rt, tiny, keys, PIDS,
-                                     forced={BtgRole.A: [2], BtgRole.B: [3]})
+        [out] = rt.run(btg.triple_session(rt, tiny, keys, PIDS,
+                                          forced={BtgRole.A: [2], BtgRole.B: [3]}))
         assert out[BtgRole.C] == [6]
 
     def test_random_sessions_over_runtime_256(self, group256):
         rt = Runtime(list(PIDS.values()), seed=7)
         keys = make_keys(group256, random.Random(7))
         for _ in range(20):
-            out = btg.run_triple_session(rt, group256, keys, PIDS)
+            [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS))
             [a], [b], [c] = (out[r] for r in BtgRole)
             assert c == a * b % group256.p
 
     def test_b_view_one_in_one_out(self, group256):
         rt = Runtime(list(PIDS.values()), seed=3)
         keys = make_keys(group256, random.Random(3))
-        btg.run_triple_session(rt, group256, keys, PIDS)
+        rt.run(btg.triple_session(rt, group256, keys, PIDS))
         view = rt.transcript_view(PIDS[BtgRole.B])
         inbound = [r for r in view if r[0] == "msg" and r[2] == PIDS[BtgRole.B]]
         outbound = [r for r in view if r[0] == "msg" and r[1] == PIDS[BtgRole.B]]
@@ -187,8 +188,8 @@ class TestRuntimeDriver:
         for seed in range(10):
             rt = Runtime(list(PIDS.values()), seed=seed)
             keys = make_keys(group256, random.Random(5))
-            btg.run_triple_session(rt, group256, keys, PIDS,
-                                   forced={BtgRole.A: [4], BtgRole.B: [9]})
+            rt.run(btg.triple_session(rt, group256, keys, PIDS,
+                                      forced={BtgRole.A: [4], BtgRole.B: [9]}))
             msgs = [r for r in rt.transcript if r[0] == "msg" and r[3] == BTG_TAG]
             m3 = BtgMessage.parse(msgs[2][4], group256)
             third.add(m3.payloads)
@@ -199,7 +200,7 @@ class TestRuntimeDriver:
         rt = Runtime(list(PIDS.values()), seed=11)
         keys = make_keys(group256, random.Random(11))
         for _ in range(30):
-            out = btg.run_triple_session(rt, group256, keys, PIDS)
+            [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS))
             secrets = {s for r in BtgRole for s in out[r]}
             for rec in rt.transcript:
                 if rec[0] != "msg" or rec[3] != BTG_TAG:
@@ -214,7 +215,7 @@ class TestBatchedSession:
     def test_three_triples_roundtrip(self, group256):
         rt = Runtime(list(PIDS.values()), seed=13)
         keys = make_keys(group256, random.Random(13))
-        out = btg.run_triple_session(rt, group256, keys, PIDS, count=3)
+        [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS, count=3))
         a, b, c = (out[r] for r in BtgRole)
         assert len(a) == len(b) == len(c) == 3
         for ak, bk, ck in zip(a, b, c):
@@ -229,8 +230,8 @@ class TestBatchedSession:
     def test_forced_secrets_per_triple(self, tiny):
         rt = Runtime(list(PIDS.values()), seed=2)
         keys = make_keys(tiny, random.Random(2))
-        out = btg.run_triple_session(rt, tiny, keys, PIDS, count=3,
-                                     forced={BtgRole.A: [2, 3, 4], BtgRole.B: [3, 1, 9]})
+        [out] = rt.run(btg.triple_session(rt, tiny, keys, PIDS, count=3,
+                                          forced={BtgRole.A: [2, 3, 4], BtgRole.B: [3, 1, 9]}))
         assert out[BtgRole.C] == [6, 3, 36 % 23]
 
     def _raw(self, group256, pairs):
@@ -267,6 +268,6 @@ class TestBatchedSession:
         rt = Runtime(list(PIDS.values()), seed=3)
         keys = make_keys(tiny, random.Random(3))
         with pytest.raises(ParameterError):
-            btg.run_triple_session(rt, tiny, keys, PIDS, count=2, forced={BtgRole.A: [2]})
+            rt.run(btg.triple_session(rt, tiny, keys, PIDS, count=2, forced={BtgRole.A: [2]}))
         with pytest.raises(ParameterError):
-            btg.run_triple_session(rt, tiny, keys, PIDS, count=0)
+            rt.run(btg.triple_session(rt, tiny, keys, PIDS, count=0))

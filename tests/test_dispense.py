@@ -97,7 +97,7 @@ class TestDeal:
     def test_owner_among_parties_keeps_its_shares(self, group256):
         # every other party gets one seed: (m-1) * 16 bytes for any count
         rt = Runtime(MPC, seed=1)
-        [shares] = deal(rt, MPC, [(MPC[0], "x", [5, 6, 7])], group256.p)
+        [[shares]] = rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6, 7])], group256.p))
         assert [reconstruct(s.values(), group256.p) for s in shares] == [5, 6, 7]
         assert (rt.messages_sent, rt.rounds) == (2, 1)
         assert rt.bytes_sent == (len(MPC) - 1) * modmath.SEED_BYTES
@@ -106,7 +106,7 @@ class TestDeal:
     def test_outside_owner_sends_every_party(self, group256):
         # the first party gets the K correction shares, every other one a seed
         rt = build_runtime(seed=2)
-        [shares] = deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9, 10])], group256.p)
+        [[shares]] = rt.run(deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9, 10])], group256.p))
         assert set(shares[0]) == set(MPC)
         assert [reconstruct(s.values(), group256.p) for s in shares] == [9, 10]
         assert (rt.messages_sent, rt.rounds) == (3, 1)
@@ -121,21 +121,25 @@ class TestDeal:
         # an outside owner, so every mutation also hits the correction shares
         tamper_sends(monkeypatch, "x", mutate)
         with pytest.raises(ProtocolAbort):
-            deal(build_runtime(seed=3), MPC, [(BTG_PIDS[BtgRole.A], "x", [5, 6])], group256.p)
+            rt = build_runtime(seed=3)
+            rt.run(deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [5, 6])], group256.p))
 
     @pytest.mark.parametrize("mutate", [truncated, lambda seed: seed + b"\x00"],
                              ids=["truncated", "overlong"])
     def test_seed_of_another_length_aborts(self, group256, monkeypatch, mutate):
         tamper_sends(monkeypatch, "x", mutate)
         with pytest.raises(ProtocolAbort):
-            deal(Runtime(MPC, seed=3), MPC, [(MPC[0], "x", [5, 6])], group256.p)
+            rt = Runtime(MPC, seed=3)
+            rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6])], group256.p))
 
     def test_recipients_use_the_bytes(self, group256, monkeypatch):
         # a shifted seed moves every share its recipient expands from it
         p = group256.p
-        [honest] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], p)
+        rt = Runtime(MPC, seed=4)
+        [[honest]] = rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6])], p))
         tamper_sends(monkeypatch, "x", shifted(p))
-        [shares] = deal(Runtime(MPC, seed=4), MPC, [(MPC[0], "x", [5, 6])], p)
+        rt = Runtime(MPC, seed=4)
+        [[shares]] = rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6])], p))
         for pid in MPC:
             kept = pid == MPC[0]
             assert all((s[pid] == h[pid]) == kept for s, h in zip(shares, honest))
@@ -146,10 +150,10 @@ class TestDeal:
         p = group256.p
         batches = [(MPC[0], "x", [5, 6]), (BTG_PIDS[BtgRole.A], "y", [7]), (MPC[2], "z", [8, 9])]
         rt = build_runtime(seed=9)
-        together = deal(rt, MPC, batches, p)
+        [together] = rt.run(deal(rt, MPC, batches, p))
         assert (rt.messages_sent, rt.rounds) == (2 + 3 + 2, 1)
         rt = build_runtime(seed=9)
-        apart = [deal(rt, MPC, [batch], p)[0] for batch in batches]
+        apart = [rt.run(deal(rt, MPC, [batch], p))[0][0] for batch in batches]
         assert rt.rounds == 3
         assert together == apart
         assert [[reconstruct(s.values(), p) for s in shares] for shares in together] \
@@ -191,8 +195,8 @@ class TestBlindFactorArithmetic:
         # the two-randomness r_c is the key product of the owners' blinds
         rt = build_runtime()
         keys = {pid: btg.keygen(tiny, rt.rng(pid)) for pid in MPC}
-        shares = mhkm.key_product(rt, tiny, [MPC[1], MPC[0], MPC[2]], keys,
-                                  {MPC[0]: [3], MPC[1]: [4]})
+        [shares] = rt.run(mhkm.key_product(rt, tiny, [MPC[1], MPC[0], MPC[2]], keys,
+                                           {MPC[0]: [3], MPC[1]: [4]}))
         assert shares == {MPC[0]: [3], MPC[1]: [4], MPC[2]: [12]}
 
     def test_uniformization_over_full_group(self, tiny):
@@ -225,15 +229,18 @@ def trio_keys(params, seed=0):
 def capture_sessions(monkeypatch):
     """Record the outcome of every session the generator trio runs; chain
     sessions between other parties are not recorded."""
-    session, outcomes = btg.run_triple_session, []
+    session, outcomes = btg.triple_session, []
 
-    def capture(runtime, params, keys, pids, *args, **kwargs):
-        outcome = session(runtime, params, keys, pids, *args, **kwargs)
-        if pids[BtgRole.A] == BTG_PIDS[BtgRole.A]:
-            outcomes.append(outcome)
+    def recorded(protocol):
+        outcome = yield from protocol
+        outcomes.append(outcome)
         return outcome
 
-    monkeypatch.setattr(btg, "run_triple_session", capture)
+    def capture(runtime, params, keys, pids, *args, **kwargs):
+        protocol = session(runtime, params, keys, pids, *args, **kwargs)
+        return recorded(protocol) if pids[BtgRole.A] == BTG_PIDS[BtgRole.A] else protocol
+
+    monkeypatch.setattr(btg, "triple_session", capture)
     return outcomes
 
 
@@ -249,8 +256,8 @@ class TestDispensationProtocol:
         rt = build_runtime()
         p = group256.p
         for i in range(20):
-            [triple] = dispense_blind_single(rt, group256, trio_keys(group256, seed=i),
-                                             BTG_PIDS, MPC, triple_ids=["t%d" % i])
+            [[triple]] = rt.run(dispense_blind_single(rt, group256, trio_keys(group256, seed=i),
+                                                      BTG_PIDS, MPC, triple_ids=["t%d" % i]))
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
@@ -261,8 +268,8 @@ class TestDispensationProtocol:
         # every blind seed on the wire becomes SEED; C keeps the seeds it drew
         seed = bytes(range(modmath.SEED_BYTES))
         tamper_sends(monkeypatch, "blind-r", lambda payload: seed)
-        [triple] = dispense_blind_single(rt, group256, trio_keys(group256, seed=1),
-                                         BTG_PIDS, MPC, triple_ids=["t"])
+        [[triple]] = rt.run(dispense_blind_single(rt, group256, trio_keys(group256, seed=1),
+                                                  BTG_PIDS, MPC, triple_ids=["t"]))
         [out] = outcomes
         [x] = modmath.expand_residues(seed, 1, p - 1)
         assert reconstruct_triple(triple, p)[:2] == ((1 + x) * out[BtgRole.A][0] % p,
@@ -274,18 +281,17 @@ class TestDispensationProtocol:
         ox_key = btg.keygen(group256, rt.rng(MPC[0]))
         for i in range(10):
             keys = trio_keys(group256, seed="two%d" % i)
-            [triple] = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
-                                          ox=MPC[0], oy=MPC[1], triple_ids=["t%d" % i],
-                                          keys={MPC[0]: ox_key,
-                                                BTG_PIDS[BtgRole.C]: keys[BtgRole.C]})
+            [[triple]] = rt.run(dispense_blind_two(
+                rt, group256, keys, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1], triple_ids=["t%d" % i],
+                keys={MPC[0]: ox_key, BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}))
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
     def test_share_messages_on_private_channels(self, group256):
         # every share record travels point-to-point from its dealer
         rt = build_runtime(seed=4)
-        dispense_blind_single(rt, group256, trio_keys(group256, seed=4), BTG_PIDS, MPC,
-                              triple_ids=["tx"])
+        rt.run(dispense_blind_single(rt, group256, trio_keys(group256, seed=4), BTG_PIDS, MPC,
+                                     triple_ids=["tx"]))
         a_msgs = [r for r in rt.transcript
                   if r[0] == "msg" and r[3].startswith("triple-a:")]
         assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
@@ -296,25 +302,28 @@ class TestBatchedDispensation:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_one_message_per_hop(self, group256, mode):
         # K = 4 triples cost the messages and rounds of one: 14/4 single,
-        # 19/7 two.  The rounds are hop 1 with the blinds (two mode: and A's
-        # sign seed), hop 2, hop 3, (two mode: the key product's three hops,
-        # the first with B's sign products,) and every holder's shares.
+        # 19/4 two.  The rounds are hop 1 with the blinds (two mode: and A's
+        # sign seed), hop 2, hop 3 and every holder's shares; in two mode
+        # the key product's three hops ride hops 1-3 and B's sign products
+        # hop 2.  Two mode took 7 rounds while its key product ran after the
+        # session.
         rt = build_runtime(seed=6)
         keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
                       BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
         ids = ["b%d" % i for i in range(4)]
         if mode == "single":
-            triples = dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC, triple_ids=ids)
+            [triples] = rt.run(dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC,
+                                                     triple_ids=ids))
         else:
-            triples = dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
-                                         ox=MPC[0], oy=MPC[1],
-                                         triple_ids=ids, keys=chain_keys)
+            [triples] = rt.run(dispense_blind_two(rt, group256, keys, BTG_PIDS, MPC,
+                                                  ox=MPC[0], oy=MPC[1],
+                                                  triple_ids=ids, keys=chain_keys))
         assert [t.triple_id for t in triples] == ids
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (19, 7))
+        assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (19, 4))
         # each holder sends MPC_1 its 4 correction shares and the others a seed
         w = group256.element_size
         share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
@@ -326,6 +335,26 @@ class TestBatchedDispensation:
         assert tags[:len(first) + 1] == first + [btg.BTG_TAG]
         assert all(len(r[4]) == modmath.SEED_BYTES for r in rt.transcript
                    if r[0] == "msg" and r[3] in first)
+
+    def test_hops_to_the_holder_of_c_never_cross(self, group256, monkeypatch):
+        # in two mode the session's hop 3 and the key product's last hop both
+        # reach the holder of c in the third round, under distinct tags
+        ctx = build_parties(group256, seed=6, record=True, blinding="two")
+        rt, rounds, pump = ctx.runtime, [], ctx.runtime.pump
+
+        def recording():
+            start = len(rt.transcript)
+            delivered = pump()
+            rounds.append([r for r in rt.transcript[start:] if r[0] == "msg"])
+            return delivered
+
+        monkeypatch.setattr(rt, "pump", recording)
+        ctx.dispenser.reserve(3)
+        assert len(rounds) == 4
+        pid_c = ctx.btg_pids[BtgRole.C]
+        assert [r[3] for r in rounds[2] if r[2] == pid_c] == [btg.BTG_TAG, "btg:t000001"]
+        assert all(c == a * b % group256.p
+                   for a, b, c in (reconstruct_triple(t, group256.p) for t in ctx.dispenser.pool))
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_empty_batch_sends_nothing(self, group256, mode):
@@ -607,10 +636,16 @@ class TestGoldenTranscript:
     # shares per server.  Two mode adds the holders' signs: per batch one
     # sign-a seed from BTG_A to BTG_B before hop 1 and one sign-ab record
     # from BTG_B to BTG_C before the key product, so BTG_A's first draw (and
-    # with it every hop) moved.  The modexp counts did not move.
+    # with it every hop) moved.  The modexp counts did not move.  The two
+    # digest was re-pinned when the key product began to run beside the
+    # session (7 -> 4 rounds per batch): its hops, tagged btg:<first triple
+    # id>, come each right after the session's hop of the same round, and
+    # the sign-ab record comes with hop 2.  With that tag read as btg, the
+    # same 570 records were sent, each channel in the same order, and the
+    # modexp count did not move; the single digest did not move.
     GOLDEN = {
         "single": ("77e72a461cbb402a1faf50e9c7c9b7dd67d8a8176466c22cce62cc49dbafd89e", 244),
-        "two": ("c11f7459a240516db2822917b684bb63213c272d616b25a83da54ef10b40de91", 484),
+        "two": ("82d6242fae71c5f1b9d41d92a0596ad6307ca610ac8a3717edbee0fb4cc32715", 484),
     }
 
     @both_backends

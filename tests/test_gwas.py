@@ -226,14 +226,14 @@ class TestSecureLambda:
 
     def test_blind_session_failure_aborts(self, group256, monkeypatch):
         ctx = build_parties(group256, seed=3)
-        original = btg.run_triple_session
+        original = btg.triple_session
 
         def failing_blind(runtime, params, keys, pids, **kwargs):
             if pids[BtgRole.A] == ctx.o_case:  # the joint-blind session only
                 raise RuntimeError("boom")
             return original(runtime, params, keys, pids, **kwargs)
 
-        monkeypatch.setattr(btg, "run_triple_session", failing_blind)
+        monkeypatch.setattr(btg, "triple_session", failing_blind)
         with pytest.raises(ProtocolAbort, match="chain session 0"):
             secure_inflation_factor(ctx.runtime, group256, (30, 40, 30), (10, 20, 10),
                                     ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
@@ -403,15 +403,17 @@ class TestFilterPipeline:
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
-    # n >= 1: basis and the first block's z 1; per control mint 4, residual
-    # 4, accept bit 3 (the sign test's opening to the mask owner 1, the bit's
-    # opening 2); each later block's z 1; lambda 9 (blind chain 3, counts and
+    # n >= 1: per control mint 4, residual 4, accept bit 3 (the sign test's
+    # opening to the mask owner 1, the bit's opening 2); lambda 6 (counts and
     # blind 1, products 2, products 2, opening 1), its triples minted with
-    # the last control's.  n = 0: basis 1, lambda's mint 4 and its 9.  So
-    # 10 + 11n + (ceil(n / Z_BLOCK) - 1), and 14 for n = 0.  The accept bit
-    # took 6 rounds, so 10 + 14n + ..., while the sign test dealt its masks,
-    # opened c to a third server that broadcast it, and dealt its carry.
-    ROUNDS = {0: 14, 1: 21, 3: 43, gwas.Z_BLOCK + 1: 10 + 11 * (gwas.Z_BLOCK + 1) + 1}
+    # the last control's.  Each block's z deal (the first with the basis)
+    # and lambda's blind chain run beside the block's first mint and add no
+    # round.  n = 0: lambda's mint 4 and its 6.  So 11n + 6, and 10 for
+    # n = 0.  While the deals and the blind chain ran alone a run took
+    # 10 + 11n + (ceil(n / Z_BLOCK) - 1) and 14; while the sign test dealt
+    # its masks, opened c to a third server that broadcast it, and dealt its
+    # carry, the accept bit took 6 rounds, so 10 + 14n + ....
+    ROUNDS = {0: 10, 1: 17, 3: 39, gwas.Z_BLOCK + 1: 11 * (gwas.Z_BLOCK + 1) + 6}
 
     @pytest.mark.parametrize("n,rank", [(1, 1), (1, 2), (3, 1), (3, 2), (0, 2),
                                         (gwas.Z_BLOCK + 1, 1)])
@@ -442,9 +444,11 @@ class TestFilterPipeline:
         result = filter_controls(group256, basis, case_counts, controls, config, seed=19)
         # five controls of dimension 6 in blocks of two, then lambda's counts;
         # truncation deals nothing, since its masks stay in their owners'
-        # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds)
+        # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds),
+        # and each block's deal rides its first mint (while they ran alone,
+        # 10 + 11 * 5 + 2)
         assert z_batches == [12, 12, 6, 3]
-        assert result["context"].runtime.rounds == 10 + 11 * 5 + 2
+        assert result["context"].runtime.rounds == 11 * 5 + 6
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
 
     # wire bytes of the same runs: per batch two 16-byte blind seeds and per

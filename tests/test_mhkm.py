@@ -18,13 +18,14 @@ def chain(n, params, seed=0, factors=None, record=True, count=1):
     pids = [PartyId("KM", i) for i in range(1, n + 1)]
     rt = Runtime(pids, seed=seed, record=record)
     keys = {pid: btg.keygen(params, rt.rng(pid)) for pid in pids}
-    return rt, pids, key_product(rt, params, pids, keys, factors, count)
+    [shares] = rt.run(key_product(rt, params, pids, keys, factors, count))
+    return rt, pids, shares
 
 
 class TestPlan:
     def test_session_counts(self, tiny, monkeypatch):
         # n - 2 sessions, the last one delivering to the last party
-        original = btg.run_triple_session
+        original = btg.triple_session
         for n in (3, 5, 8):
             calls = []
 
@@ -32,7 +33,7 @@ class TestPlan:
                 calls.append(kwargs["pids"])
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(mhkm.btg, "run_triple_session", counted)
+            monkeypatch.setattr(mhkm.btg, "triple_session", counted)
             _, pids, _ = chain(n, tiny)
             assert len(calls) == n - 2
             assert calls[-1][btg.BtgRole.C] == pids[-1]
@@ -77,7 +78,7 @@ class TestRun:
         rt = Runtime(pids, seed=0)
         keys = {pid: btg.keygen(tiny, rt.rng(pid)) for pid in pids}
         with pytest.raises(ProtocolAbort, match="session 0"):
-            key_product(rt, tiny, pids, keys, {pids[0]: [5], pids[1]: [4]})
+            rt.run(key_product(rt, tiny, pids, keys, {pids[0]: [5], pids[1]: [4]}))
         assert rt.messages_sent == 0
 
     def test_factor_count_must_match(self, tiny):
@@ -86,7 +87,7 @@ class TestRun:
 
     def test_session_failure_aborts_with_index(self, tiny, monkeypatch):
         calls = {"n": 0}
-        original = btg.run_triple_session
+        original = btg.triple_session
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -94,7 +95,7 @@ class TestRun:
                 raise RuntimeError("boom")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mhkm.btg, "run_triple_session", flaky)
+        monkeypatch.setattr(mhkm.btg, "triple_session", flaky)
         with pytest.raises(ProtocolAbort, match="session 1"):
             chain(5, tiny)
 

@@ -1,7 +1,10 @@
 import pytest
 
-from spdzgen.errors import NetworkError
-from spdzgen.net import PartyId, Runtime
+from spdzgen import btg, mhkm
+from spdzgen.btg import BtgRole
+from spdzgen.errors import MpcError, NetworkError
+from spdzgen.gwas import build_parties
+from spdzgen.net import PartyId, Runtime, lockstep
 
 A = PartyId("MPC", 1)
 B = PartyId("MPC", 2)
@@ -159,3 +162,97 @@ def test_export_transcript(tmp_path):
     rt.export_transcript(out)
     line = out.read_text().strip()
     assert '"kind": "msg"' in line and '"payload": "0102"' in line
+
+
+def chatty(rt, src, dst, steps, tag="t"):
+    """A protocol of `steps` rounds: each step sends src -> dst and then takes
+    what it sent; its result is the payloads dst took."""
+    got = []
+    for i in range(steps):
+        rt.send(src, dst, tag, b"%d" % i)
+        yield
+        got.append(rt.take(dst, tag).payload)
+    return got
+
+
+class TestLockstep:
+    def test_protocols_share_rounds(self):
+        # 3 steps and 1 step side by side: the longest sets the rounds
+        rt = Runtime([A, B, C])
+        long, short = rt.run(chatty(rt, A, B, 3), chatty(rt, A, C, 1))
+        assert (long, short) == ([b"0", b"1", b"2"], [b"0"])
+        assert (rt.messages_sent, rt.rounds) == (4, 3)
+
+    def test_silent_step_costs_no_round(self):
+        def idle():
+            yield
+            yield
+            return "done"
+
+        rt = Runtime([A, B])
+        assert rt.run(idle()) == ["done"]
+        assert rt.rounds == 0
+        assert rt.run() == []
+
+    def test_results_in_argument_order(self):
+        def value(v, steps):
+            for _ in range(steps):
+                yield
+            return v
+
+        rt = Runtime([A, B])
+        assert rt.run(value("a", 3), value("b", 0), value("c", 1)) == ["a", "b", "c"]
+
+    def test_exception_propagates(self):
+        def failing():
+            yield
+            raise NetworkError("boom")
+
+        rt = Runtime([A, B])
+        with pytest.raises(NetworkError, match="boom"):
+            rt.run(chatty(rt, A, B, 3), failing())
+
+    def test_nested_lockstep_matches_flat_run(self):
+        rt = Runtime([A, B, C])
+
+        def outer():
+            first, second = yield from lockstep(chatty(rt, A, B, 2), chatty(rt, B, C, 2))
+            return first + second
+
+        assert rt.run(outer(), chatty(rt, C, A, 1)) == [[b"0", b"1", b"0", b"1"], [b"0"]]
+        assert (rt.messages_sent, rt.rounds) == (5, 2)
+
+
+class TestSideBySideSessions:
+    """Sessions over one trio in lockstep: every hop of both reaches the same
+    party in the same round, so each is tagged apart and takes its own."""
+
+    def test_sessions_to_one_party_never_cross(self, tiny):
+        pids = {BtgRole.A: A, BtgRole.B: B, BtgRole.C: C}
+        rt = Runtime([A, B, C], seed=1)
+        keys = {role: btg.keygen(tiny, rt.rng(pid)) for role, pid in pids.items()}
+        first, second = rt.run(
+            btg.triple_session(rt, tiny, keys, pids, forced={BtgRole.A: [2], BtgRole.B: [3]}),
+            btg.triple_session(rt, tiny, keys, pids, forced={BtgRole.A: [4], BtgRole.B: [9]},
+                               tag=btg.BTG_TAG + ":second"))
+        assert (first[BtgRole.C], second[BtgRole.C]) == ([6], [36 % 23])
+        assert (rt.messages_sent, rt.rounds) == (6, 3)
+        to_c = [r[3] for r in rt.transcript if r[0] == "msg" and r[2] == C]
+        assert to_c == [btg.BTG_TAG, btg.BTG_TAG + ":second"]
+
+
+@pytest.mark.parametrize("bad", ["reserve", "chain", "session"])
+def test_arguments_checked_before_any_protocol_sends(tiny, bad):
+    # a protocol checks its arguments when it is created, so a bad one raises
+    # before the protocols beside it in the same run have sent anything
+    ctx = build_parties(tiny, seed=3)
+    rt = ctx.runtime
+    chain = [ctx.o_ctrl, ctx.o_case, ctx.leader]
+    with pytest.raises(MpcError):
+        rt.run(ctx.dispenser.mint(2),
+               {"reserve": lambda: ctx.dispenser.mint(-1),
+                "chain": lambda: mhkm.key_product(rt, tiny, chain, ctx.owner_keys,
+                                                  {ctx.o_case: [2, 3]}, count=1),
+                "session": lambda: btg.triple_session(rt, tiny, ctx.btg_keys, ctx.btg_pids,
+                                                      forced={BtgRole.B: [5]})}[bad]())
+    assert rt.messages_sent == 0

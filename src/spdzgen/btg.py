@@ -113,8 +113,8 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     key and may be absent); `pids` maps BtgRole -> PartyId.  `forced`
     optionally pins the K secrets of roles A and/or B, as lists in triple
     order; the count and every pinned secret's subgroup membership are
-    checked here, before the protocol runs, and a non-member raises
-    MessageSpaceError.  Drawn secrets are squares s^2 mod p, members by
+    checked at the first step, before anything is sent, and a non-member
+    raises MessageSpaceError.  Drawn secrets are squares s^2 mod p, members by
     construction.  Every hop travels under `tag`: sessions that run side by
     side and deliver to one party pass distinct tags.  The protocol's result
     maps BtgRole -> the role's K secrets in triple order: a for A, b for B,
@@ -131,11 +131,7 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
                                  % (role.value, len(values), count))
         if not all(modmath.is_subgroup_member(v, params) for v in values):
             raise MessageSpaceError("role %s pins a secret outside the subgroup" % role.value)
-    return _session(runtime, params, keys, pids, forced, count, tag)
 
-
-def _session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
-             forced: dict, count: int, tag: str) -> Protocol:
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
     rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
     h_c = keys[BtgRole.C].h

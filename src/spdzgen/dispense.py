@@ -104,13 +104,9 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
     the wire.  The result holds, per batch, one PartyId -> share map per
     value.
     """
-    parties = list(parties)
+    parties, batches = list(parties), list(batches)
     if len(parties) < 2:
         raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
-    return _deal(runtime, parties, list(batches), p)
-
-
-def _deal(runtime: Runtime, parties: list, batches: list, p: int) -> Protocol:
     held = []
     for owner, tag, values in batches:
         rng = runtime.rng(owner)
@@ -233,13 +229,9 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     left behind are never read.  Each party draws from its own generator in
     protocol order: the seeds, then its session secrets, then B's signs.
     """
+    triple_ids = list(triple_ids)
     if not triple_ids:
         raise ParameterError("a batch dispenses at least one triple")
-    return _batch(runtime, params, btg_keys, btg_pids, mpc_pids, list(triple_ids), owners, keys)
-
-
-def _batch(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
-           mpc_pids, triple_ids: list, owners, keys) -> Protocol:
     p, count, first = params.p, len(triple_ids), triple_ids[0]
     pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
     two = owners is not None
@@ -303,7 +295,9 @@ class TripleDispenser:
     on n triples (one triple-generation session inside it), pools the
     triples and appends their audit lines to the optional JSON-lines ledger
     file in one write; `reserve(n)` runs it alone.  `next_triple` pops the
-    pool, minting a single triple when it is empty.
+    pool, minting a single triple when it is empty.  The ledger is opened
+    for append when the dispenser is built, so an unwritable path fails
+    before any triple is minted.
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
@@ -322,30 +316,27 @@ class TripleDispenser:
         # the two-randomness key product ends at the holder of c, under its BTG key
         self.chain_keys = {**(owner_keys or {}), btg_pids[BtgRole.C]: btg_keys[BtgRole.C]}
         self.ledger_path = ledger_path
+        if ledger_path is not None:
+            open(ledger_path, "a").close()
         self.count = 0  # triples handed out by next_triple
         self.pool = deque()
 
     def mint(self, n: int) -> Protocol:
         """Mint n triples with one dispensation into the pool, as a protocol
-        of 4 rounds (none when n is 0).  n and the batch are checked and the
-        triple ids drawn here, before the protocol runs."""
+        of 4 rounds (none when n is 0).  n is checked and the triple ids
+        drawn at its first step, before anything is sent."""
         if n < 0:
             raise ParameterError("cannot reserve %d triples" % n)
-        triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
         if not n:
-            batch = None
-        elif self.mode == "single":
+            return
+        triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
+        if self.mode == "single":
             batch = dispense_blind_single(self.runtime, self.params, self.btg_keys,
                                           self.btg_pids, self.mpc_pids, triple_ids)
         else:
             batch = dispense_blind_two(self.runtime, self.params, self.btg_keys,
                                        self.btg_pids, self.mpc_pids,
                                        self.ox, self.oy, triple_ids, keys=self.chain_keys)
-        return self._pooled(triple_ids, batch)
-
-    def _pooled(self, triple_ids, batch) -> Protocol:
-        if batch is None:
-            return
         self.pool.extend((yield from batch))
         if self.ledger_path is not None:
             parties = [str(p) for p in self.mpc_pids]

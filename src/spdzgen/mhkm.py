@@ -39,9 +39,8 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
     `factors` optionally pins a party's K factors; the others are drawn inside
     their sessions.  Party i < n-1 shares its own factors, the last party the
     products, each as a list of K residues.  Every session travels under
-    `tag`.  The chain's shape and the first session's arguments are checked
-    here, before the protocol runs; a session that fails raises
-    ProtocolAbort naming its index.
+    `tag`.  The chain's shape is checked at the first step, before anything
+    is sent; a session that fails raises ProtocolAbort naming its index.
     """
     if len(pids) < 3:
         raise ParameterError("key-product chain needs at least 3 parties, got %d" % len(pids))
@@ -50,13 +49,13 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
         if len(values) != count:
             raise ParameterError("party %s pins %d factors for a chain of %d products"
                                  % (pid, len(values), count))
-
-    def session(idx: int, product) -> Protocol:
+    shares, product = {}, factors.get(pids[0])
+    for idx in range(len(pids) - 2):
         # past the base, the holder of the running product is the contributor
         contributor, receiver = pids[idx + 1], pids[idx + 2]
         holder = pids[0] if idx == 0 else contributor
         try:
-            return btg.triple_session(
+            outcome = yield from btg.triple_session(
                 runtime, params,
                 keys={BtgRole.A: keys[contributor], BtgRole.B: keys.get(holder),
                       BtgRole.C: keys[receiver]},
@@ -65,21 +64,9 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
                 count=count, tag=tag)
         except Exception as exc:
             raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-
-    return _chain(pids, session, session(0, factors.get(pids[0])))
-
-
-def _chain(pids, session, first: Protocol) -> Protocol:
-    shares, protocol = {}, first
-    for idx in range(len(pids) - 2):
-        try:
-            outcome = yield from protocol
-        except Exception as exc:
-            raise ProtocolAbort("chain session %d failed: %s" % (idx, exc)) from exc
-        shares[pids[idx + 1]] = outcome[BtgRole.A]
+        shares[contributor] = outcome[BtgRole.A]
         if idx == 0:
-            shares[pids[0]] = outcome[BtgRole.B]
-        if idx + 3 < len(pids):
-            protocol = session(idx + 1, outcome[BtgRole.C])
-    shares[pids[-1]] = outcome[BtgRole.C]
+            shares[holder] = outcome[BtgRole.B]
+        product = outcome[BtgRole.C]
+    shares[pids[-1]] = product
     return shares

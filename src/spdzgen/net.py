@@ -7,8 +7,11 @@ another are sent before one pump and share its round.  A protocol is a
 generator that sends, yields to have its sends delivered, and then takes;
 `Runtime.run` steps every live protocol once per round and then pumps, so
 independent protocols run in lockstep and share their rounds (`lockstep`
-nests the same inside a protocol).  Protocols that deliver to one party in
-the same round use distinct tags.  Send order never reaches a result:
+nests the same inside a protocol).  A round in which any step raises is
+never delivered, so a protocol checks its arguments at its first step and a
+bad one leaves nothing sent beside it; `messages_sent` and `bytes_sent`
+count delivered messages.  Protocols that deliver to one party in the same
+round use distinct tags.  Send order never reaches a result:
 every message is delivered before it is taken, `take` matches on
 recipient and tag, and openings key contributions by sender, so the order
 only shapes the transcript, which a fixed seed replays byte for byte.
@@ -90,8 +93,8 @@ class Runtime:
         self._rngs: dict[PartyId, random.Random] = {}
         self._transcript: list[tuple] = []
         self._id_counter = 0
-        self.messages_sent = 0
-        self.bytes_sent = 0  # payload bytes of every message sent
+        self.messages_sent = 0  # messages delivered
+        self.bytes_sent = 0  # payload bytes of every message delivered
         self.rounds = 0  # pump calls that delivered at least one message
 
     def _derive_seed(self, label: str) -> int:
@@ -118,8 +121,6 @@ class Runtime:
         self._require_party(dst)
         msg = Message(src, dst, tag, bytes(payload))
         self._pending.append(msg)
-        self.messages_sent += 1
-        self.bytes_sent += len(msg.payload)
         return msg
 
     def pump(self) -> int:
@@ -133,9 +134,11 @@ class Runtime:
         while pending:
             msg = pending.popleft()
             self._inbox[msg.dst].append(msg)
+            self.bytes_sent += len(msg.payload)
             if self.record:
                 self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload))
         if delivered:
+            self.messages_sent += delivered
             self.rounds += 1
         return delivered
 
@@ -145,7 +148,8 @@ class Runtime:
 
         Each round steps every live protocol once and then pumps, so a run
         takes the rounds of its longest protocol, and a step that sends
-        nothing costs none.
+        nothing costs none.  When a step raises, the round's sends are
+        dropped undelivered and the exception propagates.
         """
         driver = lockstep(*protocols)
         while True:
@@ -153,6 +157,9 @@ class Runtime:
                 next(driver)
             except StopIteration as stop:
                 return stop.value
+            except BaseException:
+                self._pending.clear()
+                raise
             self.pump()
 
     def take(self, pid: PartyId, tag: str) -> Message:

@@ -84,18 +84,13 @@ def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
     `batches` lists `(owner, secrets)`.  Each owner sends every party but
     one a 16-byte seed of its shares of them all; the one left, the owner
     itself when it is a party and else the first party, holds the correction
-    shares (`dispense.deal`).  The batches' ids are drawn here, before the
-    protocol runs.  The result holds one list of SharedValues per batch.
+    shares (`dispense.deal`).  The batches' ids are drawn at the first step.
+    The result holds one list of SharedValues per batch.
     """
     parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
-    dealing = deal(runtime, parties,
-                   [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
-                    for owner, secrets in batches if secrets], p)
-    return _shared(parties, batches, dealing)
-
-
-def _shared(parties: tuple, batches: list, dealing: Protocol) -> Protocol:
-    dealt = iter((yield from dealing))
+    dealt = iter((yield from deal(
+        runtime, parties, [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
+                           for owner, secrets in batches if secrets], p)))
     return [[SharedValue(parties, s) for s in next(dealt)] if secrets else []
             for _, secrets in batches]
 

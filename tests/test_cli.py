@@ -101,6 +101,18 @@ class TestTriples:
     def test_reuse_demo_exits_nonzero(self, capsys):
         assert run_cli("triples", "-n", "1", "--demo-reuse") == EXIT_PROTOCOL
 
+    def test_unwritable_ledger_rejected_before_any_triple(self, tmp_path, capsys, monkeypatch):
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "mint", mint)
+        ledger = tmp_path / "missing" / "x.jsonl"
+        assert run_cli("triples", "-n", "50", "--ledger", str(ledger)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:")
+        assert not ledger.exists()
+
     def test_corrupted_shares_exit_protocol(self, capsys, monkeypatch):
         tamper_sends(monkeypatch, "triple-a:", shifted(DEFAULT_GROUP_256.p))
         assert run_cli("triples", "-n", "4") == EXIT_PROTOCOL
@@ -253,6 +265,22 @@ class TestRun:
                        "--controls", str(ctrl_csv), "--out", str(out), "--tau", "300",
                        "--triple-ledger", str(ledger)) == EXIT_VALIDATION
         assert "outside Q<81,64> range" in capsys.readouterr().err
+        assert not out.exists() and not ledger.exists()
+
+    def test_unwritable_ledger_rejected_before_any_triple(
+            self, pipeline_files, tmp_path, capsys, monkeypatch):
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "mint", mint)
+        out, ledger = tmp_path / "r.json", tmp_path / "missing" / "l.jsonl"
+        assert run_cli("run", "--case", str(case_csv), "--basis", str(basis_csv),
+                       "--controls", str(ctrl_csv), "--out", str(out),
+                       "--triple-ledger", str(ledger)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists() and not ledger.exists()
 
 

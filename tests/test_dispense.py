@@ -361,12 +361,13 @@ class TestBatchedDispensation:
         ctx = build_parties(group256, seed=8, blinding=mode)
         with pytest.raises(ParameterError):
             if mode == "single":
-                dispense_blind_single(ctx.runtime, group256, ctx.btg_keys, ctx.btg_pids,
-                                      ctx.mpc_pids, triple_ids=[])
+                ctx.runtime.run(dispense_blind_single(ctx.runtime, group256, ctx.btg_keys,
+                                                      ctx.btg_pids, ctx.mpc_pids, triple_ids=[]))
             else:
-                dispense_blind_two(ctx.runtime, group256, ctx.btg_keys, ctx.btg_pids,
-                                   ctx.mpc_pids, ox=ctx.o_case, oy=ctx.o_ctrl,
-                                   triple_ids=[], keys=ctx.dispenser.chain_keys)
+                ctx.runtime.run(dispense_blind_two(ctx.runtime, group256, ctx.btg_keys,
+                                                   ctx.btg_pids, ctx.mpc_pids, ox=ctx.o_case,
+                                                   oy=ctx.o_ctrl, triple_ids=[],
+                                                   keys=ctx.dispenser.chain_keys))
         assert ctx.runtime.messages_sent == 0
 
 

@@ -212,6 +212,22 @@ class TestLockstep:
         with pytest.raises(NetworkError, match="boom"):
             rt.run(chatty(rt, A, B, 3), failing())
 
+    def test_failed_round_is_never_delivered(self):
+        # the second protocol raises in round 2: round 1 stays delivered and
+        # counted, and the send beside the failure is dropped
+        def failing():
+            yield
+            raise NetworkError("boom")
+
+        rt = Runtime([A, B])
+        with pytest.raises(NetworkError, match="boom"):
+            rt.run(chatty(rt, A, B, 3), failing())
+        assert (rt.messages_sent, rt.bytes_sent, rt.rounds) == (1, 1, 1)
+        assert rt.transcript == [("msg", A, B, "t", b"0")]
+        assert rt.pump() == 0
+        assert rt.run(chatty(rt, B, A, 1, tag="u")) == [[b"0"]]
+        assert rt.transcript == [("msg", A, B, "t", b"0"), ("msg", B, A, "u", b"0")]
+
     def test_nested_lockstep_matches_flat_run(self):
         rt = Runtime([A, B, C])
 
@@ -243,9 +259,10 @@ class TestSideBySideSessions:
 
 @pytest.mark.parametrize("bad", ["reserve", "chain", "session"])
 def test_arguments_checked_before_any_protocol_sends(tiny, bad):
-    # a protocol checks its arguments when it is created, so a bad one raises
-    # before the protocols beside it in the same run have sent anything
-    ctx = build_parties(tiny, seed=3)
+    # a protocol checks its arguments at its first step, and a round in which
+    # any step raises is never delivered, so the good mint stepped before the
+    # bad protocol has sent nothing
+    ctx = build_parties(tiny, seed=3, record=True)
     rt = ctx.runtime
     chain = [ctx.o_ctrl, ctx.o_case, ctx.leader]
     with pytest.raises(MpcError):
@@ -256,3 +273,4 @@ def test_arguments_checked_before_any_protocol_sends(tiny, bad):
                 "session": lambda: btg.triple_session(rt, tiny, ctx.btg_keys, ctx.btg_pids,
                                                       forced={BtgRole.B: [5]})}[bad]())
     assert rt.messages_sent == 0
+    assert not [r for r in rt.transcript if r[0] == "msg"]

@@ -103,10 +103,10 @@ def cmd_triples(args) -> int:
         raise ProtocolAbort("%d of %d triples failed verification" % (bad, args.count))
     if args.demo_reuse:
         ledger = ctx.ledger
-        x = spdz.share_secret(ctx.runtime, ctx.o_case, 5, ctx.mpc_pids, group.p)
-        y = spdz.share_secret(ctx.runtime, ctx.o_ctrl, 7, ctx.mpc_pids, group.p)
-        spdz.beaver_mult(ctx.runtime, x, y, triples[0], group.p, ledger)
-        spdz.beaver_mult(ctx.runtime, x, y, triples[0], group.p, ledger)  # raises
+        [[[x], [y]]] = ctx.runtime.run(spdz.share_batches(
+            ctx.runtime, ctx.mpc_pids, [(ctx.o_case, [5]), (ctx.o_ctrl, [7])], group.p))
+        for _ in range(2):  # the second product raises
+            spdz.beaver_mult_batch(ctx.runtime, [(x, y)], [triples[0]], group.p, ledger)
     return EXIT_OK
 
 

@@ -48,14 +48,15 @@ before the session starts, so the `r_c` key product runs beside it in
 lockstep (`net.lockstep`), and B's sign products ride their second round.
 The three holders deal in one round.  A batch costs four rounds in either
 mode: hop 1 and the blinds | hop 2 | hop 3 | all shares, with the key
-product's hops beside the session's in two mode.  Blinds, signs, shares and
-the key product's hops are tagged with the batch's first triple id, so the
-key product's last hop and the session's, which both reach the holder of c
-in the third round, never cross.  Dispensations are protocols
-(`net.Runtime.run`).  `TripleDispenser` keeps the dispensed triples in a
-FIFO pool: `mint(n)` is the protocol that mints n of them with one
-dispensation, `reserve(n)` runs it alone, and `next_triple` hands them out
-in order.
+product's hops beside the session's in two mode.  Dispensations are
+protocols (`net.Runtime.run`), so the run of a batch that aborts drops all
+it left.  Blinds, signs, shares and the key product's hops carry the
+batch's first triple id in their tags, which keep lockstep messages apart
+(the key product's last hop and the session's both reach the holder of c
+in the third round) and keep transcripts byte-identical.
+`TripleDispenser` keeps the dispensed triples in a FIFO pool: `mint(n)` is
+the protocol that mints n of them with one dispensation, `reserve(n)` runs
+it alone, and `next_triple` hands them out in order.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     runs beside the session, and the holder of b sends the sign products in
     their second round.  The three holders deal their K blinded components
     in one round.  Seeds, signs, shares and the key product's hops are
-    tagged with the batch's first triple id, so messages an aborted batch
-    left behind are never read.  Each party draws from its own generator in
-    protocol order: the seeds, then its session secrets, then B's signs.
+    tagged with the batch's first triple id, which keeps them apart from
+    the messages of any protocol beside the batch.  Each party draws from
+    its own generator in protocol order: the seeds, then its session
+    secrets, then B's signs.
     """
     triple_ids = list(triple_ids)
     if not triple_ids:

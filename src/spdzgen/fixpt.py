@@ -144,8 +144,8 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
     masked = dict(spdz.add_const(z, 2 ** w, p).shares)
     masked[owner] = (masked[owner] + r1) % p
     masked[wide] = (masked[wide] + (r2 << m)) % p
-    c = spdz.open_value(runtime, SharedValue(z.parties, masked), p,
-                        collector=owner, recipients=[owner])
+    [c] = spdz.open_values(runtime, [SharedValue(z.parties, masked)], p,
+                           collector=owner, recipients=[owner])
     if c >= 2 ** (params.kappa + w + 1):
         raise ProtocolAbort("masked opening exceeded its integer bound (wraparound)")
     c1 = c % 2 ** m
@@ -165,7 +165,7 @@ def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,
     The decoded result is within 2^(1-f) of the true product; an overflowing
     product (outside Q<k,f>) is not detected.
     """
-    raw = spdz.beaver_mult(runtime, x, y, triple, params.p, ledger)
+    [raw] = spdz.beaver_mult_batch(runtime, [(x, y)], [triple], params.p, ledger)
     return trunc(runtime, raw, params.f, params, roles=roles, frame=params.k + params.f).value
 
 

@@ -389,8 +389,8 @@ def share_vector(runtime: Runtime, owner: PartyId, values, mpc_pids,
                  params: FixedPointParams) -> list:
     """Owner fp-encodes every entry of a vector and shares them in one message
     per server."""
-    return spdz.share_values(runtime, owner, [fixpt.fp_encode(v, params) for v in values],
-                             mpc_pids, params.p)
+    encoded = [fixpt.fp_encode(v, params) for v in values]
+    return runtime.run(spdz.share_batches(runtime, mpc_pids, [(owner, encoded)], params.p))[0][0]
 
 
 def triples_per_control(dim: int, rank: int) -> int:
@@ -443,7 +443,7 @@ def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineCon
     diff = spdz.add_const(spdz.scale_local(-1, res_sq, wide.p),
                           fixpt.fp_encode(config.tau * config.tau, wide), wide.p)
     bit = fixpt.ltz(runtime, diff, wide, roles)
-    return spdz.open_value(runtime, bit, wide.p) != 1
+    return spdz.open_values(runtime, [bit], wide.p)[0] != 1
 
 
 @dataclass

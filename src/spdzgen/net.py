@@ -1,25 +1,27 @@
 """In-process multi-party runtime.
 
-Parties exchange byte payloads through one queue that delivers in send order:
-the protocols run in synchronous rounds, each party sending and then every
-recipient reading what it was sent.  Messages that do not depend on one
-another are sent before one pump and share its round.  A protocol is a
-generator that sends, yields to have its sends delivered, and then takes;
-`Runtime.run` steps every live protocol once per round and then pumps, so
-independent protocols run in lockstep and share their rounds (`lockstep`
-nests the same inside a protocol).  A round in which any step raises is
-never delivered, so a protocol checks its arguments at its first step and a
-bad one leaves nothing sent beside it; `messages_sent` and `bytes_sent`
-count delivered messages.  Protocols that deliver to one party in the same
-round use distinct tags.  Send order never reaches a result:
-every message is delivered before it is taken, `take` matches on
-recipient and tag, and openings key contributions by sender, so the order
-only shapes the transcript, which a fixed seed replays byte for byte.
-Each party draws randomness from its own generator derived from the master
-seed, and every delivered message plus every local annotation lands in the
-transcript, from which per-party views are sliced for privacy scans.  A
-message is its endpoints, tag and payload only: the transcript lists
-messages in send order, so each channel's order is read off it.
+Parties exchange byte payloads through one queue that delivers in send order,
+in synchronous rounds: each party sends, then every recipient reads what it
+was sent.  A protocol is a generator that sends, yields to have its sends
+delivered, and then takes.  `Runtime.run` is the one driver: it steps every
+live protocol once per round and then pumps, so independent protocols run in
+lockstep and share their rounds (`lockstep` nests the same inside a
+protocol), and a synchronous call such as an opening is a run of one
+protocol.  Every inbox is empty between runs.  A run that ends with a
+message nobody took drops it and raises NetworkError, so a message delivered
+twice is caught.  A run in which a step raises drops the round's sends and
+notes and every untaken message, so a protocol checks its arguments at its
+first step and a bad one leaves nothing behind; `messages_sent` and
+`bytes_sent` count delivered messages.  Protocols that deliver to one party
+in the same round use distinct tags.  Send order never reaches a result:
+`take` matches on recipient and tag, and openings key contributions by
+sender, so the order only shapes the transcript, which a fixed seed replays
+byte for byte.  Each party draws randomness from its own generator derived
+from the master seed, and every delivered message plus every local
+annotation lands in the transcript, from which per-party views are sliced
+for privacy scans.  A message is its endpoints, tag and payload only: the
+transcript lists messages in send order, so each channel's order is read
+off it.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class Runtime:
         """Deliver every pending message in send order; returns how many.
 
         A call that delivers anything counts as one communication round.
-        Delivering sends nothing, so one pass empties the queue.
+        Delivering sends nothing, so one pass empties the queue.  Only `run`
+        calls it; it is public because the benchmark counts rounds here.
         """
         pending = self._pending
         delivered = len(pending)
@@ -148,19 +151,30 @@ class Runtime:
 
         Each round steps every live protocol once and then pumps, so a run
         takes the rounds of its longest protocol, and a step that sends
-        nothing costs none.  When a step raises, the round's sends are
-        dropped undelivered and the exception propagates.
+        nothing costs none.  A run leaves every inbox empty: when a step
+        raises, the round's sends and notes and every untaken message are
+        dropped and the exception propagates, and a run that ends with an
+        untaken message drops it and raises NetworkError.
         """
         driver = lockstep(*protocols)
-        while True:
-            try:
+        try:
+            while True:
+                recorded = len(self._transcript)  # the round's notes follow
                 next(driver)
-            except StopIteration as stop:
+                self.pump()
+        except StopIteration as stop:
+            untaken = [msg for box in self._inbox.values() for msg in box]
+            if not untaken:
                 return stop.value
-            except BaseException:
-                self._pending.clear()
-                raise
-            self.pump()
+            failure = NetworkError("a run ended with %d untaken message(s), the first %r for %s"
+                                   % (len(untaken), untaken[0].tag, untaken[0].dst))
+        except BaseException as exc:
+            failure = exc
+        self._pending.clear()
+        for box in self._inbox.values():
+            box.clear()
+        del self._transcript[recorded:]
+        raise failure
 
     def take(self, pid: PartyId, tag: str) -> Message:
         """Pop the first delivered message with this tag for pid."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dispense import BeaverTripleShares, deal
+from .dispense import deal
 from .errors import ParameterError, ProtocolAbort, ShareError, TripleReuseError
 from .modmath import decode_residues, encode_residues
 from .net import PartyId, Protocol, Runtime
@@ -95,19 +95,6 @@ def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
             for _, secrets in batches]
 
 
-def share_values(runtime: Runtime, owner: PartyId, secrets, parties,
-                 p: int) -> list[SharedValue]:
-    """Owner sends every other party one seed of its shares of all the
-    secrets; returns one SharedValue per secret."""
-    [[shared]] = runtime.run(share_batches(runtime, parties, [(owner, secrets)], p))
-    return shared
-
-
-def share_secret(runtime: Runtime, owner: PartyId, secret: int, parties, p: int) -> SharedValue:
-    """Owner sends each other party a seed of its share of one secret."""
-    return share_values(runtime, owner, [secret], parties, p)[0]
-
-
 def add_local(x: SharedValue, y: SharedValue, p: int) -> SharedValue:
     _check_same_parties(x, y)
     return SharedValue(x.parties, {pid: (x.shares[pid] + y.shares[pid]) % p
@@ -144,15 +131,21 @@ def add_const(x: SharedValue, const: int, p: int) -> SharedValue:
 def open_values(runtime: Runtime, values, p: int,
                 collector: PartyId | None = None,
                 recipients=None) -> list[int]:
-    """Open a batch of shared values through the runtime.
+    """Open a batch of shared values in one run of two rounds.
 
     `values` is a list of SharedValues or a ShareColumns batch.  Every party
     sends one message carrying its column of shares to the collector, which
     reconstructs and broadcasts the results to `recipients` (all contributing
     parties by default; pass an explicit list to reveal the values to a
-    subset only).  Every recipient decodes the broadcast, and one that is
-    malformed or differs from the collector's result aborts.
+    subset only).  A missing or repeated contribution is a ShareError.
+    Every recipient decodes the broadcast, and one that is malformed or
+    differs from the collector's result aborts.
     """
+    [opened] = runtime.run(_open(runtime, values, p, collector, recipients))
+    return opened
+
+
+def _open(runtime: Runtime, values, p: int, collector, recipients) -> Protocol:
     batch = values if isinstance(values, ShareColumns) else ShareColumns.of(list(values))
     count = len(batch)
     if not count:
@@ -167,9 +160,11 @@ def open_values(runtime: Runtime, values, p: int,
     for pid in parties:
         if pid != collector:
             runtime.send(pid, collector, tag, encode_residues(columns[pid], p))
-    runtime.pump()
+    yield
     contributions = {collector: columns[collector]}
     for msg in runtime.take_all(collector, tag):
+        if msg.src in contributions:
+            raise ShareError("repeated contribution from %s to an opening" % (msg.src,))
         contributions[msg.src] = decode_residues(msg.payload, count, p)
     missing = [pid for pid in parties if pid not in contributions]
     if missing:
@@ -177,23 +172,16 @@ def open_values(runtime: Runtime, values, p: int,
     opened = [sum(shares) % p for shares in zip(*(contributions[pid] for pid in parties))]
     result_blob = encode_residues(opened, p)
     result_tag = "%s:%s" % (OPEN_RESULT_TAG, batch_id)
-    targets = parties if recipients is None else tuple(recipients)
+    targets = [pid for pid in (parties if recipients is None else recipients) if pid != collector]
     for pid in targets:
-        if pid != collector:
-            runtime.send(collector, pid, result_tag, result_blob)
-    runtime.pump()
+        runtime.send(collector, pid, result_tag, result_blob)
+    yield
     for pid in targets:
-        if pid != collector:
-            received = decode_residues(runtime.take(pid, result_tag).payload, count, p)
-            if received != opened:
-                raise ProtocolAbort("%s decoded an opening that differs from %s's"
-                                    % (pid, collector))
+        received = decode_residues(runtime.take(pid, result_tag).payload, count, p)
+        if received != opened:
+            raise ProtocolAbort("%s decoded an opening that differs from %s's"
+                                % (pid, collector))
     return opened
-
-
-def open_value(runtime: Runtime, value: SharedValue, p: int,
-               collector: PartyId | None = None, recipients=None) -> int:
-    return open_values(runtime, [value], p, collector=collector, recipients=recipients)[0]
 
 
 class TripleLedger:
@@ -263,9 +251,3 @@ def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
     lowest = min(parties)
     products[lowest] = [(v + r * e) % p for v, r, e in zip(products[lowest], rho, eps)]
     return ShareColumns(parties, products).values()
-
-
-def beaver_mult(runtime: Runtime, x: SharedValue, y: SharedValue,
-                triple: BeaverTripleShares, p: int, ledger: TripleLedger) -> SharedValue:
-    """Multiply two shared values with one fresh dispensed triple."""
-    return beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger)[0]

@@ -1,12 +1,13 @@
-"""Shared test utilities: manufactured triples for field-level unit tests,
-a fault injector that rewrites payloads on their way into the network, and a
+"""Shared test utilities: one-value sharing, opening and products over the
+batch forms, manufactured triples for field-level unit tests, a fault
+injector that rewrites payloads on their way into the network, and a
 recorder of the messages each truncation sends."""
 
 import itertools
 
 import pytest
 
-from spdzgen import fixpt
+from spdzgen import fixpt, spdz
 from spdzgen.dispense import BeaverTripleShares, split_additive
 from spdzgen.modmath import SEED_BYTES
 from spdzgen.net import Runtime
@@ -15,6 +16,24 @@ from spdzgen.net import Runtime
 # pow (the `modexp_backend` fixture in conftest.py).  Applied outermost, it
 # appends the backend to the test id.
 both_backends = pytest.mark.parametrize("modexp_backend", ["loaded", "pow"], indirect=True)
+
+
+def share_values(runtime, owner, secrets, parties, p):
+    """Owner shares a list of secrets in one run of `spdz.share_batches`."""
+    [[shared]] = runtime.run(spdz.share_batches(runtime, parties, [(owner, secrets)], p))
+    return shared
+
+
+def share_secret(runtime, owner, secret, parties, p):
+    return share_values(runtime, owner, [secret], parties, p)[0]
+
+
+def open_value(runtime, value, p, **kwargs):
+    return spdz.open_values(runtime, [value], p, **kwargs)[0]
+
+
+def beaver_mult(runtime, x, y, triple, p, ledger):
+    return spdz.beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger)[0]
 
 
 def make_triple(a, b, c, p, parties, rng, triple_id):

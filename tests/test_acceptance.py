@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from spdzgen import btg, spdz
+from spdzgen import btg
 from spdzgen.btg import BtgMessage, BtgRole
 from spdzgen.cli import main as cli_main
 from spdzgen.dispense import dispense_blind_single, dispense_blind_two, reconstruct
@@ -35,9 +35,9 @@ from spdzgen.gwas import (
 from spdzgen.mhkm import key_product
 from spdzgen.modmath import signed_decode, signed_encode
 from spdzgen.net import PartyId, Runtime
-from spdzgen.spdz import TripleLedger, open_value, share_secret
+from spdzgen.spdz import TripleLedger
 
-from helpers import triple_stream
+from helpers import beaver_mult, open_value, share_secret, triple_stream
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
             BtgRole.C: PartyId("BTG_C")}
@@ -107,7 +107,7 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
         xv, yv = rng.randrange(p), rng.randrange(p)
         x = share_secret(rt, MPC[0], xv, MPC, p)
         y = share_secret(rt, MPC[1], yv, MPC, p)
-        z = spdz.beaver_mult(rt, x, y, triple, p, ledger)
+        z = beaver_mult(rt, x, y, triple, p, ledger)
         assert open_value(rt, z, p) == xv * yv % p
     announce(3, "10^3 dispensed triples valid (both variants); 10^3 products exact")
 

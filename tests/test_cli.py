@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from spdzgen.cli import EXIT_PROTOCOL, EXIT_USAGE, EXIT_VALIDATION, main
 from spdzgen.dispense import TripleDispenser
 from spdzgen.gwas import COUNT_CAP, GenotypeMatrix, orthonormal_columns, synth_genotypes
 from spdzgen.modmath import DEFAULT_GROUP_256, GroupParams
+from spdzgen.net import Runtime
 
 from helpers import both_backends, shifted, tamper_sends
 
@@ -282,6 +285,47 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists() and not ledger.exists()
+
+
+class TestDuplicatedMessage:
+    """Any message of a run delivered twice fails it with exit 3: the copy is
+    a repeated contribution to an opening, or it is left untaken when its
+    run ends.  A fixed-seed sample of the messages covers every tag."""
+
+    SAMPLE = 20
+
+    def test_sampled_duplicates_exit_protocol(self, pipeline_files, tmp_path, capsys,
+                                              monkeypatch):
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        out = tmp_path / "r.json"
+        argv = ["run", "--case", str(case_csv), "--basis", str(basis_csv),
+                "--controls", str(ctrl_csv), "--out", str(out), "--seed", "7"]
+        send, tags, doubled = Runtime.send, [], None
+
+        def recording(self, src, dst, tag, payload):
+            tags.append(tag)
+            if len(tags) == doubled:
+                send(self, src, dst, tag, payload)
+            return send(self, src, dst, tag, payload)
+
+        monkeypatch.setattr(Runtime, "send", recording)
+        assert run_cli(*argv) == 0
+        families = {}
+        for i, tag in enumerate(tags, 1):
+            families.setdefault(re.sub(r":[a-z]\d{6}$", "", tag), []).append(i)
+        rng = random.Random(7)
+        sample = {rng.choice(indices) for indices in families.values()}
+        sample.update(rng.sample(sorted(set(range(1, len(tags) + 1)) - sample),
+                                 self.SAMPLE - len(sample)))
+        capsys.readouterr()
+        out.unlink()
+        for index in sorted(sample):
+            tags.clear()
+            doubled = index
+            assert run_cli(*argv) == EXIT_PROTOCOL, (index, tags[index - 1])
+            err = capsys.readouterr().err
+            assert err.startswith("protocol error:") and "Traceback" not in err
+            assert not out.exists()
 
 
 def run_module(*argv):

@@ -21,6 +21,7 @@ from spdzgen.dispense import (
     split_additive,
 )
 from spdzgen.errors import (
+    NetworkError,
     ParameterError,
     ProtocolAbort,
     SelectionError,
@@ -474,8 +475,9 @@ class TestDispenser:
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_abort_after_hop_one_leaves_no_stale_blind(self, group256, monkeypatch, mode):
-        # the aborted batch's blinds reach BTG_A and BTG_B with hop 1; the
-        # next batch must read its own, or c' != a'*b' would pass unseen
+        # the aborted batch's blinds reach BTG_A and BTG_B with hop 1 and are
+        # dropped with the failed run; the next batch reads its own, or
+        # c' != a'*b' would pass unseen
         ctx = build_parties(group256, seed=22, blinding=mode)
         armed = [True]
 
@@ -488,15 +490,15 @@ class TestDispenser:
         tamper_sends(monkeypatch, btg.BTG_TAG, break_hop_two)
         with pytest.raises(ProtocolAbort):
             ctx.dispenser.reserve(4)
+        for role in (BtgRole.A, BtgRole.B):
+            with pytest.raises(NetworkError):
+                ctx.runtime.take(ctx.btg_pids[role], "blind-r:t000001")
         ctx.dispenser.reserve(4)
         triples = list(ctx.dispenser.pool)
         assert len(triples) == 4
         for t in triples:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
-        # the aborted batch's blinds are still unread
-        for role in (BtgRole.A, BtgRole.B):
-            ctx.runtime.take(ctx.btg_pids[role], "blind-r:t000001")
 
     def test_reserve_rejects_negative(self, group256):
         ctx = build_parties(group256, seed=13)

@@ -20,9 +20,15 @@ from spdzgen.fixpt import (
 )
 from spdzgen.modmath import decode_residues, signed_decode, signed_encode
 from spdzgen.net import PartyId, Runtime
-from spdzgen.spdz import OPEN_RESULT_TAG, TripleLedger, open_value, share_secret
+from spdzgen.spdz import OPEN_RESULT_TAG, TripleLedger
 
-from helpers import assert_only_received_by, record_truncations, triple_stream
+from helpers import (
+    assert_only_received_by,
+    open_value,
+    record_truncations,
+    share_secret,
+    triple_stream,
+)
 
 PARTIES = tuple(PartyId("MPC", i) for i in (1, 2, 3))
 

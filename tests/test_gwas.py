@@ -40,10 +40,9 @@ from spdzgen.gwas import (
     share_vector,
     synth_genotypes,
 )
-from spdzgen.spdz import open_value
 from spdzgen.modmath import signed_decode
 
-from helpers import assert_only_received_by, record_truncations
+from helpers import assert_only_received_by, open_value, record_truncations
 
 
 class TestGenotypeEncoding:

@@ -2,6 +2,7 @@ import pytest
 
 from spdzgen import btg, mhkm
 from spdzgen.btg import BtgRole
+from spdzgen.dispense import deal
 from spdzgen.errors import MpcError, NetworkError
 from spdzgen.gwas import build_parties
 from spdzgen.net import PartyId, Runtime, lockstep
@@ -227,6 +228,40 @@ class TestLockstep:
         assert rt.pump() == 0
         assert rt.run(chatty(rt, B, A, 1, tag="u")) == [[b"0"]]
         assert rt.transcript == [("msg", A, B, "t", b"0"), ("msg", B, A, "u", b"0")]
+        # stepped after the failure, the chatter has not taken what round 1
+        # delivered: that message is dropped with the failed run
+        rt = Runtime([A, B])
+        with pytest.raises(NetworkError, match="boom"):
+            rt.run(failing(), chatty(rt, A, B, 3))
+        with pytest.raises(NetworkError, match="no pending"):
+            rt.take(B, "t")
+        assert rt.run(chatty(rt, A, B, 1)) == [[b"0"]]
+
+    def test_failed_round_drops_its_notes(self):
+        # the deal's owner notes the share it keeps in the round that fails
+        def bad():
+            raise NetworkError("boom")
+            yield
+
+        rt = Runtime([A, B, C])
+        with pytest.raises(NetworkError, match="boom"):
+            rt.run(deal(rt, [A, B, C], [(A, "share:v1", [5])], 101), bad())
+        assert rt.transcript == [] and rt.messages_sent == 0
+
+    def test_untaken_message_fails_the_run(self):
+        # a copy nobody takes is dropped and fails the run that delivered it
+        def doubled():
+            rt.send(A, B, "t", b"0")
+            rt.send(A, B, "t", b"0")
+            yield
+            return rt.take(B, "t").payload
+
+        rt = Runtime([A, B])
+        with pytest.raises(NetworkError, match="1 untaken message"):
+            rt.run(doubled())
+        with pytest.raises(NetworkError, match="no pending"):
+            rt.take(B, "t")
+        assert rt.run(chatty(rt, A, B, 1)) == [[b"0"]]
 
     def test_nested_lockstep_matches_flat_run(self):
         rt = Runtime([A, B, C])

@@ -13,17 +13,23 @@ from spdzgen.spdz import (
     TripleLedger,
     add_const,
     add_local,
-    beaver_mult,
     beaver_mult_batch,
-    open_value,
     open_values,
     scale_local,
-    share_secret,
-    share_values,
     sub_local,
 )
 
-from helpers import out_of_range, shifted, tamper_sends, triple_stream, truncated
+from helpers import (
+    beaver_mult,
+    open_value,
+    out_of_range,
+    share_secret,
+    share_values,
+    shifted,
+    tamper_sends,
+    triple_stream,
+    truncated,
+)
 
 P1, P2, P3 = (PartyId("MPC", i) for i in (1, 2, 3))
 PARTIES = (P1, P2, P3)
@@ -74,6 +80,22 @@ class TestOpen:
         with pytest.raises(ShareError):
             open_value(rt, sv, tiny.p, collector=PartyId("MPC", 4))
         assert rt.messages_sent == sent
+
+    def test_repeated_contribution_rejected(self, rt, tiny, monkeypatch):
+        # a second copy of P2's contribution would overwrite the first unseen
+        sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
+        send = Runtime.send
+
+        def twice(self, src, dst, tag, payload):
+            if tag.startswith(spdz.OPEN_TAG + ":") and src == P2:
+                send(self, src, dst, tag, payload)
+            return send(self, src, dst, tag, payload)
+
+        monkeypatch.setattr(Runtime, "send", twice)
+        with pytest.raises(ShareError, match="repeated contribution from MPC_2"):
+            open_value(rt, sv, tiny.p)
+        monkeypatch.undo()
+        assert open_value(rt, sv, tiny.p) == 9
 
     def test_open_to_subset_only(self, rt, tiny):
         sv = share_secret(rt, P1, 9, PARTIES, tiny.p)

@@ -2,24 +2,40 @@
 
 Roles A and B choose subgroup secrets a and b privately; C finishes holding
 c = a*b mod p without either factor ever crossing the wire in the clear.
-The message flow, per triple:
 
-    A: u_A = g^{r_A},        v_A = a * h_AC^{r_A}          -> B
-    B: u_B = u_A * g^{r_B},  v_B = v_A * b * h_AC^{r_B}    -> A
-    A: strips its key layer, re-randomizes under h_C        -> C
-    C: c = v_C / u_C^{x_C}
+One session makes K triples, cut into chunks of W = min(K, number of key
+pairs per role) triples; the last chunk may be shorter.  Slot i of a chunk
+has its own keys: h_A,i and h_C,i, with h_AC,i = h_A,i * h_C,i.  Each hop
+draws one randomness per chunk, so it computes one g^r and ships one u for
+the chunk's W ciphertexts.  The message flow, per chunk:
 
-where h_AC = h_A * h_C.  The final division is assigned to C: only C holds
-x_C, and c is C's output.
+    A: u_A = g^{r_A},        v_A,i = a_i * h_AC,i^{r_A}            -> B
+    B: u_B = u_A * g^{r_B},  v_B,i = v_A,i * b_i * h_AC,i^{r_B}    -> A
+    A: strips each slot's layer u_B^{x_A,i}, and re-randomizes the
+       chunk with one r' under the h_C,i                           -> C
+    C: c_i = v_C,i / u_C^{x_C,i}
 
-One session makes K triples at once: each hop is a single message
-`session_id | step | K x (u | v)` carrying the K ciphertexts in triple order,
-so a session is three messages in three rounds whatever K is, and nothing
-is sent back once C holds its output; every ciphertext gets the same
-exponentiations and checks as in a session of one.  The receiver of each
-hop parses it and aborts on a foreign session id, a wrong step or the wrong
-pair count.  A session is a protocol (`net.Runtime.run`), so it shares its
-rounds with whatever runs beside it.
+The final division is assigned to C: only C holds the x_C,i, and c is C's
+output.  A triple costs 5 exponentiations (h^r for A's encryption, h^r for
+B's layer, A's strip, h_C,i^r' for A's re-randomization, C's strip), and a
+chunk 3 more (one g^r per hop).
+
+Why each slot needs its own keys: re-using r across ciphertexts is as secure
+as fresh randomness when their keys are distinct and independent (Kurosawa,
+PKC 2002; Bellare, Boldyreva and Staddon, PKC 2003), and every party's view
+is that setting.  B sees hop 1 under the distinct h_AC,i; A reduces hop 2 to
+b_i under the distinct h_C,i; an eavesdropping C strips its own layers off
+hops 1 and 2 and is left with a_i and a_i*b_i under the distinct h_A,i.  With
+one h_A for every slot, C would divide two slots of hop 1 and read a_i/a_j.
+With one key pair per role, W is 1 and every triple has its own u: the
+protocol of one triple at a time, byte for byte.
+
+Each hop is a single message `session_id | step | per chunk: u, then its
+v's`, carrying the chunks in triple order, so a session is three messages in
+three rounds whatever K is, and nothing is sent back once C holds its
+output.  The receiver of each hop parses it and aborts on a foreign session
+id, a wrong step, a wrong length or a zero element.  A session is a protocol
+(`net.Runtime.run`), so it shares its rounds with whatever runs beside it.
 """
 
 from __future__ import annotations
@@ -35,6 +51,9 @@ from .net import Protocol, Runtime
 
 SESSION_ID_BYTES = 16
 BTG_TAG = "btg"
+# The most key pairs per role a dispenser holds (`dispense.TripleDispenser`),
+# and so the widest chunk of triples that share one randomness per hop.
+CHUNK = 64
 
 
 class BtgRole(enum.Enum):
@@ -47,30 +66,42 @@ class BtgRole(enum.Enum):
 class BtgMessage:
     session_id: bytes
     step: int  # 1, 2 or 3
-    payloads: tuple  # one Ciphertext per triple of the session
+    payloads: tuple  # one Ciphertext per triple; the triples of a chunk share their u
+    width: int = 1  # triples per chunk
 
     def serialize(self, params: GroupParams) -> bytes:
-        """session_id (16) | step (1) | K x (u | v), fixed element width."""
-        return (self.session_id + bytes([self.step])
-                + modmath.encode_residues([x for ct in self.payloads for x in (ct.u, ct.v)],
-                                          params.p))
+        """session_id (16) | step (1) | per chunk: u | its v's, fixed element
+        width."""
+        values = []
+        for k, ct in enumerate(self.payloads):
+            if k % self.width == 0:
+                u = ct.u
+                values.append(u)
+            elif ct.u != u:
+                raise ParameterError("the ciphertexts of a chunk do not share one u")
+            values.append(ct.v)
+        return self.session_id + bytes([self.step]) + modmath.encode_residues(values, params.p)
 
     @classmethod
-    def parse(cls, raw: bytes, params: GroupParams, count: int = 1) -> "BtgMessage":
-        """Inverse of `serialize` for a session of `count` triples; a malformed
-        payload raises ProtocolAbort."""
-        expected = SESSION_ID_BYTES + 1 + 2 * count * params.element_size
+    def parse(cls, raw: bytes, params: GroupParams, count: int = 1,
+              width: int = 1) -> "BtgMessage":
+        """Inverse of `serialize` for a session of `count` triples in chunks of
+        `width`; a malformed payload raises ProtocolAbort."""
+        elements = count + -(-count // width)  # one v per triple, one u per chunk
+        expected = SESSION_ID_BYTES + 1 + elements * params.element_size
         if len(raw) != expected:
             raise ProtocolAbort("BTG message of %d bytes, expected %d" % (len(raw), expected))
         sid = raw[:SESSION_ID_BYTES]
         step = raw[SESSION_ID_BYTES]
         if step not in (1, 2, 3):
             raise ProtocolAbort("BTG message for session %s has step %d" % (sid.hex(), step))
-        values = modmath.decode_residues(raw[SESSION_ID_BYTES + 1:], 2 * count, params.p)
+        values = modmath.decode_residues(raw[SESSION_ID_BYTES + 1:], elements, params.p)
         if 0 in values:
             raise ProtocolAbort("BTG message for session %s carries a zero element" % sid.hex())
-        return cls(sid, step, tuple(Ciphertext(values[i], values[i + 1])
-                                    for i in range(0, 2 * count, 2)))
+        # each chunk is its u and then up to `width` v's
+        return cls(sid, step, tuple(Ciphertext(values[i], v)
+                                    for i in range(0, elements, width + 1)
+                                    for v in values[i + 1:i + 1 + width]), width)
 
 
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
@@ -85,15 +116,17 @@ def _draw(params: GroupParams, rng: random.Random, pinned, k: int) -> int:
 
 
 def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
-         src, dst, cts, count: int, tag: str) -> Protocol:
-    """Send one hop of K ciphertexts; returns the K ciphertexts dst parses.
+         src, dst, cts, count: int, width: int, tag: str) -> Protocol:
+    """Send one hop of K ciphertexts in chunks of `width`; returns the K
+    ciphertexts dst parses.
 
     A payload that does not parse, or one for another session or another
     step, raises ProtocolAbort.
     """
-    runtime.send(src, dst, tag, BtgMessage(session_id, step, tuple(cts)).serialize(params))
+    runtime.send(src, dst, tag,
+                 BtgMessage(session_id, step, tuple(cts), width).serialize(params))
     yield
-    msg = BtgMessage.parse(runtime.take(dst, tag).payload, params, count)
+    msg = BtgMessage.parse(runtime.take(dst, tag).payload, params, count, width)
     if msg.session_id != session_id:
         raise ProtocolAbort("message for session %s delivered to %s"
                             % (msg.session_id.hex(), session_id.hex()))
@@ -109,19 +142,25 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     """One session of `count` triples over the runtime's channels, as a
     protocol of three rounds.
 
-    `keys` maps BtgRole -> KeyPair for roles A and C (role B never uses its
-    key and may be absent); `pids` maps BtgRole -> PartyId.  `forced`
-    optionally pins the K secrets of roles A and/or B, as lists in triple
-    order; the count and every pinned secret's subgroup membership are
-    checked at the first step, before anything is sent, and a non-member
-    raises MessageSpaceError.  Drawn secrets are squares s^2 mod p, members by
-    construction.  Every hop travels under `tag`: sessions that run side by
-    side and deliver to one party pass distinct tags.  The protocol's result
-    maps BtgRole -> the role's K secrets in triple order: a for A, b for B,
-    c for C.
+    `keys` maps BtgRole -> a list of KeyPairs for roles A and C, one per slot
+    of a chunk, and the two lists are as long; the chunk width is the lists'
+    length, up to `count` (role B never uses a key and may be absent).
+    `pids` maps BtgRole -> PartyId.  `forced` optionally pins the K secrets
+    of roles A and/or B, as lists in triple order; the key lists, the count
+    and every pinned secret's subgroup membership are checked at the first
+    step, before anything is sent, and a non-member raises MessageSpaceError.
+    Drawn secrets are squares s^2 mod p, members by construction.  Every hop
+    travels under `tag`: sessions that run side by side and deliver to one
+    party pass distinct tags.  The protocol's result maps BtgRole -> the
+    role's K secrets in triple order: a for A, b for B, c for C.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
+    keys_a, keys_c = keys[BtgRole.A], keys[BtgRole.C]
+    if not keys_a or len(keys_a) != len(keys_c):
+        raise ParameterError("roles A and C hold %d and %d key pairs; a session needs "
+                             "one each per slot" % (len(keys_a), len(keys_c)))
+    width = min(count, len(keys_a))
     forced = forced or {}
     for role, values in forced.items():
         if values is None:
@@ -134,34 +173,42 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
 
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
     rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
-    h_c = keys[BtgRole.C].h
-    h_ac = keys[BtgRole.A].h * h_c % params.p
+    h_c = [key.h for key in keys_c[:width]]
+    h_ac = [key.h * h % params.p for key, h in zip(keys_a, h_c)]
     session_id = rng_a.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "big")
 
-    # A samples each secret a and its first-layer randomness, encrypts under h_AC.
+    def hop(step, src, dst, cts):
+        return _hop(runtime, params, session_id, step, src, dst, cts, count, width, tag)
+
+    chunks = [(start, min(start + width, count)) for start in range(0, count, width)]
+
+    # A samples a chunk's secrets, then one first-layer randomness for the
+    # chunk, and encrypts slot i under h_AC,i.
     a_vals, cts = [], []
-    for k in range(count):
-        a = _draw(params, rng_a, forced.get(BtgRole.A), k)
-        cts.append(modmath.encrypt(params, h_ac, a, modmath.random_exponent(params, rng_a)))
-        a_vals.append(a)
-    received = yield from _hop(runtime, params, session_id, 1, pid_a, pid_b, cts, count, tag)
+    for start, stop in chunks:
+        secrets = [_draw(params, rng_a, forced.get(BtgRole.A), k) for k in range(start, stop)]
+        cts += modmath.encrypt(params, h_ac, secrets, modmath.random_exponent(params, rng_a))
+        a_vals += secrets
+    received = yield from hop(1, pid_a, pid_b, cts)
 
-    # B multiplies each secret b into its layered ciphertext.
+    # B multiplies each secret b into its slot, with one randomness per chunk.
     b_vals, cts = [], []
-    for k, ct in enumerate(received):
-        b = _draw(params, rng_b, forced.get(BtgRole.B), k)
-        cts.append(modmath.mult_layer(ct, b, h_ac, modmath.random_exponent(params, rng_b), params))
-        b_vals.append(b)
-    received = yield from _hop(runtime, params, session_id, 2, pid_b, pid_a, cts, count, tag)
+    for start, stop in chunks:
+        secrets = [_draw(params, rng_b, forced.get(BtgRole.B), k) for k in range(start, stop)]
+        cts += modmath.mult_layer(received[start:stop], secrets, h_ac,
+                                  modmath.random_exponent(params, rng_b), params)
+        b_vals += secrets
+    received = yield from hop(2, pid_b, pid_a, cts)
 
-    # A strips its own layer and re-randomizes each ciphertext under h_C alone.
-    x_a = keys[BtgRole.A].x
-    cts = [modmath.rerandomize(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, params)), h_c,
-                               modmath.random_exponent(params, rng_a), params)
-           for ct in received]
-    received = yield from _hop(runtime, params, session_id, 3, pid_a, pid_c, cts, count, tag)
+    # A strips each slot's layer and re-randomizes each chunk under the h_C,i alone.
+    cts = []
+    for start, stop in chunks:
+        stripped = [Ciphertext(ct.u, modmath.strip_layer(ct, key.x, params))
+                    for ct, key in zip(received[start:stop], keys_a)]
+        cts += modmath.rerandomize(stripped, h_c, modmath.random_exponent(params, rng_a), params)
+    received = yield from hop(3, pid_a, pid_c, cts)
 
     # C removes the last layer: c = a*b mod p.
-    x_c = keys[BtgRole.C].x
-    c_vals = [modmath.strip_layer(ct, x_c, params) for ct in received]
+    c_vals = [modmath.strip_layer(ct, keys_c[k % width].x, params)
+              for k, ct in enumerate(received)]
     return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}

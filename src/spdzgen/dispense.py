@@ -40,10 +40,11 @@ sb and sends the holder of c their products sa*sb, one byte per triple.  -1
 is a non-residue (p = 3 mod 4), so a' and b' are then uniform over Z_p^*, and
 no server learns a sign.
 
-Dispensation runs the K triples of one BTG session at once, and sends each
-message as soon as nothing it depends on is missing.  The blind seeds (and
-the two-mode sign seed) do not depend on the session, so they go out before
-it and ride its first hop's round.  In two mode r_a and r_b are known
+Dispensation runs the K triples of one BTG session at once, in chunks of
+min(K, btg.CHUNK) triples that share each hop's randomness under per-slot
+keys, and sends each message as soon as nothing it depends on is missing.
+The blind seeds (and the two-mode sign seed) do not depend on the session,
+so they go out before it and ride its first hop's round.  In two mode r_a and r_b are known
 before the session starts, so the `r_c` key product runs beside it in
 lockstep (`net.lockstep`), and B's sign products ride their second round.
 The three holders deal in one round.  A batch costs four rounds in either
@@ -216,8 +217,10 @@ def _signed(values, signs, p: int) -> list[int]:
 
 def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
               mpc_pids, triple_ids, owners=None, keys=None) -> Protocol:
-    """One batch end to end, as a protocol; `owners` = (O_x, O_y) selects
-    two-randomness mode, whose key product runs over `keys`.
+    """One batch end to end, as a protocol; `btg_keys` maps roles A and C
+    to the session's key-pair lists (`btg.triple_session`), and `owners` =
+    (O_x, O_y) selects two-randomness mode, whose key product runs over
+    `keys`.
 
     The blind senders (the holder of c, or O_x and O_y) send one seed each to
     the holders of a and b before the session, so the seeds ride its first
@@ -296,10 +299,13 @@ class TripleDispenser:
     `mint(n)` is the protocol that runs the configured dispensation variant
     on n triples (one triple-generation session inside it), pools the
     triples and appends their audit lines to the optional JSON-lines ledger
-    file in one write; `reserve(n)` runs it alone.  `next_triple` pops the
-    pool, minting a single triple when it is empty.  The ledger is opened
-    for append when the dispenser is built, so an unwritable path fails
-    before any triple is minted.
+    file in one write; `reserve(n)` runs it alone.  `btg_keys` maps the roles
+    A and C to lists of key pairs, which a mint grows in place to
+    min(n, btg.CHUNK), so a runtime that mints one triple at a time makes no
+    key past the first of each list.  `next_triple` pops the pool, minting a
+    single triple when it is empty.  The ledger is opened for append when
+    the dispenser is built, so an unwritable path fails before any triple is
+    minted.
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
@@ -315,8 +321,8 @@ class TripleDispenser:
         self.ox = ox
         self.oy = oy
         self.mode = mode
-        # the two-randomness key product ends at the holder of c, under its BTG key
-        self.chain_keys = {**(owner_keys or {}), btg_pids[BtgRole.C]: btg_keys[BtgRole.C]}
+        # the two-randomness key product ends at the holder of c, under its first BTG key
+        self.chain_keys = {**(owner_keys or {}), btg_pids[BtgRole.C]: btg_keys[BtgRole.C][0]}
         self.ledger_path = ledger_path
         if ledger_path is not None:
             open(ledger_path, "a").close()
@@ -325,13 +331,20 @@ class TripleDispenser:
 
     def mint(self, n: int) -> Protocol:
         """Mint n triples with one dispensation into the pool, as a protocol
-        of 4 rounds (none when n is 0).  n is checked and the triple ids
-        drawn at its first step, before anything is sent."""
+        of 4 rounds (none when n is 0).  n is checked, the triple ids drawn
+        and the holders' key lists grown at its first step, before anything
+        is sent."""
         if n < 0:
             raise ParameterError("cannot reserve %d triples" % n)
         if not n:
             return
         triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
+        # one key pair per chunk slot for the holders of a and c, each from
+        # its own generator, made once per runtime
+        for role in (BtgRole.A, BtgRole.C):
+            keys, rng = self.btg_keys[role], self.runtime.rng(self.btg_pids[role])
+            keys.extend(btg.keygen(self.params, rng)
+                        for _ in range(len(keys), min(n, btg.CHUNK)))
         if self.mode == "single":
             batch = dispense_blind_single(self.runtime, self.params, self.btg_keys,
                                           self.btg_pids, self.mpc_pids, triple_ids)

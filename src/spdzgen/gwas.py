@@ -473,8 +473,9 @@ def build_parties(group: GroupParams, seed, parties: int = 3, record: bool = Fal
     mpc_pids = [PartyId("MPC", i) for i in range(1, parties + 1)]
     runtime = Runtime(list(btg_pids.values()) + mpc_pids, seed=seed, record=record)
     # keys only for the parties that strip a layer: the holders of a and c,
-    # O_case and the leader
-    btg_keys = {role: btg.keygen(group, runtime.rng(btg_pids[role]))
+    # O_case and the leader; the dispenser grows the holders' lists to a
+    # chunk's width at its first wide mint
+    btg_keys = {role: [btg.keygen(group, runtime.rng(btg_pids[role]))]
                 for role in (BtgRole.A, BtgRole.C)}
     o_case, o_ctrl = mpc_pids[0], mpc_pids[1]
     leader = select_committee_leader(mpc_pids[2:], hashlib.sha256(repr(seed).encode()).digest())

@@ -17,7 +17,8 @@ committee leader gets the secure inflation factor's joint blind.
 
 A chain computes K products side by side: every party holds a list of K
 factors and each of the n-2 sessions carries K triples, so the chain sends
-the same messages whatever K is.
+the same messages whatever K is.  Each party has one key pair, so every
+session runs in chunks of one triple, each with its own randomness.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
     """The chain over `pids` for `count` products, as a protocol of 3(n-2)
     rounds whose result maps PartyId -> shares.
 
-    `keys` maps PartyId -> KeyPair (the base party's key is never used).
+    `keys` maps PartyId -> KeyPair (the base party's key is never used),
+    one per party, so each session's chunks are one triple wide.
     `factors` optionally pins a party's K factors; the others are drawn inside
     their sessions.  Party i < n-1 shares its own factors, the last party the
     products, each as a list of K residues.  Every session travels under
@@ -57,8 +59,7 @@ def key_product(runtime: Runtime, params: GroupParams, pids, keys: dict,
         try:
             outcome = yield from btg.triple_session(
                 runtime, params,
-                keys={BtgRole.A: keys[contributor], BtgRole.B: keys.get(holder),
-                      BtgRole.C: keys[receiver]},
+                keys={BtgRole.A: [keys[contributor]], BtgRole.C: [keys[receiver]]},
                 pids={BtgRole.A: contributor, BtgRole.B: holder, BtgRole.C: receiver},
                 forced={BtgRole.A: factors.get(contributor), BtgRole.B: product},
                 count=count, tag=tag)

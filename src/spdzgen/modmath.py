@@ -2,9 +2,9 @@
 
 Everything downstream (triple generation, key-product chains, blinding) runs in
 the order-q subgroup of quadratic residues modulo a safe prime p = 2q + 1.
-Ciphertexts are ElGamal pairs (u, v) = (g^r, m * h^r); layers can be multiplied
-in, stripped off with a secret exponent, and re-randomized without touching the
-plaintext.
+Ciphertexts are ElGamal pairs (u, v) = (g^r, m * h^r).  A batch of them under
+distinct keys shares one r and so one u; layers can be multiplied in, stripped
+off with a secret exponent, and re-randomized without touching the plaintext.
 """
 
 from __future__ import annotations
@@ -387,24 +387,28 @@ def random_subgroup_element(params: GroupParams, rng: random.Random) -> int:
     return s * s % params.p
 
 
-def encrypt(params: GroupParams, h: int, m: int, r: int) -> Ciphertext:
-    """Encrypt subgroup plaintext m under public key h with randomness r.
+def encrypt(params: GroupParams, hs, ms, r: int) -> list[Ciphertext]:
+    """Encrypt each subgroup plaintext ms[i] under public key hs[i], all with
+    one randomness r: the ciphertexts share u = g^r (multi-recipient ElGamal).
 
-    m is not tested for membership: callers draw it with
-    `random_subgroup_element` (a square, a member by construction) or check
-    it once where it enters (`btg.triple_session`).
+    Re-using r is as safe as fresh randomness only while the keys are
+    distinct and independent (Bellare, Boldyreva and Staddon, PKC 2003).  The
+    plaintexts are not tested for membership: callers draw them with
+    `random_subgroup_element` (squares, members by construction) or check
+    them once where they enter (`btg.triple_session`).
     """
     u = modexp(params.g, r, params.p)
-    v = m * modexp(h, r, params.p) % params.p
-    return Ciphertext(u, v)
+    return [Ciphertext(u, m * modexp(h, r, params.p) % params.p) for h, m in zip(hs, ms)]
 
 
-def mult_layer(ct: Ciphertext, factor: int, h: int, r: int, params: GroupParams) -> Ciphertext:
-    """Multiply the plaintext by subgroup element `factor` and re-randomize
-    with r under h; like `encrypt`, it leaves the membership test to callers."""
-    u = ct.u * modexp(params.g, r, params.p) % params.p
-    v = ct.v * factor % params.p * modexp(h, r, params.p) % params.p
-    return Ciphertext(u, v)
+def mult_layer(cts, factors, hs, r: int, params: GroupParams) -> list[Ciphertext]:
+    """Multiply each plaintext by its subgroup element `factors[i]` and add a
+    layer under hs[i], all with one r; the ciphertexts share one u, as
+    `encrypt` returns them, and so do the results.  Like `encrypt`, it leaves
+    the membership test to callers."""
+    u = cts[0].u * modexp(params.g, r, params.p) % params.p
+    return [Ciphertext(u, ct.v * f % params.p * modexp(h, r, params.p) % params.p)
+            for ct, f, h in zip(cts, factors, hs)]
 
 
 def strip_layer(ct: Ciphertext, x: int, params: GroupParams) -> int:
@@ -416,11 +420,10 @@ def strip_layer(ct: Ciphertext, x: int, params: GroupParams) -> int:
     return ct.v * modexp(ct.u, -x % params.q, params.p) % params.p
 
 
-def rerandomize(ct: Ciphertext, h: int, r: int, params: GroupParams) -> Ciphertext:
-    """Fresh randomness r under key h; the plaintext is unchanged."""
-    u = ct.u * modexp(params.g, r, params.p) % params.p
-    v = ct.v * modexp(h, r, params.p) % params.p
-    return Ciphertext(u, v)
+def rerandomize(cts, hs, r: int, params: GroupParams) -> list[Ciphertext]:
+    """Fresh randomness r under key hs[i] for each ciphertext, the plaintexts
+    unchanged; the ciphertexts share one u, and so do the results."""
+    return mult_layer(cts, [1] * len(cts), hs, r, params)
 
 
 # Bytes of a PRG seed on the wire.

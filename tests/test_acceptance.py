@@ -56,7 +56,7 @@ def triple_values(triple, p):
 def test_criterion_1_btg_correctness_500_sessions(group256):
     t0 = time.perf_counter()
     rt = Runtime(list(BTG_PIDS.values()), seed="acc1", record=False)
-    keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+    keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
     for _ in range(500):
         [out] = rt.run(btg.triple_session(rt, group256, keys, BTG_PIDS))
         [a], [b], [c] = (out[r] for r in BtgRole)
@@ -81,9 +81,9 @@ def test_criterion_2_mhkm_chain(n, group256):
 def test_criterion_3_blind_dispensation_and_multiplication(group256):
     p = group256.p
     rt = Runtime(list(BTG_PIDS.values()) + MPC, seed="acc3", record=False)
-    keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+    keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
     chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
-                  BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
+                  BTG_PIDS[BtgRole.C]: keys[BtgRole.C][0]}
 
     singles = []
     for i in range(500):
@@ -263,7 +263,7 @@ def test_criterion_8_end_to_end_cmd_run(tmp_path):
 def test_criterion_9_transcript_privacy_scans(group256):
     # BTG sessions: no party's view holds another party's secret in the clear
     rt = Runtime(list(BTG_PIDS.values()), seed="acc9", record=True)
-    keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+    keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
     for _ in range(100):
         [out] = rt.run(btg.triple_session(rt, group256, keys, BTG_PIDS))
         secrets = {role: out[role][0] for role in BtgRole}

@@ -14,7 +14,8 @@ PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"), BtgRole.C: Par
 
 
 def make_keys(params, rng):
-    return {role: btg.keygen(params, rng) for role in BtgRole}
+    """One key pair per role: sessions of one-triple chunks."""
+    return {role: [btg.keygen(params, rng)] for role in BtgRole}
 
 
 def run_tiny(seed=0, forced=None, count=1):
@@ -55,12 +56,12 @@ class TestProtocolTrace:
         keys = make_keys(group256, random.Random(5))
         [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS))
         [a], [b], [c] = (out[r] for r in BtgRole)
-        x_ac = (keys[BtgRole.A].x + keys[BtgRole.C].x) % group256.q
+        x_ac = (keys[BtgRole.A][0].x + keys[BtgRole.C][0].x) % group256.q
         m1, m2, m3 = hops(rt, group256)
         assert [m.step for m in (m1, m2, m3)] == [1, 2, 3]
         assert modmath.strip_layer(m1.payloads[0], x_ac, group256) == a
         assert modmath.strip_layer(m2.payloads[0], x_ac, group256) == a * b % group256.p
-        assert modmath.strip_layer(m3.payloads[0], keys[BtgRole.C].x, group256) == c
+        assert modmath.strip_layer(m3.payloads[0], keys[BtgRole.C][0].x, group256) == c
 
     def test_emitted_components_are_subgroup_members(self, tiny):
         for seed in range(20):
@@ -271,3 +272,133 @@ class TestBatchedSession:
             rt.run(btg.triple_session(rt, tiny, keys, PIDS, count=2, forced={BtgRole.A: [2]}))
         with pytest.raises(ParameterError):
             rt.run(btg.triple_session(rt, tiny, keys, PIDS, count=0))
+
+
+def chunk_keys(params, rng, width=btg.CHUNK):
+    """`width` key pairs for each of roles A and C: one per chunk slot."""
+    return {role: [btg.keygen(params, rng) for _ in range(width)]
+            for role in (BtgRole.A, BtgRole.C)}
+
+
+class TestSharedRandomness:
+    """A session in chunks of up to CHUNK triples: one u per chunk per hop,
+    under per-slot keys."""
+
+    @pytest.fixture(scope="class")
+    def keys(self, group256):
+        return chunk_keys(group256, random.Random(64))
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    def test_products_and_costs(self, group256, keys, count):
+        rt = Runtime(list(PIDS.values()), seed=count)
+        modmath.reset_modexp_count()
+        [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS, count=count))
+        a, b, c = (out[r] for r in BtgRole)
+        assert len(c) == count
+        assert all(ck == ak * bk % group256.p for ak, bk, ck in zip(a, b, c))
+        # 5 exponentiations per triple and one g^r per chunk per hop; each hop
+        # ships one u per chunk and one v per triple
+        width = min(count, btg.CHUNK)
+        chunks = -(-count // width)
+        assert modmath.modexp_count() == 5 * count + 3 * chunks
+        hops = [r[4] for r in rt.transcript if r[0] == "msg"]
+        assert [len(raw) for raw in hops] == [17 + group256.element_size * (count + chunks)] * 3
+        for raw in hops:
+            msg = BtgMessage.parse(raw, group256, count, width)
+            assert len({ct.u for ct in msg.payloads}) == chunks
+            assert msg.serialize(group256) == raw
+
+    def test_one_key_pair_per_role_is_one_triple_per_chunk(self, group256):
+        # a list of one key pair gives every triple its own u: the hops of a
+        # session made before randomness was shared
+        rt = Runtime(list(PIDS.values()), seed=2)
+        keys = make_keys(group256, random.Random(2))
+        modmath.reset_modexp_count()
+        rt.run(btg.triple_session(rt, group256, keys, PIDS, count=5))
+        assert modmath.modexp_count() == 8 * 5
+        hops = [r[4] for r in rt.transcript if r[0] == "msg"]
+        assert [len(raw) for raw in hops] == [17 + 2 * group256.element_size * 5] * 3
+
+    def test_key_lists_must_be_as_long(self, tiny):
+        rt = Runtime(list(PIDS.values()), seed=0)
+        keys = chunk_keys(tiny, random.Random(0), width=3)
+        for role in (BtgRole.A, BtgRole.C):
+            bad = dict(keys)
+            bad[role] = keys[role][:2]
+            with pytest.raises(ParameterError, match="key pairs"):
+                rt.run(btg.triple_session(rt, tiny, bad, PIDS, count=3))
+        assert rt.messages_sent == 0
+
+    def test_one_h_a_for_every_slot_leaks_ratios_to_c(self, group256):
+        # Why each slot needs its own key for A as well as for C.  With one
+        # h_A in every slot, an eavesdropping C strips its own layer off two
+        # slots of hop 1 and divides: the h_A^r factors cancel, leaving
+        # a_i/a_j.  Hop 2 gives (a_i*b_i)/(a_j*b_j) the same way, so C reads
+        # b_i/b_j too.  With per-slot keys the same division gives neither.
+        p, width = group256.p, 4
+        rng = random.Random(17)
+        keys_c = [btg.keygen(group256, rng) for _ in range(width)]
+        shared_a = [btg.keygen(group256, rng)] * width
+        own_a = [btg.keygen(group256, rng) for _ in range(width)]
+
+        def ratio(xs):
+            return xs[0] * pow(xs[1], -1, p) % p
+
+        def c_reads(keys_a):
+            rt = Runtime(list(PIDS.values()), seed=17)
+            [out] = rt.run(btg.triple_session(rt, group256, {BtgRole.A: keys_a,
+                                                             BtgRole.C: keys_c},
+                                              PIDS, count=width))
+            hop1, hop2 = (BtgMessage.parse(r[4], group256, width, width).payloads
+                          for r in rt.transcript if r[0] == "msg" and r[2] != PIDS[BtgRole.C])
+            stripped = [[modmath.strip_layer(ct, key.x, group256) for ct, key in zip(hop, keys_c)]
+                        for hop in (hop1, hop2)]
+            a, b = out[BtgRole.A], out[BtgRole.B]
+            seen_a = ratio(stripped[0]) == ratio(a)
+            seen_b = ratio(stripped[1]) * pow(ratio(stripped[0]), -1, p) % p == ratio(b)
+            return seen_a, seen_b
+
+        assert c_reads(shared_a) == (True, True)
+        assert c_reads(own_a) == (False, False)
+
+
+class TestChunkedSerialization:
+    """A hop of K = 5 triples in chunks of 3: u v v v | u v v."""
+
+    def _msg(self, pairs_by_chunk):
+        return BtgMessage(b"\xab" * 16, 2, tuple(Ciphertext(u, v) for u, vs in pairs_by_chunk
+                                                 for v in vs), width=3)
+
+    def test_layout_and_roundtrip(self, group256):
+        msg = self._msg([(5, [7, 11, 13]), (17, [19, 23])])
+        raw = msg.serialize(group256)
+        w = group256.element_size
+        assert raw[17:] == modmath.encode_residues([5, 7, 11, 13, 17, 19, 23], group256.p)
+        assert len(raw) == 17 + 7 * w
+        assert BtgMessage.parse(raw, group256, 5, 3) == msg
+
+    def test_malformed_chunks_rejected(self, group256):
+        w = group256.element_size
+        raw = self._msg([(5, [7, 11, 13]), (17, [19, 23])]).serialize(group256)
+        one_u_short = raw[:17] + raw[17 + w:]  # the first chunk's u dropped
+        one_v_long = raw + (29).to_bytes(w, "big")
+        zero_u = raw[:17 + 4 * w] + bytes(w) + raw[17 + 5 * w:]  # the second chunk's u
+        for bad in (one_u_short, one_v_long, zero_u):
+            with pytest.raises(ProtocolAbort):
+                BtgMessage.parse(bad, group256, 5, 3)
+        # the same bytes read as one-triple chunks are the wrong length
+        with pytest.raises(ProtocolAbort):
+            BtgMessage.parse(raw, group256, 5, 1)
+
+    def test_a_chunk_shares_one_u(self, group256):
+        msg = BtgMessage(b"\xab" * 16, 1, (Ciphertext(5, 7), Ciphertext(6, 7)), width=2)
+        with pytest.raises(ParameterError):
+            msg.serialize(group256)
+
+    def test_session_rejects_a_hop_one_u_short(self, tiny, monkeypatch):
+        w = tiny.element_size
+        tamper_sends(monkeypatch, BTG_TAG, lambda payload: payload[:17] + payload[17 + w:])
+        rt = Runtime(list(PIDS.values()), seed=0)
+        with pytest.raises(ProtocolAbort, match="bytes, expected"):
+            rt.run(btg.triple_session(rt, tiny, chunk_keys(tiny, random.Random(0), 2), PIDS,
+                                      count=3))

@@ -62,13 +62,20 @@ class TestTriples:
         assert report["invalid"] == 0 and report["mode"] == "two"
 
     # messages, rounds, modexp per triple and bytes of one batch of 12, keyed
-    # by mode.  The bytes: BTG hops of 17 + 2*32*12 each, two 16-byte blind
-    # seeds, and per holder 12 correction shares to MPC_1 plus two seeds; two
-    # mode adds its key product's three hops, the sign seed and 12
-    # sign-product bytes.  Two mode's key product runs beside the session,
-    # so both modes take 4 rounds (two mode took 7 while it ran after).
-    BATCH = {"single": (14, 4, 8.0, 3 * 785 + 32 + 3 * 416),
-             "two": (19, 4, 16.0, 6 * 785 + 32 + 3 * 416 + 16 + 12)}
+    # by mode.  The session is one chunk of 12 triples: 5 exponentiations per
+    # triple and 3 for the chunk, plus the 11 + 11 key pairs the holders of a
+    # and c add at this first mint; two mode adds its key product's 8 per
+    # triple.  The bytes: BTG hops of 17 + 32*(12 + 1) each, two 16-byte
+    # blind seeds, and per holder 12 correction shares to MPC_1 plus two
+    # seeds; two mode adds its key product's three hops of 17 + 2*32*12 (one
+    # key pair per party: a u per triple), the sign seed and 12 sign-product
+    # bytes.  Two mode's key product runs beside the session, so both modes
+    # take 4 rounds (two mode took 7 while it ran after).  Before the session
+    # shared its randomness they were 8.0 and 16.0 exponentiations per
+    # triple, and every hop was 785 bytes.
+    BATCH = {"single": (14, 4, (5 * 12 + 3 + 22) / 12, 3 * 433 + 32 + 3 * 416),
+             "two": (19, 4, (5 * 12 + 3 + 22 + 8 * 12) / 12,
+                     3 * 433 + 3 * 785 + 32 + 3 * 416 + 16 + 12)}
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_twelve_triples_are_one_batch(self, tmp_path, capsys, mode):
@@ -505,10 +512,20 @@ class TestPipelineGolden:
     # seeds and the openings they reach (15 of the 112 records).  Every
     # record kept its endpoints, tag (btg:lambda read as btg) and payload
     # length; the ledger, the report and the modexp count did not move.
+    # The transcript was re-pinned when each BTG hop began to share one
+    # randomness across its batch: the nine hops of the three mints (14, 14
+    # and 19 triples) carry one u per hop, 913 -> 497 and 1,233 -> 657 bytes,
+    # and the holders of a and c draw 13 + 13 more key pairs from their
+    # generators at the first mint, so their later draws moved: the blind
+    # seeds, the holders' shares and the openings they reach (88 of the 112
+    # records changed, 9 of them in length; every record kept its endpoints
+    # and tag, and lambda's three chain hops, every input share and every
+    # note did not move).  The ledger, the report, the decisions, lambda and the
+    # triple count did not move; the modexp count fell from 388 to 292.
     # The control loop, the Beaver products and the dispensation must leave
     # both byte-identical.  The decisions, lambda and triple count are those
     # of the per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "20615a08a9a8e08807c763472f0c15134b21e61bf85d742cfde33e45bfda665a"
+    TRANSCRIPT_SHA256 = "50980cc151610b23326cc7dc3841a78f80245dee514c19fc65124a0c9e60741a"
     LEDGER_SHA256 = "73e6cfa6651512d0c7a2499582d37dfe381c3c57f0bbe39251675d6f7be24d99"
 
     @both_backends

@@ -190,6 +190,15 @@ class TestBuildParties:
         assert set(ctx.btg_keys) == {BtgRole.A, BtgRole.C}
         assert set(ctx.owner_keys) == {ctx.o_case, ctx.leader}
 
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_four_exponentiations(self, group256, mode):
+        # one key pair each for the holders of a and c, O_case and the
+        # leader; the holders' chunk keys wait for the first wide mint
+        modmath.reset_modexp_count()
+        ctx = build_parties(group256, seed=5, blinding=mode)
+        assert modmath.modexp_count() == 4
+        assert [len(ctx.btg_keys[role]) for role in (BtgRole.A, BtgRole.C)] == [1, 1]
+
 
 class TestBlindFactorArithmetic:
     def test_two_example(self, tiny):
@@ -223,7 +232,7 @@ def build_runtime(seed=0):
 
 
 def trio_keys(params, seed=0):
-    return {role: btg.keygen(params, random.Random("%s-%s" % (seed, role.value)))
+    return {role: [btg.keygen(params, random.Random("%s-%s" % (seed, role.value)))]
             for role in BtgRole}
 
 
@@ -284,7 +293,7 @@ class TestDispensationProtocol:
             keys = trio_keys(group256, seed="two%d" % i)
             [[triple]] = rt.run(dispense_blind_two(
                 rt, group256, keys, BTG_PIDS, MPC, ox=MPC[0], oy=MPC[1], triple_ids=["t%d" % i],
-                keys={MPC[0]: ox_key, BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}))
+                keys={MPC[0]: ox_key, BTG_PIDS[BtgRole.C]: keys[BtgRole.C][0]}))
             a2, b2, c2 = reconstruct_triple(triple, p)
             assert c2 == a2 * b2 % p
 
@@ -309,9 +318,9 @@ class TestBatchedDispensation:
         # hop 2.  Two mode took 7 rounds while its key product ran after the
         # session.
         rt = build_runtime(seed=6)
-        keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+        keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
-                      BTG_PIDS[BtgRole.C]: keys[BtgRole.C]}
+                      BTG_PIDS[BtgRole.C]: keys[BtgRole.C][0]}
         ids = ["b%d" % i for i in range(4)]
         if mode == "single":
             [triples] = rt.run(dispense_blind_single(rt, group256, keys, BTG_PIDS, MPC,
@@ -427,7 +436,7 @@ class TestExpandedBlinds:
 class TestDispenser:
     def test_mints_valid_triples_and_counts(self, group256, tmp_path):
         rt = build_runtime(seed=5)
-        keys = {role: btg.keygen(group256, rt.rng(pid)) for role, pid in BTG_PIDS.items()}
+        keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
         ledger_file = tmp_path / "ledger.jsonl"
         disp = TripleDispenser(rt, group256, BTG_PIDS, keys, MPC,
                                ox=MPC[0], oy=MPC[1], ledger_path=ledger_file)
@@ -603,6 +612,43 @@ class TestTwoModeSigns:
                                 lambda payload: bytes(1 - bit for bit in payload))
         products = [reconstruct_triple(t, p) for t in triples]
         assert all(c == -a * b % p for a, b, c in products)
+
+
+class TestChunkedMints:
+    """Mints whose sessions share each hop's randomness across a chunk."""
+
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    def test_products(self, group256, mode, count):
+        ctx = build_parties(group256, seed=count, blinding=mode)
+        ctx.dispenser.reserve(count)
+        triples = [ctx.dispenser.next_triple() for _ in range(count)]
+        for t in triples:
+            a, b, c = reconstruct_triple(t, group256.p)
+            assert c == a * b % group256.p
+        assert [len(ctx.btg_keys[role]) for role in (BtgRole.A, BtgRole.C)] == \
+            [min(count, btg.CHUNK)] * 2
+
+    def test_keys_of_a_chunk_are_pairwise_distinct(self, group256):
+        ctx = build_parties(group256, seed=1)
+        ctx.dispenser.reserve(btg.CHUNK + 1)
+        keys_a, keys_c = (ctx.btg_keys[role] for role in (BtgRole.A, BtgRole.C))
+        h_a, h_c = [k.h for k in keys_a], [k.h for k in keys_c]
+        h_ac = [x * y % group256.p for x, y in zip(h_a, h_c)]
+        for hs in (h_a, h_c, h_ac):
+            assert len(set(hs)) == len(hs) == btg.CHUNK
+
+    def test_keys_are_made_once_per_runtime(self, group256):
+        # the first mint of 10 makes 9 + 9 key pairs, a mint of 3 none, and
+        # a mint of 70 grows the lists to CHUNK: 54 + 54 more
+        ctx = build_parties(group256, seed=2)
+        made = []
+        for n in (10, 3, 70):
+            modmath.reset_modexp_count()
+            ctx.dispenser.reserve(n)
+            width = min(n, btg.CHUNK)
+            made.append(modmath.modexp_count() - 5 * n - 3 * -(-n // width))
+        assert made == [18, 0, 108]
 
 
 class TestGoldenTranscript:

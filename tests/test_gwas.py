@@ -460,8 +460,12 @@ class TestFilterPipeline:
     # after the first: from 11,033, 14,841, 26,303 and 37,727 bytes.  The
     # sign test's opening to the mask owner alone saved 160 bytes per control
     # (two mask seed pairs 64, the broadcast of c 64, the carry's seed pair
-    # 32): from 10,854, 14,662, 26,060 and 37,484 bytes.
-    WIRE_BYTES = {(1, 1): 10_694, (1, 2): 14_502, (3, 1): 25_580, (3, 2): 37_004}
+    # 32): from 10,854, 14,662, 26,060 and 37,484 bytes.  Sharing each hop's
+    # randomness across a batch of K <= 64 triples sends one 32-byte u per
+    # hop instead of K, which saved 3 * 32 * (K - 1) bytes per batch: batches
+    # of 18, 25, 13 + 13 + 18 and 20 + 20 + 25 triples, from 10,694, 14,502,
+    # 25,580 and 37,004 bytes.
+    WIRE_BYTES = {(1, 1): 9_062, (1, 2): 12_198, (3, 1): 21_644, (3, 2): 31_052}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])

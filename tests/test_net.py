@@ -281,7 +281,7 @@ class TestSideBySideSessions:
     def test_sessions_to_one_party_never_cross(self, tiny):
         pids = {BtgRole.A: A, BtgRole.B: B, BtgRole.C: C}
         rt = Runtime([A, B, C], seed=1)
-        keys = {role: btg.keygen(tiny, rt.rng(pid)) for role, pid in pids.items()}
+        keys = {role: [btg.keygen(tiny, rt.rng(pid))] for role, pid in pids.items()}
         first, second = rt.run(
             btg.triple_session(rt, tiny, keys, pids, forced={BtgRole.A: [2], BtgRole.B: [3]}),
             btg.triple_session(rt, tiny, keys, pids, forced={BtgRole.A: [4], BtgRole.B: [9]},

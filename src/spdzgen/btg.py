@@ -5,9 +5,10 @@ c = a*b mod p without either factor ever crossing the wire in the clear.
 
 One session makes K triples, cut into chunks of W = min(K, number of key
 pairs per role) triples; the last chunk may be shorter.  Slot i of a chunk
-has its own keys: h_A,i and h_C,i, with h_AC,i = h_A,i * h_C,i.  Each hop
-draws one randomness per chunk, so it computes one g^r and ships one u for
-the chunk's W ciphertexts.  The message flow, per chunk:
+has its own keys: h_A,i and h_C,i, with h_AC,i = h_A,i * h_C,i.  A chunk is
+one multi-recipient ciphertext (`modmath.Ciphertext`): each hop draws one
+randomness for it, so it computes one g^r and ships one u and W v's.  The
+message flow, per chunk:
 
     A: u_A = g^{r_A},        v_A,i = a_i * h_AC,i^{r_A}            -> B
     B: u_B = u_A * g^{r_B},  v_B,i = v_A,i * b_i * h_AC,i^{r_B}    -> A
@@ -20,22 +21,23 @@ output.  A triple costs 5 exponentiations (h^r for A's encryption, h^r for
 B's layer, A's strip, h_C,i^r' for A's re-randomization, C's strip), and a
 chunk 3 more (one g^r per hop).
 
-Why each slot needs its own keys: re-using r across ciphertexts is as secure
-as fresh randomness when their keys are distinct and independent (Kurosawa,
-PKC 2002; Bellare, Boldyreva and Staddon, PKC 2003), and every party's view
-is that setting.  B sees hop 1 under the distinct h_AC,i; A reduces hop 2 to
-b_i under the distinct h_C,i; an eavesdropping C strips its own layers off
-hops 1 and 2 and is left with a_i and a_i*b_i under the distinct h_A,i.  With
-one h_A for every slot, C would divide two slots of hop 1 and read a_i/a_j.
-With one key pair per role, W is 1 and every triple has its own u: the
-protocol of one triple at a time, byte for byte.
+Why each slot needs its own keys: one r for a chunk's slots is as secure as
+fresh randomness per slot when their keys are distinct and independent
+(Kurosawa, PKC 2002; Bellare, Boldyreva and Staddon, PKC 2003), and every
+party's view is that setting.  B sees hop 1 under the distinct h_AC,i; A
+reduces hop 2 to b_i under the distinct h_C,i; an eavesdropping C strips its
+own layers off hops 1 and 2 and is left with a_i and a_i*b_i under the
+distinct h_A,i.  With one h_A for every slot, C would divide two slots of
+hop 1 and read a_i/a_j.  With one key pair per role, W is 1 and every triple
+has its own u: the protocol of one triple at a time, byte for byte.
 
 Each hop is a single message `session_id | step | per chunk: u, then its
-v's`, carrying the chunks in triple order, so a session is three messages in
-three rounds whatever K is, and nothing is sent back once C holds its
-output.  The receiver of each hop parses it and aborts on a foreign session
-id, a wrong step, a wrong length or a zero element.  A session is a protocol
-(`net.Runtime.run`), so it shares its rounds with whatever runs beside it.
+v's` (`BtgMessage`), carrying the chunks' ciphertexts in triple order, so a
+session is three messages in three rounds whatever K is, and nothing is
+sent back once C holds its output.  The receiver of each hop parses it and
+aborts on a foreign session id, a wrong step, a wrong length or a zero
+element.  A session is a protocol (`net.Runtime.run`), so it shares its
+rounds with whatever runs beside it.
 """
 
 from __future__ import annotations
@@ -66,20 +68,12 @@ class BtgRole(enum.Enum):
 class BtgMessage:
     session_id: bytes
     step: int  # 1, 2 or 3
-    payloads: tuple  # one Ciphertext per triple; the triples of a chunk share their u
-    width: int = 1  # triples per chunk
+    chunks: tuple  # one Ciphertext per chunk of triples, in triple order
 
     def serialize(self, params: GroupParams) -> bytes:
         """session_id (16) | step (1) | per chunk: u | its v's, fixed element
         width."""
-        values = []
-        for k, ct in enumerate(self.payloads):
-            if k % self.width == 0:
-                u = ct.u
-                values.append(u)
-            elif ct.u != u:
-                raise ParameterError("the ciphertexts of a chunk do not share one u")
-            values.append(ct.v)
+        values = [x for ct in self.chunks for x in (ct.u, *ct.vs)]
         return self.session_id + bytes([self.step]) + modmath.encode_residues(values, params.p)
 
     @classmethod
@@ -99,9 +93,8 @@ class BtgMessage:
         if 0 in values:
             raise ProtocolAbort("BTG message for session %s carries a zero element" % sid.hex())
         # each chunk is its u and then up to `width` v's
-        return cls(sid, step, tuple(Ciphertext(values[i], v)
-                                    for i in range(0, elements, width + 1)
-                                    for v in values[i + 1:i + 1 + width]), width)
+        return cls(sid, step, tuple(Ciphertext(values[i], tuple(values[i + 1:i + 1 + width]))
+                                    for i in range(0, elements, width + 1)))
 
 
 def keygen(params: GroupParams, rng: random.Random) -> KeyPair:
@@ -117,14 +110,13 @@ def _draw(params: GroupParams, rng: random.Random, pinned, k: int) -> int:
 
 def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
          src, dst, cts, count: int, width: int, tag: str) -> Protocol:
-    """Send one hop of K ciphertexts in chunks of `width`; returns the K
-    ciphertexts dst parses.
+    """Send one hop of K triples' ciphertexts, one per chunk of `width`;
+    returns the ciphertexts dst parses.
 
     A payload that does not parse, or one for another session or another
     step, raises ProtocolAbort.
     """
-    runtime.send(src, dst, tag,
-                 BtgMessage(session_id, step, tuple(cts), width).serialize(params))
+    runtime.send(src, dst, tag, BtgMessage(session_id, step, tuple(cts)).serialize(params))
     yield
     msg = BtgMessage.parse(runtime.take(dst, tag).payload, params, count, width)
     if msg.session_id != session_id:
@@ -133,7 +125,7 @@ def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
     if msg.step != step:
         raise ProtocolAbort("session %s expected a step-%d message, got step %d"
                             % (session_id.hex(), step, msg.step))
-    return msg.payloads
+    return msg.chunks
 
 
 def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
@@ -173,6 +165,7 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
 
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)
     rng_a, rng_b = runtime.rng(pid_a), runtime.rng(pid_b)
+    x_a, x_c = ([key.x for key in pairs[:width]] for pairs in (keys_a, keys_c))
     h_c = [key.h for key in keys_c[:width]]
     h_ac = [key.h * h % params.p for key, h in zip(keys_a, h_c)]
     session_id = rng_a.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "big")
@@ -180,35 +173,32 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     def hop(step, src, dst, cts):
         return _hop(runtime, params, session_id, step, src, dst, cts, count, width, tag)
 
-    chunks = [(start, min(start + width, count)) for start in range(0, count, width)]
+    spans = [range(start, min(start + width, count)) for start in range(0, count, width)]
 
     # A samples a chunk's secrets, then one first-layer randomness for the
     # chunk, and encrypts slot i under h_AC,i.
     a_vals, cts = [], []
-    for start, stop in chunks:
-        secrets = [_draw(params, rng_a, forced.get(BtgRole.A), k) for k in range(start, stop)]
-        cts += modmath.encrypt(params, h_ac, secrets, modmath.random_exponent(params, rng_a))
+    for span in spans:
+        secrets = [_draw(params, rng_a, forced.get(BtgRole.A), k) for k in span]
+        cts.append(modmath.encrypt(params, h_ac, secrets, modmath.random_exponent(params, rng_a)))
         a_vals += secrets
     received = yield from hop(1, pid_a, pid_b, cts)
 
     # B multiplies each secret b into its slot, with one randomness per chunk.
     b_vals, cts = [], []
-    for start, stop in chunks:
-        secrets = [_draw(params, rng_b, forced.get(BtgRole.B), k) for k in range(start, stop)]
-        cts += modmath.mult_layer(received[start:stop], secrets, h_ac,
-                                  modmath.random_exponent(params, rng_b), params)
+    for ct, span in zip(received, spans):
+        secrets = [_draw(params, rng_b, forced.get(BtgRole.B), k) for k in span]
+        cts.append(modmath.mult_layer(ct, secrets, h_ac,
+                                      modmath.random_exponent(params, rng_b), params))
         b_vals += secrets
     received = yield from hop(2, pid_b, pid_a, cts)
 
     # A strips each slot's layer and re-randomizes each chunk under the h_C,i alone.
-    cts = []
-    for start, stop in chunks:
-        stripped = [Ciphertext(ct.u, modmath.strip_layer(ct, key.x, params))
-                    for ct, key in zip(received[start:stop], keys_a)]
-        cts += modmath.rerandomize(stripped, h_c, modmath.random_exponent(params, rng_a), params)
+    cts = [modmath.rerandomize(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, params)), h_c,
+                               modmath.random_exponent(params, rng_a), params)
+           for ct in received]
     received = yield from hop(3, pid_a, pid_c, cts)
 
     # C removes the last layer: c = a*b mod p.
-    c_vals = [modmath.strip_layer(ct, keys_c[k % width].x, params)
-              for k, ct in enumerate(received)]
+    c_vals = [c for ct in received for c in modmath.strip_layer(ct, x_c, params)]
     return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}

@@ -71,7 +71,7 @@ def cmd_triples(args) -> int:
     modmath.reset_modexp_count()
     messages, rounds, sent = runtime.messages_sent, runtime.rounds, runtime.bytes_sent
     t0 = time.perf_counter()
-    ctx.dispenser.reserve(args.count)
+    runtime.run(ctx.dispenser.mint(args.count))
     triples = [ctx.dispenser.next_triple() for _ in range(args.count)]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     exps = modmath.modexp_count()

@@ -56,8 +56,8 @@ batch's first triple id in their tags, which keep lockstep messages apart
 (the key product's last hop and the session's both reach the holder of c
 in the third round) and keep transcripts byte-identical.
 `TripleDispenser` keeps the dispensed triples in a FIFO pool: `mint(n)` is
-the protocol that mints n of them with one dispensation, `reserve(n)` runs
-it alone, and `next_triple` hands them out in order.
+the protocol that mints n of them with one dispensation, and `next_triple`
+hands them out in order.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ class TripleDispenser:
     `mint(n)` is the protocol that runs the configured dispensation variant
     on n triples (one triple-generation session inside it), pools the
     triples and appends their audit lines to the optional JSON-lines ledger
-    file in one write; `reserve(n)` runs it alone.  `btg_keys` maps the roles
-    A and C to lists of key pairs, which a mint grows in place to
+    file in one write; callers run it with `Runtime.run`.  `btg_keys` maps
+    the roles A and C to lists of key pairs, which a mint grows in place to
     min(n, btg.CHUNK), so a runtime that mints one triple at a time makes no
     key past the first of each list.  `next_triple` pops the pool, minting a
     single triple when it is empty.  The ledger is opened for append when
@@ -335,7 +335,7 @@ class TripleDispenser:
         and the holders' key lists grown at its first step, before anything
         is sent."""
         if n < 0:
-            raise ParameterError("cannot reserve %d triples" % n)
+            raise ParameterError("cannot mint %d triples" % n)
         if not n:
             return
         triple_ids = [self.runtime.fresh_id("t") for _ in range(n)]
@@ -359,12 +359,8 @@ class TripleDispenser:
                 fh.write("".join(json.dumps({"triple_id": tid, "parties": parties}) + "\n"
                                  for tid in triple_ids))
 
-    def reserve(self, n: int):
-        """Mint n triples with one dispensation into the pool."""
-        self.runtime.run(self.mint(n))
-
     def next_triple(self) -> BeaverTripleShares:
         if not self.pool:
-            self.reserve(1)
+            self.runtime.run(self.mint(1))
         self.count += 1
         return self.pool.popleft()

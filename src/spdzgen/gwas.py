@@ -71,6 +71,14 @@ def counts_of(values) -> tuple:
     return tuple(tally)
 
 
+def _is_integer(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class GenotypeMatrix:
     entries: tuple  # rows of tuples, each value in {0, 1, 2}
@@ -102,8 +110,11 @@ class GenotypeMatrix:
             rows = list(csv.reader(fh))
         if not rows:
             raise ParseError("empty genotype file %s" % path)
+        header, *body = rows
+        if header and all(_is_integer(v) for v in header):
+            raise ParseError("genotype file %s starts with a sample, not a header" % path)
         try:
-            entries = tuple(tuple(int(v) for v in row) for row in rows[1:] if row)
+            entries = tuple(tuple(int(v) for v in row) for row in body if row)
         except ValueError as exc:
             raise ParseError("non-integer genotype entry in %s: %s" % (path, exc))
         return cls(entries=entries)
@@ -573,7 +584,7 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
             basis_entries = []  # an empty batch sends nothing
         for k, ctrl in enumerate(block):
             if k:
-                dispenser.reserve(sizes[k])
+                runtime.run(dispenser.mint(sizes[k]))
             res = residual_norm_sq(runtime, basis_cols, z_block[k * dim:(k + 1) * dim],
                                    params, dispenser, ctx.ledger, ctx.roles)
             if secure_accept_bit(runtime, res, config, ctx.roles):

@@ -2,9 +2,10 @@
 
 Everything downstream (triple generation, key-product chains, blinding) runs in
 the order-q subgroup of quadratic residues modulo a safe prime p = 2q + 1.
-Ciphertexts are ElGamal pairs (u, v) = (g^r, m * h^r).  A batch of them under
-distinct keys shares one r and so one u; layers can be multiplied in, stripped
-off with a secret exponent, and re-randomized without touching the plaintext.
+A ciphertext is multi-recipient ElGamal: plaintexts m_i under distinct keys
+h_i and one randomness r travel as one u = g^r and one v_i = m_i * h_i^r each.
+Layers can be multiplied in, stripped off with secret exponents, and
+re-randomized without touching the plaintexts.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ class KeyPair:
 
 
 class Ciphertext(NamedTuple):
-    u: int
-    v: int
+    u: int  # g^r, one for the batch
+    vs: tuple  # m_i * h_i^r, one per plaintext and key
 
 
 # Tiny group for exhaustive unit tests: the only 5-bit safe prime.
@@ -387,9 +388,10 @@ def random_subgroup_element(params: GroupParams, rng: random.Random) -> int:
     return s * s % params.p
 
 
-def encrypt(params: GroupParams, hs, ms, r: int) -> list[Ciphertext]:
+def encrypt(params: GroupParams, hs, ms, r: int) -> Ciphertext:
     """Encrypt each subgroup plaintext ms[i] under public key hs[i], all with
-    one randomness r: the ciphertexts share u = g^r (multi-recipient ElGamal).
+    one randomness r: one u = g^r and v_i = ms[i] * hs[i]^r (multi-recipient
+    ElGamal).
 
     Re-using r is as safe as fresh randomness only while the keys are
     distinct and independent (Bellare, Boldyreva and Staddon, PKC 2003).  The
@@ -398,32 +400,32 @@ def encrypt(params: GroupParams, hs, ms, r: int) -> list[Ciphertext]:
     them once where they enter (`btg.triple_session`).
     """
     u = modexp(params.g, r, params.p)
-    return [Ciphertext(u, m * modexp(h, r, params.p) % params.p) for h, m in zip(hs, ms)]
+    return Ciphertext(u, tuple(m * modexp(h, r, params.p) % params.p for h, m in zip(hs, ms)))
 
 
-def mult_layer(cts, factors, hs, r: int, params: GroupParams) -> list[Ciphertext]:
+def mult_layer(ct: Ciphertext, factors, hs, r: int, params: GroupParams) -> Ciphertext:
     """Multiply each plaintext by its subgroup element `factors[i]` and add a
-    layer under hs[i], all with one r; the ciphertexts share one u, as
-    `encrypt` returns them, and so do the results.  Like `encrypt`, it leaves
-    the membership test to callers."""
-    u = cts[0].u * modexp(params.g, r, params.p) % params.p
-    return [Ciphertext(u, ct.v * f % params.p * modexp(h, r, params.p) % params.p)
-            for ct, f, h in zip(cts, factors, hs)]
+    layer under hs[i], all with one r.  Like `encrypt`, it leaves the
+    membership test to callers."""
+    u = ct.u * modexp(params.g, r, params.p) % params.p
+    return Ciphertext(u, tuple(v * f % params.p * modexp(h, r, params.p) % params.p
+                               for v, f, h in zip(ct.vs, factors, hs)))
 
 
-def strip_layer(ct: Ciphertext, x: int, params: GroupParams) -> int:
-    """Remove the key layer x: returns v / u^x mod p, computed as v * u^(q-x).
+def strip_layer(ct: Ciphertext, xs, params: GroupParams) -> list[int]:
+    """Remove the key layer xs[i] from each v_i: returns v_i / u^xs[i] mod p,
+    computed as v_i * u^(q-xs[i]).
 
     u^q = 1 for every u in the order-q subgroup, so u^(q-x) = u^-x there and
     stripping needs no inverse.
     """
-    return ct.v * modexp(ct.u, -x % params.q, params.p) % params.p
+    return [v * modexp(ct.u, -x % params.q, params.p) % params.p for v, x in zip(ct.vs, xs)]
 
 
-def rerandomize(cts, hs, r: int, params: GroupParams) -> list[Ciphertext]:
-    """Fresh randomness r under key hs[i] for each ciphertext, the plaintexts
-    unchanged; the ciphertexts share one u, and so do the results."""
-    return mult_layer(cts, [1] * len(cts), hs, r, params)
+def rerandomize(ct: Ciphertext, hs, r: int, params: GroupParams) -> Ciphertext:
+    """Fresh randomness r under key hs[i] for each plaintext, the plaintexts
+    unchanged."""
+    return mult_layer(ct, [1] * len(ct.vs), hs, r, params)
 
 
 # Bytes of a PRG seed on the wire.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -59,17 +60,16 @@ class TestProtocolTrace:
         x_ac = (keys[BtgRole.A][0].x + keys[BtgRole.C][0].x) % group256.q
         m1, m2, m3 = hops(rt, group256)
         assert [m.step for m in (m1, m2, m3)] == [1, 2, 3]
-        assert modmath.strip_layer(m1.payloads[0], x_ac, group256) == a
-        assert modmath.strip_layer(m2.payloads[0], x_ac, group256) == a * b % group256.p
-        assert modmath.strip_layer(m3.payloads[0], keys[BtgRole.C][0].x, group256) == c
+        assert modmath.strip_layer(m1.chunks[0], [x_ac], group256) == [a]
+        assert modmath.strip_layer(m2.chunks[0], [x_ac], group256) == [a * b % group256.p]
+        assert modmath.strip_layer(m3.chunks[0], [keys[BtgRole.C][0].x], group256) == [c]
 
     def test_emitted_components_are_subgroup_members(self, tiny):
         for seed in range(20):
             rt, _ = run_tiny(seed)
             for msg in hops(rt, tiny):
-                [ct] = msg.payloads
-                assert modmath.is_subgroup_member(ct.u, tiny)
-                assert modmath.is_subgroup_member(ct.v, tiny)
+                [ct] = msg.chunks
+                assert all(modmath.is_subgroup_member(y, tiny) for y in (ct.u, *ct.vs))
 
     def test_identity_triple(self, tiny):
         _, out = run_tiny(forced={BtgRole.A: [1], BtgRole.B: [1]})
@@ -129,21 +129,21 @@ class TestPinnedSecrets:
 
 class TestSerialization:
     def test_wire_roundtrip(self, group256):
-        msg = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, 789),))
+        msg = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, (789,)),))
         raw = msg.serialize(group256)
         assert len(raw) == 16 + 1 + 2 * group256.element_size
         back = BtgMessage.parse(raw, group256)
         assert back == msg
 
     def test_truncated_and_overlong_payloads(self, group256):
-        raw = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, 789),)).serialize(group256)
+        raw = BtgMessage(b"\xab" * 16, 2, (Ciphertext(123456, (789,)),)).serialize(group256)
         for bad in (b"", raw[:16], raw[:17], raw[:-1], raw + b"\x00"):
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(bad, group256)
 
     @pytest.mark.parametrize("step", [0, 4, 255])
     def test_bad_step(self, group256, step):
-        raw = bytearray(BtgMessage(b"\xab" * 16, 1, (Ciphertext(5, 7),)).serialize(group256))
+        raw = bytearray(BtgMessage(b"\xab" * 16, 1, (Ciphertext(5, (7,)),)).serialize(group256))
         raw[16] = step
         with pytest.raises(ProtocolAbort):
             BtgMessage.parse(bytes(raw), group256)
@@ -151,10 +151,10 @@ class TestSerialization:
     def test_elements_outside_open_range(self, group256):
         p, top = group256.p, (1 << (8 * group256.element_size)) - 1
         for u, v in ((0, 7), (7, 0), (p, 7), (7, p), (top, 7), (7, top)):
-            raw = BtgMessage(b"\xab" * 16, 3, (Ciphertext(u, v),)).serialize(group256)
+            raw = BtgMessage(b"\xab" * 16, 3, (Ciphertext(u, (v,)),)).serialize(group256)
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(raw, group256)
-        edge = BtgMessage(b"\xab" * 16, 3, (Ciphertext(1, p - 1),))
+        edge = BtgMessage(b"\xab" * 16, 3, (Ciphertext(1, (p - 1,)),))
         assert BtgMessage.parse(edge.serialize(group256), group256) == edge
 
 
@@ -193,7 +193,7 @@ class TestRuntimeDriver:
                                       forced={BtgRole.A: [4], BtgRole.B: [9]}))
             msgs = [r for r in rt.transcript if r[0] == "msg" and r[3] == BTG_TAG]
             m3 = BtgMessage.parse(msgs[2][4], group256)
-            third.add(m3.payloads)
+            third.add(m3.chunks)
         assert len(third) >= 2
 
     def test_privacy_no_secret_in_any_payload(self, group256):
@@ -207,9 +207,9 @@ class TestRuntimeDriver:
                 if rec[0] != "msg" or rec[3] != BTG_TAG:
                     continue
                 parsed = BtgMessage.parse(rec[4], group256)
-                for ct in parsed.payloads:
+                for ct in parsed.chunks:
                     assert ct.u not in secrets
-                    assert ct.v not in secrets
+                    assert not secrets.intersection(ct.vs)
 
 
 class TestBatchedSession:
@@ -225,7 +225,7 @@ class TestBatchedSession:
         assert [r[3] for r in msgs] == [BTG_TAG] * 3
         for rec in msgs[:3]:
             parsed = BtgMessage.parse(rec[4], group256, count=3)
-            assert len(parsed.payloads) == 3
+            assert len(parsed.chunks) == 3
             assert parsed.serialize(group256) == rec[4]
 
     def test_forced_secrets_per_triple(self, tiny):
@@ -236,12 +236,12 @@ class TestBatchedSession:
         assert out[BtgRole.C] == [6, 3, 36 % 23]
 
     def _raw(self, group256, pairs):
-        return BtgMessage(b"\xab" * 16, 1, tuple(Ciphertext(u, v) for u, v in pairs)) \
+        return BtgMessage(b"\xab" * 16, 1, tuple(Ciphertext(u, (v,)) for u, v in pairs)) \
             .serialize(group256)
 
     def test_pair_count_must_match_session(self, group256):
         pairs = [(5, 7), (11, 13), (17, 19)]
-        assert len(BtgMessage.parse(self._raw(group256, pairs), group256, 3).payloads) == 3
+        assert len(BtgMessage.parse(self._raw(group256, pairs), group256, 3).chunks) == 3
         for bad in (pairs[:2], pairs + [(23, 29)]):
             with pytest.raises(ProtocolAbort):
                 BtgMessage.parse(self._raw(group256, bad), group256, 3)
@@ -284,6 +284,16 @@ class TestSharedRandomness:
     """A session in chunks of up to CHUNK triples: one u per chunk per hop,
     under per-slot keys."""
 
+    # sha256 of each session's transcript, pinned over one list of CHUNK key
+    # pairs per role: K = 65 and 129 end in a chunk of one triple
+    GOLDEN = {
+        1: "7c9f27358d1adcd8c35ae31607201c2c537fa87c41c01fc8e51cbd77c19b39a1",
+        63: "5fefbdc233aea9c0c6f3a445fe0017b877d4fe780c0ba87379ce5ed5dc963ffb",
+        64: "d6b475c9ad410c24cb1dc0a9e41639edd6090d41a1d131fdb15a11f55593f4e2",
+        65: "cc8cb5aa7d872044f07b6804b796528a38a6469c8e3445360793f6e9b94d6b02",
+        129: "147aeb191a3a3cd806c4771ad0bf7068083baed99b53e2d55ac58a75fbbc58cf",
+    }
+
     @pytest.fixture(scope="class")
     def keys(self, group256):
         return chunk_keys(group256, random.Random(64))
@@ -301,11 +311,13 @@ class TestSharedRandomness:
         width = min(count, btg.CHUNK)
         chunks = -(-count // width)
         assert modmath.modexp_count() == 5 * count + 3 * chunks
+        assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == self.GOLDEN[count]
         hops = [r[4] for r in rt.transcript if r[0] == "msg"]
         assert [len(raw) for raw in hops] == [17 + group256.element_size * (count + chunks)] * 3
         for raw in hops:
             msg = BtgMessage.parse(raw, group256, count, width)
-            assert len({ct.u for ct in msg.payloads}) == chunks
+            assert len(msg.chunks) == chunks
+            assert sum(len(ct.vs) for ct in msg.chunks) == count
             assert msg.serialize(group256) == raw
 
     def test_one_key_pair_per_role_is_one_triple_per_chunk(self, group256):
@@ -349,10 +361,10 @@ class TestSharedRandomness:
             [out] = rt.run(btg.triple_session(rt, group256, {BtgRole.A: keys_a,
                                                              BtgRole.C: keys_c},
                                               PIDS, count=width))
-            hop1, hop2 = (BtgMessage.parse(r[4], group256, width, width).payloads
-                          for r in rt.transcript if r[0] == "msg" and r[2] != PIDS[BtgRole.C])
-            stripped = [[modmath.strip_layer(ct, key.x, group256) for ct, key in zip(hop, keys_c)]
-                        for hop in (hop1, hop2)]
+            hops = [BtgMessage.parse(r[4], group256, width, width).chunks[0]
+                    for r in rt.transcript if r[0] == "msg" and r[2] != PIDS[BtgRole.C]]
+            stripped = [modmath.strip_layer(ct, [key.x for key in keys_c], group256)
+                        for ct in hops]
             a, b = out[BtgRole.A], out[BtgRole.B]
             seen_a = ratio(stripped[0]) == ratio(a)
             seen_b = ratio(stripped[1]) * pow(ratio(stripped[0]), -1, p) % p == ratio(b)
@@ -366,8 +378,8 @@ class TestChunkedSerialization:
     """A hop of K = 5 triples in chunks of 3: u v v v | u v v."""
 
     def _msg(self, pairs_by_chunk):
-        return BtgMessage(b"\xab" * 16, 2, tuple(Ciphertext(u, v) for u, vs in pairs_by_chunk
-                                                 for v in vs), width=3)
+        return BtgMessage(b"\xab" * 16, 2, tuple(Ciphertext(u, tuple(vs))
+                                                 for u, vs in pairs_by_chunk))
 
     def test_layout_and_roundtrip(self, group256):
         msg = self._msg([(5, [7, 11, 13]), (17, [19, 23])])
@@ -389,11 +401,6 @@ class TestChunkedSerialization:
         # the same bytes read as one-triple chunks are the wrong length
         with pytest.raises(ProtocolAbort):
             BtgMessage.parse(raw, group256, 5, 1)
-
-    def test_a_chunk_shares_one_u(self, group256):
-        msg = BtgMessage(b"\xab" * 16, 1, (Ciphertext(5, 7), Ciphertext(6, 7)), width=2)
-        with pytest.raises(ParameterError):
-            msg.serialize(group256)
 
     def test_session_rejects_a_hop_one_u_short(self, tiny, monkeypatch):
         w = tiny.element_size

@@ -360,6 +360,8 @@ NO_G = json.dumps({"p": "23", "q": "11"})
 WIDE_CONTROLS = "snp\n0,1,2,0,1,0,1\n"
 # One case sample of COUNT_CAP + 5 SNPs, all 0: its count of 0s is past the cap.
 TALL_CASE = "snp\n" + ",".join(["0"] * (COUNT_CAP + 5)) + "\n"
+# Three samples of the fixture's six SNPs and no header row.
+HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
 
 
 @pytest.mark.parametrize("argv,config,code", [
@@ -409,6 +411,11 @@ TALL_CASE = "snp\n" + ",".join(["0"] * (COUNT_CAP + 5)) + "\n"
     (["run", "--plaintext-oracle"], {"lambda_max": "1e-400"}, EXIT_VALIDATION),
     (["run", "--case", ("case.csv", TALL_CASE)], None, EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--case", ("case.csv", TALL_CASE)], None, EXIT_VALIDATION),
+    (["run", "--case", ("case.csv", HEADERLESS)], None, EXIT_VALIDATION),
+    (["run", "--controls", ("c.csv", HEADERLESS)], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--case", ("case.csv", HEADERLESS)], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--controls", ("c.csv", HEADERLESS)], None,
+     EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
@@ -423,7 +430,8 @@ TALL_CASE = "snp\n" + ",".join(["0"] * (COUNT_CAP + 5)) + "\n"
         "config-tau-below-float", "config-lambda-max-below-float", "oracle-tau-below-float",
         "oracle-lambda-max-below-float", "oracle-config-tau-below-float",
         "oracle-config-lambda-max-below-float", "case-count-past-cap",
-        "oracle-case-count-past-cap"])
+        "oracle-case-count-past-cap", "headerless-case", "headerless-controls",
+        "oracle-headerless-case", "oracle-headerless-controls"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
     def written(arg):

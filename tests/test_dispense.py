@@ -359,7 +359,7 @@ class TestBatchedDispensation:
             return delivered
 
         monkeypatch.setattr(rt, "pump", recording)
-        ctx.dispenser.reserve(3)
+        ctx.runtime.run(ctx.dispenser.mint(3))
         assert len(rounds) == 4
         pid_c = ctx.btg_pids[BtgRole.C]
         assert [r[3] for r in rounds[2] if r[2] == pid_c] == [btg.BTG_TAG, "btg:t000001"]
@@ -390,11 +390,11 @@ MALFORMED = ([pytest.param(truncated, prefix, id="truncated-" + prefix) for pref
                 for prefix in WIRE_TAGS[1:]])
 
 
-def reserve_under(monkeypatch, group, mode, prefix, mutate, n=4):
+def mint_under(monkeypatch, group, mode, prefix, mutate, n=4):
     """Mint n triples while every `prefix` payload is rewritten by `mutate`."""
     ctx = build_parties(group, seed=21, blinding=mode)
     tamper_sends(monkeypatch, prefix, mutate)
-    ctx.dispenser.reserve(n)
+    ctx.runtime.run(ctx.dispenser.mint(n))
     return list(ctx.dispenser.pool)
 
 
@@ -403,20 +403,20 @@ class TestTamperedDispensation:
     @pytest.mark.parametrize("mutate,prefix", MALFORMED)
     def test_malformed_payload_aborts(self, group256, monkeypatch, mode, prefix, mutate):
         with pytest.raises(ProtocolAbort):
-            reserve_under(monkeypatch, group256, mode, prefix, mutate)
+            mint_under(monkeypatch, group256, mode, prefix, mutate)
 
     def test_zeroed_blind_seeds_give_nonzero_blinds(self, group256, monkeypatch, mode):
         # the all-zero seed is a seed like any other, and every blind it
         # expands to is nonzero: no component of a triple becomes zero
         p = group256.p
-        triples = reserve_under(monkeypatch, group256, mode, "blind-r", zeroed)
+        triples = mint_under(monkeypatch, group256, mode, "blind-r", zeroed)
         assert all(v for t in triples for v in reconstruct_triple(t, p))
 
     @pytest.mark.parametrize("prefix", WIRE_TAGS)
     def test_in_range_corruption_breaks_a_triple(self, group256, monkeypatch, mode, prefix):
         # undetectable without MACs, but the shares are built from these bytes
         p = group256.p
-        triples = reserve_under(monkeypatch, group256, mode, prefix, shifted(p))
+        triples = mint_under(monkeypatch, group256, mode, prefix, shifted(p))
         products = [reconstruct_triple(t, p) for t in triples]
         assert any(c != a * b % p for a, b, c in products)
 
@@ -427,7 +427,7 @@ class TestExpandedBlinds:
         # a seed expanded mod p would give a zero blind once in 23 here; the
         # blinds expand mod p - 1 and add one, so no dispensed component is 0
         ctx = build_parties(tiny, seed=23, blinding=mode)
-        ctx.dispenser.reserve(300)
+        ctx.runtime.run(ctx.dispenser.mint(300))
         triples = [reconstruct_triple(t, tiny.p) for t in ctx.dispenser.pool]
         assert all(a and b and c == a * b % tiny.p for a, b, c in triples)
         assert len({a for a, _, _ in triples}) == tiny.p - 1  # every unit occurs
@@ -455,7 +455,7 @@ class TestDispenser:
         ledger_file = tmp_path / "ledger.jsonl"
         ctx = build_parties(group256, seed=12, blinding="two", ledger_path=ledger_file)
         disp = ctx.dispenser
-        disp.reserve(6)
+        ctx.runtime.run(disp.mint(6))
         assert len(disp.pool) == 6 and disp.count == 0
         lines = [json.loads(line) for line in ledger_file.read_text().splitlines()]
         triples = [disp.next_triple() for _ in range(7)]  # the seventh mints one more
@@ -479,7 +479,7 @@ class TestDispenser:
             return member(y, params)
 
         monkeypatch.setattr(modmath, "is_subgroup_member", counted)
-        ctx.dispenser.reserve(5)
+        ctx.runtime.run(ctx.dispenser.mint(5))
         assert len(calls) == checks * 5
 
     @pytest.mark.parametrize("mode", ["single", "two"])
@@ -498,11 +498,11 @@ class TestDispenser:
 
         tamper_sends(monkeypatch, btg.BTG_TAG, break_hop_two)
         with pytest.raises(ProtocolAbort):
-            ctx.dispenser.reserve(4)
+            ctx.runtime.run(ctx.dispenser.mint(4))
         for role in (BtgRole.A, BtgRole.B):
             with pytest.raises(NetworkError):
                 ctx.runtime.take(ctx.btg_pids[role], "blind-r:t000001")
-        ctx.dispenser.reserve(4)
+        ctx.runtime.run(ctx.dispenser.mint(4))
         triples = list(ctx.dispenser.pool)
         assert len(triples) == 4
         for t in triples:
@@ -511,10 +511,10 @@ class TestDispenser:
 
     def test_reserve_rejects_negative(self, group256):
         ctx = build_parties(group256, seed=13)
-        ctx.dispenser.reserve(0)
+        ctx.runtime.run(ctx.dispenser.mint(0))
         assert ctx.runtime.messages_sent == 0
         with pytest.raises(ParameterError):
-            ctx.dispenser.reserve(-1)
+            ctx.runtime.run(ctx.dispenser.mint(-1))
 
 
 def received_residues(runtime, pid, width):
@@ -532,7 +532,7 @@ class TestServerViews:
     def batch(self, group256, monkeypatch, mode):
         ctx = build_parties(group256, seed=11, record=True, blinding=mode)
         outcomes = capture_sessions(monkeypatch)
-        ctx.dispenser.reserve(20)
+        ctx.runtime.run(ctx.dispenser.mint(20))
         [outcome] = outcomes
         return ctx, outcome
 
@@ -563,7 +563,7 @@ def assert_legendre_band(group, mode):
     in a 5-sigma band around 200."""
     p = group.p
     ctx = build_parties(group, seed=19, blinding=mode)
-    ctx.dispenser.reserve(400)
+    ctx.runtime.run(ctx.dispenser.mint(400))
     chis = [tuple(pow(reconstruct(shares.values(), p), (p - 1) // 2, p) == 1
                   for shares in (t.a_shares, t.b_shares)) for t in ctx.dispenser.pool]
     assert len(chis) == 400
@@ -582,7 +582,7 @@ class TestSingleModeBlinds:
 
     def test_no_server_sends_or_receives_a_blind(self, group256):
         ctx = build_parties(group256, seed=20, record=True)
-        ctx.dispenser.reserve(3)
+        ctx.runtime.run(ctx.dispenser.mint(3))
         blinds = [(r[1], r[2]) for r in ctx.runtime.transcript
                   if r[0] == "msg" and r[3].startswith("blind-r:")]
         pid_c = ctx.btg_pids[BtgRole.C]
@@ -599,7 +599,7 @@ class TestTwoModeSigns:
 
     def test_no_server_sends_or_receives_a_sign(self, group256):
         ctx = build_parties(group256, seed=20, record=True, blinding="two")
-        ctx.dispenser.reserve(3)
+        ctx.runtime.run(ctx.dispenser.mint(3))
         pid_a, pid_b, pid_c = (ctx.btg_pids[role] for role in BtgRole)
         signs = [(r[1], r[2], len(r[4])) for r in ctx.runtime.transcript
                  if r[0] == "msg" and r[3].startswith("sign-")]
@@ -608,7 +608,7 @@ class TestTwoModeSigns:
     def test_sign_products_move_c(self, group256, monkeypatch):
         # flipping every product the holder of c receives negates each c'
         p = group256.p
-        triples = reserve_under(monkeypatch, group256, "two", "sign-ab:",
+        triples = mint_under(monkeypatch, group256, "two", "sign-ab:",
                                 lambda payload: bytes(1 - bit for bit in payload))
         products = [reconstruct_triple(t, p) for t in triples]
         assert all(c == -a * b % p for a, b, c in products)
@@ -621,7 +621,7 @@ class TestChunkedMints:
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
     def test_products(self, group256, mode, count):
         ctx = build_parties(group256, seed=count, blinding=mode)
-        ctx.dispenser.reserve(count)
+        ctx.runtime.run(ctx.dispenser.mint(count))
         triples = [ctx.dispenser.next_triple() for _ in range(count)]
         for t in triples:
             a, b, c = reconstruct_triple(t, group256.p)
@@ -631,7 +631,7 @@ class TestChunkedMints:
 
     def test_keys_of_a_chunk_are_pairwise_distinct(self, group256):
         ctx = build_parties(group256, seed=1)
-        ctx.dispenser.reserve(btg.CHUNK + 1)
+        ctx.runtime.run(ctx.dispenser.mint(btg.CHUNK + 1))
         keys_a, keys_c = (ctx.btg_keys[role] for role in (BtgRole.A, BtgRole.C))
         h_a, h_c = [k.h for k in keys_a], [k.h for k in keys_c]
         h_ac = [x * y % group256.p for x, y in zip(h_a, h_c)]
@@ -645,7 +645,7 @@ class TestChunkedMints:
         made = []
         for n in (10, 3, 70):
             modmath.reset_modexp_count()
-            ctx.dispenser.reserve(n)
+            ctx.runtime.run(ctx.dispenser.mint(n))
             width = min(n, btg.CHUNK)
             made.append(modmath.modexp_count() - 5 * n - 3 * -(-n // width))
         assert made == [18, 0, 108]
@@ -705,5 +705,23 @@ class TestGoldenTranscript:
         ctx = build_parties(DEFAULT_GROUP_256, seed=7, record=True, blinding=mode)
         for _ in range(30):
             ctx.dispenser.next_triple()
+        assert hashlib.sha256(ctx.runtime.transcript_bytes()).hexdigest() == digest
+        assert modmath.modexp_count() == modexps
+
+    # sha256 of the transcript and the modexp count of one mint of 65
+    # triples: a session of two chunks, the second of one triple.  The count
+    # takes in the 64 + 64 key pairs the mint makes.
+    GOLDEN_MINT_65 = {
+        "single": ("0de97b8c863948e700f8a0e2dc6bd7c2b26db420040be5e8430268777afc287e", 457),
+        "two": ("cffe2f0d20bb9630b4646757304cee4af4700586d9b90ecc95ea8a9c855bf973", 977),
+    }
+
+    @both_backends
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_one_mint_of_65(self, mode, modexp_backend):
+        digest, modexps = self.GOLDEN_MINT_65[mode]
+        ctx = build_parties(DEFAULT_GROUP_256, seed=65, record=True, blinding=mode)
+        modmath.reset_modexp_count()
+        ctx.runtime.run(ctx.dispenser.mint(65))
         assert hashlib.sha256(ctx.runtime.transcript_bytes()).hexdigest() == digest
         assert modmath.modexp_count() == modexps

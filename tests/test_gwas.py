@@ -329,7 +329,7 @@ class TestSecureResidual:
         ctx = build_parties(group256, seed=11)
         cols = [share_vector(ctx.runtime, ctx.o_case, [0, 1, 0], ctx.mpc_pids, params)]
         z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
-        ctx.dispenser.reserve(gwas.triples_per_control(3, 1))
+        ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 1)))
         calls, open_values = [], spdz.open_values
         monkeypatch.setattr(spdz, "open_values",
                             lambda *args, **kwargs: calls.append("open") or open_values(*args, **kwargs))
@@ -351,7 +351,7 @@ class TestSecureResidual:
             flat = share_vector(ctx.runtime, ctx.o_case, [0] * (dim * rank), ctx.mpc_pids, params)
             cols = [flat[i:i + dim] for i in range(0, dim * rank, dim)]
             z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
-            ctx.dispenser.reserve(gwas.triples_per_control(dim, rank))
+            ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(dim, rank)))
             res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
                                    ctx.dispenser, ctx.ledger, ctx.roles)
             secure_accept_bit(ctx.runtime, res, config, ctx.roles)

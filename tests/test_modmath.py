@@ -378,26 +378,26 @@ class TestCipherLayer:
         for h in (g, pow(g, 12345, p)):
             m, f = (modmath.random_subgroup_element(params, rng) for _ in range(2))
             r1, r2, r3 = (rng.randrange(params.q) for _ in range(3))
-            [ct] = modmath.encrypt(params, [h], [m], r1)
-            assert ct == Ciphertext(pow(g, r1, p), m * pow(h, r1, p) % p)
-            [mult] = modmath.mult_layer([ct], [f], [h], r2, params)
-            assert mult == Ciphertext(ct.u * pow(g, r2, p) % p,
-                                      ct.v * f * pow(h, r2, p) % p)
-            [rerand] = modmath.rerandomize([ct], [h], r3, params)
-            assert rerand == Ciphertext(ct.u * pow(g, r3, p) % p, ct.v * pow(h, r3, p) % p)
+            ct = modmath.encrypt(params, [h], [m], r1)
+            assert ct == Ciphertext(pow(g, r1, p), (m * pow(h, r1, p) % p,))
+            [v] = ct.vs
+            mult = modmath.mult_layer(ct, [f], [h], r2, params)
+            assert mult == Ciphertext(ct.u * pow(g, r2, p) % p, (v * f * pow(h, r2, p) % p,))
+            rerand = modmath.rerandomize(ct, [h], r3, params)
+            assert rerand == Ciphertext(ct.u * pow(g, r3, p) % p, (v * pow(h, r3, p) % p,))
 
     def test_encrypt_trace(self, tiny):
         # h = g^3 = 18; m = 2; r = 2 -> (16, 4), all by direct evaluation
         h = pow(4, 3, 23)
         assert h == 18
-        [ct] = modmath.encrypt(tiny, [h], [2], 2)
-        assert (ct.u, ct.v) == (16, 4)
-        assert modmath.strip_layer(ct, 3, tiny) == 2
+        ct = modmath.encrypt(tiny, [h], [2], 2)
+        assert ct == (16, (4,))
+        assert modmath.strip_layer(ct, [3], tiny) == [2]
 
     def test_encrypt_zero_randomness(self, tiny):
-        [ct] = modmath.encrypt(tiny, [18], [3], 0)
-        assert (ct.u, ct.v) == (1, 3)
-        assert modmath.strip_layer(ct, 7, tiny) == 3  # u = 1 means no layer
+        ct = modmath.encrypt(tiny, [18], [3], 0)
+        assert ct == (1, (3,))
+        assert modmath.strip_layer(ct, [7], tiny) == [3]  # u = 1 means no layer
 
     def test_roundtrip_random(self, tiny):
         rng = random.Random(7)
@@ -406,8 +406,8 @@ class TestCipherLayer:
             h = pow(tiny.g, x, tiny.p)
             m = modmath.random_subgroup_element(tiny, rng)
             r = rng.randrange(tiny.q)
-            [ct] = modmath.encrypt(tiny, [h], [m], r)
-            assert modmath.strip_layer(ct, x, tiny) == m
+            ct = modmath.encrypt(tiny, [h], [m], r)
+            assert modmath.strip_layer(ct, [x], tiny) == [m]
 
     def test_mult_layer_homomorphism(self, tiny):
         rng = random.Random(11)
@@ -417,15 +417,15 @@ class TestCipherLayer:
             m = modmath.random_subgroup_element(tiny, rng)
             f1 = modmath.random_subgroup_element(tiny, rng)
             f2 = modmath.random_subgroup_element(tiny, rng)
-            [ct] = modmath.encrypt(tiny, [h], [m], rng.randrange(tiny.q))
-            [ct] = modmath.mult_layer([ct], [f1], [h], rng.randrange(tiny.q), tiny)
-            assert modmath.strip_layer(ct, x, tiny) == m * f1 % tiny.p
-            [ct] = modmath.mult_layer([ct], [f2], [h], rng.randrange(tiny.q), tiny)
-            assert modmath.strip_layer(ct, x, tiny) == m * f1 * f2 % tiny.p
+            ct = modmath.encrypt(tiny, [h], [m], rng.randrange(tiny.q))
+            ct = modmath.mult_layer(ct, [f1], [h], rng.randrange(tiny.q), tiny)
+            assert modmath.strip_layer(ct, [x], tiny) == [m * f1 % tiny.p]
+            ct = modmath.mult_layer(ct, [f2], [h], rng.randrange(tiny.q), tiny)
+            assert modmath.strip_layer(ct, [x], tiny) == [m * f1 * f2 % tiny.p]
 
     def test_mult_layer_identity(self, tiny):
-        ct = Ciphertext(16, 4)
-        assert modmath.mult_layer([ct], [1], [18], 0, tiny) == [ct]
+        ct = Ciphertext(16, (4,))
+        assert modmath.mult_layer(ct, [1], [18], 0, tiny) == ct
 
     def test_strip_order_independence(self, tiny):
         rng = random.Random(3)
@@ -434,18 +434,20 @@ class TestCipherLayer:
         h_ac = h_a * h_c % 23
         for _ in range(50):
             m = modmath.random_subgroup_element(tiny, rng)
-            [ct] = modmath.encrypt(tiny, [h_ac], [m], rng.randrange(11))
-            v1 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, x_a, tiny)), x_c, tiny)
-            v2 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, x_c, tiny)), x_a, tiny)
-            assert v1 == v2 == m
+            ct = modmath.encrypt(tiny, [h_ac], [m], rng.randrange(11))
+            v1 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, [x_a], tiny)),
+                                     [x_c], tiny)
+            v2 = modmath.strip_layer(Ciphertext(ct.u, modmath.strip_layer(ct, [x_c], tiny)),
+                                     [x_a], tiny)
+            assert v1 == v2 == [m]
 
     def test_strip_matches_inverse_exhaustive_tiny(self, tiny):
         # v * u^(q-x) == v / u^x for every subgroup u, key x and element v
         for u in QR23:
             for x in range(Q + 1):
-                for v in range(1, P):
-                    want = v * egcd_inverse(pow(u, x, P), P) % P
-                    assert modmath.strip_layer(Ciphertext(u, v), x, tiny) == want
+                want = [v * egcd_inverse(pow(u, x, P), P) % P for v in range(1, P)]
+                assert modmath.strip_layer(Ciphertext(u, tuple(range(1, P))), [x] * (P - 1),
+                                           tiny) == want
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -455,7 +457,7 @@ class TestCipherLayer:
         v = data.draw(st.integers(1, p - 1))
         x = data.draw(st.integers(1, q - 1))
         want = v * egcd_inverse(pow(u, x, p), p) % p
-        assert modmath.strip_layer(Ciphertext(u, v), x, group256) == want
+        assert modmath.strip_layer(Ciphertext(u, (v,)), [x], group256) == [want]
 
     def test_rerandomize_preserves_plaintext(self, tiny):
         rng = random.Random(5)
@@ -463,18 +465,18 @@ class TestCipherLayer:
         h = pow(4, x, 23)
         for _ in range(50):
             m = modmath.random_subgroup_element(tiny, rng)
-            [ct] = modmath.encrypt(tiny, [h], [m], rng.randrange(11))
-            [rr] = modmath.rerandomize([ct], [h], rng.randrange(11), tiny)
-            assert modmath.strip_layer(rr, x, tiny) == m
+            ct = modmath.encrypt(tiny, [h], [m], rng.randrange(11))
+            rr = modmath.rerandomize(ct, [h], rng.randrange(11), tiny)
+            assert modmath.strip_layer(rr, [x], tiny) == [m]
 
     def test_rerandomize_zero_is_identity(self, tiny):
-        ct = Ciphertext(16, 4)
-        assert modmath.rerandomize([ct], [18], 0, tiny) == [ct]
+        ct = Ciphertext(16, (4,))
+        assert modmath.rerandomize(ct, [18], 0, tiny) == ct
 
     def test_rerandomize_distinct_nonces_distinct_u(self, tiny):
         ct = modmath.encrypt(tiny, [18], [2], 2)
-        [r1] = modmath.rerandomize(ct, [18], 1, tiny)
-        [r2] = modmath.rerandomize(ct, [18], 2, tiny)
+        r1 = modmath.rerandomize(ct, [18], 1, tiny)
+        r2 = modmath.rerandomize(ct, [18], 2, tiny)
         assert r1.u != r2.u
 
     def test_one_randomness_for_several_keys(self, tiny):
@@ -482,12 +484,11 @@ class TestCipherLayer:
         # secret of its own key, through a layer and a re-randomization
         xs, ms, fs = [3, 5, 7], [2, 3, 4], [6, 8, 9]
         hs = [pow(4, x, 23) for x in xs]
-        cts = modmath.encrypt(tiny, hs, ms, 2)
-        assert {ct.u for ct in cts} == {pow(4, 2, 23)}
-        cts = modmath.rerandomize(modmath.mult_layer(cts, fs, hs, 5, tiny), hs, 9, tiny)
-        assert {ct.u for ct in cts} == {pow(4, 2 + 5 + 9, 23)}
-        assert [modmath.strip_layer(ct, x, tiny) for ct, x in zip(cts, xs)] == \
-            [m * f % 23 for m, f in zip(ms, fs)]
+        ct = modmath.encrypt(tiny, hs, ms, 2)
+        assert ct.u == pow(4, 2, 23) and len(ct.vs) == 3
+        ct = modmath.rerandomize(modmath.mult_layer(ct, fs, hs, 5, tiny), hs, 9, tiny)
+        assert ct.u == pow(4, 2 + 5 + 9, 23)
+        assert modmath.strip_layer(ct, xs, tiny) == [m * f % 23 for m, f in zip(ms, fs)]
 
     def test_subgroup_closure(self, group256):
         rng = random.Random(13)
@@ -495,11 +496,11 @@ class TestCipherLayer:
         h = pow(group256.g, x, group256.p)
         m = modmath.random_subgroup_element(group256, rng)
         f = modmath.random_subgroup_element(group256, rng)
-        [ct] = modmath.mult_layer(modmath.encrypt(group256, [h], [m], rng.randrange(group256.q)),
-                                  [f], [h], rng.randrange(group256.q), group256)
-        assert modmath.is_subgroup_member(ct.u, group256)
-        assert modmath.is_subgroup_member(ct.v, group256)
-        assert modmath.is_subgroup_member(modmath.strip_layer(ct, x, group256), group256)
+        ct = modmath.mult_layer(modmath.encrypt(group256, [h], [m], rng.randrange(group256.q)),
+                                [f], [h], rng.randrange(group256.q), group256)
+        assert all(modmath.is_subgroup_member(y, group256) for y in (ct.u, *ct.vs))
+        [stripped] = modmath.strip_layer(ct, [x], group256)
+        assert modmath.is_subgroup_member(stripped, group256)
 
 
 class TestSignedEncoding:

@@ -36,6 +36,7 @@ from .errors import (
     ParameterError,
     ParseError,
     ShapeError,
+    ShareError,
     ValidationError,
 )
 from .fixpt import FixedPointParams, TruncRoles
@@ -55,9 +56,9 @@ LAMBDA_TRIPLES = 5
 LAMBDA_BLIND_TAG = "%s:lambda" % btg.BTG_TAG
 
 # Controls whose z vectors `filter_controls` deals in one round.  Held z
-# shares cost about 24.4 KB per control at dim 50 (tracemalloc), so a block
-# holds about 1.6 MB; dealing every z at once would hold about 245 MB at
-# 10,000 controls.
+# shares, with ||z||^2, cost about 25.8 KB per control at dim 50 and 3
+# servers (tracemalloc), so a block holds about 1.7 MB; dealing every z at
+# once would hold about 258 MB at 10,000 controls.
 Z_BLOCK = 64
 
 
@@ -396,18 +397,52 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     return Fraction(num_i, den_i)
 
 
+class SharedVector(tuple):
+    """Shares of a vector's entries, one SharedValue each, and `norm_sq`:
+    shares of sum(fp_encode(v_i)^2) mod p, which the vector's owner computes
+    in the clear and deals with the entries.  That is the integer a Beaver
+    product of each entry with itself would form, at scale 2^(2f)."""
+
+    def __new__(cls, entries, norm_sq: SharedValue):
+        vec = super().__new__(cls, entries)
+        vec.norm_sq = norm_sq
+        return vec
+
+
+def _encode_with_norms(vectors, params: FixedPointParams) -> list:
+    """Each vector's fp-encoded entries followed by their sum of squares mod
+    p, one flat list: what an owner deals for `_split_with_norms`."""
+    flat = []
+    for vec in vectors:
+        encoded = [fixpt.fp_encode(v, params) for v in vec]
+        flat += encoded + [sum(e * e for e in encoded) % params.p]
+    return flat
+
+
+def _split_with_norms(shares, dim: int) -> list:
+    """The SharedVectors of a deal of `_encode_with_norms`' layout."""
+    return [SharedVector(shares[i:i + dim], shares[i + dim])
+            for i in range(0, len(shares), dim + 1)]
+
+
 def share_vector(runtime: Runtime, owner: PartyId, values, mpc_pids,
-                 params: FixedPointParams) -> list:
-    """Owner fp-encodes every entry of a vector and shares them in one message
-    per server."""
-    encoded = [fixpt.fp_encode(v, params) for v in values]
-    return runtime.run(spdz.share_batches(runtime, mpc_pids, [(owner, encoded)], params.p))[0][0]
+                 params: FixedPointParams) -> SharedVector:
+    """Owner fp-encodes every entry of a vector and shares the entries and
+    their squared norm (`SharedVector.norm_sq`) in one message per server.
+
+    An owner that is one of the servers sends the others seeds, so the norm
+    costs no bytes."""
+    [[shares]] = runtime.run(spdz.share_batches(
+        runtime, mpc_pids, [(owner, _encode_with_norms([values], params))], params.p))
+    [vec] = _split_with_norms(shares, len(values))
+    return vec
 
 
 def triples_per_control(dim: int, rank: int) -> int:
-    """Triples `residual_norm_sq` draws for one control: dim for ||z||^2,
-    then per basis column dim for the projection and one for its square."""
-    return dim + rank * (dim + 1)
+    """Triples `residual_norm_sq` draws for one control: per basis column dim
+    for the projection and one for its square.  ||z||^2 takes none, since
+    O_ctrl deals it."""
+    return rank * (dim + 1)
 
 
 def screening_params(params: FixedPointParams) -> FixedPointParams:
@@ -419,30 +454,34 @@ def screening_params(params: FixedPointParams) -> FixedPointParams:
     return replace(params, f=4 * params.f, k=params.e + 4 * params.f + 1)
 
 
-def residual_norm_sq(runtime: Runtime, basis_cols, z_shares,
+def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
                      params: FixedPointParams, dispenser: TripleDispenser,
                      ledger: TripleLedger, roles: TruncRoles) -> SharedValue:
     """Exact shares of (||z||^2 - ||U^T z||^2) * 2^(4f), with no truncation.
 
-    One Beaver batch forms every z_i^2 and u_ji * z_i at scale 2^(2f), the
-    sums are local, and a second batch squares the projections to 2^(4f),
-    where ||z||^2 joins them through the public factor 2^(2f).  Draws
-    `triples_per_control(len(z_shares), len(basis_cols))` triples, one
-    `next_triple()` at a time.  `roles` is unused, since nothing truncates.
+    One Beaver batch forms every u_ji * z_i at scale 2^(2f), the sums are
+    local, and a second batch squares the projections to 2^(4f), where the
+    owner-dealt ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them through
+    the public factor 2^(2f).  Draws `triples_per_control(len(z_shares),
+    len(basis_cols))` triples, one `next_triple()` at a time.  A `z_shares`
+    that is not a SharedVector carries no norm: a ShareError, raised before
+    any triple is drawn.
+    `roles` is unused, since nothing truncates.
     """
+    if not isinstance(z_shares, SharedVector):
+        raise ShareError("z shares carry no norm_sq, the owner-dealt ||z||^2 of share_vector")
     for col in basis_cols:
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
                              % (len(col), len(z_shares)))
     p, dim = params.p, len(z_shares)
-    pairs = [(x, z) for row in [z_shares, *basis_cols] for x, z in zip(row, z_shares)]
+    pairs = [(u, z) for col in basis_cols for u, z in zip(col, z_shares)]
     products = spdz.beaver_mult_batch(runtime, pairs, [dispenser.next_triple() for _ in pairs],
                                       p, ledger)
-    zz, *projs = [spdz.sum_local(products[i:i + dim], p)
-                  for i in range(0, len(products), dim)]
+    projs = [spdz.sum_local(products[i:i + dim], p) for i in range(0, len(products), dim)]
     squares = spdz.beaver_mult_batch(runtime, [(x, x) for x in projs],
                                      [dispenser.next_triple() for _ in projs], p, ledger)
-    return spdz.sum_local([spdz.scale_local(2 ** (2 * params.f), zz, p),
+    return spdz.sum_local([spdz.scale_local(2 ** (2 * params.f), z_shares.norm_sq, p),
                            *(spdz.scale_local(-1, sq, p) for sq in squares)], p)
 
 
@@ -539,11 +578,13 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
 
     One deal shares the basis, as one vector of dim*rank entries in column
     order, together with the first Z_BLOCK controls' vectors, one batch per
-    owner; each later block of Z_BLOCK controls is dealt at its first
-    control, so the servers hold at most one block of z shares.  Each
-    block's deal, and in the first block lambda's blind (`lambda_blind`),
-    run beside the block's first mint (`net.Runtime.run`) and cost no rounds
-    of their own.  A run over n >= 1 controls takes 11n + 6 rounds: per
+    owner; O_ctrl's batch carries dim + 1 values per control, its entries
+    and then its ||z||^2 (`SharedVector`), at no extra bytes, since O_ctrl
+    is a server and sends seeds.  Each later block of Z_BLOCK controls is
+    dealt at its first control, so the servers hold at most one block of z
+    shares.  Each block's deal, and in the first block lambda's blind
+    (`lambda_blind`), run beside the block's first mint (`net.Runtime.run`)
+    and cost no rounds of their own.  A run over n >= 1 controls takes 11n + 6 rounds: per
     control 4 to mint, 4 for the residual's two Beaver batches and 3 for the
     accept bit (1 for the sign test's opening to the mask owner, 2 to open
     the bit); and 6 for lambda (1 for both owners' counts and the blind,
@@ -570,14 +611,15 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
         sizes = [budget] * len(block) or [0]
         if start + Z_BLOCK >= len(controls):
             sizes[-1] += LAMBDA_TRIPLES
-        z_entries = [fixpt.fp_encode(v, params) for ctrl in block for v in ctrl.vector]
+        z_entries = _encode_with_norms([ctrl.vector for ctrl in block], params)
         beside = [spdz.share_batches(runtime, ctx.mpc_pids,
                                      [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
                                      params.p)]
         if start == 0:
             beside.append(lambda_blind(runtime, group, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                        ctx.owner_keys))
-        (flat, z_block), *made, _ = runtime.run(*beside, dispenser.mint(sizes[0]))
+        (flat, z_flat), *made, _ = runtime.run(*beside, dispenser.mint(sizes[0]))
+        z_block = _split_with_norms(z_flat, dim)
         if start == 0:
             [blind] = made
             basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
@@ -585,11 +627,11 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
         for k, ctrl in enumerate(block):
             if k:
                 runtime.run(dispenser.mint(sizes[k]))
-            res = residual_norm_sq(runtime, basis_cols, z_block[k * dim:(k + 1) * dim],
-                                   params, dispenser, ctx.ledger, ctx.roles)
+            res = residual_norm_sq(runtime, basis_cols, z_block[k], params, dispenser,
+                                   ctx.ledger, ctx.roles)
             if secure_accept_bit(runtime, res, config, ctx.roles):
                 accepted.append(ctrl)
-        del z_block  # release this block's shares before the next is dealt
+        del z_flat, z_block  # release this block's shares before the next is dealt
 
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
     lam = secure_inflation_factor(runtime, group, case_counts, ctrl_totals,

@@ -17,6 +17,7 @@ from spdzgen.errors import (
     ParseError,
     ProtocolAbort,
     ShapeError,
+    ShareError,
     ValidationError,
 )
 from spdzgen.fixpt import FixedPointParams, fp_decode
@@ -322,7 +323,55 @@ class TestSecureResidual:
             z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
             counting = Counting(ctx.dispenser)
             residual_norm_sq(ctx.runtime, cols, z_sh, params, counting, ctx.ledger, ctx.roles)
-            assert counting.count == gwas.triples_per_control(dim, rank) == dim + rank * (dim + 1)
+            assert counting.count == gwas.triples_per_control(dim, rank) == rank * (dim + 1)
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(-3, 4), Fraction(5, 3), Fraction(-1, 7), 2, 0],  # negative, fractional
+        [0, 1, 2, 2, 1, 0, 1],  # a genotype row
+    ])
+    def test_owner_deals_the_squared_norm(self, group256, values):
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=12)
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, values, ctx.mpc_pids, params)
+        p, encoded = params.p, [fixpt.fp_encode(v, params) for v in values]
+        assert len(z_sh) == len(values)
+        assert [sum(v.shares.values()) % p for v in z_sh] == encoded
+        assert sum(z_sh.norm_sq.shares.values()) % p == sum(e * e for e in encoded) % p
+
+    def test_control_at_the_frame_cap_matches_oracle(self, group256):
+        # ||z||^2 = 181^2 + 2^2 + 1 + 1 = 2^(e-1) - 1, the largest norm
+        # validate_inputs admits; the dyadic basis encodes exactly
+        params = fp_for(group256)
+        half = Fraction(1, 2)
+        basis = CaseBasis(rows=((half, half), (half, -half), (half, half), (half, -half)))
+        z = (181, -2, 1, -1)
+        assert sum(v * v for v in z) == 2 ** (params.e - 1) - 1
+        control = ControlRecord("ctrl_000", tuple(Fraction(v) for v in z), (1, 2, 1))
+        gwas.validate_inputs(basis, (25, 50, 25), [control], PipelineConfig(fp=params))
+        ctx = build_parties(group256, seed=13)
+        cols = [share_vector(ctx.runtime, ctx.o_case, basis.column(j), ctx.mpc_pids, params)
+                for j in range(basis.rank)]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, z, ctx.mpc_pids, params)
+        res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
+                               ctx.dispenser, ctx.ledger, ctx.roles)
+        got = float(fp_decode(open_value(ctx.runtime, res, params.p), screening_params(params)))
+        want = plain_residual_norm_sq(basis, z)
+        assert want == 16200.5
+        assert abs(got - want) <= 10 * 2 ** -14
+
+    def test_z_without_a_norm_rejected_before_any_triple(self, group256):
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=14)
+        cols = [share_vector(ctx.runtime, ctx.o_case, [0, 1, 0], ctx.mpc_pids, params)]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
+        ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 1)))
+        before = (len(ctx.ledger), ctx.runtime.messages_sent, list(ctx.dispenser.pool),
+                  ctx.dispenser.count)
+        with pytest.raises(ShareError, match="norm"):
+            residual_norm_sq(ctx.runtime, cols, tuple(z_sh), params,
+                             ctx.dispenser, ctx.ledger, ctx.roles)
+        assert (len(ctx.ledger), ctx.runtime.messages_sent, list(ctx.dispenser.pool),
+                ctx.dispenser.count) == before
 
     def test_two_openings_and_no_truncation(self, group256, monkeypatch):
         params = fp_for(group256)
@@ -398,7 +447,7 @@ class TestFilterPipeline:
                                  ledger_path=ledger_file)
         ctx = result["context"]
         assert not ctx.dispenser.pool
-        budget = len(controls) * (basis.dim + basis.rank * (basis.dim + 1)) + gwas.LAMBDA_TRIPLES
+        budget = len(controls) * basis.rank * (basis.dim + 1) + gwas.LAMBDA_TRIPLES
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
@@ -441,12 +490,13 @@ class TestFilterPipeline:
 
         monkeypatch.setattr(spdz, "share_batches", recording)
         result = filter_controls(group256, basis, case_counts, controls, config, seed=19)
-        # five controls of dimension 6 in blocks of two, then lambda's counts;
+        # five controls of dimension 6 in blocks of two, each control its 6
+        # entries and its ||z||^2, then lambda's counts;
         # truncation deals nothing, since its masks stay in their owners'
         # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds),
         # and each block's deal rides its first mint (while they ran alone,
         # 10 + 11 * 5 + 2)
-        assert z_batches == [12, 12, 6, 3]
+        assert z_batches == [14, 14, 7, 3]
         assert result["context"].runtime.rounds == 11 * 5 + 6
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
 
@@ -464,8 +514,13 @@ class TestFilterPipeline:
     # randomness across a batch of K <= 64 triples sends one 32-byte u per
     # hop instead of K, which saved 3 * 32 * (K - 1) bytes per batch: batches
     # of 18, 25, 13 + 13 + 18 and 20 + 20 + 25 triples, from 10,694, 14,502,
-    # 25,580 and 37,004 bytes.
-    WIRE_BYTES = {(1, 1): 9_062, (1, 2): 12_198, (3, 1): 21_644, (3, 2): 31_052}
+    # 25,580 and 37,004 bytes.  O_ctrl dealing ||z||^2 with z, for no bytes,
+    # spares the dim = 6 products z_i * z_i per control, and with each
+    # triple 448 bytes (three 32-byte hop v's, three holders' 32-byte
+    # corrections, and four 32-byte values each way to open x - a' and
+    # y - b'): 2,688 bytes per control, from 9,062, 12,198, 21,644 and
+    # 31,052 bytes.
+    WIRE_BYTES = {(1, 1): 6_374, (1, 2): 9_510, (3, 1): 13_580, (3, 2): 22_988}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])
@@ -569,37 +624,47 @@ def screened_two(group256):
 def first_batch_openings(ctx, dim, rank, p):
     """Each control's first Beaver opening, in control order.
 
-    That batch multiplies z_i * z_i (pair i) and then u_ji * z_i (pair
-    (j+1)*dim + i), and opens rho = x - a' and eps = y - b' for pair k at
-    2k and 2k + 1.  The openings are public.
+    That batch multiplies u_ji * z_i (pair j*dim + i), and opens
+    rho = x - a' and eps = y - b' for pair k at 2k and 2k + 1.  The openings
+    are public.
     """
-    width, count = (p.bit_length() + 7) // 8, 2 * dim * (rank + 1)
+    width, count = (p.bit_length() + 7) // 8, 2 * dim * rank
     return list({rec[3]: modmath.decode_residues(rec[4], count, p)
                  for rec in ctx.runtime.transcript
                  if rec[0] == "msg" and rec[3].startswith("open-result:")
                  and len(rec[4]) == count * width}.values())
 
 
-def square_candidates(ctx, pid, dim, rank, params):
+def basis_encodings(basis, params):
+    return [[fixpt.fp_encode(v, params) for v in basis.column(j)] for j in range(basis.rank)]
+
+
+def square_candidates(ctx, pid, dim, rank, params, basis):
     """Genotype values pid's view admits for each entry of each control.
 
-    A server that knows c' = a'*b' tests each candidate z in {0, 1, 2},
-    encoded, with (z - rho)(z - eps) = c' on the z_i^2 products.  c' counts
-    as known when pid received it, or received a raw c and a blind r with
-    c' = r^2 * c.
+    A server that knows c' = a'*b' and the basis entry u_ji tests each
+    candidate z in {0, 1, 2}, encoded, with (u_ji - rho)(z - eps) = c' on
+    the u_ji * z_i products; every server is handed the basis encodings,
+    which makes it at least as strong as one testing (z - rho)(z - eps) = c'
+    on a z_i^2 product.  c' counts as known when pid received it, or
+    received a raw c and a blind r with c' = r^2 * c.
     """
     p, width = params.p, (params.p.bit_length() + 7) // 8
     received = {int.from_bytes(rec[4][i:i + width], "big")
                 for rec in ctx.runtime.transcript_view(pid) if rec[0] == "msg" and rec[2] == pid
                 for i in range(0, len(rec[4]) - width + 1, width)}
     unblind = [pow(r, -2, p) for r in received if r]
+    cols = basis_encodings(basis, params)
 
     def known(c):
         return c in received or any(c * u % p in received for u in unblind)
 
-    return [[g for g in (0, 1, 2)
-             if known((g * 2 ** params.f - opened[2 * i]) * (g * 2 ** params.f - opened[2 * i + 1])
-                      % p)]
+    def passes(opened, i, g):
+        z = g * 2 ** params.f
+        return any(known((col[i] - opened[2 * k]) * (z - opened[2 * k + 1]) % p)
+                   for k, col in zip(range(i, dim * rank, dim), cols))
+
+    return [[g for g in (0, 1, 2) if passes(opened, i, g)]
             for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
 
 
@@ -608,30 +673,27 @@ def legendre(v, p):
 
 
 def blind_candidates(ctx, pid, dim, rank, params):
-    """Genotype values that pass chi(x - rho) = chi(r_a) and
-    chi(y - eps) = chi(r_b) with the blinds pid's view holds, chi being the
-    Legendre symbol.
+    """Genotype values that pass chi(y - eps) = chi(r_b) with the blinds
+    pid's view holds, chi being the Legendre symbol.
 
-    pid holds a blind when it sent or received its seed: in two mode O_x
-    sends r_a's and O_y r_b's.  a and b are squares, so without signs
-    chi(a') = chi(r_a) and chi(b') = chi(r_b), and each opening of z_i (rho
-    of pair i, eps of pairs i and (j+1)*dim + i) then tests every candidate.
+    pid holds a blind when it sent or received its seed: in two mode O_y
+    sends r_b's.  b is a square, so without signs chi(b') = chi(r_b), and
+    each opening of z_i (eps of pair j*dim + i) then tests every candidate.
     The n-th seed to a holder blinds the n-th control's batch; a control
     with no blind in the view keeps every candidate.
     """
-    p, pairs = params.p, dim * (rank + 1)
+    p, pairs = params.p, dim * rank
     square = ctx.dispenser.mode == "two"
     blinds = {}  # holder -> one list of blinds per batch
     for rec in ctx.runtime.transcript_view(pid):
         if rec[0] == "msg" and rec[3].startswith("blind-r:"):
             roots = [1 + x for x in modmath.expand_residues(rec[4], pairs, p - 1)]
             blinds.setdefault(rec[2], []).append([r * r % p if square else r for r in roots])
-    r_a, r_b = (blinds.get(ctx.btg_pids[role], []) for role in (BtgRole.A, BtgRole.B))
+    r_b = blinds.get(ctx.btg_pids[BtgRole.B], [])
 
     def passes(opened, n, i, g):
         z = fixpt.fp_encode(g, params)
-        tests = ([(2 * i, r_a[n][i])] if n < len(r_a) else []) \
-            + ([(2 * k + 1, r_b[n][k]) for k in range(i, pairs, dim)] if n < len(r_b) else [])
+        tests = [(2 * k + 1, r_b[n][k]) for k in range(i, pairs, dim)] if n < len(r_b) else []
         return all(legendre(z - opened[o], p) == legendre(r, p) for o, r in tests)
 
     return [[g for g in (0, 1, 2) if passes(opened, n, i, g)]
@@ -643,18 +705,17 @@ def pairwise_candidates(ctx, pid, dim, rank, params, basis):
     """Genotype values that pass chi(x - rho) = chi(y - eps), that is
     chi(a') = chi(b'), which holds whenever a'/b' is a square.
 
-    Every server tests it on z_i^2; O_case also knows the basis encodings,
-    so it tests it on each u_ji * z_i.
+    O_case knows the basis encodings, so it tests it on each u_ji * z_i;
+    the other servers have no product whose x they know, and keep every
+    candidate.
     """
     p = params.p
-    known = ([[fixpt.fp_encode(v, params) for v in basis.column(j)] for j in range(rank)]
-             if pid == ctx.o_case else [])
+    known = basis_encodings(basis, params) if pid == ctx.o_case else []
 
     def passes(opened, i, g):
         z = fixpt.fp_encode(g, params)
-        tests = [(i, z)] + [((j + 1) * dim + i, col[i]) for j, col in enumerate(known)]
-        return all(legendre(x - opened[2 * k], p) == legendre(z - opened[2 * k + 1], p)
-                   for k, x in tests)
+        return all(legendre(col[i] - opened[2 * k], p) == legendre(z - opened[2 * k + 1], p)
+                   for k, col in zip(range(i, dim * rank, dim), known))
 
     return [[g for g in (0, 1, 2) if passes(opened, i, g)]
             for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
@@ -663,7 +724,7 @@ def pairwise_candidates(ctx, pid, dim, rank, params, basis):
 def assert_no_square_recovery(screened):
     ctx, basis, _, params = screened
     for pid in ctx.mpc_pids:
-        survivors = square_candidates(ctx, pid, basis.dim, basis.rank, params)
+        survivors = square_candidates(ctx, pid, basis.dim, basis.rank, params, basis)
         assert len(survivors) == 48
         assert not any(survivors), pid
 

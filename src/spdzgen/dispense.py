@@ -103,8 +103,8 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
     corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
     outside them sends them to `parties[0]`.  One round delivers every
     batch, and every recipient builds its shares from the bytes it took off
-    the wire.  The result holds, per batch, one PartyId -> share map per
-    value.
+    the wire.  The result holds, per batch, its columns: a PartyId -> list
+    map of each party's shares of the values, in value order.
     """
     parties, batches = list(parties), list(batches)
     if len(parties) < 2:
@@ -130,8 +130,7 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
                 payload = runtime.take(pid, tag).payload
                 columns[pid] = (modmath.decode_residues(payload, len(values), p) if pid == keeper
                                 else modmath.expand_residues(payload, len(values), p))
-    return [[dict(zip(parties, shares)) for shares in zip(*(columns[pid] for pid in parties))]
-            for _, columns in held]
+    return [{pid: columns[pid] for pid in parties} for _, columns in held]
 
 
 def reconstruct(shares, p: int) -> int:
@@ -274,8 +273,10 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
                                [r * v % p for r, v in zip(rs, outcome[role])])
                               for role, rs in zip(BtgRole, factors)], p)
     parties = tuple(mpc_pids)
+    per_triple = ([dict(zip(parties, held)) for held in zip(*(columns[pid] for pid in parties))]
+                  for columns in shares)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
-            for tid, a, b, c in zip(triple_ids, *shares)]
+            for tid, a, b, c in zip(triple_ids, *per_triple)]
 
 
 def _sign_products(runtime: Runtime, pid_b: PartyId, pid_c: PartyId, sign_tag: str,

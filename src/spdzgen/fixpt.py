@@ -29,9 +29,11 @@ learns z mod 2^m (measured in ROADMAP open item 1).
 The offset uses 2^w rather than 2^(k-1) so the identity z' mod 2^m = z mod
 2^m holds for every m up to the frame width, including m = k.
 
-A fixed-point share is a plain SharedValue whose encoded integer is read at
-the params' scale (value = encoded * 2^-f after the centered lift); params
-travel alongside as an explicit argument rather than wrapped per share.
+A fixed-point share is a plain `spdz.Shares` batch of one value whose
+encoded integer is read at the params' scale (value = encoded * 2^-f after
+the centered lift); params travel alongside as an explicit argument rather
+than wrapped per share.  `trunc`, `fp_mult` and `ltz` take and return one
+value each.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from . import spdz
 from .errors import EncodingRangeError, ParameterError, ProtocolAbort
 from .modmath import inverse, signed_decode, signed_encode
 from .net import PartyId, Runtime
-from .spdz import SharedValue, TripleLedger
+from .spdz import Shares, TripleLedger
 
 # Smallest prime above 2^96; leaves kappa + k + f + 1 = 89 bits of headroom
 # at the default parameters below.
@@ -106,11 +108,11 @@ def fp_decode(y: int, params: FixedPointParams) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncOutcome:
-    value: SharedValue
+    value: Shares
     opened: int  # the masked opening c = r + z', which only the mask owner receives
 
 
-def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
+def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams,
           roles: TruncRoles | None = None, frame: int | None = None,
           exact: bool = False) -> TruncOutcome:
     """Divide a shared signed integer by 2^m (floor, plus a carry unless exact).
@@ -129,6 +131,8 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
         raise ParameterError("shift m=%d outside (0, %d]" % (m, w))
     if p <= 2 ** (params.kappa + w + 1):
         raise ParameterError("field too small for frame %d at kappa %d" % (w, params.kappa))
+    if len(z) != 1:
+        raise ParameterError("trunc takes one value, not %d" % len(z))
     if roles is None:
         roles = TruncRoles.default_for(z.parties)
     owner, wide = roles.mask_owner, roles.wide_owner
@@ -141,10 +145,10 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
 
     r1 = runtime.rng(owner).randrange(2 ** m)
     r2 = runtime.rng(wide).randrange(2 ** (params.kappa + w - m))
-    masked = dict(spdz.add_const(z, 2 ** w, p).shares)
-    masked[owner] = (masked[owner] + r1) % p
-    masked[wide] = (masked[wide] + (r2 << m)) % p
-    [c] = spdz.open_values(runtime, [SharedValue(z.parties, masked)], p,
+    masked = dict(spdz.add_const(z, 2 ** w, p).columns)
+    masked[owner] = [(masked[owner][0] + r1) % p]
+    masked[wide] = [(masked[wide][0] + (r2 << m)) % p]
+    [c] = spdz.open_values(runtime, Shares(z.parties, masked), p,
                            collector=owner, recipients=[owner])
     if c >= 2 ** (params.kappa + w + 1):
         raise ProtocolAbort("masked opening exceeded its integer bound (wraparound)")
@@ -152,25 +156,25 @@ def trunc(runtime: Runtime, z: SharedValue, m: int, params: FixedPointParams,
 
     inv = inverse(2 ** m, p)
     carry = 1 if exact and c1 < r1 else 0
-    out = {pid: inv * z.shares[pid] % p for pid in z.parties}
-    out[owner] = (inv * (z.shares[owner] + r1 - c1) - carry) % p
-    return TruncOutcome(value=SharedValue(z.parties, out), opened=c)
+    out = spdz.scale(inv, z, p).columns
+    out[owner] = [(inv * (z.columns[owner][0] + r1 - c1) - carry) % p]
+    return TruncOutcome(value=Shares(z.parties, out), opened=c)
 
 
-def fp_mult(runtime: Runtime, x: SharedValue, y: SharedValue, triple,
+def fp_mult(runtime: Runtime, x: Shares, y: Shares, triple,
             params: FixedPointParams, ledger: TripleLedger,
-            roles: TruncRoles | None = None) -> SharedValue:
+            roles: TruncRoles | None = None) -> Shares:
     """Fixed-point product: Beaver multiply, then shift the extra f bits off.
 
     The decoded result is within 2^(1-f) of the true product; an overflowing
     product (outside Q<k,f>) is not detected.
     """
-    [raw] = spdz.beaver_mult_batch(runtime, [(x, y)], [triple], params.p, ledger)
+    raw = spdz.beaver_mult_batch(runtime, x, y, [triple], params.p, ledger)
     return trunc(runtime, raw, params.f, params, roles=roles, frame=params.k + params.f).value
 
 
-def ltz(runtime: Runtime, x: SharedValue, params: FixedPointParams,
-        roles: TruncRoles | None = None) -> SharedValue:
+def ltz(runtime: Runtime, x: Shares, params: FixedPointParams,
+        roles: TruncRoles | None = None) -> Shares:
     """Shares of 1 if the encoded value is negative, else 0.
 
     Sign extraction is the negated top part of the offset representation:
@@ -178,4 +182,4 @@ def ltz(runtime: Runtime, x: SharedValue, params: FixedPointParams,
     deterministic across the representable range.
     """
     o = trunc(runtime, x, params.k - 1, params, roles=roles, frame=params.k, exact=True)
-    return spdz.scale_local(-1, o.value, params.p)
+    return spdz.scale(-1, o.value, params.p)

@@ -42,7 +42,7 @@ from .errors import (
 from .fixpt import FixedPointParams, TruncRoles
 from .modmath import GroupParams, signed_decode
 from .net import PartyId, Protocol, Runtime
-from .spdz import SharedValue, TripleLedger
+from .spdz import Shares, TripleLedger
 
 # Bound on any single genotype count entering the secure lambda protocol;
 # keeps |blind * numerator| < p/2 for 256-bit groups (see BLIND_BOUND).
@@ -114,6 +114,10 @@ class GenotypeMatrix:
         header, *body = rows
         if header and all(_is_integer(v) for v in header):
             raise ParseError("genotype file %s starts with a sample, not a header" % path)
+        for line, row in enumerate(body, 2):
+            if row and len(row) != len(header):
+                raise ParseError("line %d of %s has %d values under a header of %d"
+                                 % (line, path, len(row), len(header)))
         try:
             entries = tuple(tuple(int(v) for v in row) for row in body if row)
         except ValueError as exc:
@@ -375,21 +379,20 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     _check_counts(tuple(case_counts) + tuple(ctrl_counts))
     if blind is None:
         [blind] = runtime.run(lambda_blind(runtime, group, o_case, o_ctrl, leader, owner_keys))
-    [(r_sh, s_sh, [blind_sh])] = runtime.run(spdz.share_batches(
+    [(r_sh, s_sh, blind_sh)] = runtime.run(spdz.share_batches(
         runtime, mpc_pids, [(o_case, case_counts), (o_ctrl, ctrl_counts), (leader, [blind])], p))
-    n_sh = [spdz.add_local(r_sh[i], s_sh[i], p) for i in range(3)]
+    n = spdz.add(r_sh, s_sh, p)
 
-    lhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[2], p), p)
-    rhs = spdz.add_local(n_sh[1], spdz.scale_local(2, n_sh[0], p), p)
+    lhs = spdz.add(n[1], spdz.scale(2, n[2], p), p)
+    rhs = spdz.add(n[1], spdz.scale(2, n[0], p), p)
     triples = [dispenser.next_triple() for _ in range(3)]
-    prods = spdz.beaver_mult_batch(
-        runtime, [(n_sh[0], n_sh[2]), (n_sh[1], n_sh[1]), (lhs, rhs)], triples, p, ledger)
-    num = spdz.sub_local(spdz.scale_local(4, prods[0], p), prods[1], p)
-    den = prods[2]
+    prods = spdz.beaver_mult_batch(runtime, spdz.concat([n[0], n[1], lhs]),
+                                   spdz.concat([n[2], n[1], rhs]), triples, p, ledger)
+    num = spdz.sub(spdz.scale(4, prods[0], p), prods[1], p)
 
     triples2 = [dispenser.next_triple() for _ in range(2)]
-    blinded = spdz.beaver_mult_batch(
-        runtime, [(blind_sh, num), (blind_sh, den)], triples2, p, ledger)
+    blinded = spdz.beaver_mult_batch(runtime, spdz.concat([blind_sh, blind_sh]),
+                                     spdz.concat([num, prods[2]]), triples2, p, ledger)
     opened = spdz.open_values(runtime, blinded, p, collector=o_ctrl, recipients=[o_ctrl])
     num_i, den_i = signed_decode(opened[0], p), signed_decode(opened[1], p)
     if den_i == 0:
@@ -397,16 +400,14 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     return Fraction(num_i, den_i)
 
 
-class SharedVector(tuple):
-    """Shares of a vector's entries, one SharedValue each, and `norm_sq`:
-    shares of sum(fp_encode(v_i)^2) mod p, which the vector's owner computes
-    in the clear and deals with the entries.  That is the integer a Beaver
-    product of each entry with itself would form, at scale 2^(2f)."""
+@dataclass(frozen=True)
+class SharedVector(Shares):
+    """A batch of a vector's entries that also carries `norm_sq`: shares of
+    sum(fp_encode(v_i)^2) mod p, one value, which the vector's owner
+    computes in the clear and deals with the entries.  That is the integer
+    a Beaver product of each entry with itself would form, at scale 2^(2f)."""
 
-    def __new__(cls, entries, norm_sq: SharedValue):
-        vec = super().__new__(cls, entries)
-        vec.norm_sq = norm_sq
-        return vec
+    norm_sq: Shares
 
 
 def _encode_with_norms(vectors, params: FixedPointParams) -> list:
@@ -421,7 +422,7 @@ def _encode_with_norms(vectors, params: FixedPointParams) -> list:
 
 def _split_with_norms(shares, dim: int) -> list:
     """The SharedVectors of a deal of `_encode_with_norms`' layout."""
-    return [SharedVector(shares[i:i + dim], shares[i + dim])
+    return [SharedVector(shares.parties, shares[i:i + dim].columns, shares[i + dim])
             for i in range(0, len(shares), dim + 1)]
 
 
@@ -456,16 +457,17 @@ def screening_params(params: FixedPointParams) -> FixedPointParams:
 
 def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
                      params: FixedPointParams, dispenser: TripleDispenser,
-                     ledger: TripleLedger, roles: TruncRoles) -> SharedValue:
+                     ledger: TripleLedger, roles: TruncRoles) -> Shares:
     """Exact shares of (||z||^2 - ||U^T z||^2) * 2^(4f), with no truncation.
 
-    One Beaver batch forms every u_ji * z_i at scale 2^(2f), the sums are
-    local, and a second batch squares the projections to 2^(4f), where the
-    owner-dealt ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them through
-    the public factor 2^(2f).  Draws `triples_per_control(len(z_shares),
-    len(basis_cols))` triples, one `next_triple()` at a time.  A `z_shares`
-    that is not a SharedVector carries no norm: a ShareError, raised before
-    any triple is drawn.
+    One Beaver batch multiplies the basis columns, concatenated, with z
+    repeated once per column: every u_ji * z_i at scale 2^(2f).  The sums
+    are local, and a second batch squares the projections to 2^(4f), where
+    the owner-dealt ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them
+    through the public factor 2^(2f).  Draws
+    `triples_per_control(len(z_shares), len(basis_cols))` triples, one
+    `next_triple()` at a time.  A `z_shares` that is not a SharedVector
+    carries no norm: a ShareError, raised before any triple is drawn.
     `roles` is unused, since nothing truncates.
     """
     if not isinstance(z_shares, SharedVector):
@@ -474,26 +476,26 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
                              % (len(col), len(z_shares)))
-    p, dim = params.p, len(z_shares)
-    pairs = [(u, z) for col in basis_cols for u, z in zip(col, z_shares)]
-    products = spdz.beaver_mult_batch(runtime, pairs, [dispenser.next_triple() for _ in pairs],
-                                      p, ledger)
-    projs = [spdz.sum_local(products[i:i + dim], p) for i in range(0, len(products), dim)]
-    squares = spdz.beaver_mult_batch(runtime, [(x, x) for x in projs],
-                                     [dispenser.next_triple() for _ in projs], p, ledger)
-    return spdz.sum_local([spdz.scale_local(2 ** (2 * params.f), z_shares.norm_sq, p),
-                           *(spdz.scale_local(-1, sq, p) for sq in squares)], p)
+    p, rank = params.p, len(basis_cols)
+    us = spdz.concat(basis_cols)
+    products = spdz.beaver_mult_batch(runtime, us, spdz.concat([z_shares] * rank),
+                                      [dispenser.next_triple() for _ in range(len(us))], p, ledger)
+    projs = spdz.sums(products, len(z_shares), p)
+    squares = spdz.beaver_mult_batch(runtime, projs, projs,
+                                     [dispenser.next_triple() for _ in range(rank)], p, ledger)
+    return spdz.sub(spdz.scale(2 ** (2 * params.f), z_shares.norm_sq, p),
+                    spdz.sums(squares, rank, p), p)
 
 
-def secure_accept_bit(runtime: Runtime, res_sq: SharedValue, config: PipelineConfig,
+def secure_accept_bit(runtime: Runtime, res_sq: Shares, config: PipelineConfig,
                       roles: TruncRoles) -> bool:
     """Open the comparison bit (residual^2 greater than tau^2, both at scale
     2^(4f)) and accept when it is not set."""
     wide = screening_params(config.fp)
-    diff = spdz.add_const(spdz.scale_local(-1, res_sq, wide.p),
+    diff = spdz.add_const(spdz.scale(-1, res_sq, wide.p),
                           fixpt.fp_encode(config.tau * config.tau, wide), wide.p)
     bit = fixpt.ltz(runtime, diff, wide, roles)
-    return spdz.open_values(runtime, [bit], wide.p)[0] != 1
+    return spdz.open_values(runtime, bit, wide.p) != [1]
 
 
 @dataclass
@@ -544,15 +546,17 @@ def validate_inputs(basis: CaseBasis, case_counts, controls, config: PipelineCon
     """The checks a run makes before any triple is minted, in the secure run
     and the plaintext oracle alike, so both reject the same inputs.
 
-    Every case count must be at most COUNT_CAP, the basis must be
-    orthonormal, the comparison frame must fit the field and tau^2 the
-    frame, and every control must have the basis's dimension and
-    ||z||^2 < 2^(e-1).  ||z||^2 bounds every term of the residual (the basis
-    is orthonormal, so each projection^2 is at most ||z||^2); O_ctrl checks
-    it in the clear, since a larger value wraps the comparison frame.
+    Every case count must be at most COUNT_CAP, and so must each genotype's
+    total over all controls (its total if every control is accepted, which
+    bounds the totals lambda shares).  The basis must be orthonormal, the
+    comparison frame must fit the field and tau^2 the frame, and every
+    control must have the basis's dimension and ||z||^2 < 2^(e-1).
+    ||z||^2 bounds every term of the residual (the basis is orthonormal, so
+    each projection^2 is at most ||z||^2); O_ctrl checks it in the clear,
+    since a larger value wraps the comparison frame.
     """
     params = config.fp
-    _check_counts(case_counts)
+    _check_counts([*case_counts, *(sum(c.counts[i] for c in controls) for i in range(3))])
     basis.validate_orthonormal(params)
     fixpt.fp_encode(config.tau * config.tau, screening_params(params))
     norm_cap = 2 ** (params.e - 1)

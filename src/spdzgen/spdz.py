@@ -1,23 +1,22 @@
 """Linear algebra on additive shares and Beaver multiplication.
 
-Shares are plain residues mod p, and a shared value is its party set and one
-share per party, with no name; linear operations are share-wise and free of
-communication.  An opening is the only synchronization point: every party
-ships its share to a collector, which reconstructs and (optionally)
-broadcasts.  Multiplication consumes one dispensed triple per product:
+A share is a plain residue mod p.  The one share type, `Shares`, is a
+batch of shared values held column-wise: its party set and, per party, that
+party's shares of every value in value order, which is what the party puts
+on the wire.  One value is a batch of one.  Linear operations are
+elementwise, share-wise and free of communication.  An opening is the only
+synchronization point: every party ships its column to a collector, which
+reconstructs and (optionally) broadcasts.  Multiplication consumes one
+dispensed triple per product:
 
     rho = open([x] - [a]),  eps = open([y] - [b])
     [x*y] = [c] + eps*[a] + rho*[b] + rho*eps
 
 with the public rho*eps term added by exactly one party, the lowest party
-identifier.  Triples are strictly one-time-use, enforced by a spent-id
+identifier.  A Beaver batch forms every party's column of differences, opens
+them all through `open_values` and recombines each party's column of
+product shares.  Triples are strictly one-time-use, enforced by a spent-id
 ledger.
-
-Batches run column-wise: a `ShareColumns` holds each party's shares of a
-whole batch as one list, which is what that party puts on the wire.  A Beaver
-batch builds every party's list of differences, opens them all through
-`open_values`, recombines each party's list of product shares, and wraps the
-products into `SharedValue`s only at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dispense import deal
-from .errors import ParameterError, ProtocolAbort, ShareError, TripleReuseError
+from .errors import ParameterError, ProtocolAbort, ShapeError, ShareError, TripleReuseError
 from .modmath import decode_residues, encode_residues
 from .net import PartyId, Protocol, Runtime
 
@@ -35,47 +34,39 @@ SHARE_TAG = "share"
 
 
 @dataclass(frozen=True)
-class SharedValue:
-    parties: tuple
-    shares: dict  # PartyId -> residue in [0, p)
-
-    def share_of(self, pid: PartyId) -> int:
-        try:
-            return self.shares[pid]
-        except KeyError:
-            raise ShareError("party %s holds no share of this value" % (pid,))
-
-
-@dataclass(frozen=True)
-class ShareColumns:
-    """A batch of shared values held column-wise: per party, its shares of
-    every value of the batch, in value order."""
+class Shares:
+    """A batch of shared values: per party, its shares of every value of the
+    batch, in value order.  Every party holds a column, and all columns have
+    one length, or the batch is a ShareError.  `x[i]` is the batch of value
+    i alone and `x[i:j]` the batch of values i to j - 1."""
 
     parties: tuple
     columns: dict  # PartyId -> list of residues in [0, p)
 
-    @classmethod
-    def of(cls, values) -> "ShareColumns":
-        """The columns of a list of values over one party set."""
-        parties = values[0].parties if values else ()
-        for v in values[1:]:
-            if v.parties != parties:
-                raise ShareError("batched opening across mismatched party sets")
-        return cls(parties, {pid: [v.share_of(pid) for v in values] for pid in parties})
+    def __post_init__(self):
+        for pid in self.parties:
+            if pid not in self.columns:
+                raise ShareError("party %s holds no share of the batch" % (pid,))
+        if len({len(self.columns[pid]) for pid in self.parties}) > 1:
+            raise ShareError("ragged batch: parties hold different numbers of shares")
 
     def __len__(self) -> int:
         return len(self.columns[self.parties[0]]) if self.parties else 0
 
-    def values(self) -> list[SharedValue]:
-        parties = self.parties
-        return [SharedValue(parties, dict(zip(parties, shares)))
-                for shares in zip(*(self.columns[pid] for pid in parties))]
+    def __getitem__(self, index) -> "Shares":
+        if not isinstance(index, slice):
+            i = range(len(self))[index]
+            index = slice(i, i + 1)
+        return Shares(self.parties, {pid: self.columns[pid][index] for pid in self.parties})
 
 
-def _check_same_parties(x: SharedValue, y: SharedValue):
+def _check_aligned(x: Shares, y: Shares):
+    """Elementwise operands: one party set and one length."""
     if x.parties != y.parties:
         raise ShareError("mismatched party sets: %s vs %s"
                          % ([str(q) for q in x.parties], [str(q) for q in y.parties]))
+    if len(x) != len(y):
+        raise ShapeError("batches of %d and %d values" % (len(x), len(y)))
 
 
 def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
@@ -85,75 +76,81 @@ def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
     one a 16-byte seed of its shares of them all; the one left, the owner
     itself when it is a party and else the first party, holds the correction
     shares (`dispense.deal`).  The batches' ids are drawn at the first step.
-    The result holds one list of SharedValues per batch.
+    The result holds one Shares per batch, an empty one for no secrets.
     """
     parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
     dealt = iter((yield from deal(
         runtime, parties, [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
                            for owner, secrets in batches if secrets], p)))
-    return [[SharedValue(parties, s) for s in next(dealt)] if secrets else []
+    return [Shares(parties, next(dealt) if secrets else {pid: [] for pid in parties})
             for _, secrets in batches]
 
 
-def add_local(x: SharedValue, y: SharedValue, p: int) -> SharedValue:
-    _check_same_parties(x, y)
-    return SharedValue(x.parties, {pid: (x.shares[pid] + y.shares[pid]) % p
-                                   for pid in x.parties})
+def add(x: Shares, y: Shares, p: int) -> Shares:
+    _check_aligned(x, y)
+    return Shares(x.parties, {pid: [(a + b) % p for a, b in zip(x.columns[pid], y.columns[pid])]
+                              for pid in x.parties})
 
 
-def sum_local(values, p: int) -> SharedValue:
-    """Share-wise sum of a nonempty list of values over one party set."""
-    first = values[0]
-    for v in values[1:]:
-        _check_same_parties(first, v)
-    return SharedValue(first.parties, {pid: sum(v.shares[pid] for v in values) % p
-                                       for pid in first.parties})
+def sub(x: Shares, y: Shares, p: int) -> Shares:
+    _check_aligned(x, y)
+    return Shares(x.parties, {pid: [(a - b) % p for a, b in zip(x.columns[pid], y.columns[pid])]
+                              for pid in x.parties})
 
 
-def sub_local(x: SharedValue, y: SharedValue, p: int) -> SharedValue:
-    _check_same_parties(x, y)
-    return SharedValue(x.parties, {pid: (x.shares[pid] - y.shares[pid]) % p
-                                   for pid in x.parties})
+def scale(k: int, x: Shares, p: int) -> Shares:
+    return Shares(x.parties, {pid: [k * a % p for a in x.columns[pid]] for pid in x.parties})
 
 
-def scale_local(k: int, x: SharedValue, p: int) -> SharedValue:
-    return SharedValue(x.parties, {pid: k * x.shares[pid] % p for pid in x.parties})
+def sums(x: Shares, width: int, p: int) -> Shares:
+    """The sum of each run of `width` values, in order."""
+    if width < 1 or len(x) % width:
+        raise ShapeError("%d values do not split into runs of %d" % (len(x), width))
+    return Shares(x.parties, {pid: [sum(x.columns[pid][i:i + width]) % p
+                                    for i in range(0, len(x), width)] for pid in x.parties})
 
 
-def add_const(x: SharedValue, const: int, p: int) -> SharedValue:
-    """Add a public constant at the lowest party's share."""
+def concat(batches) -> Shares:
+    """The values of a nonempty list of batches over one party set, in order."""
+    party_sets = {x.parties for x in batches}
+    if len(party_sets) != 1:
+        raise ShareError("concatenating batches over %d party sets, not 1" % len(party_sets))
+    [parties] = party_sets
+    return Shares(parties, {pid: [a for x in batches for a in x.columns[pid]] for pid in parties})
+
+
+def add_const(x: Shares, const: int, p: int) -> Shares:
+    """Add a public constant to every value, at the lowest party's shares."""
     lowest = min(x.parties)
-    shares = dict(x.shares)
-    shares[lowest] = (shares[lowest] + const) % p
-    return SharedValue(x.parties, shares)
+    columns = dict(x.columns)
+    columns[lowest] = [(a + const) % p for a in columns[lowest]]
+    return Shares(x.parties, columns)
 
 
-def open_values(runtime: Runtime, values, p: int,
+def open_values(runtime: Runtime, values: Shares, p: int,
                 collector: PartyId | None = None,
                 recipients=None) -> list[int]:
     """Open a batch of shared values in one run of two rounds.
 
-    `values` is a list of SharedValues or a ShareColumns batch.  Every party
-    sends one message carrying its column of shares to the collector, which
-    reconstructs and broadcasts the results to `recipients` (all contributing
-    parties by default; pass an explicit list to reveal the values to a
-    subset only).  A missing or repeated contribution is a ShareError.
-    Every recipient decodes the broadcast, and one that is malformed or
-    differs from the collector's result aborts.
+    Every party sends one message carrying its column of shares to the
+    collector, which reconstructs and broadcasts the results to `recipients`
+    (all contributing parties by default; pass an explicit list to reveal
+    the values to a subset only).  A missing or repeated contribution is a
+    ShareError.  Every recipient decodes the broadcast, and one that is
+    malformed or differs from the collector's result aborts.
     """
     [opened] = runtime.run(_open(runtime, values, p, collector, recipients))
     return opened
 
 
-def _open(runtime: Runtime, values, p: int, collector, recipients) -> Protocol:
-    batch = values if isinstance(values, ShareColumns) else ShareColumns.of(list(values))
-    count = len(batch)
+def _open(runtime: Runtime, values: Shares, p: int, collector, recipients) -> Protocol:
+    count = len(values)
     if not count:
         return []
-    parties, columns = batch.parties, batch.columns
+    parties, columns = values.parties, values.columns
     if collector is None:
         collector = min(parties)
-    if collector not in columns:
+    if collector not in parties:
         raise ShareError("collector %s holds no share of the batch" % (collector,))
     batch_id = runtime.fresh_id("o")
     tag = "%s:%s" % (OPEN_TAG, batch_id)
@@ -210,44 +207,41 @@ class TripleLedger:
         return len(self._spent)
 
 
-def beaver_mult_batch(runtime: Runtime, pairs, triples, p: int,
-                      ledger: TripleLedger) -> list[SharedValue]:
-    """Multiply each pair with its own fresh dispensed triple, in one opening.
+def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
+                      ledger: TripleLedger) -> Shares:
+    """Multiply x and y elementwise, each product with its own fresh
+    dispensed triple, in one opening.
 
-    Every pair and triple is checked, and every party's differences are
-    formed, before any triple is spent, so a rejected batch leaves the ledger
-    as it was and sends nothing.
+    The factors, every triple and every party's differences are checked
+    and formed before any triple is spent, so a rejected batch leaves the
+    ledger as it was and sends nothing.
     """
-    pairs, triples = list(pairs), list(triples)
-    if len(pairs) != len(triples):
+    triples = list(triples)
+    _check_aligned(x, y)
+    if len(x) != len(triples):
         raise ParameterError("need one triple per product")
-    if not pairs:
-        return []
-    parties = pairs[0][0].parties
-    for (x, y), t in zip(pairs, triples):
-        _check_same_parties(x, y)
-        if x.parties != parties:
-            raise ShareError("batched product across mismatched party sets")
+    parties = x.parties
+    for t in triples:
         if tuple(t.parties) != parties:
             raise ShareError("triple %s dispensed to a different party set" % t.triple_id)
-    xs, ys = [x.shares for x, _ in pairs], [y.shares for _, y in pairs]
-    a_sh = [t.a_shares for t in triples]
-    b_sh = [t.b_shares for t in triples]
-    c_sh = [t.c_shares for t in triples]
-    diffs = {}
-    try:
-        for pid in parties:
-            column = diffs[pid] = [0] * (2 * len(pairs))
-            column[0::2] = [(x[pid] - a[pid]) % p for x, a in zip(xs, a_sh)]
-            column[1::2] = [(y[pid] - b[pid]) % p for y, b in zip(ys, b_sh)]
+    if not triples:
+        return x
+    held = [(t.a_shares, t.b_shares, t.c_shares) for t in triples]
+    try:  # the triples' columns: per component, each party's shares
+        a, b, c = ({pid: [h[k][pid] for h in held] for pid in parties} for k in range(3))
     except KeyError as exc:
-        raise ShareError("party %s holds no share of a factor or triple" % (exc.args[0],))
+        raise ShareError("party %s holds no share of a triple" % (exc.args[0],))
+    diffs = {}
+    for pid in parties:
+        column = diffs[pid] = [0] * (2 * len(triples))
+        column[0::2] = [(v - w) % p for v, w in zip(x.columns[pid], a[pid])]
+        column[1::2] = [(v - w) % p for v, w in zip(y.columns[pid], b[pid])]
     ledger.spend_all(t.triple_id for t in triples)
-    opened = open_values(runtime, ShareColumns(parties, diffs), p)
+    opened = open_values(runtime, Shares(parties, diffs), p)
     rho, eps = opened[0::2], opened[1::2]
-    products = {pid: [(c[pid] + e * a[pid] + r * b[pid]) % p
-                      for a, b, c, r, e in zip(a_sh, b_sh, c_sh, rho, eps)]
+    products = {pid: [(w + e * u + r * v) % p
+                      for u, v, w, r, e in zip(a[pid], b[pid], c[pid], rho, eps)]
                 for pid in parties}
     lowest = min(parties)
     products[lowest] = [(v + r * e) % p for v, r, e in zip(products[lowest], rho, eps)]
-    return ShareColumns(parties, products).values()
+    return Shares(parties, products)

@@ -1,5 +1,5 @@
-"""Shared test utilities: one-value sharing, opening and products over the
-batch forms, manufactured triples for field-level unit tests, a fault
+"""Shared test utilities: one-value sharing, opening and products as
+batches of one, manufactured triples for field-level unit tests, a fault
 injector that rewrites payloads on their way into the network, and a
 recorder of the messages each truncation sends."""
 
@@ -19,21 +19,25 @@ both_backends = pytest.mark.parametrize("modexp_backend", ["loaded", "pow"], ind
 
 
 def share_values(runtime, owner, secrets, parties, p):
-    """Owner shares a list of secrets in one run of `spdz.share_batches`."""
+    """Owner shares a list of secrets in one run of `spdz.share_batches`:
+    one `spdz.Shares` batch."""
     [[shared]] = runtime.run(spdz.share_batches(runtime, parties, [(owner, secrets)], p))
     return shared
 
 
 def share_secret(runtime, owner, secret, parties, p):
-    return share_values(runtime, owner, [secret], parties, p)[0]
+    """A batch of the one value `secret`."""
+    return share_values(runtime, owner, [secret], parties, p)
 
 
 def open_value(runtime, value, p, **kwargs):
-    return spdz.open_values(runtime, [value], p, **kwargs)[0]
+    """Open a batch of one value."""
+    [opened] = spdz.open_values(runtime, value, p, **kwargs)
+    return opened
 
 
 def beaver_mult(runtime, x, y, triple, p, ledger):
-    return spdz.beaver_mult_batch(runtime, [(x, y)], [triple], p, ledger)[0]
+    return spdz.beaver_mult_batch(runtime, x, y, [triple], p, ledger)
 
 
 def make_triple(a, b, c, p, parties, rng, triple_id):

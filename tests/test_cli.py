@@ -353,15 +353,17 @@ def test_console_entry_point(tmp_path):
 
 # A basis whose one column has an entry past the float range, or whose square
 # is; group documents that are not objects or lack g; controls one SNP wider
-# than the 6-row basis.
+# than the 6-row basis.  Every genotype file's header is as wide as its rows.
 HUGE_BASIS = "1e400\n0\n0\n0\n0\n0\n"
 BIG_BASIS = "1e200\n0\n0\n0\n0\n0\n"
 NO_G = json.dumps({"p": "23", "q": "11"})
-WIDE_CONTROLS = "snp\n0,1,2,0,1,0,1\n"
+WIDE_CONTROLS = "snp0,snp1,snp2,snp3,snp4,snp5,snp6\n0,1,2,0,1,0,1\n"
 # One case sample of COUNT_CAP + 5 SNPs, all 0: its count of 0s is past the cap.
-TALL_CASE = "snp\n" + ",".join(["0"] * (COUNT_CAP + 5)) + "\n"
+TALL_CASE = ",".join(["snp"] * (COUNT_CAP + 5)) + "\n" + ",".join(["0"] * (COUNT_CAP + 5)) + "\n"
 # Three samples of the fixture's six SNPs and no header row.
 HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
+# Rows of 6, 2 and 8 values under a header of 6.
+RAGGED = "s0,s1,s2,s3,s4,s5\n0,1,2,0,1,0\n2,0\n2,2,0,1,0,2,1,1\n"
 
 
 @pytest.mark.parametrize("argv,config,code", [
@@ -416,6 +418,8 @@ HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
     (["run", "--plaintext-oracle", "--case", ("case.csv", HEADERLESS)], None, EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--controls", ("c.csv", HEADERLESS)], None,
      EXIT_VALIDATION),
+    (["run", "--case", ("case.csv", RAGGED)], None, EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--case", ("case.csv", RAGGED)], None, EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
@@ -431,7 +435,8 @@ HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
         "oracle-lambda-max-below-float", "oracle-config-tau-below-float",
         "oracle-config-lambda-max-below-float", "case-count-past-cap",
         "oracle-case-count-past-cap", "headerless-case", "headerless-controls",
-        "oracle-headerless-case", "oracle-headerless-controls"])
+        "oracle-headerless-case", "oracle-headerless-controls", "ragged-case",
+        "oracle-ragged-case"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
     def written(arg):

@@ -27,6 +27,7 @@ from helpers import (
     open_value,
     record_truncations,
     share_secret,
+    share_values,
     triple_stream,
 )
 
@@ -242,6 +243,16 @@ class TestTrunc:
         sent, states = rt.messages_sent, [rt.rng(pid).getstate() for pid in PARTIES]
         with pytest.raises(ParameterError):
             trunc(rt, z, 4, SMALL, roles=roles)
+        assert rt.messages_sent == sent
+        assert [rt.rng(pid).getstate() for pid in PARTIES] == states
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_value_only_rejected_before_any_draw_or_send(self, count):
+        rt = fresh_rt(seed=19)
+        z = share_values(rt, PARTIES[0], list(range(count)), PARTIES, SMALL.p)
+        sent, states = rt.messages_sent, [rt.rng(pid).getstate() for pid in PARTIES]
+        with pytest.raises(ParameterError, match="one value"):
+            trunc(rt, z, 4, SMALL)
         assert rt.messages_sent == sent
         assert [rt.rng(pid).getstate() for pid in PARTIES] == states
 

@@ -335,8 +335,9 @@ class TestSecureResidual:
         z_sh = share_vector(ctx.runtime, ctx.o_ctrl, values, ctx.mpc_pids, params)
         p, encoded = params.p, [fixpt.fp_encode(v, params) for v in values]
         assert len(z_sh) == len(values)
-        assert [sum(v.shares.values()) % p for v in z_sh] == encoded
-        assert sum(z_sh.norm_sq.shares.values()) % p == sum(e * e for e in encoded) % p
+        assert [sum(v) % p for v in zip(*z_sh.columns.values())] == encoded
+        assert [sum(v) % p for v in zip(*z_sh.norm_sq.columns.values())] \
+            == [sum(e * e for e in encoded) % p]
 
     def test_control_at_the_frame_cap_matches_oracle(self, group256):
         # ||z||^2 = 181^2 + 2^2 + 1 + 1 = 2^(e-1) - 1, the largest norm
@@ -368,7 +369,7 @@ class TestSecureResidual:
         before = (len(ctx.ledger), ctx.runtime.messages_sent, list(ctx.dispenser.pool),
                   ctx.dispenser.count)
         with pytest.raises(ShareError, match="norm"):
-            residual_norm_sq(ctx.runtime, cols, tuple(z_sh), params,
+            residual_norm_sq(ctx.runtime, cols, z_sh[:], params,
                              ctx.dispenser, ctx.ledger, ctx.roles)
         assert (len(ctx.ledger), ctx.runtime.messages_sent, list(ctx.dispenser.pool),
                 ctx.dispenser.count) == before
@@ -587,6 +588,25 @@ class TestFilterPipeline:
         monkeypatch.setattr(gwas, "build_parties", None)  # no parties, so no triple
         with pytest.raises(ValidationError):
             filter_controls(group256, basis, case_counts, controls, config, seed=18)
+
+    def test_control_totals_past_the_cap_rejected_before_any_triple(self, group256,
+                                                                    monkeypatch):
+        # three controls (0, 1, 0) in the basis's span hold six 0s in all,
+        # past a cap of 4: every control is accepted, and the oracle's lambda
+        # over (8, 5, 2) is 13/63, but lambda's shared control totals cannot
+        # hold it.  Both runs refuse it before any triple
+        monkeypatch.setattr(gwas, "COUNT_CAP", 4)
+        basis = orthonormal_columns([(0, 1, 0)])
+        controls = [ControlRecord.from_genotype_row("ctrl_%03d" % i, (0, 1, 0))
+                    for i in range(3)]
+        config = PipelineConfig(fp=fp_for(group256))
+        assert plain_filter_controls(basis, (2, 2, 2), controls, config)["lambda"] \
+            == Fraction(13, 63)
+        monkeypatch.setattr(gwas, "build_parties", None)  # no parties, so no triple
+        with pytest.raises(ValidationError, match="count 6 outside"):
+            gwas.validate_inputs(basis, (2, 2, 2), controls, config)  # the oracle's check
+        with pytest.raises(ValidationError, match="count 6 outside"):
+            filter_controls(group256, basis, (2, 2, 2), controls, config, seed=18)
 
     def test_control_under_norm_bound_matches_oracle(self, group256):
         basis, case_counts, controls, config = far_control_inputs(group256, 100)

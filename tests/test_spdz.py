@@ -6,17 +6,19 @@ from scipy.stats import chisquare
 
 from spdzgen import modmath, spdz
 from spdzgen.dispense import BeaverTripleShares, reconstruct, split_additive
-from spdzgen.errors import ProtocolAbort, ShareError, TripleReuseError
+from spdzgen.errors import ParameterError, ProtocolAbort, ShapeError, ShareError, TripleReuseError
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import (
-    SharedValue,
+    Shares,
     TripleLedger,
+    add,
     add_const,
-    add_local,
     beaver_mult_batch,
+    concat,
     open_values,
-    scale_local,
-    sub_local,
+    scale,
+    sub,
+    sums,
 )
 
 from helpers import (
@@ -59,7 +61,7 @@ class TestOpen:
     def test_linearity(self, rt, tiny):
         x = share_secret(rt, P1, 3, PARTIES, tiny.p)
         y = share_secret(rt, P2, 4, PARTIES, tiny.p)
-        assert open_value(rt, add_local(x, y, tiny.p), tiny.p) == 7
+        assert open_value(rt, add(x, y, tiny.p), tiny.p) == 7
 
     def test_random_roundtrips(self, rt, group256):
         rng = random.Random(1)
@@ -69,9 +71,10 @@ class TestOpen:
             assert open_value(rt, sv, group256.p) == s
 
     def test_incomplete_opening(self, rt, tiny):
-        broken = SharedValue(PARTIES, {P1: 1, P2: 2})
+        # a batch without P3's shares cannot even be built
         with pytest.raises(ShareError):
-            open_value(rt, broken, tiny.p)
+            open_value(rt, Shares(PARTIES, {P1: [1], P2: [2]}), tiny.p)
+        assert rt.messages_sent == 0
 
     def test_collector_outside_the_party_set(self, tiny):
         rt = Runtime(PARTIES + (PartyId("MPC", 4),), seed=0)
@@ -115,7 +118,7 @@ class TestOpenDecoding:
         lambda blob: (2**256 - 1).to_bytes(32, "big") + blob[32:],  # share >= p
     ], ids=["truncated", "overlong", "out-of-range"])
     def test_malformed_share_blob_aborts(self, rt, group256, monkeypatch, tamper):
-        values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
+        values = concat([share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)])
         tamper_sends(monkeypatch, spdz.OPEN_TAG + ":", tamper)
         with pytest.raises(ProtocolAbort):
             open_values(rt, values, group256.p)
@@ -125,7 +128,7 @@ class TestOpenDecoding:
     def test_tampered_result_broadcast_aborts(self, rt, group256, monkeypatch, mutator):
         # each recipient decodes the collector's broadcast; a malformed one
         # aborts, and so does one that differs from the collector's result
-        values = [share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)]
+        values = concat([share_secret(rt, P1, v, PARTIES, group256.p) for v in (11, 22)])
         tamper_sends(monkeypatch, spdz.OPEN_RESULT_TAG + ":", mutator(group256.p))
         with pytest.raises(ProtocolAbort):
             open_values(rt, values, group256.p)
@@ -139,7 +142,8 @@ class TestSharing:
         assert open_values(rt, shared, group256.p) == values
 
     def test_empty_vector_sends_nothing(self, rt, group256):
-        assert share_values(rt, P1, [], PARTIES, group256.p) == []
+        empty = share_values(rt, P1, [], PARTIES, group256.p)
+        assert (len(empty), empty.parties) == (0, PARTIES)
         assert rt.messages_sent == 0
 
     @pytest.mark.parametrize("mutate", [truncated, out_of_range],
@@ -164,11 +168,11 @@ class TestLocalAlgebra:
     def test_add_zero(self, rt, tiny):
         x = share_secret(rt, P1, 5, PARTIES, tiny.p)
         z = share_secret(rt, P2, 0, PARTIES, tiny.p)
-        assert open_value(rt, add_local(x, z, tiny.p), tiny.p) == 5
+        assert open_value(rt, add(x, z, tiny.p), tiny.p) == 5
 
     def test_scale(self, rt, tiny):
         x = share_secret(rt, P1, 5, PARTIES, tiny.p)
-        assert open_value(rt, scale_local(2, x, tiny.p), tiny.p) == 10
+        assert open_value(rt, scale(2, x, tiny.p), tiny.p) == 10
 
     def test_add_sub_cancel(self, rt, group256):
         rng = random.Random(2)
@@ -176,19 +180,51 @@ class TestLocalAlgebra:
             a, b = rng.randrange(group256.p), rng.randrange(group256.p)
             x = share_secret(rt, P1, a, PARTIES, group256.p)
             y = share_secret(rt, P2, b, PARTIES, group256.p)
-            z = sub_local(add_local(x, y, group256.p), y, group256.p)
+            z = sub(add(x, y, group256.p), y, group256.p)
             assert open_value(rt, z, group256.p) == a
 
     def test_mismatched_party_sets(self, rt, tiny):
-        x = SharedValue((P1, P2), {P1: 1, P2: 2})
-        y = SharedValue(PARTIES, {P1: 1, P2: 2, P3: 3})
-        with pytest.raises(ShareError):
-            add_local(x, y, tiny.p)
+        # elementwise operands need one party set and one length, and each
+        # fault raises before anything is sent.  concat joins batches of any
+        # lengths, so its length fault is a ragged part, whose parties hold
+        # different numbers of shares: a batch that Shares refuses as it is
+        # built
+        p = tiny.p
+        x = share_values(rt, P1, [1, 2], PARTIES, p)
+        short = share_values(rt, P2, [3], PARTIES, p)
+        ops = {"add": lambda y: add(x, y, p), "sub": lambda y: sub(x, y, p),
+               "concat": lambda y: concat([x, y])}
+        faults = {"parties": (lambda: Shares((P1, P2), {P1: [1, 2], P2: [2, 3]}), ShareError),
+                  "length": (lambda: short, ShapeError)}
+        sent = rt.messages_sent
+        for op, run in ops.items():
+            for fault, (part, expected) in faults.items():
+                if (op, fault) == ("concat", "length"):
+                    part, expected = (lambda: Shares(PARTIES, {P1: [3, 4], P2: [5], P3: [6]}),
+                                      ShareError)
+                with pytest.raises(expected):
+                    run(part())
+        assert rt.messages_sent == sent
+
+    def test_sums_and_indexing(self, rt, tiny):
+        p = tiny.p
+        x = share_values(rt, P1, [1, 2, 3, 4, 5, 6], PARTIES, p)
+        assert open_values(rt, sums(x, 3, p), p) == [6, 15]
+        assert open_values(rt, sums(x, 1, p), p) == [1, 2, 3, 4, 5, 6]
+        assert open_values(rt, concat([x[4], x[1:3], x[-1]]), p) == [5, 2, 3, 6]
+        assert (len(x[6:]), x[6:].parties) == (0, PARTIES)
+        with pytest.raises(IndexError):
+            x[6]
+        for width in (0, 4):
+            with pytest.raises(ShapeError):
+                sums(x, width, p)
+        with pytest.raises(ShareError):  # no batch, so no party set
+            concat([])
 
     def test_add_const_at_lowest_party(self, rt, tiny):
         x = share_secret(rt, P2, 5, PARTIES, tiny.p)
         y = add_const(x, 4, tiny.p)
-        assert {pid: (y.shares[pid] - x.shares[pid]) % tiny.p for pid in PARTIES} \
+        assert {pid: (y.columns[pid][0] - x.columns[pid][0]) % tiny.p for pid in PARTIES} \
             == {P1: 4, P2: 0, P3: 0}
         assert open_value(rt, y, tiny.p) == 9
 
@@ -257,7 +293,7 @@ class TestBeaverMult:
         assert len(ledger) == 0
         # one bad triple rejects the whole batch before any triple is spent
         with pytest.raises(ShareError):
-            beaver_mult_batch(rt, [(x, y), (x, y)], [triple, wrong], tiny.p, ledger)
+            beaver_mult_batch(rt, concat([x, x]), concat([y, y]), [triple, wrong], tiny.p, ledger)
         assert len(ledger) == 0
 
     def test_opened_rho_uniform_with_blinded_triples(self, tiny):
@@ -276,8 +312,8 @@ class TestBeaverMult:
             r = rng.randrange(1, tiny.p)
             triple = make_triple(r * a % 23, r * b % 23, r * r * a * b % 23,
                                  tiny.p, rng, triple_id="u%d" % i)
-            a_share = SharedValue(triple.parties, triple.a_shares)
-            rho = open_value(rt, sub_local(x, a_share, tiny.p), tiny.p)
+            a_share = Shares(triple.parties, {q: [a] for q, a in triple.a_shares.items()})
+            rho = open_value(rt, sub(x, a_share, tiny.p), tiny.p)
             ledger.spend(triple.triple_id)
             tally[rho] += 1
         support = [v for v in range(23) if v != xv]
@@ -296,43 +332,52 @@ class TestColumnarBatch:
         rt = Runtime(parties, seed=m)
         triples = triple_stream(p, parties, rng)
         plain = [(rng.randrange(p), rng.randrange(p)) for _ in range(6)]
-        pairs = [(share_secret(rt, parties[0], xv, parties, p),
-                  share_secret(rt, parties[-1], yv, parties, p)) for xv, yv in plain]
-        used = [next(triples) for _ in pairs]
-        products = beaver_mult_batch(rt, pairs, used, p, TripleLedger())
+        x = share_values(rt, parties[0], [xv for xv, _ in plain], parties, p)
+        y = share_values(rt, parties[-1], [yv for _, yv in plain], parties, p)
+        used = [next(triples) for _ in plain]
+        products = beaver_mult_batch(rt, x, y, used, p, TripleLedger())
         assert open_values(rt, products, p) == [xv * yv % p for xv, yv in plain]
-        for (x, y), t, z in zip(pairs, used, products):
-            rho = reconstruct((x.shares[q] - t.a_shares[q] for q in parties), p)
-            eps = reconstruct((y.shares[q] - t.b_shares[q] for q in parties), p)
+        for i, t in enumerate(used):
+            rho = reconstruct((x.columns[q][i] - t.a_shares[q] for q in parties), p)
+            eps = reconstruct((y.columns[q][i] - t.b_shares[q] for q in parties), p)
             for q in parties:
                 public = rho * eps if q == parties[0] else 0
-                assert z.shares[q] == (t.c_shares[q] + eps * t.a_shares[q]
-                                       + rho * t.b_shares[q] + public) % p
+                assert products.columns[q][i] == (t.c_shares[q] + eps * t.a_shares[q]
+                                                  + rho * t.b_shares[q] + public) % p
 
-    @pytest.mark.parametrize("fault", ["factor-parties", "triple-parties", "missing-share",
+    @pytest.mark.parametrize("fault", ["factor-parties", "factor-length", "triple-parties",
+                                       "triple-count", "missing-share", "triple-missing-share",
                                        "spent-id", "repeated-id"])
     def test_rejected_at_last_pair_spends_and_sends_nothing(self, rt, group256, fault):
+        # a missing factor share is refused as its batch is built; zip would
+        # silently drop the tail of a longer factor, so lengths must match
         p, rng = group256.p, random.Random(13)
-        pairs = [(share_secret(rt, P1, v, PARTIES, p), share_secret(rt, P2, v, PARTIES, p))
-                 for v in (2, 3, 4)]
-        triples = [t for t, _ in zip(triple_stream(p, PARTIES, rng), pairs)]
+        x = share_values(rt, P1, [2, 3, 4], PARTIES, p)
+        y = share_values(rt, P2, [2, 3, 4], PARTIES, p)
+        triples = [next(triple_stream(p, PARTIES, rng, prefix="t%d-" % i)) for i in range(3)]
         ledger = TripleLedger()
-        expected = ShareError
-        if fault == "factor-parties":
-            pairs[-1] = (pairs[-1][0], SharedValue((P1, P2), {P1: 1, P2: 2}))
-        elif fault == "triple-parties":
+        factors = {"factor-parties": lambda: (x, Shares((P1, P2), {P1: [1, 2, 3], P2: [2, 3, 4]})),
+                   "factor-length": lambda: (x, y[:2]),
+                   "missing-share": lambda: (Shares(PARTIES, {P1: [1, 2, 3], P2: [2, 3, 4]}), y),
+                   }.get(fault, lambda: (x, y))
+        expected = {"factor-length": ShapeError, "triple-count": ParameterError,
+                    "spent-id": TripleReuseError, "repeated-id": TripleReuseError}.get(
+                        fault, ShareError)
+        if fault == "triple-parties":
             triples[-1] = next(triple_stream(p, (P1, P2), rng, prefix="w"))
-        elif fault == "missing-share":
-            pairs[-1] = (SharedValue(PARTIES, {P1: 1, P2: 2}), pairs[-1][1])
+        elif fault == "triple-count":
+            triples = triples[:2]
+        elif fault == "triple-missing-share":
+            t = triples[-1]
+            triples[-1] = BeaverTripleShares(t.triple_id, t.parties, t.a_shares, t.b_shares,
+                                             {P1: t.c_shares[P1], P2: t.c_shares[P2]})
         elif fault == "spent-id":
             ledger.spend(triples[-1].triple_id)
-            expected = TripleReuseError
-        else:
+        elif fault == "repeated-id":
             triples[-1] = triples[0]
-            expected = TripleReuseError
         spent, sent = len(ledger), rt.messages_sent
         with pytest.raises(expected):
-            beaver_mult_batch(rt, pairs, triples, p, ledger)
+            beaver_mult_batch(rt, *factors(), triples, p, ledger)
         assert (len(ledger), rt.messages_sent) == (spent, sent)
 
 
@@ -341,8 +386,9 @@ class TestBatchedOpen:
         rng = random.Random(11)
         values = [rng.randrange(group256.p) for _ in range(5)]
         shared = [share_secret(rt, P1, v, PARTIES, group256.p) for v in values]
-        assert open_values(rt, shared, group256.p) == values
+        assert open_values(rt, concat(shared), group256.p) == values
 
     def test_reconstruct_oracle_matches_open(self, rt, tiny):
         sv = share_secret(rt, P3, 13, PARTIES, tiny.p)
-        assert reconstruct(sv.shares.values(), tiny.p) == open_value(rt, sv, tiny.p) == 13
+        assert reconstruct((col[0] for col in sv.columns.values()), tiny.p) \
+            == open_value(rt, sv, tiny.p) == 13

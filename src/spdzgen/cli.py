@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--parties", type=int, default=3)
     t.add_argument("--mode", choices=("single", "two"), default="single")
     t.add_argument("--seed", default="0")
-    t.add_argument("--ledger", help="append-only JSONL dispensation audit file")
+    t.add_argument("--ledger", help="JSONL dispensation audit file (new or empty)")
     t.add_argument("--demo-reuse", action="store_true",
                    help="attempt a double-spend after dispensing (exits nonzero)")
     t.set_defaults(func=cmd_triples)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--parties", type=int)
     r.add_argument("--plaintext-oracle", action="store_true")
     r.add_argument("--transcript-out")
-    r.add_argument("--triple-ledger", help="JSONL dispensation audit file")
+    r.add_argument("--triple-ledger", help="JSONL dispensation audit file (new or empty)")
     r.set_defaults(func=cmd_run)
     return parser
 

@@ -1,19 +1,9 @@
-"""Additive secret sharing and blind dispensation of Beaver triples.
-
-`deal` is the one sharing routine.  Each owner sends every other party one
-message per batch of values, and several owners' batches share one round.
-Every party but one gets a SEED_BYTES seed and expands its shares from it
-(`modmath.expand_residues`, SHAKE-256); the one left holds the correction
-shares, value - sum of the expanded shares.  An owner among the parties
-keeps the correction itself; an owner outside them (a triple holder) sends
-it to the first party as one message of residues.  Each recipient builds its
-shares from the bytes it received, so a seed of the wrong length or a
-malformed correction aborts and a corrupted one changes the result.  Input
-sharing (`spdz`) and the dispensation below both deal through it.
+"""Blind dispensation of Beaver triples.
 
 A generated triple (a, b, c) never reaches the MPC servers raw: each triple
 holder scales its own component by a blind factor, then splits the scaled
-values additively across the m servers.  Two blinding variants are supported:
+values additively across the m servers, dealing them as seeds and
+corrections through `spdz.deal`.  Two blinding variants are supported:
 
   single-randomness:  a' = ra*a,  b' = rb*b,  c' = ra*rb*c
   two-randomness:     a' = sa*ra*a,  b' = sb*rb*b,  c' = sa*sb*rc*c
@@ -70,9 +60,10 @@ from dataclasses import dataclass
 
 from . import btg, mhkm, modmath
 from .btg import BTG_TAG, BtgRole
-from .errors import BlindFactorError, ParameterError, SelectionError, ShareError
+from .errors import BlindFactorError, ParameterError, SelectionError, ShareError, ValidationError
 from .modmath import GroupParams
 from .net import PartyId, Protocol, Runtime, lockstep
+from .spdz import deal
 
 
 def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]:
@@ -86,51 +77,6 @@ def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]
     tail = [rng.randrange(p) for _ in range(m - 1)]
     head = (secret - sum(tail)) % p
     return [head] + tail
-
-
-def _seed(rng: random.Random) -> bytes:
-    """A fresh PRG seed drawn from a sender's generator."""
-    return rng.getrandbits(8 * modmath.SEED_BYTES).to_bytes(modmath.SEED_BYTES, "big")
-
-
-def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
-    """Deal several owners' batches of values, as a protocol of one round.
-
-    `batches` lists `(owner, tag, values)`.  Each owner sends every other
-    party one message under `tag`: a seed of its shares of all the values,
-    or, to the party that holds the corrections, the K correction shares
-    value - sum of the expanded shares.  An owner among `parties` holds the
-    corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
-    outside them sends them to `parties[0]`.  One round delivers every
-    batch, and every recipient builds its shares from the bytes it took off
-    the wire.  The result holds, per batch, its columns: a PartyId -> list
-    map of each party's shares of the values, in value order.
-    """
-    parties, batches = list(parties), list(batches)
-    if len(parties) < 2:
-        raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
-    held = []
-    for owner, tag, values in batches:
-        rng = runtime.rng(owner)
-        keeper = owner if owner in parties else parties[0]
-        seeds = {pid: _seed(rng) for pid in parties if pid != keeper}
-        expanded = zip(*(modmath.expand_residues(seed, len(values), p) for seed in seeds.values()))
-        correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
-        for pid in parties:
-            if pid == owner:
-                runtime.note(owner, "kept local %s share" % tag)
-            else:
-                runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
-                             else modmath.encode_residues(correction, p))
-        held.append((keeper, {owner: correction} if keeper == owner else {}))
-    yield
-    for (owner, tag, values), (keeper, columns) in zip(batches, held):
-        for pid in parties:
-            if pid != owner:
-                payload = runtime.take(pid, tag).payload
-                columns[pid] = (modmath.decode_residues(payload, len(values), p) if pid == keeper
-                                else modmath.expand_residues(payload, len(values), p))
-    return [{pid: columns[pid] for pid in parties} for _, columns in held]
 
 
 def reconstruct(shares, p: int) -> int:
@@ -240,7 +186,7 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
     two = owners is not None
     senders = owners if two else (pid_c, pid_c)
-    seeds = [_seed(runtime.rng(src)) for src in senders]
+    seeds = [modmath.draw_seed(runtime.rng(src)) for src in senders]
     blind_tag = "%s:%s" % (BLIND_TAG, first)
     for src, dst, seed in zip(senders, (pid_a, pid_b), seeds):
         runtime.send(src, dst, blind_tag, seed)
@@ -249,7 +195,7 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     if two:
         ox, oy = owners
         sign_tag, product_tag = "%s:%s" % (SIGN_TAG, first), "%s:%s" % (SIGN_PRODUCT_TAG, first)
-        sign_seed = _seed(runtime.rng(pid_a))
+        sign_seed = modmath.draw_seed(runtime.rng(pid_a))
         runtime.send(pid_a, pid_b, sign_tag, sign_seed)
         outcome, chain, (signs_b, products) = yield from lockstep(
             btg.triple_session(runtime, params, btg_keys, btg_pids, count=count),
@@ -273,8 +219,8 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
                                [r * v % p for r, v in zip(rs, outcome[role])])
                               for role, rs in zip(BtgRole, factors)], p)
     parties = tuple(mpc_pids)
-    per_triple = ([dict(zip(parties, held)) for held in zip(*(columns[pid] for pid in parties))]
-                  for columns in shares)
+    per_triple = ([dict(zip(parties, held)) for held in zip(*(x.columns[pid] for pid in parties))]
+                  for x in shares)
     return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
             for tid, a, b, c in zip(triple_ids, *per_triple)]
 
@@ -306,7 +252,9 @@ class TripleDispenser:
     key past the first of each list.  `next_triple` pops the pool, minting a
     single triple when it is empty.  The ledger is opened for append when
     the dispenser is built, so an unwritable path fails before any triple is
-    minted.
+    minted, and so does a ledger that already holds lines: every runtime's
+    triple ids start again at t000001, so a second run's lines would repeat
+    the first run's ids.
     """
 
     def __init__(self, runtime: Runtime, params: GroupParams, btg_pids: dict,
@@ -326,7 +274,10 @@ class TripleDispenser:
         self.chain_keys = {**(owner_keys or {}), btg_pids[BtgRole.C]: btg_keys[BtgRole.C][0]}
         self.ledger_path = ledger_path
         if ledger_path is not None:
-            open(ledger_path, "a").close()
+            with open(ledger_path, "a") as fh:
+                if fh.tell():
+                    raise ValidationError("triple ledger %s is not empty; an audit ledger "
+                                          "holds the triples of one run" % ledger_path)
         self.count = 0  # triples handed out by next_triple
         self.pool = deque()
 

@@ -148,8 +148,7 @@ def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams,
     masked = dict(spdz.add_const(z, 2 ** w, p).columns)
     masked[owner] = [(masked[owner][0] + r1) % p]
     masked[wide] = [(masked[wide][0] + (r2 << m)) % p]
-    [c] = spdz.open_values(runtime, Shares(z.parties, masked), p,
-                           collector=owner, recipients=[owner])
+    [c] = spdz.open_values(runtime, Shares(z.parties, masked), p, to=owner)
     if c >= 2 ** (params.kappa + w + 1):
         raise ProtocolAbort("masked opening exceeded its integer bound (wraparound)")
     c1 = c % 2 ** m

@@ -125,29 +125,18 @@ class GenotypeMatrix:
         return cls(entries=entries)
 
 
-def synth_genotypes(n_samples: int, n_snps: int, allele_freqs, seed) -> GenotypeMatrix:
-    """Hardy-Weinberg sampling: per-SNP probabilities ((1-q)^2, 2q(1-q), q^2)."""
-    if isinstance(allele_freqs, (int, float)):
-        allele_freqs = [float(allele_freqs)] * n_snps
-    freqs = list(allele_freqs)
-    if len(freqs) != n_snps:
-        raise ParameterError("need one allele frequency per SNP")
-    for q in freqs:
-        if not 0.0 < q < 1.0:
-            raise ParameterError("allele frequency %r outside (0, 1)" % q)
+def synth_genotypes(n_samples: int, n_snps: int, q: float, seed) -> GenotypeMatrix:
+    """Hardy-Weinberg sampling at allele frequency q for every SNP: genotype
+    probabilities ((1-q)^2, 2q(1-q), q^2)."""
+    if not 0.0 < q < 1.0:
+        raise ParameterError("allele frequency %r outside (0, 1)" % q)
     rng = random.Random(seed)
+    p0 = (1 - q) ** 2
+    p1 = p0 + 2 * q * (1 - q)
     rows = []
     for _ in range(n_samples):
-        row = []
-        for q in freqs:
-            x = rng.random()
-            if x < (1 - q) ** 2:
-                row.append(0)
-            elif x < (1 - q) ** 2 + 2 * q * (1 - q):
-                row.append(1)
-            else:
-                row.append(2)
-        rows.append(tuple(row))
+        draws = [rng.random() for _ in range(n_snps)]
+        rows.append(tuple(0 if x < p0 else 1 if x < p1 else 2 for x in draws))
     return GenotypeMatrix(entries=tuple(rows))
 
 
@@ -393,7 +382,7 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
     triples2 = [dispenser.next_triple() for _ in range(2)]
     blinded = spdz.beaver_mult_batch(runtime, spdz.concat([blind_sh, blind_sh]),
                                      spdz.concat([num, prods[2]]), triples2, p, ledger)
-    opened = spdz.open_values(runtime, blinded, p, collector=o_ctrl, recipients=[o_ctrl])
+    opened = spdz.open_values(runtime, blinded, p, to=o_ctrl)
     num_i, den_i = signed_decode(opened[0], p), signed_decode(opened[1], p)
     if den_i == 0:
         raise DegenerateTableError("blinded denominator opened to zero")
@@ -548,7 +537,8 @@ def validate_inputs(basis: CaseBasis, case_counts, controls, config: PipelineCon
 
     Every case count must be at most COUNT_CAP, and so must each genotype's
     total over all controls (its total if every control is accepted, which
-    bounds the totals lambda shares).  The basis must be orthonormal, the
+    bounds the totals lambda shares).  The basis must have a nonzero
+    dimension and rank and be orthonormal, the
     comparison frame must fit the field and tau^2 the frame, and every
     control must have the basis's dimension and ||z||^2 < 2^(e-1).
     ||z||^2 bounds every term of the residual (the basis is orthonormal, so
@@ -557,6 +547,9 @@ def validate_inputs(basis: CaseBasis, case_counts, controls, config: PipelineCon
     """
     params = config.fp
     _check_counts([*case_counts, *(sum(c.counts[i] for c in controls) for i in range(3))])
+    if not basis.dim or not basis.rank:
+        raise ValidationError("the basis has dimension %d and rank %d; screening needs both "
+                              "nonzero" % (basis.dim, basis.rank))
     basis.validate_orthonormal(params)
     fixpt.fp_encode(config.tau * config.tau, screening_params(params))
     norm_cap = 2 ** (params.e - 1)

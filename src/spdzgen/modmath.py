@@ -205,8 +205,8 @@ def modexp_backend() -> str:
     return "pow" if _powmod is pow else "libgmp"
 
 
-def is_probable_prime(n: int, rounds: int = MR_ROUNDS, rng: random.Random | None = None) -> bool:
-    """Trial division by small primes, then `rounds` of Miller-Rabin."""
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Trial division by small primes, then MR_ROUNDS rounds of Miller-Rabin."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -220,7 +220,7 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS, rng: random.Random | None
         r += 1
     if rng is None:
         rng = random.Random(n & 0xFFFFFFFF)
-    for _ in range(rounds):
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = _powmod(a, d, n)
         if x in (1, n - 1):
@@ -430,6 +430,11 @@ def rerandomize(ct: Ciphertext, hs, r: int, params: GroupParams) -> Ciphertext:
 
 # Bytes of a PRG seed on the wire.
 SEED_BYTES = 16
+
+
+def draw_seed(rng: random.Random) -> bytes:
+    """A fresh SEED_BYTES seed drawn from a sender's generator."""
+    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "big")
 
 
 def expand_residues(seed: bytes, count: int, p: int) -> list[int]:

@@ -1,13 +1,28 @@
-"""Linear algebra on additive shares and Beaver multiplication.
+"""Additive secret sharing, linear algebra on shares and Beaver
+multiplication.
 
 A share is a plain residue mod p.  The one share type, `Shares`, is a
 batch of shared values held column-wise: its party set and, per party, that
 party's shares of every value in value order, which is what the party puts
-on the wire.  One value is a batch of one.  Linear operations are
-elementwise, share-wise and free of communication.  An opening is the only
-synchronization point: every party ships its column to a collector, which
-reconstructs and (optionally) broadcasts.  Multiplication consumes one
-dispensed triple per product:
+on the wire.  One value is a batch of one.
+
+`deal` is the one sharing routine.  Each owner sends every other party one
+message per batch of values, and several owners' batches share one round.
+Every party but one gets a SEED_BYTES seed and expands its shares from it
+(`modmath.expand_residues`, SHAKE-256); the one left holds the correction
+shares, value - sum of the expanded shares.  An owner among the parties
+keeps the correction itself; an owner outside them (a triple holder) sends
+it to the first party as one message of residues.  Each recipient builds its
+shares from the bytes it received, so a seed of the wrong length or a
+malformed correction aborts and a corrupted one changes the result.  Input
+sharing (`share_batches`) and the triples' dispensation (`dispense`) both
+deal through it.
+
+Linear operations are elementwise, share-wise and free of communication.
+An opening is the only synchronization point, and it goes to one party or
+to all: every party ships its column to the one party, or to the lowest
+party, which reconstructs and broadcasts the values to every party.
+Multiplication consumes one dispensed triple per product:
 
     rho = open([x] - [a]),  eps = open([y] - [b])
     [x*y] = [c] + eps*[a] + rho*[b] + rho*eps
@@ -23,9 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dispense import deal
 from .errors import ParameterError, ProtocolAbort, ShapeError, ShareError, TripleReuseError
-from .modmath import decode_residues, encode_residues
+from .modmath import decode_residues, draw_seed, encode_residues, expand_residues
 from .net import PartyId, Protocol, Runtime
 
 OPEN_TAG = "open"
@@ -69,20 +83,60 @@ def _check_aligned(x: Shares, y: Shares):
         raise ShapeError("batches of %d and %d values" % (len(x), len(y)))
 
 
+def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
+    """Deal several owners' batches of values, as a protocol of one round.
+
+    `batches` lists `(owner, tag, values)`.  Each owner sends every other
+    party one message under `tag`: a seed of its shares of all the values,
+    or, to the party that holds the corrections, the K correction shares
+    value - sum of the expanded shares.  An owner among `parties` holds the
+    corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
+    outside them sends them to `parties[0]`.  One round delivers every
+    batch, and every recipient builds its shares from the bytes it took off
+    the wire.  The result holds one Shares per batch, over `parties` in
+    argument order.
+    """
+    parties, batches = tuple(parties), list(batches)
+    if len(parties) < 2:
+        raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
+    held = []
+    for owner, tag, values in batches:
+        rng = runtime.rng(owner)
+        keeper = owner if owner in parties else parties[0]
+        seeds = {pid: draw_seed(rng) for pid in parties if pid != keeper}
+        expanded = zip(*(expand_residues(seed, len(values), p) for seed in seeds.values()))
+        correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
+        for pid in parties:
+            if pid == owner:
+                runtime.note(owner, "kept local %s share" % tag)
+            else:
+                runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
+                             else encode_residues(correction, p))
+        held.append((keeper, {owner: correction} if keeper == owner else {}))
+    yield
+    for (owner, tag, values), (keeper, columns) in zip(batches, held):
+        for pid in parties:
+            if pid != owner:
+                payload = runtime.take(pid, tag).payload
+                columns[pid] = (decode_residues(payload, len(values), p) if pid == keeper
+                                else expand_residues(payload, len(values), p))
+    return [Shares(parties, columns) for _, columns in held]
+
+
 def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:
     """Share several owners' secrets, as a protocol of one round.
 
     `batches` lists `(owner, secrets)`.  Each owner sends every party but
     one a 16-byte seed of its shares of them all; the one left, the owner
     itself when it is a party and else the first party, holds the correction
-    shares (`dispense.deal`).  The batches' ids are drawn at the first step.
-    The result holds one Shares per batch, an empty one for no secrets.
+    shares (`deal`).  The batches' ids are drawn at the first step.  The
+    result holds one Shares per batch, an empty one for no secrets.
     """
     parties, batches = tuple(parties), [(owner, list(secrets)) for owner, secrets in batches]
     dealt = iter((yield from deal(
         runtime, parties, [(owner, "%s:%s" % (SHARE_TAG, runtime.fresh_id("v")), secrets)
                            for owner, secrets in batches if secrets], p)))
-    return [Shares(parties, next(dealt) if secrets else {pid: [] for pid in parties})
+    return [next(dealt) if secrets else Shares(parties, {pid: [] for pid in parties})
             for _, secrets in batches]
 
 
@@ -127,31 +181,30 @@ def add_const(x: Shares, const: int, p: int) -> Shares:
     return Shares(x.parties, columns)
 
 
-def open_values(runtime: Runtime, values: Shares, p: int,
-                collector: PartyId | None = None,
-                recipients=None) -> list[int]:
-    """Open a batch of shared values in one run of two rounds.
+def open_values(runtime: Runtime, values: Shares, p: int, to: PartyId | None = None) -> list[int]:
+    """Open a batch of shared values to every party, or to the party `to`.
 
-    Every party sends one message carrying its column of shares to the
-    collector, which reconstructs and broadcasts the results to `recipients`
-    (all contributing parties by default; pass an explicit list to reveal
-    the values to a subset only).  A missing or repeated contribution is a
-    ShareError.  Every recipient decodes the broadcast, and one that is
-    malformed or differs from the collector's result aborts.
+    Every other party sends one message carrying its column of shares to
+    the collector, `to` or else the lowest party, which reconstructs the
+    values.  Opened to `to`, that is all: one round, and only `to` learns
+    the values.  Opened to every party, the collector broadcasts them in a
+    second round; every recipient decodes the broadcast, and one that is
+    malformed or differs from the collector's result aborts.  A `to` that
+    holds no share of the batch, or a missing or repeated contribution, is a
+    ShareError.
     """
-    [opened] = runtime.run(_open(runtime, values, p, collector, recipients))
+    [opened] = runtime.run(_open(runtime, values, p, to))
     return opened
 
 
-def _open(runtime: Runtime, values: Shares, p: int, collector, recipients) -> Protocol:
+def _open(runtime: Runtime, values: Shares, p: int, to) -> Protocol:
     count = len(values)
     if not count:
         return []
     parties, columns = values.parties, values.columns
-    if collector is None:
-        collector = min(parties)
+    collector = min(parties) if to is None else to
     if collector not in parties:
-        raise ShareError("collector %s holds no share of the batch" % (collector,))
+        raise ShareError("%s holds no share of the batch to open" % (collector,))
     batch_id = runtime.fresh_id("o")
     tag = "%s:%s" % (OPEN_TAG, batch_id)
     for pid in parties:
@@ -167,9 +220,11 @@ def _open(runtime: Runtime, values: Shares, p: int, collector, recipients) -> Pr
     if missing:
         raise ShareError("incomplete opening, missing %s" % ", ".join(map(str, missing)))
     opened = [sum(shares) % p for shares in zip(*(contributions[pid] for pid in parties))]
+    if to is not None:
+        return opened
     result_blob = encode_residues(opened, p)
     result_tag = "%s:%s" % (OPEN_RESULT_TAG, batch_id)
-    targets = [pid for pid in (parties if recipients is None else recipients) if pid != collector]
+    targets = [pid for pid in parties if pid != collector]
     for pid in targets:
         runtime.send(collector, pid, result_tag, result_blob)
     yield

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spdzgen import modmath
+from spdzgen import gwas, modmath
 from spdzgen.cli import EXIT_PROTOCOL, EXIT_USAGE, EXIT_VALIDATION, main
 from spdzgen.dispense import TripleDispenser
 from spdzgen.gwas import COUNT_CAP, GenotypeMatrix, orthonormal_columns, synth_genotypes
@@ -122,6 +123,23 @@ class TestTriples:
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("error:")
         assert not ledger.exists()
+
+    def test_nonempty_ledger_rejected_before_any_triple(self, tmp_path, capsys, monkeypatch):
+        # a second run would list t000001-t000003 again under other triples
+        ledger = tmp_path / "ledger.jsonl"
+        assert run_cli("triples", "-n", "3", "--seed", "1", "--ledger", str(ledger)) == 0
+        first = ledger.read_bytes()
+        capsys.readouterr()
+
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "mint", mint)
+        assert run_cli("triples", "-n", "3", "--seed", "2",
+                       "--ledger", str(ledger)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert ledger.read_bytes() == first
 
     def test_corrupted_shares_exit_protocol(self, capsys, monkeypatch):
         tamper_sends(monkeypatch, "triple-a:", shifted(DEFAULT_GROUP_256.p))
@@ -277,6 +295,29 @@ class TestRun:
         assert "outside Q<81,64> range" in capsys.readouterr().err
         assert not out.exists() and not ledger.exists()
 
+    def test_nonempty_ledger_rejected_before_any_triple(self, pipeline_files, tmp_path,
+                                                         capsys, monkeypatch):
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        ledger = tmp_path / "l.jsonl"
+
+        def run(seed, out):
+            return run_cli("run", "--case", str(case_csv), "--basis", str(basis_csv),
+                           "--controls", str(ctrl_csv), "--out", str(out), "--seed", seed,
+                           "--triple-ledger", str(ledger))
+
+        assert run("1", tmp_path / "r1.json") == 0
+        first = ledger.read_bytes()
+        capsys.readouterr()
+
+        def mint(self, n):
+            raise AssertionError("a triple was minted")
+
+        monkeypatch.setattr(TripleDispenser, "mint", mint)
+        assert run("2", tmp_path / "r2.json") == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+        assert ledger.read_bytes() == first
+        assert not (tmp_path / "r2.json").exists()
+
     def test_unwritable_ledger_rejected_before_any_triple(
             self, pipeline_files, tmp_path, capsys, monkeypatch):
         case_csv, basis_csv, ctrl_csv = pipeline_files
@@ -364,6 +405,8 @@ TALL_CASE = ",".join(["snp"] * (COUNT_CAP + 5)) + "\n" + ",".join(["0"] * (COUNT
 HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
 # Rows of 6, 2 and 8 values under a header of 6.
 RAGGED = "s0,s1,s2,s3,s4,s5\n0,1,2,0,1,0\n2,0\n2,2,0,1,0,2,1,1\n"
+# The fixture's header and no sample.
+HEADER_ONLY = "s0,s1,s2,s3,s4,s5\n"
 
 
 @pytest.mark.parametrize("argv,config,code", [
@@ -420,6 +463,11 @@ RAGGED = "s0,s1,s2,s3,s4,s5\n0,1,2,0,1,0\n2,0\n2,2,0,1,0,2,1,1\n"
      EXIT_VALIDATION),
     (["run", "--case", ("case.csv", RAGGED)], None, EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--case", ("case.csv", RAGGED)], None, EXIT_VALIDATION),
+    # a basis of dimension 0 under a controls file of a header alone
+    (["run", "--basis", ("b.csv", ""), "--controls", ("c.csv", HEADER_ONLY)], None,
+     EXIT_VALIDATION),
+    (["run", "--plaintext-oracle", "--basis", ("b.csv", ""), "--controls",
+      ("c.csv", HEADER_ONLY)], None, EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
@@ -436,7 +484,7 @@ RAGGED = "s0,s1,s2,s3,s4,s5\n0,1,2,0,1,0\n2,0\n2,2,0,1,0,2,1,1\n"
         "oracle-config-lambda-max-below-float", "case-count-past-cap",
         "oracle-case-count-past-cap", "headerless-case", "headerless-controls",
         "oracle-headerless-case", "oracle-headerless-controls", "ragged-case",
-        "oracle-ragged-case"])
+        "oracle-ragged-case", "empty-basis", "oracle-empty-basis"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
     def written(arg):
@@ -554,9 +602,17 @@ class TestPipelineGolden:
     # per-triple pipeline that came before the batches.
     TRANSCRIPT_SHA256 = "e21a6fd9ab2ab376759870c7b2aba594c065384c39b83f631485d311d2183e21"
     LEDGER_SHA256 = "7439b2874bb01358a58ea666ad3a191f69601369d5fc8dc77bbee44dd3216c52"
+    # The same run with two-randomness dispensation (`build_parties` patched
+    # to blinding="two", as tests/test_gwas.py's `screened_run` does, since
+    # `run` has no mode option).  Its transcript holds 127 records, against
+    # single mode's 112; the ledger, the report and the triple count are
+    # single mode's.  Pinned at the commit before `deal` moved into `spdz`,
+    # so that it shows the move byte-identical in two mode too.
+    TWO_MODE_TRANSCRIPT_SHA256 = "4dc6390bb8085c0703bfa3b156a2257869968abc6ddb14c8e0509763d5a67c8c"
+    TWO_MODE_LEDGER_SHA256 = LEDGER_SHA256
 
-    @both_backends
-    def test_transcript_and_ledger(self, modexp_backend, tmp_path):
+    def run_golden(self, tmp_path):
+        """The fixed `run`; returns its transcript's and ledger's sha256."""
         case_csv, basis_csv, ctrl_csv = (tmp_path / n for n in ("case.csv", "basis.csv", "ctrl.csv"))
         GenotypeMatrix(entries=((0, 1, 2, 1), (1, 1, 0, 2), (2, 1, 1, 0))).to_csv(case_csv)
         basis_csv.write_text("1,0\n0,1\n0,0\n0,0\n")
@@ -572,5 +628,16 @@ class TestPipelineGolden:
         assert report["triple_count"] == 35
         ids = [json.loads(line)["triple_id"] for line in ledger.read_text().splitlines()]
         assert len(ids) == len(set(ids)) == report["triple_count"]
-        assert hashlib.sha256(transcript.read_bytes()).hexdigest() == self.TRANSCRIPT_SHA256
-        assert hashlib.sha256(ledger.read_bytes()).hexdigest() == self.LEDGER_SHA256
+        return (hashlib.sha256(transcript.read_bytes()).hexdigest(),
+                hashlib.sha256(ledger.read_bytes()).hexdigest())
+
+    @both_backends
+    def test_transcript_and_ledger(self, modexp_backend, tmp_path):
+        assert self.run_golden(tmp_path) == (self.TRANSCRIPT_SHA256, self.LEDGER_SHA256)
+
+    @both_backends
+    def test_two_mode_transcript_and_ledger(self, modexp_backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(gwas, "build_parties",
+                            functools.partial(gwas.build_parties, blinding="two"))
+        assert self.run_golden(tmp_path) == (self.TWO_MODE_TRANSCRIPT_SHA256,
+                                             self.TWO_MODE_LEDGER_SHA256)

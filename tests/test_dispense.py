@@ -13,7 +13,6 @@ from spdzgen import btg, mhkm, modmath
 from spdzgen.btg import BtgRole
 from spdzgen.dispense import (
     TripleDispenser,
-    deal,
     dispense_blind_single,
     dispense_blind_two,
     reconstruct,
@@ -30,6 +29,7 @@ from spdzgen.errors import (
 from spdzgen.gwas import build_parties
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
+from spdzgen.spdz import deal
 
 from helpers import both_backends, out_of_range, shifted, tamper_sends, truncated, zeroed
 
@@ -99,7 +99,7 @@ class TestDeal:
         # every other party gets one seed: (m-1) * 16 bytes for any count
         rt = Runtime(MPC, seed=1)
         [[shares]] = rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6, 7])], group256.p))
-        assert [reconstruct(v, group256.p) for v in zip(*shares.values())] == [5, 6, 7]
+        assert [reconstruct(v, group256.p) for v in zip(*shares.columns.values())] == [5, 6, 7]
         assert (rt.messages_sent, rt.rounds) == (2, 1)
         assert rt.bytes_sent == (len(MPC) - 1) * modmath.SEED_BYTES
         assert ("note", MPC[0], "kept local x share") in rt.transcript
@@ -108,8 +108,8 @@ class TestDeal:
         # the first party gets the K correction shares, every other one a seed
         rt = build_runtime(seed=2)
         [[shares]] = rt.run(deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", [9, 10])], group256.p))
-        assert list(shares) == list(MPC)
-        assert [reconstruct(v, group256.p) for v in zip(*shares.values())] == [9, 10]
+        assert shares.parties == tuple(MPC)
+        assert [reconstruct(v, group256.p) for v in zip(*shares.columns.values())] == [9, 10]
         assert (rt.messages_sent, rt.rounds) == (3, 1)
         sizes = {r[2]: len(r[4]) for r in rt.transcript if r[0] == "msg"}
         assert sizes == {MPC[0]: 2 * group256.element_size,
@@ -143,8 +143,9 @@ class TestDeal:
         [[shares]] = rt.run(deal(rt, MPC, [(MPC[0], "x", [5, 6])], p))
         for pid in MPC:
             kept = pid == MPC[0]
-            assert all((s == h) == kept for s, h in zip(shares[pid], honest[pid]))
-        assert all(reconstruct(v, p) not in (5, 6) for v in zip(*shares.values()))
+            assert all((s == h) == kept
+                       for s, h in zip(shares.columns[pid], honest.columns[pid]))
+        assert all(reconstruct(v, p) not in (5, 6) for v in zip(*shares.columns.values()))
 
     def test_several_owners_share_one_round(self, group256):
         # the same shares as one deal per owner, which cost a round each
@@ -157,7 +158,7 @@ class TestDeal:
         apart = [rt.run(deal(rt, MPC, [batch], p))[0][0] for batch in batches]
         assert rt.rounds == 3
         assert together == apart
-        assert [[reconstruct(v, p) for v in zip(*shares.values())] for shares in together] \
+        assert [[reconstruct(v, p) for v in zip(*x.columns.values())] for x in together] \
             == [[5, 6], [7], [8, 9]]
 
 

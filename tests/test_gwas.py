@@ -86,8 +86,6 @@ class TestSynth:
     def test_invalid_frequency(self):
         with pytest.raises(ParameterError):
             synth_genotypes(5, 5, 0.0, seed=0)
-        with pytest.raises(ParameterError):
-            synth_genotypes(5, 5, [0.5], seed=0)  # wrong length
 
 
 class TestInflationFactor:

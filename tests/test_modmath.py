@@ -221,9 +221,9 @@ class TestPowmodBackend:
                  561, 41041, 825265, 3215031751, 3825123056546413051,
                  (2**61 - 1) * (2**89 - 1), P256 * Q256, 2**128 + 1]
         oracle = [sympy.isprime(n) for n in cases]
-        loaded = [modmath.is_probable_prime(n, rounds=16) for n in cases]
+        loaded = [modmath.is_probable_prime(n) for n in cases]
         monkeypatch.setattr(modmath, "_powmod", pow)
-        assert [modmath.is_probable_prime(n, rounds=16) for n in cases] == loaded == oracle
+        assert [modmath.is_probable_prime(n) for n in cases] == loaded == oracle
 
     def test_libgmp_is_bound_when_present(self):
         # a silent fallback to pow would keep every result and lose the speed

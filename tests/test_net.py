@@ -2,10 +2,10 @@ import pytest
 
 from spdzgen import btg, mhkm
 from spdzgen.btg import BtgRole
-from spdzgen.dispense import deal
 from spdzgen.errors import MpcError, NetworkError
 from spdzgen.gwas import build_parties
 from spdzgen.net import PartyId, Runtime, lockstep
+from spdzgen.spdz import deal
 
 A = PartyId("MPC", 1)
 B = PartyId("MPC", 2)

@@ -81,7 +81,7 @@ class TestOpen:
         sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
         sent = rt.messages_sent
         with pytest.raises(ShareError):
-            open_value(rt, sv, tiny.p, collector=PartyId("MPC", 4))
+            open_value(rt, sv, tiny.p, to=PartyId("MPC", 4))
         assert rt.messages_sent == sent
 
     def test_repeated_contribution_rejected(self, rt, tiny, monkeypatch):
@@ -102,10 +102,10 @@ class TestOpen:
 
     def test_open_to_subset_only(self, rt, tiny):
         sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
-        open_value(rt, sv, tiny.p, collector=P2, recipients=[P2])
+        assert open_value(rt, sv, tiny.p, to=P2) == 9
         results = [r for r in rt.transcript
                    if r[0] == "msg" and r[3].startswith("open-result")]
-        assert results == []  # collector keeps it; no broadcast
+        assert results == []  # P2 keeps it; no broadcast
         shares_seen = [r for r in rt.transcript
                        if r[0] == "msg" and r[3].startswith("open:")]
         assert {r[2] for r in shares_seen} == {P2}

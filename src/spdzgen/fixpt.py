@@ -4,14 +4,14 @@ Rationals are scaled by 2^f, rounded to a signed k-bit integer and embedded
 in the prime field.  Division by 2^m on shares uses a mask-and-open protocol
 that needs no shared random bits:
 
-  1. offset the input to a nonnegative integer: z' = 2^w + z  (w = working
-     bit frame, >= k);
+  1. offset the input to a nonnegative integer: z' = 2^k + z;
   2. the mask owner adds r' < 2^m to its own share and the wide-mask owner
-     adds 2^m * r'' with r'' < 2^(kappa + w - m) to its own, so the shares
+     adds 2^m * r'' with r'' < 2^(kappa + k - m) to its own, so the shares
      sum to z' + r for r = 2^m * r'' + r'; nothing is dealt;
   3. the other servers send their shares to the mask owner alone, which
      reconstructs c = r + z' (an integer, no field wraparound because
-     p > 2^(kappa + w + 1)) and aborts when c reaches that bound;
+     p > 2^(kappa + k + 1), which FixedPointParams checks) and aborts when
+     c reaches that bound;
   4. with c' = c mod 2^m, the output is 2^(-m) * ([z] + r' - c'), which
      equals floor(z / 2^m) + u for a carry bit u in {0, 1}: the mask owner
      folds r' - c' into its own share, and every server scales by 2^(-m).
@@ -26,24 +26,26 @@ nothing from a truncation.  The shares the mask owner receives are uniform
 subject to their sum, but the sum is c and the mask owner knows r', so it
 learns z mod 2^m (measured in ROADMAP open item 1).
 
-The offset uses 2^w rather than 2^(k-1) so the identity z' mod 2^m = z mod
-2^m holds for every m up to the frame width, including m = k.
+The input's bit frame is the params' k, and the offset is 2^k rather than
+2^(k-1), so z' mod 2^m = z mod 2^m holds for every m up to k, m = k
+included.  A raw Beaver product carries 2f fraction bits, so `fp_mult`
+truncates it with params widened to k + f bits, which the field must fit
+too.
 
 A fixed-point share is a plain `spdz.Shares` batch of one value whose
 encoded integer is read at the params' scale (value = encoded * 2^-f after
 the centered lift); params travel alongside as an explicit argument rather
 than wrapped per share.  `trunc`, `fp_mult` and `ltz` take and return one
-value each.
+value each, and take the truncation's roles from the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from . import spdz
 from .errors import EncodingRangeError, ParameterError, ProtocolAbort
-from .modmath import inverse, signed_decode, signed_encode
+from .modmath import inverse, signed_encode
 from .net import PartyId, Runtime
 from .spdz import Shares, TripleLedger
 
@@ -76,17 +78,10 @@ class FixedPointParams:
 
 @dataclass(frozen=True)
 class TruncRoles:
-    """Who masks and who wide-masks (default the two lowest parties)."""
+    """Who masks and who wide-masks a truncation."""
 
     mask_owner: PartyId
     wide_owner: PartyId
-
-    @classmethod
-    def default_for(cls, parties) -> "TruncRoles":
-        ordered = sorted(parties)
-        if len(ordered) < 2:
-            raise ParameterError("truncation needs at least two parties")
-        return cls(mask_owner=ordered[0], wide_owner=ordered[1])
 
 
 def fp_encode(x, params: FixedPointParams) -> int:
@@ -102,39 +97,21 @@ def fp_encode(x, params: FixedPointParams) -> int:
     return signed_encode(xbar, params.p)
 
 
-def fp_decode(y: int, params: FixedPointParams) -> Fraction:
-    return Fraction(signed_decode(y, params.p), 2 ** params.f)
-
-
-@dataclass(frozen=True)
-class TruncOutcome:
-    value: Shares
-    opened: int  # the masked opening c = r + z', which only the mask owner receives
-
-
-def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams,
-          roles: TruncRoles | None = None, frame: int | None = None,
-          exact: bool = False) -> TruncOutcome:
+def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams, roles: TruncRoles,
+          exact: bool = False) -> Shares:
     """Divide a shared signed integer by 2^m (floor, plus a carry unless exact).
 
     One round: the mask owner and the wide-mask owner mask their own shares,
     and the other servers open the masked value to the mask owner alone,
     which folds the public part and, when `exact`, the carry into its share.
-    `frame` widens the assumed bit bound of the input beyond params.k,
-    needed after multiplications whose raw result carries 2f fraction bits.
-    The field must satisfy p > 2^(kappa + frame + 1) at the chosen frame, and
-    the two owners must be distinct holders of z.
+    The input must fit the params' k bits, and the two owners must be
+    distinct holders of z.
     """
-    p = params.p
-    w = params.k if frame is None else frame
-    if not 0 < m <= w:
-        raise ParameterError("shift m=%d outside (0, %d]" % (m, w))
-    if p <= 2 ** (params.kappa + w + 1):
-        raise ParameterError("field too small for frame %d at kappa %d" % (w, params.kappa))
+    p, k = params.p, params.k
+    if not 0 < m <= k:
+        raise ParameterError("shift m=%d outside (0, %d]" % (m, k))
     if len(z) != 1:
         raise ParameterError("trunc takes one value, not %d" % len(z))
-    if roles is None:
-        roles = TruncRoles.default_for(z.parties)
     owner, wide = roles.mask_owner, roles.wide_owner
     if owner == wide:
         raise ParameterError("mask owner and wide-mask owner are both %s, which would "
@@ -144,12 +121,12 @@ def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams,
             raise ParameterError("mask holder %s holds no share of the value" % (pid,))
 
     r1 = runtime.rng(owner).randrange(2 ** m)
-    r2 = runtime.rng(wide).randrange(2 ** (params.kappa + w - m))
-    masked = dict(spdz.add_const(z, 2 ** w, p).columns)
+    r2 = runtime.rng(wide).randrange(2 ** (params.kappa + k - m))
+    masked = dict(spdz.add_const(z, 2 ** k, p).columns)
     masked[owner] = [(masked[owner][0] + r1) % p]
     masked[wide] = [(masked[wide][0] + (r2 << m)) % p]
     [c] = spdz.open_values(runtime, Shares(z.parties, masked), p, to=owner)
-    if c >= 2 ** (params.kappa + w + 1):
+    if c >= 2 ** (params.kappa + k + 1):
         raise ProtocolAbort("masked opening exceeded its integer bound (wraparound)")
     c1 = c % 2 ** m
 
@@ -157,28 +134,28 @@ def trunc(runtime: Runtime, z: Shares, m: int, params: FixedPointParams,
     carry = 1 if exact and c1 < r1 else 0
     out = spdz.scale(inv, z, p).columns
     out[owner] = [(inv * (z.columns[owner][0] + r1 - c1) - carry) % p]
-    return TruncOutcome(value=Shares(z.parties, out), opened=c)
+    return Shares(z.parties, out)
 
 
-def fp_mult(runtime: Runtime, x: Shares, y: Shares, triple,
-            params: FixedPointParams, ledger: TripleLedger,
-            roles: TruncRoles | None = None) -> Shares:
+def fp_mult(runtime: Runtime, x: Shares, y: Shares, triple, params: FixedPointParams,
+            ledger: TripleLedger, roles: TruncRoles) -> Shares:
     """Fixed-point product: Beaver multiply, then shift the extra f bits off.
 
-    The decoded result is within 2^(1-f) of the true product; an overflowing
-    product (outside Q<k,f>) is not detected.
+    The raw product fits k + f bits, so it is truncated with params widened
+    to that frame; a field too small for them is a ParameterError before
+    the triple is spent.  The decoded result is within 2^(1-f) of the true
+    product; an overflowing product (outside Q<k,f>) is not detected.
     """
+    widened = replace(params, k=params.k + params.f)
     raw = spdz.beaver_mult_batch(runtime, x, y, [triple], params.p, ledger)
-    return trunc(runtime, raw, params.f, params, roles=roles, frame=params.k + params.f).value
+    return trunc(runtime, raw, params.f, widened, roles)
 
 
-def ltz(runtime: Runtime, x: Shares, params: FixedPointParams,
-        roles: TruncRoles | None = None) -> Shares:
+def ltz(runtime: Runtime, x: Shares, params: FixedPointParams, roles: TruncRoles) -> Shares:
     """Shares of 1 if the encoded value is negative, else 0.
 
     Sign extraction is the negated top part of the offset representation:
     -trunc(x, k-1) with the exact carry correction, so the bit is
     deterministic across the representable range.
     """
-    o = trunc(runtime, x, params.k - 1, params, roles=roles, frame=params.k, exact=True)
-    return spdz.scale(-1, o.value, params.p)
+    return spdz.scale(-1, trunc(runtime, x, params.k - 1, params, roles, exact=True), params.p)

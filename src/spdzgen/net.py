@@ -10,18 +10,16 @@ protocol), and a synchronous call such as an opening is a run of one
 protocol.  Every inbox is empty between runs.  A run that ends with a
 message nobody took drops it and raises NetworkError, so a message delivered
 twice is caught.  A run in which a step raises drops the round's sends and
-notes and every untaken message, so a protocol checks its arguments at its
-first step and a bad one leaves nothing behind; `messages_sent` and
-`bytes_sent` count delivered messages.  Protocols that deliver to one party
-in the same round use distinct tags.  Send order never reaches a result:
-`take` matches on recipient and tag, and openings key contributions by
-sender, so the order only shapes the transcript, which a fixed seed replays
-byte for byte.  Each party draws randomness from its own generator derived
-from the master seed, and every delivered message plus every local
-annotation lands in the transcript, from which per-party views are sliced
-for privacy scans.  A message is its endpoints, tag and payload only: the
-transcript lists messages in send order, so each channel's order is read
-off it.
+every untaken message, so a protocol checks its arguments at its first step
+and a bad one leaves nothing behind; `messages_sent` and `bytes_sent` count
+delivered messages.  Protocols that deliver to one party in the same round
+use distinct tags.  Send order never reaches a result: `take` matches on
+recipient and tag, and openings key contributions by sender, so the order
+only shapes the transcript, which a fixed seed replays byte for byte.  Each
+party draws randomness from its own generator derived from the master seed,
+and every delivered message lands in the transcript.  A message is its
+endpoints, tag and payload only: the transcript lists messages in send
+order, so each channel's order is read off it.
 """
 
 from __future__ import annotations
@@ -152,14 +150,13 @@ class Runtime:
         Each round steps every live protocol once and then pumps, so a run
         takes the rounds of its longest protocol, and a step that sends
         nothing costs none.  A run leaves every inbox empty: when a step
-        raises, the round's sends and notes and every untaken message are
-        dropped and the exception propagates, and a run that ends with an
-        untaken message drops it and raises NetworkError.
+        raises, the round's sends and every untaken message are dropped and
+        the exception propagates, and a run that ends with an untaken
+        message drops it and raises NetworkError.
         """
         driver = lockstep(*protocols)
         try:
             while True:
-                recorded = len(self._transcript)  # the round's notes follow
                 next(driver)
                 self.pump()
         except StopIteration as stop:
@@ -173,7 +170,6 @@ class Runtime:
         self._pending.clear()
         for box in self._inbox.values():
             box.clear()
-        del self._transcript[recorded:]
         raise failure
 
     def take(self, pid: PartyId, tag: str) -> Message:
@@ -196,37 +192,17 @@ class Runtime:
         box.extend(remaining)
         return out
 
-    def note(self, pid: PartyId, event: str):
-        """Local-event annotation, visible only in pid's own view."""
-        self._require_party(pid)
-        if self.record:
-            self._transcript.append(("note", pid, event))
-
     @property
     def transcript(self) -> list[tuple]:
         return list(self._transcript)
-
-    def transcript_view(self, pid: PartyId) -> list[tuple]:
-        """Messages sent or received by pid, plus pid's local annotations."""
-        self._require_party(pid)
-        view = []
-        for rec in self._transcript:
-            if rec[0] == "msg" and pid in (rec[1], rec[2]):
-                view.append(rec)
-            elif rec[0] == "note" and rec[1] == pid:
-                view.append(rec)
-        return view
 
     def transcript_bytes(self) -> bytes:
         """Canonical serialization, for byte-level replay comparison."""
         return b"".join(self._record_line(rec) for rec in self._transcript)
 
     def _record_line(self, rec) -> bytes:
-        if rec[0] == "msg":
-            doc = {"kind": "msg", "from": str(rec[1]), "to": str(rec[2]),
-                   "tag": rec[3], "payload": rec[4].hex()}
-        else:
-            doc = {"kind": "note", "party": str(rec[1]), "event": rec[2]}
+        doc = {"kind": "msg", "from": str(rec[1]), "to": str(rec[2]),
+               "tag": rec[3], "payload": rec[4].hex()}
         return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
     def export_transcript(self, path):

@@ -90,11 +90,11 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
     party one message under `tag`: a seed of its shares of all the values,
     or, to the party that holds the corrections, the K correction shares
     value - sum of the expanded shares.  An owner among `parties` holds the
-    corrections itself, and then sends (m-1) * SEED_BYTES bytes; an owner
-    outside them sends them to `parties[0]`.  One round delivers every
-    batch, and every recipient builds its shares from the bytes it took off
-    the wire.  The result holds one Shares per batch, over `parties` in
-    argument order.
+    corrections itself and sends itself nothing, so it sends (m-1) *
+    SEED_BYTES bytes; an owner outside them sends them to `parties[0]`.
+    One round delivers every batch, and every recipient builds its shares
+    from the bytes it took off the wire.  The result holds one Shares per
+    batch, over `parties` in argument order.
     """
     parties, batches = tuple(parties), list(batches)
     if len(parties) < 2:
@@ -107,9 +107,7 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
         expanded = zip(*(expand_residues(seed, len(values), p) for seed in seeds.values()))
         correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
         for pid in parties:
-            if pid == owner:
-                runtime.note(owner, "kept local %s share" % tag)
-            else:
+            if pid != owner:
                 runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
                              else encode_residues(correction, p))
         held.append((keeper, {owner: correction} if keeper == owner else {}))

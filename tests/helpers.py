@@ -1,15 +1,17 @@
 """Shared test utilities: one-value sharing, opening and products as
-batches of one, manufactured triples for field-level unit tests, a fault
-injector that rewrites payloads on their way into the network, and a
-recorder of the messages each truncation sends."""
+batches of one, fixed-point decoding, manufactured triples for field-level
+unit tests, a fault injector that rewrites payloads on their way into the
+network, per-party transcript views for privacy scans, and recorders of the
+messages each truncation sends and of the values its mask owner opens."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from spdzgen import fixpt, spdz
 from spdzgen.dispense import BeaverTripleShares, split_additive
-from spdzgen.modmath import SEED_BYTES
+from spdzgen.modmath import SEED_BYTES, signed_decode
 from spdzgen.net import Runtime
 
 # Runs a test once on the modexp backend modmath loaded and once on builtin
@@ -38,6 +40,11 @@ def open_value(runtime, value, p, **kwargs):
 
 def beaver_mult(runtime, x, y, triple, p, ledger):
     return spdz.beaver_mult_batch(runtime, x, y, [triple], p, ledger)
+
+
+def fp_decode(y, params):
+    """The rational a fixed-point field element encodes."""
+    return Fraction(signed_decode(y, params.p), 2 ** params.f)
 
 
 def make_triple(a, b, c, p, parties, rng, triple_id):
@@ -96,6 +103,11 @@ def shifted(p):
     return mutate
 
 
+def transcript_view(runtime, pid):
+    """The transcript records of the messages pid sent or received."""
+    return [rec for rec in runtime.transcript if pid in (rec[1], rec[2])]
+
+
 def record_truncations(monkeypatch):
     """Wrap `fixpt.trunc` so that each call appends the runtime and the
     message records its opening added to the transcript (the runtime must
@@ -105,19 +117,35 @@ def record_truncations(monkeypatch):
     def recording(runtime, *args, **kwargs):
         start = len(runtime.transcript)
         out = trunc(runtime, *args, **kwargs)
-        calls.append((runtime, [r for r in runtime.transcript[start:] if r[0] == "msg"]))
+        calls.append((runtime, runtime.transcript[start:]))
         return out
 
     monkeypatch.setattr(fixpt, "trunc", recording)
     return calls
 
 
+def record_masked_openings(monkeypatch):
+    """Wrap `spdz.open_values` so that each opening to one party appends the
+    values it opened; a truncation's is c = r + z', which never travels as
+    a whole, since the mask owner adds its own share.  Returns the list."""
+    opened, open_values = [], spdz.open_values
+
+    def recording(runtime, values, p, to=None):
+        out = open_values(runtime, values, p, to=to)
+        if to is not None:
+            opened.extend(out)
+        return out
+
+    monkeypatch.setattr(spdz, "open_values", recording)
+    return opened
+
+
 def assert_only_received_by(calls, receiver, others):
     """Every recorded truncation sent messages, all of them to `receiver`,
-    and none of them is in the view of any party in `others`."""
+    and none of them reached any party in `others`."""
     assert calls
     for runtime, sent in calls:
         assert sent and all(r[2] == receiver for r in sent)
         for pid in others:
-            received = [r for r in runtime.transcript_view(pid) if r[0] == "msg" and r[2] == pid]
+            received = [r for r in runtime.transcript if r[2] == pid]
             assert not any(r in sent for r in received)

@@ -17,7 +17,7 @@ from spdzgen.btg import BtgMessage, BtgRole
 from spdzgen.cli import main as cli_main
 from spdzgen.dispense import dispense_blind_single, dispense_blind_two, reconstruct
 from spdzgen.errors import DegenerateTableError
-from spdzgen.fixpt import FixedPointParams, fp_decode, fp_encode, fp_mult, trunc
+from spdzgen.fixpt import FixedPointParams, TruncRoles, fp_encode, fp_mult, trunc
 from spdzgen.gwas import (
     ContingencyCounts,
     ControlRecord,
@@ -37,11 +37,20 @@ from spdzgen.modmath import signed_decode, signed_encode
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import TripleLedger
 
-from helpers import beaver_mult, open_value, share_secret, triple_stream
+from helpers import (
+    beaver_mult,
+    fp_decode,
+    open_value,
+    record_masked_openings,
+    share_secret,
+    transcript_view,
+    triple_stream,
+)
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
             BtgRole.C: PartyId("BTG_C")}
 MPC = [PartyId("MPC", i) for i in (1, 2, 3)]
+ROLES = TruncRoles(mask_owner=MPC[0], wide_owner=MPC[1])
 
 
 def announce(criterion, text):
@@ -112,11 +121,12 @@ def test_criterion_3_blind_dispensation_and_multiplication(group256):
     announce(3, "10^3 dispensed triples valid (both variants); 10^3 products exact")
 
 
-def test_criterion_4_truncation_exhaustive_k8():
+def test_criterion_4_truncation_exhaustive_k8(monkeypatch):
     import sympy
 
     params = FixedPointParams(k=8, f=0, kappa=10, p=int(sympy.nextprime(2 ** 20)))
     rt = Runtime(MPC, seed="acc4", record=False)
+    opened = record_masked_openings(monkeypatch)
 
     for z_val in range(-127, 128):
         enc = signed_encode(z_val, params.p)
@@ -124,17 +134,18 @@ def test_criterion_4_truncation_exhaustive_k8():
             want = z_val >> m
             for _ in range(50):
                 z = share_secret(rt, MPC[0], enc, MPC, params.p)
-                out = trunc(rt, z, m, params)
-                got = signed_decode(open_value(rt, out.value, params.p), params.p)
+                out = trunc(rt, z, m, params, ROLES)
+                got = signed_decode(open_value(rt, out, params.p), params.p)
                 assert got - want in (0, 1), (z_val, m, got)
-                assert out.opened < params.p
+                # c = r + z' stays an integer below the bound, so below p
+                assert opened.pop() < 2 ** (params.kappa + params.k + 1)
 
     # carry rate for z=100, m=4: (z' mod 16) / 16 = 0.25
     enc100 = signed_encode(100, params.p)
     hits = 0
     for _ in range(10_000):
         z = share_secret(rt, MPC[0], enc100, MPC, params.p)
-        got = signed_decode(open_value(rt, trunc(rt, z, 4, params).value, params.p),
+        got = signed_decode(open_value(rt, trunc(rt, z, 4, params, ROLES), params.p),
                             params.p)
         hits += got == 7
     rate = hits / 10_000
@@ -154,7 +165,7 @@ def test_criterion_5_fixed_point_multiply():
         yq = Fraction(rng.randrange(-2 ** 16 + 1, 2 ** 16), 2 ** 16)
         x = share_secret(rt, MPC[0], fp_encode(xq, params), MPC, params.p)
         y = share_secret(rt, MPC[1], fp_encode(yq, params), MPC, params.p)
-        z = fp_mult(rt, x, y, next(triples), params, ledger)
+        z = fp_mult(rt, x, y, next(triples), params, ledger, ROLES)
         got = fp_decode(open_value(rt, z, params.p), params)
         assert abs(got - xq * yq) <= bound
     announce(5, "10^3 products in (-1,1), |error| <= 2^-15")
@@ -185,7 +196,7 @@ def test_criterion_6_inflation_factor(group256):
 
     # O_case's view holds no opening of the control counts
     width = group256.element_size
-    for rec in ctx.runtime.transcript_view(ctx.o_case):
+    for rec in transcript_view(ctx.runtime, ctx.o_case):
         if rec[0] == "msg" and (rec[3].startswith("open-result") or rec[3].startswith("open:")):
             for i in range(0, len(rec[4]), width):
                 value = int.from_bytes(rec[4][i:i + width], "big")
@@ -269,7 +280,7 @@ def test_criterion_9_transcript_privacy_scans(group256):
         secrets = {role: out[role][0] for role in BtgRole}
         for role, pid in BTG_PIDS.items():
             foreign = {v for r, v in secrets.items() if r is not role}
-            for rec in rt.transcript_view(pid):
+            for rec in transcript_view(rt, pid):
                 if rec[0] == "msg" and rec[3] == btg.BTG_TAG:
                     [ct] = BtgMessage.parse(rec[4], group256).chunks
                     assert ct.u not in foreign
@@ -287,7 +298,7 @@ def test_criterion_9_transcript_privacy_scans(group256):
                                 ctx.o_case, ctx.o_ctrl, ctx.leader,
                                 ctx.dispenser, ctx.ledger, ctx.owner_keys)
         for pid, foreign in ((ctx.o_case, ctrl), (ctx.o_ctrl, case)):
-            for rec in ctx.runtime.transcript_view(pid):
+            for rec in transcript_view(ctx.runtime, pid):
                 if rec[0] != "msg":
                     continue
                 for i in range(0, len(rec[4]) - width + 1, width):

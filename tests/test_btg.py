@@ -9,7 +9,7 @@ from spdzgen.errors import MessageSpaceError, ParameterError, ProtocolAbort
 from spdzgen.modmath import TINY_GROUP, Ciphertext
 from spdzgen.net import PartyId, Runtime
 
-from helpers import tamper_sends
+from helpers import tamper_sends, transcript_view
 
 PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"), BtgRole.C: PartyId("BTG_C")}
 
@@ -178,9 +178,9 @@ class TestRuntimeDriver:
         rt = Runtime(list(PIDS.values()), seed=3)
         keys = make_keys(group256, random.Random(3))
         rt.run(btg.triple_session(rt, group256, keys, PIDS))
-        view = rt.transcript_view(PIDS[BtgRole.B])
-        inbound = [r for r in view if r[0] == "msg" and r[2] == PIDS[BtgRole.B]]
-        outbound = [r for r in view if r[0] == "msg" and r[1] == PIDS[BtgRole.B]]
+        view = transcript_view(rt, PIDS[BtgRole.B])
+        inbound = [r for r in view if r[2] == PIDS[BtgRole.B]]
+        outbound = [r for r in view if r[1] == PIDS[BtgRole.B]]
         assert len(inbound) == 1 and len(outbound) == 1
 
     def test_rerandomization_varies_step3(self, group256):

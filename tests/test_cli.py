@@ -226,7 +226,7 @@ class TestRun:
                 "--seed", "1", "--transcript-out", str(transcript))
         lines = transcript.read_text().splitlines()
         assert len(lines) > 100
-        assert all(json.loads(line)["kind"] in ("msg", "note") for line in lines[:50])
+        assert all(json.loads(line)["kind"] == "msg" for line in lines)
 
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run_cli("run", "--case", "nope.csv", "--basis", "nope.csv",
@@ -516,99 +516,19 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
 
 
 class TestPipelineGolden:
-    # sha256 of the transcript and the triple ledger of one fixed `run`.  Both
-    # were re-pinned when screening stopped truncating the residual (two
-    # Beaver openings and one exact sign test per control), and again when
-    # sessions stopped sending a done ack, records lost their sequence
-    # numbers and Beaver products stopped drawing ids, which moves the triple
-    # ids; with ids masked, every other record and ledger line stayed as it
-    # was.  The transcript was re-pinned once more when drawn subgroup
-    # elements became squares s^2 instead of g^t: every record kept its
-    # sender, recipient, tag and payload length, and the ledger did not move.
-    # It was re-pinned when the holder of c began to blind and deal its own
-    # component (no raw-c relay to the leader; C receives the blind and sends
-    # the triple-c shares) and `build_parties` stopped making unread keys,
-    # which moves the values drawn from the leader's, BTG_B's and O_ctrl's
-    # streams; the ledger did not move.  It was re-pinned again when the
-    # holder of c began to draw both single-mode blinds: the blind-r hops
-    # moved off the servers, and the triple-c shares, the a' and b' share
-    # heads, the Beaver openings that carry them and the values drawn from
-    # O_case's stream (which no longer draws a blind) moved; every other
-    # record kept its endpoints, tag and payload, and the ledger and report
-    # did not move.  Both were re-pinned when independent sends began to share
-    # a round: the blind-r records now come before the first BTG hop and
-    # carry the batch's first triple id in their tag, the basis goes as one
-    # message per server (the concatenation of the per-column payloads), and
-    # the fresh ids after it shift down by rank - 1 = 1, which moves every
-    # ledger id (t000003 -> t000002).  With the basis payloads concatenated,
-    # the blind records moved and the ids mapped, every record kept its
-    # endpoints, tag and payload, and each channel kept its order.  The
-    # transcript was re-pinned when shares and blinds began to travel as
-    # 16-byte seeds: every record kept its endpoints, tag and order, each
-    # batch's blind-r records and every share record but the holders'
-    # correction shares to MPC_1 carry a seed, and the first batch's BTG hops
-    # are unchanged; later hops and the openings that carry the new shares
-    # moved, because the holders' rngs draw fewer values.  The ledger and the
-    # report did not move.  Both were re-pinned when a run's independent
-    # sends began to share a round: every control's z goes in one deal with
-    # the basis, lambda's five triples are minted in the last control's
-    # batch, and lambda's blind chain runs before one deal of both owners'
-    # counts and the blind.  The z deal draws its fresh id before the first
-    # mint, so every ledger id moved (t000002 -> t000003 first).  Messages
-    # fell from 149 to 131 (one BTG batch fewer: 3 hops, 2 blind seeds, 3 x 3
-    # holder shares; two z deals fewer: 4 share seeds); the ledger kept its
-    # 47 lines and parties, and the report did not move.  Both were re-pinned
-    # when each sign test's truncation became one opening to the mask owner:
-    # it deals no masks and no carry and sends no broadcast of c, so a
-    # control sends 8 messages fewer (131 fell to 107), its owners note 3
-    # local shares fewer, and it draws 3 fresh ids fewer.  The ledger kept
-    # its 47 lines and parties, but every id from the second control's batch
-    # on moved down by 3 per earlier control (t000024 -> t000021, t000045 ->
-    # t000039); the report did not move.  The transcript was re-pinned when
-    # the basis/z deal and lambda's blind chain began to run beside the first
-    # control's mint: the chain's three hops come in that mint's first three
-    # rounds, tagged btg:lambda, and O_case and O_ctrl draw the blind factors
-    # and the chain's randomness before the controls' truncation masks, so
-    # those values move, and with them the chain's hops, lambda's share
-    # seeds and the openings they reach (15 of the 112 records).  Every
-    # record kept its endpoints, tag (btg:lambda read as btg) and payload
-    # length; the ledger, the report and the modexp count did not move.
-    # The transcript was re-pinned when each BTG hop began to share one
-    # randomness across its batch: the nine hops of the three mints (14, 14
-    # and 19 triples) carry one u per hop, 913 -> 497 and 1,233 -> 657 bytes,
-    # and the holders of a and c draw 13 + 13 more key pairs from their
-    # generators at the first mint, so their later draws moved: the blind
-    # seeds, the holders' shares and the openings they reach (88 of the 112
-    # records changed, 9 of them in length; every record kept its endpoints
-    # and tag, and lambda's three chain hops, every input share and every
-    # note did not move).  The ledger, the report, the decisions, lambda and the
-    # triple count did not move; the modexp count fell from 388 to 292.
-    # Both were re-pinned when O_ctrl began to deal each control's ||z||^2
-    # with its entries, in the same seeds, and the z_i * z_i products went:
-    # each control's mint and first Beaver batch hold dim = 4 triples fewer,
-    # so the triple count fell from 47 to 35 and the ledger ids from the
-    # second batch on moved down by 4 per earlier control (t000021 ->
-    # t000017 first).  Every one of the 112 records kept its kind,
-    # endpoints, order and tag, ids masked.  The nine BTG hops lost 4 v's
-    # each (497 -> 369 and 657 -> 529 bytes), the nine holders' corrections
-    # to MPC_1 4 residues each (448 -> 320 and 608 -> 480), and the four
-    # records of each control's first Beaver opening 8 residues each (768 ->
-    # 512).  24 records kept their payloads: the basis and z seeds and their
-    # notes, lambda's three chain hops, lambda's share seeds and notes, and
-    # the six openings of the accept bits.  The decisions and lambda did
-    # not move; the report's triple_count did.
-    # The control loop, the Beaver products and the dispensation must leave
-    # both byte-identical.  The decisions and lambda are those of the
-    # per-triple pipeline that came before the batches.
-    TRANSCRIPT_SHA256 = "e21a6fd9ab2ab376759870c7b2aba594c065384c39b83f631485d311d2183e21"
+    # sha256 of the transcript and the triple ledger of one fixed `run`: three
+    # controls of dim 4 against a rank-2 basis, seed 5, single-randomness
+    # dispensation.  The transcript lists 107 messages and the ledger 35
+    # triples; the report accepts ctrl_000 with lambda 31/255.  CHANGES.md
+    # records what each re-pin moved.  The control loop, the Beaver products
+    # and the dispensation must leave both byte-identical.
+    TRANSCRIPT_SHA256 = "39df2b7b94020736f1bf3c9cde4b1e6f233441796ab76ff9dd559a979fac470a"
     LEDGER_SHA256 = "7439b2874bb01358a58ea666ad3a191f69601369d5fc8dc77bbee44dd3216c52"
     # The same run with two-randomness dispensation (`build_parties` patched
     # to blinding="two", as tests/test_gwas.py's `screened_run` does, since
-    # `run` has no mode option).  Its transcript holds 127 records, against
-    # single mode's 112; the ledger, the report and the triple count are
-    # single mode's.  Pinned at the commit before `deal` moved into `spdz`,
-    # so that it shows the move byte-identical in two mode too.
-    TWO_MODE_TRANSCRIPT_SHA256 = "4dc6390bb8085c0703bfa3b156a2257869968abc6ddb14c8e0509763d5a67c8c"
+    # `run` has no mode option).  Its transcript lists 122 messages; the
+    # ledger, the report and the triple count are single mode's.
+    TWO_MODE_TRANSCRIPT_SHA256 = "0076918777bf5f343879f4b9943976ce913a02ea7468083ccb1251ce5f3d3dbb"
     TWO_MODE_LEDGER_SHA256 = LEDGER_SHA256
 
     def run_golden(self, tmp_path):

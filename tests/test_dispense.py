@@ -31,7 +31,15 @@ from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 from spdzgen.spdz import deal
 
-from helpers import both_backends, out_of_range, shifted, tamper_sends, truncated, zeroed
+from helpers import (
+    both_backends,
+    out_of_range,
+    shifted,
+    tamper_sends,
+    transcript_view,
+    truncated,
+    zeroed,
+)
 
 BTG_PIDS = {BtgRole.A: PartyId("BTG_A"), BtgRole.B: PartyId("BTG_B"),
             BtgRole.C: PartyId("BTG_C")}
@@ -102,7 +110,8 @@ class TestDeal:
         assert [reconstruct(v, group256.p) for v in zip(*shares.columns.values())] == [5, 6, 7]
         assert (rt.messages_sent, rt.rounds) == (2, 1)
         assert rt.bytes_sent == (len(MPC) - 1) * modmath.SEED_BYTES
-        assert ("note", MPC[0], "kept local x share") in rt.transcript
+        # the owner sends itself nothing: the transcript is its two seeds
+        assert [(r[1], r[2]) for r in rt.transcript] == [(MPC[0], MPC[1]), (MPC[0], MPC[2])]
 
     def test_outside_owner_sends_every_party(self, group256):
         # the first party gets the K correction shares, every other one a seed
@@ -114,7 +123,7 @@ class TestDeal:
         sizes = {r[2]: len(r[4]) for r in rt.transcript if r[0] == "msg"}
         assert sizes == {MPC[0]: 2 * group256.element_size,
                          MPC[1]: modmath.SEED_BYTES, MPC[2]: modmath.SEED_BYTES}
-        assert not [r for r in rt.transcript if r[0] == "note"]
+        assert {r[1] for r in rt.transcript} == {BTG_PIDS[BtgRole.A]}
 
     @pytest.mark.parametrize("mutate", [truncated, out_of_range],
                              ids=["truncated", "out-of-range"])
@@ -521,7 +530,7 @@ class TestDispenser:
 def received_residues(runtime, pid, width):
     """Every width-byte window, at every offset, of every payload pid received."""
     return {int.from_bytes(rec[4][i:i + width], "big")
-            for rec in runtime.transcript_view(pid) if rec[0] == "msg" and rec[2] == pid
+            for rec in transcript_view(runtime, pid) if rec[2] == pid
             for i in range(len(rec[4]) - width + 1)}
 
 

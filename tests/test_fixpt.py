@@ -12,7 +12,6 @@ from spdzgen.fixpt import (
     DEFAULT_FIXPT_PRIME,
     FixedPointParams,
     TruncRoles,
-    fp_decode,
     fp_encode,
     fp_mult,
     ltz,
@@ -24,7 +23,9 @@ from spdzgen.spdz import OPEN_RESULT_TAG, TripleLedger
 
 from helpers import (
     assert_only_received_by,
+    fp_decode,
     open_value,
+    record_masked_openings,
     record_truncations,
     share_secret,
     share_values,
@@ -37,6 +38,8 @@ PARTIES = tuple(PartyId("MPC", i) for i in (1, 2, 3))
 P_SMALL = int(sympy.nextprime(2 ** 20))
 SMALL = FixedPointParams(k=8, f=0, kappa=10, p=P_SMALL)
 BIG = FixedPointParams()  # k=32, f=16, kappa=40, p = 2^96 + 61
+# the two lowest parties mask; the mask owner also adds the offset
+ROLES = TruncRoles(mask_owner=PARTIES[0], wide_owner=PARTIES[1])
 
 
 def fresh_rt(seed=0, record=False):
@@ -135,15 +138,15 @@ class TestTrunc:
         rt = fresh_rt()
         for seed in range(30):
             z = share_signed(rt, 100, SMALL)
-            out = trunc(rt, z, 4, SMALL)
-            got = opened_signed(rt, out.value, SMALL)
+            out = trunc(rt, z, 4, SMALL, ROLES)
+            got = opened_signed(rt, out, SMALL)
             assert got in (6, 7)  # floor(100 / 16) = 6
 
     def test_zero_input(self):
         rt = fresh_rt()
         for m in range(1, 9):
             z = share_signed(rt, 0, SMALL)
-            got = opened_signed(rt, trunc(rt, z, m, SMALL).value, SMALL)
+            got = opened_signed(rt, trunc(rt, z, m, SMALL, ROLES), SMALL)
             # z mod 2^m = 0 means the carry can never fire
             assert got == 0
 
@@ -151,7 +154,7 @@ class TestTrunc:
         rt = fresh_rt(seed=2)
         for _ in range(30):
             z = share_signed(rt, -96, SMALL)
-            got = opened_signed(rt, trunc(rt, z, 4, SMALL).value, SMALL)
+            got = opened_signed(rt, trunc(rt, z, 4, SMALL, ROLES), SMALL)
             assert got in (-6, -5)  # floor(-96 / 16) = -6
 
     def test_full_shift_m_equals_k(self):
@@ -159,7 +162,7 @@ class TestTrunc:
         for value, floors in ((100, (0, 1)), (-96, (-1, 0)), (127, (0, 1))):
             for _ in range(10):
                 z = share_signed(rt, value, SMALL)
-                got = opened_signed(rt, trunc(rt, z, 8, SMALL).value, SMALL)
+                got = opened_signed(rt, trunc(rt, z, 8, SMALL, ROLES), SMALL)
                 assert got in floors
                 assert got - (value >> 8) in (0, 1)
 
@@ -169,50 +172,47 @@ class TestTrunc:
             for m in (1, 3, 8):
                 for _ in range(5):
                     z = share_signed(rt, z_val, SMALL)
-                    got = opened_signed(rt, trunc(rt, z, m, SMALL).value, SMALL)
+                    got = opened_signed(rt, trunc(rt, z, m, SMALL, ROLES), SMALL)
                     assert got - (z_val >> m) in (0, 1)
 
     def test_carry_rate_matches_discarded_fraction(self):
         # Pr[+1] = (z mod 2^m) / 2^m; for z=100, m=4 that is 4/16 = 0.25
         rt = fresh_rt(seed=5)
         z = share_signed(rt, 100, SMALL)
-        hits = sum(opened_signed(rt, trunc(rt, z, 4, SMALL).value, SMALL) == 7
+        hits = sum(opened_signed(rt, trunc(rt, z, 4, SMALL, ROLES), SMALL) == 7
                    for _ in range(3000))
         assert abs(hits / 3000 - 0.25) < 0.05
 
-    def test_opened_value_bounds(self):
+    def test_opened_value_bounds(self, monkeypatch):
         rt = fresh_rt(seed=6)
+        opened = record_masked_openings(monkeypatch)
         for z_val in (-127, -1, 0, 100, 127):
             z = share_signed(rt, z_val, SMALL)
-            out = trunc(rt, z, 4, SMALL)
-            assert out.opened < 2 ** (SMALL.kappa + SMALL.k + 1)
-            assert out.opened < SMALL.p
+            trunc(rt, z, 4, SMALL, ROLES)
+            c = opened[-1]
+            assert c < 2 ** (SMALL.kappa + SMALL.k + 1)
+            assert c < SMALL.p
             # c - z' = r'' * 2^m + r' sits in the masking window
             z_offset = 2 ** SMALL.k + z_val
-            r = out.opened - z_offset
+            r = c - z_offset
             assert 0 <= r < 2 ** (SMALL.kappa + SMALL.k - 4) * 2 ** 4 + 2 ** 4
+        assert len(opened) == 5
 
     def test_exact_variant_is_floor(self):
         rt = fresh_rt(seed=7)
         for z_val in range(-127, 128, 7):
             for m in (1, 4, 8):
                 z = share_signed(rt, z_val, SMALL)
-                got = opened_signed(rt, trunc(rt, z, m, SMALL, exact=True).value, SMALL)
+                got = opened_signed(rt, trunc(rt, z, m, SMALL, ROLES, exact=True), SMALL)
                 assert got == z_val >> m
 
     def test_shift_out_of_range(self):
         rt = fresh_rt()
         z = share_signed(rt, 1, SMALL)
         with pytest.raises(ParameterError):
-            trunc(rt, z, 0, SMALL)
+            trunc(rt, z, 0, SMALL, ROLES)
         with pytest.raises(ParameterError):
-            trunc(rt, z, 9, SMALL)
-
-    def test_frame_needs_field_headroom(self):
-        rt = fresh_rt()
-        z = share_signed(rt, 1, SMALL)
-        with pytest.raises(ParameterError):
-            trunc(rt, z, 4, SMALL, frame=80)  # p_small << 2^(10+80+1)
+            trunc(rt, z, 9, SMALL, ROLES)
 
     # a mask owner that is not the lowest party, which add_const adjusts
     CUSTOM = TruncRoles(mask_owner=PARTIES[2], wide_owner=PARTIES[0])
@@ -220,7 +220,7 @@ class TestTrunc:
     def test_custom_roles(self):
         rt = fresh_rt(seed=8)
         z = share_signed(rt, 100, SMALL)
-        got = opened_signed(rt, trunc(rt, z, 4, SMALL, roles=self.CUSTOM, exact=True).value,
+        got = opened_signed(rt, trunc(rt, z, 4, SMALL, roles=self.CUSTOM, exact=True),
                             SMALL)
         assert got == 6
 
@@ -252,7 +252,7 @@ class TestTrunc:
         z = share_values(rt, PARTIES[0], list(range(count)), PARTIES, SMALL.p)
         sent, states = rt.messages_sent, [rt.rng(pid).getstate() for pid in PARTIES]
         with pytest.raises(ParameterError, match="one value"):
-            trunc(rt, z, 4, SMALL)
+            trunc(rt, z, 4, SMALL, ROLES)
         assert rt.messages_sent == sent
         assert [rt.rng(pid).getstate() for pid in PARTIES] == states
 
@@ -263,7 +263,7 @@ class TestTrunc:
         bound = 2 ** (SMALL.kappa + SMALL.k + 1)
         z = share_secret(rt, PARTIES[0], bound, PARTIES, SMALL.p)
         with pytest.raises(ProtocolAbort):
-            trunc(rt, z, 4, SMALL)
+            trunc(rt, z, 4, SMALL, ROLES)
 
     def test_one_round_to_the_mask_owner(self, monkeypatch):
         rt = fresh_rt(seed=18, record=True)
@@ -283,7 +283,7 @@ class TestFixedPointMult:
         triples = triple_stream(BIG.p, PARTIES, random.Random(1))
         x = share_secret(rt, PARTIES[0], fp_encode(0.5, BIG), PARTIES, BIG.p)
         y = share_secret(rt, PARTIES[1], fp_encode(0.5, BIG), PARTIES, BIG.p)
-        z = fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+        z = fp_mult(rt, x, y, next(triples), BIG, TripleLedger(), ROLES)
         got = fp_decode(open_value(rt, z, BIG.p), BIG)
         assert abs(got - Fraction(1, 4)) <= Fraction(2, 2 ** 16)
 
@@ -292,7 +292,7 @@ class TestFixedPointMult:
         triples = triple_stream(BIG.p, PARTIES, random.Random(2))
         x = share_secret(rt, PARTIES[0], fp_encode(0.75, BIG), PARTIES, BIG.p)
         y = share_secret(rt, PARTIES[1], fp_encode(0, BIG), PARTIES, BIG.p)
-        z = fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+        z = fp_mult(rt, x, y, next(triples), BIG, TripleLedger(), ROLES)
         got = fp_decode(open_value(rt, z, BIG.p), BIG)
         assert got in (0, Fraction(1, 2 ** 16))
 
@@ -306,9 +306,22 @@ class TestFixedPointMult:
             yq = Fraction(rng.randrange(-2 ** 16 + 1, 2 ** 16), 2 ** 16)
             x = share_secret(rt, PARTIES[0], fp_encode(xq, BIG), PARTIES, BIG.p)
             y = share_secret(rt, PARTIES[1], fp_encode(yq, BIG), PARTIES, BIG.p)
-            z = fp_mult(rt, x, y, next(triples), BIG, ledger)
+            z = fp_mult(rt, x, y, next(triples), BIG, ledger, ROLES)
             got = fp_decode(open_value(rt, z, BIG.p), BIG)
             assert abs(got - xq * yq) <= Fraction(1, 2 ** 15)
+
+    def test_frame_too_wide_for_the_field_spends_and_sends_nothing(self):
+        # the field fits k = 8 but not the product's frame k + f = 12
+        params = FixedPointParams(k=8, f=4, kappa=10, p=P_SMALL)
+        rt = fresh_rt(seed=20)
+        triples = triple_stream(params.p, PARTIES, random.Random(6))
+        x = share_secret(rt, PARTIES[0], fp_encode(1, params), PARTIES, params.p)
+        y = share_secret(rt, PARTIES[1], fp_encode(2, params), PARTIES, params.p)
+        sent, rounds, ledger = rt.messages_sent, rt.rounds, TripleLedger()
+        with pytest.raises(ParameterError, match="field too small"):
+            fp_mult(rt, x, y, next(triples), params, ledger, ROLES)
+        assert len(ledger) == 0
+        assert (rt.messages_sent, rt.rounds) == (sent, rounds)
 
     def test_only_the_mask_owner_receives_the_truncation(self, monkeypatch):
         rt = fresh_rt(seed=12, record=True)
@@ -316,7 +329,7 @@ class TestFixedPointMult:
         calls = record_truncations(monkeypatch)
         x = share_secret(rt, PARTIES[0], fp_encode(0.75, BIG), PARTIES, BIG.p)
         y = share_secret(rt, PARTIES[1], fp_encode(-0.5, BIG), PARTIES, BIG.p)
-        fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+        fp_mult(rt, x, y, next(triples), BIG, TripleLedger(), ROLES)
         assert_only_received_by(calls, PARTIES[0], PARTIES[1:])
 
     def test_wide_owner_cannot_recover_products(self):
@@ -338,7 +351,7 @@ class TestFixedPointMult:
             own = random.Random()
             own.setstate(rt.rng(wide).getstate())
             start = len(rt.transcript)
-            fp_mult(rt, x, y, next(triples), BIG, TripleLedger())
+            fp_mult(rt, x, y, next(triples), BIG, TripleLedger(), ROLES)
             r2 = own.randrange(2 ** (BIG.kappa + w - m))
             opened = [r[4] for r in rt.transcript[start:] if r[0] == "msg"
                       and r[2] == wide and r[3].startswith(OPEN_RESULT_TAG)]
@@ -353,12 +366,12 @@ class TestLtz:
     def test_sign_examples(self, value, bit):
         rt = fresh_rt(seed=13)
         z = share_signed(rt, value, SMALL)
-        got = open_value(rt, ltz(rt, z, SMALL), SMALL.p)
+        got = open_value(rt, ltz(rt, z, SMALL, ROLES), SMALL.p)
         assert got == bit
 
     def test_exhaustive_k8_against_sign_oracle(self):
         rt = fresh_rt(seed=14)
         for value in range(-127, 128):
             z = share_signed(rt, value, SMALL)
-            got = open_value(rt, ltz(rt, z, SMALL), SMALL.p)
+            got = open_value(rt, ltz(rt, z, SMALL, ROLES), SMALL.p)
             assert got == (1 if value < 0 else 0), "sign failed at %d" % value

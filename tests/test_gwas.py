@@ -20,7 +20,7 @@ from spdzgen.errors import (
     ShareError,
     ValidationError,
 )
-from spdzgen.fixpt import FixedPointParams, fp_decode
+from spdzgen.fixpt import FixedPointParams
 from spdzgen.gwas import (
     CaseBasis,
     ContingencyCounts,
@@ -43,7 +43,13 @@ from spdzgen.gwas import (
 )
 from spdzgen.modmath import signed_decode
 
-from helpers import assert_only_received_by, open_value, record_truncations
+from helpers import (
+    assert_only_received_by,
+    fp_decode,
+    open_value,
+    record_truncations,
+    transcript_view,
+)
 
 
 class TestGenotypeEncoding:
@@ -244,7 +250,7 @@ class TestSecureLambda:
                                 ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                 ctx.dispenser, ctx.ledger, ctx.owner_keys)
         width = group256.element_size
-        for rec in ctx.runtime.transcript_view(ctx.o_case):
+        for rec in transcript_view(ctx.runtime, ctx.o_case):
             if rec[0] != "msg":
                 continue
             tag = rec[3]
@@ -669,7 +675,7 @@ def square_candidates(ctx, pid, dim, rank, params, basis):
     """
     p, width = params.p, (params.p.bit_length() + 7) // 8
     received = {int.from_bytes(rec[4][i:i + width], "big")
-                for rec in ctx.runtime.transcript_view(pid) if rec[0] == "msg" and rec[2] == pid
+                for rec in transcript_view(ctx.runtime, pid) if rec[2] == pid
                 for i in range(0, len(rec[4]) - width + 1, width)}
     unblind = [pow(r, -2, p) for r in received if r]
     cols = basis_encodings(basis, params)
@@ -703,7 +709,7 @@ def blind_candidates(ctx, pid, dim, rank, params):
     p, pairs = params.p, dim * rank
     square = ctx.dispenser.mode == "two"
     blinds = {}  # holder -> one list of blinds per batch
-    for rec in ctx.runtime.transcript_view(pid):
+    for rec in transcript_view(ctx.runtime, pid):
         if rec[0] == "msg" and rec[3].startswith("blind-r:"):
             roots = [1 + x for x in modmath.expand_residues(rec[4], pairs, p - 1)]
             blinds.setdefault(rec[2], []).append([r * r % p if square else r for r in roots])

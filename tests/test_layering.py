@@ -1,4 +1,6 @@
-"""The package's modules form layers: each imports only modules below it."""
+"""The package's modules form layers: each imports only modules below it.
+And the package holds no test-only code: the package or the benchmark reads
+every public name it defines, but for two named exceptions."""
 
 import ast
 from pathlib import Path
@@ -44,3 +46,49 @@ def test_every_module_has_a_layer():
 def test_imports_only_lower_layers(module):
     below = set(LAYERS[:LAYERS.index(module)])
     assert package_imports(module) - below == set()
+
+
+# Public names that nothing in the package or the benchmark reads, each kept
+# for a reason of its own.
+UNREFERENCED = {
+    "fixpt.fp_mult": "the fixed-point product that acceptance criterion 5 measures",
+    "net.Runtime.transcript": "a run's record of its messages, which is what the run leaves",
+}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def public_definitions(module: str) -> set:
+    """`module.name` for each public top-level function and class of the
+    module, and `module.Class.name` for each public method of those classes."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.add("%s.%s" % (module, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.update("%s.%s.%s" % (module, node.name, item.name) for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return found
+
+
+def referenced_names(paths) -> set:
+    """Every name read, attribute taken or name imported in the sources."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a helper that only tests call belongs in tests/helpers.py
+    assert PERFBENCH.is_dir()
+    read = referenced_names(sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+    defined = set().union(*(public_definitions(module) for module in LAYERS))
+    unread = {name for name in defined if name.rsplit(".", 1)[1] not in read}
+    assert unread == set(UNREFERENCED)

@@ -10,7 +10,7 @@ from spdzgen.mhkm import key_product
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
 
-from helpers import both_backends
+from helpers import both_backends, transcript_view
 
 
 def chain(n, params, seed=0, factors=None, record=True, count=1):
@@ -137,6 +137,6 @@ class TestPrivacy:
         # step-1 and step-3 messages of that single session and nothing else
         rt, pids, _ = chain(4, group256, seed=5)
         pid2 = pids[1]
-        outbound = [r for r in rt.transcript_view(pid2) if r[0] == "msg" and r[1] == pid2]
+        outbound = [r for r in transcript_view(rt, pid2) if r[1] == pid2]
         assert len(outbound) == 2
         assert all(r[3] == btg.BTG_TAG for r in outbound)

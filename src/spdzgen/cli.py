@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from . import dispense, gwas, modmath, spdz
 from .errors import (
-    BlindFactorError,
     MpcError,
     NetworkError,
     ProtocolAbort,
@@ -27,8 +26,7 @@ EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 EXIT_VALIDATION = 4
 
-_PROTOCOL_ERRORS = (ProtocolAbort, TripleReuseError, ShareError, NetworkError,
-                    BlindFactorError)
+_PROTOCOL_ERRORS = (ProtocolAbort, TripleReuseError, ShareError, NetworkError)
 
 
 def _resolve_group(bits: int, seed, path=None) -> GroupParams:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from . import btg, mhkm, modmath
 from .btg import BTG_TAG, BtgRole
-from .errors import BlindFactorError, ParameterError, SelectionError, ShareError, ValidationError
+from .errors import ParameterError, ShareError, ValidationError
 from .modmath import GroupParams
 from .net import PartyId, Protocol, Runtime, lockstep
 from .spdz import deal
@@ -97,7 +97,7 @@ def select_committee_leader(candidates, seed: bytes) -> PartyId:
     """
     pool = sorted(candidates, key=str)
     if not pool:
-        raise SelectionError("no committee candidates")
+        raise ParameterError("no committee candidates")
     return max(pool, key=lambda pid: hashlib.sha256(seed + str(pid).encode()).digest())
 
 
@@ -261,7 +261,7 @@ class TripleDispenser:
                  btg_keys: dict, mpc_pids, ox: PartyId, oy: PartyId, mode: str = "single",
                  owner_keys: dict | None = None, ledger_path=None):
         if mode not in ("single", "two"):
-            raise BlindFactorError("unknown blinding mode %r" % mode)
+            raise ParameterError("unknown blinding mode %r" % mode)
         self.runtime = runtime
         self.params = params
         self.btg_pids = btg_pids

@@ -25,14 +25,6 @@ class ShareError(MpcError):
     """Bad share vector: too few parties, missing share, mismatched party sets."""
 
 
-class SelectionError(MpcError):
-    """Committee selection over an empty candidate set."""
-
-
-class BlindFactorError(MpcError):
-    """Blind factor is zero or otherwise unusable."""
-
-
 class TripleReuseError(MpcError):
     """A Beaver triple was presented for a second multiplication."""
 

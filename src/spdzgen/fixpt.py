@@ -143,12 +143,13 @@ def fp_mult(runtime: Runtime, x: Shares, y: Shares, triple, params: FixedPointPa
 
     The raw product fits k + f bits, so it is truncated with params widened
     to that frame; a field too small for them is a ParameterError before
-    the triple is spent.  The decoded result is within 2^(1-f) of the true
+    the triple is spent.  At f = 0 the product is already at scale 1 and is
+    returned unshifted.  The decoded result is within 2^(1-f) of the true
     product; an overflowing product (outside Q<k,f>) is not detected.
     """
     widened = replace(params, k=params.k + params.f)
     raw = spdz.beaver_mult_batch(runtime, x, y, [triple], params.p, ledger)
-    return trunc(runtime, raw, params.f, widened, roles)
+    return trunc(runtime, raw, params.f, widened, roles) if params.f else raw
 
 
 def ltz(runtime: Runtime, x: Shares, params: FixedPointParams, roles: TruncRoles) -> Shares:

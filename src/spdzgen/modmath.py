@@ -289,7 +289,6 @@ TINY_GROUP = GroupParams(p=23, q=11, g=4)
 
 # Deterministic output of gen_group(256, b"spdzgen-default-group-v1"),
 # frozen so tests and the CLI default do not pay the search cost.
-DEFAULT_GROUP_SEED = b"spdzgen-default-group-v1"
 DEFAULT_GROUP_256 = GroupParams(
     p=87985748137455385793587561024790116427009342002709023143944941828231772543807,
     q=43992874068727692896793780512395058213504671001354511571972470914115886271903,

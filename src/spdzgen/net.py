@@ -17,9 +17,9 @@ use distinct tags.  Send order never reaches a result: `take` matches on
 recipient and tag, and openings key contributions by sender, so the order
 only shapes the transcript, which a fixed seed replays byte for byte.  Each
 party draws randomness from its own generator derived from the master seed,
-and every delivered message lands in the transcript.  A message is its
-endpoints, tag and payload only: the transcript lists messages in send
-order, so each channel's order is read off it.
+and every delivered `Message` lands in the transcript as it is.  A message
+is its endpoints, tag and payload only: the transcript lists messages in
+send order, so each channel's order is read off it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Generator, NamedTuple
 
 from .errors import NetworkError
@@ -68,8 +67,9 @@ class PartyId(NamedTuple):
         return self.role if self.index == 0 else "%s_%d" % (self.role, self.index)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """A delivered message, and the transcript's record of it."""
+
     src: PartyId
     dst: PartyId
     tag: str
@@ -91,7 +91,7 @@ class Runtime:
         self._pending: deque = deque()  # sent, not yet delivered, in send order
         self._inbox: dict[PartyId, deque] = {pid: deque() for pid in self.parties}
         self._rngs: dict[PartyId, random.Random] = {}
-        self._transcript: list[tuple] = []
+        self._transcript: list[Message] = []
         self._id_counter = 0
         self.messages_sent = 0  # messages delivered
         self.bytes_sent = 0  # payload bytes of every message delivered
@@ -137,7 +137,7 @@ class Runtime:
             self._inbox[msg.dst].append(msg)
             self.bytes_sent += len(msg.payload)
             if self.record:
-                self._transcript.append(("msg", msg.src, msg.dst, msg.tag, msg.payload))
+                self._transcript.append(msg)
         if delivered:
             self.messages_sent += delivered
             self.rounds += 1
@@ -193,17 +193,16 @@ class Runtime:
         return out
 
     @property
-    def transcript(self) -> list[tuple]:
+    def transcript(self) -> list[Message]:
         return list(self._transcript)
 
     def transcript_bytes(self) -> bytes:
-        """Canonical serialization, for byte-level replay comparison."""
-        return b"".join(self._record_line(rec) for rec in self._transcript)
-
-    def _record_line(self, rec) -> bytes:
-        doc = {"kind": "msg", "from": str(rec[1]), "to": str(rec[2]),
-               "tag": rec[3], "payload": rec[4].hex()}
-        return (json.dumps(doc, sort_keys=True) + "\n").encode()
+        """Canonical serialization, for byte-level replay comparison: one
+        JSON line per message."""
+        return "".join(json.dumps({"kind": "msg", "from": str(msg.src), "to": str(msg.dst),
+                                   "tag": msg.tag, "payload": msg.payload.hex()},
+                                  sort_keys=True) + "\n"
+                       for msg in self._transcript).encode()
 
     def export_transcript(self, path):
         with open(path, "wb") as fh:

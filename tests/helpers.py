@@ -104,13 +104,13 @@ def shifted(p):
 
 
 def transcript_view(runtime, pid):
-    """The transcript records of the messages pid sent or received."""
-    return [rec for rec in runtime.transcript if pid in (rec[1], rec[2])]
+    """The delivered messages that pid sent or received, in send order."""
+    return [rec for rec in runtime.transcript if pid in (rec.src, rec.dst)]
 
 
 def record_truncations(monkeypatch):
     """Wrap `fixpt.trunc` so that each call appends the runtime and the
-    message records its opening added to the transcript (the runtime must
+    messages its opening added to the transcript (the runtime must
     record); returns the list that collects them."""
     calls, trunc = [], fixpt.trunc
 
@@ -145,7 +145,7 @@ def assert_only_received_by(calls, receiver, others):
     and none of them reached any party in `others`."""
     assert calls
     for runtime, sent in calls:
-        assert sent and all(r[2] == receiver for r in sent)
+        assert sent and all(r.dst == receiver for r in sent)
         for pid in others:
-            received = [r for r in runtime.transcript if r[2] == pid]
+            received = [r for r in runtime.transcript if r.dst == pid]
             assert not any(r in sent for r in received)

@@ -197,9 +197,9 @@ def test_criterion_6_inflation_factor(group256):
     # O_case's view holds no opening of the control counts
     width = group256.element_size
     for rec in transcript_view(ctx.runtime, ctx.o_case):
-        if rec[0] == "msg" and (rec[3].startswith("open-result") or rec[3].startswith("open:")):
-            for i in range(0, len(rec[4]), width):
-                value = int.from_bytes(rec[4][i:i + width], "big")
+        if rec.tag.startswith(("open-result", "open:")):
+            for i in range(0, len(rec.payload), width):
+                value = int.from_bytes(rec.payload[i:i + width], "big")
                 assert signed_decode(value, group256.p) not in guard
     announce(6, "HWE exact, 2000/10000 exact, 100 secure ratios match plain; "
                 "no control-count opening in O_case view")
@@ -281,8 +281,8 @@ def test_criterion_9_transcript_privacy_scans(group256):
         for role, pid in BTG_PIDS.items():
             foreign = {v for r, v in secrets.items() if r is not role}
             for rec in transcript_view(rt, pid):
-                if rec[0] == "msg" and rec[3] == btg.BTG_TAG:
-                    [ct] = BtgMessage.parse(rec[4], group256).chunks
+                if rec.tag == btg.BTG_TAG:
+                    [ct] = BtgMessage.parse(rec.payload, group256).chunks
                     assert ct.u not in foreign
                     assert not foreign.intersection(ct.vs)
         rt._transcript.clear()
@@ -299,9 +299,7 @@ def test_criterion_9_transcript_privacy_scans(group256):
                                 ctx.dispenser, ctx.ledger, ctx.owner_keys)
         for pid, foreign in ((ctx.o_case, ctrl), (ctx.o_ctrl, case)):
             for rec in transcript_view(ctx.runtime, pid):
-                if rec[0] != "msg":
-                    continue
-                for i in range(0, len(rec[4]) - width + 1, width):
-                    value = int.from_bytes(rec[4][i:i + width], "big")
+                for i in range(0, len(rec.payload) - width + 1, width):
+                    value = int.from_bytes(rec.payload[i:i + width], "big")
                     assert signed_decode(value, group256.p) not in foreign
     announce(9, "no foreign secret as cleartext element in any scanned view")

@@ -29,8 +29,7 @@ def run_tiny(seed=0, forced=None, count=1):
 
 def hops(rt, params):
     """The three BTG messages of a one-triple session, parsed, in send order."""
-    return [BtgMessage.parse(r[4], params) for r in rt.transcript
-            if r[0] == "msg" and r[3] == BTG_TAG]
+    return [BtgMessage.parse(r.payload, params) for r in rt.transcript if r.tag == BTG_TAG]
 
 
 class TestKeygen:
@@ -124,7 +123,7 @@ class TestPinnedSecrets:
             rt.run(btg.triple_session(rt, TINY_GROUP, keys, PIDS, forced=forced,
                                       count=len(next(iter(forced.values())))))
         assert rt.messages_sent == 0
-        assert not [r for r in rt.transcript if r[0] == "msg"]
+        assert rt.transcript == []
 
 
 class TestSerialization:
@@ -179,8 +178,8 @@ class TestRuntimeDriver:
         keys = make_keys(group256, random.Random(3))
         rt.run(btg.triple_session(rt, group256, keys, PIDS))
         view = transcript_view(rt, PIDS[BtgRole.B])
-        inbound = [r for r in view if r[2] == PIDS[BtgRole.B]]
-        outbound = [r for r in view if r[1] == PIDS[BtgRole.B]]
+        inbound = [r for r in view if r.dst == PIDS[BtgRole.B]]
+        outbound = [r for r in view if r.src == PIDS[BtgRole.B]]
         assert len(inbound) == 1 and len(outbound) == 1
 
     def test_rerandomization_varies_step3(self, group256):
@@ -191,8 +190,8 @@ class TestRuntimeDriver:
             keys = make_keys(group256, random.Random(5))
             rt.run(btg.triple_session(rt, group256, keys, PIDS,
                                       forced={BtgRole.A: [4], BtgRole.B: [9]}))
-            msgs = [r for r in rt.transcript if r[0] == "msg" and r[3] == BTG_TAG]
-            m3 = BtgMessage.parse(msgs[2][4], group256)
+            msgs = [r for r in rt.transcript if r.tag == BTG_TAG]
+            m3 = BtgMessage.parse(msgs[2].payload, group256)
             third.add(m3.chunks)
         assert len(third) >= 2
 
@@ -204,9 +203,9 @@ class TestRuntimeDriver:
             [out] = rt.run(btg.triple_session(rt, group256, keys, PIDS))
             secrets = {s for r in BtgRole for s in out[r]}
             for rec in rt.transcript:
-                if rec[0] != "msg" or rec[3] != BTG_TAG:
+                if rec.tag != BTG_TAG:
                     continue
-                parsed = BtgMessage.parse(rec[4], group256)
+                parsed = BtgMessage.parse(rec.payload, group256)
                 for ct in parsed.chunks:
                     assert ct.u not in secrets
                     assert not secrets.intersection(ct.vs)
@@ -221,12 +220,12 @@ class TestBatchedSession:
         assert len(a) == len(b) == len(c) == 3
         for ak, bk, ck in zip(a, b, c):
             assert ck == ak * bk % group256.p
-        msgs = [r for r in rt.transcript if r[0] == "msg"]
-        assert [r[3] for r in msgs] == [BTG_TAG] * 3
-        for rec in msgs[:3]:
-            parsed = BtgMessage.parse(rec[4], group256, count=3)
+        msgs = rt.transcript
+        assert [r.tag for r in msgs] == [BTG_TAG] * 3
+        for rec in msgs:
+            parsed = BtgMessage.parse(rec.payload, group256, count=3)
             assert len(parsed.chunks) == 3
-            assert parsed.serialize(group256) == rec[4]
+            assert parsed.serialize(group256) == rec.payload
 
     def test_forced_secrets_per_triple(self, tiny):
         rt = Runtime(list(PIDS.values()), seed=2)
@@ -312,7 +311,7 @@ class TestSharedRandomness:
         chunks = -(-count // width)
         assert modmath.modexp_count() == 5 * count + 3 * chunks
         assert hashlib.sha256(rt.transcript_bytes()).hexdigest() == self.GOLDEN[count]
-        hops = [r[4] for r in rt.transcript if r[0] == "msg"]
+        hops = [r.payload for r in rt.transcript]
         assert [len(raw) for raw in hops] == [17 + group256.element_size * (count + chunks)] * 3
         for raw in hops:
             msg = BtgMessage.parse(raw, group256, count, width)
@@ -328,7 +327,7 @@ class TestSharedRandomness:
         modmath.reset_modexp_count()
         rt.run(btg.triple_session(rt, group256, keys, PIDS, count=5))
         assert modmath.modexp_count() == 8 * 5
-        hops = [r[4] for r in rt.transcript if r[0] == "msg"]
+        hops = [r.payload for r in rt.transcript]
         assert [len(raw) for raw in hops] == [17 + 2 * group256.element_size * 5] * 3
 
     def test_key_lists_must_be_as_long(self, tiny):
@@ -361,8 +360,8 @@ class TestSharedRandomness:
             [out] = rt.run(btg.triple_session(rt, group256, {BtgRole.A: keys_a,
                                                              BtgRole.C: keys_c},
                                               PIDS, count=width))
-            hops = [BtgMessage.parse(r[4], group256, width, width).chunks[0]
-                    for r in rt.transcript if r[0] == "msg" and r[2] != PIDS[BtgRole.C]]
+            hops = [BtgMessage.parse(r.payload, group256, width, width).chunks[0]
+                    for r in rt.transcript if r.dst != PIDS[BtgRole.C]]
             stripped = [modmath.strip_layer(ct, [key.x for key in keys_c], group256)
                         for ct in hops]
             a, b = out[BtgRole.A], out[BtgRole.B]

@@ -23,7 +23,6 @@ from spdzgen.errors import (
     NetworkError,
     ParameterError,
     ProtocolAbort,
-    SelectionError,
     ShareError,
 )
 from spdzgen.gwas import build_parties
@@ -111,7 +110,7 @@ class TestDeal:
         assert (rt.messages_sent, rt.rounds) == (2, 1)
         assert rt.bytes_sent == (len(MPC) - 1) * modmath.SEED_BYTES
         # the owner sends itself nothing: the transcript is its two seeds
-        assert [(r[1], r[2]) for r in rt.transcript] == [(MPC[0], MPC[1]), (MPC[0], MPC[2])]
+        assert [(r.src, r.dst) for r in rt.transcript] == [(MPC[0], MPC[1]), (MPC[0], MPC[2])]
 
     def test_outside_owner_sends_every_party(self, group256):
         # the first party gets the K correction shares, every other one a seed
@@ -120,10 +119,10 @@ class TestDeal:
         assert shares.parties == tuple(MPC)
         assert [reconstruct(v, group256.p) for v in zip(*shares.columns.values())] == [9, 10]
         assert (rt.messages_sent, rt.rounds) == (3, 1)
-        sizes = {r[2]: len(r[4]) for r in rt.transcript if r[0] == "msg"}
+        sizes = {r.dst: len(r.payload) for r in rt.transcript}
         assert sizes == {MPC[0]: 2 * group256.element_size,
                          MPC[1]: modmath.SEED_BYTES, MPC[2]: modmath.SEED_BYTES}
-        assert {r[1] for r in rt.transcript} == {BTG_PIDS[BtgRole.A]}
+        assert {r.src for r in rt.transcript} == {BTG_PIDS[BtgRole.A]}
 
     @pytest.mark.parametrize("mutate", [truncated, out_of_range],
                              ids=["truncated", "out-of-range"])
@@ -180,7 +179,7 @@ class TestLeaderSelection:
         assert select_committee_leader(pool, b"s1") == select_committee_leader(pool, b"s1")
 
     def test_empty_pool(self):
-        with pytest.raises(SelectionError):
+        with pytest.raises(ParameterError, match="no committee candidates"):
             select_committee_leader([], b"s")
 
     def test_uniform_over_seeds(self):
@@ -208,6 +207,10 @@ class TestBuildParties:
         ctx = build_parties(group256, seed=5, blinding=mode)
         assert modmath.modexp_count() == 4
         assert [len(ctx.btg_keys[role]) for role in (BtgRole.A, BtgRole.C)] == [1, 1]
+
+    def test_unknown_blinding_mode_is_a_parameter_error(self, group256):
+        with pytest.raises(ParameterError, match="unknown blinding mode 'three'"):
+            build_parties(group256, seed=5, blinding="three")
 
 
 class TestBlindFactorArithmetic:
@@ -312,10 +315,9 @@ class TestDispensationProtocol:
         rt = build_runtime(seed=4)
         rt.run(dispense_blind_single(rt, group256, trio_keys(group256, seed=4), BTG_PIDS, MPC,
                                      triple_ids=["tx"]))
-        a_msgs = [r for r in rt.transcript
-                  if r[0] == "msg" and r[3].startswith("triple-a:")]
-        assert {r[1] for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
-        assert {r[2] for r in a_msgs} == set(MPC)
+        a_msgs = [r for r in rt.transcript if r.tag.startswith("triple-a:")]
+        assert {r.src for r in a_msgs} == {BTG_PIDS[BtgRole.A]}
+        assert {r.dst for r in a_msgs} == set(MPC)
 
 
 class TestBatchedDispensation:
@@ -346,15 +348,14 @@ class TestBatchedDispensation:
         assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (19, 4))
         # each holder sends MPC_1 its 4 correction shares and the others a seed
         w = group256.element_size
-        share_msgs = [r for r in rt.transcript if r[0] == "msg" and r[3].startswith("triple-")]
-        assert sorted((r[2], len(r[4])) for r in share_msgs) \
+        share_msgs = [r for r in rt.transcript if r.tag.startswith("triple-")]
+        assert sorted((r.dst, len(r.payload)) for r in share_msgs) \
             == sorted([(MPC[0], 4 * w)] * 3 + [(pid, modmath.SEED_BYTES) for pid in MPC[1:]] * 3)
         # the blind seeds are the first records: they ride the first hop's round
-        tags = [r[3] for r in rt.transcript if r[0] == "msg"]
+        tags = [r.tag for r in rt.transcript]
         first = ["blind-r:b0", "blind-r:b0"] + ["sign-a:b0"] * (mode == "two")
         assert tags[:len(first) + 1] == first + [btg.BTG_TAG]
-        assert all(len(r[4]) == modmath.SEED_BYTES for r in rt.transcript
-                   if r[0] == "msg" and r[3] in first)
+        assert all(len(r.payload) == modmath.SEED_BYTES for r in rt.transcript if r.tag in first)
 
     def test_hops_to_the_holder_of_c_never_cross(self, group256, monkeypatch):
         # in two mode the session's hop 3 and the key product's last hop both
@@ -365,14 +366,14 @@ class TestBatchedDispensation:
         def recording():
             start = len(rt.transcript)
             delivered = pump()
-            rounds.append([r for r in rt.transcript[start:] if r[0] == "msg"])
+            rounds.append(rt.transcript[start:])
             return delivered
 
         monkeypatch.setattr(rt, "pump", recording)
         ctx.runtime.run(ctx.dispenser.mint(3))
         assert len(rounds) == 4
         pid_c = ctx.btg_pids[BtgRole.C]
-        assert [r[3] for r in rounds[2] if r[2] == pid_c] == [btg.BTG_TAG, "btg:t000001"]
+        assert [r.tag for r in rounds[2] if r.dst == pid_c] == [btg.BTG_TAG, "btg:t000001"]
         assert all(c == a * b % group256.p
                    for a, b, c in (reconstruct_triple(t, group256.p) for t in ctx.dispenser.pool))
 
@@ -529,9 +530,9 @@ class TestDispenser:
 
 def received_residues(runtime, pid, width):
     """Every width-byte window, at every offset, of every payload pid received."""
-    return {int.from_bytes(rec[4][i:i + width], "big")
-            for rec in transcript_view(runtime, pid) if rec[2] == pid
-            for i in range(len(rec[4]) - width + 1)}
+    return {int.from_bytes(rec.payload[i:i + width], "big")
+            for rec in transcript_view(runtime, pid) if rec.dst == pid
+            for i in range(len(rec.payload) - width + 1)}
 
 
 @pytest.mark.parametrize("mode", ["single", "two"])
@@ -563,8 +564,8 @@ class TestServerViews:
                       "two": {(ox, oy, btg.BTG_TAG), (oy, ox, btg.BTG_TAG)}}[mode]
         shares = {(ctx.btg_pids[role], pid, "triple-%s" % role.value.lower())
                   for role in BtgRole for pid in ctx.mpc_pids}
-        received = {(r[1], r[2], r[3].split(":")[0]) for r in ctx.runtime.transcript
-                    if r[0] == "msg" and r[2] in ctx.mpc_pids}
+        received = {(r.src, r.dst, r.tag.split(":")[0]) for r in ctx.runtime.transcript
+                    if r.dst in ctx.mpc_pids}
         assert received == shares | owner_hops
 
 
@@ -593,8 +594,8 @@ class TestSingleModeBlinds:
     def test_no_server_sends_or_receives_a_blind(self, group256):
         ctx = build_parties(group256, seed=20, record=True)
         ctx.runtime.run(ctx.dispenser.mint(3))
-        blinds = [(r[1], r[2]) for r in ctx.runtime.transcript
-                  if r[0] == "msg" and r[3].startswith("blind-r:")]
+        blinds = [(r.src, r.dst) for r in ctx.runtime.transcript
+                  if r.tag.startswith("blind-r:")]
         pid_c = ctx.btg_pids[BtgRole.C]
         assert blinds == [(pid_c, ctx.btg_pids[BtgRole.A]), (pid_c, ctx.btg_pids[BtgRole.B])]
 
@@ -611,8 +612,8 @@ class TestTwoModeSigns:
         ctx = build_parties(group256, seed=20, record=True, blinding="two")
         ctx.runtime.run(ctx.dispenser.mint(3))
         pid_a, pid_b, pid_c = (ctx.btg_pids[role] for role in BtgRole)
-        signs = [(r[1], r[2], len(r[4])) for r in ctx.runtime.transcript
-                 if r[0] == "msg" and r[3].startswith("sign-")]
+        signs = [(r.src, r.dst, len(r.payload)) for r in ctx.runtime.transcript
+                 if r.tag.startswith("sign-")]
         assert signs == [(pid_a, pid_b, modmath.SEED_BYTES), (pid_b, pid_c, 3)]
 
     def test_sign_products_move_c(self, group256, monkeypatch):

@@ -310,6 +310,17 @@ class TestFixedPointMult:
             got = fp_decode(open_value(rt, z, BIG.p), BIG)
             assert abs(got - xq * yq) <= Fraction(1, 2 ** 15)
 
+    def test_integer_product_at_f_zero_is_not_shifted(self):
+        # at f = 0 the Beaver product is already at scale 1, so no truncation
+        rt = fresh_rt(seed=21)
+        triples = triple_stream(SMALL.p, PARTIES, random.Random(7))
+        x = share_signed(rt, 3, SMALL)
+        y = share_signed(rt, -5, SMALL, owner=PARTIES[1])
+        ledger = TripleLedger()
+        z = fp_mult(rt, x, y, next(triples), SMALL, ledger, ROLES)
+        assert opened_signed(rt, z, SMALL) == -15
+        assert len(ledger) == 1
+
     def test_frame_too_wide_for_the_field_spends_and_sends_nothing(self):
         # the field fits k = 8 but not the product's frame k + f = 12
         params = FixedPointParams(k=8, f=4, kappa=10, p=P_SMALL)
@@ -353,8 +364,8 @@ class TestFixedPointMult:
             start = len(rt.transcript)
             fp_mult(rt, x, y, next(triples), BIG, TripleLedger(), ROLES)
             r2 = own.randrange(2 ** (BIG.kappa + w - m))
-            opened = [r[4] for r in rt.transcript[start:] if r[0] == "msg"
-                      and r[2] == wide and r[3].startswith(OPEN_RESULT_TAG)]
+            opened = [r.payload for r in rt.transcript[start:]
+                      if r.dst == wide and r.tag.startswith(OPEN_RESULT_TAG)]
             guesses = [Fraction(v - (r2 << m) - 2 ** w, 2 ** (2 * BIG.f)) for payload in opened
                        for v in decode_residues(payload, len(payload) // width, BIG.p)]
             recovered += any(abs(g - xq * yq) <= Fraction(1, 2 ** 15) for g in guesses)

@@ -251,13 +251,10 @@ class TestSecureLambda:
                                 ctx.dispenser, ctx.ledger, ctx.owner_keys)
         width = group256.element_size
         for rec in transcript_view(ctx.runtime, ctx.o_case):
-            if rec[0] != "msg":
-                continue
-            tag = rec[3]
-            if tag.startswith("open-result") or tag.startswith("open:"):
+            if rec.tag.startswith(("open-result", "open:")):
                 # openings reaching O_case are the uniform rho/eps values only
-                chunks = [int.from_bytes(rec[4][i:i + width], "big")
-                          for i in range(0, len(rec[4]), width)]
+                chunks = [int.from_bytes(rec.payload[i:i + width], "big")
+                          for i in range(0, len(rec.payload), width)]
                 for value in chunks:
                     assert value not in ctrl_counts
                     assert signed_decode(value, group256.p) not in ctrl_counts
@@ -268,12 +265,11 @@ class TestSecureLambda:
                                 ctx.mpc_pids, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                 ctx.dispenser, ctx.ledger, ctx.owner_keys)
         # the last opening batch is collected by o_ctrl and never broadcast
-        opens = [r for r in ctx.runtime.transcript
-                 if r[0] == "msg" and r[3].startswith("open:")]
-        final_tag = opens[-1][3]
-        final = [r for r in opens if r[3] == final_tag]
-        assert {r[2] for r in final} == {ctx.o_ctrl}
-        assert not any(r[0] == "msg" and r[3] == "open-result:" + final_tag.split(":")[1]
+        opens = [r for r in ctx.runtime.transcript if r.tag.startswith("open:")]
+        final_tag = opens[-1].tag
+        final = [r for r in opens if r.tag == final_tag]
+        assert {r.dst for r in final} == {ctx.o_ctrl}
+        assert not any(r.tag == "open-result:" + final_tag.split(":")[1]
                        for r in ctx.runtime.transcript)
 
 
@@ -653,10 +649,10 @@ def first_batch_openings(ctx, dim, rank, p):
     are public.
     """
     width, count = (p.bit_length() + 7) // 8, 2 * dim * rank
-    return list({rec[3]: modmath.decode_residues(rec[4], count, p)
+    return list({rec.tag: modmath.decode_residues(rec.payload, count, p)
                  for rec in ctx.runtime.transcript
-                 if rec[0] == "msg" and rec[3].startswith("open-result:")
-                 and len(rec[4]) == count * width}.values())
+                 if rec.tag.startswith("open-result:")
+                 and len(rec.payload) == count * width}.values())
 
 
 def basis_encodings(basis, params):
@@ -674,9 +670,9 @@ def square_candidates(ctx, pid, dim, rank, params, basis):
     received a raw c and a blind r with c' = r^2 * c.
     """
     p, width = params.p, (params.p.bit_length() + 7) // 8
-    received = {int.from_bytes(rec[4][i:i + width], "big")
-                for rec in transcript_view(ctx.runtime, pid) if rec[2] == pid
-                for i in range(0, len(rec[4]) - width + 1, width)}
+    received = {int.from_bytes(rec.payload[i:i + width], "big")
+                for rec in transcript_view(ctx.runtime, pid) if rec.dst == pid
+                for i in range(0, len(rec.payload) - width + 1, width)}
     unblind = [pow(r, -2, p) for r in received if r]
     cols = basis_encodings(basis, params)
 
@@ -710,9 +706,9 @@ def blind_candidates(ctx, pid, dim, rank, params):
     square = ctx.dispenser.mode == "two"
     blinds = {}  # holder -> one list of blinds per batch
     for rec in transcript_view(ctx.runtime, pid):
-        if rec[0] == "msg" and rec[3].startswith("blind-r:"):
-            roots = [1 + x for x in modmath.expand_residues(rec[4], pairs, p - 1)]
-            blinds.setdefault(rec[2], []).append([r * r % p if square else r for r in roots])
+        if rec.tag.startswith("blind-r:"):
+            roots = [1 + x for x in modmath.expand_residues(rec.payload, pairs, p - 1)]
+            blinds.setdefault(rec.dst, []).append([r * r % p if square else r for r in roots])
     r_b = blinds.get(ctx.btg_pids[BtgRole.B], [])
 
     def passes(opened, n, i, g):

@@ -58,11 +58,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def public_definitions(module: str) -> set:
-    """`module.name` for each public top-level function and class of the
-    module, and `module.Class.name` for each public method of those classes."""
+    """`module.name` for each public top-level function, class and assigned
+    name of the module, and `module.Class.name` for each public method of
+    those classes."""
     tree = ast.parse((PACKAGE / (module + ".py")).read_text())
     found = set()
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            found.update("%s.%s" % (module, target.id) for target in node.targets
+                         if isinstance(target, ast.Name) and not target.id.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             found.add("%s.%s" % (module, node.name))
             if isinstance(node, ast.ClassDef):
@@ -72,11 +76,12 @@ def public_definitions(module: str) -> set:
 
 
 def referenced_names(paths) -> set:
-    """Every name read, attribute taken or name imported in the sources."""
+    """Every name read, attribute taken or name imported in the sources; a
+    name only assigned to is not read."""
     found = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)

@@ -124,11 +124,9 @@ class TestPrivacy:
         rt, _, shares = chain(5, group256, seed=21)
         share_values = {v for values in shares.values() for v in values}
         for rec in rt.transcript:
-            if rec[0] != "msg":
-                continue
             # only protocol ciphertexts cross the wire
-            assert rec[3] == btg.BTG_TAG
-            [ct] = BtgMessage.parse(rec[4], group256).chunks
+            assert rec.tag == btg.BTG_TAG
+            [ct] = BtgMessage.parse(rec.payload, group256).chunks
             assert ct.u not in share_values
             assert not share_values.intersection(ct.vs)
 
@@ -137,6 +135,6 @@ class TestPrivacy:
         # step-1 and step-3 messages of that single session and nothing else
         rt, pids, _ = chain(4, group256, seed=5)
         pid2 = pids[1]
-        outbound = [r for r in transcript_view(rt, pid2) if r[1] == pid2]
+        outbound = [r for r in transcript_view(rt, pid2) if r.src == pid2]
         assert len(outbound) == 2
-        assert all(r[3] == btg.BTG_TAG for r in outbound)
+        assert all(r.tag == btg.BTG_TAG for r in outbound)

@@ -70,7 +70,7 @@ class TestGroupGen:
         assert gen_group(16, seed=b"T") != a or True  # different seed may differ
 
     def test_256_bit_group_against_primality_oracle(self):
-        params = gen_group(256, seed=modmath.DEFAULT_GROUP_SEED)
+        params = gen_group(256, seed=b"spdzgen-default-group-v1")
         assert params == DEFAULT_GROUP_256
         assert sympy.isprime(params.p)
         assert sympy.isprime(params.q)

@@ -4,7 +4,7 @@ from spdzgen import btg, mhkm
 from spdzgen.btg import BtgRole
 from spdzgen.errors import MpcError, NetworkError
 from spdzgen.gwas import build_parties
-from spdzgen.net import PartyId, Runtime, lockstep
+from spdzgen.net import Message, PartyId, Runtime, lockstep
 from spdzgen.spdz import deal
 
 from helpers import transcript_view
@@ -97,8 +97,19 @@ def test_replay_is_byte_identical():
 def test_transcript_lists_messages_in_send_order():
     rt = Runtime([A, B, C])
     _chatter(rt)
-    assert [(r[1], r[2], r[4]) for r in rt.transcript] == [
+    assert [(r.src, r.dst, r.payload) for r in rt.transcript] == [
         (A, B, b"1"), (B, C, b"2"), (A, C, b"3"), (C, A, b"4"), (A, B, b"5")]
+
+
+def test_transcript_records_the_delivered_message_itself():
+    rt = Runtime([A, B])
+    sent = rt.send(A, B, "t", b"\x01")
+    rt.pump()
+    taken = rt.take(B, "t")
+    [rec] = rt.transcript
+    assert (rec.src, rec.dst, rec.tag, rec.payload) == (A, B, "t", b"\x01")
+    assert rt.transcript == [Message(A, B, "t", b"\x01")]
+    assert rec is sent and rec is taken
 
 
 def test_transcript_views_partition_the_message_log():
@@ -108,9 +119,9 @@ def test_transcript_views_partition_the_message_log():
     # every message appears in exactly the sender's and receiver's views
     for rec in rt.transcript:
         holders = [pid for pid in (A, B, C) if rec in views[pid]]
-        assert sorted(holders) == sorted({rec[1], rec[2]})
+        assert sorted(holders) == sorted({rec.src, rec.dst})
     # the union covers the full transcript
-    assert len({tuple(r) for v in views.values() for r in v}) == len(rt.transcript)
+    assert len({r for v in views.values() for r in v}) == len(rt.transcript)
 
 
 def test_party_with_no_traffic_has_empty_view():
@@ -214,10 +225,10 @@ class TestLockstep:
         with pytest.raises(NetworkError, match="boom"):
             rt.run(chatty(rt, A, B, 3), failing())
         assert (rt.messages_sent, rt.bytes_sent, rt.rounds) == (1, 1, 1)
-        assert rt.transcript == [("msg", A, B, "t", b"0")]
+        assert rt.transcript == [Message(A, B, "t", b"0")]
         assert rt.pump() == 0
         assert rt.run(chatty(rt, B, A, 1, tag="u")) == [[b"0"]]
-        assert rt.transcript == [("msg", A, B, "t", b"0"), ("msg", B, A, "u", b"0")]
+        assert rt.transcript == [Message(A, B, "t", b"0"), Message(B, A, "u", b"0")]
         # stepped after the failure, the chatter has not taken what round 1
         # delivered: that message is dropped with the failed run
         rt = Runtime([A, B])
@@ -278,7 +289,7 @@ class TestSideBySideSessions:
                                tag=btg.BTG_TAG + ":second"))
         assert (first[BtgRole.C], second[BtgRole.C]) == ([6], [36 % 23])
         assert (rt.messages_sent, rt.rounds) == (6, 3)
-        to_c = [r[3] for r in rt.transcript if r[0] == "msg" and r[2] == C]
+        to_c = [r.tag for r in rt.transcript if r.dst == C]
         assert to_c == [btg.BTG_TAG, btg.BTG_TAG + ":second"]
 
 
@@ -298,4 +309,4 @@ def test_arguments_checked_before_any_protocol_sends(tiny, bad):
                 "session": lambda: btg.triple_session(rt, tiny, ctx.btg_keys, ctx.btg_pids,
                                                       forced={BtgRole.B: [5]})}[bad]())
     assert rt.messages_sent == 0
-    assert not [r for r in rt.transcript if r[0] == "msg"]
+    assert rt.transcript == []

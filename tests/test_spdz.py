@@ -103,12 +103,10 @@ class TestOpen:
     def test_open_to_subset_only(self, rt, tiny):
         sv = share_secret(rt, P1, 9, PARTIES, tiny.p)
         assert open_value(rt, sv, tiny.p, to=P2) == 9
-        results = [r for r in rt.transcript
-                   if r[0] == "msg" and r[3].startswith("open-result")]
+        results = [r for r in rt.transcript if r.tag.startswith("open-result")]
         assert results == []  # P2 keeps it; no broadcast
-        shares_seen = [r for r in rt.transcript
-                       if r[0] == "msg" and r[3].startswith("open:")]
-        assert {r[2] for r in shares_seen} == {P2}
+        shares_seen = [r for r in rt.transcript if r.tag.startswith("open:")]
+        assert {r.dst for r in shares_seen} == {P2}
 
 
 class TestOpenDecoding:
@@ -239,10 +237,9 @@ class TestBeaverMult:
         triple = make_triple(2, 3, 6, tiny.p, rng)
         z = beaver_mult(rt, x, y, triple, tiny.p, TripleLedger())
         assert open_value(rt, z, tiny.p) == 12
-        opened = [r for r in rt.transcript
-                  if r[0] == "msg" and r[3].startswith("open-result")]
+        opened = [r for r in rt.transcript if r.tag.startswith("open-result")]
         w = (tiny.p.bit_length() + 7) // 8
-        rho, eps = (int.from_bytes(opened[0][4][i * w:(i + 1) * w], "big") for i in (0, 1))
+        rho, eps = (int.from_bytes(opened[0].payload[i * w:(i + 1) * w], "big") for i in (0, 1))
         assert (rho, eps) == (3, 4)
 
     def test_zero_annihilates(self, rt, tiny):

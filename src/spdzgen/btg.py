@@ -130,7 +130,7 @@ def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
 
 def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
                    forced: dict | None = None, count: int = 1,
-                   tag: str = BTG_TAG) -> Protocol:
+                   tag: str = BTG_TAG, drawn: dict | None = None) -> Protocol:
     """One session of `count` triples over the runtime's channels, as a
     protocol of three rounds.
 
@@ -144,7 +144,10 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     Drawn secrets are squares s^2 mod p, members by construction.  Every hop
     travels under `tag`: sessions that run side by side and deliver to one
     party pass distinct tags.  The protocol's result maps BtgRole -> the
-    role's K secrets in triple order: a for A, b for B, c for C.
+    role's K secrets in triple order: a for A, b for B, c for C.  It is built
+    in `drawn` when that is given: A's secrets land there at the first step
+    and B's at the second, so a protocol stepped after the session in
+    lockstep can use them before hop 3 is delivered.
     """
     if count < 1:
         raise ParameterError("a session makes at least one triple, asked for %d" % count)
@@ -175,9 +178,11 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
 
     spans = [range(start, min(start + width, count)) for start in range(0, count, width)]
 
+    out = {} if drawn is None else drawn
     # A samples a chunk's secrets, then one first-layer randomness for the
     # chunk, and encrypts slot i under h_AC,i.
-    a_vals, cts = [], []
+    a_vals = out[BtgRole.A] = []
+    cts = []
     for span in spans:
         secrets = [_draw(params, rng_a, forced.get(BtgRole.A), k) for k in span]
         cts.append(modmath.encrypt(params, h_ac, secrets, modmath.random_exponent(params, rng_a)))
@@ -185,7 +190,8 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     received = yield from hop(1, pid_a, pid_b, cts)
 
     # B multiplies each secret b into its slot, with one randomness per chunk.
-    b_vals, cts = [], []
+    b_vals = out[BtgRole.B] = []
+    cts = []
     for ct, span in zip(received, spans):
         secrets = [_draw(params, rng_b, forced.get(BtgRole.B), k) for k in span]
         cts.append(modmath.mult_layer(ct, secrets, h_ac,
@@ -200,5 +206,5 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     received = yield from hop(3, pid_a, pid_c, cts)
 
     # C removes the last layer: c = a*b mod p.
-    c_vals = [c for ct in received for c in modmath.strip_layer(ct, x_c, params)]
-    return {BtgRole.A: a_vals, BtgRole.B: b_vals, BtgRole.C: c_vals}
+    out[BtgRole.C] = [c for ct in received for c in modmath.strip_layer(ct, x_c, params)]
+    return out

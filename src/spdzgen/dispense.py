@@ -34,20 +34,26 @@ Dispensation runs the K triples of one BTG session at once, in chunks of
 min(K, btg.CHUNK) triples that share each hop's randomness under per-slot
 keys, and sends each message as soon as nothing it depends on is missing.
 The blind seeds (and the two-mode sign seed) do not depend on the session,
-so they go out before it and ride its first hop's round.  In two mode r_a and r_b are known
-before the session starts, so the `r_c` key product runs beside it in
-lockstep (`net.lockstep`), and B's sign products ride their second round.
-The three holders deal in one round.  A batch costs four rounds in either
-mode: hop 1 and the blinds | hop 2 | hop 3 | all shares, with the key
-product's hops beside the session's in two mode.  Dispensations are
-protocols (`net.Runtime.run`), so the run of a batch that aborts drops all
-it left.  Blinds, signs, shares and the key product's hops carry the
-batch's first triple id in their tags, which keep lockstep messages apart
-(the key product's last hop and the session's both reach the holder of c
-in the third round) and keep transcripts byte-identical.
-`TripleDispenser` keeps the dispensed triples in a FIFO pool: `mint(n)` is
-the protocol that mints n of them with one dispensation, and `next_triple`
-hands them out in order.
+so they go out before it and ride its first hop's round.  In two mode r_a
+and r_b are known before the session starts, so the `r_c` key product runs
+beside it in lockstep (`net.lockstep`), and B's sign products ride their
+second round.  The holders of a and b have their components and their
+blind seeds after the first round, so they deal a' and b' in the second;
+the holder of c has c only after hop 3 and deals c' in the fourth.  A
+batch costs four rounds in either mode: hop 1 + blinds | hop 2 + a'/b'
+deals | hop 3 | c' deal, with the key product's hops beside the session's
+in two mode.  Beaver's openings of x - a' and y - b' need no c', so a
+dispenser pools each triple once its a' and b' are dealt and fills in c'
+when the batch ends; a Beaver batch beside the mint can open in its third
+round and recombine after its fourth.  Dispensations are protocols
+(`net.Runtime.run`), so the run of a batch that aborts drops all it left.
+Blinds, signs, shares and the key product's hops carry the batch's first
+triple id in their tags, which keep lockstep messages apart (the key
+product's last hop and the session's both reach the holder of c in the
+third round) and keep transcripts byte-identical.  `TripleDispenser` keeps
+the dispensed triples in a FIFO pool: `mint(n)` is the protocol that mints
+n of them with one dispensation, `take(n)` the protocol that waits for
+them beside it, and `next_triple` hands them out in order.
 """
 
 from __future__ import annotations
@@ -117,24 +123,25 @@ SIGN_PRODUCT_TAG = "sign-ab"
 
 
 def dispense_blind_single(runtime: Runtime, params: GroupParams, btg_keys: dict,
-                          btg_pids: dict, mpc_pids, triple_ids) -> Protocol:
+                          btg_pids: dict, mpc_pids, triple_ids, pool=None) -> Protocol:
     """Single-randomness dispensation of one session of K triples, as a
-    protocol of 4 rounds whose result lists the triples.
+    protocol of 4 rounds whose result lists the triples (pooled early into
+    `pool` when given, see `_dispense`).
 
     One party, the holder of c, picks the randomness: one seed each for the
     holders of a and b, which expand to independent blinds r_a and r_b in
     [1, p) per triple, and its own c scaled by r_a*r_b.  No MPC server
     learns a blind.
     """
-    return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids)
+    return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids, pool=pool)
 
 
 def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
                        btg_pids: dict, mpc_pids, ox: PartyId, oy: PartyId,
-                       triple_ids, keys: dict) -> Protocol:
+                       triple_ids, keys: dict, pool=None) -> Protocol:
     """Two-randomness dispensation, as a protocol of 4 rounds whose result
-    lists the triples: r_c = r_a * r_b as an mHKM key product beside the
-    session.
+    lists the triples (pooled early into `pool` when given): r_c = r_a * r_b
+    as an mHKM key product beside the session.
 
     O_x and O_y send the holders of a and b one seed each, which expands to
     subgroup blinds r_a and r_b per triple; the owners know their blinds
@@ -145,7 +152,7 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
     `keys` maps PartyId -> KeyPair for O_x and the holder of c.
     """
     return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids,
-                     owners=(ox, oy), keys=keys)
+                     owners=(ox, oy), keys=keys, pool=pool)
 
 
 def _blinds(seed: bytes, count: int, p: int, square: bool) -> list[int]:
@@ -161,7 +168,7 @@ def _signed(values, signs, p: int) -> list[int]:
 
 
 def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: dict,
-              mpc_pids, triple_ids, owners=None, keys=None) -> Protocol:
+              mpc_pids, triple_ids, owners=None, keys=None, pool=None) -> Protocol:
     """One batch end to end, as a protocol; `btg_keys` maps roles A and C
     to the session's key-pair lists (`btg.triple_session`), and `owners` =
     (O_x, O_y) selects two-randomness mode, whose key product runs over
@@ -170,14 +177,16 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     The blind senders (the holder of c, or O_x and O_y) send one seed each to
     the holders of a and b before the session, so the seeds ride its first
     hop's round; in two mode the holder of a sends its sign seed with them.
-    In two mode the key product, which gives the holder of c its K blinds,
-    runs beside the session, and the holder of b sends the sign products in
-    their second round.  The three holders deal their K blinded components
-    in one round.  Seeds, signs, shares and the key product's hops are
-    tagged with the batch's first triple id, which keeps them apart from
-    the messages of any protocol beside the batch.  Each party draws from
-    its own generator in protocol order: the seeds, then its session
-    secrets, then B's signs.
+    In the second round the holders of a and b deal a' and b' (`_deal_ab`),
+    beside hop 2 and, in two mode, the key product's second hop and B's sign
+    products.  The triples go into `pool`, when given, once the servers hold
+    a' and b', with empty c_shares; the holder of c deals c' in the fourth
+    round, and the servers fill the c_shares in place.  Seeds, signs, shares
+    and the key product's hops are tagged with the batch's first triple id,
+    which keeps them apart from the messages of any protocol beside the
+    batch.  Each party draws from its own generator in protocol order: the
+    seeds, then its session secrets, then B's signs; the holder of a draws
+    its deal seeds before its re-randomization.
     """
     triple_ids = list(triple_ids)
     if not triple_ids:
@@ -190,54 +199,80 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     blind_tag = "%s:%s" % (BLIND_TAG, first)
     for src, dst, seed in zip(senders, (pid_a, pid_b), seeds):
         runtime.send(src, dst, blind_tag, seed)
-    # each sender's blinds from its own seed
-    r_a, r_b = (_blinds(seed, count, p, two) for seed in seeds)
+    drawn = {}  # the session's secrets, each role's as soon as it draws them
+    session = btg.triple_session(runtime, params, btg_keys, btg_pids, count=count, drawn=drawn)
+    sign_seed = None
     if two:
         ox, oy = owners
-        sign_tag, product_tag = "%s:%s" % (SIGN_TAG, first), "%s:%s" % (SIGN_PRODUCT_TAG, first)
         sign_seed = modmath.draw_seed(runtime.rng(pid_a))
-        runtime.send(pid_a, pid_b, sign_tag, sign_seed)
-        outcome, chain, (signs_b, products) = yield from lockstep(
-            btg.triple_session(runtime, params, btg_keys, btg_pids, count=count),
-            mhkm.key_product(runtime, params, [oy, ox, pid_c], keys, {ox: r_a, oy: r_b},
-                             count=count, tag="%s:%s" % (BTG_TAG, first)),
-            _sign_products(runtime, pid_b, pid_c, sign_tag, product_tag, count))
-    else:
-        outcome = yield from btg.triple_session(runtime, params, btg_keys, btg_pids,
-                                                count=count)
-    # each holder's blinds from the seed it received
-    factors = [_blinds(runtime.take(pid, blind_tag).payload, count, p, two)
-               for pid in (pid_a, pid_b)]
+        runtime.send(pid_a, pid_b, "%s:%s" % (SIGN_TAG, first), sign_seed)
+    dealt = _deal_ab(runtime, p, btg_pids, mpc_pids, triple_ids, drawn, sign_seed, pool)
     if two:
-        signs_a = modmath.expand_residues(sign_seed, count, 2)
-        factors = [_signed(rs, signs, p) for rs, signs
-                   in zip(factors + [chain[pid_c]], (signs_a, signs_b, products))]
+        _, chain, (triples, products) = yield from lockstep(
+            session,
+            mhkm.key_product(runtime, params, [oy, ox, pid_c], keys,
+                             {owner: _blinds(seed, count, p, two)
+                              for owner, seed in zip(owners, seeds)},
+                             count=count, tag="%s:%s" % (BTG_TAG, first)),
+            dealt)
+        factor_c = _signed(chain[pid_c], products, p)
     else:
-        factors.append([x * y % p for x, y in zip(r_a, r_b)])
+        _, (triples, _) = yield from lockstep(session, dealt)
+        # the holder of c expands both blinds from the seeds it drew
+        factor_c = [x * y % p for x, y in zip(*(_blinds(seed, count, p, two) for seed in seeds))]
+    [shares] = yield from deal(runtime, mpc_pids,
+                               [(pid_c, "%s:%s" % (TRIPLE_TAGS[BtgRole.C], first),
+                                 [r * c % p for r, c in zip(factor_c, drawn[BtgRole.C])])], p)
+    for t, held in zip(triples, _per_triple(shares)):
+        t.c_shares.update(held)
+    return triples
+
+
+def _per_triple(shares) -> list[dict]:
+    """Each value's shares of a dealt batch, as a dict per value."""
+    parties = shares.parties
+    return [dict(zip(parties, held)) for held in zip(*(shares.columns[pid] for pid in parties))]
+
+
+def _deal_ab(runtime: Runtime, p: int, btg_pids: dict, mpc_pids, triple_ids, drawn: dict,
+             sign_seed, pool) -> Protocol:
+    """The holders of a and b deal a' and b', as a protocol stepped after the
+    session in lockstep, so `drawn` holds a and b at its second step.
+
+    Once the blind seeds (two mode: and A's sign seed) have arrived, in two
+    mode B draws its signs and sends the holder of c their products with
+    A's, and then the holders deal.  The result is the triples, pooled when
+    `pool` is given, whose c_shares are empty, and in two mode the sign
+    products the holder of c received.
+    """
+    yield
+    count, first, two = len(triple_ids), triple_ids[0], sign_seed is not None
+    pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
+    factors = [_blinds(runtime.take(pid, "%s:%s" % (BLIND_TAG, first)).payload, count, p, two)
+               for pid in (pid_a, pid_b)]
+    product_tag = "%s:%s" % (SIGN_PRODUCT_TAG, first)
+    if two:
+        rng_b = runtime.rng(pid_b)
+        signs_b = [rng_b.getrandbits(1) for _ in range(count)]
+        seen_by_b = modmath.expand_residues(
+            runtime.take(pid_b, "%s:%s" % (SIGN_TAG, first)).payload, count, 2)
+        runtime.send(pid_b, pid_c, product_tag,
+                     modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
+        factors = [_signed(rs, signs, p) for rs, signs
+                   in zip(factors, (modmath.expand_residues(sign_seed, count, 2), signs_b))]
     shares = yield from deal(runtime, mpc_pids,
                              [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first),
-                               [r * v % p for r, v in zip(rs, outcome[role])])
-                              for role, rs in zip(BtgRole, factors)], p)
+                               [r * v % p for r, v in zip(rs, drawn[role])])
+                              for role, rs in zip((BtgRole.A, BtgRole.B), factors)], p)
     parties = tuple(mpc_pids)
-    per_triple = ([dict(zip(parties, held)) for held in zip(*(x.columns[pid] for pid in parties))]
-                  for x in shares)
-    return [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b, c_shares=c)
-            for tid, a, b, c in zip(triple_ids, *per_triple)]
-
-
-def _sign_products(runtime: Runtime, pid_b: PartyId, pid_c: PartyId, sign_tag: str,
-                   product_tag: str, count: int) -> Protocol:
-    """Once A's sign seed has arrived, B draws its K signs and sends the
-    holder of c their products with A's; the result is B's signs and the
-    products the holder of c received."""
-    yield
-    rng_b = runtime.rng(pid_b)
-    signs_b = [rng_b.getrandbits(1) for _ in range(count)]
-    seen_by_b = modmath.expand_residues(runtime.take(pid_b, sign_tag).payload, count, 2)
-    runtime.send(pid_b, pid_c, product_tag,
-                 modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
-    yield
-    return signs_b, modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
+    triples = [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b,
+                                  c_shares={})
+               for tid, a, b in zip(triple_ids, *map(_per_triple, shares))]
+    if pool is not None:
+        pool.extend(triples)
+    products = (modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
+                if two else None)
+    return triples, products
 
 
 class TripleDispenser:
@@ -246,7 +281,13 @@ class TripleDispenser:
     `mint(n)` is the protocol that runs the configured dispensation variant
     on n triples (one triple-generation session inside it), pools the
     triples and appends their audit lines to the optional JSON-lines ledger
-    file in one write; callers run it with `Runtime.run`.  `btg_keys` maps
+    file in one write; callers run it with `Runtime.run`.  A triple enters
+    the pool once the servers hold its a' and b', in the mint's second
+    round, and its c' arrives in the fourth, so a protocol beside the mint
+    can draw it with `take` and open x - a' and y - b' meanwhile.  A mint
+    that fails, or is closed beside a protocol that fails, takes its
+    triples back out of the pool, so a pooled triple without c' always
+    belongs to a mint in flight.  `btg_keys` maps
     the roles A and C to lists of key pairs, which a mint grows in place to
     min(n, btg.CHUNK), so a runtime that mints one triple at a time makes no
     key past the first of each list.  `next_triple` pops the pool, minting a
@@ -280,12 +321,14 @@ class TripleDispenser:
                                           "holds the triples of one run" % ledger_path)
         self.count = 0  # triples handed out by next_triple
         self.pool = deque()
+        self.minting = 0  # mints in flight
 
     def mint(self, n: int) -> Protocol:
         """Mint n triples with one dispensation into the pool, as a protocol
         of 4 rounds (none when n is 0).  n is checked, the triple ids drawn
         and the holders' key lists grown at its first step, before anything
-        is sent."""
+        is sent.  The triples are pooled after the second round and complete
+        after the fourth."""
         if n < 0:
             raise ParameterError("cannot mint %d triples" % n)
         if not n:
@@ -299,17 +342,36 @@ class TripleDispenser:
                         for _ in range(len(keys), min(n, btg.CHUNK)))
         if self.mode == "single":
             batch = dispense_blind_single(self.runtime, self.params, self.btg_keys,
-                                          self.btg_pids, self.mpc_pids, triple_ids)
+                                          self.btg_pids, self.mpc_pids, triple_ids, self.pool)
         else:
             batch = dispense_blind_two(self.runtime, self.params, self.btg_keys,
-                                       self.btg_pids, self.mpc_pids,
-                                       self.ox, self.oy, triple_ids, keys=self.chain_keys)
-        self.pool.extend((yield from batch))
+                                       self.btg_pids, self.mpc_pids, self.ox, self.oy,
+                                       triple_ids, keys=self.chain_keys, pool=self.pool)
+        self.minting += 1
+        try:
+            yield from batch
+        except BaseException:  # GeneratorExit too: the run closed the mint
+            ids = set(triple_ids)
+            self.pool = deque(t for t in self.pool if t.triple_id not in ids)
+            raise
+        finally:
+            self.minting -= 1
         if self.ledger_path is not None:
             parties = [str(p) for p in self.mpc_pids]
             with open(self.ledger_path, "a") as fh:
                 fh.write("".join(json.dumps({"triple_id": tid, "parties": parties}) + "\n"
                                  for tid in triple_ids))
+
+    def take(self, n: int) -> Protocol:
+        """n triples through `next_triple`, as a protocol that waits a round
+        at a time until the pool holds them.  A pool short of them with no
+        mint in flight is a ShareError, since no round would fill it."""
+        while len(self.pool) < n:
+            if not self.minting:
+                raise ShareError("waiting for %d triples with %d pooled and no mint in flight"
+                                 % (n, len(self.pool)))
+            yield
+        return [self.next_triple() for _ in range(n)]
 
     def next_triple(self) -> BeaverTripleShares:
         if not self.pool:

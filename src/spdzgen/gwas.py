@@ -455,9 +455,10 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
     the owner-dealt ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them
     through the public factor 2^(2f).  Draws
     `triples_per_control(len(z_shares), len(basis_cols))` triples, one
-    `next_triple()` at a time.  A `z_shares` that is not a SharedVector
-    carries no norm: a ShareError, raised before any triple is drawn.
-    `roles` is unused, since nothing truncates.
+    `next_triple()` at a time, and then runs the batches (`_residual`).  A
+    `z_shares` that is not a SharedVector carries no norm: a ShareError,
+    raised before any triple is drawn.  `roles` is unused, since nothing
+    truncates.
     """
     if not isinstance(z_shares, SharedVector):
         raise ShareError("z shares carry no norm_sq, the owner-dealt ||z||^2 of share_vector")
@@ -465,13 +466,24 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
                              % (len(col), len(z_shares)))
+    triples = [dispenser.next_triple()
+               for _ in range(triples_per_control(len(z_shares), len(basis_cols)))]
+    [res] = runtime.run(_residual(runtime, basis_cols, z_shares, params, triples, ledger))
+    return res
+
+
+def _residual(runtime: Runtime, basis_cols, z_shares: SharedVector, params: FixedPointParams,
+              triples, ledger: TripleLedger) -> Protocol:
+    """`residual_norm_sq`'s two Beaver batches on the control's triples, as
+    a protocol of four rounds.  The first batch needs the c' of its triples
+    only at its recombination, so it can open beside the mint that deals
+    them."""
     p, rank = params.p, len(basis_cols)
     us = spdz.concat(basis_cols)
-    products = spdz.beaver_mult_batch(runtime, us, spdz.concat([z_shares] * rank),
-                                      [dispenser.next_triple() for _ in range(len(us))], p, ledger)
+    products = yield from spdz.beaver(runtime, us, spdz.concat([z_shares] * rank),
+                                      triples[:len(us)], p, ledger)
     projs = spdz.sums(products, len(z_shares), p)
-    squares = spdz.beaver_mult_batch(runtime, projs, projs,
-                                     [dispenser.next_triple() for _ in range(rank)], p, ledger)
+    squares = yield from spdz.beaver(runtime, projs, projs, triples[len(us):], p, ledger)
     return spdz.sub(spdz.scale(2 ** (2 * params.f), z_shares.norm_sq, p),
                     spdz.sums(squares, rank, p), p)
 
@@ -479,12 +491,16 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
 def secure_accept_bit(runtime: Runtime, res_sq: Shares, config: PipelineConfig,
                       roles: TruncRoles) -> bool:
     """Open the comparison bit (residual^2 greater than tau^2, both at scale
-    2^(4f)) and accept when it is not set."""
+    2^(4f)) to O_ctrl alone, which accepts when it is not set: two rounds,
+    the sign test's opening to the mask owner and the bit's to O_ctrl.  No
+    other server learns a decision."""
     wide = screening_params(config.fp)
     diff = spdz.add_const(spdz.scale(-1, res_sq, wide.p),
                           fixpt.fp_encode(config.tau * config.tau, wide), wide.p)
     bit = fixpt.ltz(runtime, diff, wide, roles)
-    return spdz.open_values(runtime, bit, wide.p) != [1]
+    # O_ctrl is the pipeline's wide-mask owner (`build_parties`), so the
+    # signature stays (runtime, res_sq, config, roles)
+    return spdz.open_values(runtime, bit, wide.p, to=roles.wide_owner) != [1]
 
 
 @dataclass
@@ -581,12 +597,19 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     dealt at its first control, so the servers hold at most one block of z
     shares.  Each block's deal, and in the first block lambda's blind
     (`lambda_blind`), run beside the block's first mint (`net.Runtime.run`)
-    and cost no rounds of their own.  A run over n >= 1 controls takes 11n + 6 rounds: per
-    control 4 to mint, 4 for the residual's two Beaver batches and 3 for the
-    accept bit (1 for the sign test's opening to the mask owner, 2 to open
-    the bit); and 6 for lambda (1 for both owners' counts and the blind,
-    2 + 2 for the Beaver products, 1 for the opening to the control owner).
-    With no controls it takes 10: lambda's mint and its 6.
+    and cost no rounds of their own.  So does each control's residual
+    (`_residual`, once `TripleDispenser.take` has its triples): its first
+    Beaver batch opens x - a' and y - b' beside hop 3 and gets the broadcast
+    beside the c' deal, since only its recombination needs c'.
+
+    A run over n >= 1 controls takes 8n + 6 rounds.  Per control: 4 for the
+    mint and the first batch (hop 1 + blinds | hop 2 + a'/b' deals | hop 3
+    + the differences | c' deal + the broadcast), 2 for the second batch,
+    and 2 for the accept bit (the sign test's opening to the mask owner,
+    the bit's opening to O_ctrl).  Then 6 for lambda: 1 for both owners'
+    counts and the blind, 2 + 2 for the Beaver products, 1 for the opening
+    to the control owner.  With no controls a run takes 10: lambda's mint
+    and its 6.
     """
     if config.fp.p != group.p:
         raise ValidationError(
@@ -602,33 +625,45 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     basis_entries = [fixpt.fp_encode(v, params)
                      for j in range(basis.rank) for v in basis.column(j)]
     budget = triples_per_control(dim, basis.rank)
+    basis_cols = z_block = None
+
+    def deal_block(z_entries) -> Protocol:
+        """A block's deal, the first with the basis, as a protocol of one round."""
+        nonlocal basis_cols, basis_entries, z_block
+        flat, z_flat = yield from spdz.share_batches(
+            runtime, ctx.mpc_pids, [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
+            params.p)
+        if basis_entries:
+            basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
+            basis_entries = []  # an empty batch sends nothing
+        z_block = _split_with_norms(z_flat, dim)
+
+    def screen(k) -> Protocol:
+        """Control k's residual, stepped after its mint, whose triples it
+        takes as soon as the mint has pooled their a' and b'."""
+        triples = yield from dispenser.take(budget)
+        return (yield from _residual(runtime, basis_cols, z_block[k], params, triples,
+                                     ctx.ledger))
+
     accepted = []
     for start in range(0, max(len(controls), 1), Z_BLOCK):
         block = controls[start:start + Z_BLOCK]
         sizes = [budget] * len(block) or [0]
         if start + Z_BLOCK >= len(controls):
             sizes[-1] += LAMBDA_TRIPLES
-        z_entries = _encode_with_norms([ctrl.vector for ctrl in block], params)
-        beside = [spdz.share_batches(runtime, ctx.mpc_pids,
-                                     [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
-                                     params.p)]
+        beside = [deal_block(_encode_with_norms([ctrl.vector for ctrl in block], params))]
         if start == 0:
             beside.append(lambda_blind(runtime, group, ctx.o_case, ctx.o_ctrl, ctx.leader,
                                        ctx.owner_keys))
-        (flat, z_flat), *made, _ = runtime.run(*beside, dispenser.mint(sizes[0]))
-        z_block = _split_with_norms(z_flat, dim)
-        if start == 0:
-            [blind] = made
-            basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
-            basis_entries = []  # an empty batch sends nothing
-        for k, ctrl in enumerate(block):
-            if k:
-                runtime.run(dispenser.mint(sizes[k]))
-            res = residual_norm_sq(runtime, basis_cols, z_block[k], params, dispenser,
-                                   ctx.ledger, ctx.roles)
-            if secure_accept_bit(runtime, res, config, ctx.roles):
-                accepted.append(ctrl)
-        del z_flat, z_block  # release this block's shares before the next is dealt
+        for k, size in enumerate(sizes):
+            screened = [screen(k)] if block else []
+            made = runtime.run(*beside, dispenser.mint(size), *screened)
+            if start == k == 0:
+                blind = made[1]  # lambda_blind's result
+            beside = []
+            if screened and secure_accept_bit(runtime, made[-1], config, ctx.roles):
+                accepted.append(block[k])
+        z_block = None  # release this block's shares before the next is dealt
 
     ctrl_totals = tuple(sum(c.counts[i] for c in accepted) for i in range(3))
     lam = secure_inflation_factor(runtime, group, case_counts, ctrl_totals,

@@ -41,18 +41,22 @@ def lockstep(*protocols) -> Protocol:
     """One protocol that steps each of `protocols` in argument order and
     yields once per step, so a round delivers the sends of all of them; its
     result lists theirs in argument order.  An exception in any of them
-    propagates."""
+    propagates, and closes the others, so their cleanup runs at once."""
     results = [None] * len(protocols)
     live = dict(enumerate(protocols))
-    while live:
-        for i, protocol in list(live.items()):
-            try:
-                next(protocol)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del live[i]
-        if live:
-            yield
+    try:
+        while live:
+            for i, protocol in list(live.items()):
+                try:
+                    next(protocol)
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    del live[i]
+            if live:
+                yield
+    finally:
+        for protocol in live.values():
+            protocol.close()
     return results
 
 
@@ -150,9 +154,10 @@ class Runtime:
         Each round steps every live protocol once and then pumps, so a run
         takes the rounds of its longest protocol, and a step that sends
         nothing costs none.  A run leaves every inbox empty: when a step
-        raises, the round's sends and every untaken message are dropped and
-        the exception propagates, and a run that ends with an untaken
-        message drops it and raises NetworkError.
+        raises, the other protocols are closed (`lockstep`), the round's
+        sends and every untaken message are dropped and the exception
+        propagates, and a run that ends with an untaken message drops it
+        and raises NetworkError.
         """
         driver = lockstep(*protocols)
         try:

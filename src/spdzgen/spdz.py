@@ -28,10 +28,10 @@ Multiplication consumes one dispensed triple per product:
     [x*y] = [c] + eps*[a] + rho*[b] + rho*eps
 
 with the public rho*eps term added by exactly one party, the lowest party
-identifier.  A Beaver batch forms every party's column of differences, opens
-them all through `open_values` and recombines each party's column of
-product shares.  Triples are strictly one-time-use, enforced by a spent-id
-ledger.
+identifier.  A Beaver batch (`beaver`, a protocol) forms every party's
+column of differences, opens them all in one opening and recombines each
+party's column of product shares; it needs c only for that last step.
+Triples are strictly one-time-use, enforced by a spent-id ledger.
 """
 
 from __future__ import annotations
@@ -208,8 +208,10 @@ def _open(runtime: Runtime, values: Shares, p: int, to) -> Protocol:
     for pid in parties:
         if pid != collector:
             runtime.send(pid, collector, tag, encode_residues(columns[pid], p))
+    own = columns[collector]
+    del values, columns  # across the round, hold only the collector's column
     yield
-    contributions = {collector: columns[collector]}
+    contributions = {collector: own}
     for msg in runtime.take_all(collector, tag):
         if msg.src in contributions:
             raise ShareError("repeated contribution from %s to an opening" % (msg.src,))
@@ -260,14 +262,19 @@ class TripleLedger:
         return len(self._spent)
 
 
-def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
-                      ledger: TripleLedger) -> Shares:
+def beaver(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
+           ledger: TripleLedger) -> Protocol:
     """Multiply x and y elementwise, each product with its own fresh
-    dispensed triple, in one opening.
+    dispensed triple, as a protocol of one opening to every party (two
+    rounds).
 
-    The factors, every triple and every party's differences are checked
-    and formed before any triple is spent, so a rejected batch leaves the
-    ledger as it was and sends nothing.
+    The factors and every triple are checked at the first step, before any
+    triple is spent, so a rejected batch leaves the ledger as it was and
+    sends nothing.  The differences need only a' and b', so a triple whose
+    c_shares are still empty, one a mint in flight has pooled before
+    dealing its c' (`dispense.TripleDispenser`), is spent like any other;
+    its c' must have arrived by the recombination, after the opening's
+    second round, or the batch is a ShareError.
     """
     triples = list(triples)
     _check_aligned(x, y)
@@ -279,18 +286,22 @@ def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
             raise ShareError("triple %s dispensed to a different party set" % t.triple_id)
     if not triples:
         return x
-    held = [(t.a_shares, t.b_shares, t.c_shares) for t in triples]
-    try:  # the triples' columns: per component, each party's shares
-        a, b, c = ({pid: [h[k][pid] for h in held] for pid in parties} for k in range(3))
+    try:  # the triples' a and b columns: each party's shares
+        a = {pid: [t.a_shares[pid] for t in triples] for pid in parties}
+        b = {pid: [t.b_shares[pid] for t in triples] for pid in parties}
     except KeyError as exc:
         raise ShareError("party %s holds no share of a triple" % (exc.args[0],))
-    diffs = {}
-    for pid in parties:
-        column = diffs[pid] = [0] * (2 * len(triples))
-        column[0::2] = [(v - w) % p for v, w in zip(x.columns[pid], a[pid])]
-        column[1::2] = [(v - w) % p for v, w in zip(y.columns[pid], b[pid])]
+    for t in triples:  # empty c_shares are a c' still to come
+        if t.c_shares and not all(pid in t.c_shares for pid in parties):
+            raise ShareError("some party holds no share of triple %s's c" % t.triple_id)
     ledger.spend_all(t.triple_id for t in triples)
-    opened = open_values(runtime, Shares(parties, diffs), p)
+    # only the opening holds the differences, and after sending them it
+    # keeps the collector's column alone
+    opened = yield from _open(runtime, _differences(x, y, a, b, p), p, None)
+    late = [t.triple_id for t in triples if not t.c_shares]
+    if late:
+        raise ShareError("the c' of triple %s never arrived" % late[0])
+    c = {pid: [t.c_shares[pid] for t in triples] for pid in parties}
     rho, eps = opened[0::2], opened[1::2]
     products = {pid: [(w + e * u + r * v) % p
                       for u, v, w, r, e in zip(a[pid], b[pid], c[pid], rho, eps)]
@@ -298,3 +309,20 @@ def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
     lowest = min(parties)
     products[lowest] = [(v + r * e) % p for v, r, e in zip(products[lowest], rho, eps)]
     return Shares(parties, products)
+
+
+def _differences(x: Shares, y: Shares, a: dict, b: dict, p: int) -> Shares:
+    """Each party's column of the differences x - a' and y - b', interleaved."""
+    diffs = {}
+    for pid in x.parties:
+        column = diffs[pid] = [0] * (2 * len(x))
+        column[0::2] = [(v - w) % p for v, w in zip(x.columns[pid], a[pid])]
+        column[1::2] = [(v - w) % p for v, w in zip(y.columns[pid], b[pid])]
+    return Shares(x.parties, diffs)
+
+
+def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
+                      ledger: TripleLedger) -> Shares:
+    """`beaver` as a run of its own: x*y elementwise, in one opening."""
+    [products] = runtime.run(beaver(runtime, x, y, triples, p, ledger))
+    return products

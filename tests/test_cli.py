@@ -518,17 +518,17 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
 class TestPipelineGolden:
     # sha256 of the transcript and the triple ledger of one fixed `run`: three
     # controls of dim 4 against a rank-2 basis, seed 5, single-randomness
-    # dispensation.  The transcript lists 107 messages and the ledger 35
+    # dispensation.  The transcript lists 101 messages and the ledger 35
     # triples; the report accepts ctrl_000 with lambda 31/255.  CHANGES.md
     # records what each re-pin moved.  The control loop, the Beaver products
     # and the dispensation must leave both byte-identical.
-    TRANSCRIPT_SHA256 = "39df2b7b94020736f1bf3c9cde4b1e6f233441796ab76ff9dd559a979fac470a"
+    TRANSCRIPT_SHA256 = "d43dac3caaff8fc5defe5eab6df141bff165169f068c8843037d516c2cbb7ca7"
     LEDGER_SHA256 = "7439b2874bb01358a58ea666ad3a191f69601369d5fc8dc77bbee44dd3216c52"
     # The same run with two-randomness dispensation (`build_parties` patched
     # to blinding="two", as tests/test_gwas.py's `screened_run` does, since
-    # `run` has no mode option).  Its transcript lists 122 messages; the
+    # `run` has no mode option).  Its transcript lists 116 messages; the
     # ledger, the report and the triple count are single mode's.
-    TWO_MODE_TRANSCRIPT_SHA256 = "0076918777bf5f343879f4b9943976ce913a02ea7468083ccb1251ce5f3d3dbb"
+    TWO_MODE_TRANSCRIPT_SHA256 = "b6218261ae6dd980048fe944c96cfffb6113cbfe526a37d62bfef308d0b6a4a5"
     TWO_MODE_LEDGER_SHA256 = LEDGER_SHA256
 
     def run_golden(self, tmp_path):

@@ -325,10 +325,10 @@ class TestBatchedDispensation:
     def test_one_message_per_hop(self, group256, mode):
         # K = 4 triples cost the messages and rounds of one: 14/4 single,
         # 19/4 two.  The rounds are hop 1 with the blinds (two mode: and A's
-        # sign seed), hop 2, hop 3 and every holder's shares; in two mode
-        # the key product's three hops ride hops 1-3 and B's sign products
-        # hop 2.  Two mode took 7 rounds while its key product ran after the
-        # session.
+        # sign seed), hop 2 with the shares of a' and b', hop 3, and the
+        # shares of c'; in two mode the key product's three hops ride hops
+        # 1-3 and B's sign products hop 2.  Two mode took 7 rounds while its
+        # key product ran after the session.
         rt = build_runtime(seed=6)
         keys = {role: [btg.keygen(group256, rt.rng(pid))] for role, pid in BTG_PIDS.items()}
         chain_keys = {MPC[0]: btg.keygen(group256, rt.rng(MPC[0])),
@@ -520,6 +520,56 @@ class TestDispenser:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
 
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_triples_pooled_before_c_prime(self, group256, mode):
+        # a protocol beside the mint draws its triples after the second
+        # round, when the servers hold a' and b'; c' fills in after the fourth
+        ctx = build_parties(group256, seed=15, blinding=mode)
+        rt, disp = ctx.runtime, ctx.dispenser
+        seen = []
+
+        def watch():
+            while True:
+                seen.append((rt.rounds, len(disp.pool), sum(bool(t.c_shares) for t in disp.pool)))
+                if len(disp.pool) == 3:
+                    return (yield from disp.take(3))
+                yield
+
+        _, triples = rt.run(disp.mint(3), watch())
+        assert seen == [(0, 0, 0), (1, 0, 0), (2, 3, 0)]
+        assert rt.rounds == 4 and disp.count == 3 and disp.minting == 0
+        for t in triples:
+            a2, b2, c2 = reconstruct_triple(t, group256.p)
+            assert c2 == a2 * b2 % group256.p
+
+    def test_take_with_no_mint_in_flight_is_a_share_error(self, group256):
+        ctx = build_parties(group256, seed=16)
+        rt, disp = ctx.runtime, ctx.dispenser
+        with pytest.raises(ShareError, match="no mint in flight"):
+            rt.run(disp.take(1))
+        # the mint pools 2 and ends; nothing will fill the third
+        with pytest.raises(ShareError, match="no mint in flight"):
+            rt.run(disp.mint(2), disp.take(3))
+        assert rt.rounds == 4 and disp.count == 0 and len(disp.pool) == 2
+
+    def test_failure_beside_a_mint_unpools_its_triples(self, group256):
+        # the servers pool a' and b' in the third step; a failure beside the
+        # mint in the fourth closes it, and it takes its triples back
+        ctx = build_parties(group256, seed=17)
+        rt, disp = ctx.runtime, ctx.dispenser
+
+        def failing():
+            for _ in range(3):
+                yield
+            raise ProtocolAbort("beside the mint")
+
+        with pytest.raises(ProtocolAbort):
+            rt.run(disp.mint(3), failing())
+        assert not disp.pool and disp.minting == 0
+        rt.run(disp.mint(2))
+        assert [t.triple_id for t in disp.pool] == ["t000004", "t000005"]
+        assert all(t.c_shares for t in disp.pool)
+
     def test_reserve_rejects_negative(self, group256):
         ctx = build_parties(group256, seed=13)
         ctx.runtime.run(ctx.dispenser.mint(0))
@@ -702,10 +752,18 @@ class TestGoldenTranscript:
     # id>, come each right after the session's hop of the same round, and
     # the sign-ab record comes with hop 2.  With that tag read as btg, the
     # same 570 records were sent, each channel in the same order, and the
-    # modexp count did not move; the single digest did not move.
+    # modexp count did not move; the single digest did not move.  Both were
+    # re-pinned when the holders of a and b began to deal a' and b' beside
+    # hop 2 instead of beside the c' deal: the triple-a and triple-b records
+    # come two rounds earlier, after hop 2 (two mode: after sign-ab), and
+    # BTG_A draws its deal seeds before its re-randomization exponent, so
+    # BTG_A's hops from the first hop 3 on, the triple-a records, and what
+    # BTG_A's later draws feed (BTG_B's hops, the triple-c corrections)
+    # moved.  Every record kept its endpoints, tag and payload length, each
+    # channel kept its order, and the modexp counts did not move.
     GOLDEN = {
-        "single": ("77e72a461cbb402a1faf50e9c7c9b7dd67d8a8176466c22cce62cc49dbafd89e", 244),
-        "two": ("82d6242fae71c5f1b9d41d92a0596ad6307ca610ac8a3717edbee0fb4cc32715", 484),
+        "single": ("0e0c0a9c9a60a78d1d0337b3b9caaac219503fb3a32253cfc71b425cba30ffab", 244),
+        "two": ("5aa1c314a0890347607e8009ae3f673ece7ab8342b65cc72978510090f149a16", 484),
     }
 
     @both_backends
@@ -721,10 +779,13 @@ class TestGoldenTranscript:
 
     # sha256 of the transcript and the modexp count of one mint of 65
     # triples: a session of two chunks, the second of one triple.  The count
-    # takes in the 64 + 64 key pairs the mint makes.
+    # takes in the 64 + 64 key pairs the mint makes.  Re-pinned when a' and
+    # b' began to be dealt beside hop 2: their six records come two rounds
+    # earlier, and BTG_A's hop 3 and triple-a records moved, since BTG_A
+    # draws its deal seeds before its re-randomization exponent.
     GOLDEN_MINT_65 = {
-        "single": ("0de97b8c863948e700f8a0e2dc6bd7c2b26db420040be5e8430268777afc287e", 457),
-        "two": ("cffe2f0d20bb9630b4646757304cee4af4700586d9b90ecc95ea8a9c855bf973", 977),
+        "single": ("ffcdbdb108e9cc60681528662cc0cf600e42cc92fd151328fc9d43b727406b63", 457),
+        "two": ("f56a5ed38204a829b6cd36e485571089cded8b7a976935b2ffc5a45b39a1035e", 977),
     }
 
     @both_backends

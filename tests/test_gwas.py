@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdzgen import btg, fixpt, gwas, modmath, spdz
+from spdzgen import btg, fixpt, gwas, modmath, net, spdz
 from spdzgen.btg import BtgRole
 
 from spdzgen.errors import (
@@ -375,23 +375,27 @@ class TestSecureResidual:
                 ctx.dispenser.count) == before
 
     def test_two_openings_and_no_truncation(self, group256, monkeypatch):
+        # the Beaver batches are protocols that open without spdz.open_values,
+        # so the openings are counted on the wire: one open:<id> tag each
         params = fp_for(group256)
-        ctx = build_parties(group256, seed=11)
+        ctx = build_parties(group256, seed=11, record=True)
         cols = [share_vector(ctx.runtime, ctx.o_case, [0, 1, 0], ctx.mpc_pids, params)]
         z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
         ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 1)))
-        calls, open_values = [], spdz.open_values
-        monkeypatch.setattr(spdz, "open_values",
-                            lambda *args, **kwargs: calls.append("open") or open_values(*args, **kwargs))
+        calls, start = [], len(ctx.runtime.transcript)
         monkeypatch.setattr(fixpt, "trunc", lambda *args, **kwargs: calls.append("trunc"))
         residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger, ctx.roles)
+        tags = dict.fromkeys(r.tag for r in ctx.runtime.transcript[start:])
+        calls += ["open" for tag in tags if tag.startswith("open:")]
         assert calls == ["open", "open"]
 
     def test_rounds_do_not_grow_with_dim_or_rank(self, group256):
         # one round for the whole basis, one for z, four to mint, two Beaver
-        # openings and one sign test per control, whatever its shape; the
-        # accept bit took 6 rounds (16 in all) until the sign test's
-        # truncation became one opening to the mask owner
+        # openings, and the sign test's and the bit's openings, each to one
+        # party, per control, whatever its shape; the accept bit took 6
+        # rounds (16 in all) until the sign test's truncation became one
+        # opening to the mask owner, and 3 (13 in all) while the bit was
+        # opened to every server
         params = fp_for(group256)
         config = PipelineConfig(fp=params)
         ctx = build_parties(group256, seed=10)
@@ -406,7 +410,7 @@ class TestSecureResidual:
                                    ctx.dispenser, ctx.ledger, ctx.roles)
             secure_accept_bit(ctx.runtime, res, config, ctx.roles)
             rounds.append(ctx.runtime.rounds - before)
-        assert rounds == [1 + 1 + 4 + 4 + 3] * 3
+        assert rounds == [1 + 1 + 4 + 4 + 2] * 3
 
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)
@@ -452,17 +456,21 @@ class TestFilterPipeline:
         lines = ledger_file.read_text().splitlines()
         assert result["triple_count"] == len(lines) == len(ctx.ledger) == budget
 
-    # n >= 1: per control mint 4, residual 4, accept bit 3 (the sign test's
-    # opening to the mask owner 1, the bit's opening 2); lambda 6 (counts and
-    # blind 1, products 2, products 2, opening 1), its triples minted with
-    # the last control's.  Each block's z deal (the first with the basis)
-    # and lambda's blind chain run beside the block's first mint and add no
-    # round.  n = 0: lambda's mint 4 and its 6.  So 11n + 6, and 10 for
-    # n = 0.  While the deals and the blind chain ran alone a run took
+    # n >= 1: per control 4 for the mint and the residual's first Beaver
+    # batch, which opens beside hop 3 and gets its broadcast beside the c'
+    # deal, 2 for the second batch, and 2 for the accept bit (the sign
+    # test's opening to the mask owner, the bit's opening to O_ctrl);
+    # lambda 6 (counts and blind 1, products 2, products 2, opening 1), its
+    # triples minted with the last control's.  Each block's z deal (the
+    # first with the basis) and lambda's blind chain run beside the block's
+    # first mint and add no round.  n = 0: lambda's mint 4 and its 6.  So
+    # 8n + 6, and 10 for n = 0.  While the first batch waited for the whole
+    # mint (4 + 4 per control) and the bit was opened to every server (3),
+    # a run took 11n + 6; while the deals and the blind chain ran alone,
     # 10 + 11n + (ceil(n / Z_BLOCK) - 1) and 14; while the sign test dealt
     # its masks, opened c to a third server that broadcast it, and dealt its
     # carry, the accept bit took 6 rounds, so 10 + 14n + ....
-    ROUNDS = {0: 10, 1: 17, 3: 39, gwas.Z_BLOCK + 1: 11 * (gwas.Z_BLOCK + 1) + 6}
+    ROUNDS = {0: 10, 1: 14, 3: 30, gwas.Z_BLOCK + 1: 8 * (gwas.Z_BLOCK + 1) + 6}
 
     @pytest.mark.parametrize("n,rank", [(1, 1), (1, 2), (3, 1), (3, 2), (0, 2),
                                         (gwas.Z_BLOCK + 1, 1)])
@@ -496,10 +504,81 @@ class TestFilterPipeline:
         # truncation deals nothing, since its masks stay in their owners'
         # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds),
         # and each block's deal rides its first mint (while they ran alone,
-        # 10 + 11 * 5 + 2)
+        # 10 + 11 * 5 + 2); each first Beaver batch overlaps its mint and
+        # the accept bit opens to O_ctrl alone (before both, 11 * 5 + 6)
         assert z_batches == [14, 14, 7, 3]
-        assert result["context"].runtime.rounds == 11 * 5 + 6
+        assert result["context"].runtime.rounds == 8 * 5 + 6
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
+
+    def test_first_batch_opens_beside_its_mint(self, group256, monkeypatch):
+        # each control's first Beaver opening is delivered with its mint's
+        # hop 3, and its broadcast with the c' deal, the mint's last round
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        rounds, pump = [], net.Runtime.pump
+
+        def recording(self):
+            start = len(self.transcript)
+            delivered = pump(self)
+            if delivered:
+                rounds.append(self.transcript[start:])
+            return delivered
+
+        monkeypatch.setattr(net.Runtime, "pump", recording)
+        filter_controls(group256, basis, case_counts, controls[:3], config, seed=19, record=True)
+        starts, hop3, deal_c = ([i for i, msgs in enumerate(rounds) if any(map(hit, msgs))]
+                                for hit in (lambda m: m.tag.startswith("blind-r:"),
+                                            lambda m: m.tag == btg.BTG_TAG
+                                            and m.dst.role == "BTG_C",
+                                            lambda m: m.tag.startswith("triple-c:")))
+        assert len(starts) == len(hop3) == len(deal_c) == 3
+        for start, h, c in zip(starts, hop3, deal_c):
+            assert (h, c) == (start + 2, start + 3)
+            opened = [m.tag for msgs in rounds[start:] for m in msgs if m.tag.startswith("open:")]
+            first = opened[0]
+            assert {m.tag for m in rounds[h] if m.tag.startswith("open:")} == {first}
+            assert {m.tag for m in rounds[c] if m.tag.startswith("open-result:")} \
+                == {first.replace("open:", "open-result:")}
+
+    def test_no_accept_bit_reaches_mpc_1_or_mpc_3(self, group256, monkeypatch):
+        # the sign test opens its masked value to the mask owner (MPC_1), and
+        # the bit goes to O_ctrl (MPC_2) alone
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        windows, accept_bit = [], gwas.secure_accept_bit
+
+        def recording(runtime, *args):
+            start = len(runtime.transcript)
+            decision = accept_bit(runtime, *args)
+            windows.append(runtime.transcript[start:])
+            return decision
+
+        monkeypatch.setattr(gwas, "secure_accept_bit", recording)
+        result = filter_controls(group256, basis, case_counts, controls, config, seed=19,
+                                 record=True)
+        ctx = result["context"]
+        assert len(windows) == len(controls)
+        for window in windows:
+            masked, bit = dict.fromkeys(r.tag for r in window)
+            assert masked.startswith("open:") and bit.startswith("open:")
+            assert {r.dst for r in window if r.tag == masked} == {ctx.o_case}
+            assert {r.dst for r in window if r.tag == bit} == {ctx.o_ctrl}
+            assert not [r for r in window if r.dst in (ctx.mpc_pids[0], ctx.mpc_pids[2])
+                        and r.tag == bit]
+
+    def test_mpc_3_sees_the_same_shapes_whatever_the_decisions(self, group256):
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        views = []
+        for chosen in (controls[:2], controls[3:]):
+            chosen = [ControlRecord("ctrl_%03d" % i, c.vector, c.counts)
+                      for i, c in enumerate(chosen)]
+            result = filter_controls(group256, basis, case_counts, chosen, config, seed=19,
+                                     record=True)
+            views.append((result["accepted"],
+                          [(r.tag, len(r.payload))
+                           for r in transcript_view(result["context"].runtime,
+                                                    result["context"].mpc_pids[2])]))
+        (accepted, view), (rejected, other) = views
+        assert accepted == ["ctrl_000", "ctrl_001"] and rejected == []
+        assert view and view == other
 
     # wire bytes of the same runs: per batch two 16-byte blind seeds and per
     # holder one correction share per triple plus two seeds, and every deal
@@ -520,8 +599,10 @@ class TestFilterPipeline:
     # triple 448 bytes (three 32-byte hop v's, three holders' 32-byte
     # corrections, and four 32-byte values each way to open x - a' and
     # y - b'): 2,688 bytes per control, from 9,062, 12,198, 21,644 and
-    # 31,052 bytes.
-    WIRE_BYTES = {(1, 1): 6_374, (1, 2): 9_510, (3, 1): 13_580, (3, 2): 22_988}
+    # 31,052 bytes.  Opening the accept bit to O_ctrl alone spares its
+    # broadcast to the two other servers, two 32-byte values per control:
+    # from 6,374, 9,510, 13,580 and 22,988 bytes.
+    WIRE_BYTES = {(1, 1): 6_310, (1, 2): 9_446, (3, 1): 13_388, (3, 2): 22_796}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])

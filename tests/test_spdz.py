@@ -377,6 +377,21 @@ class TestColumnarBatch:
             beaver_mult_batch(rt, *factors(), triples, p, ledger)
         assert (len(ledger), rt.messages_sent) == (spent, sent)
 
+    def test_a_c_that_never_arrives_is_a_share_error(self, rt, group256):
+        # empty c_shares are a c' that a mint in flight has yet to deal: the
+        # batch spends and opens, and fails at the recombination if it is
+        # still missing, instead of waiting for it
+        p, rng = group256.p, random.Random(14)
+        x = share_values(rt, P1, [2, 3], PARTIES, p)
+        y = share_values(rt, P2, [4, 5], PARTIES, p)
+        stream = triple_stream(p, PARTIES, rng)
+        first, t = next(stream), next(stream)
+        late = BeaverTripleShares(t.triple_id, t.parties, t.a_shares, t.b_shares, {})
+        ledger, rounds = TripleLedger(), rt.rounds
+        with pytest.raises(ShareError, match="never arrived"):
+            beaver_mult_batch(rt, x, y, [first, late], p, ledger)
+        assert (len(ledger), rt.rounds - rounds) == (2, 2)
+
 
 class TestBatchedOpen:
     def test_batch_matches_singles(self, rt, group256):

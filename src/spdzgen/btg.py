@@ -130,7 +130,8 @@ def _hop(runtime: Runtime, params: GroupParams, session_id: bytes, step: int,
 
 def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict,
                    forced: dict | None = None, count: int = 1,
-                   tag: str = BTG_TAG, drawn: dict | None = None) -> Protocol:
+                   tag: str = BTG_TAG, drawn: dict | None = None,
+                   squares: bool = False) -> Protocol:
     """One session of `count` triples over the runtime's channels, as a
     protocol of three rounds.
 
@@ -141,7 +142,11 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
     of roles A and/or B, as lists in triple order; the key lists, the count
     and every pinned secret's subgroup membership are checked at the first
     step, before anything is sent, and a non-member raises MessageSpaceError.
-    Drawn secrets are squares s^2 mod p, members by construction.  Every hop
+    `squares` skips that test for a caller that built its pins as squares
+    and so has decided their membership itself: the dispenser's
+    single-mode a and b, one Legendre symbol each (`dispense`).  The pins
+    of `mhkm.key_product` are tested here.  Drawn secrets are squares s^2
+    mod p, members by construction.  Every hop
     travels under `tag`: sessions that run side by side and deliver to one
     party pass distinct tags.  The protocol's result maps BtgRole -> the
     role's K secrets in triple order: a for A, b for B, c for C.  It is built
@@ -163,7 +168,7 @@ def triple_session(runtime: Runtime, params: GroupParams, keys: dict, pids: dict
         if len(values) != count:
             raise ParameterError("role %s pins %d secrets for a session of %d"
                                  % (role.value, len(values), count))
-        if not all(modmath.is_subgroup_member(v, params) for v in values):
+        if not squares and not all(modmath.is_subgroup_member(v, params) for v in values):
             raise MessageSpaceError("role %s pins a secret outside the subgroup" % role.value)
 
     pid_a, pid_b, pid_c = (pids[role] for role in BtgRole)

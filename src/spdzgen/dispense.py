@@ -2,8 +2,9 @@
 
 A generated triple (a, b, c) never reaches the MPC servers raw: each triple
 holder scales its own component by a blind factor, then splits the scaled
-values additively across the m servers, dealing them as seeds and
-corrections through `spdz.deal`.  Two blinding variants are supported:
+values additively across the m servers, dealing them through `spdz.deal`,
+as seeds only or as seeds and corrections.  Two blinding variants are
+supported:
 
   single-randomness:  a' = ra*a,  b' = rb*b,  c' = ra*rb*c
   two-randomness:     a' = sa*ra*a,  b' = sb*rb*b,  c' = sa*sb*rc*c
@@ -14,17 +15,32 @@ the multiplication openings downstream reveal nothing useful to the triple
 holders, who know only the unblinded values.  No MPC server receives a
 triple component, raw or blinded.
 
-Blinds travel as seeds too.  In the single-randomness variant the holder of
-c sends the holders of a and b one seed each, and each blind is
-r = 1 + (x mod (p-1)) for an expanded x, so it is nonzero by construction
-and within 2^-64 of uniform over Z_p^*: no server learns a blind, so to each
-server a' and b' are independent and uniform over Z_p^*.  (A server that knew
-the blind of the squares a and b would know the Legendre symbol of a', and
-each opening x - a' would tell it a bit of x.)  In the two-randomness variant
-O_x and O_y each send a seed, and the holder squares s = 1 + (x mod (p-1)), a
-uniform subgroup blind; rc reaches the holder of c as an mHKM key product
-(`mhkm.key_product`), so it learns neither owner blind.  The blinds and a
-and b are all squares, so the holders add signs: the holder of a expands
+Blinds travel as seeds too; a seed expands to s = 1 + (x mod (p-1)) per
+triple, nonzero by construction and within 2^-64 of uniform over Z_p^*, and
+the blind is built from s^2.  In the single-randomness variant the holders
+of a and b pick their own blinds and deal a' and b' as seeds only: the
+holder of a draws one seed per server, so a' is the sum of their
+expansions, and a blind seed, and sets a = sign*s^2*a' with sign = chi(a'),
+so a is a square and ra = 1/(sign*s^2) is uniform over Z_p^*.  It pins a in
+the session and sends the holder of c its blind seed and one byte per sign;
+the holder of b does the same, and the holder of c scales c by 1/(ta*tb),
+ta = sign*s^2, inverting all K products at once (`modmath.inverses`).  No
+server learns a blind, so to each server a' and b' are independent and
+uniform over Z_p^*.  (A server that knew the blind of the squares a and b
+would know the Legendre symbol of a', and each opening x - a' would tell it
+a bit of x.)  The sign's Legendre symbol (`modmath.is_subgroup_member`) is
+the one membership decision for a and b: the session does not test them
+again (`btg.triple_session`'s `squares`); the pins of `mhkm.key_product`
+are tested in the session.  A zero a' or b', which seeds give once in p,
+has no blind, and its holder aborts the batch before hop 1.  In the
+two-randomness variant O_x and O_y each send a seed, and the holder takes
+the uniform subgroup blind s^2; rc reaches the holder of c as an mHKM key
+product (`mhkm.key_product`), so it learns neither owner blind.  Two mode
+keeps its correction shares: dealt as seeds only, a would follow from a'
+and r_a, but O_x's seed of r_a reaches the holder of a in the round that
+already carries a in hop 1, so hop 1 would wait a round and a batch would
+take five.  The two-mode blinds and a and b are all squares, so the
+holders add signs: the holder of a expands
 its signs sa from a seed it sends the holder of b, which draws its own signs
 sb and sends the holder of c their products sa*sb, one byte per triple.  -1
 is a non-residue (p = 3 mod 4), so a' and b' are then uniform over Z_p^*, and
@@ -37,9 +53,11 @@ The blind seeds (and the two-mode sign seed) do not depend on the session,
 so they go out before it and ride its first hop's round.  In two mode r_a
 and r_b are known before the session starts, so the `r_c` key product runs
 beside it in lockstep (`net.lockstep`), and B's sign products ride their
-second round.  The holders of a and b have their components and their
-blind seeds after the first round, so they deal a' and b' in the second;
-the holder of c has c only after hop 3 and deals c' in the fourth.  A
+second round.  The holders of a and b deal a' and b' in the second round
+(in two mode they have their components and blind seeds only then; in
+single mode a deal in the first would pool the triples a round early, and a
+Beaver batch beside the mint would recombine before c' arrives); the
+holder of c has c only after hop 3 and deals c' in the fourth.  A
 batch costs four rounds in either mode: hop 1 + blinds | hop 2 + a'/b'
 deals | hop 3 | c' deal, with the key product's hops beside the session's
 in two mode.  Beaver's openings of x - a' and y - b' need no c', so a
@@ -66,10 +84,10 @@ from dataclasses import dataclass
 
 from . import btg, mhkm, modmath
 from .btg import BTG_TAG, BtgRole
-from .errors import ParameterError, ShareError, ValidationError
+from .errors import ParameterError, ProtocolAbort, ShareError, ValidationError
 from .modmath import GroupParams
 from .net import PartyId, Protocol, Runtime, lockstep
-from .spdz import deal
+from .spdz import deal, draw_seeded
 
 
 def split_additive(secret: int, m: int, p: int, rng: random.Random) -> list[int]:
@@ -128,10 +146,11 @@ def dispense_blind_single(runtime: Runtime, params: GroupParams, btg_keys: dict,
     protocol of 4 rounds whose result lists the triples (pooled early into
     `pool` when given, see `_dispense`).
 
-    One party, the holder of c, picks the randomness: one seed each for the
-    holders of a and b, which expand to independent blinds r_a and r_b in
-    [1, p) per triple, and its own c scaled by r_a*r_b.  No MPC server
-    learns a blind.
+    The holders of a and b each pick their own blind: each draws its
+    blinded component as seeds only and pins the square it unblinds to in
+    the session (`_seeded_component`), and sends the holder of c its blind
+    seed and signs, so the holder of c scales its c by both blinds'
+    inverses.  No MPC server learns a blind.
     """
     return _dispense(runtime, params, btg_keys, btg_pids, mpc_pids, triple_ids, pool=pool)
 
@@ -155,11 +174,10 @@ def dispense_blind_two(runtime: Runtime, params: GroupParams, btg_keys: dict,
                      owners=(ox, oy), keys=keys, pool=pool)
 
 
-def _blinds(seed: bytes, count: int, p: int, square: bool) -> list[int]:
-    """The K blinds a seed expands to: s = 1 + (x mod (p-1)), nonzero by
-    construction, or s^2, a uniform subgroup element."""
-    roots = [1 + x for x in modmath.expand_residues(seed, count, p - 1)]
-    return [s * s % p for s in roots] if square else roots
+def _blinds(seed: bytes, count: int, p: int) -> list[int]:
+    """The K subgroup blinds a seed expands to: s^2 for s = 1 + (x mod (p-1)),
+    nonzero by construction and uniform over the subgroup."""
+    return [(1 + x) * (1 + x) % p for x in modmath.expand_residues(seed, count, p - 1)]
 
 
 def _signed(values, signs, p: int) -> list[int]:
@@ -174,58 +192,115 @@ def _dispense(runtime: Runtime, params: GroupParams, btg_keys: dict, btg_pids: d
     (O_x, O_y) selects two-randomness mode, whose key product runs over
     `keys`.
 
-    The blind senders (the holder of c, or O_x and O_y) send one seed each to
-    the holders of a and b before the session, so the seeds ride its first
-    hop's round; in two mode the holder of a sends its sign seed with them.
-    In the second round the holders of a and b deal a' and b' (`_deal_ab`),
-    beside hop 2 and, in two mode, the key product's second hop and B's sign
-    products.  The triples go into `pool`, when given, once the servers hold
-    a' and b', with empty c_shares; the holder of c deals c' in the fourth
-    round, and the servers fill the c_shares in place.  Seeds, signs, shares
-    and the key product's hops are tagged with the batch's first triple id,
-    which keeps them apart from the messages of any protocol beside the
-    batch.  Each party draws from its own generator in protocol order: the
-    seeds, then its session secrets, then B's signs; the holder of a draws
-    its deal seeds before its re-randomization.
+    Before the session, so that they ride its first hop's round, the blind
+    seeds go out: in single mode each holder of a and b sends the holder of
+    c its own with its signs, having drawn its component; in two mode O_x
+    and O_y send theirs to the holders of a and b, and the holder of a its
+    sign seed to the holder of b.  In the second round the holders of a and
+    b deal a' and b' (`_deal_ab`), beside hop 2 and, in two mode, the key
+    product's second hop and B's sign products.  The triples go into
+    `pool`, when given, once the servers hold a' and b', with empty
+    c_shares; the holder of c deals c' in the fourth round, and the servers
+    fill the c_shares in place.  Seeds, signs, shares and the key product's
+    hops are tagged with the batch's first triple id, which keeps them apart
+    from the messages of any protocol beside the batch.  Each party draws
+    from its own generator in protocol order: in single mode the holders'
+    deal and blind seeds, then the session's randomness; in two mode the
+    blind seeds, then the session's secrets, then B's signs, the holder of a
+    drawing its deal seeds before its re-randomization.
     """
     triple_ids = list(triple_ids)
     if not triple_ids:
         raise ParameterError("a batch dispenses at least one triple")
     p, count, first = params.p, len(triple_ids), triple_ids[0]
     pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
-    two = owners is not None
-    senders = owners if two else (pid_c, pid_c)
-    seeds = [modmath.draw_seed(runtime.rng(src)) for src in senders]
     blind_tag = "%s:%s" % (BLIND_TAG, first)
-    for src, dst, seed in zip(senders, (pid_a, pid_b), seeds):
-        runtime.send(src, dst, blind_tag, seed)
     drawn = {}  # the session's secrets, each role's as soon as it draws them
-    session = btg.triple_session(runtime, params, btg_keys, btg_pids, count=count, drawn=drawn)
-    sign_seed = None
-    if two:
-        ox, oy = owners
+    if owners is None:
+        held = {role: _seeded_component(runtime, params, btg_pids[role], pid_c, mpc_pids,
+                                        triple_ids, blind_tag)
+                for role in (BtgRole.A, BtgRole.B)}
+        session = btg.triple_session(runtime, params, btg_keys, btg_pids, count=count,
+                                     drawn=drawn, squares=True,
+                                     forced={role: pinned for role, (_, pinned) in held.items()})
+        dealt = _deal_ab(runtime, p, btg_pids, mpc_pids, triple_ids,
+                         lambda: [seeded for seeded, _ in held.values()], pool)
+        _, triples = yield from lockstep(session, dealt)
+        factor_c = _unblinding(runtime, p, pid_c, (pid_a, pid_b), blind_tag, count)
+    else:
+        seeds = [modmath.draw_seed(runtime.rng(src)) for src in owners]
+        for src, dst, seed in zip(owners, (pid_a, pid_b), seeds):
+            runtime.send(src, dst, blind_tag, seed)
+        session = btg.triple_session(runtime, params, btg_keys, btg_pids, count=count,
+                                     drawn=drawn)
         sign_seed = modmath.draw_seed(runtime.rng(pid_a))
         runtime.send(pid_a, pid_b, "%s:%s" % (SIGN_TAG, first), sign_seed)
-    dealt = _deal_ab(runtime, p, btg_pids, mpc_pids, triple_ids, drawn, sign_seed, pool)
-    if two:
-        _, chain, (triples, products) = yield from lockstep(
+        dealt = _deal_ab(runtime, p, btg_pids, mpc_pids, triple_ids,
+                         lambda: _signed_components(runtime, p, btg_pids, triple_ids, drawn,
+                                                    sign_seed), pool)
+        ox, oy = owners
+        _, chain, triples = yield from lockstep(
             session,
             mhkm.key_product(runtime, params, [oy, ox, pid_c], keys,
-                             {owner: _blinds(seed, count, p, two)
+                             {owner: _blinds(seed, count, p)
                               for owner, seed in zip(owners, seeds)},
                              count=count, tag="%s:%s" % (BTG_TAG, first)),
             dealt)
+        products = modmath.decode_residues(
+            runtime.take(pid_c, "%s:%s" % (SIGN_PRODUCT_TAG, first)).payload, count, 2)
         factor_c = _signed(chain[pid_c], products, p)
-    else:
-        _, (triples, _) = yield from lockstep(session, dealt)
-        # the holder of c expands both blinds from the seeds it drew
-        factor_c = [x * y % p for x, y in zip(*(_blinds(seed, count, p, two) for seed in seeds))]
     [shares] = yield from deal(runtime, mpc_pids,
                                [(pid_c, "%s:%s" % (TRIPLE_TAGS[BtgRole.C], first),
                                  [r * c % p for r, c in zip(factor_c, drawn[BtgRole.C])])], p)
-    for t, held in zip(triples, _per_triple(shares)):
-        t.c_shares.update(held)
+    for t, held_c in zip(triples, _per_triple(shares)):
+        t.c_shares.update(held_c)
     return triples
+
+
+def _seeded_component(runtime: Runtime, params: GroupParams, holder: PartyId, pid_c: PartyId,
+                      mpc_pids, triple_ids, tag: str) -> tuple:
+    """A single-mode holder's blinded component x', drawn as seeds only,
+    and the secret x it pins in the session, at the batch's first step.
+
+    The holder draws a seed per server, so x' is the sum of their
+    expansions (`spdz.draw_seeded`), and a blind seed that expands to s^2
+    per triple.  It pins x = sign*s^2*x' with sign = chi(x'), one Legendre
+    symbol (`modmath.is_subgroup_member`): -1 is a non-residue, since
+    p = 3 mod 4, so x is a square, and the blind 1/(sign*s^2) is uniform
+    over Z_p^*.  It sends the holder of c the blind seed and one byte per
+    sign.  A zero x' has no blind: it aborts the batch before hop 1.
+    Returns the `Seeded` x' and the pinned x.
+    """
+    p, rng = params.p, runtime.rng(holder)
+    seeded = draw_seeded(rng, mpc_pids, len(triple_ids), p)
+    if 0 in seeded.values:
+        raise ProtocolAbort("%s drew a zero blinded component for triple %s; zero has no blind"
+                            % (holder, triple_ids[seeded.values.index(0)]))
+    blind_seed = modmath.draw_seed(rng)
+    signs = [int(not modmath.is_subgroup_member(v, params)) for v in seeded.values]
+    runtime.send(holder, pid_c, tag, blind_seed + modmath.encode_residues(signs, 2))
+    pinned = _signed([t * v % p for t, v in zip(_blinds(blind_seed, len(signs), p),
+                                                   seeded.values)], signs, p)
+    return seeded, pinned
+
+
+def _unblinding(runtime: Runtime, p: int, pid_c: PartyId, holders, tag: str,
+                count: int) -> list[int]:
+    """The factor 1/(t_a*t_b) per triple that turns c into c' at the holder
+    of c, t = sign*s^2 being each holder's factor from the blind seed and
+    sign bytes it sent (`_seeded_component`).  Montgomery's trick inverts
+    the K products with one inversion (`modmath.inverses`).  A holder's
+    message that is missing or repeated is a ShareError."""
+    received = {msg.src: msg.payload for msg in (runtime.take(pid_c, tag) for _ in holders)}
+    if set(received) != set(holders):
+        raise ShareError("%s expected one blind from each holder, got them from %s"
+                         % (pid_c, ", ".join(map(str, received))))
+    products = [1] * count
+    for payload in received.values():
+        signs = modmath.decode_residues(payload[modmath.SEED_BYTES:], count, 2)
+        factors = _signed(_blinds(payload[:modmath.SEED_BYTES], count, p), signs, p)
+        products = [x * y % p for x, y in zip(products, factors)]
+    return modmath.inverses(products, p)
 
 
 def _per_triple(shares) -> list[dict]:
@@ -234,45 +309,48 @@ def _per_triple(shares) -> list[dict]:
     return [dict(zip(parties, held)) for held in zip(*(shares.columns[pid] for pid in parties))]
 
 
-def _deal_ab(runtime: Runtime, p: int, btg_pids: dict, mpc_pids, triple_ids, drawn: dict,
-             sign_seed, pool) -> Protocol:
-    """The holders of a and b deal a' and b', as a protocol stepped after the
-    session in lockstep, so `drawn` holds a and b at its second step.
+def _signed_components(runtime: Runtime, p: int, btg_pids: dict, triple_ids, drawn: dict,
+                       sign_seed: bytes) -> list:
+    """Two mode's a' and b', at the batch's second step: the blind seeds
+    from O_x and O_y and A's sign seed have arrived, and `drawn` holds a
+    and b.  B draws its signs and sends the holder of c their products with
+    A's, one byte each; each holder scales its component by its signed
+    blind."""
+    count, first = len(triple_ids), triple_ids[0]
+    pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
+    factors = [_blinds(runtime.take(pid, "%s:%s" % (BLIND_TAG, first)).payload, count, p)
+               for pid in (pid_a, pid_b)]
+    rng_b = runtime.rng(pid_b)
+    signs_b = [rng_b.getrandbits(1) for _ in range(count)]
+    seen_by_b = modmath.expand_residues(
+        runtime.take(pid_b, "%s:%s" % (SIGN_TAG, first)).payload, count, 2)
+    runtime.send(pid_b, pid_c, "%s:%s" % (SIGN_PRODUCT_TAG, first),
+                 modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
+    return [[r * v % p for r, v in zip(_signed(rs, signs, p), drawn[role])]
+            for role, rs, signs in zip((BtgRole.A, BtgRole.B), factors,
+                                       (modmath.expand_residues(sign_seed, count, 2), signs_b))]
 
-    Once the blind seeds (two mode: and A's sign seed) have arrived, in two
-    mode B draws its signs and sends the holder of c their products with
-    A's, and then the holders deal.  The result is the triples, pooled when
-    `pool` is given, whose c_shares are empty, and in two mode the sign
-    products the holder of c received.
+
+def _deal_ab(runtime: Runtime, p: int, btg_pids: dict, mpc_pids, triple_ids, blinded,
+             pool) -> Protocol:
+    """The holders of a and b deal a' and b' in the batch's second round, as
+    a protocol stepped after the session in lockstep.  `blinded()`, called
+    at its second step, gives the two batches to deal: `Seeded` in single
+    mode, values in two mode (`_signed_components`).  The result is the
+    triples, pooled when `pool` is given, whose c_shares are empty.
     """
     yield
-    count, first, two = len(triple_ids), triple_ids[0], sign_seed is not None
-    pid_a, pid_b, pid_c = (btg_pids[role] for role in BtgRole)
-    factors = [_blinds(runtime.take(pid, "%s:%s" % (BLIND_TAG, first)).payload, count, p, two)
-               for pid in (pid_a, pid_b)]
-    product_tag = "%s:%s" % (SIGN_PRODUCT_TAG, first)
-    if two:
-        rng_b = runtime.rng(pid_b)
-        signs_b = [rng_b.getrandbits(1) for _ in range(count)]
-        seen_by_b = modmath.expand_residues(
-            runtime.take(pid_b, "%s:%s" % (SIGN_TAG, first)).payload, count, 2)
-        runtime.send(pid_b, pid_c, product_tag,
-                     modmath.encode_residues([x ^ y for x, y in zip(seen_by_b, signs_b)], 2))
-        factors = [_signed(rs, signs, p) for rs, signs
-                   in zip(factors, (modmath.expand_residues(sign_seed, count, 2), signs_b))]
+    first = triple_ids[0]
     shares = yield from deal(runtime, mpc_pids,
-                             [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first),
-                               [r * v % p for r, v in zip(rs, drawn[role])])
-                              for role, rs in zip((BtgRole.A, BtgRole.B), factors)], p)
+                             [(btg_pids[role], "%s:%s" % (TRIPLE_TAGS[role], first), values)
+                              for role, values in zip((BtgRole.A, BtgRole.B), blinded())], p)
     parties = tuple(mpc_pids)
     triples = [BeaverTripleShares(triple_id=tid, parties=parties, a_shares=a, b_shares=b,
                                   c_shares={})
                for tid, a, b in zip(triple_ids, *map(_per_triple, shares))]
     if pool is not None:
         pool.extend(triples)
-    products = (modmath.decode_residues(runtime.take(pid_c, product_tag).payload, count, 2)
-                if two else None)
-    return triples, products
+    return triples
 
 
 class TripleDispenser:

@@ -34,13 +34,15 @@ class _Mpz(ctypes.Structure):
 
 
 # Operands on which a freshly bound libgmp must agree with builtin pow before
-# it is used: a zero exponent, a base past the modulus, an even modulus and a
-# 256-bit exponentiation.
+# it is used: a zero exponent, a base past the modulus, an even modulus, a
+# 256-bit exponentiation, and its base kept loaded under a new exponent and
+# modulus.
 _SELF_CHECK = [
     (7, 0, 23),
     (100, 5, 23),
     (3, 10**40 + 1, 2**64),
     (4, (1 << 255) - 19, (1 << 256) - 189),
+    (4, 65537, 2**61 - 1),
 ]
 
 # libgmp's soname since GMP 5.  Opening it by name spares the search through
@@ -100,46 +102,45 @@ def _load_gmp():
     `_jacobi`) when it disagrees with it on its own self-check table.
 
     The binding keeps six scratch `mpz_t` registers (base, exponent, modulus
-    and result for `mpz_powm`, argument and modulus for `mpz_jacobi`) and one
-    export buffer for the life of the process, so it assumes the
-    single-threaded `Runtime`: two threads inside it at once would overwrite
-    each other's operands.  GMP grows the registers as operands need.  An
-    exponent or modulus register is reloaded only when its operand changes,
-    since a party strips K ciphertexts with one exponent mod one p and
-    membership tests run against one group; each function tracks its own
-    modulus, so a modulus `jacobi` loaded never skips the export-buffer
-    resize in `powmod`.  Operands go in through `mpz_import` and the result
-    comes back through `mpz_export`, both as big-endian bytes.  Only a
-    non-negative base and exponent with a modulus >= 2 reach `mpz_powm` (a
-    zero modulus aborts the process inside it), and only a non-negative
-    argument with a positive odd modulus reaches `mpz_jacobi`; every other
-    call goes to the reference.
+    and result for `mpz_powm`, argument and modulus for `mpz_jacobi`) for the
+    life of the process, so it assumes the single-threaded `Runtime`: two
+    threads inside it at once would overwrite each other's operands.  GMP
+    grows the registers as operands need.  An operand register is reloaded
+    only when its operand changes: a party strips K ciphertexts with one
+    exponent mod one p, a chunk's strip raises one u to each of its slots'
+    exponents, and membership tests run against one group; each function
+    tracks its own modulus.  Operands go in through `mpz_import` as
+    big-endian bytes.  The result is read in place from the result
+    register's limbs (`__gmp_bits_per_limb` wide, least significant first),
+    as one little-endian integer, which spares an `mpz_export` call per
+    exponentiation; on a big-endian host that read disagrees with `pow` on
+    the self-check, and `powmod` falls back.  Only a non-negative base and
+    exponent with a modulus >= 2 reach `mpz_powm` (a zero modulus aborts the
+    process inside it), and only a non-negative argument with a positive odd
+    modulus reaches `mpz_jacobi`; every other call goes to the reference.
     """
     lib = _open_gmp()
     if lib is None:
         return pow, _jacobi
     try:
-        init, import_, export, powm, jacobi = (getattr(lib, "__gmpz_" + name) for name in
-                                               ("init", "import", "export", "powm", "jacobi"))
-    except AttributeError:
+        init, import_, powm, jacobi = (getattr(lib, "__gmpz_" + name) for name in
+                                       ("init", "import", "powm", "jacobi"))
+        limb_bytes = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value // 8
+    except (AttributeError, ValueError):
         return pow, _jacobi
     reg = ctypes.POINTER(_Mpz)
     size_t = ctypes.c_size_t
     init.argtypes, init.restype = [reg], None
     import_.argtypes = [reg, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
     import_.restype = None
-    export.argtypes = [ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
-                       ctypes.c_int, size_t, reg]
-    export.restype = ctypes.c_void_p
     powm.argtypes, powm.restype = [reg, reg, reg, reg], None
     jacobi.argtypes, jacobi.restype = [reg, reg], ctypes.c_int
 
     base_r, exp_r, mod_r, out_r, a_r, n_r = regs = [_Mpz() for _ in range(6)]
     for r in regs:
         init(r)
-    written = size_t()
-    out = ctypes.create_string_buffer(64)
-    loaded_e = loaded_m = None  # the exponent and modulus exp_r and mod_r hold
+    string_at = ctypes.string_at
+    loaded_b = loaded_e = loaded_m = None  # the operands base_r, exp_r and mod_r hold
     loaded_n = None  # the modulus n_r holds
 
     def load(r, x: int) -> None:
@@ -147,22 +148,20 @@ def _load_gmp():
         import_(r, len(raw), 1, 1, 1, 0, raw)
 
     def gmp_powmod(base: int, e: int, m: int) -> int:
-        nonlocal out, loaded_e, loaded_m
+        nonlocal loaded_b, loaded_e, loaded_m
         if base < 0 or e < 0 or m < 2:
             return pow(base, e, m)
         if m != loaded_m:
-            width = (m.bit_length() + 7) // 8
-            if len(out) < width:
-                out = ctypes.create_string_buffer(width)
             load(mod_r, m)
             loaded_m = m
         if e != loaded_e:
             load(exp_r, e)
             loaded_e = e
-        load(base_r, base)
+        if base != loaded_b:
+            load(base_r, base)
+            loaded_b = base
         powm(out_r, base_r, exp_r, mod_r)
-        export(out, written, 1, 1, 1, 0, out_r)
-        return int.from_bytes(out.raw[:written.value], "big")
+        return int.from_bytes(string_at(out_r._mp_d, limb_bytes * out_r._mp_size), "little")
 
     def gmp_jacobi(a: int, n: int) -> int:
         nonlocal loaded_n
@@ -357,6 +356,21 @@ def inverse(a: int, p: int) -> int:
     if a % p == 0:
         raise NonInvertibleError("zero has no inverse mod %d" % p)
     return pow(a, -1, p)
+
+
+def inverses(values: list, p: int) -> list[int]:
+    """The inverse mod prime p of every value, by Montgomery's trick: one
+    `inverse`, of the product of them all, and three multiplications per
+    value.  A zero among them raises NonInvertibleError."""
+    prefixes, product = [], 1
+    for v in values:
+        prefixes.append(product)
+        product = product * v % p
+    inv, out = inverse(product, p), [0] * len(values)
+    for i in reversed(range(len(values))):
+        out[i] = inv * prefixes[i] % p
+        inv = inv * values[i] % p
+    return out
 
 
 def is_subgroup_member(y: int, params: GroupParams) -> bool:

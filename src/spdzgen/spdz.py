@@ -12,11 +12,13 @@ Every party but one gets a SEED_BYTES seed and expands its shares from it
 (`modmath.expand_residues`, SHAKE-256); the one left holds the correction
 shares, value - sum of the expanded shares.  An owner among the parties
 keeps the correction itself; an owner outside them (a triple holder) sends
-it to the first party as one message of residues.  Each recipient builds its
-shares from the bytes it received, so a seed of the wrong length or a
-malformed correction aborts and a corrupted one changes the result.  Input
-sharing (`share_batches`) and the triples' dispensation (`dispense`) both
-deal through it.
+it to the first party as one message of residues.  An owner whose values
+need only be uniform, not given, draws them as seeds only (`draw_seeded`):
+one seed per party, and the values are whatever the expansions sum to, so
+no correction travels.  Each recipient builds its shares from the bytes it
+received, so a seed of the wrong length or a malformed correction aborts
+and a corrupted one changes the result.  Input sharing (`share_batches`)
+and the triples' dispensation (`dispense`) both deal through it.
 
 Linear operations are elementwise, share-wise and free of communication.
 An opening is the only synchronization point, and it goes to one party or
@@ -37,6 +39,7 @@ Triples are strictly one-time-use, enforced by a spent-id ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, ProtocolAbort, ShapeError, ShareError, TripleReuseError
 from .modmath import decode_residues, draw_seed, encode_residues, expand_residues
@@ -83,6 +86,22 @@ def _check_aligned(x: Shares, y: Shares):
         raise ShapeError("batches of %d and %d values" % (len(x), len(y)))
 
 
+class Seeded(NamedTuple):
+    """Values dealt as seeds only: a seed per party, and the values that
+    the parties' expansions sum to."""
+
+    seeds: dict  # PartyId -> SEED_BYTES seed
+    values: list
+
+
+def draw_seeded(rng, parties, count: int, p: int) -> Seeded:
+    """`count` values mod p for `deal` to send as seeds only: one seed per
+    party from `rng`, in party order, and the sums of their expansions."""
+    seeds = {pid: draw_seed(rng) for pid in parties}
+    expanded = zip(*(expand_residues(seed, count, p) for seed in seeds.values()))
+    return Seeded(seeds, [sum(shares) % p for shares in expanded])
+
+
 def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
     """Deal several owners' batches of values, as a protocol of one round.
 
@@ -92,33 +111,39 @@ def deal(runtime: Runtime, parties, batches, p: int) -> Protocol:
     value - sum of the expanded shares.  An owner among `parties` holds the
     corrections itself and sends itself nothing, so it sends (m-1) *
     SEED_BYTES bytes; an owner outside them sends them to `parties[0]`.
-    One round delivers every batch, and every recipient builds its shares
-    from the bytes it took off the wire.  The result holds one Shares per
-    batch, over `parties` in argument order.
+    `values` that are `Seeded` (`draw_seeded`, for an owner outside
+    `parties`) send each party its seed and no corrections, m * SEED_BYTES
+    bytes.  One round delivers every batch, and every recipient builds its
+    shares from the bytes it took off the wire.  The result holds one
+    Shares per batch, over `parties` in argument order.
     """
     parties, batches = tuple(parties), list(batches)
     if len(parties) < 2:
         raise ShareError("need at least 2 parties to deal to, got %d" % len(parties))
     held = []
     for owner, tag, values in batches:
-        rng = runtime.rng(owner)
-        keeper = owner if owner in parties else parties[0]
-        seeds = {pid: draw_seed(rng) for pid in parties if pid != keeper}
-        expanded = zip(*(expand_residues(seed, len(values), p) for seed in seeds.values()))
-        correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
+        if isinstance(values, Seeded):
+            (seeds, values), keeper, columns = values, None, {}
+        else:
+            rng = runtime.rng(owner)
+            keeper = owner if owner in parties else parties[0]
+            seeds = {pid: draw_seed(rng) for pid in parties if pid != keeper}
+            expanded = zip(*(expand_residues(seed, len(values), p) for seed in seeds.values()))
+            correction = [(v - sum(shares)) % p for v, shares in zip(values, expanded)]
+            columns = {owner: correction} if keeper == owner else {}
         for pid in parties:
             if pid != owner:
                 runtime.send(owner, pid, tag, seeds[pid] if pid in seeds
                              else encode_residues(correction, p))
-        held.append((keeper, {owner: correction} if keeper == owner else {}))
+        held.append((keeper, len(values), columns))
     yield
-    for (owner, tag, values), (keeper, columns) in zip(batches, held):
+    for (owner, tag, _), (keeper, count, columns) in zip(batches, held):
         for pid in parties:
             if pid != owner:
                 payload = runtime.take(pid, tag).payload
-                columns[pid] = (decode_residues(payload, len(values), p) if pid == keeper
-                                else expand_residues(payload, len(values), p))
-    return [Shares(parties, columns) for _, columns in held]
+                columns[pid] = (decode_residues(payload, count, p) if pid == keeper
+                                else expand_residues(payload, count, p))
+    return [Shares(parties, columns) for _, _, columns in held]
 
 
 def share_batches(runtime: Runtime, parties, batches, p: int) -> Protocol:

@@ -64,13 +64,14 @@ def triple_stream(p, parties, rng, prefix="ts"):
         yield make_triple(a, b, a * b % p, p, parties, rng, "%s%d" % (prefix, i))
 
 
-def tamper_sends(monkeypatch, prefix, mutate):
-    """Pass every payload whose tag starts with `prefix` through `mutate`
-    before `Runtime.send` queues it; monkeypatch undoes it after the test."""
+def tamper_sends(monkeypatch, prefix, mutate, sender=None):
+    """Pass every payload whose tag starts with `prefix`, and that `sender`
+    sends when given, through `mutate` before `Runtime.send` queues it;
+    monkeypatch undoes it after the test."""
     send = Runtime.send
 
     def tampered(self, src, dst, tag, payload):
-        if tag.startswith(prefix):
+        if tag.startswith(prefix) and sender in (None, src):
             payload = mutate(payload)
         return send(self, src, dst, tag, payload)
 
@@ -92,13 +93,15 @@ def zeroed(payload):
 
 def shifted(p):
     """An in-range corruption: a seed plus one, or else the payload's first
-    residue plus one, mod p."""
+    residue plus one, mod p.  A payload that is not whole w-byte residues
+    leads with a seed (a single-mode blind seed with its sign bytes), and
+    its seed is shifted."""
     w = (p.bit_length() + 7) // 8
 
     def mutate(payload):
-        if len(payload) == SEED_BYTES:
-            return ((int.from_bytes(payload, "big") + 1) % 2 ** (8 * SEED_BYTES)).to_bytes(
-                SEED_BYTES, "big")
+        if len(payload) == SEED_BYTES or len(payload) % w:
+            seed = (int.from_bytes(payload[:SEED_BYTES], "big") + 1) % 2 ** (8 * SEED_BYTES)
+            return seed.to_bytes(SEED_BYTES, "big") + payload[SEED_BYTES:]
         return ((int.from_bytes(payload[:w], "big") + 1) % p).to_bytes(w, "big") + payload[w:]
     return mutate
 

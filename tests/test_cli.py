@@ -66,15 +66,21 @@ class TestTriples:
     # by mode.  The session is one chunk of 12 triples: 5 exponentiations per
     # triple and 3 for the chunk, plus the 11 + 11 key pairs the holders of a
     # and c add at this first mint; two mode adds its key product's 8 per
-    # triple.  The bytes: BTG hops of 17 + 32*(12 + 1) each, two 16-byte
-    # blind seeds, and per holder 12 correction shares to MPC_1 plus two
-    # seeds; two mode adds its key product's three hops of 17 + 2*32*12 (one
-    # key pair per party: a u per triple), the sign seed and 12 sign-product
-    # bytes.  Two mode's key product runs beside the session, so both modes
-    # take 4 rounds (two mode took 7 while it ran after).  Before the session
-    # shared its randomness they were 8.0 and 16.0 exponentiations per
-    # triple, and every hop was 785 bytes.
-    BATCH = {"single": (14, 4, (5 * 12 + 3 + 22) / 12, 3 * 433 + 32 + 3 * 416),
+    # triple.  The bytes: BTG hops of 17 + 32*(12 + 1) each, and the holder
+    # of c's 12 correction shares to MPC_1 plus two seeds.  In single mode
+    # the holders of a and b each send every server a seed (3 * 16) and C
+    # their blind seed and 12 sign bytes; in two mode O_x and O_y send two
+    # 16-byte blind seeds, the holders of a and b send correction shares and
+    # seeds as the holder of c does, and the key product adds three hops of
+    # 17 + 2*32*12 (one key pair per party: a u per triple), the sign seed
+    # and 12 sign-product bytes.  Two mode's key product runs beside the
+    # session, so both modes take 4 rounds (two mode took 7 while it ran
+    # after).  Before the session shared its randomness they were 8.0 and
+    # 16.0 exponentiations per triple, and every hop was 785 bytes; single
+    # mode's bytes were 3 * 433 + 32 + 3 * 416 = 2,579 while its holders of
+    # a and b sent correction shares.
+    BATCH = {"single": (14, 4, (5 * 12 + 3 + 22) / 12,
+                        3 * 433 + 416 + 2 * (3 * 16) + 2 * (16 + 12)),
              "two": (19, 4, (5 * 12 + 3 + 22 + 8 * 12) / 12,
                      3 * 433 + 3 * 785 + 32 + 3 * 416 + 16 + 12)}
 
@@ -111,6 +117,13 @@ class TestTriples:
 
     def test_reuse_demo_exits_nonzero(self, capsys):
         assert run_cli("triples", "-n", "1", "--demo-reuse") == EXIT_PROTOCOL
+
+    def test_zero_blinded_component_exits_3(self, capsys):
+        # in the 5-bit group a single-mode a' or b', a sum of seed
+        # expansions, is zero once in 23 triples, and zero has no blind
+        assert run_cli("triples", "-n", "300", "--bits", "5") == EXIT_PROTOCOL
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero has no blind" in captured.err
 
     def test_unwritable_ledger_rejected_before_any_triple(self, tmp_path, capsys, monkeypatch):
         def mint(self, n):
@@ -522,7 +535,7 @@ class TestPipelineGolden:
     # triples; the report accepts ctrl_000 with lambda 31/255.  CHANGES.md
     # records what each re-pin moved.  The control loop, the Beaver products
     # and the dispensation must leave both byte-identical.
-    TRANSCRIPT_SHA256 = "d43dac3caaff8fc5defe5eab6df141bff165169f068c8843037d516c2cbb7ca7"
+    TRANSCRIPT_SHA256 = "a6065e9e95e022586471d3aca8b026013463da55c611e3906d1beb8b1a5fcaa9"
     LEDGER_SHA256 = "7439b2874bb01358a58ea666ad3a191f69601369d5fc8dc77bbee44dd3216c52"
     # The same run with two-randomness dispensation (`build_parties` patched
     # to blinding="two", as tests/test_gwas.py's `screened_run` does, since

@@ -28,7 +28,7 @@ from spdzgen.errors import (
 from spdzgen.gwas import build_parties
 from spdzgen.modmath import DEFAULT_GROUP_256
 from spdzgen.net import PartyId, Runtime
-from spdzgen.spdz import deal
+from spdzgen.spdz import deal, draw_seeded
 
 from helpers import (
     both_backends,
@@ -123,6 +123,16 @@ class TestDeal:
         assert sizes == {MPC[0]: 2 * group256.element_size,
                          MPC[1]: modmath.SEED_BYTES, MPC[2]: modmath.SEED_BYTES}
         assert {r.src for r in rt.transcript} == {BTG_PIDS[BtgRole.A]}
+
+    def test_seeded_batch_sends_every_party_a_seed(self, group256):
+        # values drawn as seeds only: no correction shares, 16 bytes to each
+        # party, and the shares sum to the values the owner drew
+        p = group256.p
+        rt = build_runtime(seed=2)
+        seeded = draw_seeded(rt.rng(BTG_PIDS[BtgRole.A]), MPC, 5, p)
+        [[shares]] = rt.run(deal(rt, MPC, [(BTG_PIDS[BtgRole.A], "x", seeded)], p))
+        assert [reconstruct(v, p) for v in zip(*shares.columns.values())] == seeded.values
+        assert [(r.dst, r.payload) for r in rt.transcript] == list(seeded.seeds.items())
 
     @pytest.mark.parametrize("mutate", [truncated, out_of_range],
                              ids=["truncated", "out-of-range"])
@@ -285,18 +295,25 @@ class TestDispensationProtocol:
             assert c2 == a2 * b2 % p
 
     def test_holders_blind_with_the_seed_they_receive(self, group256, monkeypatch):
+        # in single mode the holder of c is the one that receives blind
+        # seeds, from the holders of a and b.  Every blind seed on the wire
+        # becomes SEED, its sign bytes kept; the holders of a and b keep the
+        # seeds they drew, so only c' moves, to c / (sign_a*sign_b*s^4) for
+        # the s that SEED expands to
         rt = build_runtime(seed=1)
         p = group256.p
         outcomes = capture_sessions(monkeypatch)
-        # every blind seed on the wire becomes SEED; C keeps the seeds it drew
         seed = bytes(range(modmath.SEED_BYTES))
-        tamper_sends(monkeypatch, "blind-r", lambda payload: seed)
+        tamper_sends(monkeypatch, "blind-r", lambda payload: seed + payload[modmath.SEED_BYTES:])
         [[triple]] = rt.run(dispense_blind_single(rt, group256, trio_keys(group256, seed=1),
                                                   BTG_PIDS, MPC, triple_ids=["t"]))
         [out] = outcomes
+        a2, b2, c2 = reconstruct_triple(triple, p)
         [x] = modmath.expand_residues(seed, 1, p - 1)
-        assert reconstruct_triple(triple, p)[:2] == ((1 + x) * out[BtgRole.A][0] % p,
-                                                     (1 + x) * out[BtgRole.B][0] % p)
+        # each holder's sign is chi(x') and makes its pinned x a square
+        signs = [1 if pow(v, group256.q, p) == 1 else -1 for v in (a2, b2)]
+        assert c2 == out[BtgRole.C][0] * pow(signs[0] * signs[1] * (1 + x) ** 4, -1, p) % p
+        assert c2 != a2 * b2 % p
 
     def test_two_randomness_invariant(self, group256):
         rt = build_runtime(seed=3)
@@ -346,16 +363,22 @@ class TestBatchedDispensation:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
         assert (rt.messages_sent, rt.rounds) == ((14, 4) if mode == "single" else (19, 4))
-        # each holder sends MPC_1 its 4 correction shares and the others a seed
-        w = group256.element_size
+        # a holder with corrections sends MPC_1 its 4 correction shares and
+        # the others a seed: the holder of c always, the holders of a and b in
+        # two mode; in single mode they send every server a seed
+        w, seed = group256.element_size, modmath.SEED_BYTES
+        corrections = 1 if mode == "single" else 3
         share_msgs = [r for r in rt.transcript if r.tag.startswith("triple-")]
         assert sorted((r.dst, len(r.payload)) for r in share_msgs) \
-            == sorted([(MPC[0], 4 * w)] * 3 + [(pid, modmath.SEED_BYTES) for pid in MPC[1:]] * 3)
-        # the blind seeds are the first records: they ride the first hop's round
+            == sorted([(MPC[0], 4 * w)] * corrections + [(MPC[0], seed)] * (3 - corrections)
+                      + [(pid, seed) for pid in MPC[1:]] * 3)
+        # the blind seeds are the first records: they ride the first hop's
+        # round; in single mode each holder sends C its seed and 4 sign bytes
         tags = [r.tag for r in rt.transcript]
         first = ["blind-r:b0", "blind-r:b0"] + ["sign-a:b0"] * (mode == "two")
         assert tags[:len(first) + 1] == first + [btg.BTG_TAG]
-        assert all(len(r.payload) == modmath.SEED_BYTES for r in rt.transcript if r.tag in first)
+        assert [len(r.payload) for r in rt.transcript[:len(first)]] \
+            == ([seed + 4] * 2 if mode == "single" else [seed] * 3)
 
     def test_hops_to_the_holder_of_c_never_cross(self, group256, monkeypatch):
         # in two mode the session's hop 3 and the key product's last hop both
@@ -392,13 +415,18 @@ class TestBatchedDispensation:
         assert ctx.runtime.messages_sent == 0
 
 
+MODES = ["single", "two"]
 WIRE_TAGS = ["blind-r", "triple-a:", "triple-b:", "triple-c:"]
 
 # A seed has no out-of-range value, so out_of_range only has a target where
-# residues cross the wire: the holders' correction shares to MPC_1.
-MALFORMED = ([pytest.param(truncated, prefix, id="truncated-" + prefix) for prefix in WIRE_TAGS]
-             + [pytest.param(out_of_range, prefix, id="out-of-range-" + prefix)
-                for prefix in WIRE_TAGS[1:]])
+# residues cross the wire: the correction shares to MPC_1, which in single
+# mode only the holder of c sends (the holders of a and b deal seeds only),
+# and the sign bytes that follow each single-mode blind seed to C.
+RESIDUE_TAGS = {"single": ["blind-r", "triple-c:"], "two": WIRE_TAGS[1:]}
+MALFORMED = ([pytest.param(truncated, prefix, mode, id="truncated-%s-%s" % (prefix, mode))
+              for prefix in WIRE_TAGS for mode in MODES]
+             + [pytest.param(out_of_range, prefix, mode, id="out-of-range-%s-%s" % (prefix, mode))
+                for mode in MODES for prefix in RESIDUE_TAGS[mode]])
 
 
 def mint_under(monkeypatch, group, mode, prefix, mutate, n=4):
@@ -409,13 +437,13 @@ def mint_under(monkeypatch, group, mode, prefix, mutate, n=4):
     return list(ctx.dispenser.pool)
 
 
-@pytest.mark.parametrize("mode", ["single", "two"])
 class TestTamperedDispensation:
-    @pytest.mark.parametrize("mutate,prefix", MALFORMED)
+    @pytest.mark.parametrize("mutate,prefix,mode", MALFORMED)
     def test_malformed_payload_aborts(self, group256, monkeypatch, mode, prefix, mutate):
         with pytest.raises(ProtocolAbort):
             mint_under(monkeypatch, group256, mode, prefix, mutate)
 
+    @pytest.mark.parametrize("mode", MODES)
     def test_zeroed_blind_seeds_give_nonzero_blinds(self, group256, monkeypatch, mode):
         # the all-zero seed is a seed like any other, and every blind it
         # expands to is nonzero: no component of a triple becomes zero
@@ -423,6 +451,7 @@ class TestTamperedDispensation:
         triples = mint_under(monkeypatch, group256, mode, "blind-r", zeroed)
         assert all(v for t in triples for v in reconstruct_triple(t, p))
 
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("prefix", WIRE_TAGS)
     def test_in_range_corruption_breaks_a_triple(self, group256, monkeypatch, mode, prefix):
         # undetectable without MACs, but the shares are built from these bytes
@@ -436,8 +465,16 @@ class TestExpandedBlinds:
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_every_blind_is_nonzero_in_the_tiny_group(self, tiny, mode):
         # a seed expanded mod p would give a zero blind once in 23 here; the
-        # blinds expand mod p - 1 and add one, so no dispensed component is 0
+        # blinds expand mod p - 1 and add one, so no dispensed component is 0.
+        # A single-mode a' or b' is the sum of its seeds' expansions mod p,
+        # zero once in 23 here (2^-255 at 256 bits), and zero has no blind:
+        # its holder aborts the mint before hop 1
         ctx = build_parties(tiny, seed=23, blinding=mode)
+        if mode == "single":
+            with pytest.raises(ProtocolAbort, match="zero has no blind"):
+                ctx.runtime.run(ctx.dispenser.mint(300))
+            assert ctx.runtime.messages_sent == 0 and not ctx.dispenser.pool
+            return
         ctx.runtime.run(ctx.dispenser.mint(300))
         triples = [reconstruct_triple(t, tiny.p) for t in ctx.dispenser.pool]
         assert all(a and b and c == a * b % tiny.p for a, b, c in triples)
@@ -478,9 +515,12 @@ class TestDispenser:
             a2, b2, c2 = reconstruct_triple(t, group256.p)
             assert c2 == a2 * b2 % group256.p
 
-    @pytest.mark.parametrize("mode,checks", [("single", 0), ("two", 2)])
+    @pytest.mark.parametrize("mode,checks", [("single", 2), ("two", 2)])
     def test_membership_tests_only_on_pinned_blinds(self, group256, monkeypatch, mode, checks):
-        # the session draws a and b itself; two-mode pins r_a and r_b in its chain
+        # one Legendre symbol per pinned secret: in single mode each holder's
+        # sign decides that the a or b it pins is a square, and the session
+        # does not test it again; in two mode the session draws a and b
+        # itself and the chain tests the r_a and r_b it pins
         ctx = build_parties(group256, seed=14, blinding=mode)
         calls = []
         member = modmath.is_subgroup_member
@@ -495,8 +535,8 @@ class TestDispenser:
 
     @pytest.mark.parametrize("mode", ["single", "two"])
     def test_abort_after_hop_one_leaves_no_stale_blind(self, group256, monkeypatch, mode):
-        # the aborted batch's blinds reach BTG_A and BTG_B with hop 1 and are
-        # dropped with the failed run; the next batch reads its own, or
+        # the aborted batch's blinds are delivered with hop 1 and are dropped
+        # with the failed run; the next batch reads its own, or
         # c' != a'*b' would pass unseen
         ctx = build_parties(group256, seed=22, blinding=mode)
         armed = [True]
@@ -510,7 +550,10 @@ class TestDispenser:
         tamper_sends(monkeypatch, btg.BTG_TAG, break_hop_two)
         with pytest.raises(ProtocolAbort):
             ctx.runtime.run(ctx.dispenser.mint(4))
-        for role in (BtgRole.A, BtgRole.B):
+        # single mode's blinds go to the holder of c, two mode's to the
+        # holders of a and b
+        receivers = [BtgRole.C] if mode == "single" else [BtgRole.A, BtgRole.B]
+        for role in receivers:
             with pytest.raises(NetworkError):
                 ctx.runtime.take(ctx.btg_pids[role], "blind-r:t000001")
         ctx.runtime.run(ctx.dispenser.mint(4))
@@ -618,6 +661,19 @@ class TestServerViews:
                     if r.dst in ctx.mpc_pids}
         assert received == shares | owner_hops
 
+    def test_holders_of_a_and_b_send_servers_residues_in_two_mode_only(self, group256, batch,
+                                                                        mode):
+        # single mode deals a' and b' as seeds only: every server receives a
+        # seed from each holder, and no residue; in two mode MPC_1 receives
+        # each holder's 20 correction shares
+        ctx, _ = batch
+        for role in (BtgRole.A, BtgRole.B):
+            sizes = {r.dst: len(r.payload) for r in ctx.runtime.transcript
+                     if r.src == ctx.btg_pids[role] and r.dst in ctx.mpc_pids}
+            first = modmath.SEED_BYTES if mode == "single" else 20 * group256.element_size
+            assert sizes == {ctx.mpc_pids[0]: first, ctx.mpc_pids[1]: modmath.SEED_BYTES,
+                             ctx.mpc_pids[2]: modmath.SEED_BYTES}
+
 
 def assert_legendre_band(group, mode):
     """chi(a'), chi(b') and chi(a') = chi(b') over one reserve(400) each sit
@@ -634,7 +690,8 @@ def assert_legendre_band(group, mode):
 
 
 class TestSingleModeBlinds:
-    """The holder of c picks both blinds, so no server learns one."""
+    """The holders of a and b each pick their own blind and send its seed
+    and signs to the holder of c, so no server learns one."""
 
     def test_legendre_symbols_independent(self, group256):
         # a and b are squares, so one blind r on both made chi(a') = chi(b')
@@ -644,10 +701,69 @@ class TestSingleModeBlinds:
     def test_no_server_sends_or_receives_a_blind(self, group256):
         ctx = build_parties(group256, seed=20, record=True)
         ctx.runtime.run(ctx.dispenser.mint(3))
-        blinds = [(r.src, r.dst) for r in ctx.runtime.transcript
+        blinds = [(r.src, r.dst, len(r.payload)) for r in ctx.runtime.transcript
                   if r.tag.startswith("blind-r:")]
         pid_c = ctx.btg_pids[BtgRole.C]
-        assert blinds == [(pid_c, ctx.btg_pids[BtgRole.A]), (pid_c, ctx.btg_pids[BtgRole.B])]
+        assert blinds == [(ctx.btg_pids[role], pid_c, modmath.SEED_BYTES + 3)
+                          for role in (BtgRole.A, BtgRole.B)]
+
+    def test_two_blinds_from_one_holder_abort(self, group256, monkeypatch):
+        # the holder of c needs one blind from each holder: B's message
+        # arriving as a second one from A is refused, not read as B's
+        ctx = build_parties(group256, seed=24)
+        pid_a, pid_b = ctx.btg_pids[BtgRole.A], ctx.btg_pids[BtgRole.B]
+        send = Runtime.send
+
+        def spoofed(self, src, dst, tag, payload):
+            if src == pid_b and tag.startswith("blind-r:"):
+                src = pid_a
+            return send(self, src, dst, tag, payload)
+
+        monkeypatch.setattr(Runtime, "send", spoofed)
+        with pytest.raises(ShareError, match="one blind from each holder"):
+            ctx.runtime.run(ctx.dispenser.mint(4))
+        assert not ctx.dispenser.pool
+
+    @pytest.mark.parametrize("role", [BtgRole.A, BtgRole.B], ids=["A", "B"])
+    def test_one_holders_signs_move_c(self, group256, monkeypatch, role):
+        # flipping every sign byte one holder sends the holder of c negates
+        # each c'; its seed, and the other holder's message, stay
+        p = group256.p
+        ctx = build_parties(group256, seed=21)
+        tamper_sends(monkeypatch, "blind-r:",
+                     lambda payload: payload[:modmath.SEED_BYTES]
+                     + bytes(1 - bit for bit in payload[modmath.SEED_BYTES:]),
+                     sender=ctx.btg_pids[role])
+        ctx.runtime.run(ctx.dispenser.mint(4))
+        products = [reconstruct_triple(t, p) for t in ctx.dispenser.pool]
+        assert len(products) == 4
+        assert all(c == -a * b % p for a, b, c in products)
+
+    @pytest.mark.parametrize("count", [1, 64, 65])
+    def test_pinned_secrets_are_members_and_components_nonzero(self, group256, monkeypatch,
+                                                               count):
+        # the holders pin every a and b in the session, each a square
+        # (Euler's criterion, not the symbol the holders used), c = a*b, and
+        # no dispensed component is zero at 256 bits
+        p, q = group256.p, group256.q
+        ctx = build_parties(group256, seed=count)
+        outcomes, pins, session = capture_sessions(monkeypatch), [], btg.triple_session
+
+        def pinning(*args, forced=None, **kwargs):
+            pins.append(forced)
+            return session(*args, forced=forced, **kwargs)
+
+        monkeypatch.setattr(btg, "triple_session", pinning)
+        ctx.runtime.run(ctx.dispenser.mint(count))
+        [out], [pinned] = outcomes, pins
+        a, b, c = (out[role] for role in BtgRole)
+        assert (pinned[BtgRole.A], pinned[BtgRole.B]) == (a, b)
+        assert len(a) == len(b) == len(c) == count
+        assert all(pow(v, q, p) == 1 for v in a + b)
+        assert all(z == x * y % p for x, y, z in zip(a, b, c))
+        for t in ctx.dispenser.pool:
+            a2, b2, c2 = reconstruct_triple(t, p)
+            assert a2 and b2 and c2 == a2 * b2 % p
 
 
 class TestTwoModeSigns:
@@ -760,9 +876,18 @@ class TestGoldenTranscript:
     # BTG_A's hops from the first hop 3 on, the triple-a records, and what
     # BTG_A's later draws feed (BTG_B's hops, the triple-c corrections)
     # moved.  Every record kept its endpoints, tag and payload length, each
-    # channel kept its order, and the modexp counts did not move.
+    # channel kept its order, and the modexp counts did not move.  The single
+    # digest was re-pinned when the holders of a and b began to deal a' and
+    # b' as seeds only and to pick their own blinds: per batch the two
+    # blind-r records turned around (C -> holder became holder -> C, at the
+    # same places) and grew from a 16-byte seed to the seed and one sign
+    # byte per triple, and the triple-a and triple-b records to MPC_1 became
+    # 16-byte seeds instead of correction shares.  Every other record kept
+    # its endpoints, tag, order and payload length (420 records, 14,010 ->
+    # 13,110 bytes), and the modexp count did not move; the two digest did
+    # not move.
     GOLDEN = {
-        "single": ("0e0c0a9c9a60a78d1d0337b3b9caaac219503fb3a32253cfc71b425cba30ffab", 244),
+        "single": ("35cbfeb28798e5790af9a067d9c66512c1901f8e857b3b038e82a3a21d2bff87", 244),
         "two": ("5aa1c314a0890347607e8009ae3f673ece7ab8342b65cc72978510090f149a16", 484),
     }
 
@@ -782,9 +907,13 @@ class TestGoldenTranscript:
     # takes in the 64 + 64 key pairs the mint makes.  Re-pinned when a' and
     # b' began to be dealt beside hop 2: their six records come two rounds
     # earlier, and BTG_A's hop 3 and triple-a records moved, since BTG_A
-    # draws its deal seeds before its re-randomization exponent.
+    # draws its deal seeds before its re-randomization exponent.  The single
+    # digest was re-pinned with seeds-only a' and b': the two blind-r records
+    # turned around and carry 16 + 65 bytes, and the triple-a and triple-b
+    # records to MPC_1 fell from 2,080 to 16 bytes (12,851 -> 8,853 bytes in
+    # the same 14 records); the modexp count did not move.
     GOLDEN_MINT_65 = {
-        "single": ("ffcdbdb108e9cc60681528662cc0cf600e42cc92fd151328fc9d43b727406b63", 457),
+        "single": ("34ac6ff39f29517d978f906e8f6380f6c0768cf26f441c670bb945d439577d7a", 457),
         "two": ("f56a5ed38204a829b6cd36e485571089cded8b7a976935b2ffc5a45b39a1035e", 977),
     }
 

@@ -580,10 +580,12 @@ class TestFilterPipeline:
         assert accepted == ["ctrl_000", "ctrl_001"] and rejected == []
         assert view and view == other
 
-    # wire bytes of the same runs: per batch two 16-byte blind seeds and per
-    # holder one correction share per triple plus two seeds, and every deal
-    # of inputs or masks two seeds; before shares and blinds became seeds
-    # they were 16,537, 22,521, 39,103 and 56,287 bytes.  Minting lambda's
+    # wire bytes of the same runs: per batch the holder of c's correction
+    # share per triple plus two seeds, a seed per server from each holder of
+    # a and b, and their blind seeds to C with a sign byte per triple, and
+    # every deal of inputs or masks two seeds.  While every holder sent
+    # correction shares and before shares and blinds became seeds they were
+    # 16,537, 22,521, 39,103 and 56,287 bytes.  Minting lambda's
     # triples with the last control's saved one batch's fixed bytes, 179
     # (two blind seeds, three 17-byte BTG hop headers and three holders' two
     # seeds), and dealing every z in one batch one seed pair, 32, per control
@@ -601,8 +603,14 @@ class TestFilterPipeline:
     # y - b'): 2,688 bytes per control, from 9,062, 12,198, 21,644 and
     # 31,052 bytes.  Opening the accept bit to O_ctrl alone spares its
     # broadcast to the two other servers, two 32-byte values per control:
-    # from 6,374, 9,510, 13,580 and 22,988 bytes.
-    WIRE_BYTES = {(1, 1): 6_310, (1, 2): 9_446, (3, 1): 13_388, (3, 2): 22_796}
+    # from 6,374, 9,510, 13,580 and 22,988 bytes.  Dealing single-mode a'
+    # and b' as seeds only sends each server a seed from the holders of a
+    # and b, and C their blind seeds with a sign byte per triple: a batch of
+    # K triples saves 2 * 32 * K correction bytes and adds 2 * K sign bytes
+    # and two 16-byte seeds to MPC_1, 62 * K - 32 bytes, over batches of
+    # 12, 19, 7 + 7 + 12 and 14 + 14 + 19 triples: from 6,310, 9,446,
+    # 13,388 and 22,796 bytes.
+    WIRE_BYTES = {(1, 1): 5_598, (1, 2): 8_300, (3, 1): 11_872, (3, 2): 19_978}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])

@@ -159,6 +159,15 @@ class TestModexpInverse:
         with pytest.raises(NonInvertibleError):
             modmath.inverse(46, 23)
 
+    def test_batch_inverses_match_one_at_a_time(self, group256):
+        p = group256.p
+        rng = random.Random(11)
+        values = [rng.randrange(1, p) for _ in range(65)] + [1, p - 1]
+        assert modmath.inverses(values, p) == [egcd_inverse(v, p) for v in values]
+        assert modmath.inverses([], p) == []
+        with pytest.raises(NonInvertibleError):
+            modmath.inverses([3, 0, 5], 23)
+
 
 P256, Q256 = DEFAULT_GROUP_256.p, DEFAULT_GROUP_256.q
 
@@ -210,6 +219,22 @@ class TestPowmodBackend:
             assert modmath._powmod(base, e, m) == pow(base, e, m)
             assert modmath._powmod(base, e, m) == pow(base, e, m)  # both registers kept
 
+    def test_interleaved_bases_exponents_moduli_and_symbols(self):
+        # the base register is kept across calls too: the same base under a
+        # new modulus or exponent, a new base under the same exponent and
+        # modulus, a base above the modulus, an earlier base again, a repeated
+        # call, and Jacobi symbols in between must all read back exactly
+        m2 = (1 << 255) - 19
+        rng = random.Random(12)
+        b1, b2, b3 = (rng.getrandbits(250) for _ in range(3))
+        e1, e2 = rng.getrandbits(256), rng.getrandbits(200)
+        calls = [(b1, e1, P256), (b1, e1, m2), (b1, e2, m2), (b2, e2, m2),
+                 (P256 + b3, e2, P256), (b3, e1, P256), (b1, e1, P256), (b1, e1, P256),
+                 (b2, e1, m2)]
+        for i, (base, e, m) in enumerate(calls):
+            assert modmath._powmod(base, e, m) == pow(base, e, m), i
+            assert modmath._jacobi_symbol(base + i, P256) == modmath._jacobi(base + i, P256)
+
     def test_zero_modulus_raises_instead_of_aborting(self):
         with pytest.raises(ValueError):
             modmath._powmod(3, 5, 0)
@@ -246,7 +271,7 @@ class TestPowmodBackend:
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
         assert modmath._load_gmp() == (pow, modmath._jacobi)
 
-    @pytest.mark.parametrize("symbol", ["init", "import", "export", "powm", "jacobi"])
+    @pytest.mark.parametrize("symbol", ["init", "import", "powm", "jacobi"])
     def test_loader_falls_back_without_one_symbol(self, monkeypatch, symbol):
         # a partial libgmp: any one missing symbol sends both functions to
         # their references

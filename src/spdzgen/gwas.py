@@ -391,12 +391,17 @@ def secure_inflation_factor(runtime: Runtime, group: GroupParams, case_counts,
 
 @dataclass(frozen=True)
 class SharedVector(Shares):
-    """A batch of a vector's entries that also carries `norm_sq`: shares of
-    sum(fp_encode(v_i)^2) mod p, one value, which the vector's owner
+    """A batch of a vector's entries that `owner` dealt, keeping `entries`,
+    their fixed-point encodings, in the clear.  It also carries `norm_sq`:
+    shares of sum(fp_encode(v_i)^2) mod p, one value, which the owner
     computes in the clear and deals with the entries.  That is the integer
-    a Beaver product of each entry with itself would form, at scale 2^(2f)."""
+    a Beaver product of each entry with itself would form, at scale 2^(2f).
+    The owner's `entries` make the vector a Beaver factor (`spdz.Owned`)
+    that no other party's shares enter."""
 
     norm_sq: Shares
+    owner: PartyId
+    entries: list
 
 
 def _encode_with_norms(vectors, params: FixedPointParams) -> list:
@@ -409,9 +414,11 @@ def _encode_with_norms(vectors, params: FixedPointParams) -> list:
     return flat
 
 
-def _split_with_norms(shares, dim: int) -> list:
-    """The SharedVectors of a deal of `_encode_with_norms`' layout."""
-    return [SharedVector(shares.parties, shares[i:i + dim].columns, shares[i + dim])
+def _split_with_norms(shares, dim: int, owner: PartyId, flat: list) -> list:
+    """The SharedVectors of `owner`'s deal of `flat`, `_encode_with_norms`'
+    layout, as `shares`."""
+    return [SharedVector(shares.parties, shares[i:i + dim].columns, shares[i + dim], owner,
+                         flat[i:i + dim])
             for i in range(0, len(shares), dim + 1)]
 
 
@@ -422,9 +429,9 @@ def share_vector(runtime: Runtime, owner: PartyId, values, mpc_pids,
 
     An owner that is one of the servers sends the others seeds, so the norm
     costs no bytes."""
-    [[shares]] = runtime.run(spdz.share_batches(
-        runtime, mpc_pids, [(owner, _encode_with_norms([values], params))], params.p))
-    [vec] = _split_with_norms(shares, len(values))
+    flat = _encode_with_norms([values], params)
+    [[shares]] = runtime.run(spdz.share_batches(runtime, mpc_pids, [(owner, flat)], params.p))
+    [vec] = _split_with_norms(shares, len(values), owner, flat)
     return vec
 
 
@@ -450,38 +457,49 @@ def residual_norm_sq(runtime: Runtime, basis_cols, z_shares: SharedVector,
     """Exact shares of (||z||^2 - ||U^T z||^2) * 2^(4f), with no truncation.
 
     One Beaver batch multiplies the basis columns, concatenated, with z
-    repeated once per column: every u_ji * z_i at scale 2^(2f).  The sums
-    are local, and a second batch squares the projections to 2^(4f), where
-    the owner-dealt ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them
-    through the public factor 2^(2f).  Draws
-    `triples_per_control(len(z_shares), len(basis_cols))` triples, one
-    `next_triple()` at a time, and then runs the batches (`_residual`).  A
-    `z_shares` that is not a SharedVector carries no norm: a ShareError,
-    raised before any triple is drawn.  `roles` is unused, since nothing
-    truncates.
+    repeated once per column: every u_ji * z_i at scale 2^(2f).  Its
+    factors are owned (`spdz.Owned`): the entries that U's owner and z's
+    owner kept when they dealt them (`share_vector`).  Only the two owners
+    take part: the other servers open a' to U's owner and b' to z's, which
+    swap e = u - a' and d = z - b', so no other server receives a message
+    of the batch.  The sums are local, and a second batch, opened to every
+    server, squares the projections to 2^(4f), where the owner-dealt
+    ||z||^2 (`z_shares.norm_sq`, at 2^(2f)) joins them through the public
+    factor 2^(2f).  Draws `triples_per_control(len(z_shares),
+    len(basis_cols))` triples, one `next_triple()` at a time, and then runs
+    the batches (`_residual`).  A `z_shares` that is not a SharedVector
+    carries no norm, and basis columns that are not all SharedVectors of
+    one owner carry no owned entries: each a ShareError, raised before any
+    triple is drawn.  `roles` is unused, since nothing truncates.
     """
     if not isinstance(z_shares, SharedVector):
         raise ShareError("z shares carry no norm_sq, the owner-dealt ||z||^2 of share_vector")
+    if (not all(isinstance(col, SharedVector) for col in basis_cols)
+            or len({col.owner for col in basis_cols}) != 1):
+        raise ShareError("basis columns are not one owner's share_vector deals")
     for col in basis_cols:
         if len(col) != len(z_shares):
             raise ShapeError("basis column length %d != vector length %d"
                              % (len(col), len(z_shares)))
+    us = spdz.Owned(basis_cols[0].owner, [e for col in basis_cols for e in col.entries])
     triples = [dispenser.next_triple()
                for _ in range(triples_per_control(len(z_shares), len(basis_cols)))]
-    [res] = runtime.run(_residual(runtime, basis_cols, z_shares, params, triples, ledger))
+    [res] = runtime.run(_residual(runtime, us, z_shares, params, triples, ledger))
     return res
 
 
-def _residual(runtime: Runtime, basis_cols, z_shares: SharedVector, params: FixedPointParams,
-              triples, ledger: TripleLedger) -> Protocol:
+def _residual(runtime: Runtime, us: spdz.Owned, z_shares: SharedVector,
+              params: FixedPointParams, triples, ledger: TripleLedger) -> Protocol:
     """`residual_norm_sq`'s two Beaver batches on the control's triples, as
-    a protocol of four rounds.  The first batch needs the c' of its triples
-    only at its recombination, so it can open beside the mint that deals
-    them."""
-    p, rank = params.p, len(basis_cols)
-    us = spdz.concat(basis_cols)
-    products = yield from spdz.beaver(runtime, us, spdz.concat([z_shares] * rank),
-                                      triples[:len(us)], p, ledger)
+    a protocol of four rounds.  `us` holds the basis columns' entries,
+    concatenated, as their owner kept them.  The first batch multiplies
+    them with z's owner's entries (`spdz.Owned`): a' and b' open to the two
+    owners, which swap the differences, and each owner's step reads only
+    its own entries.  It needs the c' of its triples only at its
+    recombination, so it can run beside the mint that deals them."""
+    p, rank = params.p, len(us) // len(z_shares)
+    zs = spdz.Owned(z_shares.owner, z_shares.entries * rank)
+    products = yield from spdz.beaver(runtime, us, zs, triples[:len(us)], p, ledger)
     projs = spdz.sums(products, len(z_shares), p)
     squares = yield from spdz.beaver(runtime, projs, projs, triples[len(us):], p, ledger)
     return spdz.sub(spdz.scale(2 ** (2 * params.f), z_shares.norm_sq, p),
@@ -589,22 +607,25 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     control's batch also holds the lambda step's LAMBDA_TRIPLES (with no
     controls, they are minted alone).
 
-    One deal shares the basis, as one vector of dim*rank entries in column
-    order, together with the first Z_BLOCK controls' vectors, one batch per
-    owner; O_ctrl's batch carries dim + 1 values per control, its entries
-    and then its ||z||^2 (`SharedVector`), at no extra bytes, since O_ctrl
-    is a server and sends seeds.  Each later block of Z_BLOCK controls is
-    dealt at its first control, so the servers hold at most one block of z
-    shares.  Each block's deal, and in the first block lambda's blind
-    (`lambda_blind`), run beside the block's first mint (`net.Runtime.run`)
-    and cost no rounds of their own.  So does each control's residual
-    (`_residual`, once `TripleDispenser.take` has its triples): its first
-    Beaver batch opens x - a' and y - b' beside hop 3 and gets the broadcast
-    beside the c' deal, since only its recombination needs c'.
+    The basis is never dealt: O_case keeps its encoded entries, the owned
+    factor of each control's first Beaver batch.  O_ctrl deals the first
+    Z_BLOCK controls' vectors in one batch, each in `share_vector`'s
+    layout: its dim entries and then its ||z||^2 (`SharedVector`), at no
+    extra bytes, since O_ctrl is a server and sends seeds.  Each later
+    block of Z_BLOCK controls is dealt at its first control, so the servers
+    hold at most one block of z shares.  Each block's deal, and in the
+    first block lambda's blind (`lambda_blind`), run beside the block's
+    first mint (`net.Runtime.run`) and cost no rounds of their own.  So
+    does each control's residual (`_residual`, once `TripleDispenser.take`
+    has its triples).  Its first Beaver batch multiplies owned factors,
+    O_case's basis entries and O_ctrl's z: the other servers open a' to
+    O_case and b' to O_ctrl beside hop 3, and the owners swap e = u - a'
+    and d = z - b' beside the c' deal, since only the recombination needs
+    c'.  MPC_3 and any later server receive no message of that batch.
 
     A run over n >= 1 controls takes 8n + 6 rounds.  Per control: 4 for the
     mint and the first batch (hop 1 + blinds | hop 2 + a'/b' deals | hop 3
-    + the differences | c' deal + the broadcast), 2 for the second batch,
+    + a' and b' to their owners | c' deal + the swap), 2 for the second batch,
     and 2 for the accept bit (the sign test's opening to the mask owner,
     the bit's opening to O_ctrl).  Then 6 for lambda: 1 for both owners'
     counts and the blind, 2 + 2 for the Beaver products, 1 for the opening
@@ -622,28 +643,23 @@ def filter_controls(group: GroupParams, basis: CaseBasis, case_counts, controls,
     ctx = build_parties(group, seed=(repr(seed), "segment", 0), parties=config.parties,
                         record=record, ledger_path=ledger_path)
     runtime, dispenser = ctx.runtime, ctx.dispenser
-    basis_entries = [fixpt.fp_encode(v, params)
-                     for j in range(basis.rank) for v in basis.column(j)]
+    us = spdz.Owned(ctx.o_case, [fixpt.fp_encode(v, params)
+                                 for j in range(basis.rank) for v in basis.column(j)])
     budget = triples_per_control(dim, basis.rank)
-    basis_cols = z_block = None
+    z_block = None
 
     def deal_block(z_entries) -> Protocol:
-        """A block's deal, the first with the basis, as a protocol of one round."""
-        nonlocal basis_cols, basis_entries, z_block
-        flat, z_flat = yield from spdz.share_batches(
-            runtime, ctx.mpc_pids, [(ctx.o_case, basis_entries), (ctx.o_ctrl, z_entries)],
-            params.p)
-        if basis_entries:
-            basis_cols = [flat[i:i + dim] for i in range(0, len(flat), dim)]
-            basis_entries = []  # an empty batch sends nothing
-        z_block = _split_with_norms(z_flat, dim)
+        """A block's deal, as a protocol of one round."""
+        nonlocal z_block
+        [z_flat] = yield from spdz.share_batches(runtime, ctx.mpc_pids,
+                                                 [(ctx.o_ctrl, z_entries)], params.p)
+        z_block = _split_with_norms(z_flat, dim, ctx.o_ctrl, z_entries)
 
     def screen(k) -> Protocol:
         """Control k's residual, stepped after its mint, whose triples it
         takes as soon as the mint has pooled their a' and b'."""
         triples = yield from dispenser.take(budget)
-        return (yield from _residual(runtime, basis_cols, z_block[k], params, triples,
-                                     ctx.ledger))
+        return (yield from _residual(runtime, us, z_block[k], params, triples, ctx.ledger))
 
     accepted = []
     for start in range(0, max(len(controls), 1), Z_BLOCK):

@@ -233,6 +233,12 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     return True
 
 
+# The largest group anything here uses (STANDARD_GROUP_2048).  A larger p is
+# refused before any primality test: a safe-prime search far past it does
+# not end in any useful time.
+MAX_GROUP_BITS = 2048
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Safe-prime group: p = 2q + 1 with g generating the order-q subgroup."""
@@ -242,6 +248,9 @@ class GroupParams:
     g: int
 
     def validate(self) -> "GroupParams":
+        if self.p.bit_length() > MAX_GROUP_BITS:
+            raise ParameterError("a %d-bit p is past the %d-bit maximum"
+                                 % (self.p.bit_length(), MAX_GROUP_BITS))
         if self.p != 2 * self.q + 1:
             raise ParameterError("p != 2q + 1")
         if not is_probable_prime(self.p):
@@ -321,11 +330,12 @@ def gen_group(bit_length: int, seed: bytes | int | str = b"") -> GroupParams:
     Candidates for q are drawn from a generator seeded with `seed`, so a fixed
     seed always yields the same group.  The generator is the canonical square
     g = 4: the subgroup has prime order, so any element != 1 generates it.
-    Bit lengths down to 5 are accepted for test-scale groups; anything below
-    a few hundred bits offers no security.
+    Bit lengths from 5, for test-scale groups, to MAX_GROUP_BITS are
+    accepted; anything below a few hundred bits offers no security.
     """
-    if bit_length < 5:
-        raise ParameterError("bit_length must be at least 5")
+    if not 5 <= bit_length <= MAX_GROUP_BITS:
+        raise ParameterError("bit_length must be between 5 and %d, not %d"
+                             % (MAX_GROUP_BITS, bit_length))
     rng = random.Random(seed)
     for _ in range(_MAX_GROUP_SEARCH):
         q = rng.getrandbits(bit_length - 1) | (1 << (bit_length - 2)) | 1

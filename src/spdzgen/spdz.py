@@ -21,18 +21,31 @@ and a corrupted one changes the result.  Input sharing (`share_batches`)
 and the triples' dispensation (`dispense`) both deal through it.
 
 Linear operations are elementwise, share-wise and free of communication.
-An opening is the only synchronization point, and it goes to one party or
-to all: every party ships its column to the one party, or to the lowest
-party, which reconstructs and broadcasts the values to every party.
+Openings, and the swap of an owned Beaver batch, are the only
+synchronization points.  An opening goes to one party or to all: every
+party ships its column to the one party, or to the lowest party, which
+reconstructs and broadcasts the values to every party.  Opened to the
+owner of a factor, a triple's mask collapses onto that owner, which then
+holds it in the clear (an owned batch, below).
 Multiplication consumes one dispensed triple per product:
 
     rho = open([x] - [a]),  eps = open([y] - [b])
     [x*y] = [c] + eps*[a] + rho*[b] + rho*eps
 
-with the public rho*eps term added by exactly one party, the lowest party
-identifier.  A Beaver batch (`beaver`, a protocol) forms every party's
-column of differences, opens them all in one opening and recombines each
-party's column of product shares; it needs c only for that last step.
+with the public rho*eps term added by exactly one party.  A Beaver batch
+(`beaver`, a protocol) of shared factors forms every party's column of
+differences, opens them all to every party in one opening, and has the
+lowest party add rho*eps.  A batch of owned factors (`Owned`: values that
+one party holds in the clear, x's owner and y's owner distinct) opens no
+difference to every party.  Every other party opens its a' shares to x's
+owner and its b' shares to y's owner, two openings to one party in one
+round, which collapses a' onto x's owner and b' onto y's owner; then x's
+owner sends rho = x - a' to y's owner and y's owner sends eps = y - b' to
+x's owner, in a second round.  The same formula recombines over the
+collapsed a' and b', with x's owner adding rho*eps, and every other party
+keeps its share of c and receives nothing.  That is Beaver's commodity
+multiplication ("Commodity-Based Cryptography", STOC 1997) on a plain
+shared triple.  Either way the batch needs c only for the recombination.
 Triples are strictly one-time-use, enforced by a spent-id ledger.
 """
 
@@ -43,11 +56,12 @@ from typing import NamedTuple
 
 from .errors import ParameterError, ProtocolAbort, ShapeError, ShareError, TripleReuseError
 from .modmath import decode_residues, draw_seed, encode_residues, expand_residues
-from .net import PartyId, Protocol, Runtime
+from .net import PartyId, Protocol, Runtime, lockstep
 
 OPEN_TAG = "open"
 OPEN_RESULT_TAG = "open-result"
 SHARE_TAG = "share"
+SWAP_TAG = "swap"
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,18 @@ def _check_aligned(x: Shares, y: Shares):
                          % ([str(q) for q in x.parties], [str(q) for q in y.parties]))
     if len(x) != len(y):
         raise ShapeError("batches of %d and %d values" % (len(x), len(y)))
+
+
+@dataclass(frozen=True)
+class Owned:
+    """A batch of values that one party, their owner, holds in the clear: a
+    Beaver factor that needs no party's shares (`beaver`)."""
+
+    owner: PartyId
+    values: list
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 class Seeded(NamedTuple):
@@ -220,7 +246,8 @@ def open_values(runtime: Runtime, values: Shares, p: int, to: PartyId | None = N
     return opened
 
 
-def _open(runtime: Runtime, values: Shares, p: int, to) -> Protocol:
+def _open(runtime: Runtime, values: Shares, p: int, to, batch_id: str | None = None) -> Protocol:
+    """`open_values` as a protocol, under a fresh batch id or `batch_id`."""
     count = len(values)
     if not count:
         return []
@@ -228,7 +255,7 @@ def _open(runtime: Runtime, values: Shares, p: int, to) -> Protocol:
     collector = min(parties) if to is None else to
     if collector not in parties:
         raise ShareError("%s holds no share of the batch to open" % (collector,))
-    batch_id = runtime.fresh_id("o")
+    batch_id = batch_id or runtime.fresh_id("o")
     tag = "%s:%s" % (OPEN_TAG, batch_id)
     for pid in parties:
         if pid != collector:
@@ -287,30 +314,45 @@ class TripleLedger:
         return len(self._spent)
 
 
-def beaver(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
-           ledger: TripleLedger) -> Protocol:
+def beaver(runtime: Runtime, x, y, triples, p: int, ledger: TripleLedger) -> Protocol:
     """Multiply x and y elementwise, each product with its own fresh
-    dispensed triple, as a protocol of one opening to every party (two
-    rounds).
+    dispensed triple, as a protocol of two rounds.
 
-    The factors and every triple are checked at the first step, before any
-    triple is spent, so a rejected batch leaves the ledger as it was and
-    sends nothing.  The differences need only a' and b', so a triple whose
-    c_shares are still empty, one a mint in flight has pooled before
-    dealing its c' (`dispense.TripleDispenser`), is spent like any other;
-    its c' must have arrived by the recombination, after the opening's
-    second round, or the batch is a ShareError.
+    x and y are both Shares, whose differences x - a' and y - b' open to
+    every party, or both Owned by two distinct parties of the triples,
+    whose a' and b' open to x's owner and y's owner and whose differences
+    those two swap (`_swap`).  The factors and every triple are checked at
+    the first step, before any triple is spent, so a rejected batch leaves
+    the ledger as it was and sends nothing.  The differences need only a'
+    and b', so a triple whose c_shares are still empty, one a mint in
+    flight has pooled before dealing its c' (`dispense.TripleDispenser`),
+    is spent like any other; its c' must have arrived by the recombination,
+    after the second round, or the batch is a ShareError.
     """
     triples = list(triples)
-    _check_aligned(x, y)
+    owned = isinstance(x, Owned)
+    if owned != isinstance(y, Owned):
+        raise ShareError("one factor is owned and the other shared")
+    if owned:
+        if len(x) != len(y):
+            raise ShapeError("batches of %d and %d values" % (len(x), len(y)))
+        parties = tuple(triples[0].parties) if triples else ()
+    else:
+        _check_aligned(x, y)
+        parties = x.parties
     if len(x) != len(triples):
         raise ParameterError("need one triple per product")
-    parties = x.parties
     for t in triples:
         if tuple(t.parties) != parties:
             raise ShareError("triple %s dispensed to a different party set" % t.triple_id)
+    if owned:
+        if x.owner == y.owner:
+            raise ShareError("both factors are %s's; owned factors need two owners" % (x.owner,))
+        for owner in (x.owner, y.owner):
+            if owner not in parties:
+                raise ShareError("owner %s holds no share of the triples" % (owner,))
     if not triples:
-        return x
+        return Shares(parties, {pid: [] for pid in parties})
     try:  # the triples' a and b columns: each party's shares
         a = {pid: [t.a_shares[pid] for t in triples] for pid in parties}
         b = {pid: [t.b_shares[pid] for t in triples] for pid in parties}
@@ -320,20 +362,20 @@ def beaver(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
         if t.c_shares and not all(pid in t.c_shares for pid in parties):
             raise ShareError("some party holds no share of triple %s's c" % t.triple_id)
     ledger.spend_all(t.triple_id for t in triples)
-    # only the opening holds the differences, and after sending them it
-    # keeps the collector's column alone
-    opened = yield from _open(runtime, _differences(x, y, a, b, p), p, None)
+    if owned:
+        a, b, views = yield from _swap(runtime, x, y, Shares(parties, a), Shares(parties, b), p)
+        adder = x.owner
+    else:
+        # only the opening holds the differences, and after sending them it
+        # keeps the collector's column alone
+        opened = yield from _open(runtime, _differences(x, y, a, b, p), p, None)
+        views = dict.fromkeys(parties, (opened[0::2], opened[1::2]))
+        adder = min(parties)
     late = [t.triple_id for t in triples if not t.c_shares]
     if late:
         raise ShareError("the c' of triple %s never arrived" % late[0])
     c = {pid: [t.c_shares[pid] for t in triples] for pid in parties}
-    rho, eps = opened[0::2], opened[1::2]
-    products = {pid: [(w + e * u + r * v) % p
-                      for u, v, w, r, e in zip(a[pid], b[pid], c[pid], rho, eps)]
-                for pid in parties}
-    lowest = min(parties)
-    products[lowest] = [(v + r * e) % p for v, r, e in zip(products[lowest], rho, eps)]
-    return Shares(parties, products)
+    return Shares(parties, _recombine(a, b, c, views, adder, p))
 
 
 def _differences(x: Shares, y: Shares, a: dict, b: dict, p: int) -> Shares:
@@ -346,8 +388,51 @@ def _differences(x: Shares, y: Shares, a: dict, b: dict, p: int) -> Shares:
     return Shares(x.parties, diffs)
 
 
-def beaver_mult_batch(runtime: Runtime, x: Shares, y: Shares, triples, p: int,
-                      ledger: TripleLedger) -> Shares:
-    """`beaver` as a run of its own: x*y elementwise, in one opening."""
+def _swap(runtime: Runtime, x: Owned, y: Owned, a: Shares, b: Shares, p: int) -> Protocol:
+    """The differences of owned factors, as a protocol of two rounds.
+
+    First the other parties open a' to x's owner and b' to y's owner, both
+    openings under one batch id.  Then x's owner sends rho = x - a' to y's
+    owner and y's owner sends eps = y - b' to x's owner, under the swap tag.
+    Returns the two owners' columns of the collapsed a' and b' (all of a'
+    at x's owner and none at y's, and the reverse for b') and their
+    (rho, eps), each as that owner computed or received them.
+    """
+    batch_id = runtime.fresh_id("o")
+    a_held, b_held = yield from lockstep(_open(runtime, a, p, x.owner, batch_id),
+                                         _open(runtime, b, p, y.owner, batch_id))
+    tag = "%s:%s" % (SWAP_TAG, batch_id)
+    rho = [(v - w) % p for v, w in zip(x.values, a_held)]
+    eps = [(v - w) % p for v, w in zip(y.values, b_held)]
+    runtime.send(x.owner, y.owner, tag, encode_residues(rho, p))
+    runtime.send(y.owner, x.owner, tag, encode_residues(eps, p))
+    yield
+    count, zeros = len(rho), [0] * len(rho)
+    views = {x.owner: (rho, decode_residues(runtime.take(x.owner, tag).payload, count, p)),
+             y.owner: (decode_residues(runtime.take(y.owner, tag).payload, count, p), eps)}
+    return {x.owner: a_held, y.owner: zeros}, {x.owner: zeros, y.owner: b_held}, views
+
+
+def _recombine(a: dict, b: dict, c: dict, views: dict, adder: PartyId, p: int) -> dict:
+    """Each party's column of product shares [c] + eps*[a] + rho*[b], with
+    rho*eps added at `adder`.  `views` holds the (rho, eps) of each party
+    that learned the differences, and `a` and `b` hold their columns; a
+    party with none holds zero shares of a' and b' and keeps its shares of
+    c."""
+    products = {}
+    for pid, column in c.items():
+        if pid not in views:
+            products[pid] = column
+            continue
+        rho, eps = views[pid]
+        products[pid] = [(w + e * u + r * v) % p
+                         for u, v, w, r, e in zip(a[pid], b[pid], column, rho, eps)]
+    rho, eps = views[adder]
+    products[adder] = [(v + r * e) % p for v, r, e in zip(products[adder], rho, eps)]
+    return products
+
+
+def beaver_mult_batch(runtime: Runtime, x, y, triples, p: int, ledger: TripleLedger) -> Shares:
+    """`beaver` as a run of its own: x*y elementwise, in two rounds."""
     [products] = runtime.run(beaver(runtime, x, y, triples, p, ledger))
     return products

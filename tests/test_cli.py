@@ -241,6 +241,30 @@ class TestRun:
         assert len(lines) > 100
         assert all(json.loads(line)["kind"] == "msg" for line in lines)
 
+    def test_four_parties_match_the_oracle(self, pipeline_files, tmp_path):
+        # at 4 servers too each control's first Beaver batch stays between
+        # O_case (MPC_1) and O_ctrl (MPC_2): the other servers send them
+        # their a' and b' shares and receive none of its messages
+        case_csv, basis_csv, ctrl_csv = pipeline_files
+        transcript = tmp_path / "t.jsonl"
+        reports = []
+        for extra in (["--transcript-out", str(transcript)], ["--plaintext-oracle"]):
+            out = tmp_path / "r.json"
+            assert run_cli("run", "--case", str(case_csv), "--basis", str(basis_csv),
+                           "--controls", str(ctrl_csv), "--out", str(out), "--seed", "7",
+                           "--parties", "4", *extra) == 0
+            reports.append(json.loads(out.read_text()))
+        secure, oracle = reports
+        assert secure["config"]["parties"] == oracle["config"]["parties"] == 4
+        assert secure["accepted"] == oracle["accepted"] == ["ctrl_000", "ctrl_001"]
+        assert secure["lambda"] == oracle["lambda"]
+        records = [json.loads(line) for line in transcript.read_text().splitlines()]
+        firsts = {r["tag"].split(":", 1)[1] for r in records if r["tag"].startswith("swap:")}
+        assert len(firsts) == 4
+        batch = [r for r in records if r["tag"].split(":", 1)[-1] in firsts]
+        assert {r["to"] for r in batch} == {"MPC_1", "MPC_2"}
+        assert len(batch) == 4 * (2 * 3 + 2)
+
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run_cli("run", "--case", "nope.csv", "--basis", "nope.csv",
                        "--controls", "nope.csv") == EXIT_VALIDATION
@@ -395,7 +419,7 @@ def run_module(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "spdzgen", *argv], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=120)
 
 
 def test_console_entry_point(tmp_path):
@@ -420,6 +444,8 @@ HEADERLESS = "0,1,2,0,1,0\n2,0,1,1,0,1\n2,2,0,1,0,2\n"
 RAGGED = "s0,s1,s2,s3,s4,s5\n0,1,2,0,1,0\n2,0\n2,2,0,1,0,2,1,1\n"
 # The fixture's header and no sample.
 HEADER_ONLY = "s0,s1,s2,s3,s4,s5\n"
+# A group document whose p = 2q + 1 has 4096 bits, past the 2048-bit maximum.
+BIG_GROUP = json.dumps({"p": str(2 ** 4095 + 3), "q": str(2 ** 4094 + 1), "g": "4"})
 
 
 @pytest.mark.parametrize("argv,config,code", [
@@ -481,6 +507,11 @@ HEADER_ONLY = "s0,s1,s2,s3,s4,s5\n"
      EXIT_VALIDATION),
     (["run", "--plaintext-oracle", "--basis", ("b.csv", ""), "--controls",
       ("c.csv", HEADER_ONLY)], None, EXIT_VALIDATION),
+    # groups past the 2048-bit maximum, refused before any prime search or test
+    (["run"], {"bits": 1_000_000}, EXIT_VALIDATION),
+    (["run"], {"group_path": ("g.json", BIG_GROUP)}, EXIT_VALIDATION),
+    (["triples", "--bits", "4096"], None, EXIT_VALIDATION),
+    (["groupgen", "--bits", "4096"], None, EXIT_VALIDATION),
 ], ids=["demo-reuse-without-triples", "tau-zero-denominator", "lambda-max-zero-denominator",
         "config-zero-denominator", "negative-kappa", "fractional-f", "fractional-bits",
         "fractional-parties", "boolean-kappa", "group-path-not-string",
@@ -497,7 +528,8 @@ HEADER_ONLY = "s0,s1,s2,s3,s4,s5\n"
         "oracle-config-lambda-max-below-float", "case-count-past-cap",
         "oracle-case-count-past-cap", "headerless-case", "headerless-controls",
         "oracle-headerless-case", "oracle-headerless-controls", "ragged-case",
-        "oracle-ragged-case", "empty-basis", "oracle-empty-basis"])
+        "oracle-ragged-case", "empty-basis", "oracle-empty-basis", "run-bits-past-max",
+        "run-group-past-max", "triples-bits-past-max", "groupgen-bits-past-max"])
 def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, argv, config,
                                                     code):
     def written(arg):
@@ -508,7 +540,7 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
         return str(tmp_path / arg[0])
 
     argv = [written(arg) for arg in argv]
-    if argv[0] == "synth":
+    if argv[0] in ("synth", "groupgen"):
         argv = argv + ["--out", str(tmp_path / "r.json")]
     if argv[0] == "run":
         # an option given in argv comes after these defaults, so it wins
@@ -531,17 +563,17 @@ def test_bad_arguments_exit_typed_without_traceback(pipeline_files, tmp_path, ar
 class TestPipelineGolden:
     # sha256 of the transcript and the triple ledger of one fixed `run`: three
     # controls of dim 4 against a rank-2 basis, seed 5, single-randomness
-    # dispensation.  The transcript lists 101 messages and the ledger 35
+    # dispensation.  The transcript lists 105 messages and the ledger 35
     # triples; the report accepts ctrl_000 with lambda 31/255.  CHANGES.md
     # records what each re-pin moved.  The control loop, the Beaver products
     # and the dispensation must leave both byte-identical.
-    TRANSCRIPT_SHA256 = "a6065e9e95e022586471d3aca8b026013463da55c611e3906d1beb8b1a5fcaa9"
-    LEDGER_SHA256 = "7439b2874bb01358a58ea666ad3a191f69601369d5fc8dc77bbee44dd3216c52"
+    TRANSCRIPT_SHA256 = "a28b34370d60dc4f14b137d19c60d1a57964f3c6a5d60698a68892ae1374d18b"
+    LEDGER_SHA256 = "5fdd569fb0289d94a47be80e273b72c3285301666682d549dad473993e67093a"
     # The same run with two-randomness dispensation (`build_parties` patched
     # to blinding="two", as tests/test_gwas.py's `screened_run` does, since
-    # `run` has no mode option).  Its transcript lists 116 messages; the
+    # `run` has no mode option).  Its transcript lists 120 messages; the
     # ledger, the report and the triple count are single mode's.
-    TWO_MODE_TRANSCRIPT_SHA256 = "b6218261ae6dd980048fe944c96cfffb6113cbfe526a37d62bfef308d0b6a4a5"
+    TWO_MODE_TRANSCRIPT_SHA256 = "a603818a569e8b0de45325d7176adeee04a5c6d766bc356ee04a4b3d3c1ee1d1"
     TWO_MODE_LEDGER_SHA256 = LEDGER_SHA256
 
     def run_golden(self, tmp_path):

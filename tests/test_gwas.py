@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdzgen import btg, fixpt, gwas, modmath, net, spdz
+from spdzgen import btg, dispense, fixpt, gwas, modmath, net, spdz
 from spdzgen.btg import BtgRole
 
 from spdzgen.errors import (
@@ -390,9 +390,10 @@ class TestSecureResidual:
         assert calls == ["open", "open"]
 
     def test_rounds_do_not_grow_with_dim_or_rank(self, group256):
-        # one round for the whole basis, one for z, four to mint, two Beaver
-        # openings, and the sign test's and the bit's openings, each to one
-        # party, per control, whatever its shape; the accept bit took 6
+        # one round for z, four to mint, two Beaver batches, and the sign
+        # test's and the bit's openings, each to one party, per control,
+        # whatever its shape (the basis columns, one share_vector each, are
+        # dealt before the count starts); the accept bit took 6
         # rounds (16 in all) until the sign test's truncation became one
         # opening to the mask owner, and 3 (13 in all) while the bit was
         # opened to every server
@@ -401,16 +402,135 @@ class TestSecureResidual:
         ctx = build_parties(group256, seed=10)
         rounds = []
         for dim, rank in ((3, 1), (6, 2), (6, 5)):
+            cols = [share_vector(ctx.runtime, ctx.o_case, [0] * dim, ctx.mpc_pids, params)
+                    for _ in range(rank)]
             before = ctx.runtime.rounds
-            flat = share_vector(ctx.runtime, ctx.o_case, [0] * (dim * rank), ctx.mpc_pids, params)
-            cols = [flat[i:i + dim] for i in range(0, dim * rank, dim)]
             z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1] * dim, ctx.mpc_pids, params)
             ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(dim, rank)))
             res = residual_norm_sq(ctx.runtime, cols, z_sh, params,
                                    ctx.dispenser, ctx.ledger, ctx.roles)
             secure_accept_bit(ctx.runtime, res, config, ctx.roles)
             rounds.append(ctx.runtime.rounds - before)
-        assert rounds == [1 + 1 + 4 + 4 + 2] * 3
+        assert rounds == [1 + 4 + 4 + 2] * 3
+
+    def first_batch_window(self, group256, seed):
+        """One residual_norm_sq on owned factors, dim 3 and rank 2, on
+        minted triples: the context, the messages of the control's first
+        Beaver batch (those under its batch id), its triples and factors."""
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=seed, record=True)
+        cols = [share_vector(ctx.runtime, ctx.o_case, col, ctx.mpc_pids, params)
+                for col in ([1, 0, 0], [0, Fraction(1, 2), Fraction(-3, 4)])]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 2, 0], ctx.mpc_pids, params)
+        ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 2)))
+        triples, start = list(ctx.dispenser.pool)[:6], len(ctx.runtime.transcript)
+        residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger, ctx.roles)
+        window = ctx.runtime.transcript[start:]
+        first = window[0].tag.split(":", 1)[1]
+        batch = [r for r in window if r.tag.split(":", 1)[1] == first]
+        us = [e for col in cols for e in col.entries]
+        return ctx, batch, triples, us, z_sh.entries * 2
+
+    def test_mpc_3_receives_no_first_batch_message(self, group256):
+        # a' reaches O_case and b' O_ctrl, 4 messages, and the swap 2 more;
+        # while the batch opened x - a' and y - b' to every server, MPC_3
+        # sent its differences and got their broadcast
+        ctx, batch, _, _, _ = self.first_batch_window(group256, 30)
+        assert len(batch) == 6
+        assert {r.dst for r in batch} == {ctx.o_case, ctx.o_ctrl}
+
+    def test_e_reaches_only_o_ctrl_and_d_only_o_case(self, group256):
+        p = group256.p
+        ctx, batch, triples, us, zs = self.first_batch_window(group256, 31)
+        a, b = ([dispense.reconstruct(getattr(t, name).values(), p) for t in triples]
+                for name in ("a_shares", "b_shares"))
+        e = {(u - v) % p for u, v in zip(us, a)}
+        d = {(z - v) % p for z, v in zip(zs, b)}
+        w = (p.bit_length() + 7) // 8
+        received = {}
+        for r in ctx.runtime.transcript:
+            received.setdefault(r.dst, set()).update(
+                int.from_bytes(r.payload[i:i + w], "big") for i in range(0, len(r.payload), w))
+        assert [pid for pid, values in received.items() if values & e] == [ctx.o_ctrl]
+        assert [pid for pid, values in received.items() if values & d] == [ctx.o_case]
+        assert {(r.src, r.dst) for r in batch if r.tag.startswith("swap:")} \
+            == {(ctx.o_case, ctx.o_ctrl), (ctx.o_ctrl, ctx.o_case)}
+
+    def test_two_mode_owners_read_their_own_masks_a_and_b(self, group256, monkeypatch):
+        # in two mode O_case is O_x and drew each triple's blind r_a, and
+        # O_ctrl drew r_b.  The collapse hands O_case a' = s_a*r_a*a, so it
+        # reads s_a*a = a'/r_a, and a is a square, so chi(a'/r_a) is the
+        # holder's sign s_a and a itself follows; O_ctrl reads s_b and b
+        # alike.  Neither reads the other's mask: O_case gets no b' share
+        # and O_ctrl no a' share, so e and d stay masked to their receivers
+        p, params = group256.p, fp_for(group256)
+        ctx = build_parties(group256, seed=34, record=True, blinding="two")
+        session, outcomes = btg.triple_session, []
+
+        def recorded(runtime, params, keys, pids, *args, **kwargs):
+            outcome = yield from session(runtime, params, keys, pids, *args, **kwargs)
+            if pids[BtgRole.A] == ctx.btg_pids[BtgRole.A]:
+                outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(btg, "triple_session", recorded)
+        cols = [share_vector(ctx.runtime, ctx.o_case, col, ctx.mpc_pids, params)
+                for col in ([1, 0, 0], [0, Fraction(1, 2), Fraction(-3, 4)])]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 2, 0], ctx.mpc_pids, params)
+        ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 2)))
+        [outcome] = outcomes
+        triples, start = list(ctx.dispenser.pool)[:6], len(ctx.runtime.transcript)
+        residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger, ctx.roles)
+        window = ctx.runtime.transcript[start:]
+        first = window[0].tag.split(":", 1)[1]
+        for owner, role, name in ((ctx.o_case, BtgRole.A, "a_shares"),
+                                  (ctx.o_ctrl, BtgRole.B, "b_shares")):
+            [seed] = [r.payload for r in ctx.runtime.transcript
+                      if (r.src, r.dst) == (owner, ctx.btg_pids[role])
+                      and r.tag.startswith(dispense.BLIND_TAG + ":")]
+            held = [getattr(t, name)[owner] for t in triples]
+            received = [r for r in window if r.dst == owner and r.tag == "open:" + first]
+            assert len(received) == len(ctx.mpc_pids) - 1
+            for r in received:
+                held = [(h + v) % p for h, v in zip(held, modmath.decode_residues(r.payload, 6, p))]
+            unblinded = [h * pow(r, -1, p) % p for h, r in zip(held, dispense._blinds(seed, 6, p))]
+            signs = [1 if legendre(v, p) == 1 else -1 for v in unblinded]
+            assert [s * v % p for s, v in zip(signs, unblinded)] == outcome[role][:6]
+            assert -1 in signs and 1 in signs
+
+    def test_basis_and_z_of_one_owner_rejected_before_any_triple_is_spent(self, group256):
+        # owned factors need two owners; the batch refuses before it spends
+        # or sends anything
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=32)
+        cols = [share_vector(ctx.runtime, ctx.o_ctrl, [0, 1, 0], ctx.mpc_pids, params)]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
+        ctx.runtime.run(ctx.dispenser.mint(gwas.triples_per_control(3, 1)))
+        sent = ctx.runtime.messages_sent
+        with pytest.raises(ShareError, match="two owners"):
+            residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger,
+                             ctx.roles)
+        assert (len(ctx.ledger), ctx.runtime.messages_sent) == (0, sent)
+
+    @pytest.mark.parametrize("basis_kind", ["plain-shares", "two-owners"])
+    def test_basis_without_one_owner_rejected_before_any_triple_is_drawn(self, group256,
+                                                                        basis_kind):
+        # the first batch multiplies U's owner's kept entries: columns that
+        # carry none, or two owners' entries, are refused before a draw
+        params = fp_for(group256)
+        ctx = build_parties(group256, seed=33)
+        if basis_kind == "plain-shares":
+            vec = share_vector(ctx.runtime, ctx.o_case, [0, 1, 0, 1, 0, 0], ctx.mpc_pids, params)
+            cols = [vec[0:3], vec[3:6]]
+        else:
+            cols = [share_vector(ctx.runtime, owner, [0, 1, 0], ctx.mpc_pids, params)
+                    for owner in (ctx.o_case, ctx.o_ctrl)]
+        z_sh = share_vector(ctx.runtime, ctx.o_ctrl, [1, 1, 0], ctx.mpc_pids, params)
+        sent = ctx.runtime.messages_sent
+        with pytest.raises(ShareError, match="one owner"):
+            residual_norm_sq(ctx.runtime, cols, z_sh, params, ctx.dispenser, ctx.ledger,
+                             ctx.roles)
+        assert (ctx.dispenser.count, len(ctx.ledger), ctx.runtime.messages_sent) == (0, 0, sent)
 
     def test_dimension_mismatch(self, group256):
         params = fp_for(group256)
@@ -490,11 +610,13 @@ class TestFilterPipeline:
     def test_z_dealt_one_block_at_a_time(self, group256, monkeypatch):
         basis, case_counts, controls, config = small_pipeline_inputs(group256)
         monkeypatch.setattr(gwas, "Z_BLOCK", 2)
-        share_batches, z_batches = spdz.share_batches, []
+        share_batches, z_batches, case_batches = spdz.share_batches, [], []
 
         def recording(runtime, parties, batches, p):
-            batches = list(batches)  # parties[1] is O_ctrl
+            batches = list(batches)  # parties[0] is O_case, parties[1] O_ctrl
             z_batches.extend(len(secrets) for owner, secrets in batches if owner == parties[1])
+            case_batches.extend(len(secrets) for owner, secrets in batches
+                                if owner == parties[0])
             return share_batches(runtime, parties, batches, p)
 
         monkeypatch.setattr(spdz, "share_batches", recording)
@@ -505,14 +627,19 @@ class TestFilterPipeline:
         # shares (while it dealt them, a run took 10 + 14 * 5 + 2 rounds),
         # and each block's deal rides its first mint (while they ran alone,
         # 10 + 11 * 5 + 2); each first Beaver batch overlaps its mint and
-        # the accept bit opens to O_ctrl alone (before both, 11 * 5 + 6)
+        # the accept bit opens to O_ctrl alone (before both, 11 * 5 + 6).
+        # O_case deals only lambda's counts: it keeps the basis, the owned
+        # factor of each first Beaver batch, instead of dealing it
         assert z_batches == [14, 14, 7, 3]
+        assert case_batches == [3]
         assert result["context"].runtime.rounds == 8 * 5 + 6
         assert result["accepted"] == ["ctrl_000", "ctrl_001"]
 
     def test_first_batch_opens_beside_its_mint(self, group256, monkeypatch):
-        # each control's first Beaver opening is delivered with its mint's
-        # hop 3, and its broadcast with the c' deal, the mint's last round
+        # each control's first Beaver batch opens a' and b' to their owners
+        # with its mint's hop 3, and swaps e and d with the c' deal, the
+        # mint's last round (the broadcast of x - a' and y - b' rode it while
+        # the batch opened to every server)
         basis, case_counts, controls, config = small_pipeline_inputs(group256)
         rounds, pump = [], net.Runtime.pump
 
@@ -536,8 +663,21 @@ class TestFilterPipeline:
             opened = [m.tag for msgs in rounds[start:] for m in msgs if m.tag.startswith("open:")]
             first = opened[0]
             assert {m.tag for m in rounds[h] if m.tag.startswith("open:")} == {first}
-            assert {m.tag for m in rounds[c] if m.tag.startswith("open-result:")} \
-                == {first.replace("open:", "open-result:")}
+            assert {m.tag for m in rounds[c] if m.tag.startswith(("open-result:", "swap:"))} \
+                == {first.replace("open:", "swap:")}
+
+    def test_first_batches_reach_no_third_server(self, group256):
+        # each control's first batch sends a' shares to O_case, b' shares to
+        # O_ctrl and the swap between them: MPC_3 receives none of it
+        basis, case_counts, controls, config = small_pipeline_inputs(group256)
+        result = filter_controls(group256, basis, case_counts, controls, config, seed=19,
+                                 record=True)
+        ctx, transcript = result["context"], result["context"].runtime.transcript
+        firsts = {r.tag.split(":", 1)[1] for r in transcript if r.tag.startswith("swap:")}
+        assert len(firsts) == len(controls)
+        batch = [r for r in transcript if r.tag.split(":", 1)[-1] in firsts]
+        assert {r.dst for r in batch} == {ctx.o_case, ctx.o_ctrl}
+        assert len(batch) == 6 * len(controls)
 
     def test_no_accept_bit_reaches_mpc_1_or_mpc_3(self, group256, monkeypatch):
         # the sign test opens its masked value to the mask owner (MPC_1), and
@@ -609,8 +749,13 @@ class TestFilterPipeline:
     # K triples saves 2 * 32 * K correction bytes and adds 2 * K sign bytes
     # and two 16-byte seeds to MPC_1, 62 * K - 32 bytes, over batches of
     # 12, 19, 7 + 7 + 12 and 14 + 14 + 19 triples: from 6,310, 9,446,
-    # 13,388 and 22,796 bytes.
-    WIRE_BYTES = {(1, 1): 5_598, (1, 2): 8_300, (3, 1): 11_872, (3, 2): 19_978}
+    # 13,388 and 22,796 bytes.  Owned first batches send each a' and b'
+    # share to its owner and swap e and d, 6 values per product where the
+    # opening to every server sent 8, which saves 2 * rank * dim * 32 bytes
+    # per control: from 5,598, 8,300, 11,872 and 19,978 bytes.  Since O_case
+    # keeps the basis instead of dealing it, its two 16-byte seeds are gone,
+    # 32 bytes per run: from 5,214, 7,532, 10,720 and 17,674 bytes.
+    WIRE_BYTES = {(1, 1): 5_182, (1, 2): 7_500, (3, 1): 10_688, (3, 2): 17_642}
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("n", [1, 3])
@@ -730,18 +875,29 @@ def screened_two(group256):
     return screened_run(group256, "two")
 
 
-def first_batch_openings(ctx, dim, rank, p):
-    """Each control's first Beaver opening, in control order.
+def first_batch_openings(ctx, pid, dim, rank, p):
+    """Each control's first-batch differences as pid's view holds them, in
+    control order, or None for a control whose differences pid never sees.
 
-    That batch multiplies u_ji * z_i (pair j*dim + i), and opens
-    rho = x - a' and eps = y - b' for pair k at 2k and 2k + 1.  The openings
-    are public.
+    That batch multiplies u_ji * z_i (pair j*dim + i), and its two owners
+    swap rho = x - a' (O_case sends it) and eps = y - b' (O_ctrl sends it),
+    returned for pair k at 2k and 2k + 1.  No other server receives either;
+    they reached every server while the batch opened them to all.
     """
-    width, count = (p.bit_length() + 7) // 8, 2 * dim * rank
-    return list({rec.tag: modmath.decode_residues(rec.payload, count, p)
-                 for rec in ctx.runtime.transcript
-                 if rec.tag.startswith("open-result:")
-                 and len(rec.payload) == count * width}.values())
+    count = dim * rank
+    swaps = [rec for rec in ctx.runtime.transcript if rec.tag.startswith(spdz.SWAP_TAG + ":")]
+    seen = {}
+    for rec in swaps:
+        if pid in (rec.src, rec.dst):
+            seen.setdefault(rec.tag, {})[rec.src] = modmath.decode_residues(rec.payload, count, p)
+    openings = []
+    for tag in dict.fromkeys(rec.tag for rec in swaps):
+        opened = None
+        if tag in seen:
+            opened = [0] * (2 * count)
+            opened[0::2], opened[1::2] = seen[tag][ctx.o_case], seen[tag][ctx.o_ctrl]
+        openings.append(opened)
+    return openings
 
 
 def basis_encodings(basis, params):
@@ -770,11 +926,12 @@ def square_candidates(ctx, pid, dim, rank, params, basis):
 
     def passes(opened, i, g):
         z = g * 2 ** params.f
-        return any(known((col[i] - opened[2 * k]) * (z - opened[2 * k + 1]) % p)
-                   for k, col in zip(range(i, dim * rank, dim), cols))
+        return opened is not None and any(
+            known((col[i] - opened[2 * k]) * (z - opened[2 * k + 1]) % p)
+            for k, col in zip(range(i, dim * rank, dim), cols))
 
     return [[g for g in (0, 1, 2) if passes(opened, i, g)]
-            for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
+            for opened in first_batch_openings(ctx, pid, dim, rank, p) for i in range(dim)]
 
 
 def legendre(v, p):
@@ -789,7 +946,7 @@ def blind_candidates(ctx, pid, dim, rank, params):
     sends r_b's.  b is a square, so without signs chi(b') = chi(r_b), and
     each opening of z_i (eps of pair j*dim + i) then tests every candidate.
     The n-th seed to a holder blinds the n-th control's batch; a control
-    with no blind in the view keeps every candidate.
+    with no blind or no opening in the view keeps every candidate.
     """
     p, pairs = params.p, dim * rank
     square = ctx.dispenser.mode == "two"
@@ -802,11 +959,12 @@ def blind_candidates(ctx, pid, dim, rank, params):
 
     def passes(opened, n, i, g):
         z = fixpt.fp_encode(g, params)
-        tests = [(2 * k + 1, r_b[n][k]) for k in range(i, pairs, dim)] if n < len(r_b) else []
+        tests = ([(2 * k + 1, r_b[n][k]) for k in range(i, pairs, dim)]
+                 if n < len(r_b) and opened is not None else [])
         return all(legendre(z - opened[o], p) == legendre(r, p) for o, r in tests)
 
     return [[g for g in (0, 1, 2) if passes(opened, n, i, g)]
-            for n, opened in enumerate(first_batch_openings(ctx, dim, rank, p))
+            for n, opened in enumerate(first_batch_openings(ctx, pid, dim, rank, p))
             for i in range(dim)]
 
 
@@ -816,18 +974,19 @@ def pairwise_candidates(ctx, pid, dim, rank, params, basis):
 
     O_case knows the basis encodings, so it tests it on each u_ji * z_i;
     the other servers have no product whose x they know, and keep every
-    candidate.
+    candidate, as does a control whose differences O_case never sees.
     """
     p = params.p
     known = basis_encodings(basis, params) if pid == ctx.o_case else []
 
     def passes(opened, i, g):
         z = fixpt.fp_encode(g, params)
-        return all(legendre(col[i] - opened[2 * k], p) == legendre(z - opened[2 * k + 1], p)
-                   for k, col in zip(range(i, dim * rank, dim), known))
+        return opened is None or all(
+            legendre(col[i] - opened[2 * k], p) == legendre(z - opened[2 * k + 1], p)
+            for k, col in zip(range(i, dim * rank, dim), known))
 
     return [[g for g in (0, 1, 2) if passes(opened, i, g)]
-            for opened in first_batch_openings(ctx, dim, rank, p) for i in range(dim)]
+            for opened in first_batch_openings(ctx, pid, dim, rank, p) for i in range(dim)]
 
 
 def assert_no_square_recovery(screened):

@@ -81,6 +81,20 @@ class TestGroupGen:
         with pytest.raises(ParameterError):
             gen_group(4)
 
+    @pytest.mark.parametrize("bits", [modmath.MAX_GROUP_BITS + 1, 4096, 1_000_000])
+    def test_rejects_past_the_maximum_before_any_primality_test(self, bits, monkeypatch):
+        # a search this large never ends in useful time; the refusal comes first
+        monkeypatch.setattr(modmath, "is_probable_prime", None)
+        with pytest.raises(ParameterError, match="2048"):
+            gen_group(bits)
+        q = 2 ** (bits - 2) + 1
+        with pytest.raises(ParameterError, match="2048"):
+            GroupParams(p=2 * q + 1, q=q, g=4).validate()
+
+    def test_the_2048_bit_group_is_at_the_maximum(self):
+        assert STANDARD_GROUP_2048.p.bit_length() == modmath.MAX_GROUP_BITS
+        STANDARD_GROUP_2048.validate()
+
     def test_json_roundtrip(self):
         text = TINY_GROUP.to_json()
         doc = json.loads(text)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -391,6 +392,49 @@ class TestColumnarBatch:
         with pytest.raises(ShareError, match="never arrived"):
             beaver_mult_batch(rt, x, y, [first, late], p, ledger)
         assert (len(ledger), rt.rounds - rounds) == (2, 2)
+
+
+class TestOwnedBatch:
+    # factors that one party each holds in the clear: a' collapses onto x's
+    # owner and b' onto y's, the owners swap rho = x - a' and eps = y - b',
+    # and no other party receives a message
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_products_and_collapsed_shares(self, group256, m):
+        p, rng = group256.p, random.Random(20 + m)
+        parties = tuple(PartyId("MPC", i) for i in range(1, m + 1))
+        rt = Runtime(parties, seed=m)
+        xo, yo = parties[1], parties[0]  # x's owner adds rho*eps, lowest or not
+        plain = [(rng.randrange(p), rng.randrange(p)) for _ in range(5)]
+        x = spdz.Owned(xo, [xv for xv, _ in plain])
+        y = spdz.Owned(yo, [yv for _, yv in plain])
+        used = list(itertools.islice(triple_stream(p, parties, rng), len(plain)))
+        ledger, rounds = TripleLedger(), rt.rounds
+        products = beaver_mult_batch(rt, x, y, used, p, ledger)
+        sent = rt.transcript
+        assert (len(ledger), rt.rounds - rounds) == (5, 2)
+        assert len(sent) == 2 * (m - 1) + 2
+        assert {r.dst for r in sent} == {xo, yo}
+        for i, t in enumerate(used):
+            a, b = (reconstruct(shares.values(), p) for shares in (t.a_shares, t.b_shares))
+            rho, eps = (plain[i][0] - a) % p, (plain[i][1] - b) % p
+            want = {q: t.c_shares[q] for q in parties}
+            want[xo] = (want[xo] + eps * a + rho * eps) % p
+            want[yo] = (want[yo] + rho * b) % p
+            assert {q: products.columns[q][i] for q in parties} == want
+        assert open_values(rt, products, p) == [xv * yv % p for xv, yv in plain]
+
+    @pytest.mark.parametrize("fault", ["one-owner", "owner-outside", "mixed"])
+    def test_rejected_before_any_triple(self, rt, group256, fault):
+        p, rng = group256.p, random.Random(21)
+        triples = list(itertools.islice(triple_stream(p, PARTIES, rng), 2))
+        x, y = spdz.Owned(P1, [2, 3]), spdz.Owned(P2, [4, 5])
+        factors = {"one-owner": (x, spdz.Owned(P1, [4, 5])),
+                   "owner-outside": (x, spdz.Owned(PartyId("MPC", 9), [4, 5])),
+                   "mixed": (x, share_values(rt, P2, [4, 5], PARTIES, p))}[fault]
+        ledger, sent = TripleLedger(), rt.messages_sent
+        with pytest.raises(ShareError):
+            beaver_mult_batch(rt, *factors, triples, p, ledger)
+        assert (len(ledger), rt.messages_sent) == (0, sent)
 
 
 class TestBatchedOpen:
